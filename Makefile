@@ -2,15 +2,16 @@
 
 GO ?= go
 
-.PHONY: check build vet test race chaos bench-smoke bench-obs bench-hotpath bench-chaos bench-preprocess bench-preprocess-smoke bench-kernel bench-kernel-smoke bench-tail bench-tail-smoke bench-pipeline bench-pipeline-smoke bench-churn bench-churn-smoke obs-smoke obsdiff-gate clean
+.PHONY: check build vet test race chaos bench-canonical-smoke bench-smoke bench-obs bench-hotpath bench-chaos bench-preprocess bench-preprocess-smoke bench-kernel bench-kernel-smoke bench-tail bench-tail-smoke bench-pipeline bench-pipeline-smoke bench-churn bench-churn-smoke obs-smoke obsdiff-gate clean
 
 ## check: full CI gate — vet, build, tests, race detector on the
 ## concurrency-heavy packages, the chaos (fault-injection) suite, a
 ## short allocation-tracking benchmark pass over the hot path,
 ## reduced-scale smoke runs of the routing, match-kernel, tail-latency,
 ## and dispatch-pipeline experiments, the observability export smoke
-## test, and the perf budgets on checked-in baselines.
-check: vet build test race chaos bench-smoke bench-preprocess-smoke bench-kernel-smoke bench-tail-smoke bench-pipeline-smoke bench-churn-smoke obs-smoke obsdiff-gate
+## test, the canonical benchmark's harness smoke and one driver-form run
+## of it, and the perf budgets on checked-in baselines.
+check: vet build test race chaos bench-smoke bench-preprocess-smoke bench-kernel-smoke bench-tail-smoke bench-pipeline-smoke bench-churn-smoke obs-smoke bench-canonical-smoke obsdiff-gate
 
 build:
 	$(GO) build ./...
@@ -29,10 +30,11 @@ race:
 ## chaos: the fault-injection suite under the race detector — seeded
 ## deterministic GPU faults, scripted device death, quarantine/recovery,
 ## OOM degrade, overload shedding, straggler injection, deadline
-## propagation, hedged re-dispatch, and snapshot-restore parity must all
-## hold with -race on.
+## propagation, hedged re-dispatch, snapshot-restore parity, and every
+## one of them crossed with multi-partition batches (TestChaosPacked*,
+## ending in the drain-time resource checks) must all hold with -race on.
 chaos:
-	$(GO) test -race -run 'TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestMatchTimeout|TestPipelined|TestQueryWindow|TestStreamDepth|TestDelta' \
+	$(GO) test -race -run 'TestFlushPass|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestMatchTimeout|TestPipelined|TestQueryWindow|TestStreamDepth|TestDelta' \
 		./internal/gpu/ ./internal/core/ ./internal/httpserver/
 
 ## bench-smoke: quick -benchmem pass over the hot-path benchmarks so a
@@ -131,6 +133,15 @@ bench-churn-smoke:
 ## attribution table.
 obs-smoke:
 	$(GO) test -race -count=1 -run TestObsSmoke ./internal/httpserver/
+
+## bench-canonical-smoke: the canonical benchmark (BENCHMARK.json) at
+## smoke scale — checks the harness and every declared metric, measures
+## nothing — then the exact command form the benchmark driver uses, once
+## without and once with the traced phase (~30 s each at full scale).
+bench-canonical-smoke:
+	$(GO) run ./bench -smoke
+	bash bench/run.sh --workload paced_latency --seed 1 --seconds 10 --trace 0
+	bash bench/run.sh --workload paced_latency --seed 1 --seconds 10 --trace 1
 
 ## obsdiff-gate: the perf-regression gate — budget assertions against
 ## the checked-in BENCH_*.json baselines via cmd/tagmatch-obsdiff

@@ -477,14 +477,17 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 	sliced := idx.groups != nil
 	baseExt := make([]int, nDev) // extents already carried by the old generation
 	for d := range baseExt {
-		if old.devExts != nil {
-			baseExt[d] = len(old.devExts[d])
+		if sliced {
+			baseExt[d] = len(extsOf(old.devGrpExts, d))
+		} else {
+			baseExt[d] = len(extsOf(old.devExts, d))
 		}
 	}
 
-	// Upload the appended partitions, one extent per device. In
-	// replicate mode every device receives all new rows; partitioned
-	// placement gathers each device's own partitions, extent-relative.
+	// Upload the appended partitions, one extent per device, in the one
+	// layout the configured kernel reads. In replicate mode every device
+	// receives all new rows; partitioned placement gathers each device's
+	// own partitions, extent-relative.
 	newBufs := make([]*gpu.Buffer[bitvec.Vector], nDev)
 	newGrpBufs := make([]*gpu.Buffer[bitvec.SlicedGroup], nDev)
 	fail := func() bool {
@@ -504,35 +507,27 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 			if !e.cfg.Replicate && p.dev != d {
 				continue
 			}
-			p.devOff = uint32(len(mine))
-			mine = append(mine, idx.sets[p.off:p.off+p.n]...)
 			if sliced {
 				p.devGrpOff = uint32(len(mineGroups))
 				nG := (int(p.n) + 63) / 64
 				mineGroups = append(mineGroups,
 					idx.groups[p.grpOff:int(p.grpOff)+nG]...)
+			} else {
+				p.devOff = uint32(len(mine))
+				mine = append(mine, idx.sets[p.off:p.off+p.n]...)
 			}
 		}
-		if len(mine) == 0 {
+		if len(mine) == 0 && len(mineGroups) == 0 {
 			continue // pure key-substitution fold: no device traffic at all
 		}
-		buf, err := gpu.Alloc[bitvec.Vector](dev, len(mine))
+		var err error
+		if sliced {
+			newGrpBufs[d], err = uploadBuffer(dev, mineGroups)
+		} else {
+			newBufs[d], err = uploadBuffer(dev, mine)
+		}
 		if err != nil {
 			return fail()
-		}
-		newBufs[d] = buf
-		if err := buf.CopyToDevice(0, mine); err != nil {
-			return fail()
-		}
-		if sliced {
-			gbuf, err := gpu.Alloc[bitvec.SlicedGroup](dev, len(mineGroups))
-			if err != nil {
-				return fail()
-			}
-			newGrpBufs[d] = gbuf
-			if err := gbuf.CopyToDevice(0, mineGroups); err != nil {
-				return fail()
-			}
 		}
 	}
 	for pi := len(old.parts); pi < len(idx.parts); pi++ {
@@ -541,7 +536,7 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 		if e.cfg.Replicate {
 			d = 0 // uniform extent counts across devices in replicate mode
 		}
-		if newBufs[d] == nil {
+		if newBufs[d] == nil && newGrpBufs[d] == nil {
 			// Appended partition with zero rows cannot happen (specs are
 			// non-empty), so every new partition's device has an extent.
 			return fail()
@@ -565,17 +560,15 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 		idx.devGrpExts = make([][]*gpu.Buffer[bitvec.SlicedGroup], nDev)
 	}
 	for d := range newBufs {
-		if newBufs[d] == nil {
-			continue
+		if newBufs[d] != nil {
+			idx.devExts[d] = append(idx.devExts[d], newBufs[d])
 		}
-		idx.devExts[d] = append(idx.devExts[d], newBufs[d])
-		if sliced {
+		if newGrpBufs[d] != nil {
 			idx.devGrpExts[d] = append(idx.devGrpExts[d], newGrpBufs[d])
 		}
 	}
 	idx.windows, old.windows = old.windows, nil
-	idx.streams, old.streams = old.streams, nil
-	idx.devStreams, old.devStreams = old.devStreams, nil
+	idx.slots, old.slots = old.slots, nil
 	idx.allStreams, old.allStreams = old.allStreams, nil
 	return true
 }

@@ -88,6 +88,7 @@ type Engine struct {
 
 	submitted       atomic.Int64
 	completed       atomic.Int64
+	dispatchSeq     atomic.Uint64 // stamps each dispatched batch; see dispatch
 	batches         atomic.Int64
 	batchesTimedOut atomic.Int64
 	inflightBatches atomic.Int64
@@ -181,8 +182,7 @@ type index struct {
 	devExts    [][]*gpu.Buffer[bitvec.Vector]
 	devGrpExts [][]*gpu.Buffer[bitvec.SlicedGroup]
 
-	streams    chan *streamSlot   // replicated mode: shared slot pool
-	devStreams []chan *streamSlot // partitioned mode: per-device slot pools
+	slots      *slotPool // idle dispatch slots of every stream of every device
 	allStreams []*streamCtx
 
 	// windows holds each device's query-signature ring (nil when
@@ -374,12 +374,10 @@ func (e *Engine) registerGauges() {
 	e.obs.RegisterGauge("tagmatch_streams_idle",
 		"GPU stream dispatch slots currently idle in the acquisition pools.",
 		nil, func() float64 {
-			idx := e.idx.Load()
-			n := len(idx.streams)
-			for _, ch := range idx.devStreams {
-				n += len(ch)
+			if p := e.idx.Load().slots; p != nil {
+				return float64(p.idle())
 			}
-			return float64(n)
+			return 0
 		})
 	e.obs.RegisterGauge("tagmatch_pipeline_overlap_fraction",
 		"Fraction of cumulative kernel time overlapped with copies, aggregated across devices.",
@@ -638,8 +636,7 @@ func (e *Engine) attachDevices(idx *index) error {
 		idx.devices = nil
 		idx.devBufs = nil
 		idx.devGroupBufs = nil
-		idx.streams = nil
-		idx.devStreams = nil
+		idx.slots = nil
 		return fmt.Errorf("%w: %w", ErrDeviceDegraded, err)
 	}
 	return nil
@@ -650,8 +647,11 @@ func (e *Engine) attachDevices(idx *index) error {
 // gate, 8 bytes each. Asserted against unsafe.Sizeof in the tests.
 const slicedGroupBytes = (bitvec.W + bitvec.Blocks + 1 + bitvec.Blocks) * 8
 
-// uploadToDevices allocates and fills the device-resident tagset tables
-// and opens the stream pools with their per-stream batch buffers.
+// uploadToDevices allocates and fills the device-resident index and
+// opens the stream pools with their per-stream batch buffers. A device
+// holds only the layout the configured kernel reads: the transposed
+// groups for the bit-sliced kernel, the row table for the scalar one
+// (idx.groups is nil then, and for an empty index).
 func (e *Engine) uploadToDevices(idx *index) error {
 	nDev := len(idx.devices)
 	idx.devBufs = make([]*gpu.Buffer[bitvec.Vector], nDev)
@@ -663,73 +663,41 @@ func (e *Engine) uploadToDevices(idx *index) error {
 	for pi := range idx.parts {
 		idx.parts[pi].ext = 0
 	}
+	sliced := idx.groups != nil
 
-	if e.cfg.Replicate {
-		// Full replication: every device holds the whole table (and its
-		// transposed mirror for the sliced kernel).
-		for d, dev := range idx.devices {
-			buf, err := gpu.Alloc[bitvec.Vector](dev, len(idx.sets))
-			if err != nil {
-				return fmt.Errorf("uploading tagset table to %s: %w", dev.Name(), err)
-			}
-			if err := buf.CopyToDevice(0, idx.sets); err != nil {
-				return err
-			}
-			idx.devBufs[d] = buf
-			if idx.groups == nil {
-				continue
-			}
-			gbuf, err := gpu.Alloc[bitvec.SlicedGroup](dev, len(idx.groups))
-			if err != nil {
-				return fmt.Errorf("uploading transposed index to %s: %w", dev.Name(), err)
-			}
-			if err := gbuf.CopyToDevice(0, idx.groups); err != nil {
-				return err
-			}
-			idx.devGroupBufs[d] = gbuf
-		}
-	} else {
+	for d, dev := range idx.devices {
+		// Full replication: every device holds the whole index.
 		// Partitioned placement: device d holds only its partitions,
 		// re-packed contiguously. Because partitions are assigned
 		// round-robin in partition order and the flat table is
-		// partition-major, each device's slice is a gather of ranges;
-		// the transposed mirror gathers whole-group runs the same way.
-		for d, dev := range idx.devices {
-			var mine []bitvec.Vector
-			var mineGroups []bitvec.SlicedGroup
+		// partition-major, each device's slice is a gather of ranges
+		// (whole-group runs for the transposed index).
+		rows, groups := idx.sets, idx.groups
+		if !e.cfg.Replicate {
+			rows, groups = nil, nil
 			for pi := range idx.parts {
-				if idx.parts[pi].dev != d {
+				p := &idx.parts[pi]
+				if p.dev != d {
 					continue
 				}
-				p := &idx.parts[pi]
-				p.devOff = uint32(len(mine))
-				mine = append(mine, idx.sets[p.off:p.off+p.n]...)
-				if idx.groups != nil {
-					p.devGrpOff = uint32(len(mineGroups))
+				if sliced {
+					p.devGrpOff = uint32(len(groups))
 					nG := (int(p.n) + 63) / 64
-					mineGroups = append(mineGroups,
-						idx.groups[p.grpOff:int(p.grpOff)+nG]...)
+					groups = append(groups, idx.groups[p.grpOff:int(p.grpOff)+nG]...)
+				} else {
+					p.devOff = uint32(len(rows))
+					rows = append(rows, idx.sets[p.off:p.off+p.n]...)
 				}
 			}
-			buf, err := gpu.Alloc[bitvec.Vector](dev, len(mine))
-			if err != nil {
-				return fmt.Errorf("uploading tagset shard to %s: %w", dev.Name(), err)
-			}
-			if err := buf.CopyToDevice(0, mine); err != nil {
-				return err
-			}
-			idx.devBufs[d] = buf
-			if idx.groups == nil {
-				continue
-			}
-			gbuf, err := gpu.Alloc[bitvec.SlicedGroup](dev, len(mineGroups))
-			if err != nil {
-				return fmt.Errorf("uploading transposed shard to %s: %w", dev.Name(), err)
-			}
-			if err := gbuf.CopyToDevice(0, mineGroups); err != nil {
-				return err
-			}
-			idx.devGroupBufs[d] = gbuf
+		}
+		var err error
+		if sliced {
+			idx.devGroupBufs[d], err = uploadBuffer(dev, groups)
+		} else {
+			idx.devBufs[d], err = uploadBuffer(dev, rows)
+		}
+		if err != nil {
+			return fmt.Errorf("uploading index to %s: %w", dev.Name(), err)
 		}
 	}
 
@@ -747,14 +715,7 @@ func (e *Engine) uploadToDevices(idx *index) error {
 	}
 
 	depth := e.cfg.StreamDepth
-	if e.cfg.Replicate {
-		idx.streams = make(chan *streamSlot, nDev*e.cfg.StreamsPerDevice*depth)
-	} else {
-		idx.devStreams = make([]chan *streamSlot, nDev)
-		for d := range idx.devStreams {
-			idx.devStreams[d] = make(chan *streamSlot, e.cfg.StreamsPerDevice*depth)
-		}
-	}
+	idx.slots = newSlotPool(nDev * e.cfg.StreamsPerDevice * depth)
 	for d, dev := range idx.devices {
 		for i := 0; i < e.cfg.StreamsPerDevice; i++ {
 			s, err := dev.OpenStreamBuffered(streamOpsBuffer(depth))
@@ -773,22 +734,18 @@ func (e *Engine) uploadToDevices(idx *index) error {
 			// §3.3.2 (generalized), letting batch n+1's upload + kernel
 			// run behind batch n's result transfer on the same stream.
 			for k := 0; k < depth; k++ {
-				sl := &streamSlot{sc: sc, hdrHost: make([]uint32, resHeaderWords)}
+				sl := &streamSlot{sc: sc}
 				sl.qbuf, err = gpu.Alloc[bitvec.Vector](dev, e.cfg.BatchSize)
 				if err == nil {
-					sl.qidx, err = gpu.Alloc[uint32](dev, e.cfg.BatchSize)
+					// One index per entry plus the segment table; a batch
+					// has at most one segment per entry.
+					sl.tab, err = gpu.Alloc[uint32](dev, e.cfg.BatchSize*(1+segWords))
 				}
 				if err == nil {
 					sl.hdr, err = gpu.Alloc[uint32](dev, resHeaderWords)
 				}
 				if err == nil {
 					sl.pairs, err = gpu.Alloc[byte](dev, pairBufBytes(e.cfg.MaxPairsPerBatch))
-				}
-				if err == nil && e.cfg.SplitOutputLayout {
-					sl.splitQ, err = gpu.Alloc[uint32](dev, splitHeaderWords+e.cfg.MaxPairsPerBatch)
-					if err == nil {
-						sl.splitS, err = gpu.Alloc[uint32](dev, e.cfg.MaxPairsPerBatch)
-					}
 				}
 				if err != nil {
 					sl.free()
@@ -802,15 +759,33 @@ func (e *Engine) uploadToDevices(idx *index) error {
 			}
 			idx.allStreams = append(idx.allStreams, sc)
 			for _, sl := range sc.slots {
-				if e.cfg.Replicate {
-					idx.streams <- sl
-				} else {
-					idx.devStreams[d] <- sl
-				}
+				idx.slots.put(sl)
 			}
 		}
 	}
 	return nil
+}
+
+// uploadBuffer allocates a device buffer holding src.
+func uploadBuffer[T any](dev *gpu.Device, src []T) (*gpu.Buffer[T], error) {
+	buf, err := gpu.Alloc[T](dev, len(src))
+	if err != nil {
+		return nil, err
+	}
+	if err := buf.CopyToDevice(0, src); err != nil {
+		buf.Free()
+		return nil, err
+	}
+	return buf, nil
+}
+
+// extsOf returns device dev's extent buffers (none before the first
+// incremental fold).
+func extsOf[T any](exts [][]*gpu.Buffer[T], dev int) []*gpu.Buffer[T] {
+	if exts == nil {
+		return nil
+	}
+	return exts[dev]
 }
 
 // release frees an index's device resources. Called only after the
@@ -865,6 +840,11 @@ func (e *Engine) Close() error {
 	if e.consolStop != nil {
 		close(e.consolStop)
 		<-e.consolDone
+	}
+	// Dispatchers parked waiting for a stream slot — the flusher among
+	// them — give up on the closed engine and finish on the host.
+	if p := e.idx.Load().slots; p != nil {
+		p.wake()
 	}
 	if e.flushStop != nil {
 		close(e.flushStop)
@@ -957,6 +937,8 @@ func (e *Engine) Stats() Stats {
 		H2DQueryBytes:       e.obs.Streams.H2DQueryBytes.Load(),
 		QuerySlots:          e.obs.Streams.QuerySlots.Load(),
 		PipelinedDispatches: e.obs.Streams.PipelinedDispatches.Load(),
+		SegmentsDispatched:  e.obs.Streams.SegmentsPerBatch.Sum(),
+		StreamAcquireWait:   time.Duration(e.obs.Streams.AcquireWait.Sum()),
 		HostBytes:           idx.hostBytes,
 		LastConsolidate:     time.Duration(e.consolidateTime.Load()),
 		PreprocessTime:      time.Duration(e.preprocessNs.Load()),

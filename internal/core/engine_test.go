@@ -259,8 +259,6 @@ func TestEngineAblationConfigs(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"no-prefilter", func(c *Config) { c.DisablePrefilter = true }},
-		{"split-output", func(c *Config) { c.SplitOutputLayout = true }},
-		{"size-then-copy", func(c *Config) { c.SizeThenCopy = true }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

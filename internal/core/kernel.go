@@ -9,8 +9,9 @@ import (
 	"tagmatch/internal/obs"
 )
 
-// Result layout (§3.3.1). A (query, set) pair uses an 8-bit query id (its
-// index within the batch) and a 32-bit set id. A naive struct would pad
+// Result layout (§3.3.1). A (query, set) pair uses an 8-bit query id (the
+// index of the routed entry within the dispatched batch) and a 32-bit set
+// id. A naive struct would pad
 // each pair to 64 bits, wasting 38% of memory and bus bandwidth; storing
 // ids in two separate arrays would avoid the waste but require two result
 // copies. TagMatch instead packs results in groups of four pairs — four
@@ -25,9 +26,8 @@ import (
 // header buffer so the kernel's atomic append has a stable address and
 // the host can reset it with one tiny H2D transfer per batch.
 const (
-	resHeaderWords   = 2  // header buffer: [pair counter, overflow flag]
-	bytesPerGroup    = 20 // 4 query-id bytes + 4×4 set-id bytes
-	splitHeaderWords = 2  // split-layout ablation: counter + overflow
+	resHeaderWords = 2  // header buffer: [pair counter, overflow flag]
+	bytesPerGroup  = 20 // 4 query-id bytes + 4×4 set-id bytes
 
 	// maxBatchSize bounds Config.BatchSize: query ids within a batch are
 	// uint8 throughout the kernels and the reduce stage, so a larger
@@ -65,17 +65,136 @@ func decodePacked(packed []byte, count int, visit func(q uint8, s uint32)) {
 	}
 }
 
+// Segment table. The unit a device sees is a dispatched batch: up to
+// BatchSize routed (query, partition) entries, grouped into segments of
+// consecutive entries bound for the same partition. One launch serves
+// the whole batch — its grid is the sum of the segments' thread blocks —
+// and every block finds its segment, and through it its partition's
+// slice of the device index and its entries' signatures, in a small
+// table uploaded with the batch. A (query, set) pair carries the entry's
+// index in the batch, so the result format, the 8-bit query id and the
+// reduce stage are the same for one segment or many.
+//
+// The table rides in the same device buffer, and the same H2D copy, as
+// the entries' signature indices: words [0, nQ) hold one index per entry
+// into the signature buffer (the device's query window, or the slot's
+// dense upload), followed by segWords words per segment.
+const (
+	segBlockEnd = iota // thread blocks of the launch up to and including this segment
+	segFirst           // the segment's first entry in the batch
+	segCount           // its number of entries
+	segExt             // device buffer holding the partition: 0 base shard, e the e-th extent
+	segOff             // offset of the partition's first group (sliced) or set (scalar) in it
+	segLen             // the partition's groups (sliced) or sets (scalar)
+	segBase            // global set id of the partition's first set
+	segWords
+)
+
+// segment is one partition's run of entries in a dispatched batch.
+type segment struct {
+	pid      uint32
+	first, n int
+}
+
+// batchArgs are the kernel arguments of one dispatched batch.
+type batchArgs struct {
+	sigs      *gpu.Buffer[bitvec.Vector] // signatures the entry indices point into
+	tab       *gpu.Buffer[uint32]        // entry indices, then the segment table
+	nQ, nSeg  int
+	hdr       *gpu.Buffer[uint32]
+	pairs     *gpu.Buffer[byte]
+	maxPairs  int
+	prefilter bool
+	// pfs holds the per-partition observability counters of each segment
+	// (nil entries, or a nil slice, when observability is off): the
+	// kernels report prefilter and gate effectiveness through them.
+	pfs []*obs.PartitionCounters
+	kc  *obs.KernelCounters
+}
+
+func (a *batchArgs) pf(seg int) *obs.PartitionCounters {
+	if a.pfs == nil {
+		return nil
+	}
+	return a.pfs[seg]
+}
+
+// blockScratch is what the kernels keep in an SM's shared memory across
+// blocks: the block's gathered query signatures and the scalar kernel's
+// surviving-query list.
+type blockScratch struct {
+	qs   []bitvec.Vector
+	surv []uint8
+}
+
+// block resolves the segment a thread block serves: the segment's table
+// row and index, the block's index within the segment, and the segment's
+// query signatures gathered through the entry indices into shared memory
+// — the CUDA idiom — so the per-set inner loop reads a dense array.
+// Concurrent H2D fills of other window slots touch disjoint ring entries
+// (the pin protocol guarantees it), so the reads are race-free.
+func (a *batchArgs) block(b *gpu.BlockCtx) (row []uint32, seg, local int, sh *blockScratch) {
+	tab := a.tab.Data()
+	rows := tab[a.nQ : a.nQ+a.nSeg*segWords]
+	lo, hi := 0, a.nSeg-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if int(rows[mid*segWords+segBlockEnd]) > b.BlockIdx {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	seg, local = lo, b.BlockIdx
+	if seg > 0 {
+		local -= int(rows[(seg-1)*segWords+segBlockEnd])
+	}
+	row = rows[seg*segWords : (seg+1)*segWords]
+
+	p := b.Shared()
+	sh, _ = (*p).(*blockScratch)
+	if sh == nil {
+		sh = &blockScratch{}
+		*p = sh
+	}
+	entries := tab[row[segFirst] : row[segFirst]+row[segCount]]
+	sigs := a.sigs.Data()
+	sh.qs = sh.qs[:0]
+	for _, j := range entries {
+		sh.qs = append(sh.qs, sigs[j])
+	}
+	return row, seg, local, sh
+}
+
+// segBlocks returns the thread blocks a partition of n sets occupies in
+// a launch: one thread per 64-lane group with max(1, blockDim/64) groups
+// per block for the sliced kernel (so a block covers roughly the sets of
+// a scalar block, and groups never straddle blocks), one thread per set
+// for the scalar kernel.
+func segBlocks(n, blockDim int, sliced bool) int {
+	if sliced {
+		gpb := slicedBlockDim(blockDim)
+		return ((n+63)/64 + gpb - 1) / gpb
+	}
+	return (n + blockDim - 1) / blockDim
+}
+
+// slicedBlockDim is the sliced kernel's threads (groups) per block.
+func slicedBlockDim(blockDim int) int {
+	return max(1, blockDim/64)
+}
+
 // blockPrefilter implements Algorithm 4: compute the block's common
 // signature prefix length — one XOR between the block's first and last
 // set, valid because the tagset table is lexicographically sorted — and
 // collect into block-shared memory the indices of the queries that
 // contain that prefix. The prefix-containment test runs fused
 // (PrefixSubsetOf), so no prefix vector is materialized on the
-// per-block hot path. Returns nil when no query survives.
-func blockPrefilter(b *gpu.BlockCtx, blockSets []bitvec.Vector, qs []bitvec.Vector) []uint8 {
+// per-block hot path. Returns an empty list when no query survives.
+func blockPrefilter(b *gpu.BlockCtx, blockSets []bitvec.Vector, qs []bitvec.Vector, shared []uint8) []uint8 {
 	prefixLen := bitvec.CommonPrefixLen(blockSets[0], blockSets[len(blockSets)-1])
 	first := blockSets[0]
-	shared := make([]uint8, 0, len(qs)) // block shared memory
+	shared = shared[:0]
 	b.Threads(func(tid int) {
 		// Threads stride through the original batch in parallel
 		// (Algorithm 4's while loop); block-sequential execution in the
@@ -86,62 +205,45 @@ func blockPrefilter(b *gpu.BlockCtx, blockSets []bitvec.Vector, qs []bitvec.Vect
 			}
 		}
 	})
-	if len(shared) == 0 {
-		return nil
-	}
 	return shared
 }
 
-// matchKernelAt returns the subset-match kernel (Algorithms 3 and 4) for
-// one batch over one partition.
-//
-//   - tagsets: device-resident tagset table (full table in replicated
-//     mode, the device's shard otherwise); the kernel reads the slice
-//     [partOff, partOff+partLen).
-//   - globalBase: global set id of the partition's first set, used to
-//     produce globally meaningful set ids in the output.
-//   - qsrc: the batch's device-resident query signatures — a dense
-//     per-batch upload, or indices into the device's query window.
-//   - hdr, pairs: result header and packed pair buffer.
-//   - pf: optional per-partition observability counters; the kernel
-//     reports prefilter effectiveness (blocks evaluated vs. fully
-//     pruned) through it.
-//
-// Each thread owns one tag set (the paper's thread_id); the block-level
-// pre-filter prunes the query batch before the per-set subset checks.
-func matchKernelAt(
-	tagsets *gpu.Buffer[bitvec.Vector],
-	partOff, partLen, globalBase int,
-	qsrc querySrc,
-	hdr *gpu.Buffer[uint32],
-	pairs *gpu.Buffer[byte],
-	maxPairs int,
-	prefilter bool,
-	pf *obs.PartitionCounters,
-) gpu.KernelFunc {
+// matchKernel returns the scalar subset-match kernel (Algorithms 3 and
+// 4) for one dispatched batch. base is the device-resident tagset table
+// (full table in replicated mode, the device's shard otherwise) and exts
+// the device's extent buffers; each segment names the one holding its
+// partition. Each thread owns one tag set (the paper's thread_id); the
+// block-level pre-filter prunes the segment's queries before the per-set
+// subset checks.
+func matchKernel(a *batchArgs, base *gpu.Buffer[bitvec.Vector], exts []*gpu.Buffer[bitvec.Vector]) gpu.KernelFunc {
 	return func(b *gpu.BlockCtx) {
-		sets := tagsets.Data()[partOff : partOff+partLen]
-		qs := qsrc.gather()
-		h, out := hdr.Data(), pairs.Data()
-
-		first := b.FirstGlobalID()
-		if first >= len(sets) {
-			return
+		row, seg, local, sh := a.block(b)
+		buf := base
+		if e := row[segExt]; e > 0 {
+			buf = exts[e-1]
 		}
+		sets := buf.Data()[row[segOff] : row[segOff]+row[segLen]]
+		qs := sh.qs
+		h, out := a.hdr.Data(), a.pairs.Data()
+		qbase := uint8(row[segFirst])
+
+		first := local * b.Grid.BlockDim
 		blockSets := sets[first:min(first+b.Grid.BlockDim, len(sets))]
 
-		var shared []uint8
-		if prefilter {
+		pf := a.pf(seg)
+		if a.prefilter {
 			if pf != nil {
 				pf.PrefilterBlocks.Add(1)
 			}
-			if shared = blockPrefilter(b, blockSets, qs); shared == nil {
+			sh.surv = blockPrefilter(b, blockSets, qs, sh.surv)
+			if len(sh.surv) == 0 {
 				if pf != nil {
 					pf.PrefilterPruned.Add(1)
 				}
 				return
 			}
 		}
+		shared := sh.surv
 
 		// Main subset match (Algorithm 3): one thread per tag set, three
 		// block operations per subset check, atomic append of results.
@@ -150,86 +252,17 @@ func matchKernelAt(
 				return
 			}
 			set := blockSets[tid]
-			setID := uint32(globalBase + first + tid)
-			if prefilter {
+			setID := row[segBase] + uint32(first+tid)
+			if a.prefilter {
 				for _, qi := range shared {
 					if set.SubsetOf(qs[qi]) {
-						emitPacked(b, h, out, maxPairs, qi, setID)
+						emitPacked(b, h, out, a.maxPairs, qbase+qi, setID)
 					}
 				}
 			} else {
 				for i := range qs {
 					if set.SubsetOf(qs[i]) {
-						emitPacked(b, h, out, maxPairs, uint8(i), setID)
-					}
-				}
-			}
-		})
-	}
-}
-
-// splitMatchKernelAt is the ablation variant that stores query ids and
-// set ids in two separate arrays (the layout §3.3.1 rejects), forcing the
-// host to issue two result copies.
-func splitMatchKernelAt(
-	tagsets *gpu.Buffer[bitvec.Vector],
-	partOff, partLen, globalBase int,
-	qsrc querySrc,
-	outQ *gpu.Buffer[uint32],
-	outS *gpu.Buffer[uint32],
-	maxPairs int,
-	prefilter bool,
-	pf *obs.PartitionCounters,
-) gpu.KernelFunc {
-	return func(b *gpu.BlockCtx) {
-		sets := tagsets.Data()[partOff : partOff+partLen]
-		qs := qsrc.gather()
-		qout, sout := outQ.Data(), outS.Data()
-
-		first := b.FirstGlobalID()
-		if first >= len(sets) {
-			return
-		}
-		blockSets := sets[first:min(first+b.Grid.BlockDim, len(sets))]
-
-		var shared []uint8
-		if prefilter {
-			if pf != nil {
-				pf.PrefilterBlocks.Add(1)
-			}
-			if shared = blockPrefilter(b, blockSets, qs); shared == nil {
-				if pf != nil {
-					pf.PrefilterPruned.Add(1)
-				}
-				return
-			}
-		}
-
-		b.Threads(func(tid int) {
-			if tid >= len(blockSets) {
-				return
-			}
-			set := blockSets[tid]
-			setID := uint32(globalBase + first + tid)
-			emit := func(q uint8) {
-				idx := int(b.AtomicAddU32(&qout[0], 1))
-				if idx >= maxPairs {
-					atomic.StoreUint32(&qout[1], 1)
-					return
-				}
-				qout[splitHeaderWords+idx] = uint32(q)
-				sout[idx] = setID
-			}
-			if prefilter {
-				for _, qi := range shared {
-					if set.SubsetOf(qs[qi]) {
-						emit(qi)
-					}
-				}
-			} else {
-				for i := range qs {
-					if set.SubsetOf(qs[i]) {
-						emit(uint8(i))
+						emitPacked(b, h, out, a.maxPairs, qbase+uint8(i), setID)
 					}
 				}
 			}
@@ -244,11 +277,14 @@ func splitMatchKernelAt(
 // reports prefilter effectiveness through pf (may be nil) with one
 // atomic update per batch. qScratch is an optional reusable buffer for
 // the per-block surviving-query list (pass nil to allocate); the
-// possibly-grown buffer is returned for the caller to keep.
+// possibly-grown buffer is returned for the caller to keep. queries are
+// one segment's signatures; visit receives their index in the batch,
+// qbase plus the index in queries.
 func cpuMatchBatch(
 	sets []bitvec.Vector, // the partition's slice of the tagset table
 	globalBase int, // global set id of sets[0]
 	queries []bitvec.Vector,
+	qbase uint8,
 	blockDim int,
 	prefilter bool,
 	pf *obs.PartitionCounters,
@@ -294,7 +330,7 @@ func cpuMatchBatch(
 			setID := uint32(globalBase + blk + t)
 			for _, qi := range qIdx {
 				if bitvec.AndNotIsZero(block[t], queries[qi]) {
-					visit(qi, setID)
+					visit(qbase+qi, setID)
 				}
 			}
 		}

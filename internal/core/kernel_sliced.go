@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"tagmatch/internal/bitvec"
 	"tagmatch/internal/gpu"
@@ -23,22 +22,6 @@ import (
 // packed atomic-append result path (§3.3.1) as the scalar kernel, so
 // the two flavors are pair-for-pair interchangeable (differential- and
 // fuzz-tested; Config.ScalarKernel selects the scalar baseline).
-
-// slicedGrid returns the launch geometry for the sliced kernels: one
-// thread per 64-lane group, with max(1, blockDim/64) groups per block
-// so a block covers roughly the same number of sets as a scalar-kernel
-// block of blockDim threads. Groups never straddle blocks, so no pair
-// can be emitted twice regardless of blockDim.
-func slicedGrid(nGroups, blockDim int) gpu.Grid {
-	gpb := blockDim / 64
-	if gpb < 1 {
-		gpb = 1
-	}
-	return gpu.Grid{
-		Blocks:   (nGroups + gpb - 1) / gpb,
-		BlockDim: gpb,
-	}
-}
 
 // slicedStats accumulates kernel telemetry in locals; flush performs
 // one bulk atomic add per thread block (per batch on the host path).
@@ -63,13 +46,15 @@ func (st *slicedStats) flush(pf *obs.PartitionCounters, kc *obs.KernelCounters) 
 	kc.Columns.Observe(st.colsWalked)
 }
 
-// matchGroup tests every query of the batch against one transposed
+// matchGroup tests every query of a segment against one transposed
 // group, emitting a (query, set) pair per surviving lane. base is the
-// global set id of the group's lane 0.
+// global set id of the group's lane 0, qbase the batch index of the
+// segment's first entry.
 func matchGroup(
 	grp *bitvec.SlicedGroup,
 	base uint32,
 	qs []bitvec.Vector,
+	qbase uint8,
 	gate bool,
 	st *slicedStats,
 	emit func(qi uint8, setID uint32),
@@ -91,7 +76,7 @@ func matchGroup(
 		st.colsWalked += int64(cols)
 		for hits != 0 {
 			l := bits.TrailingZeros64(hits)
-			emit(uint8(qi), base+uint32(l))
+			emit(qbase+uint8(qi), base+uint32(l))
 			hits &= hits - 1
 		}
 	}
@@ -103,98 +88,49 @@ func matchGroup(
 	}
 }
 
-// slicedMatchKernelAt returns the bit-sliced subset-match kernel for
-// one batch over one partition, the transposed counterpart of
-// matchKernelAt. groups is the device-resident transposed index (full
-// index in replicated mode, the device's shard otherwise); the kernel
-// reads the slice [grpOff, grpOff+nGroups). globalBase is the global
-// set id of the partition's first set; gate enables the per-group
-// intersection pre-filter (Config.DisablePrefilter turns it off, the
-// same ablation switch as the scalar prefix test).
-func slicedMatchKernelAt(
-	groups *gpu.Buffer[bitvec.SlicedGroup],
-	grpOff, nGroups, globalBase int,
-	qsrc querySrc,
-	hdr *gpu.Buffer[uint32],
-	pairs *gpu.Buffer[byte],
-	maxPairs int,
-	gate bool,
-	pf *obs.PartitionCounters,
-	kc *obs.KernelCounters,
-) gpu.KernelFunc {
+// slicedMatchKernel returns the bit-sliced subset-match kernel for one
+// dispatched batch, the transposed counterpart of matchKernel. base is
+// the device-resident transposed index (full index in replicated mode,
+// the device's shard otherwise) and exts the device's extent buffers;
+// each segment names the one holding its partition's groups.
+// batchArgs.prefilter enables the per-group intersection gate
+// (Config.DisablePrefilter turns it off, the same ablation switch as the
+// scalar prefix test).
+func slicedMatchKernel(a *batchArgs, base *gpu.Buffer[bitvec.SlicedGroup], exts []*gpu.Buffer[bitvec.SlicedGroup]) gpu.KernelFunc {
 	return func(b *gpu.BlockCtx) {
-		gs := groups.Data()[grpOff : grpOff+nGroups]
-		qs := qsrc.gather()
-		h, out := hdr.Data(), pairs.Data()
-		if b.FirstGlobalID() >= len(gs) {
-			return
+		row, seg, local, sh := a.block(b)
+		buf := base
+		if e := row[segExt]; e > 0 {
+			buf = exts[e-1]
 		}
+		gs := buf.Data()[row[segOff] : row[segOff]+row[segLen]]
+		h, out := a.hdr.Data(), a.pairs.Data()
+		qbase := uint8(row[segFirst])
 		var st slicedStats
 		b.Threads(func(tid int) {
-			g := b.GlobalID(tid)
+			g := local*b.Grid.BlockDim + tid
 			if g >= len(gs) {
 				return
 			}
-			matchGroup(&gs[g], uint32(globalBase+g*64), qs, gate, &st,
+			matchGroup(&gs[g], row[segBase]+uint32(g*64), sh.qs, qbase, a.prefilter, &st,
 				func(qi uint8, setID uint32) {
-					emitPacked(b, h, out, maxPairs, qi, setID)
+					emitPacked(b, h, out, a.maxPairs, qi, setID)
 				})
 		})
-		st.flush(pf, kc)
+		st.flush(a.pf(seg), a.kc)
 	}
 }
 
-// slicedSplitMatchKernelAt is the sliced kernel with the split output
-// layout (two separate id arrays; the ablation §3.3.1 rejects), the
-// transposed counterpart of splitMatchKernelAt.
-func slicedSplitMatchKernelAt(
-	groups *gpu.Buffer[bitvec.SlicedGroup],
-	grpOff, nGroups, globalBase int,
-	qsrc querySrc,
-	outQ *gpu.Buffer[uint32],
-	outS *gpu.Buffer[uint32],
-	maxPairs int,
-	gate bool,
-	pf *obs.PartitionCounters,
-	kc *obs.KernelCounters,
-) gpu.KernelFunc {
-	return func(b *gpu.BlockCtx) {
-		gs := groups.Data()[grpOff : grpOff+nGroups]
-		qs := qsrc.gather()
-		qout, sout := outQ.Data(), outS.Data()
-		if b.FirstGlobalID() >= len(gs) {
-			return
-		}
-		var st slicedStats
-		b.Threads(func(tid int) {
-			g := b.GlobalID(tid)
-			if g >= len(gs) {
-				return
-			}
-			matchGroup(&gs[g], uint32(globalBase+g*64), qs, gate, &st,
-				func(qi uint8, setID uint32) {
-					idx := int(b.AtomicAddU32(&qout[0], 1))
-					if idx >= maxPairs {
-						atomic.StoreUint32(&qout[1], 1)
-						return
-					}
-					qout[splitHeaderWords+idx] = uint32(qi)
-					sout[idx] = setID
-				})
-		})
-		st.flush(pf, kc)
-	}
-}
-
-// cpuMatchBatchSliced runs the bit-sliced subset match for a whole
-// batch on the host: the CPU-only execution path — and the
-// overflow/fault fallback — of an engine configured for the sliced
-// kernel flavor. Pair-for-pair equivalent to cpuMatchBatch, which
-// remains the scalar baseline.
+// cpuMatchBatchSliced runs the bit-sliced subset match for one segment
+// on the host: the CPU-only execution path — and the overflow/fault
+// fallback — of an engine configured for the sliced kernel flavor.
+// Pair-for-pair equivalent to cpuMatchBatch, which remains the scalar
+// baseline.
 func cpuMatchBatchSliced(
 	groups []bitvec.SlicedGroup, // the partition's slice of the transposed index
 	globalBase int, // global set id of the partition's first set
 	queries []bitvec.Vector,
+	qbase uint8, // batch index of queries[0]
 	gate bool,
 	pf *obs.PartitionCounters,
 	kc *obs.KernelCounters,
@@ -202,7 +138,7 @@ func cpuMatchBatchSliced(
 ) {
 	var st slicedStats
 	for g := range groups {
-		matchGroup(&groups[g], uint32(globalBase+g*64), queries, gate, &st, visit)
+		matchGroup(&groups[g], uint32(globalBase+g*64), queries, qbase, gate, &st, visit)
 	}
 	st.flush(pf, kc)
 }

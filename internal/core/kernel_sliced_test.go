@@ -19,7 +19,7 @@ func TestSlicedGroupBytesMatchesLayout(t *testing.T) {
 	}
 }
 
-func TestSlicedGrid(t *testing.T) {
+func TestSlicedSegBlocks(t *testing.T) {
 	for _, tc := range []struct {
 		nGroups, blockDim, blocks, dim int
 	}{
@@ -30,71 +30,20 @@ func TestSlicedGrid(t *testing.T) {
 		{7, 129, 4, 2}, // gpb truncates: 129/64 = 2
 		{0, 256, 0, 4},
 	} {
-		g := slicedGrid(tc.nGroups, tc.blockDim)
-		if g.Blocks != tc.blocks || g.BlockDim != tc.dim {
-			t.Fatalf("slicedGrid(%d, %d) = %+v, want {%d %d}",
-				tc.nGroups, tc.blockDim, g, tc.blocks, tc.dim)
-		}
-		// Every group must be covered exactly once.
-		if g.Blocks*g.BlockDim < tc.nGroups {
-			t.Fatalf("slicedGrid(%d, %d) covers only %d groups",
-				tc.nGroups, tc.blockDim, g.Blocks*g.BlockDim)
+		// Every group must be covered exactly once, by whole blocks.
+		nSets := tc.nGroups*64 - 63*min(tc.nGroups, 1) // the last group holds one set
+		blocks, dim := segBlocks(nSets, tc.blockDim, true), slicedBlockDim(tc.blockDim)
+		if blocks != tc.blocks || dim != tc.dim {
+			t.Fatalf("%d groups at blockDim %d: %d blocks of %d, want %d of %d",
+				tc.nGroups, tc.blockDim, blocks, dim, tc.blocks, tc.dim)
 		}
 	}
 }
 
-// runSlicedGPUKernel is the sliced counterpart of runGPUKernel: it
-// transposes the sets into lane groups, uploads them, and runs
-// slicedMatchKernelAt over one batch.
+// runSlicedGPUKernel is the sliced counterpart of runGPUKernel.
 func runSlicedGPUKernel(t *testing.T, sets, queries []bitvec.Vector, maxPairs, blockDim int, gate bool, kc *obs.KernelCounters) ([]pair, bool) {
 	t.Helper()
-	dev := gpu.New(gpu.Config{Workers: 4})
-	defer dev.Close()
-	s, err := dev.OpenStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	groups := bitvec.BuildSlicedGroups(sets)
-	groupsBuf := gpu.MustAlloc[bitvec.SlicedGroup](dev, max(1, len(groups)))
-	qbuf := gpu.MustAlloc[bitvec.Vector](dev, max(1, len(queries)))
-	hdr := gpu.MustAlloc[uint32](dev, resHeaderWords)
-	pairsBuf := gpu.MustAlloc[byte](dev, pairBufBytes(maxPairs))
-	defer groupsBuf.Free()
-	defer qbuf.Free()
-	defer hdr.Free()
-	defer pairsBuf.Free()
-
-	if len(groups) > 0 {
-		if err := groupsBuf.CopyToDevice(0, groups); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gpu.CopyToDeviceAsync(s, hdr, 0, []uint32{0, 0})
-	if len(queries) > 0 {
-		gpu.CopyToDeviceAsync(s, qbuf, 0, queries)
-	}
-	s.LaunchAsync(slicedGrid(len(groups), blockDim),
-		slicedMatchKernelAt(groupsBuf, 0, len(groups), 0, querySrc{direct: qbuf, n: len(queries)}, hdr, pairsBuf, maxPairs, gate, nil, kc))
-	hdrHost := make([]uint32, resHeaderWords)
-	gpu.CopyFromDeviceAsync(s, hdr, hdrHost, 0)
-	s.Synchronize()
-
-	count, overflow := clampCount(hdrHost[0], hdrHost[1], maxPairs)
-	if overflow {
-		return nil, true
-	}
-	packed := make([]byte, pairBufBytes(count))
-	if count > 0 {
-		if err := pairsBuf.CopyFromDevice(packed, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got []pair
-	decodePacked(packed, count, func(q uint8, sid uint32) { got = append(got, pair{q, sid}) })
-	sortPairs(got)
-	return got, false
+	return runSegKernel(t, []testSeg{{sets: sets, queries: queries}}, true, maxPairs, blockDim, gate, kc)
 }
 
 func TestSlicedKernelMatchesBruteForce(t *testing.T) {
@@ -174,68 +123,13 @@ func TestSlicedKernelEmptyBatch(t *testing.T) {
 	}
 }
 
-func TestSlicedSplitKernelMatchesPacked(t *testing.T) {
-	sets, queries := batchFixture(1500, 32, 25)
-	want := bruteForcePairs(sets, 0, queries)
-
-	dev := gpu.New(gpu.Config{Workers: 4})
-	defer dev.Close()
-	s, _ := dev.OpenStream()
-	defer s.Close()
-
-	const maxPairs = 100000
-	groups := bitvec.BuildSlicedGroups(sets)
-	groupsBuf := gpu.MustAlloc[bitvec.SlicedGroup](dev, len(groups))
-	qbuf := gpu.MustAlloc[bitvec.Vector](dev, len(queries))
-	outQ := gpu.MustAlloc[uint32](dev, splitHeaderWords+maxPairs)
-	outS := gpu.MustAlloc[uint32](dev, maxPairs)
-	defer func() { groupsBuf.Free(); qbuf.Free(); outQ.Free(); outS.Free() }()
-
-	if err := groupsBuf.CopyToDevice(0, groups); err != nil {
-		t.Fatal(err)
-	}
-	gpu.CopyToDeviceAsync(s, outQ, 0, []uint32{0, 0})
-	gpu.CopyToDeviceAsync(s, qbuf, 0, queries)
-	s.LaunchAsync(slicedGrid(len(groups), 256),
-		slicedSplitMatchKernelAt(groupsBuf, 0, len(groups), 0, querySrc{direct: qbuf, n: len(queries)}, outQ, outS, maxPairs, true, nil, nil))
-	hdrHost := make([]uint32, splitHeaderWords)
-	gpu.CopyFromDeviceAsync(s, outQ, hdrHost, 0)
-	s.Synchronize()
-
-	count, overflow := clampCount(hdrHost[0], hdrHost[1], maxPairs)
-	if overflow {
-		t.Fatal("unexpected overflow")
-	}
-	qs := make([]uint32, count)
-	ss := make([]uint32, count)
-	if err := outQ.CopyFromDevice(qs, splitHeaderWords); err != nil {
-		t.Fatal(err)
-	}
-	if err := outS.CopyFromDevice(ss, 0); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]pair, count)
-	for i := range got {
-		got[i] = pair{uint8(qs[i]), ss[i]}
-	}
-	sortPairs(got)
-	if len(got) != len(want) {
-		t.Fatalf("%d pairs, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pair %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestCPUMatchBatchSlicedMatchesScalar(t *testing.T) {
 	sets, queries := batchFixture(2500, 48, 24)
 	want := bruteForcePairs(sets, 1000, queries)
 	groups := bitvec.BuildSlicedGroups(sets)
 	for _, gate := range []bool{true, false} {
 		var got []pair
-		cpuMatchBatchSliced(groups, 1000, queries, gate, nil, nil, func(q uint8, s uint32) {
+		cpuMatchBatchSliced(groups, 1000, queries, 0, gate, nil, nil, func(q uint8, s uint32) {
 			got = append(got, pair{q, s})
 		})
 		sortPairs(got)
@@ -403,48 +297,91 @@ func TestKernelBenchmarkEmptyInputs(t *testing.T) {
 	}
 }
 
-// FuzzSlicedMatch differentially fuzzes the bit-sliced host matcher
-// against the scalar one: identical pair multisets for any database and
-// batch, with and without the group gate.
+// FuzzSlicedMatch differentially fuzzes the subset matchers over random
+// segment tables: the sets are cut into partitions (sorted, some in
+// extent buffers), the queries dealt over segments — empty ones,
+// one-entry ones, a partition's entries split over two — and the scalar
+// and bit-sliced kernels, on the device and on the host, must all
+// produce the brute-force pair multiset, with and without the
+// pre-filter.
 func FuzzSlicedMatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 9, 9, 9, 200, 201}, []byte{1, 2, 3, 9}, true)
 	f.Add([]byte{}, []byte{7}, false)
 	f.Add([]byte{0, 0, 0, 0}, []byte{}, true)
+	f.Add([]byte{4, 8, 12, 5, 9, 13, 6, 10, 14, 7, 11, 15, 4, 9, 14, 5, 10, 15, 8, 8, 8},
+		[]byte{4, 8, 12, 5, 9, 13, 0, 0, 0, 0, 0, 0, 7, 11, 15, 4, 9, 14, 6, 10, 14, 7, 11, 15, 1, 2, 3, 4, 5, 6}, true)
 	f.Fuzz(func(t *testing.T, setBytes, qBytes []byte, gate bool) {
-		var sets []bitvec.Vector
-		for i := 0; i < len(setBytes) && len(sets) < 400; i += 3 {
+		// Partitions: a new one starts wherever a set's first byte is a
+		// multiple of 4; its extent comes from that byte too.
+		var segs []testSeg
+		base := uint32(7)
+		for i, n := 0, 0; i < len(setBytes) && n < 400; i, n = i+3, n+1 {
 			var v bitvec.Vector
 			for _, x := range setBytes[i:min(i+3, len(setBytes))] {
 				v.Set(int(x) % bitvec.W)
 			}
-			sets = append(sets, v)
+			if len(segs) == 0 || setBytes[i]%4 == 0 {
+				if k := len(segs); k > 0 {
+					base += uint32(len(segs[k-1].sets))
+				}
+				segs = append(segs, testSeg{base: base, ext: int(setBytes[i]/4) % 3})
+			}
+			sg := &segs[len(segs)-1]
+			sg.sets = append(sg.sets, v)
 		}
-		var queries []bitvec.Vector
-		for i := 0; i < len(qBytes) && len(queries) < maxBatchSize; i += 6 {
+		if len(segs) == 0 {
+			segs = []testSeg{{base: base}}
+		}
+		for i := range segs {
+			sets := segs[i].sets
+			sort.Slice(sets, func(a, b int) bool { return bitvec.Less(sets[a], sets[b]) })
+		}
+		// Entries: a query goes to the partition its first byte names; a
+		// run of queries naming the same partition is one segment, so a
+		// partition revisited later is split over two segments. A zero
+		// first byte leaves an empty segment behind.
+		nParts := len(segs)
+		var table []testSeg
+		for i, n := 0, 0; i < len(qBytes) && n < maxBatchSize; i, n = i+6, n+1 {
 			var v bitvec.Vector
 			for _, x := range qBytes[i:min(i+6, len(qBytes))] {
 				v.Set(int(x) % bitvec.W)
 			}
-			queries = append(queries, v)
+			part := segs[int(qBytes[i])%nParts]
+			if k := len(table); k == 0 || table[k-1].base != part.base || qBytes[i] == 0 {
+				if qBytes[i] == 0 {
+					table = append(table, part) // no entries
+				}
+				table = append(table, part)
+			}
+			table[len(table)-1].queries = append(table[len(table)-1].queries, v)
+		}
+		if len(table) == 0 {
+			table = segs[:1]
 		}
 
-		var scalar []pair
-		cpuMatchBatch(sets, 7, queries, 256, gate, nil, nil, func(q uint8, s uint32) {
-			scalar = append(scalar, pair{q, s})
-		})
-		var sliced []pair
-		cpuMatchBatchSliced(bitvec.BuildSlicedGroups(sets), 7, queries, gate, nil, nil, func(q uint8, s uint32) {
-			sliced = append(sliced, pair{q, s})
-		})
+		want := wantSegPairs(table)
+		for _, sliced := range []bool{false, true} {
+			got, overflow := runSegKernel(t, table, sliced, len(want)+1, 256, gate, nil)
+			if overflow {
+				t.Fatalf("sliced=%v: overflow with room for every pair", sliced)
+			}
+			equalPairs(t, fmt.Sprintf("device sliced=%v gate=%v", sliced, gate), got, want)
+		}
+		var scalar, sliced []pair
+		first := 0
+		for _, sg := range table {
+			cpuMatchBatch(sg.sets, int(sg.base), sg.queries, uint8(first), 256, gate, nil, nil, func(q uint8, s uint32) {
+				scalar = append(scalar, pair{q, s})
+			})
+			cpuMatchBatchSliced(bitvec.BuildSlicedGroups(sg.sets), int(sg.base), sg.queries, uint8(first), gate, nil, nil, func(q uint8, s uint32) {
+				sliced = append(sliced, pair{q, s})
+			})
+			first += len(sg.queries)
+		}
 		sortPairs(scalar)
 		sortPairs(sliced)
-		if len(scalar) != len(sliced) {
-			t.Fatalf("gate=%v: scalar %d pairs, sliced %d", gate, len(scalar), len(sliced))
-		}
-		for i := range scalar {
-			if scalar[i] != sliced[i] {
-				t.Fatalf("gate=%v: pair %d: scalar %+v, sliced %+v", gate, i, scalar[i], sliced[i])
-			}
-		}
+		equalPairs(t, fmt.Sprintf("host scalar gate=%v", gate), scalar, want)
+		equalPairs(t, fmt.Sprintf("host sliced gate=%v", gate), sliced, want)
 	})
 }

@@ -53,50 +53,11 @@ func batchFixture(nSets, nQueries int, seed int64) (sets, queries []bitvec.Vecto
 	return sets, queries
 }
 
+// runGPUKernel runs the scalar kernel over one partition and one batch:
+// a one-segment launch.
 func runGPUKernel(t *testing.T, sets, queries []bitvec.Vector, maxPairs, blockDim int, prefilter bool) ([]pair, bool) {
 	t.Helper()
-	dev := gpu.New(gpu.Config{Workers: 4})
-	defer dev.Close()
-	s, err := dev.OpenStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	tagsets := gpu.MustAlloc[bitvec.Vector](dev, len(sets))
-	qbuf := gpu.MustAlloc[bitvec.Vector](dev, len(queries))
-	hdr := gpu.MustAlloc[uint32](dev, resHeaderWords)
-	pairsBuf := gpu.MustAlloc[byte](dev, pairBufBytes(maxPairs))
-	defer tagsets.Free()
-	defer qbuf.Free()
-	defer hdr.Free()
-	defer pairsBuf.Free()
-
-	if err := tagsets.CopyToDevice(0, sets); err != nil {
-		t.Fatal(err)
-	}
-	gpu.CopyToDeviceAsync(s, hdr, 0, []uint32{0, 0})
-	gpu.CopyToDeviceAsync(s, qbuf, 0, queries)
-	grid := gpu.Grid{Blocks: (len(sets) + blockDim - 1) / blockDim, BlockDim: blockDim}
-	s.LaunchAsync(grid, matchKernelAt(tagsets, 0, len(sets), 0, querySrc{direct: qbuf, n: len(queries)}, hdr, pairsBuf, maxPairs, prefilter, nil))
-	hdrHost := make([]uint32, resHeaderWords)
-	gpu.CopyFromDeviceAsync(s, hdr, hdrHost, 0)
-	s.Synchronize()
-
-	count, overflow := clampCount(hdrHost[0], hdrHost[1], maxPairs)
-	if overflow {
-		return nil, true
-	}
-	packed := make([]byte, pairBufBytes(count))
-	if count > 0 {
-		if err := pairsBuf.CopyFromDevice(packed, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got []pair
-	decodePacked(packed, count, func(q uint8, sid uint32) { got = append(got, pair{q, sid}) })
-	sortPairs(got)
-	return got, false
+	return runSegKernel(t, []testSeg{{sets: sets, queries: queries}}, false, maxPairs, blockDim, prefilter, nil)
 }
 
 func TestMatchKernelMatchesBruteForce(t *testing.T) {
@@ -152,7 +113,7 @@ func TestCPUMatchBatchMatchesBruteForce(t *testing.T) {
 	want := bruteForcePairs(sets, 1000, queries)
 	for _, prefilter := range []bool{true, false} {
 		var got []pair
-		cpuMatchBatch(sets, 1000, queries, 256, prefilter, nil, nil, func(q uint8, s uint32) {
+		cpuMatchBatch(sets, 1000, queries, 0, 256, prefilter, nil, nil, func(q uint8, s uint32) {
 			got = append(got, pair{q, s})
 		})
 		sortPairs(got)
@@ -169,7 +130,7 @@ func TestCPUMatchBatchMatchesBruteForce(t *testing.T) {
 
 func TestCPUMatchBatchEmpty(t *testing.T) {
 	called := false
-	cpuMatchBatch(nil, 0, []bitvec.Vector{bitvec.FromOnes(1)}, 256, true, nil, nil, func(uint8, uint32) { called = true })
+	cpuMatchBatch(nil, 0, []bitvec.Vector{bitvec.FromOnes(1)}, 0, 256, true, nil, nil, func(uint8, uint32) { called = true })
 	if called {
 		t.Fatal("visit called for empty partition")
 	}
@@ -266,60 +227,6 @@ func TestEmitPackedConcurrentBlocks(t *testing.T) {
 		}
 		seen[sid] = true
 	})
-}
-
-func TestSplitKernelMatchesPacked(t *testing.T) {
-	sets, queries := batchFixture(1500, 32, 25)
-	want := bruteForcePairs(sets, 0, queries)
-
-	dev := gpu.New(gpu.Config{Workers: 4})
-	defer dev.Close()
-	s, _ := dev.OpenStream()
-	defer s.Close()
-
-	const maxPairs = 100000
-	tagsets := gpu.MustAlloc[bitvec.Vector](dev, len(sets))
-	qbuf := gpu.MustAlloc[bitvec.Vector](dev, len(queries))
-	outQ := gpu.MustAlloc[uint32](dev, splitHeaderWords+maxPairs)
-	outS := gpu.MustAlloc[uint32](dev, maxPairs)
-	defer func() { tagsets.Free(); qbuf.Free(); outQ.Free(); outS.Free() }()
-
-	if err := tagsets.CopyToDevice(0, sets); err != nil {
-		t.Fatal(err)
-	}
-	gpu.CopyToDeviceAsync(s, outQ, 0, []uint32{0, 0})
-	gpu.CopyToDeviceAsync(s, qbuf, 0, queries)
-	grid := gpu.Grid{Blocks: (len(sets) + 255) / 256, BlockDim: 256}
-	s.LaunchAsync(grid, splitMatchKernelAt(tagsets, 0, len(sets), 0, querySrc{direct: qbuf, n: len(queries)}, outQ, outS, maxPairs, true, nil))
-	hdrHost := make([]uint32, splitHeaderWords)
-	gpu.CopyFromDeviceAsync(s, outQ, hdrHost, 0)
-	s.Synchronize()
-
-	count, overflow := clampCount(hdrHost[0], hdrHost[1], maxPairs)
-	if overflow {
-		t.Fatal("unexpected overflow")
-	}
-	qs := make([]uint32, count)
-	ss := make([]uint32, count)
-	if err := outQ.CopyFromDevice(qs, splitHeaderWords); err != nil {
-		t.Fatal(err)
-	}
-	if err := outS.CopyFromDevice(ss, 0); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]pair, count)
-	for i := range got {
-		got[i] = pair{uint8(qs[i]), ss[i]}
-	}
-	sortPairs(got)
-	if len(got) != len(want) {
-		t.Fatalf("%d pairs, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pair %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
 }
 
 func TestClampCount(t *testing.T) {

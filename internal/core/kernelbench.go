@@ -29,8 +29,10 @@ type KernelBenchResult struct {
 	// H2DCopiesPerBatch is the mean H2D copy operations issued per
 	// kernel launch over the timed passes. With the result-header reset
 	// fused into the launch (LaunchZeroedAsync), exactly one copy — the
-	// query batch — remains; the kernel bench test asserts this stays 1
-	// so the separate header-reset transfer cannot silently come back.
+	// batch's entry indices and segment table — remains (the query
+	// signatures sit in a device-resident window, as in the engine); the
+	// kernel bench test asserts this stays 1 so the separate header-reset
+	// transfer cannot silently come back.
 	H2DCopiesPerBatch float64
 }
 
@@ -79,18 +81,26 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 	pt, maskless := buildPartitionTable(parts)
 
 	// Route queries and pack them into per-partition batches, the work
-	// units the pipeline would dispatch.
+	// units the pipeline would dispatch when partitions fill: one-segment
+	// batches. The queries sit in one device-resident window, uploaded
+	// once; a batch carries their indices.
 	type workItem struct {
 		pid uint32
-		qs  []bitvec.Vector
+		qs  []uint32 // indices into queries
+
+		// Per flavor (0 scalar, 1 sliced): the batch's entry indices +
+		// segment table, its kernel and its grid.
+		tab    [2][]uint32
+		kernel [2]gpu.KernelFunc
+		grid   [2]gpu.Grid
 	}
-	perPart := make([][]bitvec.Vector, len(parts))
+	perPart := make([][]uint32, len(parts))
 	var pids []uint32
-	for _, q := range queries {
+	for qi, q := range queries {
 		pids = pt.lookupSliced(q, q.Ones(nil), pids[:0])
 		pids = append(pids, maskless...)
 		for _, pid := range pids {
-			perPart[pid] = append(perPart[pid], q)
+			perPart[pid] = append(perPart[pid], uint32(qi))
 		}
 	}
 	var items []workItem
@@ -132,7 +142,7 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 		p := &parts[it.pid]
 		for si, set := range sets[p.off : p.off+p.n] {
 			for qi := range it.qs {
-				if set.SubsetOf(it.qs[qi]) {
+				if set.SubsetOf(queries[it.qs[qi]]) {
 					ref[i] = append(ref[i], pair{uint8(qi), p.off + uint32(si)})
 				}
 			}
@@ -152,7 +162,8 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 	defer stream.Close()
 	setsBuf := gpu.MustAlloc[bitvec.Vector](dev, len(sets))
 	groupsBuf := gpu.MustAlloc[bitvec.SlicedGroup](dev, len(groups))
-	qbuf := gpu.MustAlloc[bitvec.Vector](dev, batchSize)
+	qwin := gpu.MustAlloc[bitvec.Vector](dev, len(queries))
+	tab := gpu.MustAlloc[uint32](dev, batchSize+segWords)
 	hdr := gpu.MustAlloc[uint32](dev, resHeaderWords)
 	pairs := gpu.MustAlloc[byte](dev, pairBufBytes(maxPairs))
 	if err := setsBuf.CopyToDevice(0, sets); err != nil {
@@ -161,27 +172,42 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 	if err := groupsBuf.CopyToDevice(0, groups); err != nil {
 		panic(err)
 	}
+	if err := qwin.CopyToDevice(0, queries); err != nil {
+		panic(err)
+	}
 
 	var kc obs.KernelCounters
-	launch := func(it workItem, sliced bool) {
+	for i := range items {
+		it := &items[i]
 		p := &parts[it.pid]
-		qsrc := querySrc{direct: qbuf, n: len(it.qs)}
-		gpu.CopyToDeviceAsync(stream, qbuf, 0, it.qs)
-		// Header reset fused into the launch: no separate tiny H2D copy.
-		if sliced {
-			nG := (int(p.n) + 63) / 64
-			stream.LaunchZeroedAsync(slicedGrid(nG, blockDim), hdr, resHeaderWords,
-				slicedMatchKernelAt(groupsBuf, int(p.grpOff), nG, int(p.off),
-					qsrc, hdr, pairs, maxPairs, true, nil, &kc))
-		} else {
-			grid := gpu.Grid{
-				Blocks:   (int(p.n) + blockDim - 1) / blockDim,
-				BlockDim: blockDim,
+		for f := range it.kernel {
+			sliced := f == 1
+			off, n := p.off, p.n
+			grid := gpu.Grid{Blocks: segBlocks(int(p.n), blockDim, sliced), BlockDim: blockDim}
+			if sliced {
+				off, n = p.grpOff, (p.n+63)/64
+				grid.BlockDim = slicedBlockDim(blockDim)
 			}
-			stream.LaunchZeroedAsync(grid, hdr, resHeaderWords,
-				matchKernelAt(setsBuf, int(p.off), int(p.n), int(p.off),
-					qsrc, hdr, pairs, maxPairs, true, nil))
+			row := make([]uint32, segWords)
+			row[segBlockEnd], row[segCount] = uint32(grid.Blocks), uint32(len(it.qs))
+			row[segOff], row[segLen], row[segBase] = off, n, p.off
+			it.tab[f] = append(slices.Clone(it.qs), row...)
+			args := &batchArgs{
+				sigs: qwin, tab: tab, nQ: len(it.qs), nSeg: 1,
+				hdr: hdr, pairs: pairs, maxPairs: maxPairs, prefilter: true, kc: &kc,
+			}
+			it.grid[f] = grid
+			if sliced {
+				it.kernel[f] = slicedMatchKernel(args, groupsBuf, nil)
+			} else {
+				it.kernel[f] = matchKernel(args, setsBuf, nil)
+			}
 		}
+	}
+	launch := func(it *workItem, f int) {
+		gpu.CopyToDeviceAsync(stream, tab, 0, it.tab[f])
+		// Header reset fused into the launch: no separate tiny H2D copy.
+		stream.LaunchZeroedAsync(it.grid[f], hdr, resHeaderWords, it.kernel[f])
 	}
 
 	// Untimed parity pass: both flavors must emit exactly the reference
@@ -189,9 +215,9 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 	res.Parity = true
 	hdrHost := make([]uint32, resHeaderWords)
 	packed := make([]byte, pairBufBytes(maxPairs))
-	for i, it := range items {
-		for _, sliced := range []bool{false, true} {
-			launch(it, sliced)
+	for i := range items {
+		for f := range items[i].kernel {
+			launch(&items[i], f)
 			if err := stream.SynchronizeErr(); err != nil {
 				panic(err)
 			}
@@ -220,25 +246,22 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 	// Timed passes: enqueue a full iteration's batches back to back and
 	// synchronize once, so host-side bookkeeping stays off the clock.
 	// The H2D op count is measured across the passes: fused header
-	// resets mean exactly one copy (the query batch) per launch.
+	// resets mean exactly one copy (indices + segment table) per launch.
 	n := float64(iters * len(queries))
 	copies0 := dev.Stats().CopiesHtoD
 	launches := 0
-	for _, flavor := range []struct {
-		sliced bool
-		out    *float64
-	}{{false, &res.ScalarNs}, {true, &res.SlicedNs}} {
+	for f, out := range []*float64{&res.ScalarNs, &res.SlicedNs} {
 		t0 := time.Now()
 		for it := 0; it < iters; it++ {
-			for _, item := range items {
-				launch(item, flavor.sliced)
+			for i := range items {
+				launch(&items[i], f)
 				launches++
 			}
 			if err := stream.SynchronizeErr(); err != nil {
 				panic(err)
 			}
 		}
-		*flavor.out = float64(time.Since(t0)) / n
+		*out = float64(time.Since(t0)) / n
 	}
 	if launches > 0 {
 		res.H2DCopiesPerBatch = float64(dev.Stats().CopiesHtoD-copies0) / float64(launches)

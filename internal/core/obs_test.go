@@ -69,9 +69,15 @@ func TestObsStageHistogramsAndPartitions(t *testing.T) {
 		routed += ps.QueriesRouted
 		batches += ps.BatchesFull + ps.BatchesTimedOut + ps.BatchesFlushed
 	}
+	// Per-partition batch counters count segments: a dispatched batch
+	// holds one per partition it carries entries for.
 	st := e.Stats()
-	if routed == 0 || batches != st.BatchesDispatched {
-		t.Fatalf("routed=%d batches=%d dispatched=%d", routed, batches, st.BatchesDispatched)
+	if routed == 0 || batches != st.SegmentsDispatched || st.BatchesDispatched > batches {
+		t.Fatalf("routed=%d partition batches=%d segments=%d dispatched=%d",
+			routed, batches, st.SegmentsDispatched, st.BatchesDispatched)
+	}
+	if got := p.Streams.SegmentsPerBatch.Count(); got != st.BatchesDispatched {
+		t.Fatalf("segments-per-batch observations = %d, dispatched batches = %d", got, st.BatchesDispatched)
 	}
 
 	// Stage snapshots feed the export surfaces.

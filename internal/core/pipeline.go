@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"runtime/pprof"
@@ -47,6 +48,11 @@ type query struct {
 	// nobody is waiting for. ctx is stored only when cancellable.
 	deadline time.Time
 	ctx      context.Context
+
+	// stamp names the dispatched batch that last listed the query and the
+	// query's first entry in it (dispatch sequence number << 8 | entry);
+	// see dispatch.
+	stamp atomic.Uint64
 
 	// expired marks a query completed early with ErrDeadlineExceeded.
 	// The CAS in expire elects exactly one deliverer no matter how many
@@ -175,14 +181,25 @@ func sortKeys(keys []Key) {
 	slices.Sort(keys)
 }
 
-// openBatch is a per-partition batch of queries being filled by the
-// pre-process stage.
+// openBatch is a batch of routed (query, partition) entries. A partition
+// fills one during pre-processing, as a single segment; what the
+// subset-match stage receives — a dispatched batch — is either such a
+// batch that filled to BatchSize, or up to BatchSize entries packed from
+// several partitions' batches when they are flushed (see packer), each
+// partition's entries one segment. queries and sigs are indexed by
+// entry: a query routed to k of the batch's partitions appears k times.
 type openBatch struct {
-	pid        uint32
 	queries    []*query
 	sigs       []bitvec.Vector
-	created    time.Time
+	segs       []segment
+	created    time.Time // when the oldest entry's partition batch was opened
 	dispatched time.Time
+
+	// dup[i] is the first entry holding the same query as entry i (i
+	// itself for a first occurrence), computed at dispatch: per-query
+	// work — window assignment, trace spans, the pending countdown — runs
+	// once per distinct query of the batch.
+	dup []uint8
 
 	// deadlined marks that at least one member carries a cancellable
 	// context, so dispatch runs the expiry sweep; deadline-free traffic
@@ -238,32 +255,30 @@ type streamCtx struct {
 }
 
 // streamSlot is one pipelined dispatch slot: the per-batch device
-// buffers (query batch, result header, packed pair buffer, the
-// split-layout ablation's two id arrays, and the query-window index
-// array) plus the slot's host staging state. A slot is owned exclusively
-// by one attempt from pool acquisition until its final callback returns
-// it — attempts never share a slot, which is what keeps a losing hedge
-// or a faulted segment from recycling buffers a rival attempt still
-// reads (the cross-attempt sharing happens one level up, in the
-// query window, under its pin counts).
+// buffers (dense signature upload, entry indices + segment table, result
+// header, packed pair buffer) plus the slot's host staging state. A slot
+// is owned exclusively by one attempt from pool acquisition until its
+// final callback returns it — attempts never share a slot, which is
+// what keeps a losing hedge or a faulted segment from recycling buffers
+// a rival attempt still reads (the cross-attempt sharing happens one
+// level up, in the query window, under its pin counts).
 //
-// hdrHost is the host staging slot for the ablation paths' D2H header
-// copy; res and fault carry the batch outcome from the header callback
-// to the completion callback. All of the staging state is written by
-// the dispatching goroutine before the batch's first enqueue (the
-// FIFO send publishes it to the executor) or by the executor itself
-// between the slot's callbacks; pool-channel handoff orders reuse.
+// res and fault carry the batch outcome from the header callback to the
+// completion callback. All of the staging state is written by the
+// dispatching goroutine before the batch's first enqueue (the FIFO send
+// publishes it to the executor) or by the executor itself between the
+// slot's callbacks; the pool handoff orders reuse.
 type streamSlot struct {
-	sc     *streamCtx
-	qbuf   *gpu.Buffer[bitvec.Vector]
-	qidx   *gpu.Buffer[uint32]
-	hdr    *gpu.Buffer[uint32]
-	pairs  *gpu.Buffer[byte]
-	splitQ *gpu.Buffer[uint32]
-	splitS *gpu.Buffer[uint32]
+	sc    *streamCtx
+	qbuf  *gpu.Buffer[bitvec.Vector]
+	tab   *gpu.Buffer[uint32]
+	hdr   *gpu.Buffer[uint32]
+	pairs *gpu.Buffer[byte]
 
-	hdrHost  []uint32
-	qidxHost []uint32
+	// tabHost stages the batch's entry indices and segment table, one
+	// H2D copy; args are the launch's kernel arguments.
+	tabHost []uint32
+	args    batchArgs
 
 	// Query-window staging for the batch in flight: the coalesced fill
 	// payload (winHost, aligned with winRuns) and the window slots whose
@@ -274,7 +289,6 @@ type streamSlot struct {
 	winRuns    []winRun
 	winPinned  []int
 	winUploads []int
-	dedup      map[bitvec.Vector]uint32
 
 	// res and fault are the in-flight batch's outcome, set by the header
 	// callback and consumed by the completion callback (both on the
@@ -291,11 +305,9 @@ type streamSlot struct {
 
 func (sl *streamSlot) free() {
 	sl.qbuf.Free()
-	sl.qidx.Free()
+	sl.tab.Free()
 	sl.hdr.Free()
 	sl.pairs.Free()
-	sl.splitQ.Free()
-	sl.splitS.Free()
 }
 
 // streamOpsBuffer sizes a stream's op FIFO for pipelined dispatch: the
@@ -315,21 +327,18 @@ const (
 	// host (CPU-only mode, or the overflow fallback).
 	payloadCPU payloadKind = iota
 	payloadPacked
-	payloadSplit
 )
 
 // batchResult carries a completed subset-match batch to the key-lookup
-// stage. kind selects the payload source; the payload slices keep their
-// backing arrays across pool reuse (lengths are set per batch).
+// stage. kind selects the payload source; the payload slice keeps its
+// backing array across pool reuse (the length is set per batch).
 type batchResult struct {
 	idx      *index
 	batch    *openBatch
 	count    int
 	overflow bool // GPU result buffer overflowed (kind is payloadCPU)
 	kind     payloadKind
-	packed   []byte   // packed layout payload
-	qIDs     []uint32 // split layout payload
-	sIDs     []uint32
+	packed   []byte // packed layout payload
 }
 
 // Submit enqueues a match(q) operation; done is invoked exactly once with
@@ -727,7 +736,7 @@ func (e *Engine) mergeRoutes(acc *routeAccum) {
 		idx.locks[pid].Lock()
 		for len(qs) > 0 {
 			if p.batch == nil {
-				p.batch = e.pools.getBatch(pid, e.cfg.BatchSize)
+				p.batch = e.pools.getBatch(pid, e.cfg.BatchSize, t0)
 				if !p.dirty {
 					// Mark inside the partition lock: flag and list
 					// membership stay in lock step, so the dirty list
@@ -757,7 +766,7 @@ func (e *Engine) mergeRoutes(acc *routeAccum) {
 				// the next flush visit notices the batch is gone and
 				// clears the flag.
 				p.batch = nil
-				full = append(full, b)
+				full = append(full, b.seal())
 			}
 		}
 		idx.locks[pid].Unlock()
@@ -827,75 +836,158 @@ func (idx *index) recycleDirty(pids []uint32) {
 	idx.dirtyMu.Unlock()
 }
 
-// flushAll dispatches every open batch regardless of fill level. Only
-// dirty partitions are visited: with P partitions in the thousands and
-// a handful seeing traffic, sweeping all P per call would dominate the
-// flush path (drain, blocking matches) with uncontended-lock traffic.
-func (e *Engine) flushAll(idx *index) {
+// seal closes a partition's batch as a one-segment batch, ready to be
+// dispatched or packed. Callers have detached it from the partition.
+func (b *openBatch) seal() *openBatch {
+	b.segs[0].n = len(b.queries)
+	return b
+}
+
+// packer folds flushed partition batches into dispatched batches of at
+// most BatchSize entries, one segment per partition, so the per-batch
+// cost of the copy → kernel → copy sequence is paid per BatchSize routed
+// entries whatever the fan-out spread them over. A partition's entries
+// that do not fit the remainder of the current batch are split across
+// two dispatched batches. Under partitioned placement a dispatched
+// batch holds only partitions of one device. Each dispatch may block
+// for a stream slot, which is what paces a flush pass.
+type packer struct {
+	e          *Engine
+	idx        *index
+	reason     dispatchReason
+	cur        *openBatch
+	dispatched int // batches dispatched so far
+}
+
+// add packs one sealed partition batch. src is consumed: adopted as the
+// current batch, or emptied into it and recycled.
+func (pk *packer) add(src *openBatch) {
+	e := pk.e
+	if cur := pk.cur; cur != nil && !e.cfg.Replicate &&
+		pk.idx.parts[cur.segs[0].pid].dev != pk.idx.parts[src.segs[0].pid].dev {
+		pk.flush()
+	}
+	for pk.cur != nil {
+		cur := pk.cur
+		take := min(e.cfg.BatchSize-len(cur.queries), len(src.queries))
+		cur.segs = append(cur.segs, segment{pid: src.segs[0].pid, first: len(cur.queries), n: take})
+		cur.queries = append(cur.queries, src.queries[:take]...)
+		cur.sigs = append(cur.sigs, src.sigs[:take]...)
+		cur.deadlined = cur.deadlined || src.deadlined
+		if src.created.Before(cur.created) {
+			cur.created = src.created
+		}
+		if len(cur.queries) == e.cfg.BatchSize {
+			pk.flush()
+		}
+		if take == len(src.queries) {
+			e.pools.putBatch(src)
+			return
+		}
+		// Split: src keeps the entries that did not fit, moved down so
+		// its backing arrays keep their capacity.
+		n := copy(src.queries, src.queries[take:])
+		clear(src.queries[n:])
+		src.queries = src.queries[:n]
+		src.sigs = src.sigs[:copy(src.sigs, src.sigs[take:])]
+		src.seal()
+	}
+	pk.cur = src
+	if len(src.queries) >= e.cfg.BatchSize {
+		pk.flush()
+	}
+}
+
+// flush dispatches the current batch, if any.
+func (pk *packer) flush() {
+	if pk.cur != nil {
+		pk.e.dispatch(pk.idx, pk.cur, pk.reason)
+		pk.cur = nil
+		pk.dispatched++
+	}
+}
+
+// flushPass visits the dirty partitions in partition order, detaches
+// every open batch at least minAge old and packs them into dispatched
+// batches. Only dirty partitions are visited: with P partitions in the
+// thousands and a handful seeing traffic, sweeping all P per pass would
+// dominate the flush path with uncontended-lock traffic. Partitions are
+// detached one dispatched batch at a time, and a dispatch blocks while
+// every stream slot is busy, so under saturation the partitions not yet
+// visited keep filling: the slot pool, not the timer, sets how full
+// batches leave. A pass can therefore outlast many flusher ticks, so
+// batch ages are judged against a clock re-read after every dispatch.
+func (e *Engine) flushPass(idx *index, minAge time.Duration, reason dispatchReason) {
 	pids := idx.takeDirty()
+	if !e.cfg.Replicate && len(idx.devices) > 1 {
+		slices.SortFunc(pids, func(a, b uint32) int {
+			return cmp.Or(cmp.Compare(idx.parts[a].dev, idx.parts[b].dev), cmp.Compare(a, b))
+		})
+	} else {
+		slices.Sort(pids)
+	}
+	pk := packer{e: e, idx: idx, reason: reason}
+	keep := pids[:0] // compact in place: write index trails read index
+	now, seen := time.Now(), 0
 	for _, pid := range pids {
+		if pk.dispatched != seen {
+			now, seen = time.Now(), pk.dispatched
+		}
 		p := &idx.parts[pid]
 		idx.locks[pid].Lock()
-		b := p.batch
-		p.batch = nil
-		p.dirty = false
+		var b *openBatch
+		switch {
+		case p.batch == nil:
+			p.dirty = false // stale entry: batch already dispatched full
+		case minAge <= 0 || now.Sub(p.batch.created) >= minAge:
+			b = p.batch
+			p.batch = nil
+			p.dirty = false
+		default:
+			keep = append(keep, pid) // too young; stays dirty
+		}
 		idx.locks[pid].Unlock()
 		if b != nil {
-			e.dispatch(idx, b, dispatchFlush)
+			pk.add(b.seal())
 		}
 	}
+	pk.flush()
+	// requeueDirty copies keep's values into the live list, so the taken
+	// buffer (which keep aliases) is free to recycle.
+	idx.requeueDirty(keep)
 	idx.recycleDirty(pids)
 }
 
+// flushAll dispatches every open batch regardless of fill level or age.
+func (e *Engine) flushAll(idx *index) {
+	e.flushPass(idx, 0, dispatchFlush)
+}
+
 // flusher enforces the batch timeout (§3): partially filled batches are
-// pushed through the pipeline once they age past BatchTimeout. Each tick
-// visits only dirty partitions; too-young batches are requeued.
+// pushed through the pipeline once they age past BatchTimeout.
 func (e *Engine) flusher() {
 	defer close(e.flushDone)
-	tick := e.cfg.BatchTimeout / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(flushTick(e.cfg.BatchTimeout))
 	defer t.Stop()
 	for {
 		select {
 		case <-e.flushStop:
 			return
-		case now := <-t.C:
-			idx := e.idx.Load()
-			pids := idx.takeDirty()
-			keep := pids[:0] // compact in place: write index trails read index
-			for _, pid := range pids {
-				p := &idx.parts[pid]
-				idx.locks[pid].Lock()
-				var b *openBatch
-				switch {
-				case p.batch == nil:
-					p.dirty = false // stale entry: batch already dispatched full
-				case now.Sub(p.batch.created) >= e.cfg.BatchTimeout:
-					b = p.batch
-					p.batch = nil
-					p.dirty = false
-				default:
-					keep = append(keep, pid) // too young; stays dirty
-				}
-				idx.locks[pid].Unlock()
-				if b != nil {
-					e.batchesTimedOut.Add(1)
-					e.dispatch(idx, b, dispatchTimeout)
-				}
-			}
-			// requeueDirty copies keep's values into the live list, so
-			// the taken buffer (which keep aliases) is free to recycle.
-			idx.requeueDirty(keep)
-			idx.recycleDirty(pids)
+		case <-t.C:
+			e.flushPass(e.idx.Load(), e.cfg.BatchTimeout, dispatchTimeout)
 		}
 	}
 }
 
+// flushTick is the flusher's period: a quarter of the timeout, at least
+// a millisecond. On an idle engine a batch leaves within BatchTimeout
+// plus one tick of being opened.
+func flushTick(timeout time.Duration) time.Duration {
+	return max(timeout/4, time.Millisecond)
+}
+
 // dispatchReason records why a batch left the pre-process stage, for the
-// per-partition fullness-vs-timeout breakdown.
+// fullness-vs-timeout breakdown.
 type dispatchReason uint8
 
 const (
@@ -904,13 +996,13 @@ const (
 	dispatchFlush
 )
 
-// dispatch runs the subset-match stage for one batch: on a GPU stream
-// when devices are configured, otherwise synchronously on the calling CPU
-// thread (CPU-only TagMatch). Batches carrying deadlined queries are
-// swept first: members whose deadline already passed complete with
-// ErrDeadlineExceeded here, before any device work, and a batch left
-// empty by the sweep is cancelled outright — it never counts as
-// dispatched and never reaches a kernel launch.
+// dispatch runs the subset-match stage for one dispatched batch: on a
+// GPU stream when devices are configured, otherwise synchronously on the
+// calling CPU thread (CPU-only TagMatch). Batches carrying deadlined
+// queries are swept first: entries whose deadline already passed
+// complete with ErrDeadlineExceeded here, before any device work, and a
+// batch left empty by the sweep is cancelled outright — it never counts
+// as dispatched and never reaches a kernel launch.
 func (e *Engine) dispatch(idx *index, b *openBatch, reason dispatchReason) {
 	if b.deadlined {
 		if b = e.sweepExpired(b); b == nil {
@@ -924,11 +1016,35 @@ func (e *Engine) dispatch(idx *index, b *openBatch, reason dispatchReason) {
 			b.ctxs = append(b.ctxs, q.ctx)
 		}
 	}
+	// Mark each entry with the first entry of the same query. The stamp is
+	// unique to this dispatch, and a query's batches may be dispatched by
+	// several goroutines at once: one overwriting another's stamp only
+	// makes a repeat look like a first occurrence, which costs a second
+	// window lookup and nothing else.
+	stamp := e.dispatchSeq.Add(1) << 8
+	b.dup = b.dup[:0]
+	for i, q := range b.queries {
+		if v := q.stamp.Load(); v&^0xff == stamp {
+			b.dup = append(b.dup, uint8(v))
+			continue
+		}
+		q.stamp.Store(stamp | uint64(i))
+		b.dup = append(b.dup, uint8(i))
+	}
 	e.batches.Add(1)
 	e.inflightBatches.Add(1)
+	if reason == dispatchTimeout {
+		e.batchesTimedOut.Add(1)
+	}
+	e.obs.Streams.SegmentsPerBatch.Observe(int64(len(b.segs)))
+	b.dispatched = time.Now()
 	if e.obs.On {
 		e.obs.BatchOccupancy.Observe(int64(len(b.queries)))
-		if c := e.obs.Parts.Get(b.pid); c != nil {
+		for _, sg := range b.segs {
+			c := e.obs.Parts.Get(sg.pid)
+			if c == nil {
+				continue // the index was swapped mid-flight
+			}
 			switch reason {
 			case dispatchFull:
 				c.BatchesFull.Add(1)
@@ -938,15 +1054,14 @@ func (e *Engine) dispatch(idx *index, b *openBatch, reason dispatchReason) {
 				c.BatchesFlushed.Add(1)
 			}
 		}
-	}
-	b.dispatched = time.Now()
-	if e.obs.On {
 		wait := b.dispatched.Sub(b.created)
 		e.obs.BatchWait.ObserveDuration(wait)
 		if e.obs.Tracing() {
-			for _, q := range b.queries {
-				q.trace.Span("batch-wait", "query", b.created, wait, 0,
-					int32(b.pid), "", -1, int64(len(b.queries)))
+			for i, q := range b.queries {
+				if int(b.dup[i]) == i {
+					q.trace.Span("batch-wait", "query", b.created, wait, 0,
+						int32(b.segOf(i).pid), "", -1, int64(len(b.queries)))
+				}
 			}
 		}
 	}
@@ -958,31 +1073,50 @@ func (e *Engine) dispatch(idx *index, b *openBatch, reason dispatchReason) {
 	e.gpuDispatch(idx, b)
 }
 
-// sweepExpired completes every already-expired query in the batch with
-// ErrDeadlineExceeded and compacts the batch in place. Returns nil when
-// every member expired: the batch is cancelled — recycled without ever
-// counting as dispatched — which pins the invariant that expired
-// queries never reach a kernel launch. Surviving deadline-carrying
-// queries record their remaining slack (the headroom the batching
-// stages left for the device) in the DeadlineSlack histogram.
+// segOf returns the segment holding entry i.
+func (b *openBatch) segOf(i int) segment {
+	for _, sg := range b.segs {
+		if i < sg.first+sg.n {
+			return sg
+		}
+	}
+	panic("segOf: entry beyond the last segment")
+}
+
+// sweepExpired completes every already-expired entry's query with
+// ErrDeadlineExceeded and compacts the batch in place, entries across
+// segment boundaries and the segment table with them (a segment left
+// empty is dropped). Returns nil when every entry expired: the batch is
+// cancelled — recycled without ever counting as dispatched — which pins
+// the invariant that expired queries never reach a kernel launch.
+// Surviving deadline-carrying queries record their remaining slack (the
+// headroom the batching stages left for the device) in the DeadlineSlack
+// histogram.
 func (e *Engine) sweepExpired(b *openBatch) *openBatch {
 	now := time.Now()
-	keepQ, keepS := b.queries[:0], b.sigs[:0]
-	for i, q := range b.queries {
-		if q.lapsed(now) {
-			q.expire(e, q.expiryCause())
-			q.finish(e, 1) // drop this batch's reference
-			continue
-		}
-		if e.obs.On && !q.deadline.IsZero() {
-			slack := q.deadline.Sub(now)
-			e.obs.DeadlineSlack.ObserveDuration(slack)
-			if q.trace != nil {
-				q.trace.Event("deadline-slack-dispatch", int32(b.pid), int64(slack))
+	keepQ, keepS, keepSeg := b.queries[:0], b.sigs[:0], b.segs[:0]
+	for _, sg := range b.segs {
+		first := len(keepQ)
+		for i := sg.first; i < sg.first+sg.n; i++ {
+			q := b.queries[i]
+			if q.lapsed(now) {
+				q.expire(e, q.expiryCause())
+				q.finish(e, 1) // drop this entry's reference
+				continue
 			}
+			if e.obs.On && !q.deadline.IsZero() {
+				slack := q.deadline.Sub(now)
+				e.obs.DeadlineSlack.ObserveDuration(slack)
+				if q.trace != nil {
+					q.trace.Event("deadline-slack-dispatch", int32(sg.pid), int64(slack))
+				}
+			}
+			keepQ = append(keepQ, q)
+			keepS = append(keepS, b.sigs[i])
 		}
-		keepQ = append(keepQ, q)
-		keepS = append(keepS, b.sigs[i])
+		if n := len(keepQ) - first; n > 0 {
+			keepSeg = append(keepSeg, segment{pid: sg.pid, first: first, n: n})
+		}
 	}
 	if len(keepQ) == 0 {
 		e.obs.Faults.BatchesCancelled.Add(1)
@@ -993,7 +1127,7 @@ func (e *Engine) sweepExpired(b *openBatch) *openBatch {
 	// Clear the compaction tail so dropped query refs don't linger in
 	// the batch's backing array until its next recycle.
 	clear(b.queries[len(keepQ):])
-	b.queries, b.sigs = keepQ, keepS
+	b.queries, b.sigs, b.segs = keepQ, keepS, keepSeg
 	return b
 }
 
@@ -1015,8 +1149,8 @@ func (e *Engine) cpuDispatch(idx *index, b *openBatch, hedge bool) {
 func (e *Engine) gpuDispatch(idx *index, b *openBatch) {
 	var traced []*obs.Trace
 	if e.obs.Tracing() {
-		for _, q := range b.queries {
-			if q.trace != nil {
+		for i, q := range b.queries {
+			if q.trace != nil && int(b.dup[i]) == i {
 				traced = append(traced, q.trace)
 			}
 		}
@@ -1047,13 +1181,18 @@ func (e *Engine) batchUnref(b *openBatch) {
 // attempts. The winner also disarms the straggler budget timer; when
 // the timer is stopped before firing, its batch reference and
 // dispatching hold are released on its behalf.
-func (e *Engine) settleBatch(b *openBatch) bool {
+func (e *Engine) settleBatch(idx *index, b *openBatch) bool {
 	if !b.settled.CompareAndSwap(false, true) {
 		return false
 	}
 	if t := b.hedgeTimer; t != nil && t.Stop() {
 		b.timerIdx.dispatching.Done()
 		e.batchUnref(b)
+	}
+	if e.hedgingEnabled() && idx.slots != nil {
+		// The rival attempt may be parked waiting for a stream slot the
+		// batch no longer needs.
+		idx.slots.wake()
 	}
 	return true
 }
@@ -1062,7 +1201,7 @@ func (e *Engine) settleBatch(b *openBatch) bool {
 // stage if the attempt settled the batch, or discards it when the rival
 // attempt already won the race.
 func (e *Engine) deliverResult(b *openBatch, res *batchResult, hedge bool) {
-	if e.settleBatch(b) {
+	if e.settleBatch(res.idx, b) {
 		if hedge {
 			e.obs.Faults.HedgesWon.Add(1)
 		}
@@ -1120,7 +1259,7 @@ func (e *Engine) maybeHedge(idx *index, b *openBatch, primary int, traced []*obs
 	b.hedged.Store(true)
 	e.obs.Faults.HedgesFired.Add(1)
 	e.logger().Debug("hedging straggler batch",
-		"partition", b.pid, "queries", len(b.queries),
+		"segments", len(b.segs), "entries", len(b.sigs),
 		"primary", e.deviceName(primary))
 	// The "hedge" span covers the primary attempt's run-up to the budget
 	// firing, so the timeline shows how long the straggler was tolerated;
@@ -1128,8 +1267,8 @@ func (e *Engine) maybeHedge(idx *index, b *openBatch, primary int, traced []*obs
 	now := time.Now()
 	for _, tr := range traced {
 		tr.Span("hedge", "query", b.dispatched, 0, now.Sub(b.dispatched),
-			int32(b.pid), "", -1, int64(primary))
-		tr.Event("hedge-fired", int32(b.pid), int64(primary))
+			-1, "", -1, int64(primary))
+		tr.Event("hedge-fired", -1, int64(primary))
 		tr.Degrade("hedged")
 	}
 	e.batchRef(b)
@@ -1137,140 +1276,6 @@ func (e *Engine) maybeHedge(idx *index, b *openBatch, primary int, traced []*obs
 	e.gpuDispatchAttempt(idx, b, 0, primary, true, traced)
 	e.batchUnref(b) // the timer's own hold
 }
-
-// acquireStream pulls a dispatch slot whose device is healthy (or due a
-// recovery probe), preferring devices other than avoid — the device of a
-// failed prior attempt. The pool holds StreamDepth slots per stream, so
-// up to depth batches can be dispatching onto one stream concurrently.
-// It returns nil when no usable slot can be found in a bounded number of
-// tries, in which case the caller re-runs the batch on the host. Skipped
-// slots go straight back into the pool, so quarantining never shrinks
-// the pool itself. The inter-pass backoff is abandoned — returning nil
-// immediately — when the engine is closing, the batch has already
-// settled (a rival hedge attempt delivered), or every member query has
-// expired: sleeping through any of those would hold up shutdown or burn
-// the callers' remaining deadline for a slot nobody needs anymore.
-func (e *Engine) acquireStream(idx *index, b *openBatch, avoid int) *streamSlot {
-	if !e.cfg.Replicate {
-		// Partitioned placement binds the partition to one device; there
-		// is no alternative device to retry on.
-		dev := idx.parts[b.pid].dev
-		if e.acquireAbandoned(b) {
-			return nil
-		}
-		if !e.deviceUsable(dev) {
-			return nil
-		}
-		if e.health[dev].quarantined.Load() {
-			// deviceUsable elected this batch as the recovery probe; the
-			// probe must dispatch, so wait out the stream unconditionally.
-			return <-idx.devStreams[dev]
-		}
-		for {
-			select {
-			case sc := <-idx.devStreams[dev]:
-				return sc
-			default:
-				if e.acquireAbandoned(b) {
-					return nil
-				}
-				time.Sleep(streamAcquireBackoff)
-			}
-		}
-	}
-	// Replicate mode: scan the shared pool without ever parking on the
-	// channel — a checked-out slot can be hundreds of milliseconds away
-	// behind an injected (or real) straggler, and a batch that has become
-	// moot in the meantime (engine closed, every member's context ended,
-	// or a hedge rival already settled it) must stop waiting for one.
-	// Each round drains whatever is currently pooled, preferring a
-	// device other than avoid but holding a usable avoided slot as the
-	// round's fallback (a single-device engine retries on another slot
-	// of the same GPU). A fruitless round when every device is
-	// quarantined gives up (CPU fallback); a fruitless round with merely
-	// checked-out slots backs off briefly and rescans, re-checking
-	// abandonment around the sleep so expired work never queues behind a
-	// straggler.
-	for {
-		var fallback *streamSlot
-		for i := 0; i < cap(idx.streams); i++ {
-			var sl *streamSlot
-			select {
-			case sl = <-idx.streams:
-			default:
-			}
-			if sl == nil {
-				break // pool exhausted this round
-			}
-			if e.deviceUsable(sl.sc.dev) {
-				// A usable quarantined device means deviceUsable elected
-				// this batch as its recovery probe: dispatch there even if
-				// it is the avoided device, or the probe would leak.
-				if sl.sc.dev != avoid || e.health[sl.sc.dev].quarantined.Load() {
-					if fallback != nil {
-						idx.streams <- fallback
-					}
-					return sl
-				}
-				if fallback == nil {
-					fallback = sl
-					continue
-				}
-			}
-			idx.streams <- sl
-		}
-		if fallback != nil {
-			return fallback // only the avoided device is usable
-		}
-		if e.acquireAbandoned(b) || e.allDevicesQuarantined() {
-			return nil
-		}
-		time.Sleep(streamAcquireBackoff)
-		if e.acquireAbandoned(b) {
-			return nil
-		}
-	}
-}
-
-// allDevicesQuarantined reports whether no device can currently serve
-// batches at all; acquireStream stops waiting for pooled streams then
-// (the scan itself still lets recovery probes through, because
-// deviceUsable elects them while the pool is inspected).
-func (e *Engine) allDevicesQuarantined() bool {
-	for d := range e.health {
-		if !e.health[d].quarantined.Load() {
-			return false
-		}
-	}
-	return true
-}
-
-// acquireAbandoned reports whether a stream acquisition should give up
-// without its backoff sleep: the engine is closing, a rival attempt has
-// settled the batch, or every member query's context has ended. The
-// expiry check reads the context snapshot captured at dispatch, not
-// b.queries — after a rival settles, the reduce stage recycles the
-// query structs while this attempt is still running, but a context
-// value stays valid forever.
-func (e *Engine) acquireAbandoned(b *openBatch) bool {
-	if e.closed.Load() || b.settled.Load() {
-		return true
-	}
-	if len(b.ctxs) == 0 {
-		return false
-	}
-	for _, ctx := range b.ctxs {
-		if ctx.Err() == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// streamAcquireBackoff separates acquireStream's two scan passes when
-// the first found no usable device at all (typically: every device
-// quarantined), so concurrent fallbacks don't spin hot on the pool.
-const streamAcquireBackoff = 500 * time.Microsecond
 
 // gpuDispatchAttempt runs one GPU attempt for the batch. attempt 0 is the
 // initial dispatch; a failed attempt is retried once (attempt 1) on a
@@ -1284,7 +1289,6 @@ const streamAcquireBackoff = 500 * time.Microsecond
 // reference and one index dispatching hold for the chain; every
 // terminal path of the chain releases both exactly once.
 func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int, hedge bool, traced []*obs.Trace) {
-	p := &idx.parts[b.pid]
 	sl := e.acquireStream(idx, b, avoid)
 	if sl == nil {
 		if hedge {
@@ -1300,56 +1304,11 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 	}
 	sc := sl.sc
 	dev := sc.dev
-	// Partitions appended by an incremental fold live in per-device
-	// extent buffers rather than the base shard of the last full upload;
-	// their devOff/devGrpOff are extent-relative in both placement modes.
-	buf := idx.devBufs[dev]
-	if p.ext > 0 {
-		buf = idx.devExts[dev][p.ext-1]
-	}
-	partOff := int(p.off)
-	if !e.cfg.Replicate || p.ext > 0 {
-		partOff = int(p.devOff)
-	}
-	globalBase := int(p.off)
 	nQ := len(b.sigs)
-
-	// Kernel flavor: the bit-sliced kernel walks the partition's
-	// transposed groups (one 64-set group per thread); the scalar
-	// ablation keeps one set per thread. Both emit through the same
-	// result path and produce identical pairs.
-	sliced := !e.cfg.ScalarKernel && idx.groups != nil
-	nGroups := (int(p.n) + 63) / 64
-	var grpBuf *gpu.Buffer[bitvec.SlicedGroup]
-	if sliced {
-		grpBuf = idx.devGroupBufs[dev]
-		if p.ext > 0 {
-			grpBuf = idx.devGrpExts[dev][p.ext-1]
-		}
-	}
-	grpOff := int(p.grpOff)
-	if !e.cfg.Replicate || p.ext > 0 {
-		grpOff = int(p.devGrpOff)
-	}
-	var grid gpu.Grid
-	if sliced {
-		grid = slicedGrid(nGroups, e.cfg.BlockDim)
-		e.obs.Kernel.SlicedBatches.Add(1)
-	} else {
-		grid = gpu.Grid{
-			Blocks:   (int(p.n) + e.cfg.BlockDim - 1) / e.cfg.BlockDim,
-			BlockDim: e.cfg.BlockDim,
-		}
-		e.obs.Kernel.ScalarBatches.Add(1)
-	}
 
 	release := func() {
 		sc.inflight.Add(-1)
-		if e.cfg.Replicate {
-			idx.streams <- sl
-		} else {
-			idx.devStreams[dev] <- sl
-		}
+		idx.slots.put(sl)
 	}
 
 	// Point the slot at this batch's sampled traces before any operation
@@ -1389,189 +1348,91 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 		t.Reset(e.hedgeBudget(dev))
 	}
 
-	// Query upload: map the batch onto the device's query window ring
-	// (unique signatures upload once, the batch carries u32 indices) when
-	// the window is enabled and has room; otherwise the dense per-slot
-	// upload. The assignment pins the referenced ring slots until the
-	// header callback settles them, so no rival batch's fill can
-	// overwrite a signature this kernel still reads.
+	// Query upload: map the batch's entries onto the device's query
+	// window ring (unique signatures upload once, entries carry u32
+	// indices) when the window is enabled and has room; otherwise upload
+	// the entries' signatures densely into the slot and index those. The
+	// assignment pins the referenced ring slots until the header callback
+	// settles them, so no rival batch's fill can overwrite a signature
+	// this kernel still reads.
+	nTab := nQ + len(b.segs)*segWords
+	sl.tabHost = growU32(sl.tabHost, nTab)
 	var win *queryWindow
 	if idx.windows != nil {
 		win = idx.windows[dev]
 	}
-	useWin := win != nil && win.assign(sl, b.sigs, &e.obs.Streams)
+	useWin := win != nil && win.assign(sl, b, &e.obs.Streams)
 	if win != nil && !useWin {
 		e.obs.Streams.WindowFallbacks.Add(1)
 	}
 	e.obs.Streams.QuerySlots.Add(int64(nQ))
-	var qsrc querySrc
+	args := &sl.args
+	*args = batchArgs{
+		tab: sl.tab, nQ: nQ, nSeg: len(b.segs),
+		hdr: sl.hdr, pairs: sl.pairs, maxPairs: e.cfg.MaxPairsPerBatch,
+		prefilter: !e.cfg.DisablePrefilter, pfs: args.pfs[:0], kc: &e.obs.Kernel,
+	}
 	if useWin {
-		e.obs.Streams.H2DQueryBytes.Add(int64(len(sl.winHost)*sigBytes + nQ*4))
-		qsrc = querySrc{window: win.buf, qidx: sl.qidx, n: nQ}
+		args.sigs = win.buf
+		e.obs.Streams.H2DQueryBytes.Add(int64(len(sl.winHost)*sigBytes + nTab*4))
 	} else {
-		e.obs.Streams.H2DQueryBytes.Add(int64(nQ * sigBytes))
-		qsrc = querySrc{direct: sl.qbuf, n: nQ}
-	}
-	enqueueQueries := func() {
-		if useWin {
-			off := 0
-			for _, run := range sl.winRuns {
-				gpu.CopyToDeviceAsync(sc.stream, win.buf, run.off, sl.winHost[off:off+run.n], sl)
-				off += run.n
-			}
-			gpu.CopyToDeviceAsync(sc.stream, sl.qidx, 0, sl.qidxHost[:nQ], sl)
-		} else {
-			gpu.CopyToDeviceAsync(sc.stream, sl.qbuf, 0, b.sigs, sl)
+		args.sigs = sl.qbuf
+		for i := range sl.tabHost[:nQ] {
+			sl.tabHost[i] = uint32(i)
 		}
-	}
-	// settleWin resolves the window pins/pending states exactly once, in
-	// the first error-consuming callback of the batch — by which point
-	// the kernel has provably finished (FIFO order) and the fate of the
-	// fills is known.
-	settleWin := func(failed bool) {
-		if useWin {
-			win.settle(sl, failed)
-		}
-	}
-	// complete is the batch's final stream callback: it consumes the
-	// result-transfer segment's error, takes the outcome staged on the
-	// slot by the header callback, releases the slot, and routes to the
-	// reduce stage or the fault machinery. Every terminal path of the
-	// attempt chain runs through here exactly once (except the ablation
-	// paths, which complete inside their single callback).
-	complete := func(opErr error) {
-		res, fault := sl.res, sl.fault
-		sl.res, sl.fault = nil, nil
-		if fault != nil {
-			release()
-			e.batchFault(idx, b, dev, attempt, hedge, traced, fault)
-			return
-		}
-		if opErr != nil {
-			if res != nil {
-				e.pools.putResult(res)
-			}
-			release()
-			e.batchFault(idx, b, dev, attempt, hedge, traced, opErr)
-			return
-		}
-		e.batchOK(dev, b, hedge)
-		release()
-		e.deliverResult(b, res, hedge)
-		e.batchUnref(b)
-		idx.dispatching.Done()
+		e.obs.Streams.H2DQueryBytes.Add(int64(nQ*sigBytes + nTab*4))
 	}
 
-	if e.cfg.SplitOutputLayout {
-		// Ablation: two separate id arrays, two result copies.
-		var kernel gpu.KernelFunc
+	// Segment table: where on this device each segment's partition lives
+	// and which thread blocks of the launch serve it. Partitions appended
+	// by an incremental fold live in per-device extent buffers rather
+	// than the base shard of the last full upload; their offsets are
+	// extent-relative in both placement modes. The bit-sliced kernel
+	// walks the partition's transposed groups (one 64-set group per
+	// thread); the scalar ablation keeps one set per thread. Both emit
+	// through the same result path and produce identical pairs.
+	sliced := !e.cfg.ScalarKernel && idx.groups != nil
+	blocks := 0
+	for si, sg := range b.segs {
+		p := &idx.parts[sg.pid]
+		off, n := p.off, p.n
 		if sliced {
-			kernel = slicedSplitMatchKernelAt(grpBuf,
-				grpOff, nGroups, globalBase, qsrc, sl.splitQ, sl.splitS,
-				e.cfg.MaxPairsPerBatch, !e.cfg.DisablePrefilter,
-				e.partCounters(b.pid), &e.obs.Kernel)
-		} else {
-			kernel = splitMatchKernelAt(buf, partOff, int(p.n), globalBase,
-				qsrc, sl.splitQ, sl.splitS, e.cfg.MaxPairsPerBatch, !e.cfg.DisablePrefilter,
-				e.partCounters(b.pid))
+			off, n = p.grpOff, (p.n+63)/64
 		}
-		sc.enqMu.Lock()
-		enqueueQueries()
-		sc.stream.LaunchZeroedAsync(grid, sl.splitQ, splitHeaderWords, kernel, sl)
-		gpu.CopyFromDeviceAsync(sc.stream, sl.splitQ, sl.hdrHost, 0, sl)
-		sc.stream.CallbackErr(func(opErr error) {
-			settleWin(opErr != nil)
-			if opErr != nil {
-				sl.fault = opErr
-				return
+		if !e.cfg.Replicate || p.ext > 0 {
+			off = p.devOff
+			if sliced {
+				off = p.devGrpOff
 			}
-			count, overflow := clampCount(sl.hdrHost[0], sl.hdrHost[1], e.cfg.MaxPairsPerBatch)
-			res := e.pools.getResult()
-			res.idx, res.batch, res.count, res.overflow = idx, b, count, overflow
-			if !overflow {
-				res.kind = payloadSplit // payloadCPU (re-run on host) on overflow
-			}
-			sl.res = res
-		})
-		// Two exact-size gated copies: the cost the packed layout avoids.
-		gpu.CopyFromDeviceGated(sc.stream, sl.splitQ, func() ([]uint32, int) {
-			res := sl.res
-			if res == nil || res.overflow || res.count == 0 {
-				return nil, 0
-			}
-			res.qIDs = growU32(res.qIDs, res.count)
-			return res.qIDs, splitHeaderWords
-		}, sl)
-		gpu.CopyFromDeviceGated(sc.stream, sl.splitS, func() ([]uint32, int) {
-			res := sl.res
-			if res == nil || res.overflow || res.count == 0 {
-				return nil, 0
-			}
-			res.sIDs = growU32(res.sIDs, res.count)
-			return res.sIDs, 0
-		}, sl)
-		sc.stream.CallbackErr(complete)
-		sc.enqMu.Unlock()
-		return
+		}
+		blocks += segBlocks(int(p.n), e.cfg.BlockDim, sliced)
+		row := sl.tabHost[nQ+si*segWords:][:segWords]
+		row[segBlockEnd] = uint32(blocks)
+		row[segFirst], row[segCount] = uint32(sg.first), uint32(sg.n)
+		row[segExt], row[segOff], row[segLen] = p.ext, off, n
+		row[segBase] = p.off
+		if e.obs.On {
+			args.pfs = append(args.pfs, e.obs.Parts.Get(sg.pid))
+		}
 	}
-
-	// Packed layout (§3.3.1). The device-side header reset is fused into
-	// the launch (LaunchZeroedAsync — the cudaMemsetAsync that used to be
-	// a separate tiny H2D copy now rides in the kernel prologue).
 	var kernel gpu.KernelFunc
+	grid := gpu.Grid{Blocks: blocks, BlockDim: e.cfg.BlockDim}
 	if sliced {
-		kernel = slicedMatchKernelAt(grpBuf,
-			grpOff, nGroups, globalBase, qsrc, sl.hdr, sl.pairs,
-			e.cfg.MaxPairsPerBatch, !e.cfg.DisablePrefilter,
-			e.partCounters(b.pid), &e.obs.Kernel)
+		grid.BlockDim = slicedBlockDim(e.cfg.BlockDim)
+		kernel = slicedMatchKernel(args, idx.devGroupBufs[dev], extsOf(idx.devGrpExts, dev))
+		e.obs.Kernel.SlicedBatches.Add(1)
 	} else {
-		kernel = matchKernelAt(buf, partOff, int(p.n), globalBase,
-			qsrc, sl.hdr, sl.pairs, e.cfg.MaxPairsPerBatch, !e.cfg.DisablePrefilter,
-			e.partCounters(b.pid))
+		kernel = matchKernel(args, idx.devBufs[dev], extsOf(idx.devExts, dev))
+		e.obs.Kernel.ScalarBatches.Add(1)
 	}
 
-	if e.cfg.SizeThenCopy {
-		// Ablation: the naive scheme — copy the 4-byte size, then issue
-		// a second exact-size copy synchronously on the executor (an
-		// extra paid transfer and an extra synchronization point per
-		// batch, and no pipelining while the executor blocks).
-		sc.enqMu.Lock()
-		enqueueQueries()
-		sc.stream.LaunchZeroedAsync(grid, sl.hdr, resHeaderWords, kernel, sl)
-		gpu.CopyFromDeviceAsync(sc.stream, sl.hdr, sl.hdrHost, 0, sl)
-		sc.stream.CallbackErr(func(opErr error) {
-			settleWin(opErr != nil)
-			if opErr != nil {
-				release()
-				e.batchFault(idx, b, dev, attempt, hedge, traced, opErr)
-				return
-			}
-			count, overflow := clampCount(sl.hdrHost[0], sl.hdrHost[1], e.cfg.MaxPairsPerBatch)
-			res := e.pools.getResult()
-			res.idx, res.batch, res.count, res.overflow = idx, b, count, overflow
-			if !overflow {
-				res.kind = payloadPacked
-			}
-			if !overflow && count > 0 {
-				res.packed = growBytes(res.packed, ((count+3)/4)*bytesPerGroup)
-				if err := gpu.CopyFromDeviceNow(sc.stream, sl.pairs, res.packed, 0, sl); err != nil {
-					e.pools.putResult(res)
-					release()
-					e.batchFault(idx, b, dev, attempt, hedge, traced, err)
-					return
-				}
-			}
-			e.batchOK(dev, b, hedge)
-			release()
-			e.deliverResult(b, res, hedge)
-			e.batchUnref(b)
-			idx.dispatching.Done()
-		})
-		sc.enqMu.Unlock()
-		return
-	}
-
-	// Pipelined double-buffered result transfer (§3.3.2). The header
+	// The batch's stream operations, enqueued under enqMu so the segment
+	// error of one batch is never consumed by another's callback: the
+	// window fills and the index + segment-table upload, the launch with
+	// the device-side header reset fused in (LaunchZeroedAsync — the
+	// cudaMemsetAsync that used to be a separate tiny H2D copy rides in
+	// the kernel prologue), and the pipelined double-buffered result
+	// transfer (§3.3.2) in the packed layout (§3.3.1). The header
 	// callback reads the device-side length for free and stages the
 	// outcome on the slot; the gated copy then resolves its exact-size
 	// destination at the FIFO head and transfers asynchronously on the
@@ -1580,10 +1441,25 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 	// the same stream — starts the moment the transfer is issued, and
 	// depth batches ride the stream in flight at once.
 	sc.enqMu.Lock()
-	enqueueQueries()
+	if useWin {
+		off := 0
+		for _, run := range sl.winRuns {
+			gpu.CopyToDeviceAsync(sc.stream, win.buf, run.off, sl.winHost[off:off+run.n], sl)
+			off += run.n
+		}
+	} else {
+		gpu.CopyToDeviceAsync(sc.stream, sl.qbuf, 0, b.sigs, sl)
+	}
+	gpu.CopyToDeviceAsync(sc.stream, sl.tab, 0, sl.tabHost[:nTab], sl)
 	sc.stream.LaunchZeroedAsync(grid, sl.hdr, resHeaderWords, kernel, sl)
 	sc.stream.CallbackErr(func(opErr error) {
-		settleWin(opErr != nil)
+		// The first error-consuming callback of the batch: the kernel has
+		// provably finished (FIFO order) and the fate of the fills is
+		// known, so the window pins and pending states resolve here,
+		// exactly once.
+		if useWin {
+			win.settle(sl, opErr != nil)
+		}
 		if opErr != nil {
 			sl.fault = opErr
 			return
@@ -1594,7 +1470,7 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 		res := e.pools.getResult()
 		res.idx, res.batch, res.count, res.overflow = idx, b, count, overflow
 		if !overflow {
-			res.kind = payloadPacked
+			res.kind = payloadPacked // payloadCPU (re-run on host) on overflow
 		}
 		sl.res = res
 	})
@@ -1606,7 +1482,31 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 		res.packed = growBytes(res.packed, ((res.count+3)/4)*bytesPerGroup)
 		return res.packed, 0
 	}, sl)
-	sc.stream.CallbackErr(complete)
+	// The batch's final stream callback: it consumes the result-transfer
+	// segment's error, takes the outcome staged on the slot by the header
+	// callback, releases the slot, and routes to the reduce stage or the
+	// fault machinery. Every terminal path of the attempt chain runs
+	// through here exactly once.
+	sc.stream.CallbackErr(func(opErr error) {
+		res, fault := sl.res, sl.fault
+		sl.res, sl.fault = nil, nil
+		if fault == nil {
+			fault = opErr
+		}
+		if fault != nil {
+			if res != nil {
+				e.pools.putResult(res)
+			}
+			release()
+			e.batchFault(idx, b, dev, attempt, hedge, traced, fault)
+			return
+		}
+		e.batchOK(dev, b, hedge)
+		release()
+		e.deliverResult(b, res, hedge)
+		e.batchUnref(b)
+		idx.dispatching.Done()
+	})
 	sc.enqMu.Unlock()
 }
 
@@ -1664,7 +1564,7 @@ func (e *Engine) batchFault(idx *index, b *openBatch, dev, attempt int, hedge bo
 func (e *Engine) fallbackCPU(idx *index, b *openBatch, traced []*obs.Trace) {
 	e.obs.Faults.CPUFallbacks.Add(1)
 	e.logger().Debug("batch falling back to CPU",
-		"partition", b.pid, "queries", len(b.queries))
+		"segments", len(b.segs), "entries", len(b.sigs))
 	for _, tr := range traced {
 		tr.Degrade("cpu-fallback")
 	}
@@ -1736,7 +1636,6 @@ func (e *Engine) observeGPUOp(r gpu.OpRecord) {
 func (e *Engine) reduceOne(res *batchResult) {
 	idx := res.idx
 	b := res.batch
-	p := &idx.parts[b.pid]
 	t0 := time.Now()
 	matchDur := t0.Sub(b.dispatched)
 	e.matchNs.Add(int64(matchDur))
@@ -1751,12 +1650,12 @@ func (e *Engine) reduceOne(res *batchResult) {
 		}
 	}()
 
-	// Batch-local reduce: keys accumulate lock-free in per-query-slot
-	// scratch (query ids are dense uint8 batch indices), then flush to
-	// each touched query under ONE lock acquisition per (query, batch)
-	// — not one per (query, set) pair. With selective queries matching
-	// hundreds of sets in a partition, per-pair locking made the query
-	// mutex the reduce stage's contention point.
+	// Batch-local reduce: keys accumulate lock-free in per-entry scratch
+	// (query ids are dense uint8 entry indices), then flush to each
+	// touched query under ONE lock acquisition per (query, entry) — not
+	// one per (query, set) pair. With selective queries matching hundreds
+	// of sets in a partition, per-pair locking made the query mutex the
+	// reduce stage's contention point.
 	sc := e.pools.getScratch(len(b.queries))
 	// Live tombstones from the delta overlay suppress removed keys in
 	// the batch output; the fast path (no tombstones pending) is one
@@ -1767,9 +1666,8 @@ func (e *Engine) reduceOne(res *batchResult) {
 	if len(patched) == 0 {
 		patched = nil // skip the per-pair probe entirely on a flat CSR
 	}
-	var nPairs int64 // accumulated locally; one atomic add per batch
 	visit := func(qi uint8, setID uint32) {
-		nPairs++
+		sc.pairs[qi]++
 		lo, hi := idx.keyOff[setID], idx.keyOff[setID+1]
 		rowKeys := idx.keys[lo:hi]
 		exact := idx.keyTags != nil && b.queries[qi].tags != nil
@@ -1807,42 +1705,45 @@ func (e *Engine) reduceOne(res *batchResult) {
 		sc.keys[qi] = ks
 	}
 
-	pc := e.partCounters(b.pid)
 	switch res.kind {
 	case payloadCPU:
 		// GPU result buffer overflowed (or CPU-only mode): run the
-		// batch's subset match on the host for correctness.
+		// batch's subset match on the host for correctness, segment by
+		// segment — the same flavor as the device kernel, so counters and
+		// parity hold across fallbacks.
 		if res.overflow {
 			e.overflows.Add(1)
-			if pc != nil {
+		}
+		sliced := !e.cfg.ScalarKernel && idx.groups != nil
+		if sliced {
+			e.obs.Kernel.SlicedBatches.Add(1)
+		} else {
+			e.obs.Kernel.ScalarBatches.Add(1)
+		}
+		for _, sg := range b.segs {
+			p := &idx.parts[sg.pid]
+			pc := e.partCounters(sg.pid)
+			if res.overflow && pc != nil {
 				pc.Overflows.Add(1)
 			}
-		}
-		if !e.cfg.ScalarKernel && idx.groups != nil {
-			// Host-side bit-sliced match: same flavor as the device
-			// kernel, so counters and parity hold across fallbacks.
-			nG := (int(p.n) + 63) / 64
-			e.obs.Kernel.SlicedBatches.Add(1)
-			cpuMatchBatchSliced(idx.groups[p.grpOff:int(p.grpOff)+nG], int(p.off),
-				b.sigs, !e.cfg.DisablePrefilter, pc, &e.obs.Kernel, visit)
-		} else {
-			sets := idx.sets[p.off : p.off+p.n]
-			e.obs.Kernel.ScalarBatches.Add(1)
-			sc.qIdx = cpuMatchBatch(sets, int(p.off), b.sigs, e.cfg.BlockDim,
-				!e.cfg.DisablePrefilter, pc, sc.qIdx, visit)
+			sigs := b.sigs[sg.first : sg.first+sg.n]
+			if sliced {
+				nG := (int(p.n) + 63) / 64
+				cpuMatchBatchSliced(idx.groups[p.grpOff:int(p.grpOff)+nG], int(p.off),
+					sigs, uint8(sg.first), !e.cfg.DisablePrefilter, pc, &e.obs.Kernel, visit)
+			} else {
+				sc.qIdx = cpuMatchBatch(idx.sets[p.off:p.off+p.n], int(p.off), sigs, uint8(sg.first),
+					e.cfg.BlockDim, !e.cfg.DisablePrefilter, pc, sc.qIdx, visit)
+			}
 		}
 	case payloadPacked:
 		decodePacked(res.packed, res.count, visit)
-	case payloadSplit:
-		for i := 0; i < res.count; i++ {
-			visit(uint8(res.qIDs[i]), res.sIDs[i])
-		}
 	}
 	if tombs != nil {
 		e.delta.mu.RUnlock()
 	}
 
-	// Flush the scratch: one lock acquisition per touched query.
+	// Flush the scratch: one lock acquisition per touched entry.
 	for _, qi := range sc.touched {
 		q := b.queries[qi]
 		ks := sc.keys[qi]
@@ -1853,31 +1754,51 @@ func (e *Engine) reduceOne(res *batchResult) {
 	}
 	e.queryLockAcqs.Add(int64(len(sc.touched)))
 	sc.touched = sc.touched[:0]
-	e.pools.putScratch(sc)
 
+	// Pairs per segment, from the per-entry counts.
+	var nPairs int64
+	for _, sg := range b.segs {
+		var n int64
+		for _, c := range sc.pairs[sg.first : sg.first+sg.n] {
+			n += int64(c)
+		}
+		nPairs += n
+		if pc := e.partCounters(sg.pid); pc != nil && n > 0 {
+			pc.Pairs.Add(n)
+		}
+	}
 	e.pairs.Add(nPairs)
-	if pc != nil {
-		pc.Pairs.Add(nPairs)
+
+	// A query holds one pending reference per entry; count each distinct
+	// query's entries (reusing the per-entry scratch) so its countdown —
+	// and its trace — is touched once per batch.
+	held := sc.pairs[:len(b.queries)]
+	clear(held)
+	for _, d := range b.dup {
+		held[d]++
 	}
 	if e.obs.Tracing() {
 		reduceSoFar := time.Since(t0)
-		for _, q := range b.queries {
-			if q.trace != nil {
-				q.trace.Event("batch-done", int32(b.pid), nPairs)
+		for i, q := range b.queries {
+			if q.trace != nil && held[i] > 0 {
+				pid := int32(b.segOf(i).pid)
+				q.trace.Event("batch-done", pid, nPairs)
 				// Spans must attach before finish() below publishes the
 				// trace; the reduce span therefore measures up to here,
 				// missing only the scratch-recycle tail.
 				q.trace.Span(obs.StageSubsetMatch, "query", b.dispatched, 0, matchDur,
-					int32(b.pid), "", -1, nPairs)
+					pid, "", -1, nPairs)
 				q.trace.Span(obs.StageReduce, "query", t0, 0, reduceSoFar,
-					int32(b.pid), "", -1, nPairs)
+					pid, "", -1, nPairs)
 			}
 		}
 	}
-
-	for _, q := range b.queries {
-		q.finish(e, 1)
+	for i, q := range b.queries {
+		if n := held[i]; n > 0 {
+			q.finish(e, n)
+		}
 	}
+	e.pools.putScratch(sc)
 	// Drop the reduce-stage hold; a losing hedge-race attempt may still
 	// be running, in which case the last detacher recycles the batch.
 	e.batchUnref(b)

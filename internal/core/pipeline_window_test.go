@@ -95,8 +95,9 @@ func TestQueryWindowTinyRingEvicts(t *testing.T) {
 
 // TestStreamDepthAblationBaseline pins the depth-1, window-off cell the
 // pipeline experiment uses as its baseline: results stay exact, every
-// query slot pays the full dense signature upload, and no dispatch
-// ever overlaps another on the same stream.
+// query slot pays the full dense signature upload (plus its index and
+// its share of the segment table), and no dispatch ever overlaps another
+// on the same stream.
 func TestStreamDepthAblationBaseline(t *testing.T) {
 	db := makeTestDB(1500, 5, 2, 85)
 	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
@@ -124,7 +125,7 @@ func TestStreamDepthAblationBaseline(t *testing.T) {
 	if st.PipelinedDispatches != 0 {
 		t.Fatalf("%d overlapping dispatches at stream depth 1", st.PipelinedDispatches)
 	}
-	if want := st.QuerySlots * int64(sigBytes); st.H2DQueryBytes != want {
+	if want := st.QuerySlots*int64(sigBytes+4) + st.SegmentsDispatched*segWords*4; st.H2DQueryBytes != want {
 		t.Fatalf("dense upload accounting: %d H2D bytes for %d slots, want exactly %d",
 			st.H2DQueryBytes, st.QuerySlots, want)
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tagmatch/internal/bitvec"
@@ -23,6 +25,10 @@ type enginePools struct {
 	batch    sync.Pool // *openBatch
 	result   sync.Pool // *batchResult
 	scratch  sync.Pool // *reduceScratch
+
+	// liveBatches counts batches handed out and not yet returned: zero on
+	// a drained engine, or a batch reference leaked.
+	liveBatches atomic.Int64
 }
 
 func (ep *enginePools) getQuery() *query {
@@ -58,7 +64,8 @@ func (ep *enginePools) putQuery(q *query) {
 	ep.query.Put(q)
 }
 
-func (ep *enginePools) getBatch(pid uint32, batchSize int) *openBatch {
+func (ep *enginePools) getBatch(pid uint32, batchSize int, now time.Time) *openBatch {
+	ep.liveBatches.Add(1)
 	var b *openBatch
 	if !ep.disabled {
 		b, _ = ep.batch.Get().(*openBatch)
@@ -69,8 +76,8 @@ func (ep *enginePools) getBatch(pid uint32, batchSize int) *openBatch {
 			sigs:    make([]bitvec.Vector, 0, batchSize),
 		}
 	}
-	b.pid = pid
-	b.created = time.Now()
+	b.segs = append(b.segs[:0], segment{pid: pid})
+	b.created = now
 	return b
 }
 
@@ -81,12 +88,15 @@ func (ep *enginePools) getBatch(pid uint32, batchSize int) *openBatch {
 // the reduce, which is why every recycle goes through the refcount
 // (batchUnref) rather than calling this directly from reduceOne.
 func (ep *enginePools) putBatch(b *openBatch) {
+	ep.liveBatches.Add(-1)
 	if ep.disabled {
 		return
 	}
 	clear(b.queries) // drop query refs: they are recycled independently
 	b.queries = b.queries[:0]
 	b.sigs = b.sigs[:0]
+	b.segs = b.segs[:0]
+	b.dup = b.dup[:0]
 	b.deadlined = false
 	b.settled.Store(false)
 	b.refs.Store(0)
@@ -108,7 +118,7 @@ func (ep *enginePools) getResult() *batchResult {
 }
 
 // putResult recycles a result carrier, retaining the capacity of its
-// payload buffers (packed / qIDs / sIDs) for the next batch.
+// payload buffer for the next batch.
 func (ep *enginePools) putResult(r *batchResult) {
 	if ep.disabled {
 		return
@@ -119,8 +129,6 @@ func (ep *enginePools) putResult(r *batchResult) {
 	r.overflow = false
 	r.kind = payloadCPU
 	r.packed = r.packed[:0]
-	r.qIDs = r.qIDs[:0]
-	r.sIDs = r.sIDs[:0]
 	ep.result.Put(r)
 }
 
@@ -133,6 +141,7 @@ type reduceScratch struct {
 	keys    [][]Key // per batch slot; appended to under no lock
 	touched []uint8 // slots with at least one key, in first-touch order
 	qIdx    []uint8 // cpuMatchBatch per-block surviving-query scratch
+	pairs   []int32 // per batch slot: pairs decoded, then entries per distinct query
 }
 
 func (ep *enginePools) getScratch(batchSize int) *reduceScratch {
@@ -146,6 +155,8 @@ func (ep *enginePools) getScratch(batchSize int) *reduceScratch {
 	for len(sc.keys) < batchSize {
 		sc.keys = append(sc.keys, nil)
 	}
+	sc.pairs = slices.Grow(sc.pairs[:0], batchSize)[:batchSize]
+	clear(sc.pairs)
 	return sc
 }
 

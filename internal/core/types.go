@@ -36,11 +36,13 @@ type Config struct {
 	// set database (Fig 7); scale proportionally.
 	MaxPartitionSize int
 
-	// BatchSize is the number of queries per GPU batch. Query ids inside
-	// a batch are 8-bit in the packed result layout (§3.3.1), so the
-	// batch size may not exceed 256: a larger batch would silently alias
-	// query indices and corrupt results. New rejects larger values with
-	// ErrBatchSizeTooLarge.
+	// BatchSize is the number of routed (query, partition) entries per
+	// GPU batch: a partition's batch dispatches when it holds this many,
+	// and a flush packs the entries of several partitions into batches of
+	// at most this many. Entry ids inside a batch are 8-bit in the packed
+	// result layout (§3.3.1), so the batch size may not exceed 256: a
+	// larger batch would silently alias query indices and corrupt
+	// results. New rejects larger values with ErrBatchSizeTooLarge.
 	BatchSize int
 
 	// BatchTimeout flushes partially filled batches after this delay
@@ -106,16 +108,6 @@ type Config struct {
 	// DisablePrefilter turns off the thread-block common-prefix
 	// pre-filtering of Algorithm 4 (ablation).
 	DisablePrefilter bool
-
-	// SplitOutputLayout stores query ids and set ids in two separate
-	// device arrays instead of the packed 4+4 layout of §3.3.1,
-	// requiring two result copies per batch (ablation).
-	SplitOutputLayout bool
-
-	// SizeThenCopy replaces the double-buffered single result transfer
-	// with the naive scheme the paper rejects: first copy the 4-byte
-	// result size, then issue a second exact-size copy (ablation).
-	SizeThenCopy bool
 
 	// ExactVerify keeps the original tag sets alongside the Bloom
 	// signatures and re-checks every match exactly during key lookup,
@@ -407,6 +399,14 @@ type Stats struct {
 	H2DQueryBytes       int64 `json:"h2d_query_bytes"`
 	QuerySlots          int64 `json:"query_slots"`
 	PipelinedDispatches int64 `json:"pipelined_dispatches"`
+
+	// Multi-partition batching: SegmentsDispatched / BatchesDispatched is
+	// the mean number of partitions sharing one copy/launch/copy, and
+	// StreamAcquireWait the cumulative time dispatch attempts waited for
+	// a stream slot (the distributions are obs.StreamCounters'
+	// SegmentsPerBatch and AcquireWait).
+	SegmentsDispatched int64         `json:"segments_dispatched"`
+	StreamAcquireWait  time.Duration `json:"stream_acquire_wait_ns"`
 
 	// Fault-tolerance counters (mirrors of obs.FaultCounters): failed
 	// GPU batch attempts, re-dispatches, host re-runs, circuit-breaker

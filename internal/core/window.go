@@ -65,6 +65,7 @@ type queryWindow struct {
 	sigs   []bitvec.Vector // host mirror of slot contents
 	pins   []int32
 	state  []uint8
+	owner  []*streamSlot         // dispatch slot whose attempt fills the slot; meaningful while pending
 	bySig  map[bitvec.Vector]int // signature → newest slot holding it
 	cursor int                   // clock hand of the eviction scan
 }
@@ -76,6 +77,7 @@ func newQueryWindow(buf *gpu.Buffer[bitvec.Vector]) *queryWindow {
 		sigs:  make([]bitvec.Vector, n),
 		pins:  make([]int32, n),
 		state: make([]uint8, n),
+		owner: make([]*streamSlot, n),
 		bySig: make(map[bitvec.Vector]int, n),
 	}
 }
@@ -107,38 +109,36 @@ func (w *queryWindow) alloc(sct *obs.StreamCounters) (int, bool) {
 	return 0, false
 }
 
-// assign maps a batch's signatures onto the window, staging everything
-// the dispatcher needs on the slot: qidxHost gets one ring index per
-// batch position, winHost/winRuns the coalesced fill payload, and
+// assign maps a dispatched batch's entries onto the window, staging
+// everything the dispatcher needs on the slot: tabHost gets one ring
+// index per entry, winHost/winRuns the coalesced fill payload, and
 // winPinned/winUploads the slots whose pins and pending states the
-// header callback must resolve. Ready slots are hits; anything else
-// allocates a fresh slot (a signature pending under a rival attempt is
-// deliberately not shared — see the slot protocol above). Returns
-// false — with all bookkeeping rolled back — when the ring is
-// exhausted or the fill would fragment into more than maxWindowRuns
-// copies.
-func (w *queryWindow) assign(sl *streamSlot, sigs []bitvec.Vector, sct *obs.StreamCounters) bool {
-	sl.qidxHost = growU32(sl.qidxHost, len(sigs))
+// header callback must resolve. A query routed to k partitions occupies
+// k entries of the batch; b.dup names each entry's first occurrence, so
+// the 2nd…k-th copy the index already resolved instead of probing the
+// map again. Ready slots are hits, as are slots this very attempt is
+// filling; anything else allocates a fresh slot (a signature pending
+// under a rival attempt is deliberately not shared — see the slot
+// protocol above). Returns false — with all bookkeeping rolled back —
+// when the ring is exhausted or the fill would fragment into more than
+// maxWindowRuns copies.
+func (w *queryWindow) assign(sl *streamSlot, b *openBatch, sct *obs.StreamCounters) bool {
+	tab := sl.tabHost[:len(b.sigs)]
 	sl.winPinned = sl.winPinned[:0]
 	sl.winUploads = sl.winUploads[:0]
-	if sl.dedup == nil {
-		sl.dedup = make(map[bitvec.Vector]uint32, len(sigs))
-	}
-	clear(sl.dedup)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var hits, misses int64
-	for i, s := range sigs {
-		if j, ok := sl.dedup[s]; ok {
-			sl.qidxHost[i] = j // same-batch duplicate: already pinned
+	for i, s := range b.sigs {
+		if d := int(b.dup[i]); d != i {
+			tab[i] = tab[d] // same query, earlier entry: already pinned
 			continue
 		}
-		if j, ok := w.bySig[s]; ok && w.state[j] == winReady {
+		if j, ok := w.bySig[s]; ok && (w.state[j] == winReady || w.state[j] == winPending && w.owner[j] == sl) {
 			w.pins[j]++
 			sl.winPinned = append(sl.winPinned, j)
-			sl.dedup[s] = uint32(j)
-			sl.qidxHost[i] = uint32(j)
+			tab[i] = uint32(j)
 			hits++
 			continue
 		}
@@ -149,18 +149,17 @@ func (w *queryWindow) assign(sl *streamSlot, sigs []bitvec.Vector, sct *obs.Stre
 		}
 		w.sigs[j] = s
 		w.state[j] = winPending
+		w.owner[j] = sl
 		w.pins[j]++
 		w.bySig[s] = j
 		sl.winUploads = append(sl.winUploads, j)
 		sl.winPinned = append(sl.winPinned, j)
-		sl.dedup[s] = uint32(j)
-		sl.qidxHost[i] = uint32(j)
+		tab[i] = uint32(j)
 		misses++
 	}
 
 	// Coalesce the fills into contiguous ring runs, staging the payload
-	// in upload order in the slot-owned host buffer (b.sigs may be
-	// recycled by a rival settle; winHost never is).
+	// in upload order in the slot-owned host buffer.
 	sort.Ints(sl.winUploads)
 	sl.winRuns = sl.winRuns[:0]
 	sl.winHost = sl.winHost[:0]
@@ -223,34 +222,4 @@ func (w *queryWindow) settle(sl *streamSlot, failed bool) {
 	sl.winPinned = sl.winPinned[:0]
 	sl.winRuns = sl.winRuns[:0]
 	w.mu.Unlock()
-}
-
-// querySrc tells a kernel where the batch's query signatures live on
-// the device: a dense per-slot upload (direct), or u32 indices into
-// the device-resident query window ring (window + qidx).
-type querySrc struct {
-	direct *gpu.Buffer[bitvec.Vector]
-	window *gpu.Buffer[bitvec.Vector]
-	qidx   *gpu.Buffer[uint32]
-	n      int
-}
-
-// gather resolves the batch's query vectors inside a kernel block. The
-// indirect form copies the referenced window entries into block-local
-// scratch once per block — the CUDA idiom of gathering through an
-// index array into shared memory — so the per-set inner loop reads a
-// dense array either way. Concurrent H2D fills of other window slots
-// touch disjoint ring entries (the pin protocol guarantees it), so the
-// reads are race-free.
-func (qs querySrc) gather() []bitvec.Vector {
-	if qs.direct != nil {
-		return qs.direct.Data()[:qs.n]
-	}
-	idx := qs.qidx.Data()[:qs.n]
-	win := qs.window.Data()
-	out := make([]bitvec.Vector, qs.n)
-	for i, j := range idx {
-		out[i] = win[j]
-	}
-	return out
 }

@@ -208,7 +208,7 @@ func TestFig11Smoke(t *testing.T) {
 }
 
 func TestAblationPipelineSmoke(t *testing.T) {
-	checkTable(t, AblationPipeline(tinyParams()), 5)
+	checkTable(t, AblationPipeline(tinyParams()), 3)
 }
 
 func TestAblationGPUOnlySmoke(t *testing.T) {

@@ -230,19 +230,19 @@ func (d *Device) Close() {
 
 func (d *Device) smWorker() {
 	defer d.wg.Done()
+	// One context per SM: its shared-memory scratch outlives the blocks
+	// the SM runs, so a kernel's block-local buffers are allocated once
+	// per SM, not once per block.
+	ctx := &BlockCtx{dev: d}
 	for task := range d.blockQ {
 		t0 := time.Now()
-		d.runBlock(task)
+		d.runBlock(ctx, task)
 		d.smBusyNs.Add(time.Since(t0).Nanoseconds())
 	}
 }
 
-func (d *Device) runBlock(task blockTask) {
-	ctx := &BlockCtx{
-		dev:      d,
-		BlockIdx: task.blockIdx,
-		Grid:     task.grid,
-	}
+func (d *Device) runBlock(ctx *BlockCtx, task blockTask) {
+	ctx.BlockIdx, ctx.Grid = task.blockIdx, task.grid
 	task.kernel(ctx)
 	d.blocksExecuted.Add(1)
 	task.done.Done()
@@ -270,7 +270,17 @@ type BlockCtx struct {
 	dev      *Device
 	BlockIdx int
 	Grid     Grid
+	shared   any
 }
+
+// Shared returns the SM's shared-memory scratch: one value per SM that
+// persists across the blocks the SM executes, the analogue of the CUDA
+// shared memory a kernel declares once and every resident block reuses.
+// A kernel stores its block-local buffers there (type-asserting what a
+// previous block left) instead of allocating them per block. Blocks on
+// one SM run one after another, so the scratch needs no locking; its
+// contents are unspecified at block entry.
+func (b *BlockCtx) Shared() *any { return &b.shared }
 
 // Device returns the device executing this block.
 func (b *BlockCtx) Device() *Device { return b.dev }
@@ -319,8 +329,11 @@ func (b *BlockCtx) LaunchNested(grid Grid, kernel KernelFunc) {
 	spinWait(d.cfg.Cost.LaunchOverhead)
 	var done sync.WaitGroup
 	done.Add(grid.Blocks)
+	// The parent block is still using its SM's context and scratch, so
+	// the nested grid gets its own.
+	ctx := &BlockCtx{dev: d}
 	for blk := 0; blk < grid.Blocks; blk++ {
-		d.runBlock(blockTask{kernel: kernel, blockIdx: blk, grid: grid, done: &done})
+		d.runBlock(ctx, blockTask{kernel: kernel, blockIdx: blk, grid: grid, done: &done})
 	}
 	done.Wait()
 }

@@ -195,13 +195,4 @@ func TestPipelinedOpTags(t *testing.T) {
 			t.Fatalf("op %d tag = %v, want %v", i, tags[i], wantTag)
 		}
 	}
-
-	// The synchronous in-callback variant is attributed too.
-	tags = tags[:0]
-	if err := CopyFromDeviceNow(s, buf, dst, 0, a); err != nil {
-		t.Fatal(err)
-	}
-	if len(tags) != 1 || tags[0] != a {
-		t.Fatalf("CopyFromDeviceNow tags = %v, want [a]", tags)
-	}
 }

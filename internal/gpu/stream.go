@@ -173,17 +173,6 @@ func CopyFromDeviceGated[T any](s *Stream, buf *Buffer[T], gate func() (dst []T,
 	}
 }
 
-// CopyFromDeviceNow synchronously copies like Buffer.CopyFromDevice but
-// attributes the operation to the stream. It is for copies issued from
-// inside a stream callback: those run on the stream's executor
-// goroutine without passing through its FIFO (the size-then-copy
-// ablation path), so a plain CopyFromDevice would record them as
-// anonymous direct operations and the stream's OnOp observer would
-// never see them.
-func CopyFromDeviceNow[T any](s *Stream, buf *Buffer[T], dst []T, srcOff int, tag ...any) error {
-	return buf.copyFromDevice(dst, srcOff, s.site(tag))
-}
-
 // LaunchAsync enqueues a kernel launch. The stream executor blocks until
 // the kernel completes before starting the next operation in this stream,
 // while other streams keep running — the overlap TagMatch exploits.

@@ -58,6 +58,8 @@ func TestObsSmoke(t *testing.T) {
 			"tagmatch_query_window_lookups_total",
 			"tagmatch_h2d_query_bytes_per_query",
 			"tagmatch_stream_slot_occupancy",
+			"tagmatch_batch_segments",
+			"tagmatch_stream_acquire_wait_seconds",
 			"tagmatch_pipelined_dispatches_total",
 			"tagmatch_pipeline_overlap_fraction",
 		} {
@@ -136,6 +138,15 @@ func TestObsSmoke(t *testing.T) {
 		}
 		if len(ds.Obs.Exemplars) == 0 {
 			t.Error("no latency exemplars in /debug/stats")
+		}
+		// The batching mechanism's own counters: a dispatched batch has at
+		// least one segment, and every dispatch attempt acquires a slot.
+		if st := ds.Obs.Streams; st.SegmentsPerBatch.Count == 0 || st.AcquireWait.Count < st.SegmentsPerBatch.Count {
+			t.Errorf("segments-per-batch (%d) / stream-acquire-wait (%d) histograms not recorded",
+				st.SegmentsPerBatch.Count, st.AcquireWait.Count)
+		}
+		if s := ds.Stats; s.SegmentsDispatched < s.BatchesDispatched || s.BatchesDispatched == 0 {
+			t.Errorf("stats: %d segments in %d dispatched batches", s.SegmentsDispatched, s.BatchesDispatched)
 		}
 	})
 

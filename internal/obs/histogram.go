@@ -91,6 +91,9 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 // Count returns the number of recorded values.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
+// Sum returns the sum of the recorded values.
+func (h *Histogram) Sum() int64 { return h.sum.Load() }
+
 // Merge adds every sample of o into h. Concurrent recording into either
 // histogram during the merge yields a snapshot-consistent-enough result
 // (each sample lands exactly once; count/sum may transiently disagree

@@ -40,6 +40,15 @@ type StreamCounters struct {
 	// observed at each dispatch (1 = the stream was idle; StreamDepth =
 	// the pipeline was full).
 	SlotOccupancy Histogram
+
+	// SegmentsPerBatch is the distribution of segments — partitions — per
+	// dispatched batch: 1 for a partition batch that filled, up to one
+	// per entry when a flush packs sparse partitions together.
+	SegmentsPerBatch Histogram
+	// AcquireWait is the time (nanoseconds) each dispatch attempt spent
+	// acquiring a stream slot: near zero with idle slots, the slot
+	// turnaround when the pool — the batching governor — is exhausted.
+	AcquireWait Histogram
 }
 
 // StreamSnapshot is the JSON-facing view of StreamCounters.
@@ -52,6 +61,8 @@ type StreamSnapshot struct {
 	QuerySlots          int64        `json:"query_slots"`
 	PipelinedDispatches int64        `json:"pipelined_dispatches"`
 	SlotOccupancy       HistSnapshot `json:"slot_occupancy"`
+	SegmentsPerBatch    HistSnapshot `json:"segments_per_batch"`
+	AcquireWait         HistSnapshot `json:"stream_acquire_wait_ns"`
 }
 
 // Snapshot returns an atomic-per-field copy for export.
@@ -65,6 +76,8 @@ func (s *StreamCounters) Snapshot() StreamSnapshot {
 		QuerySlots:          s.QuerySlots.Load(),
 		PipelinedDispatches: s.PipelinedDispatches.Load(),
 		SlotOccupancy:       s.SlotOccupancy.Snapshot(),
+		SegmentsPerBatch:    s.SegmentsPerBatch.Snapshot(),
+		AcquireWait:         s.AcquireWait.Snapshot(),
 	}
 }
 
@@ -116,4 +129,10 @@ func (s *StreamCounters) writeProm(w *PromWriter) {
 	w.Histogram("tagmatch_stream_slot_occupancy",
 		"In-flight batches per stream observed at dispatch.",
 		nil, s.SlotOccupancy.Snapshot(), 1)
+	w.Histogram("tagmatch_batch_segments",
+		"Segments (partitions) per dispatched batch.",
+		nil, s.SegmentsPerBatch.Snapshot(), 1)
+	w.Histogram("tagmatch_stream_acquire_wait_seconds",
+		"Time a dispatch attempt waited for a stream slot.",
+		nil, s.AcquireWait.Snapshot(), 1e-9)
 }

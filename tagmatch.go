@@ -111,10 +111,14 @@ type Config struct {
 	// benchmarks: batching and stream effects only appear with costs.
 	RealisticGPUCosts bool
 
-	// MaxPartitionSize is MAX_P of Algorithm 1 (0 = pick from database
-	// size at Consolidate: dbSize/1000, min 64, the paper's ratio).
+	// MaxPartitionSize is MAX_P of Algorithm 1 (0 = 1024 sets; the
+	// paper's ratio is dbSize/1000, which the caller must compute — the
+	// database size is not known when the engine is created).
 	MaxPartitionSize int
-	// BatchSize is the number of queries per GPU batch (max 256).
+	// BatchSize is the number of routed (query, partition) entries per
+	// GPU batch (max 256): a partition's batch leaves when it holds this
+	// many, and a flush packs several partitions' entries into batches
+	// of at most this many.
 	BatchSize int
 	// BatchTimeout flushes partially filled batches (0 = no timeout; the
 	// blocking Match calls flush explicitly).

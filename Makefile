@@ -34,7 +34,7 @@ race:
 ## one of them crossed with multi-partition batches (TestChaosPacked*,
 ## ending in the drain-time resource checks) must all hold with -race on.
 chaos:
-	$(GO) test -race -run 'TestFlushPass|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestMatchTimeout|TestPipelined|TestQueryWindow|TestStreamDepth|TestDelta' \
+	$(GO) test -race -run 'TestCluster|TestBalancedPartition|TestFlushPass|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestMatchTimeout|TestPipelined|TestQueryWindow|TestStreamDepth|TestDelta' \
 		./internal/gpu/ ./internal/core/ ./internal/httpserver/
 
 ## bench-smoke: quick -benchmem pass over the hot-path benchmarks so a

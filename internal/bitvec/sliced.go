@@ -91,11 +91,13 @@ func (lb *LaneBlock) Lanes() int {
 // signatures. The gate is contained in every member, so if any member
 // is a subset of a query q then so is the gate; contrapositively, a
 // query that fails gate ⊆ q cannot contain any of the 64 members, and
-// one three-word test discards the whole group. With members sorted
-// lexicographically (as partitions are), neighbors share their leading
-// bits, which keeps the intersection large and the gate selective —
-// the role Algorithm 4's common-prefix block test plays for the scalar
-// kernel.
+// one three-word test discards the whole group — the role Algorithm 4's
+// common-prefix block test plays for the scalar kernel. How selective
+// the gate is depends on which 64 sets share a group: lexicographic
+// neighbours share leading bits but little else, so the engine clusters
+// a partition's sets by shared one-bits before transposing them
+// (internal/core/partition.go: clusterer), which puts each cluster's
+// pivot bits into the gates of its groups.
 type SlicedGroup struct {
 	LaneBlock
 	Gate Vector
@@ -103,7 +105,8 @@ type SlicedGroup struct {
 
 // BuildSlicedGroups transposes sets into ⌈n/64⌉ SlicedGroups: set i
 // becomes lane i%64 of group i/64, so (group, lane) recovers the index
-// into the original slice. Callers sort sets beforehand to make the
+// into the original slice. Callers order sets beforehand so that the 64
+// sharing a group have many one-bits in common, which is what makes the
 // gates selective.
 func BuildSlicedGroups(sets []Vector) []SlicedGroup {
 	groups := make([]SlicedGroup, (len(sets)+63)/64)

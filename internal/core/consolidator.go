@@ -406,42 +406,10 @@ func (e *Engine) buildIncrementalIndex(old *index, touched map[bitvec.Vector][]d
 	}
 
 	if len(newSigs) > 0 {
-		var specs []partitionSpec
-		if e.cfg.FirstFitPartitioning {
-			specs = firstFitPartition(newSigs, e.cfg.MaxPartitionSize)
-		} else {
-			specs = balancedPartition(newSigs, e.cfg.MaxPartitionSize)
-		}
-		nDev := len(e.cfg.Devices)
-		for _, spec := range specs {
-			sortMembersLexicographically(newSigs, spec.members)
-			off := uint32(len(idx.sets))
-			for _, m := range spec.members {
-				sig := newSigs[m]
-				rowOf[sig] = uint32(len(idx.sets))
-				idx.sets = append(idx.sets, sig)
-				for _, en := range newEntries[sig] {
-					idx.keys = append(idx.keys, en.key)
-					if e.cfg.ExactVerify {
-						idx.keyTags = append(idx.keyTags, en.tags)
-					}
-				}
-				idx.keyOff = append(idx.keyOff, uint32(len(idx.keys)))
-			}
-			pi := len(idx.parts)
-			dev := 0
-			if nDev > 0 {
-				dev = pi % nDev
-			}
-			grpOff := uint32(len(idx.groups))
-			if !e.cfg.ScalarKernel {
-				idx.groups = append(idx.groups, bitvec.BuildSlicedGroups(idx.sets[off:])...)
-			}
-			idx.parts = append(idx.parts, partition{
-				mask: spec.mask, off: off, n: uint32(len(spec.members)),
-				dev: dev, grpOff: grpOff,
-			})
-		}
+		idx.appendPartitions(newSigs, e.partition(newSigs), !e.cfg.ScalarKernel, len(e.cfg.Devices), func(m int32, r uint32) {
+			rowOf[newSigs[m]] = r
+			idx.appendKeys(newEntries[newSigs[m]], e.cfg.ExactVerify)
+		})
 	}
 
 	idx.locks = make([]sync.Mutex, len(idx.parts))

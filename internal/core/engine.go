@@ -141,7 +141,11 @@ type dbEntry struct {
 // index is the consolidated, immutable matching state (the dirty-batch
 // bookkeeping below is the one mutable part, guarded by its own mutex).
 type index struct {
-	sets []bitvec.Vector // flat tagset table, partition-major, sorted within partitions
+	// sets is the flat tagset table, partition-major. Within a partition
+	// the rows are in the order appendPartitions laid them out: 64-aligned
+	// clusters for the bit-sliced kernel (partition.go: clusterer), sorted
+	// lexicographically under Config.ScalarKernel.
+	sets []bitvec.Vector
 	// groups is the column-transposed mirror of sets for the bit-sliced
 	// subset-match kernel: partition-major ⌈n/64⌉-group runs, local set
 	// i of a partition in lane i%64 of group grpOff+i/64 (see
@@ -514,9 +518,10 @@ func (e *Engine) PendingOps() int {
 }
 
 // Consolidate synchronously applies all staged operations and rebuilds
-// the index: the balanced partitioning of Algorithm 1, lexicographic
-// sorting within partitions, the partition table, the key table, and
-// the device-resident tagset tables. It drains in-flight queries first
+// the index: the balanced partitioning of Algorithm 1, the row order
+// within partitions (clustered for the bit-sliced kernel, lexicographic
+// for the scalar one), the partition table, the key table, and the
+// device-resident tagset tables. It drains in-flight queries first
 // and blocks new submissions for the full rebuild — the stop-the-world
 // form, kept as the explicit bulk-load API and as the ablation baseline
 // for the background consolidator (which runs the same rebuild but
@@ -535,19 +540,13 @@ func (e *Engine) Consolidate() error {
 }
 
 // buildHostIndex constructs the host-side half of a fresh index from a
-// database snapshot: partitioning, sorted flat table, transposed mirror,
+// database snapshot: partitioning, ordered flat table, transposed mirror,
 // key table, partition table. It touches no device state, so the
 // background consolidator can run it while the previous index still
 // holds every device's memory; attachDevices completes the index inside
 // the swap's critical section.
 func (e *Engine) buildHostIndex(sigs []bitvec.Vector, entriesBySet [][]dbEntry) *index {
-	var specs []partitionSpec
-	if e.cfg.FirstFitPartitioning {
-		specs = firstFitPartition(sigs, e.cfg.MaxPartitionSize)
-	} else {
-		specs = balancedPartition(sigs, e.cfg.MaxPartitionSize)
-	}
-
+	specs := e.partition(sigs)
 	idx := &index{devices: e.cfg.Devices}
 	// The row and group arrays carry ~12% slack so incremental folds can
 	// append new partitions in place (buildIncrementalIndex aliases these
@@ -560,50 +559,67 @@ func (e *Engine) buildHostIndex(sigs []bitvec.Vector, entriesBySet [][]dbEntry) 
 		idx.groups = make([]bitvec.SlicedGroup, 0, len(sigs)/64+len(specs)+len(sigs)/512+64)
 	}
 	idx.keyOff = make([]uint32, 1, len(sigs)+len(sigs)/8+1025)
-	idx.parts = make([]partition, len(specs))
+	idx.parts = make([]partition, 0, len(specs))
 	idx.locks = make([]sync.Mutex, len(specs))
 
-	nDev := len(e.cfg.Devices)
-	for pi, spec := range specs {
-		sortMembersLexicographically(sigs, spec.members)
-		off := uint32(len(idx.sets))
-		for _, m := range spec.members {
-			idx.sets = append(idx.sets, sigs[m])
-			for _, en := range entriesBySet[m] {
-				idx.keys = append(idx.keys, en.key)
-				if e.cfg.ExactVerify {
-					idx.keyTags = append(idx.keyTags, en.tags)
-				}
-			}
-			idx.keyOff = append(idx.keyOff, uint32(len(idx.keys)))
-		}
-		dev := 0
-		if nDev > 0 {
-			dev = pi % nDev
-		}
-		grpOff := uint32(len(idx.groups))
-		if !e.cfg.ScalarKernel {
-			// Column-transpose the partition for the sliced kernel. The
-			// lexicographic sort above doubles as the gate optimizer: it
-			// clusters similar signatures into the same 64-lane group,
-			// maximizing each group's intersection.
-			idx.groups = append(idx.groups,
-				bitvec.BuildSlicedGroups(idx.sets[off:])...)
-		}
-		idx.parts[pi] = partition{
-			mask:   spec.mask,
-			off:    off,
-			n:      uint32(len(spec.members)),
-			dev:    dev,
-			grpOff: grpOff,
-		}
-	}
+	idx.appendPartitions(sigs, specs, !e.cfg.ScalarKernel, len(e.cfg.Devices), func(m int32, _ uint32) {
+		idx.appendKeys(entriesBySet[m], e.cfg.ExactVerify)
+	})
 	idx.pt, idx.maskless = buildPartitionTable(idx.parts)
 	idx.hostBytes = hostBytesFor(idx)
 	// A fresh full build has no duds and no carried row map; incremental
 	// folds measure their drift against this baseline.
 	idx.fullSets = len(idx.sets)
 	return idx
+}
+
+// partition runs the configured partitioner over sigs.
+func (e *Engine) partition(sigs []bitvec.Vector) []partitionSpec {
+	if e.cfg.FirstFitPartitioning {
+		return firstFitPartition(sigs, e.cfg.MaxPartitionSize)
+	}
+	return balancedPartition(sigs, e.cfg.MaxPartitionSize)
+}
+
+// appendPartitions is the one place partitions become rows: it orders each
+// spec's members (orderMembers: clustered when sliced, lexicographic for
+// the scalar kernel), appends them to idx.sets partition-major, calls row
+// for every member with its global row id so the caller can extend its key
+// table in step, column-transposes the partition into idx.groups when
+// sliced, and appends the partition descriptors, dealt round-robin over
+// nDev devices. Full builds, incremental folds and KernelBenchmark all
+// lay out through here, so they cannot disagree on the order.
+func (idx *index) appendPartitions(sigs []bitvec.Vector, specs []partitionSpec, sliced bool, nDev int, row func(m int32, r uint32)) {
+	orderMembers(sigs, specs, sliced)
+	for i := range specs {
+		spec := &specs[i]
+		off := uint32(len(idx.sets))
+		for _, m := range spec.members {
+			idx.sets = append(idx.sets, sigs[m])
+			if row != nil {
+				row(m, uint32(len(idx.sets)-1))
+			}
+		}
+		p := partition{mask: spec.mask, off: off, n: uint32(len(spec.members)), grpOff: uint32(len(idx.groups))}
+		if nDev > 0 {
+			p.dev = len(idx.parts) % nDev
+		}
+		if sliced {
+			idx.groups = append(idx.groups, bitvec.BuildSlicedGroups(idx.sets[off:])...)
+		}
+		idx.parts = append(idx.parts, p)
+	}
+}
+
+// appendKeys extends the key CSR by one row holding entries.
+func (idx *index) appendKeys(entries []dbEntry, withTags bool) {
+	for _, en := range entries {
+		idx.keys = append(idx.keys, en.key)
+		if withTags {
+			idx.keyTags = append(idx.keyTags, en.tags)
+		}
+	}
+	idx.keyOff = append(idx.keyOff, uint32(len(idx.keys)))
 }
 
 // hostBytesFor is the host memory accounting (Fig 9): tagset table host

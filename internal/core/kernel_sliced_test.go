@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
 
 	"tagmatch/internal/bitvec"
+	"tagmatch/internal/bloom"
 	"tagmatch/internal/gpu"
 	"tagmatch/internal/obs"
 )
@@ -146,10 +148,16 @@ func TestCPUMatchBatchSlicedMatchesScalar(t *testing.T) {
 
 // TestEngineScalarKernelAblation runs the same workload through a
 // sliced-kernel engine and a Config.ScalarKernel engine (both on GPU)
-// and requires identical answers plus correctly attributed flavor
+// and requires both to give the brute-force answer — each on its own row
+// order, clustered and lexicographic — plus correctly attributed flavor
 // counters.
 func TestEngineScalarKernelAblation(t *testing.T) {
 	sets, queries := sharedVocabWorkload(8000, 80, 71)
+	// Queries built on stored sets as well, so multi-tag sets deep inside
+	// the partitions are matched too.
+	for i := 0; i < 200; i++ {
+		queries = append(queries, slices.Concat(sets[i*19%len(sets)], sets[i*7%len(sets)]))
+	}
 	keyOf := func(i int) Key { return Key(i + 1) }
 
 	build := func(scalar bool) *Engine {
@@ -173,19 +181,50 @@ func TestEngineScalarKernelAblation(t *testing.T) {
 
 	sliced := build(false)
 	scalar := build(true)
+
+	// The fixture's partitions hold several groups, so the sliced index is
+	// clustered and its rows are not in lexicographic order; the scalar
+	// index must keep them sorted, because its block pre-filter takes the
+	// common prefix of a block's first and last row. Checked on the rows
+	// themselves: a wrong prefix only drops a match when the two happen to
+	// share a one-bit the rows between them lack, which queries rarely hit.
+	rowsSorted := func(e *Engine) bool {
+		idx := e.idx.Load()
+		for _, p := range idx.parts {
+			if !slices.IsSortedFunc(idx.sets[p.off:p.off+p.n], bitvec.Compare) {
+				return false
+			}
+		}
+		return true
+	}
+	if rowsSorted(sliced) {
+		t.Fatal("fixture too small: the clustered order equals the lexicographic one")
+	}
+	if !rowsSorted(scalar) {
+		t.Fatal("scalar-kernel index is not in lexicographic order within partitions")
+	}
+
+	sigs := make([]bitvec.Vector, len(sets))
+	for i, s := range sets {
+		sigs[i] = bloom.Signature(s)
+	}
 	for _, q := range queries {
-		a, err := sliced.Match(q)
-		if err != nil {
-			t.Fatal(err)
+		qsig := bloom.Signature(q)
+		var want []Key
+		for i, sig := range sigs {
+			if sig.SubsetOf(qsig) {
+				want = append(want, keyOf(i))
+			}
 		}
-		b, err := scalar.Match(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		if fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("flavor mismatch for query %s: sliced %d keys, scalar %d keys", q, len(a), len(b))
+		for name, e := range map[string]*Engine{"sliced": sliced, "scalar": scalar} {
+			got, err := e.Match(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s flavor: %d keys for query %s, brute force finds %d", name, len(got), q, len(want))
+			}
 		}
 	}
 

@@ -37,15 +37,16 @@ type KernelBenchResult struct {
 }
 
 // KernelBenchmark measures the subset-match kernel in isolation: it
-// partitions sigs (Algorithm 1 + lexicographic sort, exactly as
-// Consolidate does), routes every query through the partition table to
-// form per-partition batches of at most batchSize, and times iters
-// passes of the whole batch set through the scalar per-thread kernel
-// and through the bit-sliced kernel on one simulated zero-cost device —
-// so the comparison isolates the matching work itself from bus and
-// driver overheads, which are identical for the two flavors. Before
-// timing, an untimed pass checks both flavors against the brute-force
-// reference pair multiset (Parity).
+// partitions sigs and lays each flavor's rows out exactly as Consolidate
+// does (Algorithm 1, then appendPartitions: lexicographic rows for the
+// scalar kernel, 64-aligned clusters for the sliced one), routes every
+// query through the partition table to form per-partition batches of at
+// most batchSize, and times iters passes of the whole batch set through
+// the scalar per-thread kernel and through the bit-sliced kernel on one
+// simulated zero-cost device — so the comparison isolates the matching
+// work itself from bus and driver overheads, which are identical for the
+// two flavors. Before timing, an untimed pass checks each flavor against
+// the brute-force reference pair multiset of its own layout (Parity).
 func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, batchSize, blockDim, iters, workers int) KernelBenchResult {
 	if batchSize <= 0 || batchSize > maxBatchSize {
 		batchSize = maxBatchSize
@@ -57,27 +58,18 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 		iters = 1
 	}
 
-	// Build the index the way Consolidate does: balanced partitions,
-	// members sorted lexicographically, flat row table plus the
-	// column-transposed mirror, and the routing table.
+	// Build the index the way Consolidate does, once per flavor: balanced
+	// partitions laid out by appendPartitions — lexicographic rows for the
+	// scalar kernel, clustered rows and their column-transposed mirror for
+	// the sliced one. The partitions (masks, offsets, sizes) are the same
+	// in both; only the order of rows inside them differs. Sliced first:
+	// the clusterer's stable splits start from the partitioner's order.
 	specs := balancedPartition(sigs, maxP)
-	var sets []bitvec.Vector
-	var groups []bitvec.SlicedGroup
-	parts := make([]partition, len(specs))
-	for pi, spec := range specs {
-		sortMembersLexicographically(sigs, spec.members)
-		off := uint32(len(sets))
-		for _, m := range spec.members {
-			sets = append(sets, sigs[m])
-		}
-		parts[pi] = partition{
-			mask:   spec.mask,
-			off:    off,
-			n:      uint32(len(spec.members)),
-			grpOff: uint32(len(groups)),
-		}
-		groups = append(groups, bitvec.BuildSlicedGroups(sets[off:])...)
+	var layout [2]index // 0 scalar, 1 sliced
+	for _, f := range []int{1, 0} {
+		layout[f].appendPartitions(sigs, specs, f == 1, 0, nil)
 	}
+	parts, sets, groups := layout[1].parts, layout[1].sets, layout[1].groups
 	pt, maskless := buildPartitionTable(parts)
 
 	// Route queries and pack them into per-partition batches, the work
@@ -136,20 +128,21 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 		}
 		return 0
 	}
-	ref := make([][]pair, len(items))
+	var ref [2][][]pair // per flavor: set ids name rows of that flavor's layout
 	maxPairs := 1
-	for i, it := range items {
-		p := &parts[it.pid]
-		for si, set := range sets[p.off : p.off+p.n] {
-			for qi := range it.qs {
-				if set.SubsetOf(queries[it.qs[qi]]) {
-					ref[i] = append(ref[i], pair{uint8(qi), p.off + uint32(si)})
+	for f := range ref {
+		ref[f] = make([][]pair, len(items))
+		for i, it := range items {
+			p := &parts[it.pid]
+			for si, set := range layout[f].sets[p.off : p.off+p.n] {
+				for qi := range it.qs {
+					if set.SubsetOf(queries[it.qs[qi]]) {
+						ref[f][i] = append(ref[f][i], pair{uint8(qi), p.off + uint32(si)})
+					}
 				}
 			}
-		}
-		slices.SortFunc(ref[i], cmpPair)
-		if len(ref[i]) > maxPairs {
-			maxPairs = len(ref[i])
+			slices.SortFunc(ref[f][i], cmpPair)
+			maxPairs = max(maxPairs, len(ref[f][i]))
 		}
 	}
 
@@ -166,7 +159,7 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 	tab := gpu.MustAlloc[uint32](dev, batchSize+segWords)
 	hdr := gpu.MustAlloc[uint32](dev, resHeaderWords)
 	pairs := gpu.MustAlloc[byte](dev, pairBufBytes(maxPairs))
-	if err := setsBuf.CopyToDevice(0, sets); err != nil {
+	if err := setsBuf.CopyToDevice(0, layout[0].sets); err != nil {
 		panic(err)
 	}
 	if err := groupsBuf.CopyToDevice(0, groups); err != nil {
@@ -233,7 +226,7 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 				got = append(got, pair{q, s})
 			})
 			slices.SortFunc(got, cmpPair)
-			if overflow || !slices.Equal(got, ref[i]) {
+			if overflow || !slices.Equal(got, ref[f][i]) {
 				res.Parity = false
 			}
 		}

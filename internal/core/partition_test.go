@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -152,6 +154,127 @@ func TestBalancedPartitionIdenticalPathology(t *testing.T) {
 	}
 	if total != 2 {
 		t.Fatalf("covered %d, want 2 (specs=%v)", total, specs)
+	}
+}
+
+// pickPivot is the partitioner's pivot rule as it was before work items
+// carried their frequency tables: it recounts every member's bits and
+// returns the bit position not in used whose one-frequency is closest to
+// 50%, or -1 when every bit is used. Kept as the oracle bitFreq.count,
+// bitFreq.split and bitFreq.pivot are compared with.
+func pickPivot(sets []bitvec.Vector, members []int32, used bitvec.Vector) int {
+	var freq [bitvec.W]int32
+	for _, idx := range members {
+		v := sets[idx]
+		for b := 0; b < bitvec.Blocks; b++ {
+			blk := v[b]
+			for blk != 0 {
+				i := bits.LeadingZeros64(blk)
+				freq[b*64+i]++
+				blk &^= 1 << (63 - uint(i))
+			}
+		}
+	}
+	n := int32(len(members))
+	half := n / 2
+	best, bestDist := -1, int32(1<<30)
+	var fallback int = -1
+	for p := 0; p < bitvec.W; p++ {
+		if used.Test(p) {
+			continue
+		}
+		f := freq[p]
+		if f == 0 || f == n {
+			if fallback < 0 {
+				fallback = p
+			}
+			continue
+		}
+		d := f - half
+		if d < 0 {
+			d = -d
+		}
+		if d < bestDist {
+			best, bestDist = p, d
+		}
+	}
+	if best >= 0 {
+		return best
+	}
+	return fallback
+}
+
+// recountingPartition is Algorithm 1 driven by pickPivot: the reference
+// balancedPartition must reproduce partition for partition.
+func recountingPartition(sets []bitvec.Vector, maxP int) []partitionSpec {
+	if len(sets) == 0 {
+		return nil
+	}
+	maxP = max(maxP, 1)
+	type work struct {
+		mask, used bitvec.Vector
+		members    []int32
+	}
+	all := make([]int32, len(sets))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	queue := []work{{members: all}}
+	var out []partitionSpec
+	for len(queue) > 0 {
+		w := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		pivot := -1
+		if len(w.members) > maxP || w.mask.IsZero() {
+			pivot = pickPivot(sets, w.members, w.used)
+		}
+		if pivot < 0 {
+			out = append(out, partitionSpec{mask: w.mask, members: w.members, freq: recount(sets, w.members)})
+			continue
+		}
+		w.used.Set(pivot)
+		var p0, p1 []int32
+		for _, idx := range w.members {
+			if sets[idx].Test(pivot) {
+				p1 = append(p1, idx)
+			} else {
+				p0 = append(p0, idx)
+			}
+		}
+		if len(p0) > 0 {
+			queue = append(queue, work{mask: w.mask, used: w.used, members: p0})
+		}
+		if len(p1) > 0 {
+			m := w.mask
+			m.Set(pivot)
+			queue = append(queue, work{mask: m, used: w.used, members: p1})
+		}
+	}
+	return out
+}
+
+func TestBalancedPartitionMatchesRecountingOracle(t *testing.T) {
+	nearDup := make([]bitvec.Vector, 300)
+	for i := range nearDup {
+		nearDup[i] = bitvec.FromOnes(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+		nearDup[i].Set(20 + i%150)
+		nearDup[i].Set(180 - i/150)
+	}
+	for _, tc := range []struct {
+		name string
+		sets []bitvec.Vector
+		maxP int
+	}{
+		{"random", randomSets(20000, 5, 11), 300},
+		{"sparse", randomSets(3000, 1, 12), 40},
+		{"singletons", randomSets(200, 4, 13), 1},
+		{"near-duplicates", nearDup, 10},
+		{"with-zero-vector", append(randomSets(500, 3, 14), bitvec.Vector{}), 50},
+	} {
+		got, want := balancedPartition(tc.sets, tc.maxP), recountingPartition(tc.sets, tc.maxP)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d partitions differ from the recounting oracle's %d", tc.name, len(got), len(want))
+		}
 	}
 }
 

@@ -2,16 +2,16 @@
 
 GO ?= go
 
-.PHONY: check build vet test race chaos bench-canonical-smoke bench-smoke bench-obs bench-hotpath bench-chaos bench-preprocess bench-preprocess-smoke bench-kernel bench-kernel-smoke bench-tail bench-tail-smoke bench-pipeline bench-pipeline-smoke bench-churn bench-churn-smoke obs-smoke obsdiff-gate clean
+.PHONY: check build vet test race chaos bench-canonical-smoke bench-smoke bench-obs bench-hotpath bench-chaos bench-preprocess bench-preprocess-smoke bench-kernel bench-kernel-smoke bench-tail bench-tail-smoke bench-churn bench-churn-smoke obs-smoke obsdiff-gate clean
 
 ## check: full CI gate — vet, build, tests, race detector on the
 ## concurrency-heavy packages, the chaos (fault-injection) suite, a
 ## short allocation-tracking benchmark pass over the hot path,
-## reduced-scale smoke runs of the routing, match-kernel, tail-latency,
-## and dispatch-pipeline experiments, the observability export smoke
+## reduced-scale smoke runs of the routing, match-kernel, tail-latency
+## and live-update experiments, the observability export smoke
 ## test, the canonical benchmark's harness smoke and one driver-form run
 ## of it, and the perf budgets on checked-in baselines.
-check: vet build test race chaos bench-smoke bench-preprocess-smoke bench-kernel-smoke bench-tail-smoke bench-pipeline-smoke bench-churn-smoke obs-smoke bench-canonical-smoke obsdiff-gate
+check: vet build test race chaos bench-smoke bench-preprocess-smoke bench-kernel-smoke bench-tail-smoke bench-churn-smoke obs-smoke bench-canonical-smoke obsdiff-gate
 
 build:
 	$(GO) build ./...
@@ -32,9 +32,10 @@ race:
 ## OOM degrade, overload shedding, straggler injection, deadline
 ## propagation, hedged re-dispatch, snapshot-restore parity, and every
 ## one of them crossed with multi-partition batches (TestChaosPacked*,
-## ending in the drain-time resource checks) must all hold with -race on.
+## ending in the drain-time resource checks) must all hold with -race on,
+## as must the exact operation count of a dispatched batch.
 chaos:
-	$(GO) test -race -run 'TestCluster|TestBalancedPartition|TestFlushPass|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestMatchTimeout|TestPipelined|TestQueryWindow|TestStreamDepth|TestDelta' \
+	$(GO) test -race -run 'TestCluster|TestBalancedPartition|TestFlushPass|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta' \
 		./internal/gpu/ ./internal/core/ ./internal/httpserver/
 
 ## bench-smoke: quick -benchmem pass over the hot-path benchmarks so a
@@ -98,19 +99,6 @@ bench-tail:
 bench-tail-smoke:
 	$(GO) run ./cmd/tagmatch-bench -scale 0.0005 -queries 4000 -no-bench-files tail
 
-## bench-pipeline: measure the stream-depth x query-window dispatch
-## matrix (H2D bytes/query, copy/compute overlap, throughput, p99) and
-## write BENCH_pipeline.json (window must cut H2D bytes/query >= 2x,
-## gated by obsdiff-gate).
-bench-pipeline:
-	$(GO) run ./cmd/tagmatch-bench pipeline
-
-## bench-pipeline-smoke: the same experiment at reduced scale as a CI
-## gate; -no-bench-files keeps the small-scale numbers from overwriting
-## the committed BENCH_pipeline.json.
-bench-pipeline-smoke:
-	$(GO) run ./cmd/tagmatch-bench -scale 0.0005 -queries 4000 -no-bench-files pipeline
-
 ## bench-churn: measure live updates through the delta overlay — query
 ## throughput under churn with background consolidation vs the no-churn
 ## baseline and the stop-the-world ablation, update-visibility latency,
@@ -161,13 +149,10 @@ obsdiff-gate:
 		-assert 'hedged_p99_improvement>=2' -assert 'hedge_exactness>=1' \
 		-assert 'results_match>=1' BENCH_tail.json
 	$(GO) run ./cmd/tagmatch-obsdiff \
-		-assert 'h2d_reduction>=2' -assert 'pipeline_results_match>=1' \
-		-assert 'throughput_ratio>=0.9' BENCH_pipeline.json
-	$(GO) run ./cmd/tagmatch-obsdiff \
 		-assert 'churn_results_match>=1' -assert 'qps_ratio>=0.9' \
 		-assert 'pause_improvement>=5' -assert 'swap_pause_p99_ms<=250' \
 		-assert 'visibility_p99_ms<=250' BENCH_churn.json
 
 clean:
-	rm -f BENCH_obs.json BENCH_hotpath.json BENCH_chaos.json BENCH_preprocess.json BENCH_kernel.json BENCH_tail.json BENCH_pipeline.json BENCH_churn.json
+	rm -f BENCH_obs.json BENCH_hotpath.json BENCH_chaos.json BENCH_preprocess.json BENCH_kernel.json BENCH_tail.json BENCH_churn.json
 	rm -rf results

@@ -18,11 +18,9 @@
 // (bit-sliced vs. scalar subset-match kernel, also written to
 // BENCH_kernel.json), tail (query-latency percentiles with and
 // without hedged re-dispatch under injected stragglers, also written
-// to BENCH_tail.json), pipeline (stream depth x query window
-// dispatch matrix, also written to BENCH_pipeline.json), and churn
-// (live updates through the delta overlay with background
-// consolidation vs the stop-the-world ablation, also written to
-// BENCH_churn.json).
+// to BENCH_tail.json), and churn (live updates through the delta
+// overlay with background consolidation vs the stop-the-world ablation,
+// also written to BENCH_churn.json).
 //
 // Text-format output is also teed to results/results_scale<scale>.txt
 // (gitignored) so run transcripts accumulate outside the repo root.
@@ -34,10 +32,6 @@
 //	-threads n       CPU threads per subject system (default GOMAXPROCS)
 //	-gpus n          simulated GPUs for TagMatch (default 2)
 //	-queries n       queries per throughput measurement (default 20000)
-//	-stream-depth n  pipelined stream depth for the pipeline experiment
-//	                 (0 = engine default of 2)
-//	-query-window n  per-device query window ring size (0 = engine
-//	                 default of 16x the batch size)
 //	-format f        output format: text, json, csv, benchstat
 //	-no-bench-files  skip writing BENCH_*.json artifacts (smoke runs at
 //	                 reduced scale must not overwrite committed numbers)
@@ -67,8 +61,6 @@ func main() {
 	flag.IntVar(&p.Threads, "threads", runtime.GOMAXPROCS(0), "CPU threads per subject system")
 	flag.IntVar(&p.GPUs, "gpus", 2, "simulated GPUs")
 	flag.IntVar(&p.Queries, "queries", 20000, "queries per measurement")
-	flag.IntVar(&p.StreamDepth, "stream-depth", 0, "pipelined stream depth for the pipeline experiment (0 = engine default)")
-	flag.IntVar(&p.QueryWindow, "query-window", 0, "per-device query window ring size (0 = engine default)")
 	format := flag.String("format", "text", "output format: text, json, csv, benchstat")
 	flag.BoolVar(&noBenchFiles, "no-bench-files", false, "skip writing BENCH_*.json artifacts")
 	resultsDir := flag.String("results-dir", "results", "directory for run transcripts (empty disables)")
@@ -136,7 +128,7 @@ func allNames() []string {
 		"table1", "table3", "fig2", "fig4", "fig5", "fig6", "fig7",
 		"fig8", "fig9", "fig10", "fig11", "families",
 		"ablation-pipeline", "ablation-gpuonly", "obs-overhead", "hotpath",
-		"chaos", "preprocess", "kernel", "tail", "pipeline", "churn",
+		"chaos", "preprocess", "kernel", "tail", "churn",
 	}
 }
 
@@ -214,14 +206,6 @@ func runOne(out io.Writer, name string, p experiments.Params, format string) {
 		// better) and the exactly-once property are tracked across
 		// commits.
 		writeBenchFile("BENCH_tail.json", r)
-	case "pipeline":
-		t, r := experiments.Pipeline(p)
-		tables = append(tables, t)
-		// The depth x window matrix lands in BENCH_pipeline.json so the
-		// query-window copy-tax win (acceptance bar: >= 2x fewer H2D
-		// bytes per query) and the four-cell exactness check are
-		// tracked across commits.
-		writeBenchFile("BENCH_pipeline.json", r)
 	case "churn":
 		t, r := experiments.Churn(p)
 		tables = append(tables, t)

@@ -401,7 +401,7 @@ func (e *Engine) buildIncrementalIndex(old *index, touched map[bitvec.Vector][]d
 		p := &old.parts[i]
 		idx.parts = append(idx.parts, partition{
 			mask: p.mask, off: p.off, n: p.n, dev: p.dev, grpOff: p.grpOff,
-			devOff: p.devOff, devGrpOff: p.devGrpOff, ext: p.ext,
+			ext: p.ext, devOff: p.devOff, devLen: p.devLen,
 		})
 	}
 
@@ -425,15 +425,15 @@ func (e *Engine) buildIncrementalIndex(old *index, touched map[bitvec.Vector][]d
 // generation's device state and re-uploading the whole index (a bus
 // copy proportional to the database, which would dominate the swap
 // pause), the new index adopts the old one's base shards, extent
-// buffers, stream pools, and query-window rings — all still valid,
-// because the incremental build keeps every existing row's signature,
-// row order, and transposed groups verbatim — and uploads only the
-// partitions appended by this fold as one fresh extent buffer per
-// device. Key rewrites need no device traffic at all: keys live
-// host-side in the reduce stage. Returns false (having changed
-// nothing) when the old index has no usable device state or the extent
-// upload fails; the caller then takes the full release+attach path.
-// Called with the pipeline drained and submissions blocked.
+// buffers and stream pool — all still valid, because the incremental
+// build keeps every existing row's signature, row order, and transposed
+// groups verbatim — and uploads only the partitions appended by this
+// fold as one fresh extent buffer per device. Key rewrites need no
+// device traffic at all: keys live host-side in the reduce stage.
+// Returns false (having changed nothing) when the old index has no
+// usable device state or the extent upload fails; the caller then takes
+// the full release+attach path. Called with the pipeline drained and
+// submissions blocked.
 func (e *Engine) adoptDevices(idx, old *index) bool {
 	nDev := len(idx.devices)
 	if nDev == 0 {
@@ -476,12 +476,10 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 				continue
 			}
 			if sliced {
-				p.devGrpOff = uint32(len(mineGroups))
-				nG := (int(p.n) + 63) / 64
-				mineGroups = append(mineGroups,
-					idx.groups[p.grpOff:int(p.grpOff)+nG]...)
+				p.devOff, p.devLen = uint32(len(mineGroups)), (p.n+63)/64
+				mineGroups = append(mineGroups, idx.groups[p.grpOff:p.grpOff+p.devLen]...)
 			} else {
-				p.devOff = uint32(len(mine))
+				p.devOff, p.devLen = uint32(len(mine)), p.n
 				mine = append(mine, idx.sets[p.off:p.off+p.n]...)
 			}
 		}
@@ -535,7 +533,6 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 			idx.devGrpExts[d] = append(idx.devGrpExts[d], newGrpBufs[d])
 		}
 	}
-	idx.windows, old.windows = old.windows, nil
 	idx.slots, old.slots = old.slots, nil
 	idx.allStreams, old.allStreams = old.allStreams, nil
 	return true

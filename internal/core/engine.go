@@ -180,20 +180,14 @@ type index struct {
 	// incremental folds: devExts[d][e-1] backs the partitions with
 	// dev==d, ext==e. The base buffers above hold every row uploaded by
 	// the last full build; an incremental swap carries them (and the
-	// streams and windows below) over from the previous generation
-	// untouched and uploads only these extents — the zero-drain pause is
-	// drain + O(delta) copy, never O(database) (see adoptDevices).
+	// streams below) over from the previous generation untouched and
+	// uploads only these extents — the zero-drain pause is drain +
+	// O(delta) copy, never O(database) (see adoptDevices).
 	devExts    [][]*gpu.Buffer[bitvec.Vector]
 	devGrpExts [][]*gpu.Buffer[bitvec.SlicedGroup]
 
-	slots      *slotPool // idle dispatch slots of every stream of every device
-	allStreams []*streamCtx
-
-	// windows holds each device's query-signature ring (nil when
-	// Config.DisableQueryWindow turns the window off). The ring lives in
-	// the index, so a Consolidate swap retires it wholesale with the
-	// device tables — no cross-index invalidation protocol is needed.
-	windows []*queryWindow
+	slots      *slotPool // the idle streams of every device
+	allStreams []*streamSlot
 
 	// dispatching fences release() against attempt chains that may still
 	// enqueue stream operations. Before hedging every chain completed
@@ -412,8 +406,8 @@ func (e *Engine) registerGauges() {
 		"Device operations queued on GPU streams and not yet executed.",
 		nil, func() float64 {
 			n := 0
-			for _, sc := range e.idx.Load().allStreams {
-				n += sc.stream.QueueDepth()
+			for _, sl := range e.idx.Load().allStreams {
+				n += sl.stream.QueueDepth()
 			}
 			return float64(n)
 		})
@@ -430,9 +424,9 @@ func (e *Engine) registerGauges() {
 			"Device operations queued (not yet started) across the device's streams.",
 			labels, func() float64 {
 				n := 0
-				for _, sc := range e.idx.Load().allStreams {
-					if sc.dev == di {
-						n += sc.stream.QueueDepth()
+				for _, sl := range e.idx.Load().allStreams {
+					if sl.dev == di {
+						n += sl.stream.QueueDepth()
 					}
 				}
 				return float64(n)
@@ -672,14 +666,19 @@ func (e *Engine) uploadToDevices(idx *index) error {
 	nDev := len(idx.devices)
 	idx.devBufs = make([]*gpu.Buffer[bitvec.Vector], nDev)
 	idx.devGroupBufs = make([]*gpu.Buffer[bitvec.SlicedGroup], nDev)
-	// A full upload lays every row into the base shards; extent ids from
-	// an incrementally-built host index (whose adoption fell through)
-	// would otherwise point at buffers this index never had.
+	// A full upload lays every row into the base shards (extent ids from
+	// an incrementally-built host index whose adoption fell through would
+	// otherwise point at buffers this index never had): under replication
+	// a partition's device row is its range of the flat table.
 	idx.devExts, idx.devGrpExts = nil, nil
-	for pi := range idx.parts {
-		idx.parts[pi].ext = 0
-	}
 	sliced := idx.groups != nil
+	for pi := range idx.parts {
+		p := &idx.parts[pi]
+		p.ext, p.devOff, p.devLen = 0, p.off, p.n
+		if sliced {
+			p.devOff, p.devLen = p.grpOff, (p.n+63)/64
+		}
+	}
 
 	for d, dev := range idx.devices {
 		// Full replication: every device holds the whole index.
@@ -697,9 +696,8 @@ func (e *Engine) uploadToDevices(idx *index) error {
 					continue
 				}
 				if sliced {
-					p.devGrpOff = uint32(len(groups))
-					nG := (int(p.n) + 63) / 64
-					groups = append(groups, idx.groups[p.grpOff:int(p.grpOff)+nG]...)
+					p.devOff = uint32(len(groups))
+					groups = append(groups, idx.groups[p.grpOff:p.grpOff+p.devLen]...)
 				} else {
 					p.devOff = uint32(len(rows))
 					rows = append(rows, idx.sets[p.off:p.off+p.n]...)
@@ -717,66 +715,39 @@ func (e *Engine) uploadToDevices(idx *index) error {
 		}
 	}
 
-	// Per-device query window rings: one shared signature ring per
-	// device, hit by every stream of the device.
-	if !e.cfg.DisableQueryWindow {
-		idx.windows = make([]*queryWindow, nDev)
-		for d, dev := range idx.devices {
-			wbuf, err := gpu.Alloc[bitvec.Vector](dev, e.cfg.QueryWindow)
-			if err != nil {
-				return fmt.Errorf("allocating query window on %s: %w", dev.Name(), err)
-			}
-			idx.windows[d] = newQueryWindow(wbuf)
-		}
-	}
-
-	depth := e.cfg.StreamDepth
-	idx.slots = newSlotPool(nDev * e.cfg.StreamsPerDevice * depth)
+	idx.slots = newSlotPool(nDev * e.cfg.StreamsPerDevice)
 	for d, dev := range idx.devices {
 		for i := 0; i < e.cfg.StreamsPerDevice; i++ {
-			s, err := dev.OpenStreamBuffered(streamOpsBuffer(depth))
+			s, err := dev.OpenStream()
 			if err != nil {
 				if errors.Is(err, gpu.ErrTooManyStreams) && i > 0 {
 					break // use as many as the device allows
 				}
 				return err
 			}
-			sc := &streamCtx{dev: d, stream: s}
 			// Feed every device op issued through the stream into the
 			// per-op-kind histograms and the issuing batch's trace (the
-			// batch's slot rides on the op's attribution tag).
+			// stream rides on the op's attribution tag).
 			s.OnOp(e.observeGPUOp)
-			// depth slots per stream: the even/odd double buffering of
-			// §3.3.2 (generalized), letting batch n+1's upload + kernel
-			// run behind batch n's result transfer on the same stream.
-			for k := 0; k < depth; k++ {
-				sl := &streamSlot{sc: sc}
-				sl.qbuf, err = gpu.Alloc[bitvec.Vector](dev, e.cfg.BatchSize)
-				if err == nil {
-					// One index per entry plus the segment table; a batch
-					// has at most one segment per entry.
-					sl.tab, err = gpu.Alloc[uint32](dev, e.cfg.BatchSize*(1+segWords))
-				}
-				if err == nil {
-					sl.hdr, err = gpu.Alloc[uint32](dev, resHeaderWords)
-				}
-				if err == nil {
-					sl.pairs, err = gpu.Alloc[byte](dev, pairBufBytes(e.cfg.MaxPairsPerBatch))
-				}
-				if err != nil {
-					sl.free()
-					for _, prev := range sc.slots {
-						prev.free()
-					}
-					s.Close()
-					return fmt.Errorf("allocating stream buffers on %s: %w", dev.Name(), err)
-				}
-				sc.slots = append(sc.slots, sl)
+			sl := &streamSlot{dev: d, stream: s}
+			sl.qbuf, err = gpu.Alloc[bitvec.Vector](dev, e.cfg.BatchSize)
+			if err == nil {
+				// One index per entry plus the segment table; a batch
+				// has at most one segment per entry.
+				sl.tab, err = gpu.Alloc[uint32](dev, e.cfg.BatchSize*(1+segWords))
 			}
-			idx.allStreams = append(idx.allStreams, sc)
-			for _, sl := range sc.slots {
-				idx.slots.put(sl)
+			if err == nil {
+				sl.hdr, err = gpu.Alloc[uint32](dev, resHeaderWords)
 			}
+			if err == nil {
+				sl.pairs, err = gpu.Alloc[byte](dev, pairBufBytes(e.cfg.MaxPairsPerBatch))
+			}
+			if err != nil {
+				sl.close()
+				return fmt.Errorf("allocating stream buffers on %s: %w", dev.Name(), err)
+			}
+			idx.allStreams = append(idx.allStreams, sl)
+			idx.slots.put(sl)
 		}
 	}
 	return nil
@@ -810,18 +781,11 @@ func extsOf[T any](exts [][]*gpu.Buffer[T], dev int) []*gpu.Buffer[T] {
 // which can still be enqueueing stream operations after the drain.
 func (idx *index) release() {
 	idx.dispatching.Wait()
-	for _, sc := range idx.allStreams {
-		sc.stream.Synchronize()
-		for _, sl := range sc.slots {
-			sl.free()
-		}
-		sc.stream.Close()
+	for _, sl := range idx.allStreams {
+		sl.stream.Synchronize()
+		sl.close()
 	}
 	idx.allStreams = nil
-	for _, w := range idx.windows {
-		w.buf.Free()
-	}
-	idx.windows = nil
 	for _, b := range idx.devBufs {
 		b.Free()
 	}
@@ -946,13 +910,8 @@ func (e *Engine) Stats() Stats {
 		KernelGatePruned:    e.obs.Kernel.GatePruned.Load(),
 		KernelGroupScans:    e.obs.Kernel.GroupScans.Load(),
 		KernelColumnsWalked: e.obs.Kernel.ColumnsWalked.Load(),
-		WindowHits:          e.obs.Streams.WindowHits.Load(),
-		WindowMisses:        e.obs.Streams.WindowMisses.Load(),
-		WindowEvictions:     e.obs.Streams.WindowEvictions.Load(),
-		WindowFallbacks:     e.obs.Streams.WindowFallbacks.Load(),
 		H2DQueryBytes:       e.obs.Streams.H2DQueryBytes.Load(),
 		QuerySlots:          e.obs.Streams.QuerySlots.Load(),
-		PipelinedDispatches: e.obs.Streams.PipelinedDispatches.Load(),
 		SegmentsDispatched:  e.obs.Streams.SegmentsPerBatch.Sum(),
 		StreamAcquireWait:   time.Duration(e.obs.Streams.AcquireWait.Sum()),
 		HostBytes:           idx.hostBytes,

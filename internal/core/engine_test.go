@@ -200,14 +200,13 @@ func TestEngineMultiGPUPartitioned(t *testing.T) {
 	}
 	verifyEngine(t, e, db, db.makeQueries(300, 38), false)
 	// Partitioned mode: the two shards together hold ONE copy of the
-	// index — the row table (24 B/set) plus its transposed mirror for
-	// the sliced kernel (1592 B per 64-lane group, at most one partial
-	// group per partition) — not one copy per device. The 2x headroom
-	// absorbs the per-stream batch buffers.
+	// index in the layout the sliced kernel reads — 1592 B per 64-lane
+	// group, at most one partial group per partition — not one copy per
+	// device. The 2x headroom absorbs the per-stream batch buffers.
 	st := e.Stats()
 	total := st.DeviceBytes[0] + st.DeviceBytes[1]
-	lo := int64(st.UniqueSets)*24 + int64(st.UniqueSets/64)*1592
-	hi := 2 * (int64(st.UniqueSets)*24 + int64(st.UniqueSets/64+st.Partitions)*1592)
+	lo := int64(st.UniqueSets/64) * 1592
+	hi := 2 * int64(st.UniqueSets/64+st.Partitions) * 1592
 	if total < lo || total > hi {
 		t.Fatalf("sharded index memory %d not within [%d, %d]", total, lo, hi)
 	}

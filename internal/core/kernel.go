@@ -77,8 +77,9 @@ func decodePacked(packed []byte, count int, visit func(q uint8, s uint32)) {
 //
 // The table rides in the same device buffer, and the same H2D copy, as
 // the entries' signature indices: words [0, nQ) hold one index per entry
-// into the signature buffer (the device's query window, or the slot's
-// dense upload), followed by segWords words per segment.
+// into the signature buffer (the engine uploads the batch's signatures
+// in entry order, so there the indices are the identity), followed by
+// segWords words per segment.
 const (
 	segBlockEnd = iota // thread blocks of the launch up to and including this segment
 	segFirst           // the segment's first entry in the batch
@@ -130,9 +131,9 @@ type blockScratch struct {
 // block resolves the segment a thread block serves: the segment's table
 // row and index, the block's index within the segment, and the segment's
 // query signatures gathered through the entry indices into shared memory
-// — the CUDA idiom — so the per-set inner loop reads a dense array.
-// Concurrent H2D fills of other window slots touch disjoint ring entries
-// (the pin protocol guarantees it), so the reads are race-free.
+// — the CUDA idiom — so the per-set inner loop reads a dense array. The
+// signature buffer is not written while a kernel reading it runs: the
+// engine's is filled by the batch's own stream ahead of the launch.
 func (a *batchArgs) block(b *gpu.BlockCtx) (row []uint32, seg, local int, sh *blockScratch) {
 	tab := a.tab.Data()
 	rows := tab[a.nQ : a.nQ+a.nSeg*segWords]

@@ -29,10 +29,11 @@ type KernelBenchResult struct {
 	// H2DCopiesPerBatch is the mean H2D copy operations issued per
 	// kernel launch over the timed passes. With the result-header reset
 	// fused into the launch (LaunchZeroedAsync), exactly one copy — the
-	// batch's entry indices and segment table — remains (the query
-	// signatures sit in a device-resident window, as in the engine); the
-	// kernel bench test asserts this stays 1 so the separate header-reset
-	// transfer cannot silently come back.
+	// batch's entry indices and segment table — remains here (the query
+	// signatures are uploaded once, before the timed passes; the engine
+	// uploads each batch's with it, a second copy); the kernel bench test
+	// asserts this stays 1 so the separate header-reset transfer cannot
+	// silently come back.
 	H2DCopiesPerBatch float64
 }
 
@@ -74,8 +75,8 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 
 	// Route queries and pack them into per-partition batches, the work
 	// units the pipeline would dispatch when partitions fill: one-segment
-	// batches. The queries sit in one device-resident window, uploaded
-	// once; a batch carries their indices.
+	// batches. The queries sit in one device buffer, uploaded once; a
+	// batch carries their indices.
 	type workItem struct {
 		pid uint32
 		qs  []uint32 // indices into queries
@@ -155,7 +156,7 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 	defer stream.Close()
 	setsBuf := gpu.MustAlloc[bitvec.Vector](dev, len(sets))
 	groupsBuf := gpu.MustAlloc[bitvec.SlicedGroup](dev, len(groups))
-	qwin := gpu.MustAlloc[bitvec.Vector](dev, len(queries))
+	qsBuf := gpu.MustAlloc[bitvec.Vector](dev, len(queries))
 	tab := gpu.MustAlloc[uint32](dev, batchSize+segWords)
 	hdr := gpu.MustAlloc[uint32](dev, resHeaderWords)
 	pairs := gpu.MustAlloc[byte](dev, pairBufBytes(maxPairs))
@@ -165,7 +166,7 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 	if err := groupsBuf.CopyToDevice(0, groups); err != nil {
 		panic(err)
 	}
-	if err := qwin.CopyToDevice(0, queries); err != nil {
+	if err := qsBuf.CopyToDevice(0, queries); err != nil {
 		panic(err)
 	}
 
@@ -186,7 +187,7 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 			row[segOff], row[segLen], row[segBase] = off, n, p.off
 			it.tab[f] = append(slices.Clone(it.qs), row...)
 			args := &batchArgs{
-				sigs: qwin, tab: tab, nQ: len(it.qs), nSeg: 1,
+				sigs: qsBuf, tab: tab, nQ: len(it.qs), nSeg: 1,
 				hdr: hdr, pairs: pairs, maxPairs: maxPairs, prefilter: true, kc: &kc,
 			}
 			it.grid[f] = grid

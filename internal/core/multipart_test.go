@@ -33,13 +33,24 @@ func waitRouted(e *Engine, n int64) {
 	e.drainMu.Unlock()
 }
 
+// deviceMem returns each device's memory in use; taken right after a
+// consolidate, it is what assertDrained expects to find after the run.
+func deviceMem(e *Engine) []int64 {
+	mem := make([]int64, len(e.cfg.Devices))
+	for d, dev := range e.cfg.Devices {
+		mem[d] = dev.MemInUse()
+	}
+	return mem
+}
+
 // assertDrained checks that a drained engine holds nothing it borrowed:
 // no attempt chain or hedge timer behind the dispatching fence, every
-// batch recycled, every stream slot back in the pool, no window entry
-// pinned or left pending. A query's completion precedes the tail of its
-// last batch's reduce, so the check first waits, as Close does, for the
-// batches in flight to land.
-func assertDrained(t *testing.T, e *Engine) {
+// batch recycled, every stream back in the pool, every device's memory
+// in use what it was right after the last consolidate (mem, from
+// deviceMem). A query's completion precedes the tail of its last batch's
+// reduce, so the check first waits, as Close does, for the batches in
+// flight to land.
+func assertDrained(t *testing.T, e *Engine, mem []int64) {
 	t.Helper()
 	e.drainWaiters.Add(1)
 	e.drainMu.Lock()
@@ -61,18 +72,13 @@ func assertDrained(t *testing.T, e *Engine) {
 	}
 	if idx.slots != nil {
 		if idle, all := idx.slots.idle(), cap(idx.slots.free); idle != all {
-			t.Errorf("%d of %d stream slots returned to the pool", idle, all)
+			t.Errorf("%d of %d streams returned to the pool", idle, all)
 		}
 	}
-	for d, w := range idx.windows {
-		w.mu.Lock()
-		for j := range w.pins {
-			if w.pins[j] != 0 || w.state[j] == winPending {
-				t.Errorf("device %d window entry %d: %d pins, state %d after the drain", d, j, w.pins[j], w.state[j])
-				break
-			}
+	for d, now := range deviceMem(e) {
+		if now != mem[d] {
+			t.Errorf("device %d holds %d bytes after the drain, %d right after the consolidate", d, now, mem[d])
 		}
-		w.mu.Unlock()
 	}
 }
 
@@ -92,6 +98,10 @@ func TestFlushPassLaunchCount(t *testing.T) {
 					MaxPartitionSize: 100, BatchSize: batchSize, Threads: 2,
 					Devices: devs, StreamsPerDevice: 2, Replicate: replicate,
 					ScalarKernel: scalar, // no BatchTimeout: only the drain flushes
+					// The load must not trigger a background fold: one still
+					// queued behind Consolidate would re-upload the index
+					// while the device memory is being compared.
+					DeltaMaxSets: 1 << 20,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -101,6 +111,7 @@ func TestFlushPassLaunchCount(t *testing.T) {
 				if err := e.Consolidate(); err != nil {
 					t.Fatal(err)
 				}
+				mem := deviceMem(e)
 
 				got := make([][]Key, len(queries))
 				done := make(chan int, len(queries))
@@ -161,7 +172,7 @@ func TestFlushPassLaunchCount(t *testing.T) {
 						t.Fatalf("query %d: keys %v, want %v", i, keys, want)
 					}
 				}
-				assertDrained(t, e)
+				assertDrained(t, e, mem)
 			})
 		}
 	}
@@ -320,6 +331,7 @@ func TestChaosPackedBatchesFaults(t *testing.T) {
 		t.Run(fmt.Sprintf("replicate=%v", replicate), func(t *testing.T) {
 			db := makeTestDB(2000, 5, 2, 111)
 			e, devs := chaosEngine(t, db, func(c *Config) { c.Replicate = replicate })
+			mem := deviceMem(e)
 			devs[0].SetFaultPlan(&gpu.FaultPlan{Seed: 21, DieAtOp: 300})
 			devs[1].SetFaultPlan(&gpu.FaultPlan{Seed: 22, CopyFailProb: 0.05, LaunchFailProb: 0.05})
 			verifyEngine(t, e, db, db.makeQueries(4000, 112), false)
@@ -331,19 +343,20 @@ func TestChaosPackedBatchesFaults(t *testing.T) {
 				t.Fatalf("fault machinery idle under active fault plans: %d faults, %d retries", st.GPUFaults, st.BatchRetries)
 			}
 			assertPacked(t, e)
-			assertDrained(t, e)
+			assertDrained(t, e, mem)
 		})
 	}
 }
 
 // TestChaosPackedBatchesHedged: a straggling device and a tight hedge
 // budget make hedges both win and lose races over multi-partition
-// batches; the loser's slot, pins and batch reference all come back.
+// batches; the loser's stream and batch reference both come back.
 func TestChaosPackedBatchesHedged(t *testing.T) {
 	db := makeTestDB(2000, 5, 2, 113)
 	e, devs := chaosEngine(t, db, func(c *Config) {
 		c.HedgePolicy = HedgePolicy{Mode: HedgeFixed, Budget: 2 * time.Millisecond}
 	})
+	mem := deviceMem(e)
 	devs[0].SetFaultPlan(&gpu.FaultPlan{
 		Seed: 23, SlowProb: 0.05, SlowFactor: 20, SlowDelay: 20 * time.Millisecond,
 	})
@@ -357,7 +370,7 @@ func TestChaosPackedBatchesHedged(t *testing.T) {
 			st.HedgesFired, st.HedgesWon, st.HedgesLost)
 	}
 	assertPacked(t, e)
-	assertDrained(t, e)
+	assertDrained(t, e, mem)
 }
 
 // TestChaosPackedBatchesOverflow: a result buffer far too small for a
@@ -366,6 +379,7 @@ func TestChaosPackedBatchesHedged(t *testing.T) {
 func TestChaosPackedBatchesOverflow(t *testing.T) {
 	db := makeTestDB(2000, 5, 2, 115)
 	e, _ := chaosEngine(t, db, func(c *Config) { c.MaxPairsPerBatch = 8 })
+	mem := deviceMem(e)
 	verifyEngine(t, e, db, db.makeQueries(2000, 116), false)
 	st := e.Stats()
 	if st.ResultOverflows == 0 {
@@ -375,7 +389,7 @@ func TestChaosPackedBatchesOverflow(t *testing.T) {
 		t.Fatalf("overflow re-match counted as a fault: faults=%d fallbacks=%d", st.GPUFaults, st.CPUFallbacks)
 	}
 	assertPacked(t, e)
-	assertDrained(t, e)
+	assertDrained(t, e, mem)
 }
 
 // TestChaosPackedBatchesDeadlines: half the queries are born expired, so
@@ -384,6 +398,7 @@ func TestChaosPackedBatchesOverflow(t *testing.T) {
 func TestChaosPackedBatchesDeadlines(t *testing.T) {
 	db := makeTestDB(2000, 5, 2, 117)
 	e, _ := chaosEngine(t, db, nil)
+	mem := deviceMem(e)
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	live, stop := context.WithCancel(context.Background())
@@ -421,7 +436,7 @@ func TestChaosPackedBatchesDeadlines(t *testing.T) {
 		t.Fatalf("DeadlineExpired = %d, want %d", n, len(queries)/2)
 	}
 	assertPacked(t, e)
-	assertDrained(t, e)
+	assertDrained(t, e, mem)
 }
 
 // TestGPUPathAllocsIndependentOfBlocks: the allocations of the GPU path

@@ -197,8 +197,8 @@ type openBatch struct {
 
 	// dup[i] is the first entry holding the same query as entry i (i
 	// itself for a first occurrence), computed at dispatch: per-query
-	// work — window assignment, trace spans, the pending countdown — runs
-	// once per distinct query of the batch.
+	// work — trace spans, the pending countdown — runs once per distinct
+	// query of the batch.
 	dup []uint8
 
 	// deadlined marks that at least one member carries a cancellable
@@ -227,68 +227,34 @@ type openBatch struct {
 	ctxs []context.Context
 }
 
-// streamCtx bundles a GPU stream with its pipelined dispatch slots
-// (§3.3.2's even/odd double buffering generalized to StreamDepth). Each
-// slot is a full set of per-batch device buffers, so up to depth batches
-// can be in flight on one stream: batch n+1's header-reset + H2D +
-// kernel are enqueued behind batch n's gated pairs transfer and overlap
-// with its reduce, instead of the stream idling while the host walks
-// batch n's results.
-type streamCtx struct {
-	dev    int
-	stream *gpu.Stream
-	slots  []*streamSlot
-
-	// enqMu serializes whole batch enqueue sequences. With depth slots,
-	// two dispatcher goroutines can hold slots of the same stream
-	// concurrently; without the lock their FIFO entries could interleave
-	// and a segment error of one batch would be consumed by the other's
-	// callback. The executor never takes enqMu, so a dispatcher blocked
-	// on a full FIFO while holding it cannot deadlock — the executor
-	// keeps draining.
-	enqMu sync.Mutex
-
-	// inflight counts batches enqueued on the stream and not yet
-	// completed; sampled into the slot-occupancy histogram at dispatch,
-	// it measures how often the pipeline actually overlaps batches.
-	inflight atomic.Int32
-}
-
-// streamSlot is one pipelined dispatch slot: the per-batch device
-// buffers (dense signature upload, entry indices + segment table, result
-// header, packed pair buffer) plus the slot's host staging state. A slot
+// streamSlot is a GPU stream with the device buffers and host staging
+// of the one batch it carries at a time (§3.3: copy, kernel, copy on one
+// of the device's streams): the batch's signatures, its entry indices and
+// segment table, the result header and the packed pair buffer. A stream
 // is owned exclusively by one attempt from pool acquisition until its
-// final callback returns it — attempts never share a slot, which is
-// what keeps a losing hedge or a faulted segment from recycling buffers
-// a rival attempt still reads (the cross-attempt sharing happens one
-// level up, in the query window, under its pin counts).
+// final callback returns it. Attempts share nothing — a retry or a hedge
+// uploads the batch again on the stream it acquires — which is what
+// keeps a losing hedge or a faulted segment from touching buffers a
+// rival attempt still reads, and the stream's FIFO from interleaving two
+// batches' operations and segment errors.
 //
 // res and fault carry the batch outcome from the header callback to the
 // completion callback. All of the staging state is written by the
 // dispatching goroutine before the batch's first enqueue (the FIFO send
 // publishes it to the executor) or by the executor itself between the
-// slot's callbacks; the pool handoff orders reuse.
+// batch's callbacks; the pool handoff orders reuse.
 type streamSlot struct {
-	sc    *streamCtx
-	qbuf  *gpu.Buffer[bitvec.Vector]
-	tab   *gpu.Buffer[uint32]
-	hdr   *gpu.Buffer[uint32]
-	pairs *gpu.Buffer[byte]
+	dev    int
+	stream *gpu.Stream
+	qbuf   *gpu.Buffer[bitvec.Vector]
+	tab    *gpu.Buffer[uint32]
+	hdr    *gpu.Buffer[uint32]
+	pairs  *gpu.Buffer[byte]
 
 	// tabHost stages the batch's entry indices and segment table, one
 	// H2D copy; args are the launch's kernel arguments.
 	tabHost []uint32
 	args    batchArgs
-
-	// Query-window staging for the batch in flight: the coalesced fill
-	// payload (winHost, aligned with winRuns) and the window slots whose
-	// pins/pending states the header callback must settle. Slot-owned so
-	// async H2D sources never alias b.sigs, whose backing array a rival
-	// settle may recycle mid-copy.
-	winHost    []bitvec.Vector
-	winRuns    []winRun
-	winPinned  []int
-	winUploads []int
 
 	// res and fault are the in-flight batch's outcome, set by the header
 	// callback and consumed by the completion callback (both on the
@@ -296,28 +262,24 @@ type streamSlot struct {
 	res   *batchResult
 	fault error
 
-	// traced holds the sampled traces of the batch in flight on this
-	// slot; the stream's OnOp observer resolves each op's slot through
-	// its attribution tag and attaches device-op spans to them, keeping
-	// interleaved batches distinguishable.
+	// traced holds the sampled traces of the batch in flight; the
+	// stream's OnOp observer finds them through each op's attribution
+	// tag and attaches device-op spans to them.
 	traced []*obs.Trace
 }
 
-func (sl *streamSlot) free() {
+// close frees the stream's buffers (those allocated so far, when opening
+// it failed midway) and closes it.
+func (sl *streamSlot) close() {
 	sl.qbuf.Free()
 	sl.tab.Free()
 	sl.hdr.Free()
 	sl.pairs.Free()
+	sl.stream.Close()
 }
 
-// streamOpsBuffer sizes a stream's op FIFO for pipelined dispatch: the
-// deepest enqueue burst is ~9 ops per batch (window fill runs + index
-// upload + fused launch + callbacks + gated copies), so depth×16 leaves
-// slack for depth concurrent batches without a dispatcher ever parking
-// on a full FIFO while holding enqMu.
-func streamOpsBuffer(depth int) int {
-	return max(64, depth*16)
-}
+// sigBytes is the wire size of one query signature (bitvec.W bits).
+const sigBytes = bitvec.Blocks * 8
 
 // payloadKind selects the payload source the reduce stage decodes.
 type payloadKind uint8
@@ -1019,8 +981,8 @@ func (e *Engine) dispatch(idx *index, b *openBatch, reason dispatchReason) {
 	// Mark each entry with the first entry of the same query. The stamp is
 	// unique to this dispatch, and a query's batches may be dispatched by
 	// several goroutines at once: one overwriting another's stamp only
-	// makes a repeat look like a first occurrence, which costs a second
-	// window lookup and nothing else.
+	// makes a repeat look like a first occurrence, which splits that
+	// query's per-batch work in two and nothing else.
 	stamp := e.dispatchSeq.Add(1) << 8
 	b.dup = b.dup[:0]
 	for i, q := range b.queries {
@@ -1302,31 +1264,16 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 		idx.dispatching.Done()
 		return
 	}
-	sc := sl.sc
-	dev := sc.dev
+	dev := sl.dev
 	nQ := len(b.sigs)
 
-	release := func() {
-		sc.inflight.Add(-1)
-		idx.slots.put(sl)
-	}
-
-	// Point the slot at this batch's sampled traces before any operation
-	// is enqueued (every op carries the slot as its attribution tag, so
-	// the OnOp observer finds the right traces even with rival batches
-	// interleaved on the stream). The traces were captured at dispatch
-	// time (gpuDispatch), NOT re-read from b.queries: on a retry or
-	// hedge the rival attempt may already have settled the batch and
-	// recycled its queries.
+	// Point the stream at this batch's sampled traces before any operation
+	// is enqueued (every op carries the stream as its attribution tag).
+	// The traces were captured at dispatch time (gpuDispatch), NOT re-read
+	// from b.queries: on a retry or hedge the rival attempt may already
+	// have settled the batch and recycled its queries.
 	sl.traced = append(sl.traced[:0], traced...)
 	sl.res, sl.fault = nil, nil
-
-	// Pipeline occupancy: how many batches share the stream right now.
-	occ := sc.inflight.Add(1)
-	e.obs.Streams.SlotOccupancy.Observe(int64(occ))
-	if occ > 1 {
-		e.obs.Streams.PipelinedDispatches.Add(1)
-	}
 
 	// Arm the straggler budget on the primary chain's first attempt,
 	// before any operation is enqueued (the enqueue's channel send
@@ -1348,68 +1295,40 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 		t.Reset(e.hedgeBudget(dev))
 	}
 
-	// Query upload: map the batch's entries onto the device's query
-	// window ring (unique signatures upload once, entries carry u32
-	// indices) when the window is enabled and has room; otherwise upload
-	// the entries' signatures densely into the slot and index those. The
-	// assignment pins the referenced ring slots until the header callback
-	// settles them, so no rival batch's fill can overwrite a signature
-	// this kernel still reads.
+	// Query upload: the entries' signatures go into the stream's qbuf as
+	// they stand in the batch, so entry i reads signature i. (Uploading a
+	// signature once per device, or once per batch, and pointing its
+	// entries at it saves bus bytes and costs more host time than it
+	// saves: EXPERIMENTS.md, "Query window and stream depth: verdict".)
 	nTab := nQ + len(b.segs)*segWords
 	sl.tabHost = growU32(sl.tabHost, nTab)
-	var win *queryWindow
-	if idx.windows != nil {
-		win = idx.windows[dev]
-	}
-	useWin := win != nil && win.assign(sl, b, &e.obs.Streams)
-	if win != nil && !useWin {
-		e.obs.Streams.WindowFallbacks.Add(1)
+	for i := range sl.tabHost[:nQ] {
+		sl.tabHost[i] = uint32(i)
 	}
 	e.obs.Streams.QuerySlots.Add(int64(nQ))
+	e.obs.Streams.H2DQueryBytes.Add(int64(nQ*sigBytes + nTab*4))
 	args := &sl.args
 	*args = batchArgs{
-		tab: sl.tab, nQ: nQ, nSeg: len(b.segs),
+		sigs: sl.qbuf, tab: sl.tab, nQ: nQ, nSeg: len(b.segs),
 		hdr: sl.hdr, pairs: sl.pairs, maxPairs: e.cfg.MaxPairsPerBatch,
 		prefilter: !e.cfg.DisablePrefilter, pfs: args.pfs[:0], kc: &e.obs.Kernel,
 	}
-	if useWin {
-		args.sigs = win.buf
-		e.obs.Streams.H2DQueryBytes.Add(int64(len(sl.winHost)*sigBytes + nTab*4))
-	} else {
-		args.sigs = sl.qbuf
-		for i := range sl.tabHost[:nQ] {
-			sl.tabHost[i] = uint32(i)
-		}
-		e.obs.Streams.H2DQueryBytes.Add(int64(nQ*sigBytes + nTab*4))
-	}
 
-	// Segment table: where on this device each segment's partition lives
-	// and which thread blocks of the launch serve it. Partitions appended
-	// by an incremental fold live in per-device extent buffers rather
-	// than the base shard of the last full upload; their offsets are
-	// extent-relative in both placement modes. The bit-sliced kernel
-	// walks the partition's transposed groups (one 64-set group per
-	// thread); the scalar ablation keeps one set per thread. Both emit
-	// through the same result path and produce identical pairs.
+	// Segment table: which of the batch's entries each segment holds,
+	// which thread blocks of the launch serve it, and its partition's
+	// device row (see partition.devOff). The bit-sliced kernel walks the
+	// partition's transposed groups (one 64-set group per thread); the
+	// scalar ablation keeps one set per thread. Both emit through the same
+	// result path and produce identical pairs.
 	sliced := !e.cfg.ScalarKernel && idx.groups != nil
 	blocks := 0
 	for si, sg := range b.segs {
 		p := &idx.parts[sg.pid]
-		off, n := p.off, p.n
-		if sliced {
-			off, n = p.grpOff, (p.n+63)/64
-		}
-		if !e.cfg.Replicate || p.ext > 0 {
-			off = p.devOff
-			if sliced {
-				off = p.devGrpOff
-			}
-		}
 		blocks += segBlocks(int(p.n), e.cfg.BlockDim, sliced)
 		row := sl.tabHost[nQ+si*segWords:][:segWords]
 		row[segBlockEnd] = uint32(blocks)
 		row[segFirst], row[segCount] = uint32(sg.first), uint32(sg.n)
-		row[segExt], row[segOff], row[segLen] = p.ext, off, n
+		row[segExt], row[segOff], row[segLen] = p.ext, p.devOff, p.devLen
 		row[segBase] = p.off
 		if e.obs.On {
 			args.pfs = append(args.pfs, e.obs.Parts.Get(sg.pid))
@@ -1426,40 +1345,19 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 		e.obs.Kernel.ScalarBatches.Add(1)
 	}
 
-	// The batch's stream operations, enqueued under enqMu so the segment
-	// error of one batch is never consumed by another's callback: the
-	// window fills and the index + segment-table upload, the launch with
-	// the device-side header reset fused in (LaunchZeroedAsync — the
-	// cudaMemsetAsync that used to be a separate tiny H2D copy rides in
-	// the kernel prologue), and the pipelined double-buffered result
-	// transfer (§3.3.2) in the packed layout (§3.3.1). The header
-	// callback reads the device-side length for free and stages the
-	// outcome on the slot; the gated copy then resolves its exact-size
-	// destination at the FIFO head and transfers asynchronously on the
-	// stream. Nothing here blocks the executor, so the next batch's H2D
-	// + kernel — already enqueued behind these ops by a rival slot of
-	// the same stream — starts the moment the transfer is issued, and
-	// depth batches ride the stream in flight at once.
-	sc.enqMu.Lock()
-	if useWin {
-		off := 0
-		for _, run := range sl.winRuns {
-			gpu.CopyToDeviceAsync(sc.stream, win.buf, run.off, sl.winHost[off:off+run.n], sl)
-			off += run.n
-		}
-	} else {
-		gpu.CopyToDeviceAsync(sc.stream, sl.qbuf, 0, b.sigs, sl)
-	}
-	gpu.CopyToDeviceAsync(sc.stream, sl.tab, 0, sl.tabHost[:nTab], sl)
-	sc.stream.LaunchZeroedAsync(grid, sl.hdr, resHeaderWords, kernel, sl)
-	sc.stream.CallbackErr(func(opErr error) {
-		// The first error-consuming callback of the batch: the kernel has
-		// provably finished (FIFO order) and the fate of the fills is
-		// known, so the window pins and pending states resolve here,
-		// exactly once.
-		if useWin {
-			win.settle(sl, opErr != nil)
-		}
+	// The batch's stream operations: two uploads (signatures; indices +
+	// segment table), the launch with the device-side header reset fused
+	// in (LaunchZeroedAsync — the cudaMemsetAsync that used to be a
+	// separate tiny H2D copy rides in the kernel prologue), and the result
+	// transfer in the packed layout (§3.3.1). The header callback reads
+	// the device-side length for free and stages the outcome on the
+	// stream; the gated copy then resolves its exact-size destination at
+	// the FIFO head and transfers asynchronously. Nothing here blocks the
+	// executor.
+	gpu.CopyToDeviceAsync(sl.stream, sl.qbuf, 0, b.sigs, sl)
+	gpu.CopyToDeviceAsync(sl.stream, sl.tab, 0, sl.tabHost[:nTab], sl)
+	sl.stream.LaunchZeroedAsync(grid, sl.hdr, resHeaderWords, kernel, sl)
+	sl.stream.CallbackErr(func(opErr error) {
 		if opErr != nil {
 			sl.fault = opErr
 			return
@@ -1474,7 +1372,7 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 		}
 		sl.res = res
 	})
-	gpu.CopyFromDeviceGated(sc.stream, sl.pairs, func() ([]byte, int) {
+	gpu.CopyFromDeviceGated(sl.stream, sl.pairs, func() ([]byte, int) {
 		res := sl.res
 		if res == nil || res.overflow || res.count == 0 {
 			return nil, 0
@@ -1483,11 +1381,11 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 		return res.packed, 0
 	}, sl)
 	// The batch's final stream callback: it consumes the result-transfer
-	// segment's error, takes the outcome staged on the slot by the header
-	// callback, releases the slot, and routes to the reduce stage or the
-	// fault machinery. Every terminal path of the attempt chain runs
-	// through here exactly once.
-	sc.stream.CallbackErr(func(opErr error) {
+	// segment's error, takes the outcome staged on the stream by the
+	// header callback, returns the stream to the pool, and routes to the
+	// reduce stage or the fault machinery. Every terminal path of the
+	// attempt chain runs through here exactly once.
+	sl.stream.CallbackErr(func(opErr error) {
 		res, fault := sl.res, sl.fault
 		sl.res, sl.fault = nil, nil
 		if fault == nil {
@@ -1497,17 +1395,18 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 			if res != nil {
 				e.pools.putResult(res)
 			}
-			release()
+			idx.slots.put(sl)
 			e.batchFault(idx, b, dev, attempt, hedge, traced, fault)
 			return
 		}
+		// Success is recorded before the stream is pooled, so a dispatcher
+		// the put wakes already sees a recovered device as usable.
 		e.batchOK(dev, b, hedge)
-		release()
+		idx.slots.put(sl)
 		e.deliverResult(b, res, hedge)
 		e.batchUnref(b)
 		idx.dispatching.Done()
 	})
-	sc.enqMu.Unlock()
 }
 
 // batchOK records a successful GPU attempt for the dispatching stream's

@@ -35,10 +35,10 @@ func wantSegPairs(segs []testSeg) []pair {
 }
 
 // runSegKernel lays the segments' partitions out in a base buffer and
-// extent buffers, stages the entries' signatures in a window (in reverse,
-// so entry indices are not the identity) and the entry indices and
-// segment table in one buffer, as gpuDispatchAttempt does, and runs one
-// launch of the chosen kernel flavor.
+// extent buffers, stages the entries' signatures in reverse (so entry
+// indices are not the identity, as in KernelBenchmark) and the entry
+// indices and segment table in one buffer, as gpuDispatchAttempt does,
+// and runs one launch of the chosen kernel flavor.
 func runSegKernel(t testing.TB, segs []testSeg, sliced bool, maxPairs, blockDim int, prefilter bool, kc *obs.KernelCounters) ([]pair, bool) {
 	t.Helper()
 	dev := gpu.New(gpu.Config{Workers: 4})
@@ -54,7 +54,7 @@ func runSegKernel(t testing.TB, segs []testSeg, sliced bool, maxPairs, blockDim 
 		nQ += len(sg.queries)
 		nExt = max(nExt, sg.ext)
 	}
-	window := make([]bitvec.Vector, nQ)
+	staged := make([]bitvec.Vector, nQ)
 	tab := make([]uint32, nQ+len(segs)*segWords)
 	rows := make([][]bitvec.Vector, nExt+1)
 	groups := make([][]bitvec.SlicedGroup, nExt+1)
@@ -62,7 +62,7 @@ func runSegKernel(t testing.TB, segs []testSeg, sliced bool, maxPairs, blockDim 
 	for si, sg := range segs {
 		for i, q := range sg.queries {
 			j := nQ - 1 - (first + i)
-			window[j], tab[first+i] = q, uint32(j)
+			staged[j], tab[first+i] = q, uint32(j)
 		}
 		row := tab[nQ+si*segWords:][:segWords]
 		if sliced {
@@ -88,7 +88,7 @@ func runSegKernel(t testing.TB, segs []testSeg, sliced bool, maxPairs, blockDim 
 		maxPairs: maxPairs, prefilter: prefilter, kc: kc,
 	}
 	defer func() { args.sigs.Free(); args.tab.Free(); args.hdr.Free(); args.pairs.Free() }()
-	if err := args.sigs.CopyToDevice(0, window); err != nil {
+	if err := args.sigs.CopyToDevice(0, staged); err != nil {
 		t.Fatal(err)
 	}
 	if err := args.tab.CopyToDevice(0, tab); err != nil {

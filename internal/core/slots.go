@@ -6,14 +6,14 @@ import (
 	"time"
 )
 
-// slotPool holds an index's idle dispatch slots: StreamDepth per stream,
-// so up to depth batches can be dispatching onto one stream at once. A
-// dispatcher that finds no usable slot blocks until one is returned, or
-// until something else changes what it is waiting for — the engine
-// closing, a rival attempt settling its batch, its queries' contexts
-// ending — each of which calls wake. The pool is the engine's batching
-// governor: while every slot is busy the flusher is parked here, and the
-// partitions it has not reached yet keep filling.
+// slotPool holds an index's idle streams. A stream carries one batch at a
+// time, so a dispatcher takes a stream for the whole attempt; one that
+// finds no usable stream blocks until one is returned, or until
+// something else changes what it is waiting for — the engine closing, a
+// rival attempt settling its batch, its queries' contexts ending — each
+// of which calls wake. The pool is the engine's batching governor: while
+// every stream is busy the flusher is parked here, and the partitions it
+// has not reached yet keep filling.
 type slotPool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -109,7 +109,7 @@ func (e *Engine) acquireStream(idx *index, b *openBatch, avoid int) *streamSlot 
 		giveUp = func() bool { return !probe && e.acquireAbandoned(b) }
 		pick = func(free []*streamSlot) int {
 			for i, sl := range free {
-				if sl.sc.dev == dev {
+				if sl.dev == dev {
 					return i
 				}
 			}
@@ -124,7 +124,7 @@ func (e *Engine) acquireStream(idx *index, b *openBatch, avoid int) *streamSlot 
 		pick = func(free []*streamSlot) int {
 			fallback := -1
 			for i, sl := range free {
-				d := sl.sc.dev
+				d := sl.dev
 				if !e.deviceUsable(d) {
 					continue
 				}

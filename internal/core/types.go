@@ -61,32 +61,10 @@ type Config struct {
 	Devices []*gpu.Device
 
 	// StreamsPerDevice is the number of streams opened per GPU; the
-	// paper's platform supported 10. Defaults to min(10, device max).
+	// paper's platform supported 10. A stream carries one batch at a time
+	// — copy, kernel, copy (§3.3) — so this is also the number of batches
+	// a device has in flight. Defaults to min(10, device max).
 	StreamsPerDevice int
-
-	// StreamDepth is the number of pipelined dispatch slots per stream —
-	// the generalized even/odd double buffering of §3.3.2. At depth d,
-	// up to d batches ride one stream concurrently: batch n+1's header
-	// reset + H2D + kernel are enqueued while batch n's results are
-	// still transferring, hiding the copy tax behind kernel time.
-	// Defaults to 2 (even/odd); 1 reproduces the one-batch-per-stream
-	// behavior as the ablation baseline. Depths beyond 2 rarely pay:
-	// the FIFO already holds the next batch's work the moment the
-	// current kernel finishes, so extra slots only add buffer memory.
-	StreamDepth int
-
-	// QueryWindow is the per-device query-signature ring size, in
-	// signatures. Dispatch maps each batch's signatures onto the ring —
-	// a query routed to k partitions uploads its 24-byte signature once
-	// and the k batches carry 4-byte indices — collapsing the
-	// fan-out-multiplied H2D query traffic. Defaults to 16×BatchSize;
-	// values below BatchSize are raised to BatchSize (a single batch of
-	// distinct signatures must fit).
-	QueryWindow int
-
-	// DisableQueryWindow turns the query window off: every batch
-	// uploads its signatures densely, as before (ablation).
-	DisableQueryWindow bool
 
 	// BlockDim is the GPU thread-block size for the subset-match kernel.
 	// Defaults to 256.
@@ -306,15 +284,6 @@ func (c *Config) applyDefaults() {
 	if c.StreamsPerDevice <= 0 {
 		c.StreamsPerDevice = 10
 	}
-	if c.StreamDepth <= 0 {
-		c.StreamDepth = 2
-	}
-	if c.QueryWindow <= 0 {
-		c.QueryWindow = 16 * c.BatchSize
-	}
-	if c.QueryWindow < c.BatchSize {
-		c.QueryWindow = c.BatchSize
-	}
 	if c.BlockDim <= 0 {
 		c.BlockDim = 256
 	}
@@ -385,19 +354,21 @@ type Stats struct {
 	KernelGroupScans    int64 `json:"kernel_group_scans"`
 	KernelColumnsWalked int64 `json:"kernel_columns_walked"`
 
-	// Pipelined-dispatch counters (mirrors of obs.StreamCounters):
-	// query-window effectiveness and stream-slot overlap.
-	// WindowHits/WindowMisses count batch query slots resolved against
-	// the device ring; H2DQueryBytes/QuerySlots give the mean H2D bytes
-	// per dispatched query slot the window is meant to shrink;
-	// PipelinedDispatches counts batches that overlapped another batch
-	// already in flight on the same stream.
+	// Query upload accounting (mirrors of obs.StreamCounters):
+	// H2DQueryBytes / QuerySlots is the mean H2D bytes per dispatched
+	// batch entry — its 24-byte signature, its 4-byte index and its share
+	// of the segment table.
+	H2DQueryBytes int64 `json:"h2d_query_bytes"`
+	QuerySlots    int64 `json:"query_slots"`
+
+	// Always zero: the per-device query window and the second dispatch
+	// slot per stream they counted were measured and removed
+	// (EXPERIMENTS.md, "Query window and stream depth: verdict"). The
+	// fields stay because bench/layers.go, which only a [benchmark] PR
+	// may edit, still reads them.
 	WindowHits          int64 `json:"window_hits"`
 	WindowMisses        int64 `json:"window_misses"`
-	WindowEvictions     int64 `json:"window_evictions"`
 	WindowFallbacks     int64 `json:"window_fallbacks"`
-	H2DQueryBytes       int64 `json:"h2d_query_bytes"`
-	QuerySlots          int64 `json:"query_slots"`
 	PipelinedDispatches int64 `json:"pipelined_dispatches"`
 
 	// Multi-partition batching: SegmentsDispatched / BatchesDispatched is
@@ -485,27 +456,27 @@ type MatchResult struct {
 // partition is one entry of the partition table: the defining mask and the
 // half-open range [off, off+n) of the consolidated tagset table.
 type partition struct {
-	mask   bitvec.Vector
-	off    uint32 // offset in the global flat tagset table
-	n      uint32
-	dev    int    // owning device index when not replicating
-	devOff uint32 // offset in the owning device's shard (partitioned mode)
+	mask bitvec.Vector
+	off  uint32 // offset in the global flat tagset table
+	n    uint32
+	dev  int // owning device index when not replicating
 
-	// Offsets of the partition's ⌈n/64⌉ bit-sliced groups in the flat
-	// transposed index (index.groups / the device group buffers); local
-	// set i lives in lane i%64 of group grpOff+i/64. devGrpOff is the
-	// per-device analogue of devOff in partitioned mode. Both are zero
-	// when the engine runs the scalar kernel (no transposed index).
-	grpOff    uint32
-	devGrpOff uint32
+	// grpOff is the offset of the partition's ⌈n/64⌉ bit-sliced groups in
+	// the flat transposed index (index.groups); local set i lives in lane
+	// i%64 of group grpOff+i/64. Zero when the engine runs the scalar
+	// kernel (no transposed index).
+	grpOff uint32
 
-	// ext is the partition's device extent: 0 for the base shard
-	// uploaded by the last full build, e>0 for the e-th extent buffer
-	// appended by an incremental fold (index.devExts[dev][e-1], see
-	// adoptDevices). When ext > 0, devOff/devGrpOff index into the
-	// extent buffer — in replicate mode too, where base partitions use
-	// the global offsets instead.
-	ext uint32
+	// The partition's device row: ext names the buffer — 0 for the base
+	// shard uploaded by the last full build, e>0 for the e-th extent
+	// buffer appended by an incremental fold (index.devExts[dev][e-1]) —
+	// and devOff/devLen the range of it the configured kernel reads, in
+	// groups for the bit-sliced kernel and in sets for the scalar one. A
+	// device holds one layout, so one pair serves; uploadToDevices and
+	// adoptDevices resolve it when they place the partition.
+	ext    uint32
+	devOff uint32
+	devLen uint32
 
 	batch *openBatch // current filling batch; guarded by the partition lock
 

@@ -91,6 +91,18 @@ type churnOp struct {
 // samples taken per churn cell.
 const churnVisibilityProbes = 16
 
+// churnInflight bounds the closed measurement loop: deep enough to keep
+// every stream of every device busy, shallow enough that the latency
+// percentiles measure service time plus bounded queueing rather than an
+// arbitrary backlog. churnBatchTimeout turns the batch flusher on — a
+// bounded closed loop leaves the last partial batches waiting for
+// traffic that cannot arrive until they complete, so they must age out
+// on the timeout.
+const (
+	churnInflight     = 64
+	churnBatchTimeout = time.Millisecond
+)
+
 // Churn measures what live updates cost and buy (the paper's §3.4
 // update path, extended with the match-visible delta overlay): the same
 // query stream runs with no updates, with updates folded by the
@@ -255,7 +267,7 @@ func runChurnCell(p Params, sigs []bitvec.Vector, keys []core.Key, snap []byte, 
 		eng, devs, err = BuildEngine(EngineSpec{
 			Threads: p.Threads, GPUs: p.GPUs, MaxP: maxP,
 			Mutate: func(cfg *core.Config) {
-				cfg.BatchTimeout = pipelineBatchTimeout
+				cfg.BatchTimeout = churnBatchTimeout
 				cfg.DeltaMaxSets = thr
 				cfg.DeltaMaxRatio = 1e-9 // threshold fully owned by DeltaMaxSets
 			},
@@ -267,7 +279,7 @@ func runChurnCell(p Params, sigs []bitvec.Vector, keys []core.Key, snap []byte, 
 		eng, devs, err = BuildEngine(EngineSpec{
 			Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: maxP,
 			Mutate: func(cfg *core.Config) {
-				cfg.BatchTimeout = pipelineBatchTimeout
+				cfg.BatchTimeout = churnBatchTimeout
 				cfg.DisableDeltaOverlay = true
 			},
 		})
@@ -275,7 +287,7 @@ func runChurnCell(p Params, sigs []bitvec.Vector, keys []core.Key, snap []byte, 
 		eng, devs, err = BuildEngine(EngineSpec{
 			Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: maxP,
 			Mutate: func(cfg *core.Config) {
-				cfg.BatchTimeout = pipelineBatchTimeout
+				cfg.BatchTimeout = churnBatchTimeout
 			},
 		})
 	}
@@ -330,7 +342,7 @@ func runChurnCell(p Params, sigs []bitvec.Vector, keys []core.Key, snap []byte, 
 	opIdx := 0
 	sinceConsolidate := 0
 
-	sem := make(chan struct{}, pipelineInflight)
+	sem := make(chan struct{}, churnInflight)
 	lat := make([]time.Duration, n)
 	starts := make([]time.Time, n)
 	var matched int64

@@ -49,13 +49,6 @@ type Params struct {
 	// comparison workload; Fig10 uses 1x/3x/5x of it and Fig11 uses 3x
 	// (the paper's 1M/3M/5M at its scale). Default 10000.
 	SmallDBDocs int
-
-	// StreamDepth and QueryWindow parameterize the pipeline experiment:
-	// the pipelined stream depth of its non-baseline cells (0 = the
-	// engine default of 2) and the per-device query-window ring size
-	// (0 = the engine default of 16x the batch size).
-	StreamDepth int
-	QueryWindow int
 }
 
 // DefaultParams returns the standard configuration.

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestStreamDepthBufferedOpen checks the FIFO sizing contract of
+// TestOpenStreamBufferedFIFOSize checks the FIFO sizing contract of
 // OpenStreamBuffered: values below the default round up to 64, larger
 // requests are honored, and OpenStream keeps the default.
-func TestStreamDepthBufferedOpen(t *testing.T) {
+func TestOpenStreamBufferedFIFOSize(t *testing.T) {
 	d := newTestDevice(t)
 	small, err := d.OpenStreamBuffered(8)
 	if err != nil {

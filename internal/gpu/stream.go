@@ -47,10 +47,9 @@ func (d *Device) OpenStream() (*Stream, error) {
 }
 
 // OpenStreamBuffered opens a stream whose operation FIFO holds up to
-// opsBuf pending operations before enqueues block. Pipelined dispatch
-// (several double-buffered batches in flight per stream) sizes this
-// from its slot depth so a deep enqueue burst cannot stall a dispatcher
-// against a full FIFO. Values below the default of 64 are rounded up.
+// opsBuf pending operations before enqueues block, for a caller that
+// enqueues more than the default of 64 operations in one burst. Values
+// below the default are rounded up.
 func (d *Device) OpenStreamBuffered(opsBuf int) (*Stream, error) {
 	if opsBuf < 64 {
 		opsBuf = 64

@@ -34,6 +34,9 @@
 // Timeout instead, counted separately (tagmatch_http_timeouts_total) so
 // dashboards distinguish tail latency from load shedding.
 //
+// Request bodies are limited to 1 MiB (413 Request Entity Too Large
+// beyond it) and a set or a query to 4,096 tags (400 Bad Request).
+//
 // The /metrics endpoint exports everything a dashboard needs: engine
 // counters as tagmatch_*_total, database shape and memory as gauges,
 // per-stage latency histograms labeled {stage=...}, per-device counters
@@ -101,7 +104,7 @@ func Handler(eng *tagmatch.Engine) http.Handler {
 	mux := http.NewServeMux()
 	addHandler := func(w http.ResponseWriter, r *http.Request) {
 		var req SetRequest
-		if !decode(w, r, &req) {
+		if !decode(w, r, &req, &req.Tags) {
 			return
 		}
 		eng.AddSet(req.Tags, req.Key)
@@ -109,7 +112,7 @@ func Handler(eng *tagmatch.Engine) http.Handler {
 	}
 	removeHandler := func(w http.ResponseWriter, r *http.Request) {
 		var req SetRequest
-		if !decode(w, r, &req) {
+		if !decode(w, r, &req, &req.Tags) {
 			return
 		}
 		eng.RemoveSet(req.Tags, req.Key)
@@ -246,7 +249,7 @@ func writeMetrics(w http.ResponseWriter, eng *tagmatch.Engine) {
 func matchHandler(eng *tagmatch.Engine, unique bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req MatchRequest
-		if !decode(w, r, &req) {
+		if !decode(w, r, &req, &req.Tags) {
 			return
 		}
 		start := time.Now()
@@ -321,12 +324,31 @@ func Serve(ctx context.Context, srv *http.Server, ln net.Listener, eng *tagmatch
 	return err
 }
 
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+// Limits on what a client may send: the body a handler will read, and
+// the tags of one set or query (a query's cost grows with its tags, and a
+// signature of bitvec.W bits is saturated long before this many).
+const (
+	maxBodyBytes = 1 << 20
+	maxTags      = 4096
+)
+
+// decode reads the request's JSON body into v, whose tag list is *tags.
+// It answers 413 for a body over maxBodyBytes, 400 for malformed JSON or
+// more than maxTags tags, and reports whether the handler may go on.
+func decode(w http.ResponseWriter, r *http.Request, v any, tags *[]string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes), http.StatusRequestEntityTooLarge)
+	case err != nil:
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return false
+	case len(*tags) > maxTags:
+		http.Error(w, fmt.Sprintf("bad request: %d tags, at most %d allowed", len(*tags), maxTags), http.StatusBadRequest)
+	default:
+		return true
 	}
-	return true
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

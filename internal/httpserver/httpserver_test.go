@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -161,6 +162,59 @@ func TestBadRequests(t *testing.T) {
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /match → %d, want 405", getResp.StatusCode)
+	}
+}
+
+// TestRequestLimits: every route that decodes a body refuses one over
+// 1 MiB with 413 and a tag list over 4,096 with 400 — and stages or
+// matches nothing — while a request at both limits' edge goes through.
+func TestRequestLimits(t *testing.T) {
+	srv, eng := newTestServer(t)
+	tagsBody := func(n int) []byte {
+		tags := make([]string, n)
+		for i := range tags {
+			tags[i] = "t" + strconv.Itoa(i)
+		}
+		raw, err := json.Marshal(SetRequest{Tags: tags, Key: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	// A syntactically valid body that only ends past the limit, so the
+	// refusal comes from the size cap and not from the JSON decoder.
+	huge := []byte(`{"tags":["` + strings.Repeat("x", maxBodyBytes) + `"]}`)
+	routes := []struct{ method, path string }{
+		{"POST", "/add"}, {"POST", "/remove"}, {"POST", "/sets"}, {"DELETE", "/sets"},
+		{"POST", "/match"}, {"POST", "/match-unique"},
+	}
+	for _, rt := range routes {
+		for _, c := range []struct {
+			name string
+			body []byte
+			want int
+		}{
+			{"body over 1 MiB", huge, http.StatusRequestEntityTooLarge},
+			{"4097 tags", tagsBody(maxTags + 1), http.StatusBadRequest},
+			{"4096 tags", tagsBody(maxTags), http.StatusOK},
+		} {
+			staged := eng.PendingOps()
+			req, err := http.NewRequest(rt.method, srv.URL+rt.path, bytes.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s %s, %s: %v", rt.method, rt.path, c.name, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Errorf("%s %s, %s → %d, want %d", rt.method, rt.path, c.name, resp.StatusCode, c.want)
+			}
+			if c.want != http.StatusOK && eng.PendingOps() != staged {
+				t.Errorf("%s %s, %s: a refused request staged an operation", rt.method, rt.path, c.name)
+			}
+		}
 	}
 }
 

@@ -55,16 +55,26 @@ func TestObsSmoke(t *testing.T) {
 			"tagmatch_gpu_op_duration_seconds",
 			"tagmatch_queue_wait_seconds",
 			"tagmatch_stage_duration_seconds",
-			"tagmatch_query_window_lookups_total",
 			"tagmatch_h2d_query_bytes_per_query",
-			"tagmatch_stream_slot_occupancy",
 			"tagmatch_batch_segments",
 			"tagmatch_stream_acquire_wait_seconds",
-			"tagmatch_pipelined_dispatches_total",
 			"tagmatch_pipeline_overlap_fraction",
 		} {
 			if !families[want] {
 				t.Errorf("metric family %q missing from /metrics", want)
+			}
+		}
+		// The query window and the second slot per stream are gone, and
+		// their families with them.
+		for _, gone := range []string{
+			"tagmatch_query_window_lookups_total",
+			"tagmatch_query_window_evictions_total",
+			"tagmatch_query_window_fallbacks_total",
+			"tagmatch_pipelined_dispatches_total",
+			"tagmatch_stream_slot_occupancy",
+		} {
+			if families[gone] {
+				t.Errorf("metric family %q still exported", gone)
 			}
 		}
 		if !strings.Contains(body, `tagmatch_gpu_utilization{device="sim-gpu-0"}`) {
@@ -151,15 +161,25 @@ func TestObsSmoke(t *testing.T) {
 	})
 
 	t.Run("streams", func(t *testing.T) {
+		raw := get(t, srv.URL+"/debug/stats")
 		var ds DebugStats
-		if err := json.Unmarshal([]byte(get(t, srv.URL+"/debug/stats")), &ds); err != nil {
+		if err := json.Unmarshal([]byte(raw), &ds); err != nil {
 			t.Fatalf("/debug/stats is not valid JSON: %v", err)
 		}
-		// The window is on by default, so every dispatched batch resolved
-		// its query slots through it (hit or miss), and the H2D
-		// byte/slot accounting must have moved.
-		if ds.Stats.WindowHits+ds.Stats.WindowMisses == 0 {
-			t.Error("no query-window lookups recorded in /debug/stats")
+		// The stream section carries the upload accounting and the two
+		// batching histograms, and no longer the window or occupancy keys.
+		var sections struct {
+			Obs struct {
+				Streams map[string]json.RawMessage `json:"streams"`
+			} `json:"obs"`
+		}
+		if err := json.Unmarshal([]byte(raw), &sections); err != nil {
+			t.Fatal(err)
+		}
+		for _, gone := range []string{"window_hits", "window_misses", "window_evictions", "window_fallbacks", "pipelined_dispatches", "slot_occupancy"} {
+			if _, ok := sections.Obs.Streams[gone]; ok {
+				t.Errorf("obs.streams still carries %q", gone)
+			}
 		}
 		if ds.Stats.QuerySlots == 0 || ds.Stats.H2DQueryBytes == 0 {
 			t.Errorf("stream byte accounting empty: slots=%d bytes=%d",

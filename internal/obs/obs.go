@@ -104,9 +104,9 @@ type Pipeline struct {
 	// scan. Always recorded, like Faults; see KernelCounters.
 	Kernel KernelCounters
 
-	// Streams counts pipelined-dispatch activity: query-window
-	// hits/misses, H2D query bytes, and stream slot occupancy. Always
-	// recorded, like Faults; see StreamCounters.
+	// Streams counts GPU dispatch activity: H2D query bytes, segments
+	// per batch and the wait for a stream. Always recorded, like Faults;
+	// see StreamCounters.
 	Streams StreamCounters
 
 	// Delta counts live-update activity: overlay absorption and match

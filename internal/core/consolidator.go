@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"sort"
-	"sync"
 	"time"
 
 	"tagmatch/internal/bitvec"
@@ -142,6 +141,12 @@ func (e *Engine) consolidateOnce(background bool, bulk []stagedOp) error {
 	defer e.consolidateMu.Unlock()
 	if e.closed.Load() {
 		return ErrClosed
+	}
+	if background && !e.deltaOverThreshold() {
+		// The consolidation this fold queued behind already took what it
+		// was woken for; an empty cut is not incrementalEligible and would
+		// rebuild and re-upload the whole index for nothing.
+		return nil
 	}
 
 	start := time.Now()
@@ -389,21 +394,9 @@ func (e *Engine) buildIncrementalIndex(old *index, touched map[bitvec.Vector][]d
 		idx.patched[r] = pe
 	}
 
-	// Existing partitions keep their layout; only the immutable fields
-	// are copied (batch/dirty state belongs to the old generation, which
-	// is still serving traffic while this build runs).
-	// Field-by-field, not a struct copy: the old generation is still
-	// serving traffic, and its batch/dirty fields are written under the
-	// partition lock this build does not hold. The layout fields read
-	// here are immutable after a build.
-	idx.parts = make([]partition, 0, len(old.parts)+1)
-	for i := range old.parts {
-		p := &old.parts[i]
-		idx.parts = append(idx.parts, partition{
-			mask: p.mask, off: p.off, n: p.n, dev: p.dev, grpOff: p.grpOff,
-			ext: p.ext, devOff: p.devOff, devLen: p.devLen,
-		})
-	}
+	// Existing partitions keep their layout (a partition is immutable once
+	// its index is published).
+	idx.parts = append(make([]partition, 0, len(old.parts)+1), old.parts...)
 
 	if len(newSigs) > 0 {
 		idx.appendPartitions(newSigs, e.partition(newSigs), !e.cfg.ScalarKernel, len(e.cfg.Devices), func(m int32, r uint32) {
@@ -412,7 +405,6 @@ func (e *Engine) buildIncrementalIndex(old *index, touched map[bitvec.Vector][]d
 		})
 	}
 
-	idx.locks = make([]sync.Mutex, len(idx.parts))
 	idx.pt, idx.maskless = buildPartitionTable(idx.parts)
 	idx.hostBytes = hostBytesFor(idx)
 	idx.fullSets = old.fullSets

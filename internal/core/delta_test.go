@@ -656,3 +656,46 @@ func TestChaosDeltaSwap(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaFoldBehindConsolidate: a background fold that queued on
+// consolidateMu behind a synchronous Consolidate finds nothing left to
+// fold when its turn comes; it must not swap the generation or upload the
+// index again.
+func TestDeltaFoldBehindConsolidate(t *testing.T) {
+	dev := newTestGPU(t, 2)
+	e, err := New(Config{
+		MaxPartitionSize: 100, BatchSize: 64, Threads: 2,
+		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+		DeltaMaxSets: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	db := makeTestDB(1000, 5, 1, 171)
+	// The load crosses DeltaMaxSets many times over; with the consolidation
+	// mutex held, the fold it wakes queues there, and Consolidate — asking
+	// for the mutex the moment it is released — usually gets in first.
+	e.consolidateMu.Lock()
+	db.load(e)
+	e.consolidateMu.Unlock()
+	if err := e.Consolidate(); err != nil {
+		t.Fatal(err)
+	}
+	gen, mem, uploaded := e.idx.Load(), deviceMem(e), dev.Stats().BytesHtoD
+	// Two kicks: the consolidator takes the second only from its idle
+	// select, which it reaches after the fold the load woke has returned.
+	e.consolKick <- struct{}{}
+	e.consolKick <- struct{}{}
+	if err := e.consolidateOnce(true, nil); err != nil {
+		t.Fatal(err)
+	}
+	if e.idx.Load() != gen {
+		t.Fatal("a background fold with nothing staged swapped the index generation")
+	}
+	if n := dev.Stats().BytesHtoD - uploaded; n != 0 {
+		t.Fatalf("%d bytes uploaded after Consolidate returned, with nothing staged", n)
+	}
+	verifyEngine(t, e, db, db.makeQueries(100, 172), false)
+	assertDrained(t, e, mem)
+}

@@ -30,10 +30,6 @@ func TestDispatchOpsPerBatch(t *testing.T) {
 			e, err := New(Config{
 				MaxPartitionSize: 50, BatchSize: 64, Threads: 4,
 				Devices: devs, StreamsPerDevice: 3, Replicate: replicate,
-				// The load must not trigger a background fold: one still
-				// queued behind Consolidate would re-upload the index
-				// mid-count.
-				DeltaMaxSets: 1 << 20,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -70,6 +70,7 @@ type Engine struct {
 
 	flushStop chan struct{}
 	flushDone chan struct{}
+	flushKick chan struct{} // a worker found the log full; holds one kick
 
 	// drainCond is broadcast on pipeline progress (a query finishing
 	// pre-processing or completing, a batch leaving the reduce stage) so
@@ -138,8 +139,8 @@ type dbEntry struct {
 	tags []string
 }
 
-// index is the consolidated, immutable matching state (the dirty-batch
-// bookkeeping below is the one mutable part, guarded by its own mutex).
+// index is the consolidated, immutable matching state (the entry log
+// below is the one mutable part, guarded by its own mutex).
 type index struct {
 	// sets is the flat tagset table, partition-major. Within a partition
 	// the rows are in the order appendPartitions laid them out: 64-aligned
@@ -157,20 +158,13 @@ type index struct {
 	keys     []Key
 	keyTags  [][]string // aligned with keys; populated only in ExactVerify mode
 	parts    []partition
-	locks    []sync.Mutex // per-partition batch locks
 	pt       *partitionTable
 	maskless []uint32 // partitions with empty mask (degenerate databases)
 
-	// dirty lists the partitions that have (or recently had) an open
-	// batch, so flush passes visit only those instead of locking all P
-	// partition locks per tick. Invariant: a partition's dirty flag is
-	// set iff its id is in this list or held by an in-progress flush
-	// pass (which either clears the flag or requeues the id). dirtySpare
-	// is the double buffer that keeps takeDirty/recycleDirty
-	// allocation-free at steady state.
-	dirtyMu    sync.Mutex
-	dirty      []uint32
-	dirtySpare []uint32
+	// log holds the entries routed against this generation until a flush
+	// pass takes them. A consolidation drains the pipeline before it swaps
+	// generations, so a retired index's log is empty.
+	log entryLog
 
 	devices      []*gpu.Device
 	devBufs      []*gpu.Buffer[bitvec.Vector]
@@ -220,6 +214,22 @@ type index struct {
 	// incrementalEligible — too many patched rows forces a full rebuild
 	// that folds them back into a flat CSR.
 	patched map[uint32]patchedRow
+}
+
+// routedEntry is one (partition, query) pair of a query's fan-out.
+type routedEntry struct {
+	pid uint32
+	q   *query
+}
+
+// entryLog is an index generation's routed-entry log: the entries routed
+// and not yet taken by a flush pass, in hand-over order. Workers append
+// whole runs under mu; a pass takes the whole log and leaves the emptied
+// buffer of an earlier pass in its place (see passScratch).
+type entryLog struct {
+	mu      sync.Mutex
+	entries []routedEntry
+	opened  time.Time // when the oldest entry was handed over
 }
 
 // patchedRow is one row's replacement entry list (see index.patched).
@@ -281,6 +291,10 @@ func New(cfg Config) (*Engine, error) {
 		db:       make(map[bitvec.Vector][]dbEntry),
 		inputCh:  make(chan *query, 4*cfg.BatchSize),
 		reduceCh: make(chan *batchResult, 64),
+
+		flushStop: make(chan struct{}),
+		flushDone: make(chan struct{}),
+		flushKick: make(chan struct{}, 1),
 		obs: obs.New(obs.Options{
 			Disabled:   cfg.DisableObservability,
 			TraceEvery: cfg.TraceEvery,
@@ -320,11 +334,7 @@ func New(cfg Config) (*Engine, error) {
 	for i := 0; i < reduceWorkers; i++ {
 		go e.reduceWorker()
 	}
-	if cfg.BatchTimeout > 0 {
-		e.flushStop = make(chan struct{})
-		e.flushDone = make(chan struct{})
-		go e.flusher()
-	}
+	go e.flusher()
 	return e, nil
 }
 
@@ -360,14 +370,13 @@ func (e *Engine) registerGauges() {
 	e.obs.RegisterGauge("tagmatch_delta_age_seconds",
 		"Seconds since the delta overlay last became non-empty (0 when empty).",
 		nil, e.delta.ageSeconds)
-	e.obs.RegisterGauge("tagmatch_dirty_partitions",
-		"Partitions with an open (unflushed) batch awaiting a flush visit.",
+	e.obs.RegisterGauge("tagmatch_routed_log_entries",
+		"Routed (query, partition) entries logged and not yet taken by a flush pass.",
 		nil, func() float64 {
-			idx := e.idx.Load()
-			idx.dirtyMu.Lock()
-			n := len(idx.dirty)
-			idx.dirtyMu.Unlock()
-			return float64(n)
+			lg := &e.idx.Load().log
+			lg.mu.Lock()
+			defer lg.mu.Unlock()
+			return float64(len(lg.entries))
 		})
 	e.obs.RegisterGauge("tagmatch_streams_idle",
 		"GPU stream dispatch slots currently idle in the acquisition pools.",
@@ -554,7 +563,6 @@ func (e *Engine) buildHostIndex(sigs []bitvec.Vector, entriesBySet [][]dbEntry) 
 	}
 	idx.keyOff = make([]uint32, 1, len(sigs)+len(sigs)/8+1025)
 	idx.parts = make([]partition, 0, len(specs))
-	idx.locks = make([]sync.Mutex, len(specs))
 
 	idx.appendPartitions(sigs, specs, !e.cfg.ScalarKernel, len(e.cfg.Devices), func(m int32, _ uint32) {
 		idx.appendKeys(entriesBySet[m], e.cfg.ExactVerify)
@@ -826,13 +834,13 @@ func (e *Engine) Close() error {
 	if p := e.idx.Load().slots; p != nil {
 		p.wake()
 	}
-	if e.flushStop != nil {
-		close(e.flushStop)
-		<-e.flushDone
-	}
+	// The workers go first: one may be waiting for the flusher to take
+	// its kick.
 	close(e.inputCh)
 	e.workerWg.Wait()
-	// Preprocess workers are gone; flush whatever they batched, then
+	close(e.flushStop)
+	<-e.flushDone
+	// Preprocess workers are gone; flush whatever they logged, then
 	// wait (event-driven, woken by each batch leaving the reduce stage)
 	// for the in-flight batches to land.
 	e.flushAll(e.idx.Load())
@@ -849,8 +857,8 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// Drain blocks until every submitted query has completed, flushing open
-// batches as needed.
+// Drain blocks until every submitted query has completed, flushing the
+// entry log as needed.
 func (e *Engine) Drain() {
 	e.flushAll(e.idx.Load())
 	e.awaitDrain()
@@ -859,9 +867,9 @@ func (e *Engine) Drain() {
 // awaitDrain blocks until every submitted query has completed. It is
 // event-driven: each progress event (a query finishing pre-processing or
 // completing, a batch leaving reduce) wakes the waiter, which re-flushes
-// open batches so queries parked in partially filled batches make
-// progress. The epoch check closes the lost-wakeup window where a batch
-// is created while the waiter is inside flushAll: the waiter only sleeps
+// the entry log so queries parked there make progress. The epoch check
+// closes the lost-wakeup window where entries are handed over while the
+// waiter is inside flushAll: the waiter only sleeps
 // if nothing has progressed since before its flush, and any later event
 // must broadcast under drainMu. Go's sequentially consistent atomics
 // make the waiter-count/epoch handshake with notifyProgress safe.

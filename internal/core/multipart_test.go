@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -11,13 +12,14 @@ import (
 )
 
 // Tests of multi-partition batches: the exact launch count of a flush
-// pass, the flusher's timing on an idle engine, the deadline sweep over
-// segments, and the chaos suite crossing packed batches with every fault
+// pass, the kick that starts one without a timeout, the counting sort and
+// the cut, the flusher's timing on an idle engine, the deadline sweep
+// over segments, and the chaos suite crossing packed batches with every fault
 // mechanism, each ending in the drain-time resource checks.
 
 // waitRouted blocks until n queries have been routed and their entries
-// merged into the partitions' open batches. Pre-process workers signal
-// progress after every merge, so this waits on that event.
+// handed over to the log. Pre-process workers signal progress after
+// every hand-over, so this waits on that event.
 func waitRouted(e *Engine, n int64) {
 	routed := func() bool {
 		r := &e.obs.Routing
@@ -82,10 +84,30 @@ func assertDrained(t *testing.T, e *Engine, mem []int64) {
 	}
 }
 
-// TestFlushPassLaunchCount: N dirty partitions holding E entries in all,
-// flushed in one pass, cost exactly ⌈E/BatchSize⌉ kernel launches — per
-// device under partitioned placement, which packs per device — and the
-// keys of the brute-force reference, for both kernels.
+// logShape reads the entry log as it stands: entries per device (all on
+// device 0 unless partitions are placed) and the number of distinct
+// partitions.
+func logShape(e *Engine, placed bool) (perDev []int64, parts int) {
+	idx := e.idx.Load()
+	perDev = make([]int64, max(1, len(idx.devices)))
+	seen := map[uint32]bool{}
+	idx.log.mu.Lock()
+	defer idx.log.mu.Unlock()
+	for _, en := range idx.log.entries {
+		d := 0
+		if placed {
+			d = idx.parts[en.pid].dev
+		}
+		perDev[d]++
+		seen[en.pid] = true
+	}
+	return perDev, len(seen)
+}
+
+// TestFlushPassLaunchCount: E logged entries over N partitions, taken in
+// one pass, cost exactly ⌈E/BatchSize⌉ kernel launches — per device under
+// partitioned placement, which cuts batches per device — and the keys of
+// the brute-force reference, for both kernels.
 func TestFlushPassLaunchCount(t *testing.T) {
 	db := makeTestDB(3000, 5, 2, 101)
 	queries := db.makeQueries(40, 102)
@@ -98,10 +120,6 @@ func TestFlushPassLaunchCount(t *testing.T) {
 					MaxPartitionSize: 100, BatchSize: batchSize, Threads: 2,
 					Devices: devs, StreamsPerDevice: 2, Replicate: replicate,
 					ScalarKernel: scalar, // no BatchTimeout: only the drain flushes
-					// The load must not trigger a background fold: one still
-					// queued behind Consolidate would re-upload the index
-					// while the device memory is being compared.
-					DeltaMaxSets: 1 << 20,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -121,29 +139,21 @@ func TestFlushPassLaunchCount(t *testing.T) {
 					}
 				}
 				waitRouted(e, int64(len(queries)))
+				entries := e.Stats().RouteAppends
 				if n := e.batches.Load(); n != 0 {
-					t.Fatalf("%d batches dispatched before the flush; the fixture must not fill a partition", n)
+					t.Fatalf("%d batches dispatched before the flush; the fixture must stay under BatchSize entries per partition", n)
 				}
-				// Entries per device: everything on one pool in replicate mode.
-				perDev := make([]int64, len(devs))
-				dirty := 0
-				for pid, ps := range e.obs.Parts.Snapshot() {
-					if ps.QueriesRouted > 0 {
-						dirty++
-					}
-					d := 0
-					if !replicate {
-						d = e.idx.Load().parts[pid].dev
-					}
-					perDev[d] += ps.QueriesRouted
-				}
-				var want, entries int64
+				perDev, parts := logShape(e, !replicate)
+				var want, logged int64
 				for _, n := range perDev {
 					want += (n + batchSize - 1) / batchSize
-					entries += n
+					logged += n
 				}
-				if int64(dirty) <= want {
-					t.Fatalf("%d dirty partitions for %d batches: nothing to pack", dirty, want)
+				if logged != entries {
+					t.Fatalf("the log holds %d entries, RouteAppends says %d", logged, entries)
+				}
+				if int64(parts) <= want {
+					t.Fatalf("%d partitions for %d batches: nothing to pack", parts, want)
 				}
 				launches := func() (n int64) {
 					for _, d := range devs {
@@ -158,12 +168,12 @@ func TestFlushPassLaunchCount(t *testing.T) {
 				}
 				if n := launches() - before; n != want {
 					t.Fatalf("%d partitions × %d entries flushed in %d launches, want exactly %d",
-						dirty, entries, n, want)
+						parts, entries, n, want)
 				}
 				st := e.Stats()
-				if st.BatchesDispatched != want || st.SegmentsDispatched < int64(dirty) {
+				if st.BatchesDispatched != want || st.SegmentsDispatched < int64(parts) {
 					t.Fatalf("dispatched %d batches of %d segments, want %d batches of at least %d segments",
-						st.BatchesDispatched, st.SegmentsDispatched, want, dirty)
+						st.BatchesDispatched, st.SegmentsDispatched, want, parts)
 				}
 				for i, q := range queries {
 					keys := append([]Key(nil), got[i]...)
@@ -175,6 +185,198 @@ func TestFlushPassLaunchCount(t *testing.T) {
 				assertDrained(t, e, mem)
 			})
 		}
+	}
+}
+
+// TestLogKickWithoutTimeout: with no BatchTimeout and nobody draining, the
+// worker whose hand-over brings the log to BatchSize entries per partition
+// kicks the flusher, the batches of that pass count as full, and what
+// stays logged under the threshold afterwards waits for the drain.
+func TestLogKickWithoutTimeout(t *testing.T) { testLogFlushesItself(t, 0) }
+
+// TestLogFullBeforeTimeout: the same under a timeout that never comes.
+func TestLogFullBeforeTimeout(t *testing.T) { testLogFlushesItself(t, time.Hour) }
+
+// testLogFlushesItself submits queries whose entries fill the log several
+// times over and never drains: all but the less than a full log behind
+// the last pass must complete, in batches that do not count as timed out.
+func testLogFlushesItself(t *testing.T, timeout time.Duration) {
+	const batchSize = 16
+	db := makeTestDB(3000, 5, 2, 105)
+	queries := db.makeQueries(400, 106)
+	dev := newTestGPU(t, 2)
+	e, err := New(Config{
+		MaxPartitionSize: 1000, BatchSize: batchSize, BatchTimeout: timeout, Threads: 2,
+		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	db.load(e)
+	if err := e.Consolidate(); err != nil {
+		t.Fatal(err)
+	}
+	mem := deviceMem(e)
+	full := e.fullLog(e.idx.Load())
+	got := make([][]Key, len(queries))
+	done := make(chan int, len(queries))
+	for i, q := range queries {
+		if err := e.SubmitSignature(q, false, func(r MatchResult) { got[i] = r.Keys; done <- i }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitRouted(e, int64(len(queries)))
+	if n := e.Stats().RouteAppends; n < 4*int64(full) || full >= len(queries) {
+		t.Fatalf("%d entries routed: the fixture must fill a log of %d several times over", n, full)
+	}
+	// Fewer than full entries stay behind the last pass, each of a
+	// different query at worst: the rest complete without a drain.
+	finished := 0
+	for finished <= len(queries)-full {
+		select {
+		case <-done:
+			finished++
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d queries completed with a log of %d filled and nobody draining", finished, len(queries), full)
+		}
+	}
+	st := e.Stats()
+	if st.BatchesDispatched == 0 || st.BatchesTimedOut != 0 {
+		t.Fatalf("%d batches dispatched, %d of them timed out: only tick-started passes count as timed out", st.BatchesDispatched, st.BatchesTimedOut)
+	}
+	e.Drain()
+	for ; finished < len(queries); finished++ {
+		<-done
+	}
+	for i, q := range queries {
+		keys := append([]Key(nil), got[i]...)
+		sortKeysSlice(keys)
+		if want := db.expected(q, false); fmt.Sprint(keys) != fmt.Sprint(want) {
+			t.Fatalf("query %d: keys %v, want %v", i, keys, want)
+		}
+	}
+	assertDrained(t, e, mem)
+}
+
+// TestLogCutBatches: the counting sort and the cut. Whatever order entries
+// were logged in, a partition's entries come out contiguous and in
+// partition order, a partition continues into the next batch only from
+// the end of a full one, every batch but a device's last is full, the
+// segment table tiles each batch, and under partitioned placement a batch
+// holds partitions of one device.
+func TestLogCutBatches(t *testing.T) {
+	for _, replicate := range []bool{true, false} {
+		t.Run(fmt.Sprintf("replicate=%v", replicate), func(t *testing.T) {
+			const batchSize = 16
+			devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
+			e, err := New(Config{
+				MaxPartitionSize: 50, BatchSize: batchSize, Threads: 2,
+				Devices: devs, StreamsPerDevice: 2, Replicate: replicate,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			makeTestDB(1000, 5, 1, 107).load(e)
+			if err := e.Consolidate(); err != nil {
+				t.Fatal(err)
+			}
+			mem := deviceMem(e)
+			idx := e.idx.Load()
+			nP := len(idx.parts)
+
+			// A skewed log: partition 3 alone overflows two batches, eight
+			// partitions hold a few dozen entries, most hold one or none.
+			rng := rand.New(rand.NewSource(108))
+			var entries []routedEntry
+			logged := map[routedEntry]int{}
+			perDev := make([]int, len(devs))
+			add := func(pid uint32) {
+				q := &query{sig: bitvec.FromOnes(len(entries) % bitvec.W)}
+				entries = append(entries, routedEntry{pid, q})
+				logged[routedEntry{pid, q}]++
+				if !replicate {
+					perDev[idx.parts[pid].dev]++
+				} else {
+					perDev[0]++
+				}
+			}
+			for i := 0; i < 2*batchSize+5; i++ {
+				add(3)
+			}
+			for i := 0; i < 200; i++ {
+				add(uint32(rng.Intn(8)))
+				add(uint32(rng.Intn(nP)))
+			}
+			rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+
+			var batches []*openBatch
+			e.cutBatches(idx, &passScratch{entries: entries}, time.Now(), func(b *openBatch) { batches = append(batches, b) })
+
+			devOf := func(b *openBatch) int {
+				if replicate {
+					return 0
+				}
+				return idx.parts[b.segs[0].pid].dev
+			}
+			wantBatches := 0
+			for _, n := range perDev {
+				wantBatches += (n + batchSize - 1) / batchSize
+			}
+			if len(batches) != wantBatches {
+				t.Fatalf("%d entries cut into %d batches, want %d", len(entries), len(batches), wantBatches)
+			}
+			for bi, b := range batches {
+				if len(b.queries) != len(b.sigs) || len(b.queries) == 0 || len(b.queries) > batchSize {
+					t.Fatalf("batch %d: %d queries, %d signatures", bi, len(b.queries), len(b.sigs))
+				}
+				last := bi == len(batches)-1 || devOf(batches[bi+1]) != devOf(b)
+				if !last && len(b.queries) != batchSize {
+					t.Fatalf("batch %d left with %d entries before its device's last", bi, len(b.queries))
+				}
+				next := 0
+				for si, sg := range b.segs {
+					if sg.first != next || sg.n <= 0 {
+						t.Fatalf("batch %d: segment %d is [%d,+%d), want it to start at %d", bi, si, sg.first, sg.n, next)
+					}
+					next += sg.n
+					if si > 0 && sg.pid <= b.segs[si-1].pid {
+						t.Fatalf("batch %d: partition %d after %d", bi, sg.pid, b.segs[si-1].pid)
+					}
+					if !replicate && idx.parts[sg.pid].dev != devOf(b) {
+						t.Fatalf("batch %d mixes devices %d and %d", bi, devOf(b), idx.parts[sg.pid].dev)
+					}
+					for i := sg.first; i < sg.first+sg.n; i++ {
+						en := routedEntry{sg.pid, b.queries[i]}
+						if logged[en] == 0 || b.sigs[i] != b.queries[i].sig {
+							t.Fatalf("batch %d entry %d: not a logged entry, or not its signature", bi, i)
+						}
+						logged[en]--
+					}
+				}
+				if next != len(b.queries) {
+					t.Fatalf("batch %d: segments cover %d of %d entries", bi, next, len(b.queries))
+				}
+				// A partition continues from the end of one batch at the
+				// start of the next, and nowhere else.
+				if bi > 0 && devOf(batches[bi-1]) == devOf(b) {
+					prev := batches[bi-1].segs[len(batches[bi-1].segs)-1].pid
+					if b.segs[0].pid < prev {
+						t.Fatalf("batch %d starts at partition %d, batch %d ended at %d", bi, b.segs[0].pid, bi-1, prev)
+					}
+				}
+			}
+			for en, n := range logged {
+				if n != 0 {
+					t.Fatalf("partition %d: %d entries of one query never cut", en.pid, n)
+				}
+			}
+			for _, b := range batches {
+				e.pools.putBatch(b)
+			}
+			assertDrained(t, e, mem)
+		})
 	}
 }
 
@@ -486,6 +688,9 @@ func TestGPUPathAllocsIndependentOfBlocks(t *testing.T) {
 	extra := narrowBlocks - wideBlocks
 	if extra < wideBlocks {
 		t.Fatalf("blockDim 64 ran %d blocks per burst against %d at 256: the fixture does not multiply blocks", narrowBlocks, wideBlocks)
+	}
+	if raceEnabled {
+		return // pool misses are random under -race; the block counts held
 	}
 	// One allocation per block would add `extra` per burst; allow a
 	// quarter of that for noise (pool misses after a GC).

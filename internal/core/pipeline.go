@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"runtime/pprof"
@@ -181,18 +180,16 @@ func sortKeys(keys []Key) {
 	slices.Sort(keys)
 }
 
-// openBatch is a batch of routed (query, partition) entries. A partition
-// fills one during pre-processing, as a single segment; what the
-// subset-match stage receives — a dispatched batch — is either such a
-// batch that filled to BatchSize, or up to BatchSize entries packed from
-// several partitions' batches when they are flushed (see packer), each
-// partition's entries one segment. queries and sigs are indexed by
-// entry: a query routed to k of the batch's partitions appears k times.
+// openBatch is a dispatched batch: up to BatchSize routed (query,
+// partition) entries cut from the entry log by a flush pass, each
+// partition's run of entries one segment. queries and sigs are indexed
+// by entry: a query routed to k of the batch's partitions appears k
+// times.
 type openBatch struct {
 	queries    []*query
 	sigs       []bitvec.Vector
 	segs       []segment
-	created    time.Time // when the oldest entry's partition batch was opened
+	created    time.Time // when the pass's log was opened: the oldest entry's hand-over
 	dispatched time.Time
 
 	// dup[i] is the first entry holding the same query as entry i (i
@@ -418,8 +415,8 @@ func (e *Engine) submitCtx(ctx context.Context, sig bitvec.Vector, tags map[stri
 
 // waitCapacity blocks until the pipeline makes progress (some query
 // completes, freeing admission capacity) or the context ends. It flushes
-// open batches first so capacity appears even without other traffic
-// driving partially filled batches out.
+// the entry log first so capacity appears even without other traffic
+// filling it.
 func (e *Engine) waitCapacity(ctx context.Context) error {
 	e.drainWaiters.Add(1)
 	defer e.drainWaiters.Add(-1)
@@ -443,7 +440,7 @@ func (e *Engine) waitCapacity(ctx context.Context) error {
 }
 
 // Match performs a blocking match(q) and returns the multiset of keys of
-// all indexed sets that are subsets of the query. It flushes open batches
+// all indexed sets that are subsets of the query. It flushes the entry log
 // after submitting, so it completes promptly even without traffic; use
 // Submit for maximal throughput.
 func (e *Engine) Match(tags []string) ([]Key, error) {
@@ -488,12 +485,12 @@ func (e *Engine) blockingMatch(ctx context.Context, sig bitvec.Vector, tags map[
 	}
 	// Drive the pipeline event-driven until the result arrives, riding
 	// the same progress-epoch condition variable as Drain: without
-	// background traffic the query's batches would otherwise wait for
-	// their flush timeout, and a single flush could race ahead of the
-	// pre-process stage enqueuing the query. Each progress event (the
+	// background traffic the query's entries would otherwise wait for
+	// the flush timeout, and a single flush could race ahead of the
+	// pre-process stage logging them. Each progress event (the
 	// query finishing pre-processing, a batch leaving reduce) wakes the
 	// waiter, which re-flushes; the epoch check closes the lost-wakeup
-	// window where a batch is created while the waiter is inside
+	// window where they are handed over while the waiter is inside
 	// flushAll. No polling ticker: an idle blocking match costs no
 	// flushAll sweeps beyond the ones progress events trigger.
 	//
@@ -540,58 +537,34 @@ func (e *Engine) blockingMatch(ctx context.Context, sig bitvec.Vector, tags map[
 	}
 }
 
-// routeMergeAppends caps how many (query, partition) appends a
-// pre-process worker buffers locally before merging into the shared
-// per-partition batches. Merges also happen whenever the input channel
-// is momentarily empty, so the cap only bounds buffering (and thus
-// added latency) under sustained load, where batch fill dominates
-// latency anyway.
+// routeMergeAppends caps how many routed entries a pre-process worker
+// buffers locally before handing them over to the index's entry log. A
+// worker also hands over whenever the input channel is momentarily
+// empty, so the cap only bounds buffering (and thus added latency) under
+// sustained load, where the wait for a stream dominates latency anyway.
 const routeMergeAppends = 1024
-
-// routeAccum is a pre-process worker's local batch accumulator: routed
-// (query, partition) appends collected across a burst of queries and
-// merged into the shared per-partition open batches in bulk, one
-// partition-lock acquisition per (burst, partition) instead of one per
-// (query, partition). Worker-local, so accumulation itself is
-// lock-free; all slices keep their capacity across bursts.
-type routeAccum struct {
-	idx     *index       // generation the buffered appends belong to
-	slots   [][]*query   // queries routed to each partition this burst
-	touched []uint32     // partitions with a non-empty slot
-	pending int          // buffered appends across all slots
-	full    []*openBatch // merge-time scratch for batches that filled
-}
-
-// bind points the accumulator at an index generation. The caller must
-// have merged (pending == 0), so every retained slot is empty.
-func (a *routeAccum) bind(idx *index) {
-	a.idx = idx
-	if n := len(idx.parts); cap(a.slots) < n {
-		a.slots = make([][]*query, n)
-	} else {
-		a.slots = a.slots[:n]
-	}
-	a.touched = a.touched[:0]
-	a.pending = 0
-}
 
 // routeState is the per-worker scratch of the pre-process stage.
 type routeState struct {
 	pids  []uint32 // routed partition ids, reused across queries
 	ones  []int    // the query signature's one-bit positions, computed once
 	dkeys []Key    // delta-overlay hits, reused across queries
-	acc   routeAccum
+
+	// run buffers a burst's routed entries until mergeRoutes hands them
+	// to the log of idx, the generation they were routed against.
+	idx *index
+	run []routedEntry
 }
 
 // preprocessWorker implements the pre-process stage (Algorithm 2): find
-// the partitions whose mask is a subset of the query and enqueue the
-// query into their batches. Routing uses the bit-sliced partition table
-// (Config.ScalarRouting selects the retained scalar scan), and batch
-// appends accumulate worker-locally across a burst of queries — as many
-// as are immediately available on the input channel, up to
-// routeMergeAppends appends — before merging into the shared batches in
-// bulk. A worker always merges before blocking for more input, so no
-// query ever waits in a local accumulator while the pipeline is idle.
+// the partitions whose mask is a subset of the query and log one routed
+// entry per partition. Routing uses the bit-sliced partition table
+// (Config.ScalarRouting selects the retained scalar scan), and entries
+// accumulate worker-locally across a burst of queries — as many as are
+// immediately available on the input channel, up to routeMergeAppends
+// entries — before one append hands them to the index's log. A worker
+// hands over before blocking for more input, so no query ever waits in a
+// local run while the pipeline is idle.
 func (e *Engine) preprocessWorker() {
 	defer e.workerWg.Done()
 	pprof.Do(context.Background(), pprof.Labels("stage", "preprocess"), func(context.Context) {
@@ -599,42 +572,38 @@ func (e *Engine) preprocessWorker() {
 		for q := range e.inputCh {
 			e.routeOne(&w, q)
 		collect:
-			for w.acc.pending < routeMergeAppends {
+			for len(w.run) < routeMergeAppends {
 				select {
 				case q2, ok := <-e.inputCh:
 					if !ok {
-						break collect // merge below; the outer range exits next
+						break collect // hand over below; the outer range exits next
 					}
 					e.routeOne(&w, q2)
 				default:
 					break collect
 				}
 			}
-			e.mergeRoutes(&w.acc)
+			e.mergeRoutes(&w)
 			e.notifyProgress()
 		}
-		e.mergeRoutes(&w.acc) // safety net; a clean exit already merged
 	})
 }
 
-// routeOne runs Algorithm 2 for one query and buffers its batch appends
-// in the worker's accumulator. The routing guard (+1 pending) drops
-// here: the buffered appends already hold their own pending references,
-// so a query routed to no partition completes immediately and one
-// routed somewhere cannot complete before its last batch reduces.
+// routeOne runs Algorithm 2 for one query and buffers its routed entries
+// in the worker's run. The routing guard (+1 pending) drops here: the
+// buffered entries hold their own pending references, so a query routed
+// nowhere completes at once and any other when its last batch reduces.
 func (e *Engine) routeOne(w *routeState, q *query) {
 	idx := q.idx
-	if w.acc.idx != idx {
-		// Index generation changed under the accumulator (Consolidate
-		// swapped it): flush the buffered appends of the old generation
-		// before touching the new one.
-		e.mergeRoutes(&w.acc)
-		w.acc.bind(idx)
+	if w.idx != idx {
+		// Index generation changed under the run (Consolidate swapped it):
+		// hand the old generation's entries to its own log first.
+		e.mergeRoutes(w)
+		w.idx = idx
 	}
 	t0 := time.Now()
 	// One pass over the signature serves both the bin walk (scalar and
-	// sliced lookups take the precomputed one-bit positions) and the
-	// trace below — the old path re-walked the signature with NextOne.
+	// sliced lookups take the one-bit positions) and the trace below.
 	w.ones = q.sig.Ones(w.ones[:0])
 	if e.cfg.ScalarRouting {
 		w.pids = idx.pt.lookup(q.sig, w.ones, w.pids[:0])
@@ -645,18 +614,14 @@ func (e *Engine) routeOne(w *routeState, q *query) {
 	}
 	w.pids = append(w.pids, idx.maskless...)
 	e.partsSearched.Add(int64(len(w.pids)))
+	q.pending.Add(int32(len(w.pids)))
 	for _, pid := range w.pids {
-		q.pending.Add(1)
-		if len(w.acc.slots[pid]) == 0 {
-			w.acc.touched = append(w.acc.touched, pid)
-		}
-		w.acc.slots[pid] = append(w.acc.slots[pid], q)
+		w.run = append(w.run, routedEntry{pid, q})
 	}
-	w.acc.pending += len(w.pids)
 	spent := time.Since(t0)
 	e.preprocessNs.Add(int64(spent))
 	if e.obs.On {
-		// Per-query routing time; the bulk-merge time is accounted to
+		// Per-query routing time; the hand-over time is accounted to
 		// preprocessNs by mergeRoutes but not attributed per query.
 		e.obs.Preprocess.ObserveDuration(spent)
 		// Input-queue wait: submit to pre-process pickup.
@@ -680,276 +645,209 @@ func (e *Engine) routeOne(w *routeState, q *query) {
 	q.finish(e, 1)
 }
 
-// mergeRoutes drains the accumulator into the shared per-partition open
-// batches: one partition-lock acquisition per touched partition for the
-// whole burst. Batches that fill during the merge are detached under
-// the lock and dispatched after it is released, exactly like the old
-// per-append path; partially filled batches stay open for the flusher.
-func (e *Engine) mergeRoutes(acc *routeAccum) {
-	if acc.pending == 0 {
+// mergeRoutes hands the worker's run over to its generation's entry log:
+// one mutex acquisition and one append for the whole burst. A hand-over
+// that leaves the log full kicks the flusher, and blocks while an earlier
+// kick is still waiting for the flusher to finish a pass: that is what
+// bounds the log, and with it the input channel and Submit, when
+// submitters outrun the devices.
+func (e *Engine) mergeRoutes(w *routeState) {
+	if len(w.run) == 0 {
 		return
 	}
-	idx := acc.idx
+	idx := w.idx
 	t0 := time.Now()
-	full := acc.full[:0]
-	for _, pid := range acc.touched {
-		qs := acc.slots[pid]
-		p := &idx.parts[pid]
-		idx.locks[pid].Lock()
-		for len(qs) > 0 {
-			if p.batch == nil {
-				p.batch = e.pools.getBatch(pid, e.cfg.BatchSize, t0)
-				if !p.dirty {
-					// Mark inside the partition lock: flag and list
-					// membership stay in lock step, so the dirty list
-					// never holds duplicates.
-					p.dirty = true
-					idx.markDirty(pid)
-				}
-			}
-			b := p.batch
-			take := e.cfg.BatchSize - len(b.queries)
-			if take > len(qs) {
-				take = len(qs)
-			}
-			for _, q := range qs[:take] {
-				b.queries = append(b.queries, q)
-				b.sigs = append(b.sigs, q.sig)
-				if q.ctx != nil {
-					b.deadlined = true
-				}
-				if q.trace != nil {
-					q.trace.Event("batch", int32(pid), int64(len(b.queries)))
-				}
-			}
-			qs = qs[take:]
-			if len(b.queries) >= e.cfg.BatchSize {
-				// The partition stays dirty (its id stays listed) until
-				// the next flush visit notices the batch is gone and
-				// clears the flag.
-				p.batch = nil
-				full = append(full, b.seal())
-			}
-		}
-		idx.locks[pid].Unlock()
-		if c := e.partCounters(pid); c != nil {
-			c.QueriesRouted.Add(int64(len(acc.slots[pid])))
-		}
-		clear(acc.slots[pid]) // drop query refs; they recycle independently
-		acc.slots[pid] = acc.slots[pid][:0]
+	lg := &idx.log
+	lg.mu.Lock()
+	if len(lg.entries) == 0 {
+		lg.opened = t0
 	}
-	e.obs.Routing.MergeLockAcqs.Add(int64(len(acc.touched)))
-	e.obs.Routing.MergedAppends.Add(int64(acc.pending))
-	acc.touched = acc.touched[:0]
-	acc.pending = 0
+	if cap(lg.entries)-len(lg.entries) < len(w.run) {
+		// Double: append's 1.25× would copy a filling log six times over.
+		lg.entries = slices.Grow(lg.entries, max(len(lg.entries), len(w.run)))
+	}
+	lg.entries = append(lg.entries, w.run...)
+	n := len(lg.entries)
+	lg.mu.Unlock()
+	e.obs.Routing.MergeLockAcqs.Add(1)
+	e.obs.Routing.MergedAppends.Add(int64(len(w.run)))
+	clear(w.run) // drop query refs; they recycle independently
+	w.run = w.run[:0]
 	e.preprocessNs.Add(int64(time.Since(t0)))
-	for _, b := range full {
-		e.dispatch(idx, b, dispatchFull)
+	if n >= e.fullLog(idx) {
+		e.flushKick <- struct{}{}
 	}
-	clear(full) // drop batch refs; reduceOne recycles them
-	acc.full = full[:0]
 }
 
-// markDirty appends pid to the dirty-partition list. Callers hold the
-// partition's lock; the lock order partition-lock → dirtyMu is safe
-// because no path acquires a partition lock while holding dirtyMu.
-func (idx *index) markDirty(pid uint32) {
-	idx.dirtyMu.Lock()
-	idx.dirty = append(idx.dirty, pid)
-	idx.dirtyMu.Unlock()
-}
+// fullLog is the length at which the log is full: BatchSize entries per
+// partition. It bounds the log and is the pipeline's back-pressure; it does
+// not set the batching. Under a BatchTimeout the age rule does that, and
+// the bound is out of reach wherever in-flight queries × fan-out stays
+// below it: no batch of the benchmark's stream_fanout, churn_mix and
+// paced_latency leaves in a kick-started pass (at most 80k entries logged
+// against 482k), a few percent of scan_heavy's do. Without a timeout it is
+// all that moves entries short of an explicit flush, and a hot partition's
+// BatchSize entries wait for the whole log to fill: a bound a quarter as
+// long already leaves runs of a few dozen entries per partition on a
+// submit-everything-then-Drain run (EXPERIMENTS.md, "One routed-entry
+// log").
+func (e *Engine) fullLog(idx *index) int { return e.cfg.BatchSize * len(idx.parts) }
 
-// takeDirty detaches the current dirty-partition list for a flush pass,
-// installing the spare buffer so concurrent appends keep recording. The
-// caller must hand the returned slice to recycleDirty when done.
-func (idx *index) takeDirty() []uint32 {
-	idx.dirtyMu.Lock()
-	pids := idx.dirty
-	if idx.dirtySpare != nil {
-		idx.dirty = idx.dirtySpare[:0]
-		idx.dirtySpare = nil
-	} else {
-		idx.dirty = nil
+// flushPass takes the whole entry log and dispatches it as batches (see
+// cutBatches), so a query's entries — handed over together — leave in the
+// same pass. reason says what started the pass and what it requires of
+// the log: the flusher's tick (dispatchTimeout) that its oldest entry has
+// waited BatchTimeout, a worker's kick (dispatchFull) that it is still
+// full, an explicit flush (dispatchFlush) nothing. The flusher runs its
+// passes one at a time; explicit flushes run on their callers' goroutines
+// beside them. Each dispatch may block for a stream, and the entries
+// routed meanwhile are the next pass's: under saturation the stream pool,
+// not the timer, sets how many queries a pass finds per partition for the
+// kernel to amortise a group's column loads over.
+func (e *Engine) flushPass(idx *index, reason dispatchReason) {
+	lg := &idx.log
+	lg.mu.Lock()
+	due := len(lg.entries) > 0
+	switch reason {
+	case dispatchTimeout:
+		due = due && time.Since(lg.opened) >= e.cfg.BatchTimeout
+	case dispatchFull:
+		due = due && len(lg.entries) >= e.fullLog(idx)
 	}
-	idx.dirtyMu.Unlock()
-	return pids
-}
-
-// requeueDirty re-lists partitions whose batches were too young to
-// flush; their dirty flags are still set.
-func (idx *index) requeueDirty(pids []uint32) {
-	if len(pids) == 0 {
+	if !due {
+		lg.mu.Unlock()
 		return
 	}
-	idx.dirtyMu.Lock()
-	idx.dirty = append(idx.dirty, pids...)
-	idx.dirtyMu.Unlock()
+	// The pass's scratch brings the emptied buffer of an earlier pass for
+	// the log to refill, and takes the log's away.
+	sc := e.pools.getPass()
+	sc.entries, lg.entries = lg.entries, sc.entries[:0]
+	opened := lg.opened
+	lg.mu.Unlock()
+
+	e.cutBatches(idx, sc, opened, func(b *openBatch) { e.dispatch(idx, b, reason) })
+
+	clear(sc.entries) // drop the query refs; they recycle independently
+	e.pools.putPass(sc)
 }
 
-// recycleDirty returns a taken list's backing array for reuse.
-func (idx *index) recycleDirty(pids []uint32) {
-	if cap(pids) == 0 {
-		return
+// cutBatches counting-sorts the taken log, sc.entries, by partition and
+// cuts the result into batches of at most BatchSize entries, one segment
+// per run of a partition's entries; emit receives each batch as it fills,
+// so the copy → kernel → copy sequence is paid per BatchSize routed
+// entries whatever the fan-out spread them over. A run that does not fit
+// the remainder of a batch continues in the next one. Under partitioned
+// placement the batches go device by device, each holding partitions of
+// one device.
+func (e *Engine) cutBatches(idx *index, sc *passScratch, opened time.Time, emit func(*openBatch)) {
+	entries := sc.entries
+	// ends[pid] counts the partition's entries, then is where its run
+	// starts in the sorted order, and after the scatter where it ends —
+	// the start of the next partition's.
+	ends := slices.Grow(sc.ends[:0], len(idx.parts))[:len(idx.parts)]
+	clear(ends)
+	for _, en := range entries {
+		ends[en.pid]++
 	}
-	idx.dirtyMu.Lock()
-	if idx.dirtySpare == nil {
-		idx.dirtySpare = pids[:0]
+	pos := int32(0)
+	for pid, n := range ends {
+		ends[pid] = pos
+		pos += n
 	}
-	idx.dirtyMu.Unlock()
-}
-
-// seal closes a partition's batch as a one-segment batch, ready to be
-// dispatched or packed. Callers have detached it from the partition.
-func (b *openBatch) seal() *openBatch {
-	b.segs[0].n = len(b.queries)
-	return b
-}
-
-// packer folds flushed partition batches into dispatched batches of at
-// most BatchSize entries, one segment per partition, so the per-batch
-// cost of the copy → kernel → copy sequence is paid per BatchSize routed
-// entries whatever the fan-out spread them over. A partition's entries
-// that do not fit the remainder of the current batch are split across
-// two dispatched batches. Under partitioned placement a dispatched
-// batch holds only partitions of one device. Each dispatch may block
-// for a stream slot, which is what paces a flush pass.
-type packer struct {
-	e          *Engine
-	idx        *index
-	reason     dispatchReason
-	cur        *openBatch
-	dispatched int // batches dispatched so far
-}
-
-// add packs one sealed partition batch. src is consumed: adopted as the
-// current batch, or emptied into it and recycled.
-func (pk *packer) add(src *openBatch) {
-	e := pk.e
-	if cur := pk.cur; cur != nil && !e.cfg.Replicate &&
-		pk.idx.parts[cur.segs[0].pid].dev != pk.idx.parts[src.segs[0].pid].dev {
-		pk.flush()
+	queries := slices.Grow(sc.queries[:0], len(entries))[:len(entries)]
+	for _, en := range entries {
+		queries[ends[en.pid]] = en.q
+		ends[en.pid]++
 	}
-	for pk.cur != nil {
-		cur := pk.cur
-		take := min(e.cfg.BatchSize-len(cur.queries), len(src.queries))
-		cur.segs = append(cur.segs, segment{pid: src.segs[0].pid, first: len(cur.queries), n: take})
-		cur.queries = append(cur.queries, src.queries[:take]...)
-		cur.sigs = append(cur.sigs, src.sigs[:take]...)
-		cur.deadlined = cur.deadlined || src.deadlined
-		if src.created.Before(cur.created) {
-			cur.created = src.created
+	sc.ends, sc.queries = ends, queries
+
+	devs := 1
+	if !e.cfg.Replicate {
+		devs = max(1, len(idx.devices))
+	}
+	var cur *openBatch
+	for d := 0; d < devs; d++ {
+		start := 0
+		for pid, end := range ends {
+			at, n := start, int(end)-start
+			start = int(end)
+			if n == 0 || devs > 1 && idx.parts[pid].dev != d {
+				continue
+			}
+			for n > 0 {
+				if cur == nil {
+					cur = e.pools.getBatch(e.cfg.BatchSize, opened)
+				}
+				first := len(cur.queries)
+				take := min(e.cfg.BatchSize-first, n)
+				cur.segs = append(cur.segs, segment{pid: uint32(pid), first: first, n: take})
+				cur.queries = append(cur.queries, queries[at:at+take]...)
+				for i, q := range queries[at : at+take] {
+					cur.sigs = append(cur.sigs, q.sig)
+					if q.ctx != nil {
+						cur.deadlined = true
+					}
+					if q.trace != nil {
+						q.trace.Event("batch", int32(pid), int64(first+i+1))
+					}
+				}
+				if c := e.partCounters(uint32(pid)); c != nil {
+					c.QueriesRouted.Add(int64(take))
+				}
+				at, n = at+take, n-take
+				if len(cur.queries) == e.cfg.BatchSize {
+					emit(cur)
+					cur = nil
+				}
+			}
 		}
-		if len(cur.queries) == e.cfg.BatchSize {
-			pk.flush()
-		}
-		if take == len(src.queries) {
-			e.pools.putBatch(src)
-			return
-		}
-		// Split: src keeps the entries that did not fit, moved down so
-		// its backing arrays keep their capacity.
-		n := copy(src.queries, src.queries[take:])
-		clear(src.queries[n:])
-		src.queries = src.queries[:n]
-		src.sigs = src.sigs[:copy(src.sigs, src.sigs[take:])]
-		src.seal()
-	}
-	pk.cur = src
-	if len(src.queries) >= e.cfg.BatchSize {
-		pk.flush()
-	}
-}
-
-// flush dispatches the current batch, if any.
-func (pk *packer) flush() {
-	if pk.cur != nil {
-		pk.e.dispatch(pk.idx, pk.cur, pk.reason)
-		pk.cur = nil
-		pk.dispatched++
-	}
-}
-
-// flushPass visits the dirty partitions in partition order, detaches
-// every open batch at least minAge old and packs them into dispatched
-// batches. Only dirty partitions are visited: with P partitions in the
-// thousands and a handful seeing traffic, sweeping all P per pass would
-// dominate the flush path with uncontended-lock traffic. Partitions are
-// detached one dispatched batch at a time, and a dispatch blocks while
-// every stream slot is busy, so under saturation the partitions not yet
-// visited keep filling: the slot pool, not the timer, sets how full
-// batches leave. A pass can therefore outlast many flusher ticks, so
-// batch ages are judged against a clock re-read after every dispatch.
-func (e *Engine) flushPass(idx *index, minAge time.Duration, reason dispatchReason) {
-	pids := idx.takeDirty()
-	if !e.cfg.Replicate && len(idx.devices) > 1 {
-		slices.SortFunc(pids, func(a, b uint32) int {
-			return cmp.Or(cmp.Compare(idx.parts[a].dev, idx.parts[b].dev), cmp.Compare(a, b))
-		})
-	} else {
-		slices.Sort(pids)
-	}
-	pk := packer{e: e, idx: idx, reason: reason}
-	keep := pids[:0] // compact in place: write index trails read index
-	now, seen := time.Now(), 0
-	for _, pid := range pids {
-		if pk.dispatched != seen {
-			now, seen = time.Now(), pk.dispatched
-		}
-		p := &idx.parts[pid]
-		idx.locks[pid].Lock()
-		var b *openBatch
-		switch {
-		case p.batch == nil:
-			p.dirty = false // stale entry: batch already dispatched full
-		case minAge <= 0 || now.Sub(p.batch.created) >= minAge:
-			b = p.batch
-			p.batch = nil
-			p.dirty = false
-		default:
-			keep = append(keep, pid) // too young; stays dirty
-		}
-		idx.locks[pid].Unlock()
-		if b != nil {
-			pk.add(b.seal())
+		if cur != nil {
+			emit(cur)
+			cur = nil
 		}
 	}
-	pk.flush()
-	// requeueDirty copies keep's values into the live list, so the taken
-	// buffer (which keep aliases) is free to recycle.
-	idx.requeueDirty(keep)
-	idx.recycleDirty(pids)
+	clear(queries) // drop the query refs; they recycle independently
 }
 
-// flushAll dispatches every open batch regardless of fill level or age.
+// flushAll dispatches every logged entry regardless of count or age.
 func (e *Engine) flushAll(idx *index) {
-	e.flushPass(idx, 0, dispatchFlush)
+	e.flushPass(idx, dispatchFlush)
 }
 
-// flusher enforces the batch timeout (§3): partially filled batches are
-// pushed through the pipeline once they age past BatchTimeout.
+// flusher runs the passes nobody asked for, one at a time: on every tick
+// at which the log's oldest entry has waited BatchTimeout (§3,
+// "configurable timeout period"; no ticks without a timeout), and on a
+// worker's kick while the log is full ("until full").
 func (e *Engine) flusher() {
 	defer close(e.flushDone)
-	t := time.NewTicker(flushTick(e.cfg.BatchTimeout))
-	defer t.Stop()
+	var tick <-chan time.Time
+	if e.cfg.BatchTimeout > 0 {
+		t := time.NewTicker(flushTick(e.cfg.BatchTimeout))
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		select {
 		case <-e.flushStop:
 			return
-		case <-t.C:
-			e.flushPass(e.idx.Load(), e.cfg.BatchTimeout, dispatchTimeout)
+		case <-tick:
+			e.flushPass(e.idx.Load(), dispatchTimeout)
+		case <-e.flushKick:
+			e.flushPass(e.idx.Load(), dispatchFull)
 		}
 	}
 }
 
 // flushTick is the flusher's period: a quarter of the timeout, at least
-// a millisecond. On an idle engine a batch leaves within BatchTimeout
-// plus one tick of being opened.
+// a millisecond. On an idle engine an entry leaves within BatchTimeout
+// plus one tick of being handed over.
 func flushTick(timeout time.Duration) time.Duration {
 	return max(timeout/4, time.Millisecond)
 }
 
-// dispatchReason records why a batch left the pre-process stage, for the
-// fullness-vs-timeout breakdown.
+// dispatchReason records what started the flush pass a batch left in: the
+// kick of the worker that filled the log, the flusher's tick, or an
+// explicit flush (Drain, a blocking Match, Consolidate, Close).
 type dispatchReason uint8
 
 const (

@@ -25,6 +25,7 @@ type enginePools struct {
 	batch    sync.Pool // *openBatch
 	result   sync.Pool // *batchResult
 	scratch  sync.Pool // *reduceScratch
+	pass     sync.Pool // *passScratch
 
 	// liveBatches counts batches handed out and not yet returned: zero on
 	// a drained engine, or a batch reference leaked.
@@ -64,7 +65,7 @@ func (ep *enginePools) putQuery(q *query) {
 	ep.query.Put(q)
 }
 
-func (ep *enginePools) getBatch(pid uint32, batchSize int, now time.Time) *openBatch {
+func (ep *enginePools) getBatch(batchSize int, created time.Time) *openBatch {
 	ep.liveBatches.Add(1)
 	var b *openBatch
 	if !ep.disabled {
@@ -76,8 +77,7 @@ func (ep *enginePools) getBatch(pid uint32, batchSize int, now time.Time) *openB
 			sigs:    make([]bitvec.Vector, 0, batchSize),
 		}
 	}
-	b.segs = append(b.segs[:0], segment{pid: pid})
-	b.created = now
+	b.created = created
 	return b
 }
 
@@ -167,6 +167,30 @@ func (ep *enginePools) putScratch(sc *reduceScratch) {
 		return
 	}
 	ep.scratch.Put(sc)
+}
+
+// passScratch is a flush pass's working memory: the log it took — whose
+// buffer, emptied, the next pass to get this scratch gives back to the
+// log — and the counting sort's arrays.
+type passScratch struct {
+	entries []routedEntry // the taken log, in hand-over order
+	ends    []int32       // per partition: where its run ends in queries
+	queries []*query      // the taken log's queries, partition-major
+}
+
+func (ep *enginePools) getPass() *passScratch {
+	if !ep.disabled {
+		if sc, ok := ep.pass.Get().(*passScratch); ok {
+			return sc
+		}
+	}
+	return &passScratch{}
+}
+
+func (ep *enginePools) putPass(sc *passScratch) {
+	if !ep.disabled {
+		ep.pass.Put(sc)
+	}
 }
 
 // growBytes returns a length-n byte slice, reusing buf's backing array

@@ -12,8 +12,8 @@ import (
 // something else changes what it is waiting for — the engine closing, a
 // rival attempt settling its batch, its queries' contexts ending — each
 // of which calls wake. The pool is the engine's batching governor: while
-// every stream is busy the flusher is parked here, and the partitions it
-// has not reached yet keep filling.
+// every stream is busy the flush pass is parked here, and the entry log
+// keeps filling for the next one.
 type slotPool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond

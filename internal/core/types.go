@@ -6,8 +6,8 @@
 // Bloom-filter signatures, into balanced partitions (Algorithm 1 of the
 // paper). Queries flow through a four-stage pipeline: pre-process on CPUs
 // (Algorithm 2), subset match on (simulated) GPUs (Algorithms 3 and 4),
-// key lookup/reduce on CPUs, and merge on CPUs. Batching, per-partition
-// flush timeouts, GPU streams, and double-buffered result transfers follow
+// key lookup/reduce on CPUs, and merge on CPUs. Batching, the flush
+// timeout, GPU streams, and double-buffered result transfers follow
 // §3.3 and §3.4 of the paper.
 package core
 
@@ -36,18 +36,22 @@ type Config struct {
 	// set database (Fig 7); scale proportionally.
 	MaxPartitionSize int
 
-	// BatchSize is the number of routed (query, partition) entries per
-	// GPU batch: a partition's batch dispatches when it holds this many,
-	// and a flush packs the entries of several partitions into batches of
-	// at most this many. Entry ids inside a batch are 8-bit in the packed
-	// result layout (§3.3.1), so the batch size may not exceed 256: a
-	// larger batch would silently alias query indices and corrupt
-	// results. New rejects larger values with ErrBatchSizeTooLarge.
+	// BatchSize is the most routed (query, partition) entries a GPU batch
+	// holds: a flush pass cuts the routed-entry log into batches of this
+	// many, a partition's entries one segment of a batch. It also says
+	// when the log is full and leaves without waiting for BatchTimeout: at
+	// BatchSize entries per partition. Entry ids inside a batch are 8-bit
+	// in the packed result layout (§3.3.1), so the batch size may not
+	// exceed 256: a larger batch would silently alias query indices and
+	// corrupt results. New rejects larger values with ErrBatchSizeTooLarge.
 	BatchSize int
 
-	// BatchTimeout flushes partially filled batches after this delay
-	// (§3, "configurable timeout period"). Zero disables the timeout:
-	// batches wait until full or until Flush/Drain.
+	// BatchTimeout is how long a routed entry may wait in the log for
+	// company (§3, "configurable timeout period"): a flush pass takes the
+	// log once its oldest entry is this old, within a tick (a quarter of
+	// the timeout, at least 1ms). Zero disables the timeout: entries wait
+	// until the log is full (see BatchSize) or until a blocking Match,
+	// Drain, Consolidate or Close flushes it.
 	BatchTimeout time.Duration
 
 	// Threads is the number of CPU worker threads shared by the
@@ -324,7 +328,11 @@ type Stats struct {
 	Partitions int `json:"partitions"`
 	Keys       int `json:"keys"`
 
-	// Pipeline counters.
+	// Pipeline counters. BatchesTimedOut counts the batches of flush
+	// passes the flusher's tick started because the log's oldest entry had
+	// waited BatchTimeout; batches of a pass a worker's kick started
+	// because the log was full, or of an explicit flush (blocking Match,
+	// Drain, Consolidate, Close), are not among them.
 	QueriesSubmitted   int64 `json:"queries_submitted"`
 	QueriesCompleted   int64 `json:"queries_completed"`
 	BatchesDispatched  int64 `json:"batches_dispatched"`
@@ -335,9 +343,11 @@ type Stats struct {
 	PartitionsSearched int64 `json:"partitions_searched"`
 
 	// Routing counters (mirrors of obs.RoutingCounters): queries per
-	// lookup flavor and the lock amortization of the worker-local batch
-	// accumulators (RouteAppends / RouteMergeLocks ≥ 1; per-append
-	// locking would pin it at 1).
+	// lookup flavor, and the hand-overs to the routed-entry log —
+	// RouteMergeLocks counts acquisitions of the log's mutex, one per
+	// burst of queries a pre-process worker routed, RouteAppends the
+	// entries handed over under them (equal to PartitionsSearched once
+	// the workers are idle).
 	RoutedSliced    int64 `json:"routed_sliced"`
 	RoutedScalar    int64 `json:"routed_scalar"`
 	RouteMergeLocks int64 `json:"route_merge_locks"`
@@ -430,7 +440,7 @@ type Stats struct {
 	LastConsolidate time.Duration `json:"last_consolidate_ns"`
 
 	// Cumulative busy time per pipeline stage, summed across workers:
-	// pre-process (Algorithm 2 + batch fill), subset match (dispatch to
+	// pre-process (Algorithm 2 + the hand-over to the log), subset match (dispatch to
 	// result arrival), and key lookup/reduce. Useful for locating the
 	// pipeline bottleneck on a given host and workload.
 	PreprocessTime  time.Duration `json:"preprocess_time_ns"`
@@ -477,13 +487,4 @@ type partition struct {
 	ext    uint32
 	devOff uint32
 	devLen uint32
-
-	batch *openBatch // current filling batch; guarded by the partition lock
-
-	// dirty mirrors the partition's membership in the index's
-	// dirty-partition list (guarded by the partition lock): true while
-	// the partition has — or recently had — an open batch a flush pass
-	// must visit. Keeps flushAll and the flusher tick from sweeping all
-	// P partitions when only a handful have traffic.
-	dirty bool
 }

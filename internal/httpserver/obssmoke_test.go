@@ -59,14 +59,16 @@ func TestObsSmoke(t *testing.T) {
 			"tagmatch_batch_segments",
 			"tagmatch_stream_acquire_wait_seconds",
 			"tagmatch_pipeline_overlap_fraction",
+			"tagmatch_routed_log_entries",
 		} {
 			if !families[want] {
 				t.Errorf("metric family %q missing from /metrics", want)
 			}
 		}
-		// The query window and the second slot per stream are gone, and
-		// their families with them.
+		// The query window, the second slot per stream and the
+		// per-partition open batches are gone, and their families with them.
 		for _, gone := range []string{
+			"tagmatch_dirty_partitions",
 			"tagmatch_query_window_lookups_total",
 			"tagmatch_query_window_evictions_total",
 			"tagmatch_query_window_fallbacks_total",

@@ -9,10 +9,10 @@ import (
 // of the consolidated index. All fields are atomic so the pipeline can
 // update them lock-free from any stage.
 type PartitionCounters struct {
-	QueriesRouted   atomic.Int64 // queries appended to this partition's batches
-	BatchesFull     atomic.Int64 // batches dispatched because they filled
-	BatchesTimedOut atomic.Int64 // batches dispatched by the flush timeout
-	BatchesFlushed  atomic.Int64 // batches dispatched by explicit flush/drain
+	QueriesRouted   atomic.Int64 // routed entries cut into a segment of this partition
+	BatchesFull     atomic.Int64 // segments in batches of a pass started because the log was full
+	BatchesTimedOut atomic.Int64 // segments in batches of a pass the flush timeout started
+	BatchesFlushed  atomic.Int64 // segments in batches of an explicit flush/drain
 	Pairs           atomic.Int64 // (query,set) pairs produced
 	Overflows       atomic.Int64 // GPU result-buffer overflows (CPU fallback)
 	PrefilterBlocks atomic.Int64 // thread blocks that ran the prefilter

@@ -3,11 +3,11 @@ package obs
 import "sync/atomic"
 
 // RoutingCounters instruments the pre-process routing path: which
-// lookup flavor served each query and how much partition-lock traffic
-// the worker-local batch accumulators saved. Like FaultCounters they
-// are NOT gated by Pipeline.On — they feed the engine's Stats and the
+// lookup flavor served each query, and how many entries each hand-over
+// to the routed-entry log carried. Like FaultCounters they are NOT
+// gated by Pipeline.On — they feed the engine's Stats and the
 // contention regression tests, and they cost one bulk atomic add per
-// query or per merge pass, not per (query, partition).
+// query or per hand-over, not per (query, partition).
 type RoutingCounters struct {
 	// SlicedQueries counts queries routed through the bit-sliced
 	// (column-transposed) partition-table lookup.
@@ -15,12 +15,12 @@ type RoutingCounters struct {
 	// ScalarQueries counts queries routed through the retained scalar
 	// Algorithm 2 scan (Config.ScalarRouting, CPU fallback baselines).
 	ScalarQueries atomic.Int64
-	// MergeLockAcqs counts partition-lock acquisitions taken by bulk
-	// accumulator merges.
+	// MergeLockAcqs counts acquisitions of the routed-entry log's mutex:
+	// one per burst of queries a pre-process worker hands over.
 	MergeLockAcqs atomic.Int64
-	// MergedAppends counts (query, partition) batch appends performed
+	// MergedAppends counts the (query, partition) entries handed over
 	// under those acquisitions. MergedAppends / MergeLockAcqs is the
-	// lock-amortization factor; per-append locking would hold it at 1.
+	// entries per hand-over; per-entry locking would hold it at 1.
 	MergedAppends atomic.Int64
 }
 
@@ -51,9 +51,9 @@ func (r *RoutingCounters) writeProm(w *PromWriter) {
 		"Queries routed by the pre-process stage, by lookup flavor.",
 		Labels{{"flavor", "scalar"}}, float64(r.ScalarQueries.Load()))
 	w.Counter("tagmatch_routing_merge_locks_total",
-		"Partition-lock acquisitions taken by bulk accumulator merges.",
+		"Acquisitions of the routed-entry log's mutex, one per pre-process burst.",
 		nil, float64(r.MergeLockAcqs.Load()))
 	w.Counter("tagmatch_routing_merged_appends_total",
-		"(query,partition) batch appends performed under bulk merges.",
+		"(query,partition) entries handed over to the routed-entry log.",
 		nil, float64(r.MergedAppends.Load()))
 }

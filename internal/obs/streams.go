@@ -15,8 +15,8 @@ type StreamCounters struct {
 	QuerySlots    atomic.Int64
 
 	// SegmentsPerBatch is the distribution of segments — partitions — per
-	// dispatched batch: 1 for a partition batch that filled, up to one
-	// per entry when a flush packs sparse partitions together.
+	// dispatched batch: 1 when one partition's run fills the batch, up to
+	// one per entry when the log is spread thinly over many partitions.
 	SegmentsPerBatch Histogram
 	// AcquireWait is the time (nanoseconds) each dispatch attempt spent
 	// acquiring a stream: near zero with idle streams, the stream

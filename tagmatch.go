@@ -115,13 +115,14 @@ type Config struct {
 	// paper's ratio is dbSize/1000, which the caller must compute — the
 	// database size is not known when the engine is created).
 	MaxPartitionSize int
-	// BatchSize is the number of routed (query, partition) entries per
-	// GPU batch (max 256): a partition's batch leaves when it holds this
-	// many, and a flush packs several partitions' entries into batches
-	// of at most this many.
+	// BatchSize is the most routed (query, partition) entries a GPU batch
+	// holds (max 256): routed entries wait in one log, which a flush pass
+	// cuts into batches of this many. The log is full, and flushed at
+	// once, when it holds this many entries per partition.
 	BatchSize int
-	// BatchTimeout flushes partially filled batches (0 = no timeout; the
-	// blocking Match calls flush explicitly).
+	// BatchTimeout is how long a routed entry may wait in the log for
+	// company before a flush pass takes it (0 = no timeout: entries leave
+	// when the log is full; the blocking Match calls flush explicitly).
 	BatchTimeout time.Duration
 	// Threads is the number of CPU worker threads across pipeline stages.
 	Threads int

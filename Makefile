@@ -33,10 +33,12 @@ race:
 ## propagation, hedged re-dispatch, snapshot-restore parity, and every
 ## one of them crossed with multi-partition batches (TestChaosPacked*,
 ## ending in the drain-time resource checks) must all hold with -race on,
-## as must the exact operation count of a dispatched batch and the
-## routed-entry log's kick path, counting sort and cut (TestLog*).
+## as must the exact operation count of a dispatched batch, the
+## routed-entry log's kick path, counting sort and cut (TestLog*), and the
+## run nodes — derivation, the walk at every block geometry, folds,
+## placements and the host fallback (TestRun*).
 chaos:
-	$(GO) test -race -run 'TestCluster|TestBalancedPartition|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta' \
+	$(GO) test -race -run 'TestCluster|TestBalancedPartition|TestRun|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta' \
 		./internal/gpu/ ./internal/core/ ./internal/httpserver/
 
 ## bench-smoke: quick -benchmem pass over the hot-path benchmarks so a

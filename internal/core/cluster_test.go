@@ -227,21 +227,28 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 // clustered layout's group gate must reject at least twice the share of
 // (query, group) pairs the lexicographic layout rejects, and both must emit
 // exactly the brute-force (query, set) pairs.
-func TestClusterGatePruneOnWorkload(t *testing.T) {
-	gen, err := workload.New(workload.NewConfig(6000, 3))
+// generatedSets draws the interests of the workload generator's first
+// users and returns the generator, the distinct signatures and the tags
+// behind each, the pool queries are built on.
+func generatedSets(t *testing.T, users int, seed int64) (gen *workload.Generator, sigs []bitvec.Vector, pool [][]string) {
+	t.Helper()
+	gen, err := workload.New(workload.NewConfig(users, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[bitvec.Vector]bool{}
-	var sigs []bitvec.Vector
-	var pool [][]string
-	gen.Generate(6000, func(in workload.Interest) {
+	gen.Generate(users, func(in workload.Interest) {
 		if sig := bloom.Signature(in.Tags); !seen[sig] {
 			seen[sig] = true
 			sigs = append(sigs, sig)
 			pool = append(pool, in.Tags)
 		}
 	})
+	return gen, sigs, pool
+}
+
+func TestClusterGatePruneOnWorkload(t *testing.T) {
+	gen, sigs, pool := generatedSets(t, 6000, 3)
 	rng := rand.New(rand.NewSource(4))
 	queries := make([]bitvec.Vector, 400)
 	for i := range queries {
@@ -285,14 +292,15 @@ func TestClusterGatePruneOnWorkload(t *testing.T) {
 		}
 		pt, maskless := buildPartitionTable(idx.parts)
 		var kc obs.KernelCounters
+		var sc spanScratch
 		var got []sigPair
 		var pids []uint32
 		for qi, q := range queries {
 			pids = append(pt.lookupSliced(q, q.Ones(nil), pids[:0]), maskless...)
 			for _, pid := range pids {
 				p := &idx.parts[pid]
-				groups := idx.groups[p.grpOff : p.grpOff+(p.n+63)/64]
-				cpuMatchBatchSliced(groups, int(p.off), []bitvec.Vector{q}, 0, true, nil, &kc, func(_ uint8, s uint32) {
+				groups, runs := idx.slicedPart(p)
+				cpuMatchBatchSliced(groups, runs, int(p.off), []bitvec.Vector{q}, 0, true, &sc, nil, &kc, func(_ uint8, s uint32) {
 					got = append(got, sigPair{qi, idx.sets[s]})
 				})
 			}

@@ -352,6 +352,7 @@ func (e *Engine) buildIncrementalIndex(old *index, touched map[bitvec.Vector][]d
 	// to stay off.
 	idx.sets = old.sets
 	idx.groups = old.groups
+	idx.runs = old.runs
 
 	// The key CSR is aliased too: rows whose entry list changed land in
 	// the patch map the reduce consults before the CSR, so a fold never
@@ -438,7 +439,7 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 	baseExt := make([]int, nDev) // extents already carried by the old generation
 	for d := range baseExt {
 		if sliced {
-			baseExt[d] = len(extsOf(old.devGrpExts, d))
+			baseExt[d] = len(extsOf(old.devShardExts, d))
 		} else {
 			baseExt[d] = len(extsOf(old.devExts, d))
 		}
@@ -449,27 +450,29 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 	// receives all new rows; partitioned placement gathers each device's
 	// own partitions, extent-relative.
 	newBufs := make([]*gpu.Buffer[bitvec.Vector], nDev)
-	newGrpBufs := make([]*gpu.Buffer[bitvec.SlicedGroup], nDev)
+	newShards := make([]shard, nDev)
 	fail := func() bool {
 		for _, b := range newBufs {
 			b.Free()
 		}
-		for _, b := range newGrpBufs {
-			b.Free()
+		for _, s := range newShards {
+			s.free()
 		}
 		return false
 	}
 	for d, dev := range idx.devices {
 		var mine []bitvec.Vector
 		var mineGroups []bitvec.SlicedGroup
+		var mineRuns []runNode
 		for pi := len(old.parts); pi < len(idx.parts); pi++ {
 			p := &idx.parts[pi]
 			if !e.cfg.Replicate && p.dev != d {
 				continue
 			}
 			if sliced {
-				p.devOff, p.devLen = uint32(len(mineGroups)), (p.n+63)/64
-				mineGroups = append(mineGroups, idx.groups[p.grpOff:p.grpOff+p.devLen]...)
+				p.devOff, p.devLen, p.devRunOff = uint32(len(mineGroups)), (p.n+63)/64, uint32(len(mineRuns))
+				g, r := idx.slicedPart(p)
+				mineGroups, mineRuns = append(mineGroups, g...), append(mineRuns, r...)
 			} else {
 				p.devOff, p.devLen = uint32(len(mine)), p.n
 				mine = append(mine, idx.sets[p.off:p.off+p.n]...)
@@ -480,7 +483,7 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 		}
 		var err error
 		if sliced {
-			newGrpBufs[d], err = uploadBuffer(dev, mineGroups)
+			newShards[d], err = uploadShard(dev, mineGroups, mineRuns)
 		} else {
 			newBufs[d], err = uploadBuffer(dev, mine)
 		}
@@ -494,7 +497,7 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 		if e.cfg.Replicate {
 			d = 0 // uniform extent counts across devices in replicate mode
 		}
-		if newBufs[d] == nil && newGrpBufs[d] == nil {
+		if newBufs[d] == nil && newShards[d].groups == nil {
 			// Appended partition with zero rows cannot happen (specs are
 			// non-empty), so every new partition's device has an extent.
 			return fail()
@@ -508,21 +511,21 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 	// reference is carried over, not freed) and steal its device state.
 	old.dispatching.Wait()
 	idx.devBufs, old.devBufs = old.devBufs, nil
-	idx.devGroupBufs, old.devGroupBufs = old.devGroupBufs, nil
+	idx.devShards, old.devShards = old.devShards, nil
 	idx.devExts, old.devExts = old.devExts, nil
-	idx.devGrpExts, old.devGrpExts = old.devGrpExts, nil
+	idx.devShardExts, old.devShardExts = old.devShardExts, nil
 	if idx.devExts == nil {
 		idx.devExts = make([][]*gpu.Buffer[bitvec.Vector], nDev)
 	}
-	if idx.devGrpExts == nil {
-		idx.devGrpExts = make([][]*gpu.Buffer[bitvec.SlicedGroup], nDev)
+	if idx.devShardExts == nil {
+		idx.devShardExts = make([][]shard, nDev)
 	}
 	for d := range newBufs {
 		if newBufs[d] != nil {
 			idx.devExts[d] = append(idx.devExts[d], newBufs[d])
 		}
-		if newGrpBufs[d] != nil {
-			idx.devGrpExts[d] = append(idx.devGrpExts[d], newGrpBufs[d])
+		if newShards[d].groups != nil {
+			idx.devShardExts[d] = append(idx.devShardExts[d], newShards[d])
 		}
 	}
 	idx.slots, old.slots = old.slots, nil

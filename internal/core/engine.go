@@ -153,7 +153,11 @@ type index struct {
 	// partition.grpOff). Nil when Config.ScalarKernel disables the
 	// sliced flavor. The host copy also serves the CPU execution path
 	// and the overflow/fault fallback.
-	groups   []bitvec.SlicedGroup
+	groups []bitvec.SlicedGroup
+	// runs holds the run nodes of every partition's groups, partition-major
+	// (partition.runOff/nRuns; kernel_sliced.go: runNode). Appended with
+	// the groups and aliased with them by incremental folds.
+	runs     []runNode
 	keyOff   []uint32 // CSR offsets into keys; len(sets)+1
 	keys     []Key
 	keyTags  [][]string // aligned with keys; populated only in ExactVerify mode
@@ -166,19 +170,19 @@ type index struct {
 	// generations, so a retired index's log is empty.
 	log entryLog
 
-	devices      []*gpu.Device
-	devBufs      []*gpu.Buffer[bitvec.Vector]
-	devGroupBufs []*gpu.Buffer[bitvec.SlicedGroup] // transposed index per device (nil per entry when sliced kernel disabled)
+	devices   []*gpu.Device
+	devBufs   []*gpu.Buffer[bitvec.Vector]
+	devShards []shard // transposed index per device (zero per entry when sliced kernel disabled)
 
-	// devExts/devGrpExts hold the per-device extent buffers appended by
+	// devExts/devShardExts hold the per-device extent buffers appended by
 	// incremental folds: devExts[d][e-1] backs the partitions with
 	// dev==d, ext==e. The base buffers above hold every row uploaded by
 	// the last full build; an incremental swap carries them (and the
 	// streams below) over from the previous generation untouched and
 	// uploads only these extents — the zero-drain pause is drain +
 	// O(delta) copy, never O(database) (see adoptDevices).
-	devExts    [][]*gpu.Buffer[bitvec.Vector]
-	devGrpExts [][]*gpu.Buffer[bitvec.SlicedGroup]
+	devExts      [][]*gpu.Buffer[bitvec.Vector]
+	devShardExts [][]shard
 
 	slots      *slotPool // the idle streams of every device
 	allStreams []*streamSlot
@@ -588,9 +592,11 @@ func (e *Engine) partition(sigs []bitvec.Vector) []partitionSpec {
 // the scalar kernel), appends them to idx.sets partition-major, calls row
 // for every member with its global row id so the caller can extend its key
 // table in step, column-transposes the partition into idx.groups when
-// sliced, and appends the partition descriptors, dealt round-robin over
-// nDev devices. Full builds, incremental folds and KernelBenchmark all
-// lay out through here, so they cannot disagree on the order.
+// sliced, derives the partition's run nodes from the new groups' gates
+// into idx.runs, and appends the partition descriptors, dealt round-robin
+// over nDev devices. Full builds, incremental folds and KernelBenchmark
+// all lay out through here, so they cannot disagree on the order or on
+// the run tree.
 func (idx *index) appendPartitions(sigs []bitvec.Vector, specs []partitionSpec, sliced bool, nDev int, row func(m int32, r uint32)) {
 	orderMembers(sigs, specs, sliced)
 	for i := range specs {
@@ -608,9 +614,18 @@ func (idx *index) appendPartitions(sigs []bitvec.Vector, specs []partitionSpec, 
 		}
 		if sliced {
 			idx.groups = append(idx.groups, bitvec.BuildSlicedGroups(idx.sets[off:])...)
+			p.runOff = uint32(len(idx.runs))
+			idx.runs = deriveRuns(idx.runs, idx.groups[p.grpOff:])
+			p.nRuns = uint32(len(idx.runs)) - p.runOff
 		}
 		idx.parts = append(idx.parts, p)
 	}
+}
+
+// slicedPart returns partition p's slice of the transposed index: its
+// groups and their run nodes.
+func (idx *index) slicedPart(p *partition) ([]bitvec.SlicedGroup, []runNode) {
+	return idx.groups[p.grpOff : p.grpOff+(p.n+63)/64], idx.runs[p.runOff : p.runOff+p.nRuns]
 }
 
 // appendKeys extends the key CSR by one row holding entries.
@@ -626,11 +641,13 @@ func (idx *index) appendKeys(entries []dbEntry, withTags bool) {
 
 // hostBytesFor is the host memory accounting (Fig 9): tagset table host
 // copy (24 B/set), its transposed mirror for the sliced kernel (1592 B
-// per 64-set SlicedGroup ≈ 24.9 B/set), key table, CSR offsets,
-// partition table (scalar bins + bit-sliced groups).
+// per 64-set SlicedGroup ≈ 24.9 B/set) with its run nodes (40 B each),
+// key table, CSR offsets, partition table (scalar bins + bit-sliced
+// groups).
 func hostBytesFor(idx *index) int64 {
 	return int64(len(idx.sets))*24 +
 		int64(len(idx.groups))*slicedGroupBytes +
+		int64(len(idx.runs))*runNodeBytes +
 		int64(len(idx.keys))*4 +
 		int64(len(idx.keyOff))*4 +
 		int64(idx.pt.entries())*28 +
@@ -653,7 +670,7 @@ func (e *Engine) attachDevices(idx *index) error {
 		idx.release()
 		idx.devices = nil
 		idx.devBufs = nil
-		idx.devGroupBufs = nil
+		idx.devShards = nil
 		idx.slots = nil
 		return fmt.Errorf("%w: %w", ErrDeviceDegraded, err)
 	}
@@ -668,23 +685,23 @@ const slicedGroupBytes = (bitvec.W + bitvec.Blocks + 1 + bitvec.Blocks) * 8
 // uploadToDevices allocates and fills the device-resident index and
 // opens the stream pools with their per-stream batch buffers. A device
 // holds only the layout the configured kernel reads: the transposed
-// groups for the bit-sliced kernel, the row table for the scalar one
-// (idx.groups is nil then, and for an empty index).
+// groups and their run nodes for the bit-sliced kernel, the row table for
+// the scalar one (idx.groups is nil then, and for an empty index).
 func (e *Engine) uploadToDevices(idx *index) error {
 	nDev := len(idx.devices)
 	idx.devBufs = make([]*gpu.Buffer[bitvec.Vector], nDev)
-	idx.devGroupBufs = make([]*gpu.Buffer[bitvec.SlicedGroup], nDev)
+	idx.devShards = make([]shard, nDev)
 	// A full upload lays every row into the base shards (extent ids from
 	// an incrementally-built host index whose adoption fell through would
 	// otherwise point at buffers this index never had): under replication
 	// a partition's device row is its range of the flat table.
-	idx.devExts, idx.devGrpExts = nil, nil
+	idx.devExts, idx.devShardExts = nil, nil
 	sliced := idx.groups != nil
 	for pi := range idx.parts {
 		p := &idx.parts[pi]
 		p.ext, p.devOff, p.devLen = 0, p.off, p.n
 		if sliced {
-			p.devOff, p.devLen = p.grpOff, (p.n+63)/64
+			p.devOff, p.devLen, p.devRunOff = p.grpOff, (p.n+63)/64, p.runOff
 		}
 	}
 
@@ -694,18 +711,19 @@ func (e *Engine) uploadToDevices(idx *index) error {
 		// re-packed contiguously. Because partitions are assigned
 		// round-robin in partition order and the flat table is
 		// partition-major, each device's slice is a gather of ranges
-		// (whole-group runs for the transposed index).
-		rows, groups := idx.sets, idx.groups
+		// (whole-group runs for the transposed index, with their nodes).
+		rows, groups, runs := idx.sets, idx.groups, idx.runs
 		if !e.cfg.Replicate {
-			rows, groups = nil, nil
+			rows, groups, runs = nil, nil, nil
 			for pi := range idx.parts {
 				p := &idx.parts[pi]
 				if p.dev != d {
 					continue
 				}
 				if sliced {
-					p.devOff = uint32(len(groups))
-					groups = append(groups, idx.groups[p.grpOff:p.grpOff+p.devLen]...)
+					p.devOff, p.devRunOff = uint32(len(groups)), uint32(len(runs))
+					g, r := idx.slicedPart(p)
+					groups, runs = append(groups, g...), append(runs, r...)
 				} else {
 					p.devOff = uint32(len(rows))
 					rows = append(rows, idx.sets[p.off:p.off+p.n]...)
@@ -714,7 +732,7 @@ func (e *Engine) uploadToDevices(idx *index) error {
 		}
 		var err error
 		if sliced {
-			idx.devGroupBufs[d], err = uploadBuffer(dev, groups)
+			idx.devShards[d], err = uploadShard(dev, groups, runs)
 		} else {
 			idx.devBufs[d], err = uploadBuffer(dev, rows)
 		}
@@ -774,9 +792,22 @@ func uploadBuffer[T any](dev *gpu.Device, src []T) (*gpu.Buffer[T], error) {
 	return buf, nil
 }
 
+// uploadShard allocates the device buffers of one shard of the transposed
+// index.
+func uploadShard(dev *gpu.Device, groups []bitvec.SlicedGroup, runs []runNode) (s shard, err error) {
+	if s.groups, err = uploadBuffer(dev, groups); err != nil {
+		return shard{}, err
+	}
+	if s.runs, err = uploadBuffer(dev, runs); err != nil {
+		s.groups.Free()
+		return shard{}, err
+	}
+	return s, nil
+}
+
 // extsOf returns device dev's extent buffers (none before the first
 // incremental fold).
-func extsOf[T any](exts [][]*gpu.Buffer[T], dev int) []*gpu.Buffer[T] {
+func extsOf[T any](exts [][]T, dev int) []T {
 	if exts == nil {
 		return nil
 	}
@@ -798,22 +829,22 @@ func (idx *index) release() {
 		b.Free()
 	}
 	idx.devBufs = nil
-	for _, b := range idx.devGroupBufs {
-		b.Free()
+	for _, s := range idx.devShards {
+		s.free()
 	}
-	idx.devGroupBufs = nil
+	idx.devShards = nil
 	for _, exts := range idx.devExts {
 		for _, b := range exts {
 			b.Free()
 		}
 	}
 	idx.devExts = nil
-	for _, exts := range idx.devGrpExts {
-		for _, b := range exts {
-			b.Free()
+	for _, exts := range idx.devShardExts {
+		for _, s := range exts {
+			s.free()
 		}
 	}
-	idx.devGrpExts = nil
+	idx.devShardExts = nil
 }
 
 // Close drains the pipeline and releases all resources. The engine cannot
@@ -916,6 +947,7 @@ func (e *Engine) Stats() Stats {
 		KernelScalar:        e.obs.Kernel.ScalarBatches.Load(),
 		KernelGateChecks:    e.obs.Kernel.GateChecks.Load(),
 		KernelGatePruned:    e.obs.Kernel.GatePruned.Load(),
+		KernelGateTests:     e.obs.Kernel.GateTests.Load(),
 		KernelGroupScans:    e.obs.Kernel.GroupScans.Load(),
 		KernelColumnsWalked: e.obs.Kernel.ColumnsWalked.Load(),
 		H2DQueryBytes:       e.obs.Streams.H2DQueryBytes.Load(),

@@ -88,6 +88,8 @@ const (
 	segOff             // offset of the partition's first group (sliced) or set (scalar) in it
 	segLen             // the partition's groups (sliced) or sets (scalar)
 	segBase            // global set id of the partition's first set
+	segRunOff          // offset of the partition's first run node beside that buffer (sliced)
+	segRunLen          // the partition's run nodes
 	segWords
 )
 
@@ -121,11 +123,12 @@ func (a *batchArgs) pf(seg int) *obs.PartitionCounters {
 }
 
 // blockScratch is what the kernels keep in an SM's shared memory across
-// blocks: the block's gathered query signatures and the scalar kernel's
-// surviving-query list.
+// blocks: the block's gathered query signatures, the scalar kernel's
+// surviving-query list and the sliced kernel's stack of them.
 type blockScratch struct {
 	qs   []bitvec.Vector
 	surv []uint8
+	span spanScratch
 }
 
 // block resolves the segment a thread block serves: the segment's table
@@ -168,21 +171,13 @@ func (a *batchArgs) block(b *gpu.BlockCtx) (row []uint32, seg, local int, sh *bl
 }
 
 // segBlocks returns the thread blocks a partition of n sets occupies in
-// a launch: one thread per 64-lane group with max(1, blockDim/64) groups
-// per block for the sliced kernel (so a block covers roughly the sets of
-// a scalar block, and groups never straddle blocks), one thread per set
-// for the scalar kernel.
+// a launch: one thread per 64-lane group for the sliced kernel, one thread
+// per set for the scalar kernel, blockDim threads per block.
 func segBlocks(n, blockDim int, sliced bool) int {
 	if sliced {
-		gpb := slicedBlockDim(blockDim)
-		return ((n+63)/64 + gpb - 1) / gpb
+		n = (n + 63) / 64
 	}
 	return (n + blockDim - 1) / blockDim
-}
-
-// slicedBlockDim is the sliced kernel's threads (groups) per block.
-func slicedBlockDim(blockDim int) int {
-	return max(1, blockDim/64)
 }
 
 // blockPrefilter implements Algorithm 4: compute the block's common

@@ -21,23 +21,43 @@ func TestSlicedGroupBytesMatchesLayout(t *testing.T) {
 	}
 }
 
+func TestRunNodeBytesMatchesLayout(t *testing.T) {
+	if got := int64(unsafe.Sizeof(runNode{})); got != runNodeBytes {
+		t.Fatalf("unsafe.Sizeof(runNode) = %d, runNodeBytes = %d", got, runNodeBytes)
+	}
+}
+
+// TestSlicedSegBlocks pins the sliced block geometry: one thread per
+// group, blockDim threads per block, so every group is covered exactly
+// once and a partition of up to 64 × blockDim sets is a single block.
 func TestSlicedSegBlocks(t *testing.T) {
 	for _, tc := range []struct {
-		nGroups, blockDim, blocks, dim int
+		nGroups, blockDim, blocks int
 	}{
-		{1, 256, 1, 4},
-		{5, 256, 2, 4},
-		{5, 64, 5, 1},
-		{5, 1, 5, 1},   // blockDim < 64 degrades to one group per block
-		{7, 129, 4, 2}, // gpb truncates: 129/64 = 2
-		{0, 256, 0, 4},
+		{1, 256, 1},
+		{5, 256, 1},
+		{256, 256, 1},
+		{257, 256, 2},
+		{7, 4, 2}, // the 7-group partition that was two blocks at blockDim 256
+		{7, 3, 3},
+		{5, 1, 5},
+		{0, 256, 0},
 	} {
-		// Every group must be covered exactly once, by whole blocks.
 		nSets := tc.nGroups*64 - 63*min(tc.nGroups, 1) // the last group holds one set
-		blocks, dim := segBlocks(nSets, tc.blockDim, true), slicedBlockDim(tc.blockDim)
-		if blocks != tc.blocks || dim != tc.dim {
-			t.Fatalf("%d groups at blockDim %d: %d blocks of %d, want %d of %d",
-				tc.nGroups, tc.blockDim, blocks, dim, tc.blocks, tc.dim)
+		if blocks := segBlocks(nSets, tc.blockDim, true); blocks != tc.blocks {
+			t.Fatalf("%d groups at blockDim %d: %d blocks, want %d", tc.nGroups, tc.blockDim, blocks, tc.blocks)
+		}
+		// The spans the kernel derives from (block, blockDim) tile the groups.
+		covered := 0
+		for blk := 0; blk < tc.blocks; blk++ {
+			g0 := blk * tc.blockDim
+			if g0 != covered || g0 >= tc.nGroups {
+				t.Fatalf("%d groups at blockDim %d: block %d starts at group %d, %d covered", tc.nGroups, tc.blockDim, blk, g0, covered)
+			}
+			covered = min(g0+tc.blockDim, tc.nGroups)
+		}
+		if covered != tc.nGroups {
+			t.Fatalf("%d groups at blockDim %d: %d covered", tc.nGroups, tc.blockDim, covered)
 		}
 	}
 }
@@ -128,10 +148,9 @@ func TestSlicedKernelEmptyBatch(t *testing.T) {
 func TestCPUMatchBatchSlicedMatchesScalar(t *testing.T) {
 	sets, queries := batchFixture(2500, 48, 24)
 	want := bruteForcePairs(sets, 1000, queries)
-	groups := bitvec.BuildSlicedGroups(sets)
 	for _, gate := range []bool{true, false} {
 		var got []pair
-		cpuMatchBatchSliced(groups, 1000, queries, 0, gate, nil, nil, func(q uint8, s uint32) {
+		hostSliced(sets, 1000, queries, 0, gate, nil, func(q uint8, s uint32) {
 			got = append(got, pair{q, s})
 		})
 		sortPairs(got)
@@ -413,7 +432,7 @@ func FuzzSlicedMatch(f *testing.F) {
 			cpuMatchBatch(sg.sets, int(sg.base), sg.queries, uint8(first), 256, gate, nil, nil, func(q uint8, s uint32) {
 				scalar = append(scalar, pair{q, s})
 			})
-			cpuMatchBatchSliced(bitvec.BuildSlicedGroups(sg.sets), int(sg.base), sg.queries, uint8(first), gate, nil, nil, func(q uint8, s uint32) {
+			hostSliced(sg.sets, int(sg.base), sg.queries, uint8(first), gate, nil, func(q uint8, s uint32) {
 				sliced = append(sliced, pair{q, s})
 			})
 			first += len(sg.queries)

@@ -155,15 +155,15 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 	}
 	defer stream.Close()
 	setsBuf := gpu.MustAlloc[bitvec.Vector](dev, len(sets))
-	groupsBuf := gpu.MustAlloc[bitvec.SlicedGroup](dev, len(groups))
+	sh, err := uploadShard(dev, groups, layout[1].runs)
+	if err != nil {
+		panic(err)
+	}
 	qsBuf := gpu.MustAlloc[bitvec.Vector](dev, len(queries))
 	tab := gpu.MustAlloc[uint32](dev, batchSize+segWords)
 	hdr := gpu.MustAlloc[uint32](dev, resHeaderWords)
 	pairs := gpu.MustAlloc[byte](dev, pairBufBytes(maxPairs))
 	if err := setsBuf.CopyToDevice(0, layout[0].sets); err != nil {
-		panic(err)
-	}
-	if err := groupsBuf.CopyToDevice(0, groups); err != nil {
 		panic(err)
 	}
 	if err := qsBuf.CopyToDevice(0, queries); err != nil {
@@ -178,11 +178,11 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 			sliced := f == 1
 			off, n := p.off, p.n
 			grid := gpu.Grid{Blocks: segBlocks(int(p.n), blockDim, sliced), BlockDim: blockDim}
+			row := make([]uint32, segWords)
 			if sliced {
 				off, n = p.grpOff, (p.n+63)/64
-				grid.BlockDim = slicedBlockDim(blockDim)
+				row[segRunOff], row[segRunLen] = p.runOff, p.nRuns
 			}
-			row := make([]uint32, segWords)
 			row[segBlockEnd], row[segCount] = uint32(grid.Blocks), uint32(len(it.qs))
 			row[segOff], row[segLen], row[segBase] = off, n, p.off
 			it.tab[f] = append(slices.Clone(it.qs), row...)
@@ -192,7 +192,7 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 			}
 			it.grid[f] = grid
 			if sliced {
-				it.kernel[f] = slicedMatchKernel(args, groupsBuf, nil)
+				it.kernel[f] = slicedMatchKernel(args, sh, nil)
 			} else {
 				it.kernel[f] = matchKernel(args, setsBuf, nil)
 			}

@@ -643,8 +643,9 @@ func TestChaosPackedBatchesDeadlines(t *testing.T) {
 
 // TestGPUPathAllocsIndependentOfBlocks: the allocations of the GPU path
 // per query must not scale with the thread blocks launched. The same
-// bursts run at block dimensions 256 and 64 — four times the blocks over
-// the same groups — and may cost the same allocations.
+// bursts run at block dimensions 256 and 1 — one block per partition
+// against one per group, over the same groups — and may cost the same
+// allocations.
 func TestGPUPathAllocsIndependentOfBlocks(t *testing.T) {
 	const burst = 256
 	db := makeTestDB(8192, 5, 1, 119)
@@ -683,11 +684,11 @@ func TestGPUPathAllocsIndependentOfBlocks(t *testing.T) {
 		return allocs / burst, (dev.Stats().BlocksExecuted - before) / 15
 	}
 	wide, wideBlocks := measure(256)
-	narrow, narrowBlocks := measure(64)
+	narrow, narrowBlocks := measure(1)
 	t.Logf("allocs/query: %.2f at %d blocks/burst, %.2f at %d blocks/burst", wide, wideBlocks, narrow, narrowBlocks)
 	extra := narrowBlocks - wideBlocks
 	if extra < wideBlocks {
-		t.Fatalf("blockDim 64 ran %d blocks per burst against %d at 256: the fixture does not multiply blocks", narrowBlocks, wideBlocks)
+		t.Fatalf("blockDim 1 ran %d blocks per burst against %d at 256: the fixture does not multiply blocks", narrowBlocks, wideBlocks)
 	}
 	if raceEnabled {
 		return // pool misses are random under -race; the block counts held

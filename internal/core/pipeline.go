@@ -1228,6 +1228,7 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 		row[segFirst], row[segCount] = uint32(sg.first), uint32(sg.n)
 		row[segExt], row[segOff], row[segLen] = p.ext, p.devOff, p.devLen
 		row[segBase] = p.off
+		row[segRunOff], row[segRunLen] = p.devRunOff, p.nRuns
 		if e.obs.On {
 			args.pfs = append(args.pfs, e.obs.Parts.Get(sg.pid))
 		}
@@ -1235,8 +1236,7 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 	var kernel gpu.KernelFunc
 	grid := gpu.Grid{Blocks: blocks, BlockDim: e.cfg.BlockDim}
 	if sliced {
-		grid.BlockDim = slicedBlockDim(e.cfg.BlockDim)
-		kernel = slicedMatchKernel(args, idx.devGroupBufs[dev], extsOf(idx.devGrpExts, dev))
+		kernel = slicedMatchKernel(args, idx.devShards[dev], extsOf(idx.devShardExts, dev))
 		e.obs.Kernel.SlicedBatches.Add(1)
 	} else {
 		kernel = matchKernel(args, idx.devBufs[dev], extsOf(idx.devExts, dev))
@@ -1525,9 +1525,9 @@ func (e *Engine) reduceOne(res *batchResult) {
 			}
 			sigs := b.sigs[sg.first : sg.first+sg.n]
 			if sliced {
-				nG := (int(p.n) + 63) / 64
-				cpuMatchBatchSliced(idx.groups[p.grpOff:int(p.grpOff)+nG], int(p.off),
-					sigs, uint8(sg.first), !e.cfg.DisablePrefilter, pc, &e.obs.Kernel, visit)
+				groups, runs := idx.slicedPart(p)
+				cpuMatchBatchSliced(groups, runs, int(p.off), sigs, uint8(sg.first),
+					!e.cfg.DisablePrefilter, &sc.span, pc, &e.obs.Kernel, visit)
 			} else {
 				sc.qIdx = cpuMatchBatch(idx.sets[p.off:p.off+p.n], int(p.off), sigs, uint8(sg.first),
 					e.cfg.BlockDim, !e.cfg.DisablePrefilter, pc, sc.qIdx, visit)

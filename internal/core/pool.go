@@ -138,10 +138,11 @@ func (ep *enginePools) putResult(r *batchResult) {
 // order. Key capacities persist across reuse, so a warmed-up scratch
 // absorbs a typical batch without allocating.
 type reduceScratch struct {
-	keys    [][]Key // per batch slot; appended to under no lock
-	touched []uint8 // slots with at least one key, in first-touch order
-	qIdx    []uint8 // cpuMatchBatch per-block surviving-query scratch
-	pairs   []int32 // per batch slot: pairs decoded, then entries per distinct query
+	keys    [][]Key     // per batch slot; appended to under no lock
+	touched []uint8     // slots with at least one key, in first-touch order
+	qIdx    []uint8     // cpuMatchBatch per-block surviving-query scratch
+	span    spanScratch // cpuMatchBatchSliced's surviving-entry lists
+	pairs   []int32     // per batch slot: pairs decoded, then entries per distinct query
 }
 
 func (ep *enginePools) getScratch(batchSize int) *reduceScratch {

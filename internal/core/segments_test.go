@@ -9,9 +9,9 @@ import (
 )
 
 // testSeg is one segment of a kernel-test launch: a partition — its
-// sorted sets, the global id of the first, and the device buffer holding
-// it (0 the base shard, e the e-th extent) — and the entries routed to
-// it.
+// sets (sorted for the scalar kernel; in any order for the sliced one),
+// the global id of the first, and the device buffer holding it (0 the
+// base shard, e the e-th extent) — and the entries routed to it.
 type testSeg struct {
 	sets    []bitvec.Vector
 	base    uint32
@@ -34,8 +34,16 @@ func wantSegPairs(segs []testSeg) []pair {
 	return out
 }
 
+// hostSliced runs the host path of the sliced kernel over one partition:
+// its groups, the run nodes derived from them, one matchSpan.
+func hostSliced(sets []bitvec.Vector, base int, queries []bitvec.Vector, qbase uint8, gate bool, kc *obs.KernelCounters, visit func(q uint8, s uint32)) {
+	groups := bitvec.BuildSlicedGroups(sets)
+	cpuMatchBatchSliced(groups, deriveRuns(nil, groups), base, queries, qbase, gate, &spanScratch{}, nil, kc, visit)
+}
+
 // runSegKernel lays the segments' partitions out in a base buffer and
-// extent buffers, stages the entries' signatures in reverse (so entry
+// extent buffers (the sliced flavor with each partition's run nodes beside
+// its groups), stages the entries' signatures in reverse (so entry
 // indices are not the identity, as in KernelBenchmark) and the entry
 // indices and segment table in one buffer, as gpuDispatchAttempt does,
 // and runs one launch of the chosen kernel flavor.
@@ -58,6 +66,7 @@ func runSegKernel(t testing.TB, segs []testSeg, sliced bool, maxPairs, blockDim 
 	tab := make([]uint32, nQ+len(segs)*segWords)
 	rows := make([][]bitvec.Vector, nExt+1)
 	groups := make([][]bitvec.SlicedGroup, nExt+1)
+	runs := make([][]runNode, nExt+1)
 	first, blocks := 0, 0
 	for si, sg := range segs {
 		for i, q := range sg.queries {
@@ -69,6 +78,9 @@ func runSegKernel(t testing.TB, segs []testSeg, sliced bool, maxPairs, blockDim 
 			g := bitvec.BuildSlicedGroups(sg.sets)
 			row[segOff], row[segLen] = uint32(len(groups[sg.ext])), uint32(len(g))
 			groups[sg.ext] = append(groups[sg.ext], g...)
+			row[segRunOff] = uint32(len(runs[sg.ext]))
+			runs[sg.ext] = deriveRuns(runs[sg.ext], g)
+			row[segRunLen] = uint32(len(runs[sg.ext])) - row[segRunOff]
 		} else {
 			row[segOff], row[segLen] = uint32(len(rows[sg.ext])), uint32(len(sg.sets))
 			rows[sg.ext] = append(rows[sg.ext], sg.sets...)
@@ -97,9 +109,11 @@ func runSegKernel(t testing.TB, segs []testSeg, sliced bool, maxPairs, blockDim 
 	grid := gpu.Grid{Blocks: blocks, BlockDim: blockDim}
 	var kernel gpu.KernelFunc
 	if sliced {
-		grid.BlockDim = slicedBlockDim(blockDim)
-		bufs := uploadAll(t, dev, groups)
-		kernel = slicedMatchKernel(args, bufs[0], bufs[1:])
+		shards := make([]shard, nExt+1)
+		for e, bufs, nodes := 0, uploadAll(t, dev, groups), uploadAll(t, dev, runs); e <= nExt; e++ {
+			shards[e] = shard{groups: bufs[e], runs: nodes[e]}
+		}
+		kernel = slicedMatchKernel(args, shards[0], shards[1:])
 	} else {
 		bufs := uploadAll(t, dev, rows)
 		kernel = matchKernel(args, bufs[0], bufs[1:])

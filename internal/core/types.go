@@ -70,7 +70,10 @@ type Config struct {
 	// a device has in flight. Defaults to min(10, device max).
 	StreamsPerDevice int
 
-	// BlockDim is the GPU thread-block size for the subset-match kernel.
+	// BlockDim is the GPU thread-block size for the subset-match kernel:
+	// one thread per 64-set group for the bit-sliced kernel, so a block
+	// covers up to 64 × BlockDim sets of a partition and a partition of at
+	// most that many is one block; one thread per set under ScalarKernel.
 	// Defaults to 256.
 	BlockDim int
 
@@ -354,13 +357,17 @@ type Stats struct {
 	RouteAppends    int64 `json:"route_appends"`
 
 	// Subset-match kernel counters (mirrors of obs.KernelCounters):
-	// batches executed per kernel flavor, group-gate effectiveness
-	// (KernelGatePruned / KernelGateChecks is the gate hit rate), and
-	// the column words touched by the bit-sliced walk.
+	// batches executed per kernel flavor, gate effectiveness —
+	// KernelGateChecks counts the (entry, group) pairs the gates decided,
+	// KernelGatePruned those rejected before any column was read (their
+	// ratio is the gate hit rate), KernelGateTests the three-word tests,
+	// on run nodes and on groups, that it took — and the column words
+	// touched by the bit-sliced walk.
 	KernelSliced        int64 `json:"kernel_sliced"`
 	KernelScalar        int64 `json:"kernel_scalar"`
 	KernelGateChecks    int64 `json:"kernel_gate_checks"`
 	KernelGatePruned    int64 `json:"kernel_gate_pruned"`
+	KernelGateTests     int64 `json:"kernel_gate_tests"`
 	KernelGroupScans    int64 `json:"kernel_group_scans"`
 	KernelColumnsWalked int64 `json:"kernel_columns_walked"`
 
@@ -477,14 +484,22 @@ type partition struct {
 	// kernel (no transposed index).
 	grpOff uint32
 
+	// runOff and nRuns locate the partition's run nodes in index.runs
+	// (kernel_sliced.go: runNode); nRuns is zero for a partition of one
+	// group, or with no run of groups sharing more than all of them do.
+	runOff uint32
+	nRuns  uint32
+
 	// The partition's device row: ext names the buffer — 0 for the base
 	// shard uploaded by the last full build, e>0 for the e-th extent
 	// buffer appended by an incremental fold (index.devExts[dev][e-1]) —
 	// and devOff/devLen the range of it the configured kernel reads, in
 	// groups for the bit-sliced kernel and in sets for the scalar one. A
-	// device holds one layout, so one pair serves; uploadToDevices and
-	// adoptDevices resolve it when they place the partition.
-	ext    uint32
-	devOff uint32
-	devLen uint32
+	// device holds one layout, so one pair serves; devRunOff is where the
+	// partition's nRuns run nodes start beside it. uploadToDevices and
+	// adoptDevices resolve them when they place the partition.
+	ext       uint32
+	devOff    uint32
+	devLen    uint32
+	devRunOff uint32
 }

@@ -60,6 +60,8 @@ func TestObsSmoke(t *testing.T) {
 			"tagmatch_stream_acquire_wait_seconds",
 			"tagmatch_pipeline_overlap_fraction",
 			"tagmatch_routed_log_entries",
+			"tagmatch_kernel_gate_checks_total",
+			"tagmatch_kernel_gate_tests_total",
 		} {
 			if !families[want] {
 				t.Errorf("metric family %q missing from /metrics", want)
@@ -159,6 +161,13 @@ func TestObsSmoke(t *testing.T) {
 		}
 		if s := ds.Stats; s.SegmentsDispatched < s.BatchesDispatched || s.BatchesDispatched == 0 {
 			t.Errorf("stats: %d segments in %d dispatched batches", s.SegmentsDispatched, s.BatchesDispatched)
+		}
+		// The kernel's gate counters reach both sections: pairs decided,
+		// and the three-word tests that took.
+		if s, k := ds.Stats, ds.Obs.Kernel; s.KernelGateTests == 0 || s.KernelGateChecks == 0 ||
+			k.GateTests != s.KernelGateTests || k.GateChecks != s.KernelGateChecks {
+			t.Errorf("gate counters: stats %d tests / %d checks, obs.kernel %d / %d",
+				s.KernelGateTests, s.KernelGateChecks, k.GateTests, k.GateChecks)
 		}
 	})
 

@@ -17,12 +17,15 @@ type KernelCounters struct {
 	// retained scalar per-thread kernel (Config.ScalarKernel, and the
 	// host fallback of a scalar-configured engine).
 	ScalarBatches atomic.Int64
-	// GateChecks counts (group, query) gate tests; GatePruned counts
-	// those that discarded the group's 64 sets with the single
-	// three-word intersection test. GatePruned / GateChecks is the
-	// group-gate hit rate.
+	// GateChecks counts the (group, query) pairs the gates decided;
+	// GatePruned counts those rejected — the group's 64 sets discarded —
+	// before any column was read. GatePruned / GateChecks is the gate
+	// hit rate. GateTests counts the three-word intersection tests that
+	// took: fewer than one per pair where a rejected run of groups
+	// decides all the groups beneath it with one test per entry.
 	GateChecks atomic.Int64
 	GatePruned atomic.Int64
+	GateTests  atomic.Int64
 	// GroupScans counts column walks that ran because the gate passed
 	// (or was disabled); ColumnsWalked accumulates the column words
 	// those walks touched. ColumnsWalked / GroupScans is the mean scan
@@ -44,6 +47,7 @@ type KernelSnapshot struct {
 	ScalarBatches int64        `json:"scalar_batches"`
 	GateChecks    int64        `json:"gate_checks"`
 	GatePruned    int64        `json:"gate_pruned"`
+	GateTests     int64        `json:"gate_tests"`
 	GroupScans    int64        `json:"group_scans"`
 	ColumnsWalked int64        `json:"columns_walked"`
 	Columns       HistSnapshot `json:"columns_per_block"`
@@ -56,6 +60,7 @@ func (k *KernelCounters) Snapshot() KernelSnapshot {
 		ScalarBatches: k.ScalarBatches.Load(),
 		GateChecks:    k.GateChecks.Load(),
 		GatePruned:    k.GatePruned.Load(),
+		GateTests:     k.GateTests.Load(),
 		GroupScans:    k.GroupScans.Load(),
 		ColumnsWalked: k.ColumnsWalked.Load(),
 		Columns:       k.Columns.Snapshot(),
@@ -71,11 +76,14 @@ func (k *KernelCounters) writeProm(w *PromWriter) {
 		"Batch subset matches executed, by kernel flavor.",
 		Labels{{"flavor", "scalar"}}, float64(k.ScalarBatches.Load()))
 	w.Counter("tagmatch_kernel_gate_checks_total",
-		"(group, query) group-gate intersection tests in the sliced kernel.",
+		"(group, query) pairs decided by the sliced kernel's gates.",
 		nil, float64(k.GateChecks.Load()))
 	w.Counter("tagmatch_kernel_gate_pruned_total",
-		"Gate tests that discarded the whole 64-set group.",
+		"(group, query) pairs whose 64-set group was discarded before any column was read.",
 		nil, float64(k.GatePruned.Load()))
+	w.Counter("tagmatch_kernel_gate_tests_total",
+		"Three-word gate tests executed, on run nodes and on groups.",
+		nil, float64(k.GateTests.Load()))
 	w.Counter("tagmatch_kernel_group_scans_total",
 		"Column walks executed after a passing (or disabled) gate.",
 		nil, float64(k.GroupScans.Load()))

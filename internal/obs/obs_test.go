@@ -335,6 +335,7 @@ func TestKernelCountersSnapshotAndProm(t *testing.T) {
 	p.Kernel.ScalarBatches.Add(1)
 	p.Kernel.GateChecks.Add(10)
 	p.Kernel.GatePruned.Add(4)
+	p.Kernel.GateTests.Add(7)
 	p.Kernel.GroupScans.Add(6)
 	p.Kernel.ColumnsWalked.Add(90)
 	p.Kernel.Columns.Observe(90)
@@ -342,7 +343,7 @@ func TestKernelCountersSnapshotAndProm(t *testing.T) {
 	snap := p.Snapshot(false)
 	k := snap.Kernel
 	if k.SlicedBatches != 3 || k.ScalarBatches != 1 || k.GateChecks != 10 ||
-		k.GatePruned != 4 || k.GroupScans != 6 || k.ColumnsWalked != 90 {
+		k.GatePruned != 4 || k.GateTests != 7 || k.GroupScans != 6 || k.ColumnsWalked != 90 {
 		t.Fatalf("kernel snapshot = %+v", k)
 	}
 	if k.Columns.Count != 1 {
@@ -357,6 +358,7 @@ func TestKernelCountersSnapshotAndProm(t *testing.T) {
 		`tagmatch_kernel_batches_total{flavor="scalar"} 1`,
 		`tagmatch_kernel_gate_checks_total 10`,
 		`tagmatch_kernel_gate_pruned_total 4`,
+		`tagmatch_kernel_gate_tests_total 7`,
 		`tagmatch_kernel_group_scans_total 6`,
 		`tagmatch_kernel_columns_walked_total 90`,
 		`# TYPE tagmatch_kernel_columns_per_block histogram`,

@@ -2,16 +2,16 @@
 
 GO ?= go
 
-.PHONY: check build vet test race chaos bench-canonical-smoke bench-smoke bench-obs bench-hotpath bench-chaos bench-preprocess bench-preprocess-smoke bench-kernel bench-kernel-smoke bench-tail bench-tail-smoke bench-churn bench-churn-smoke obs-smoke obsdiff-gate clean
+.PHONY: check build vet test race chaos bench-canonical-smoke bench-smoke bench-obs bench-hotpath bench-chaos bench-preprocess bench-preprocess-smoke bench-tail bench-tail-smoke bench-churn bench-churn-smoke obs-smoke obsdiff-gate clean
 
 ## check: full CI gate — vet, build, tests, race detector on the
 ## concurrency-heavy packages, the chaos (fault-injection) suite, a
 ## short allocation-tracking benchmark pass over the hot path,
-## reduced-scale smoke runs of the routing, match-kernel, tail-latency
-## and live-update experiments, the observability export smoke
+## reduced-scale smoke runs of the routing, tail-latency and live-update
+## experiments, the observability export smoke
 ## test, the canonical benchmark's harness smoke and one driver-form run
 ## of it, and the perf budgets on checked-in baselines.
-check: vet build test race chaos bench-smoke bench-preprocess-smoke bench-kernel-smoke bench-tail-smoke bench-churn-smoke obs-smoke bench-canonical-smoke obsdiff-gate
+check: vet build test race chaos bench-smoke bench-preprocess-smoke bench-tail-smoke bench-churn-smoke obs-smoke bench-canonical-smoke obsdiff-gate
 
 build:
 	$(GO) build ./...
@@ -76,19 +76,6 @@ bench-preprocess:
 bench-preprocess-smoke:
 	$(GO) run ./cmd/tagmatch-bench -scale 0.0005 -queries 4000 -no-bench-files preprocess
 
-## bench-kernel: measure the bit-sliced vs. scalar subset-match kernel
-## (ns/query) and the end-to-end throughput of both flavors, re-check
-## exactness under the chaos fault plan on the sliced path, and write
-## BENCH_kernel.json. Use `-format benchstat` by hand to diff runs.
-bench-kernel:
-	$(GO) run ./cmd/tagmatch-bench kernel
-
-## bench-kernel-smoke: the same experiment at reduced scale as a CI
-## gate; -no-bench-files keeps the small-scale numbers from overwriting
-## the committed BENCH_kernel.json.
-bench-kernel-smoke:
-	$(GO) run ./cmd/tagmatch-bench -scale 0.0005 -queries 4000 -no-bench-files kernel
-
 ## bench-tail: measure query-latency percentiles with and without hedged
 ## re-dispatch while one degraded device straggles on 2% of its
 ## operations, and write BENCH_tail.json (hedged p99 must be >= 2x
@@ -146,9 +133,6 @@ obsdiff-gate:
 	$(GO) run ./cmd/tagmatch-obsdiff \
 		-assert 'routing_speedup>=2' BENCH_preprocess.json
 	$(GO) run ./cmd/tagmatch-obsdiff \
-		-assert 'kernel_speedup>=2' -assert 'results_match>=1' \
-		-assert 'chaos_results_match>=1' BENCH_kernel.json
-	$(GO) run ./cmd/tagmatch-obsdiff \
 		-assert 'hedged_p99_improvement>=2' -assert 'hedge_exactness>=1' \
 		-assert 'results_match>=1' BENCH_tail.json
 	$(GO) run ./cmd/tagmatch-obsdiff \
@@ -157,5 +141,5 @@ obsdiff-gate:
 		-assert 'visibility_p99_ms<=250' BENCH_churn.json
 
 clean:
-	rm -f BENCH_obs.json BENCH_hotpath.json BENCH_chaos.json BENCH_preprocess.json BENCH_kernel.json BENCH_tail.json BENCH_churn.json
+	rm -f BENCH_obs.json BENCH_hotpath.json BENCH_chaos.json BENCH_preprocess.json BENCH_tail.json BENCH_churn.json
 	rm -rf results

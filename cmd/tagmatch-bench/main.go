@@ -14,11 +14,9 @@
 // written to BENCH_hotpath.json), chaos (throughput under injected
 // GPU faults and a mid-run device death, also written to
 // BENCH_chaos.json), preprocess (bit-sliced vs. scalar partition
-// routing, also written to BENCH_preprocess.json), kernel
-// (bit-sliced vs. scalar subset-match kernel, also written to
-// BENCH_kernel.json), tail (query-latency percentiles with and
-// without hedged re-dispatch under injected stragglers, also written
-// to BENCH_tail.json), and churn (live updates through the delta
+// routing, also written to BENCH_preprocess.json), tail (query-latency
+// percentiles with and without hedged re-dispatch under injected
+// stragglers, also written to BENCH_tail.json), and churn (live updates through the delta
 // overlay with background consolidation vs the stop-the-world ablation,
 // also written to BENCH_churn.json).
 //
@@ -128,7 +126,7 @@ func allNames() []string {
 		"table1", "table3", "fig2", "fig4", "fig5", "fig6", "fig7",
 		"fig8", "fig9", "fig10", "fig11", "families",
 		"ablation-pipeline", "ablation-gpuonly", "obs-overhead", "hotpath",
-		"chaos", "preprocess", "kernel", "tail", "churn",
+		"chaos", "preprocess", "tail", "churn",
 	}
 }
 
@@ -191,13 +189,6 @@ func runOne(out io.Writer, name string, p experiments.Params, format string) {
 		// the bit-sliced speedup (acceptance bar: ≥2x) is tracked across
 		// commits.
 		writeBenchFile("BENCH_preprocess.json", r)
-	case "kernel":
-		t, r := experiments.Kernel(p)
-		tables = append(tables, t)
-		// Match-kernel before/after numbers land in BENCH_kernel.json so
-		// the bit-sliced speedup (acceptance bar: ≥2x) and the exactness
-		// re-checks are tracked across commits.
-		writeBenchFile("BENCH_kernel.json", r)
 	case "tail":
 		t, r := experiments.Tail(p)
 		tables = append(tables, t)

@@ -210,3 +210,66 @@ func TestConsolidateOOMDegradesToCPU(t *testing.T) {
 		t.Fatalf("device memory leaked on degrade: %d bytes", dev.MemInUse())
 	}
 }
+
+// TestConsolidateOOMDegradedFold pins what an incremental fold does after
+// a degraded Consolidate: the device has room for the fold's extent (a
+// few one-group partitions) but not for the base index, and the old
+// generation holds no device shards, so the fold must not adopt it — it
+// takes the full attach, which degrades again. Answers stay exact, nothing is left on the device,
+// and the drained engine holds nothing it borrowed. Adopting the degraded
+// generation would upload the extent beside shards that do not exist and
+// leave the index with devices but no streams.
+func TestConsolidateOOMDegradedFold(t *testing.T) {
+	db := makeTestDB(2000, 5, 2, 79)
+	// Eight groups: the base index needs dozens, the fold's extent at most
+	// one per new set.
+	dev := gpu.New(gpu.Config{Workers: 2, GlobalMemBytes: 8 * slicedGroupBytes})
+	t.Cleanup(dev.Close)
+	e, err := New(Config{
+		MaxPartitionSize: 500, BatchSize: 32, Threads: 2,
+		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+		DeltaMaxSets: 4, DeltaMaxRatio: 1e-9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	// The base goes in as one bulk Consolidate (LoadSnapshot's path), so
+	// the four-op fold threshold starts no fold before it.
+	var base []stagedOp
+	for i, sig := range db.sigs {
+		for _, k := range db.keys[i] {
+			base = append(base, stagedOp{sig: sig, key: k})
+		}
+	}
+	if err := e.consolidateOnce(false, base); !errors.Is(err, ErrDeviceDegraded) || !errors.Is(err, gpu.ErrOutOfMemory) {
+		t.Fatalf("Consolidate on an eight-group device: %v, want a degrade on out-of-memory", err)
+	}
+
+	// Four new sets, appended by an incremental fold as new partitions of
+	// one group each.
+	next := Key(1 << 20)
+	for _, sig := range randomSets(4, 5, 80) {
+		db.sigs = append(db.sigs, sig)
+		db.keys = append(db.keys, []Key{next})
+		e.AddSignature(sig, next)
+		next++
+	}
+	for deadline := time.Now().Add(10 * time.Second); e.Stats().IncrementalFolds == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no incremental fold within 10s")
+		}
+	}
+	e.consolidateMu.Lock() // the fold has swapped its index in once this is free
+	e.consolidateMu.Unlock()
+	if idx := e.idx.Load(); len(idx.devices) != 0 || idx.slots != nil {
+		t.Fatalf("the fold left %d devices and slots %v on a degraded index", len(idx.devices), idx.slots)
+	}
+
+	verifyEngine(t, e, db, db.makeQueries(200, 81), false)
+	if n := dev.MemInUse(); n != 0 {
+		t.Fatalf("device holds %d bytes after folding into a degraded index", n)
+	}
+	assertDrained(t, e, []int64{0})
+}

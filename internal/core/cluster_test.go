@@ -103,7 +103,7 @@ func checkClustered(t *testing.T, sets []bitvec.Vector, specs []partitionSpec) {
 	for i := range specs {
 		before[i] = slices.Sorted(slices.Values(specs[i].members))
 	}
-	orderMembers(sets, specs, true)
+	orderMembers(sets, specs)
 
 	// The same weights orderMembers derives, for re-deriving its pivots.
 	all := slices.Concat(before...)
@@ -157,7 +157,7 @@ func TestClusterSmallPartitionIsLexicographic(t *testing.T) {
 	for _, n := range []int{1, 2, 37, 64} {
 		sets := vocabSets(n, 100, 4, int64(n))
 		specs, want := onePartition(sets), onePartition(sets)
-		orderMembers(sets, specs, true)
+		orderMembers(sets, specs)
 		sortMembersLexicographically(sets, want[0].members)
 		if !slices.Equal(specs[0].members, want[0].members) {
 			t.Fatalf("%d members: clustered order differs from the lexicographic one", n)
@@ -207,7 +207,7 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 	for _, procs := range []int{1, 4, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		specs := balancedPartition(sets, 500)
-		orderMembers(sets, specs, true)
+		orderMembers(sets, specs)
 		runtime.GOMAXPROCS(prev)
 		order := make([][]int32, len(specs))
 		for i := range specs {
@@ -222,11 +222,6 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestClusterGatePruneOnWorkload is the mechanism's counter test on a small
-// seeded dataset of the benchmark's generator: on the same partitions, the
-// clustered layout's group gate must reject at least twice the share of
-// (query, group) pairs the lexicographic layout rejects, and both must emit
-// exactly the brute-force (query, set) pairs.
 // generatedSets draws the interests of the workload generator's first
 // users and returns the generator, the distinct signatures and the tags
 // behind each, the pool queries are built on.
@@ -247,6 +242,28 @@ func generatedSets(t *testing.T, users int, seed int64) (gen *workload.Generator
 	return gen, sigs, pool
 }
 
+// appendLexicographic lays specs out into idx the way the paper orders
+// rows — every partition's members sorted lexicographically — and
+// transposes each partition into groups by hand, with no run nodes: the
+// comparison layout for what the clusterer and the run nodes buy.
+func appendLexicographic(idx *index, sigs []bitvec.Vector, specs []partitionSpec) {
+	for i := range specs {
+		members := specs[i].members
+		sortMembersLexicographically(sigs, members)
+		p := partition{mask: specs[i].mask, off: uint32(len(idx.sets)), n: uint32(len(members)), grpOff: uint32(len(idx.groups))}
+		for _, m := range members {
+			idx.sets = append(idx.sets, sigs[m])
+		}
+		idx.groups = append(idx.groups, bitvec.BuildSlicedGroups(idx.sets[p.off:])...)
+		idx.parts = append(idx.parts, p)
+	}
+}
+
+// TestClusterGatePruneOnWorkload is the mechanism's counter test on a small
+// seeded dataset of the benchmark's generator: on the same partitions, the
+// clustered layout's group gate must reject at least twice the share of
+// (query, group) pairs the lexicographic layout rejects, and both must emit
+// exactly the brute-force (query, set) pairs.
 func TestClusterGatePruneOnWorkload(t *testing.T) {
 	gen, sigs, pool := generatedSets(t, 6000, 3)
 	rng := rand.New(rand.NewSource(4))
@@ -279,16 +296,9 @@ func TestClusterGatePruneOnWorkload(t *testing.T) {
 	for f, clustered := range []bool{false, true} {
 		var idx index
 		if clustered {
-			idx.appendPartitions(sigs, specs, true, 0, nil)
+			idx.appendPartitions(sigs, specs, 0, nil)
 		} else {
-			// The scalar flavor's order, transposed by hand: what the
-			// sliced index looked like before the clusterer.
-			idx.appendPartitions(sigs, specs, false, 0, nil)
-			for pi := range idx.parts {
-				p := &idx.parts[pi]
-				p.grpOff = uint32(len(idx.groups))
-				idx.groups = append(idx.groups, bitvec.BuildSlicedGroups(idx.sets[p.off:p.off+p.n])...)
-			}
+			appendLexicographic(&idx, sigs, specs)
 		}
 		pt, maskless := buildPartitionTable(idx.parts)
 		var kc obs.KernelCounters

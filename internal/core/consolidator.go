@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tagmatch/internal/bitvec"
-	"tagmatch/internal/gpu"
 )
 
 // This file is the consolidation machinery behind the live-update
@@ -400,7 +399,7 @@ func (e *Engine) buildIncrementalIndex(old *index, touched map[bitvec.Vector][]d
 	idx.parts = append(make([]partition, 0, len(old.parts)+1), old.parts...)
 
 	if len(newSigs) > 0 {
-		idx.appendPartitions(newSigs, e.partition(newSigs), !e.cfg.ScalarKernel, len(e.cfg.Devices), func(m int32, r uint32) {
+		idx.appendPartitions(newSigs, e.partition(newSigs), len(e.cfg.Devices), func(m int32, r uint32) {
 			rowOf[newSigs[m]] = r
 			idx.appendKeys(newEntries[newSigs[m]], e.cfg.ExactVerify)
 		})
@@ -432,62 +431,37 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 	if nDev == 0 {
 		return true // CPU-only engine: nothing device-side to move
 	}
-	if len(old.devBufs) != nDev {
+	if len(old.devShards) != nDev {
 		return false // old generation degraded to CPU: retry a full attach
 	}
-	sliced := idx.groups != nil
-	baseExt := make([]int, nDev) // extents already carried by the old generation
-	for d := range baseExt {
-		if sliced {
-			baseExt[d] = len(extsOf(old.devShardExts, d))
-		} else {
-			baseExt[d] = len(extsOf(old.devExts, d))
-		}
-	}
 
-	// Upload the appended partitions, one extent per device, in the one
-	// layout the configured kernel reads. In replicate mode every device
-	// receives all new rows; partitioned placement gathers each device's
-	// own partitions, extent-relative.
-	newBufs := make([]*gpu.Buffer[bitvec.Vector], nDev)
+	// Upload the appended partitions, one extent per device. In replicate
+	// mode every device receives all new groups; partitioned placement
+	// gathers each device's own partitions, extent-relative.
 	newShards := make([]shard, nDev)
 	fail := func() bool {
-		for _, b := range newBufs {
-			b.Free()
-		}
 		for _, s := range newShards {
 			s.free()
 		}
 		return false
 	}
 	for d, dev := range idx.devices {
-		var mine []bitvec.Vector
-		var mineGroups []bitvec.SlicedGroup
-		var mineRuns []runNode
+		var groups []bitvec.SlicedGroup
+		var runs []runNode
 		for pi := len(old.parts); pi < len(idx.parts); pi++ {
 			p := &idx.parts[pi]
 			if !e.cfg.Replicate && p.dev != d {
 				continue
 			}
-			if sliced {
-				p.devOff, p.devLen, p.devRunOff = uint32(len(mineGroups)), (p.n+63)/64, uint32(len(mineRuns))
-				g, r := idx.slicedPart(p)
-				mineGroups, mineRuns = append(mineGroups, g...), append(mineRuns, r...)
-			} else {
-				p.devOff, p.devLen = uint32(len(mine)), p.n
-				mine = append(mine, idx.sets[p.off:p.off+p.n]...)
-			}
+			p.devOff, p.devRunOff = uint32(len(groups)), uint32(len(runs))
+			g, r := idx.slicedPart(p)
+			groups, runs = append(groups, g...), append(runs, r...)
 		}
-		if len(mine) == 0 && len(mineGroups) == 0 {
+		if len(groups) == 0 {
 			continue // pure key-substitution fold: no device traffic at all
 		}
 		var err error
-		if sliced {
-			newShards[d], err = uploadShard(dev, mineGroups, mineRuns)
-		} else {
-			newBufs[d], err = uploadBuffer(dev, mine)
-		}
-		if err != nil {
+		if newShards[d], err = uploadShard(dev, groups, runs); err != nil {
 			return fail()
 		}
 	}
@@ -497,12 +471,12 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 		if e.cfg.Replicate {
 			d = 0 // uniform extent counts across devices in replicate mode
 		}
-		if newBufs[d] == nil && newShards[d].groups == nil {
+		if newShards[d].groups == nil {
 			// Appended partition with zero rows cannot happen (specs are
 			// non-empty), so every new partition's device has an extent.
 			return fail()
 		}
-		p.ext = uint32(baseExt[d] + 1)
+		p.ext = uint32(len(extsOf(old.devShardExts, d)) + 1)
 	}
 
 	// The uploads landed; from here the adoption cannot fail. Fence the
@@ -510,20 +484,12 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 	// be enqueueing stream operations — safe, since every buffer they
 	// reference is carried over, not freed) and steal its device state.
 	old.dispatching.Wait()
-	idx.devBufs, old.devBufs = old.devBufs, nil
 	idx.devShards, old.devShards = old.devShards, nil
-	idx.devExts, old.devExts = old.devExts, nil
 	idx.devShardExts, old.devShardExts = old.devShardExts, nil
-	if idx.devExts == nil {
-		idx.devExts = make([][]*gpu.Buffer[bitvec.Vector], nDev)
-	}
 	if idx.devShardExts == nil {
 		idx.devShardExts = make([][]shard, nDev)
 	}
-	for d := range newBufs {
-		if newBufs[d] != nil {
-			idx.devExts[d] = append(idx.devExts[d], newBufs[d])
-		}
+	for d := range newShards {
 		if newShards[d].groups != nil {
 			idx.devShardExts[d] = append(idx.devShardExts[d], newShards[d])
 		}

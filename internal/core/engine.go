@@ -144,15 +144,13 @@ type dbEntry struct {
 type index struct {
 	// sets is the flat tagset table, partition-major. Within a partition
 	// the rows are in the order appendPartitions laid them out: 64-aligned
-	// clusters for the bit-sliced kernel (partition.go: clusterer), sorted
-	// lexicographically under Config.ScalarKernel.
+	// clusters (partition.go: clusterer).
 	sets []bitvec.Vector
-	// groups is the column-transposed mirror of sets for the bit-sliced
-	// subset-match kernel: partition-major ⌈n/64⌉-group runs, local set
-	// i of a partition in lane i%64 of group grpOff+i/64 (see
-	// partition.grpOff). Nil when Config.ScalarKernel disables the
-	// sliced flavor. The host copy also serves the CPU execution path
-	// and the overflow/fault fallback.
+	// groups is the column-transposed mirror of sets the subset-match
+	// kernel reads: partition-major ⌈n/64⌉-group runs, local set i of a
+	// partition in lane i%64 of group grpOff+i/64 (see partition.grpOff).
+	// The host copy also serves the CPU execution path and the
+	// overflow/fault fallback.
 	groups []bitvec.SlicedGroup
 	// runs holds the run nodes of every partition's groups, partition-major
 	// (partition.runOff/nRuns; kernel_sliced.go: runNode). Appended with
@@ -171,17 +169,15 @@ type index struct {
 	log entryLog
 
 	devices   []*gpu.Device
-	devBufs   []*gpu.Buffer[bitvec.Vector]
-	devShards []shard // transposed index per device (zero per entry when sliced kernel disabled)
+	devShards []shard // transposed index per device; nil once degraded to CPU
 
-	// devExts/devShardExts hold the per-device extent buffers appended by
-	// incremental folds: devExts[d][e-1] backs the partitions with
-	// dev==d, ext==e. The base buffers above hold every row uploaded by
-	// the last full build; an incremental swap carries them (and the
-	// streams below) over from the previous generation untouched and
-	// uploads only these extents — the zero-drain pause is drain +
-	// O(delta) copy, never O(database) (see adoptDevices).
-	devExts      [][]*gpu.Buffer[bitvec.Vector]
+	// devShardExts holds the per-device extents appended by incremental
+	// folds: devShardExts[d][e-1] backs the partitions with dev==d,
+	// ext==e. The base shards above hold every group uploaded by the last
+	// full build; an incremental swap carries them (and the streams below)
+	// over from the previous generation untouched and uploads only these
+	// extents — the zero-drain pause is drain + O(delta) copy, never
+	// O(database) (see adoptDevices).
 	devShardExts [][]shard
 
 	slots      *slotPool // the idle streams of every device
@@ -525,10 +521,9 @@ func (e *Engine) PendingOps() int {
 }
 
 // Consolidate synchronously applies all staged operations and rebuilds
-// the index: the balanced partitioning of Algorithm 1, the row order
-// within partitions (clustered for the bit-sliced kernel, lexicographic
-// for the scalar one), the partition table, the key table, and the
-// device-resident tagset tables. It drains in-flight queries first
+// the index: the balanced partitioning of Algorithm 1, the clustered row
+// order within partitions, the partition table, the key table, and the
+// device-resident transposed index. It drains in-flight queries first
 // and blocks new submissions for the full rebuild — the stop-the-world
 // form, kept as the explicit bulk-load API and as the ablation baseline
 // for the background consolidator (which runs the same rebuild but
@@ -560,15 +555,11 @@ func (e *Engine) buildHostIndex(sigs []bitvec.Vector, entriesBySet [][]dbEntry) 
 	// arrays rather than copying them); once the slack is gone, append's
 	// own growth re-establishes headroom for the folds that follow.
 	idx.sets = make([]bitvec.Vector, 0, len(sigs)+len(sigs)/8+1024)
-	if !e.cfg.ScalarKernel && len(sigs) > 0 {
-		// idx.groups stays nil for an empty build — it doubles as the
-		// "sliced kernel in use" sentinel.
-		idx.groups = make([]bitvec.SlicedGroup, 0, len(sigs)/64+len(specs)+len(sigs)/512+64)
-	}
+	idx.groups = make([]bitvec.SlicedGroup, 0, len(sigs)/64+len(specs)+len(sigs)/512+64)
 	idx.keyOff = make([]uint32, 1, len(sigs)+len(sigs)/8+1025)
 	idx.parts = make([]partition, 0, len(specs))
 
-	idx.appendPartitions(sigs, specs, !e.cfg.ScalarKernel, len(e.cfg.Devices), func(m int32, _ uint32) {
+	idx.appendPartitions(sigs, specs, len(e.cfg.Devices), func(m int32, _ uint32) {
 		idx.appendKeys(entriesBySet[m], e.cfg.ExactVerify)
 	})
 	idx.pt, idx.maskless = buildPartitionTable(idx.parts)
@@ -587,18 +578,17 @@ func (e *Engine) partition(sigs []bitvec.Vector) []partitionSpec {
 	return balancedPartition(sigs, e.cfg.MaxPartitionSize)
 }
 
-// appendPartitions is the one place partitions become rows: it orders each
-// spec's members (orderMembers: clustered when sliced, lexicographic for
-// the scalar kernel), appends them to idx.sets partition-major, calls row
-// for every member with its global row id so the caller can extend its key
-// table in step, column-transposes the partition into idx.groups when
-// sliced, derives the partition's run nodes from the new groups' gates
-// into idx.runs, and appends the partition descriptors, dealt round-robin
-// over nDev devices. Full builds, incremental folds and KernelBenchmark
-// all lay out through here, so they cannot disagree on the order or on
-// the run tree.
-func (idx *index) appendPartitions(sigs []bitvec.Vector, specs []partitionSpec, sliced bool, nDev int, row func(m int32, r uint32)) {
-	orderMembers(sigs, specs, sliced)
+// appendPartitions is the one place partitions become rows: it clusters
+// each spec's members (orderMembers), appends them to idx.sets
+// partition-major, calls row for every member with its global row id so
+// the caller can extend its key table in step, column-transposes the
+// partition into idx.groups, derives the partition's run nodes from the
+// new groups' gates into idx.runs, and appends the partition descriptors,
+// dealt round-robin over nDev devices. Full builds, incremental folds and
+// KernelBenchmark all lay out through here, so they cannot disagree on the
+// order or on the run tree.
+func (idx *index) appendPartitions(sigs []bitvec.Vector, specs []partitionSpec, nDev int, row func(m int32, r uint32)) {
+	orderMembers(sigs, specs)
 	for i := range specs {
 		spec := &specs[i]
 		off := uint32(len(idx.sets))
@@ -612,12 +602,10 @@ func (idx *index) appendPartitions(sigs []bitvec.Vector, specs []partitionSpec, 
 		if nDev > 0 {
 			p.dev = len(idx.parts) % nDev
 		}
-		if sliced {
-			idx.groups = append(idx.groups, bitvec.BuildSlicedGroups(idx.sets[off:])...)
-			p.runOff = uint32(len(idx.runs))
-			idx.runs = deriveRuns(idx.runs, idx.groups[p.grpOff:])
-			p.nRuns = uint32(len(idx.runs)) - p.runOff
-		}
+		idx.groups = append(idx.groups, bitvec.BuildSlicedGroups(idx.sets[off:])...)
+		p.runOff = uint32(len(idx.runs))
+		idx.runs = deriveRuns(idx.runs, idx.groups[p.grpOff:])
+		p.nRuns = uint32(len(idx.runs)) - p.runOff
 		idx.parts = append(idx.parts, p)
 	}
 }
@@ -625,7 +613,7 @@ func (idx *index) appendPartitions(sigs []bitvec.Vector, specs []partitionSpec, 
 // slicedPart returns partition p's slice of the transposed index: its
 // groups and their run nodes.
 func (idx *index) slicedPart(p *partition) ([]bitvec.SlicedGroup, []runNode) {
-	return idx.groups[p.grpOff : p.grpOff+(p.n+63)/64], idx.runs[p.runOff : p.runOff+p.nRuns]
+	return idx.groups[p.grpOff : p.grpOff+p.nGroups()], idx.runs[p.runOff : p.runOff+p.nRuns]
 }
 
 // appendKeys extends the key CSR by one row holding entries.
@@ -640,8 +628,8 @@ func (idx *index) appendKeys(entries []dbEntry, withTags bool) {
 }
 
 // hostBytesFor is the host memory accounting (Fig 9): tagset table host
-// copy (24 B/set), its transposed mirror for the sliced kernel (1592 B
-// per 64-set SlicedGroup ≈ 24.9 B/set) with its run nodes (40 B each),
+// copy (24 B/set), its transposed mirror (1592 B per 64-set SlicedGroup
+// ≈ 24.9 B/set) with its run nodes (40 B each),
 // key table, CSR offsets, partition table (scalar bins + bit-sliced
 // groups).
 func hostBytesFor(idx *index) int64 {
@@ -669,8 +657,6 @@ func (e *Engine) attachDevices(idx *index) error {
 		// the engine without a database.
 		idx.release()
 		idx.devices = nil
-		idx.devBufs = nil
-		idx.devShards = nil
 		idx.slots = nil
 		return fmt.Errorf("%w: %w", ErrDeviceDegraded, err)
 	}
@@ -682,66 +668,48 @@ func (e *Engine) attachDevices(idx *index) error {
 // gate, 8 bytes each. Asserted against unsafe.Sizeof in the tests.
 const slicedGroupBytes = (bitvec.W + bitvec.Blocks + 1 + bitvec.Blocks) * 8
 
-// uploadToDevices allocates and fills the device-resident index and
-// opens the stream pools with their per-stream batch buffers. A device
-// holds only the layout the configured kernel reads: the transposed
-// groups and their run nodes for the bit-sliced kernel, the row table for
-// the scalar one (idx.groups is nil then, and for an empty index).
+// uploadToDevices allocates and fills the device-resident index — the
+// transposed groups and their run nodes — and opens the stream pools with
+// their per-stream batch buffers.
 func (e *Engine) uploadToDevices(idx *index) error {
-	nDev := len(idx.devices)
-	idx.devBufs = make([]*gpu.Buffer[bitvec.Vector], nDev)
-	idx.devShards = make([]shard, nDev)
-	// A full upload lays every row into the base shards (extent ids from
+	idx.devShards = make([]shard, len(idx.devices))
+	// A full upload lays every group into the base shards (extent ids from
 	// an incrementally-built host index whose adoption fell through would
 	// otherwise point at buffers this index never had): under replication
-	// a partition's device row is its range of the flat table.
-	idx.devExts, idx.devShardExts = nil, nil
-	sliced := idx.groups != nil
+	// a partition's device range is its range of the flat arrays.
+	idx.devShardExts = nil
 	for pi := range idx.parts {
 		p := &idx.parts[pi]
-		p.ext, p.devOff, p.devLen = 0, p.off, p.n
-		if sliced {
-			p.devOff, p.devLen, p.devRunOff = p.grpOff, (p.n+63)/64, p.runOff
-		}
+		p.ext, p.devOff, p.devRunOff = 0, p.grpOff, p.runOff
 	}
 
 	for d, dev := range idx.devices {
 		// Full replication: every device holds the whole index.
 		// Partitioned placement: device d holds only its partitions,
 		// re-packed contiguously. Because partitions are assigned
-		// round-robin in partition order and the flat table is
-		// partition-major, each device's slice is a gather of ranges
-		// (whole-group runs for the transposed index, with their nodes).
-		rows, groups, runs := idx.sets, idx.groups, idx.runs
+		// round-robin in partition order and the flat arrays are
+		// partition-major, each device's slice is a gather of whole-group
+		// runs with their nodes.
+		groups, runs := idx.groups, idx.runs
 		if !e.cfg.Replicate {
-			rows, groups, runs = nil, nil, nil
+			groups, runs = nil, nil
 			for pi := range idx.parts {
 				p := &idx.parts[pi]
 				if p.dev != d {
 					continue
 				}
-				if sliced {
-					p.devOff, p.devRunOff = uint32(len(groups)), uint32(len(runs))
-					g, r := idx.slicedPart(p)
-					groups, runs = append(groups, g...), append(runs, r...)
-				} else {
-					p.devOff = uint32(len(rows))
-					rows = append(rows, idx.sets[p.off:p.off+p.n]...)
-				}
+				p.devOff, p.devRunOff = uint32(len(groups)), uint32(len(runs))
+				g, r := idx.slicedPart(p)
+				groups, runs = append(groups, g...), append(runs, r...)
 			}
 		}
 		var err error
-		if sliced {
-			idx.devShards[d], err = uploadShard(dev, groups, runs)
-		} else {
-			idx.devBufs[d], err = uploadBuffer(dev, rows)
-		}
-		if err != nil {
+		if idx.devShards[d], err = uploadShard(dev, groups, runs); err != nil {
 			return fmt.Errorf("uploading index to %s: %w", dev.Name(), err)
 		}
 	}
 
-	idx.slots = newSlotPool(nDev * e.cfg.StreamsPerDevice)
+	idx.slots = newSlotPool(len(idx.devices) * e.cfg.StreamsPerDevice)
 	for d, dev := range idx.devices {
 		for i := 0; i < e.cfg.StreamsPerDevice; i++ {
 			s, err := dev.OpenStream()
@@ -825,20 +793,10 @@ func (idx *index) release() {
 		sl.close()
 	}
 	idx.allStreams = nil
-	for _, b := range idx.devBufs {
-		b.Free()
-	}
-	idx.devBufs = nil
 	for _, s := range idx.devShards {
 		s.free()
 	}
 	idx.devShards = nil
-	for _, exts := range idx.devExts {
-		for _, b := range exts {
-			b.Free()
-		}
-	}
-	idx.devExts = nil
 	for _, exts := range idx.devShardExts {
 		for _, s := range exts {
 			s.free()
@@ -944,7 +902,6 @@ func (e *Engine) Stats() Stats {
 		RouteMergeLocks:     e.obs.Routing.MergeLockAcqs.Load(),
 		RouteAppends:        e.obs.Routing.MergedAppends.Load(),
 		KernelSliced:        e.obs.Kernel.SlicedBatches.Load(),
-		KernelScalar:        e.obs.Kernel.ScalarBatches.Load(),
 		KernelGateChecks:    e.obs.Kernel.GateChecks.Load(),
 		KernelGatePruned:    e.obs.Kernel.GatePruned.Load(),
 		KernelGateTests:     e.obs.Kernel.GateTests.Load(),

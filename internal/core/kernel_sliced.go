@@ -10,22 +10,23 @@ import (
 	"tagmatch/internal/obs"
 )
 
-// Bit-sliced subset-match kernel. The scalar kernel (kernel.go) assigns
-// one tag set per thread and spends three word operations per (set,
-// query) subset check — 192 operations to test 64 sets. The sliced
-// kernel instead reads the partition's sets column-transposed
-// (bitvec.SlicedGroup: 64 sets per group), assigns one group per
-// thread, and tests all 64 lanes at once: OR-ing the used column words
-// at the query's zero bits into a running 64-wide hit word, with a
+// Bit-sliced subset-match kernel, the engine's only one. The paper's
+// kernel (Algorithms 3 and 4) assigns one tag set per thread and spends
+// three word operations per (set, query) subset check — 192 operations to
+// test 64 sets. This kernel instead reads the partition's sets
+// column-transposed (bitvec.SlicedGroup: 64 sets per group), assigns one
+// group per thread, and tests all 64 lanes at once: OR-ing the used column
+// words at the query's zero bits into a running 64-wide hit word, with a
 // per-column early exit as soon as no lane survives. Algorithm 4's
 // common-prefix block pre-filter becomes a per-group gate — one
 // three-word test against the group's signature intersection discards
 // 64 sets before any column is touched — under nested per-run gates
 // (runNode) that discard whole runs of groups and hand the groups beneath
-// them the list of entries still in play. Matches leave through the same
-// packed atomic-append result path (§3.3.1) as the scalar kernel, so
-// the two flavors are pair-for-pair interchangeable (differential- and
-// fuzz-tested; Config.ScalarKernel selects the scalar baseline).
+// them the list of entries still in play. Matches leave through the
+// packed atomic-append result path of §3.3.1. The per-thread kernel was
+// 2–5× slower on the benchmark's data and left the engine; its host form
+// stays as a test oracle in kernel_test.go (EXPERIMENTS.md, "bit-sliced
+// match kernel").
 
 // slicedStats is one block's kernel telemetry, accumulated in matchSpan's
 // locals; flush performs one bulk atomic add per thread block (per
@@ -263,15 +264,13 @@ func (s shard) free() {
 }
 
 // slicedMatchKernel returns the bit-sliced subset-match kernel for one
-// dispatched batch, the transposed counterpart of matchKernel. base is
-// the device-resident transposed index (full index in replicated mode,
-// the device's shard otherwise) and exts the device's extents; each
-// segment names the one holding its partition's groups and run nodes. A
-// block is BlockDim threads with one group each, so a partition of up to
-// 64 × BlockDim sets is one block that sees its whole run tree.
-// batchArgs.prefilter enables the run and group gates
-// (Config.DisablePrefilter turns them off, the same ablation switch as the
-// scalar prefix test).
+// dispatched batch. base is the device-resident transposed index (full
+// index in replicated mode, the device's shard otherwise) and exts the
+// device's extents; each segment names the one holding its partition's
+// groups and run nodes. A block is BlockDim threads with one group each,
+// so a partition of up to 64 × BlockDim sets is one block that sees its
+// whole run tree. batchArgs.prefilter enables the run and group gates
+// (Config.DisablePrefilter turns them off).
 func slicedMatchKernel(a *batchArgs, base shard, exts []shard) gpu.KernelFunc {
 	return func(b *gpu.BlockCtx) {
 		row, seg, local, sh := a.block(b)
@@ -293,10 +292,8 @@ func slicedMatchKernel(a *batchArgs, base shard, exts []shard) gpu.KernelFunc {
 }
 
 // cpuMatchBatchSliced runs the bit-sliced subset match for one segment
-// on the host: the CPU-only execution path — and the overflow/fault
-// fallback — of an engine configured for the sliced kernel flavor, one
-// matchSpan over all of the partition's groups. Pair-for-pair equivalent
-// to cpuMatchBatch, which remains the scalar baseline.
+// on the host: the CPU-only execution path and the overflow/fault
+// fallback, one matchSpan over all of the partition's groups.
 func cpuMatchBatchSliced(
 	groups []bitvec.SlicedGroup, // the partition's slice of the transposed index
 	runs []runNode, // and of the run nodes

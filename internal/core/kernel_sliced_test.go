@@ -44,7 +44,7 @@ func TestSlicedSegBlocks(t *testing.T) {
 		{0, 256, 0},
 	} {
 		nSets := tc.nGroups*64 - 63*min(tc.nGroups, 1) // the last group holds one set
-		if blocks := segBlocks(nSets, tc.blockDim, true); blocks != tc.blocks {
+		if blocks := segBlocks(nSets, tc.blockDim); blocks != tc.blocks {
 			t.Fatalf("%d groups at blockDim %d: %d blocks, want %d", tc.nGroups, tc.blockDim, blocks, tc.blocks)
 		}
 		// The spans the kernel derives from (block, blockDim) tile the groups.
@@ -62,12 +62,6 @@ func TestSlicedSegBlocks(t *testing.T) {
 	}
 }
 
-// runSlicedGPUKernel is the sliced counterpart of runGPUKernel.
-func runSlicedGPUKernel(t *testing.T, sets, queries []bitvec.Vector, maxPairs, blockDim int, gate bool, kc *obs.KernelCounters) ([]pair, bool) {
-	t.Helper()
-	return runSegKernel(t, []testSeg{{sets: sets, queries: queries}}, true, maxPairs, blockDim, gate, kc)
-}
-
 func TestSlicedKernelMatchesBruteForce(t *testing.T) {
 	sets, queries := batchFixture(3000, 64, 21)
 	want := bruteForcePairs(sets, 0, queries)
@@ -76,7 +70,7 @@ func TestSlicedKernelMatchesBruteForce(t *testing.T) {
 	}
 	for _, gate := range []bool{true, false} {
 		var kc obs.KernelCounters
-		got, overflow := runSlicedGPUKernel(t, sets, queries, 100000, 256, gate, &kc)
+		got, overflow := runGPUKernel(t, sets, queries, 100000, 256, gate, &kc)
 		if overflow {
 			t.Fatal("unexpected overflow")
 		}
@@ -106,7 +100,7 @@ func TestSlicedKernelOddBlockDims(t *testing.T) {
 	sets, queries := batchFixture(777, 31, 22)
 	want := bruteForcePairs(sets, 0, queries)
 	for _, bd := range []int{1, 7, 64, 129, 256, 1024} {
-		got, overflow := runSlicedGPUKernel(t, sets, queries, 100000, bd, true, nil)
+		got, overflow := runGPUKernel(t, sets, queries, 100000, bd, true, nil)
 		if overflow {
 			t.Fatalf("blockDim=%d overflow", bd)
 		}
@@ -126,7 +120,7 @@ func TestSlicedKernelOverflow(t *testing.T) {
 	if len(bruteForcePairs(sets, 0, queries)) < 5 {
 		t.Skip("fixture too selective")
 	}
-	_, overflow := runSlicedGPUKernel(t, sets, queries, 2, 256, true, nil)
+	_, overflow := runGPUKernel(t, sets, queries, 2, 256, true, nil)
 	if !overflow {
 		t.Fatal("expected overflow with maxPairs=2")
 	}
@@ -134,17 +128,19 @@ func TestSlicedKernelOverflow(t *testing.T) {
 
 func TestSlicedKernelEmptyBatch(t *testing.T) {
 	sets, _ := batchFixture(500, 1, 26)
-	got, overflow := runSlicedGPUKernel(t, sets, nil, 16, 256, true, nil)
+	got, overflow := runGPUKernel(t, sets, nil, 16, 256, true, nil)
 	if overflow || len(got) != 0 {
 		t.Fatalf("empty batch emitted %d pairs (overflow=%v)", len(got), overflow)
 	}
 	// And an empty partition against a non-empty batch.
-	got, overflow = runSlicedGPUKernel(t, nil, []bitvec.Vector{bitvec.FromOnes(1)}, 16, 256, true, nil)
+	got, overflow = runGPUKernel(t, nil, []bitvec.Vector{bitvec.FromOnes(1)}, 16, 256, true, nil)
 	if overflow || len(got) != 0 {
 		t.Fatalf("empty partition emitted %d pairs (overflow=%v)", len(got), overflow)
 	}
 }
 
+// TestCPUMatchBatchSlicedMatchesScalar holds the host path to brute force
+// and to the paper's scalar Algorithms 3/4 (the cpuMatchBatch oracle).
 func TestCPUMatchBatchSlicedMatchesScalar(t *testing.T) {
 	sets, queries := batchFixture(2500, 48, 24)
 	want := bruteForcePairs(sets, 1000, queries)
@@ -154,23 +150,18 @@ func TestCPUMatchBatchSlicedMatchesScalar(t *testing.T) {
 			got = append(got, pair{q, s})
 		})
 		sortPairs(got)
-		if len(got) != len(want) {
-			t.Fatalf("gate=%v: %d pairs, want %d", gate, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("gate=%v: pair %d mismatch", gate, i)
-			}
-		}
+		label := fmt.Sprintf("gate=%v", gate)
+		equalPairs(t, label+" vs brute force", got, want)
+		seg := []testSeg{{sets: sets, base: 1000, queries: queries}}
+		equalPairs(t, label+" vs cpuMatchBatch", got, oracleSegPairs(seg, gate))
 	}
 }
 
-// TestEngineScalarKernelAblation runs the same workload through a
-// sliced-kernel engine and a Config.ScalarKernel engine (both on GPU)
-// and requires both to give the brute-force answer — each on its own row
-// order, clustered and lexicographic — plus correctly attributed flavor
-// counters.
-func TestEngineScalarKernelAblation(t *testing.T) {
+// TestEngineClusteredRowsOnGPU runs a workload through a GPU engine and
+// requires the brute-force answer on the clustered row order — which,
+// with partitions of several groups, is not the lexicographic one — plus
+// the kernel's batch and work counters.
+func TestEngineClusteredRowsOnGPU(t *testing.T) {
 	sets, queries := sharedVocabWorkload(8000, 80, 71)
 	// Queries built on stored sets as well, so multi-tag sets deep inside
 	// the partitions are matched too.
@@ -179,48 +170,28 @@ func TestEngineScalarKernelAblation(t *testing.T) {
 	}
 	keyOf := func(i int) Key { return Key(i + 1) }
 
-	build := func(scalar bool) *Engine {
-		dev := newTestGPU(t, 4)
-		e, err := New(Config{
-			MaxPartitionSize: 400, BatchSize: 32, Threads: 2, ScalarKernel: scalar,
-			Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { e.Close() })
-		for i, s := range sets {
-			e.AddSet(s, keyOf(i))
-		}
-		if err := e.Consolidate(); err != nil {
-			t.Fatal(err)
-		}
-		return e
+	e, err := New(Config{
+		MaxPartitionSize: 400, BatchSize: 32, Threads: 2,
+		Devices: []*gpu.Device{newTestGPU(t, 4)}, StreamsPerDevice: 2, Replicate: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i, s := range sets {
+		e.AddSet(s, keyOf(i))
+	}
+	if err := e.Consolidate(); err != nil {
+		t.Fatal(err)
 	}
 
-	sliced := build(false)
-	scalar := build(true)
-
-	// The fixture's partitions hold several groups, so the sliced index is
-	// clustered and its rows are not in lexicographic order; the scalar
-	// index must keep them sorted, because its block pre-filter takes the
-	// common prefix of a block's first and last row. Checked on the rows
-	// themselves: a wrong prefix only drops a match when the two happen to
-	// share a one-bit the rows between them lack, which queries rarely hit.
-	rowsSorted := func(e *Engine) bool {
-		idx := e.idx.Load()
-		for _, p := range idx.parts {
-			if !slices.IsSortedFunc(idx.sets[p.off:p.off+p.n], bitvec.Compare) {
-				return false
-			}
-		}
-		return true
+	idx := e.idx.Load()
+	sorted := true
+	for _, p := range idx.parts {
+		sorted = sorted && slices.IsSortedFunc(idx.sets[p.off:p.off+p.n], bitvec.Compare)
 	}
-	if rowsSorted(sliced) {
+	if sorted {
 		t.Fatal("fixture too small: the clustered order equals the lexicographic one")
-	}
-	if !rowsSorted(scalar) {
-		t.Fatal("scalar-kernel index is not in lexicographic order within partitions")
 	}
 
 	sigs := make([]bitvec.Vector, len(sets))
@@ -235,31 +206,18 @@ func TestEngineScalarKernelAblation(t *testing.T) {
 				want = append(want, keyOf(i))
 			}
 		}
-		for name, e := range map[string]*Engine{"sliced": sliced, "scalar": scalar} {
-			got, err := e.Match(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slices.Sort(got)
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s flavor: %d keys for query %s, brute force finds %d", name, len(got), q, len(want))
-			}
+		got, err := e.Match(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d keys for query %s, brute force finds %d", len(got), q, len(want))
 		}
 	}
 
-	ss, cs := sliced.Stats(), scalar.Stats()
-	if ss.KernelSliced == 0 || ss.KernelScalar != 0 {
-		t.Fatalf("sliced engine counters: sliced=%d scalar=%d", ss.KernelSliced, ss.KernelScalar)
-	}
-	if cs.KernelScalar == 0 || cs.KernelSliced != 0 {
-		t.Fatalf("scalar engine counters: sliced=%d scalar=%d", cs.KernelSliced, cs.KernelScalar)
-	}
-	if ss.KernelGateChecks == 0 || ss.KernelColumnsWalked == 0 {
-		t.Fatalf("sliced engine recorded no kernel telemetry: %+v", ss)
-	}
-	// The ablation engine must not pay for the transposed mirror.
-	if cs.KernelGateChecks != 0 || cs.KernelColumnsWalked != 0 {
-		t.Fatalf("scalar engine recorded sliced telemetry: %+v", cs)
+	if st := e.Stats(); st.KernelSliced == 0 || st.KernelGateChecks == 0 || st.KernelColumnsWalked == 0 {
+		t.Fatalf("kernel counters not recorded: %+v", st)
 	}
 }
 
@@ -267,54 +225,46 @@ func TestEngineScalarKernelAblation(t *testing.T) {
 // signature: it lands in a maskless partition whose group gate is the
 // zero vector (passes every query), and must match everything.
 func TestEngineMasklessPartitionSliced(t *testing.T) {
-	for _, scalar := range []bool{false, true} {
-		e, err := New(Config{MaxPartitionSize: 64, BatchSize: 8, Threads: 1, ScalarKernel: scalar})
+	e, err := New(Config{MaxPartitionSize: 64, BatchSize: 8, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.AddSignature(bitvec.Vector{}, 99) // empty signature → empty partition mask
+	sigs := randomSets(200, 4, 31)
+	for i, s := range sigs {
+		e.AddSignature(s, Key(i+1))
+	}
+	if err := e.Consolidate(); err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range randomSets(30, 9, 32) {
+		got, err := e.MatchSignature(q, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.AddSignature(bitvec.Vector{}, 99) // empty signature → empty partition mask
-		sigs := randomSets(200, 4, 31)
+		// The empty set must match, and the full answer equal brute force.
+		want := map[Key]bool{99: true}
 		for i, s := range sigs {
-			e.AddSignature(s, Key(i+1))
-		}
-		if err := e.Consolidate(); err != nil {
-			t.Fatal(err)
-		}
-		for qi, q := range randomSets(30, 9, 32) {
-			got, err := e.MatchSignature(q, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			found := false
-			for _, k := range got {
-				if k == 99 {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("scalar=%v query %d: empty set missing from %d keys", scalar, qi, len(got))
-			}
-			// Cross-check the full answer against brute force.
-			want := map[Key]bool{99: true}
-			for i, s := range sigs {
-				if s.SubsetOf(q) {
-					want[Key(i+1)] = true
-				}
-			}
-			gotSet := map[Key]bool{}
-			for _, k := range got {
-				gotSet[k] = true
-			}
-			if len(gotSet) != len(want) {
-				t.Fatalf("scalar=%v query %d: %d keys, want %d", scalar, qi, len(gotSet), len(want))
-			}
-			for k := range want {
-				if !gotSet[k] {
-					t.Fatalf("scalar=%v query %d: key %d missing", scalar, qi, k)
-				}
+			if s.SubsetOf(q) {
+				want[Key(i+1)] = true
 			}
 		}
-		e.Close()
+		gotSet := map[Key]bool{}
+		for _, k := range got {
+			gotSet[k] = true
+		}
+		if !gotSet[99] {
+			t.Fatalf("query %d: empty set missing from %d keys", qi, len(got))
+		}
+		if len(gotSet) != len(want) {
+			t.Fatalf("query %d: %d keys, want %d", qi, len(gotSet), len(want))
+		}
+		for k := range want {
+			if !gotSet[k] {
+				t.Fatalf("query %d: key %d missing", qi, k)
+			}
+		}
 	}
 }
 
@@ -326,12 +276,12 @@ func TestKernelBenchmarkSmoke(t *testing.T) {
 	}
 	res := KernelBenchmark(sigs, 500, queries, 64, 256, 1, 4)
 	if !res.Parity {
-		t.Fatal("sliced and scalar kernels disagree with brute force")
+		t.Fatal("the kernel disagrees with brute force")
 	}
 	if res.Partitions == 0 || res.Batches == 0 {
 		t.Fatalf("benchmark ran no work: %+v", res)
 	}
-	if res.ScalarNs <= 0 || res.SlicedNs <= 0 {
+	if res.SlicedNs <= 0 {
 		t.Fatalf("non-positive timings: %+v", res)
 	}
 	if res.GateChecks == 0 || res.GroupScans == 0 || res.ColumnsWalked == 0 {
@@ -355,11 +305,11 @@ func TestKernelBenchmarkEmptyInputs(t *testing.T) {
 	}
 }
 
-// FuzzSlicedMatch differentially fuzzes the subset matchers over random
+// FuzzSlicedMatch differentially fuzzes the subset matcher over random
 // segment tables: the sets are cut into partitions (sorted, some in
 // extent buffers), the queries dealt over segments — empty ones,
-// one-entry ones, a partition's entries split over two — and the scalar
-// and bit-sliced kernels, on the device and on the host, must all
+// one-entry ones, a partition's entries split over two — and the kernel,
+// on the device and on the host, and the cpuMatchBatch oracle must all
 // produce the brute-force pair multiset, with and without the
 // pre-filter.
 func FuzzSlicedMatch(f *testing.F) {
@@ -419,27 +369,21 @@ func FuzzSlicedMatch(f *testing.F) {
 		}
 
 		want := wantSegPairs(table)
-		for _, sliced := range []bool{false, true} {
-			got, overflow := runSegKernel(t, table, sliced, len(want)+1, 256, gate, nil)
-			if overflow {
-				t.Fatalf("sliced=%v: overflow with room for every pair", sliced)
-			}
-			equalPairs(t, fmt.Sprintf("device sliced=%v gate=%v", sliced, gate), got, want)
+		got, overflow := runSegKernel(t, table, len(want)+1, 256, gate, nil)
+		if overflow {
+			t.Fatal("overflow with room for every pair")
 		}
-		var scalar, sliced []pair
+		equalPairs(t, fmt.Sprintf("device gate=%v", gate), got, want)
+		var host []pair
 		first := 0
 		for _, sg := range table {
-			cpuMatchBatch(sg.sets, int(sg.base), sg.queries, uint8(first), 256, gate, nil, nil, func(q uint8, s uint32) {
-				scalar = append(scalar, pair{q, s})
-			})
 			hostSliced(sg.sets, int(sg.base), sg.queries, uint8(first), gate, nil, func(q uint8, s uint32) {
-				sliced = append(sliced, pair{q, s})
+				host = append(host, pair{q, s})
 			})
 			first += len(sg.queries)
 		}
-		sortPairs(scalar)
-		sortPairs(sliced)
-		equalPairs(t, fmt.Sprintf("host scalar gate=%v", gate), scalar, want)
-		equalPairs(t, fmt.Sprintf("host sliced gate=%v", gate), sliced, want)
+		sortPairs(host)
+		equalPairs(t, fmt.Sprintf("host gate=%v", gate), host, want)
+		equalPairs(t, fmt.Sprintf("cpuMatchBatch gate=%v", gate), oracleSegPairs(table, gate), want)
 	})
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
 
 	"tagmatch/internal/bitvec"
 	"tagmatch/internal/gpu"
+	"tagmatch/internal/obs"
 )
 
 type pair struct {
@@ -53,13 +55,16 @@ func batchFixture(nSets, nQueries int, seed int64) (sets, queries []bitvec.Vecto
 	return sets, queries
 }
 
-// runGPUKernel runs the scalar kernel over one partition and one batch:
-// a one-segment launch.
-func runGPUKernel(t *testing.T, sets, queries []bitvec.Vector, maxPairs, blockDim int, prefilter bool) ([]pair, bool) {
+// runGPUKernel runs the subset-match kernel over one partition and one
+// batch: a one-segment launch. kc may be nil.
+func runGPUKernel(t *testing.T, sets, queries []bitvec.Vector, maxPairs, blockDim int, prefilter bool, kc *obs.KernelCounters) ([]pair, bool) {
 	t.Helper()
-	return runSegKernel(t, []testSeg{{sets: sets, queries: queries}}, false, maxPairs, blockDim, prefilter, nil)
+	return runSegKernel(t, []testSeg{{sets: sets, queries: queries}}, maxPairs, blockDim, prefilter, kc)
 }
 
+// TestMatchKernelMatchesBruteForce holds the device kernel to both
+// oracles, brute force and the paper's Algorithms 3/4 on the host
+// (cpuMatchBatch), with the pre-filters on and off.
 func TestMatchKernelMatchesBruteForce(t *testing.T) {
 	sets, queries := batchFixture(3000, 64, 21)
 	want := bruteForcePairs(sets, 0, queries)
@@ -67,44 +72,47 @@ func TestMatchKernelMatchesBruteForce(t *testing.T) {
 		t.Fatal("fixture produced no matches; test is vacuous")
 	}
 	for _, prefilter := range []bool{true, false} {
-		got, overflow := runGPUKernel(t, sets, queries, 100000, 256, prefilter)
+		got, overflow := runGPUKernel(t, sets, queries, 100000, 256, prefilter, nil)
 		if overflow {
 			t.Fatal("unexpected overflow")
 		}
-		if len(got) != len(want) {
-			t.Fatalf("prefilter=%v: %d pairs, want %d", prefilter, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("prefilter=%v: pair %d = %+v, want %+v", prefilter, i, got[i], want[i])
-			}
-		}
+		label := fmt.Sprintf("prefilter=%v", prefilter)
+		equalPairs(t, label+" vs brute force", got, want)
+		seg := []testSeg{{sets: sets, queries: queries}}
+		equalPairs(t, label+" vs cpuMatchBatch", got, oracleSegPairs(seg, prefilter))
 	}
 }
 
+// TestMatchKernelOddBlockDims runs the kernel with its gates off at block
+// sizes that cut the partition's groups unevenly: every entry walks every
+// group of its block, and lanes past the last set must never emit.
 func TestMatchKernelOddBlockDims(t *testing.T) {
 	sets, queries := batchFixture(777, 31, 22)
 	want := bruteForcePairs(sets, 0, queries)
 	for _, bd := range []int{1, 7, 64, 1024} {
-		got, overflow := runGPUKernel(t, sets, queries, 100000, bd, true)
+		got, overflow := runGPUKernel(t, sets, queries, 100000, bd, false, nil)
 		if overflow {
 			t.Fatalf("blockDim=%d overflow", bd)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("blockDim=%d: %d pairs, want %d", bd, len(got), len(want))
-		}
+		equalPairs(t, fmt.Sprintf("blockDim=%d", bd), got, want)
 	}
 }
 
+// TestMatchKernelOverflow pins the result buffer's boundary: a batch with
+// exactly maxPairs pairs fits, one pair more sets the overflow flag.
 func TestMatchKernelOverflow(t *testing.T) {
 	sets, queries := batchFixture(2000, 64, 23)
 	want := bruteForcePairs(sets, 0, queries)
 	if len(want) < 5 {
 		t.Skip("fixture too selective")
 	}
-	_, overflow := runGPUKernel(t, sets, queries, 2, 256, true)
-	if !overflow {
-		t.Fatal("expected overflow with maxPairs=2")
+	got, overflow := runGPUKernel(t, sets, queries, len(want), 256, true, nil)
+	if overflow {
+		t.Fatalf("overflow with room for exactly the %d pairs", len(want))
+	}
+	equalPairs(t, "full buffer", got, want)
+	if _, overflow := runGPUKernel(t, sets, queries, len(want)-1, 256, true, nil); !overflow {
+		t.Fatalf("no overflow with room for %d of %d pairs", len(want)-1, len(want))
 	}
 }
 
@@ -134,6 +142,74 @@ func TestCPUMatchBatchEmpty(t *testing.T) {
 	if called {
 		t.Fatal("visit called for empty partition")
 	}
+}
+
+// cpuMatchBatch is the paper's subset match (Algorithms 3 and 4) on the
+// host, kept as a test oracle beside brute force: the engine's one kernel
+// is the bit-sliced one (kernel_sliced.go). It applies the block-prefix
+// shortcut over runs of blockDim lexicographically sorted sets, and
+// reports prefilter effectiveness through pf (may be nil) with one
+// atomic update per batch. qScratch is an optional reusable buffer for
+// the per-block surviving-query list (pass nil to allocate); the
+// possibly-grown buffer is returned for the caller to keep. queries are
+// one segment's signatures; visit receives their index in the batch,
+// qbase plus the index in queries.
+func cpuMatchBatch(
+	sets []bitvec.Vector, // the partition's slice of the tagset table
+	globalBase int, // global set id of sets[0]
+	queries []bitvec.Vector,
+	qbase uint8,
+	blockDim int,
+	prefilter bool,
+	pf *obs.PartitionCounters,
+	qScratch []uint8,
+	visit func(q uint8, s uint32),
+) []uint8 {
+	if blockDim <= 0 {
+		blockDim = 256
+	}
+	var pfBlocks, pfPruned int64
+	if prefilter && pf != nil {
+		defer func() {
+			pf.PrefilterBlocks.Add(pfBlocks)
+			pf.PrefilterPruned.Add(pfPruned)
+		}()
+	}
+	qIdx := qScratch[:0]
+	if cap(qIdx) < len(queries) {
+		qIdx = make([]uint8, 0, max(len(queries), maxBatchSize))
+	}
+	for blk := 0; blk < len(sets); blk += blockDim {
+		end := min(blk+blockDim, len(sets))
+		block := sets[blk:end]
+		qIdx = qIdx[:0]
+		if prefilter {
+			pfBlocks++
+			prefixLen := bitvec.CommonPrefixLen(block[0], block[len(block)-1])
+			for i := range queries {
+				if block[0].PrefixSubsetOf(prefixLen, queries[i]) {
+					qIdx = append(qIdx, uint8(i))
+				}
+			}
+			if len(qIdx) == 0 {
+				pfPruned++
+				continue
+			}
+		} else {
+			for i := range queries {
+				qIdx = append(qIdx, uint8(i))
+			}
+		}
+		for t := range block {
+			setID := uint32(globalBase + blk + t)
+			for _, qi := range qIdx {
+				if bitvec.AndNotIsZero(block[t], queries[qi]) {
+					visit(qbase+qi, setID)
+				}
+			}
+		}
+	}
+	return qIdx
 }
 
 func TestPackedLayoutRoundTrip(t *testing.T) {

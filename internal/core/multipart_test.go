@@ -107,84 +107,82 @@ func logShape(e *Engine, placed bool) (perDev []int64, parts int) {
 // TestFlushPassLaunchCount: E logged entries over N partitions, taken in
 // one pass, cost exactly ⌈E/BatchSize⌉ kernel launches — per device under
 // partitioned placement, which cuts batches per device — and the keys of
-// the brute-force reference, for both kernels.
+// the brute-force reference.
 func TestFlushPassLaunchCount(t *testing.T) {
 	db := makeTestDB(3000, 5, 2, 101)
 	queries := db.makeQueries(40, 102)
-	for _, scalar := range []bool{false, true} {
-		for _, replicate := range []bool{true, false} {
-			t.Run(fmt.Sprintf("scalar=%v/replicate=%v", scalar, replicate), func(t *testing.T) {
-				devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
-				const batchSize = 64
-				e, err := New(Config{
-					MaxPartitionSize: 100, BatchSize: batchSize, Threads: 2,
-					Devices: devs, StreamsPerDevice: 2, Replicate: replicate,
-					ScalarKernel: scalar, // no BatchTimeout: only the drain flushes
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer e.Close()
-				db.load(e)
-				if err := e.Consolidate(); err != nil {
-					t.Fatal(err)
-				}
-				mem := deviceMem(e)
-
-				got := make([][]Key, len(queries))
-				done := make(chan int, len(queries))
-				for i, q := range queries {
-					if err := e.SubmitSignature(q, false, func(r MatchResult) { got[i] = r.Keys; done <- i }); err != nil {
-						t.Fatal(err)
-					}
-				}
-				waitRouted(e, int64(len(queries)))
-				entries := e.Stats().RouteAppends
-				if n := e.batches.Load(); n != 0 {
-					t.Fatalf("%d batches dispatched before the flush; the fixture must stay under BatchSize entries per partition", n)
-				}
-				perDev, parts := logShape(e, !replicate)
-				var want, logged int64
-				for _, n := range perDev {
-					want += (n + batchSize - 1) / batchSize
-					logged += n
-				}
-				if logged != entries {
-					t.Fatalf("the log holds %d entries, RouteAppends says %d", logged, entries)
-				}
-				if int64(parts) <= want {
-					t.Fatalf("%d partitions for %d batches: nothing to pack", parts, want)
-				}
-				launches := func() (n int64) {
-					for _, d := range devs {
-						n += d.Stats().KernelLaunches
-					}
-					return n
-				}
-				before := launches()
-				e.Drain()
-				for range queries {
-					<-done
-				}
-				if n := launches() - before; n != want {
-					t.Fatalf("%d partitions × %d entries flushed in %d launches, want exactly %d",
-						parts, entries, n, want)
-				}
-				st := e.Stats()
-				if st.BatchesDispatched != want || st.SegmentsDispatched < int64(parts) {
-					t.Fatalf("dispatched %d batches of %d segments, want %d batches of at least %d segments",
-						st.BatchesDispatched, st.SegmentsDispatched, want, parts)
-				}
-				for i, q := range queries {
-					keys := append([]Key(nil), got[i]...)
-					sortKeysSlice(keys)
-					if want := db.expected(q, false); fmt.Sprint(keys) != fmt.Sprint(want) {
-						t.Fatalf("query %d: keys %v, want %v", i, keys, want)
-					}
-				}
-				assertDrained(t, e, mem)
+	for _, replicate := range []bool{true, false} {
+		t.Run(fmt.Sprintf("replicate=%v", replicate), func(t *testing.T) {
+			devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
+			const batchSize = 64
+			e, err := New(Config{
+				MaxPartitionSize: 100, BatchSize: batchSize, Threads: 2,
+				Devices: devs, StreamsPerDevice: 2, Replicate: replicate,
+				// no BatchTimeout: only the drain flushes
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			db.load(e)
+			if err := e.Consolidate(); err != nil {
+				t.Fatal(err)
+			}
+			mem := deviceMem(e)
+
+			got := make([][]Key, len(queries))
+			done := make(chan int, len(queries))
+			for i, q := range queries {
+				if err := e.SubmitSignature(q, false, func(r MatchResult) { got[i] = r.Keys; done <- i }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitRouted(e, int64(len(queries)))
+			entries := e.Stats().RouteAppends
+			if n := e.batches.Load(); n != 0 {
+				t.Fatalf("%d batches dispatched before the flush; the fixture must stay under BatchSize entries per partition", n)
+			}
+			perDev, parts := logShape(e, !replicate)
+			var want, logged int64
+			for _, n := range perDev {
+				want += (n + batchSize - 1) / batchSize
+				logged += n
+			}
+			if logged != entries {
+				t.Fatalf("the log holds %d entries, RouteAppends says %d", logged, entries)
+			}
+			if int64(parts) <= want {
+				t.Fatalf("%d partitions for %d batches: nothing to pack", parts, want)
+			}
+			launches := func() (n int64) {
+				for _, d := range devs {
+					n += d.Stats().KernelLaunches
+				}
+				return n
+			}
+			before := launches()
+			e.Drain()
+			for range queries {
+				<-done
+			}
+			if n := launches() - before; n != want {
+				t.Fatalf("%d partitions × %d entries flushed in %d launches, want exactly %d",
+					parts, entries, n, want)
+			}
+			st := e.Stats()
+			if st.BatchesDispatched != want || st.SegmentsDispatched < int64(parts) {
+				t.Fatalf("dispatched %d batches of %d segments, want %d batches of at least %d segments",
+					st.BatchesDispatched, st.SegmentsDispatched, want, parts)
+			}
+			for i, q := range queries {
+				keys := append([]Key(nil), got[i]...)
+				sortKeysSlice(keys)
+				if want := db.expected(q, false); fmt.Sprint(keys) != fmt.Sprint(want) {
+					t.Fatalf("query %d: keys %v, want %v", i, keys, want)
+				}
+			}
+			assertDrained(t, e, mem)
+		})
 	}
 }
 

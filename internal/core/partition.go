@@ -185,18 +185,17 @@ func firstFitPartition(sets []bitvec.Vector, maxP int) []partitionSpec {
 	return out
 }
 
-// sortMembersLexicographically orders a partition's members in the
-// lexicographic bit order of their signatures so that consecutive sets —
-// and therefore the sets of one GPU thread block — share long common
-// prefixes, which is what makes the Algorithm 4 pre-filter of the scalar
-// kernel effective (and correct: it reads only a block's first and last
-// row). The bit-sliced kernel's rows are ordered by clusterer instead.
+// sortMembersLexicographically orders members in the lexicographic bit
+// order of their signatures, so that consecutive sets share long common
+// prefixes — the paper's row order, which Algorithm 4's block pre-filter
+// relies on. The engine's rows are ordered by clusterer, which sorts its
+// leaves this way.
 func sortMembersLexicographically(sets []bitvec.Vector, members []int32) {
 	slices.SortFunc(members, func(a, b int32) int { return bitvec.Compare(sets[a], sets[b]) })
 }
 
 // clusterer continues Algorithm 1 inside a partition for the bit-sliced
-// kernel. A sliced group's gate is the intersection of its 64 members, and
+// kernel. A group's gate is the intersection of its 64 members, and
 // 64 lexicographic neighbours share little beyond the partition mask the
 // query already passed; splitting a run on a bit and laying the one-side
 // out as whole 64-lane groups puts that bit into every one of those gates,
@@ -278,12 +277,10 @@ func (c *clusterer) order(members []int32, f *bitFreq) {
 }
 
 // orderMembers puts every partition's members into the order its rows are
-// laid out in: clustered for the bit-sliced kernel, lexicographic for the
-// scalar one, whose block pre-filter (CommonPrefixLen of a block's first
-// and last row) is only correct on sorted rows. Partitions are independent,
-// so workers take them off a shared counter and the result does not depend
-// on scheduling.
-func orderMembers(sets []bitvec.Vector, specs []partitionSpec, clustered bool) {
+// laid out in (clusterer.order). Partitions are independent, so workers
+// take them off a shared counter and the result does not depend on
+// scheduling.
+func orderMembers(sets []bitvec.Vector, specs []partitionSpec) {
 	var global bitFreq
 	total := 0
 	for i := range specs {
@@ -301,11 +298,7 @@ func orderMembers(sets []bitvec.Vector, specs []partitionSpec, clustered bool) {
 			defer wg.Done()
 			c := clusterer{sets: sets, weight: weight}
 			for i := int(next.Add(1)) - 1; i < len(specs); i = int(next.Add(1)) - 1 {
-				if clustered {
-					c.order(specs[i].members, &specs[i].freq)
-				} else {
-					sortMembersLexicographically(sets, specs[i].members)
-				}
+				c.order(specs[i].members, &specs[i].freq)
 			}
 		}()
 	}

@@ -1104,8 +1104,8 @@ func (e *Engine) hedgeBudget(dev int) time.Duration {
 
 // maybeHedge fires when a dispatched batch outlives its straggler
 // budget: if the primary attempt still has not settled, the batch is
-// re-dispatched to another healthy device — or the host's same-flavor
-// match — racing the straggler. The settle CAS keeps completion
+// re-dispatched to another healthy device — or the host's match —
+// racing the straggler. The settle CAS keeps completion
 // exactly-once; the loser's results are discarded. Runs on the budget
 // timer's goroutine, holding the batch reference and index dispatching
 // hold taken when the timer was armed.
@@ -1213,35 +1213,26 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 	}
 
 	// Segment table: which of the batch's entries each segment holds,
-	// which thread blocks of the launch serve it, and its partition's
-	// device row (see partition.devOff). The bit-sliced kernel walks the
-	// partition's transposed groups (one 64-set group per thread); the
-	// scalar ablation keeps one set per thread. Both emit through the same
-	// result path and produce identical pairs.
-	sliced := !e.cfg.ScalarKernel && idx.groups != nil
+	// which thread blocks of the launch serve it (one 64-set group per
+	// thread), and where its partition's groups and run nodes lie on the
+	// device (see partition.devOff).
 	blocks := 0
 	for si, sg := range b.segs {
 		p := &idx.parts[sg.pid]
-		blocks += segBlocks(int(p.n), e.cfg.BlockDim, sliced)
+		blocks += segBlocks(int(p.n), e.cfg.BlockDim)
 		row := sl.tabHost[nQ+si*segWords:][:segWords]
 		row[segBlockEnd] = uint32(blocks)
 		row[segFirst], row[segCount] = uint32(sg.first), uint32(sg.n)
-		row[segExt], row[segOff], row[segLen] = p.ext, p.devOff, p.devLen
+		row[segExt], row[segOff], row[segLen] = p.ext, p.devOff, p.nGroups()
 		row[segBase] = p.off
 		row[segRunOff], row[segRunLen] = p.devRunOff, p.nRuns
 		if e.obs.On {
 			args.pfs = append(args.pfs, e.obs.Parts.Get(sg.pid))
 		}
 	}
-	var kernel gpu.KernelFunc
 	grid := gpu.Grid{Blocks: blocks, BlockDim: e.cfg.BlockDim}
-	if sliced {
-		kernel = slicedMatchKernel(args, idx.devShards[dev], extsOf(idx.devShardExts, dev))
-		e.obs.Kernel.SlicedBatches.Add(1)
-	} else {
-		kernel = matchKernel(args, idx.devBufs[dev], extsOf(idx.devExts, dev))
-		e.obs.Kernel.ScalarBatches.Add(1)
-	}
+	kernel := slicedMatchKernel(args, idx.devShards[dev], extsOf(idx.devShardExts, dev))
+	e.obs.Kernel.SlicedBatches.Add(1)
 
 	// The batch's stream operations: two uploads (signatures; indices +
 	// segment table), the launch with the device-side header reset fused
@@ -1506,32 +1497,21 @@ func (e *Engine) reduceOne(res *batchResult) {
 	case payloadCPU:
 		// GPU result buffer overflowed (or CPU-only mode): run the
 		// batch's subset match on the host for correctness, segment by
-		// segment — the same flavor as the device kernel, so counters and
-		// parity hold across fallbacks.
+		// segment — the device kernel's matchSpan, so counters and pairs
+		// hold across fallbacks.
 		if res.overflow {
 			e.overflows.Add(1)
 		}
-		sliced := !e.cfg.ScalarKernel && idx.groups != nil
-		if sliced {
-			e.obs.Kernel.SlicedBatches.Add(1)
-		} else {
-			e.obs.Kernel.ScalarBatches.Add(1)
-		}
+		e.obs.Kernel.SlicedBatches.Add(1)
 		for _, sg := range b.segs {
 			p := &idx.parts[sg.pid]
 			pc := e.partCounters(sg.pid)
 			if res.overflow && pc != nil {
 				pc.Overflows.Add(1)
 			}
-			sigs := b.sigs[sg.first : sg.first+sg.n]
-			if sliced {
-				groups, runs := idx.slicedPart(p)
-				cpuMatchBatchSliced(groups, runs, int(p.off), sigs, uint8(sg.first),
-					!e.cfg.DisablePrefilter, &sc.span, pc, &e.obs.Kernel, visit)
-			} else {
-				sc.qIdx = cpuMatchBatch(idx.sets[p.off:p.off+p.n], int(p.off), sigs, uint8(sg.first),
-					e.cfg.BlockDim, !e.cfg.DisablePrefilter, pc, sc.qIdx, visit)
-			}
+			groups, runs := idx.slicedPart(p)
+			cpuMatchBatchSliced(groups, runs, int(p.off), b.sigs[sg.first:sg.first+sg.n], uint8(sg.first),
+				!e.cfg.DisablePrefilter, &sc.span, pc, &e.obs.Kernel, visit)
 		}
 	case payloadPacked:
 		decodePacked(res.packed, res.count, visit)

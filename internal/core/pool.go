@@ -140,7 +140,6 @@ func (ep *enginePools) putResult(r *batchResult) {
 type reduceScratch struct {
 	keys    [][]Key     // per batch slot; appended to under no lock
 	touched []uint8     // slots with at least one key, in first-touch order
-	qIdx    []uint8     // cpuMatchBatch per-block surviving-query scratch
 	span    spanScratch // cpuMatchBatchSliced's surviving-entry lists
 	pairs   []int32     // per batch slot: pairs decoded, then entries per distinct query
 }

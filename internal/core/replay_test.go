@@ -66,7 +66,7 @@ func TestReplayKernel(t *testing.T) {
 		{"scan_heavy", 8, 16, 256},
 	} {
 		var idx index
-		idx.appendPartitions(sigs, balancedPartition(sigs, len(sigs)/w.partDiv), true, 0, nil)
+		idx.appendPartitions(sigs, balancedPartition(sigs, len(sigs)/w.partDiv), 0, nil)
 		pt, maskless := buildPartitionTable(idx.parts)
 		rng := rand.New(rand.NewSource(*replaySeed ^ int64(w.extra)<<32 ^ 0x51ed))
 		perPart := make([][]bitvec.Vector, len(idx.parts))
@@ -95,7 +95,7 @@ func TestReplayKernel(t *testing.T) {
 				groups, runs := idx.slicedPart(p)
 				for ; len(qs) > 0; qs = qs[min(w.cohort, len(qs)):] {
 					segments++
-					blocks += segBlocks(int(p.n), DefaultConfig(0).BlockDim, true)
+					blocks += segBlocks(int(p.n), DefaultConfig(0).BlockDim)
 					cpuMatchBatchSliced(groups, runs, int(p.off), qs[:min(w.cohort, len(qs))], 0, true, &sc, nil, &kc,
 						func(uint8, uint32) { pairs++ })
 				}

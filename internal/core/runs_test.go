@@ -123,22 +123,26 @@ func TestRunDeriveShapes(t *testing.T) {
 // order, whose gates share little.
 func TestRunDeriveOnClusteredPartitions(t *testing.T) {
 	sets := vocabSets(30000, 400, 4, 81)
-	for _, sliced := range []bool{true, false} {
+	for _, clustered := range []bool{true, false} {
 		var idx index
-		idx.appendPartitions(sets, balancedPartition(sets, 3000), sliced, 0, nil)
+		if clustered {
+			idx.appendPartitions(sets, balancedPartition(sets, 3000), 0, nil)
+		} else {
+			appendLexicographic(&idx, sets, balancedPartition(sets, 3000))
+		}
 		nodes := 0
 		for pi := range idx.parts {
 			p := &idx.parts[pi]
 			groups := bitvec.BuildSlicedGroups(idx.sets[p.off : p.off+p.n])
 			runs := deriveRuns(nil, groups)
 			checkRuns(t, groups, runs)
-			if sliced && !slices.Equal(runs, idx.runs[p.runOff:p.runOff+p.nRuns]) {
+			if clustered && !slices.Equal(runs, idx.runs[p.runOff:p.runOff+p.nRuns]) {
 				t.Fatalf("partition %d: appendPartitions stored other nodes than deriveRuns yields", pi)
 			}
 			nodes += len(runs)
 		}
 		if nodes == 0 {
-			t.Fatalf("sliced=%v: fixture yields no run node", sliced)
+			t.Fatalf("clustered=%v: fixture yields no run node", clustered)
 		}
 	}
 }
@@ -166,7 +170,7 @@ func FuzzRunDerive(f *testing.F) {
 // subset of them, as routing would.
 func clusteredSegs(sets []bitvec.Vector, maxP, nParts, nQueries int, seed int64) []testSeg {
 	var idx index
-	idx.appendPartitions(sets, balancedPartition(sets, maxP), true, 0, nil)
+	idx.appendPartitions(sets, balancedPartition(sets, maxP), 0, nil)
 	segs := make([]testSeg, nParts)
 	for pi, p := range idx.parts[:nParts] {
 		segs[pi] = testSeg{sets: idx.sets[p.off : p.off+p.n], base: p.off, ext: max(0, pi-(nParts-3))}
@@ -189,7 +193,7 @@ func clusteredSegs(sets []bitvec.Vector, maxP, nParts, nQueries int, seed int64)
 // at block dimensions that make blocks start and end inside runs (1, 2,
 // 3) and that cover a partition whole (256): the device kernel over base
 // shard and extents and the host path must produce the brute-force pairs,
-// which the scalar host matcher must produce too, with the gates on and
+// which the cpuMatchBatch oracle must produce too, with the gates on and
 // off; and with them on, the same scans and column words at every block
 // dimension — a block that cannot see a run's node decides the same pairs
 // group by group.
@@ -211,7 +215,7 @@ func TestRunSpanBlockDims(t *testing.T) {
 	for _, gate := range []bool{true, false} {
 		for _, blockDim := range []int{256, 1, 2, 3} {
 			var kc obs.KernelCounters
-			got, overflow := runSegKernel(t, segs, true, len(want)+1, blockDim, gate, &kc)
+			got, overflow := runSegKernel(t, segs, len(want)+1, blockDim, gate, &kc)
 			if overflow {
 				t.Fatal("unexpected overflow")
 			}
@@ -232,7 +236,7 @@ func TestRunSpanBlockDims(t *testing.T) {
 				t.Fatalf("one group per block: %d gate tests for %d pairs — a one-group span can use no node", k.GateTests, k.GateChecks)
 			}
 		}
-		var host, scalar []pair
+		var host, oracle []pair
 		first := 0
 		for _, sg := range segs {
 			hostSliced(sg.sets, int(sg.base), sg.queries, uint8(first), gate, nil, func(q uint8, s uint32) {
@@ -242,14 +246,14 @@ func TestRunSpanBlockDims(t *testing.T) {
 			slices.SortFunc(sorted, bitvec.Compare)
 			cpuMatchBatch(sorted, 0, sg.queries, uint8(first), 256, gate, nil, nil, func(q uint8, s uint32) {
 				// Row ids differ between the two orders; compare through the set.
-				scalar = append(scalar, pair{q, sg.base + uint32(slices.Index(sg.sets, sorted[s]))})
+				oracle = append(oracle, pair{q, sg.base + uint32(slices.Index(sg.sets, sorted[s]))})
 			})
 			first += len(sg.queries)
 		}
 		sortPairs(host)
-		sortPairs(scalar)
-		equalPairs(t, fmt.Sprintf("host sliced gate=%v", gate), host, want)
-		equalPairs(t, fmt.Sprintf("host scalar gate=%v", gate), scalar, want)
+		sortPairs(oracle)
+		equalPairs(t, fmt.Sprintf("host gate=%v", gate), host, want)
+		equalPairs(t, fmt.Sprintf("cpuMatchBatch gate=%v", gate), oracle, want)
 	}
 }
 
@@ -261,7 +265,7 @@ func TestRunSpanBlockDims(t *testing.T) {
 func TestRunGateTestsOnWorkload(t *testing.T) {
 	gen, sigs, pool := generatedSets(t, 30000, 5)
 	var idx index
-	idx.appendPartitions(sigs, balancedPartition(sigs, len(sigs)/4), true, 0, nil)
+	idx.appendPartitions(sigs, balancedPartition(sigs, len(sigs)/4), 0, nil)
 	pt, maskless := buildPartitionTable(idx.parts)
 	rng := rand.New(rand.NewSource(6))
 	perPart := make([][]bitvec.Vector, len(idx.parts))

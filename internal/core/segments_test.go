@@ -9,9 +9,10 @@ import (
 )
 
 // testSeg is one segment of a kernel-test launch: a partition — its
-// sets (sorted for the scalar kernel; in any order for the sliced one),
-// the global id of the first, and the device buffer holding it (0 the
-// base shard, e the e-th extent) — and the entries routed to it.
+// sets in row order (sorted for the cpuMatchBatch oracle; in any order
+// for the kernel), the global id of the first, and the device buffer
+// holding it (0 the base shard, e the e-th extent) — and the entries
+// routed to it.
 type testSeg struct {
 	sets    []bitvec.Vector
 	base    uint32
@@ -41,13 +42,12 @@ func hostSliced(sets []bitvec.Vector, base int, queries []bitvec.Vector, qbase u
 	cpuMatchBatchSliced(groups, deriveRuns(nil, groups), base, queries, qbase, gate, &spanScratch{}, nil, kc, visit)
 }
 
-// runSegKernel lays the segments' partitions out in a base buffer and
-// extent buffers (the sliced flavor with each partition's run nodes beside
-// its groups), stages the entries' signatures in reverse (so entry
-// indices are not the identity, as in KernelBenchmark) and the entry
-// indices and segment table in one buffer, as gpuDispatchAttempt does,
-// and runs one launch of the chosen kernel flavor.
-func runSegKernel(t testing.TB, segs []testSeg, sliced bool, maxPairs, blockDim int, prefilter bool, kc *obs.KernelCounters) ([]pair, bool) {
+// runSegKernel lays the segments' partitions out in a base shard and
+// extent shards (each partition's run nodes beside its groups), stages the
+// entries' signatures in reverse (so entry indices are not the identity,
+// as in KernelBenchmark) and the entry indices and segment table in one
+// buffer, as gpuDispatchAttempt does, and runs one launch of the kernel.
+func runSegKernel(t testing.TB, segs []testSeg, maxPairs, blockDim int, prefilter bool, kc *obs.KernelCounters) ([]pair, bool) {
 	t.Helper()
 	dev := gpu.New(gpu.Config{Workers: 4})
 	defer dev.Close()
@@ -64,7 +64,6 @@ func runSegKernel(t testing.TB, segs []testSeg, sliced bool, maxPairs, blockDim 
 	}
 	staged := make([]bitvec.Vector, nQ)
 	tab := make([]uint32, nQ+len(segs)*segWords)
-	rows := make([][]bitvec.Vector, nExt+1)
 	groups := make([][]bitvec.SlicedGroup, nExt+1)
 	runs := make([][]runNode, nExt+1)
 	first, blocks := 0, 0
@@ -74,18 +73,13 @@ func runSegKernel(t testing.TB, segs []testSeg, sliced bool, maxPairs, blockDim 
 			staged[j], tab[first+i] = q, uint32(j)
 		}
 		row := tab[nQ+si*segWords:][:segWords]
-		if sliced {
-			g := bitvec.BuildSlicedGroups(sg.sets)
-			row[segOff], row[segLen] = uint32(len(groups[sg.ext])), uint32(len(g))
-			groups[sg.ext] = append(groups[sg.ext], g...)
-			row[segRunOff] = uint32(len(runs[sg.ext]))
-			runs[sg.ext] = deriveRuns(runs[sg.ext], g)
-			row[segRunLen] = uint32(len(runs[sg.ext])) - row[segRunOff]
-		} else {
-			row[segOff], row[segLen] = uint32(len(rows[sg.ext])), uint32(len(sg.sets))
-			rows[sg.ext] = append(rows[sg.ext], sg.sets...)
-		}
-		blocks += segBlocks(len(sg.sets), blockDim, sliced)
+		g := bitvec.BuildSlicedGroups(sg.sets)
+		row[segOff], row[segLen] = uint32(len(groups[sg.ext])), uint32(len(g))
+		groups[sg.ext] = append(groups[sg.ext], g...)
+		row[segRunOff] = uint32(len(runs[sg.ext]))
+		runs[sg.ext] = deriveRuns(runs[sg.ext], g)
+		row[segRunLen] = uint32(len(runs[sg.ext])) - row[segRunOff]
+		blocks += segBlocks(len(sg.sets), blockDim)
 		row[segBlockEnd] = uint32(blocks)
 		row[segFirst], row[segCount] = uint32(first), uint32(len(sg.queries))
 		row[segExt], row[segBase] = uint32(sg.ext), sg.base
@@ -107,18 +101,11 @@ func runSegKernel(t testing.TB, segs []testSeg, sliced bool, maxPairs, blockDim 
 		t.Fatal(err)
 	}
 	grid := gpu.Grid{Blocks: blocks, BlockDim: blockDim}
-	var kernel gpu.KernelFunc
-	if sliced {
-		shards := make([]shard, nExt+1)
-		for e, bufs, nodes := 0, uploadAll(t, dev, groups), uploadAll(t, dev, runs); e <= nExt; e++ {
-			shards[e] = shard{groups: bufs[e], runs: nodes[e]}
-		}
-		kernel = slicedMatchKernel(args, shards[0], shards[1:])
-	} else {
-		bufs := uploadAll(t, dev, rows)
-		kernel = matchKernel(args, bufs[0], bufs[1:])
+	shards := make([]shard, nExt+1)
+	for e, bufs, nodes := 0, uploadAll(t, dev, groups), uploadAll(t, dev, runs); e <= nExt; e++ {
+		shards[e] = shard{groups: bufs[e], runs: nodes[e]}
 	}
-	s.LaunchZeroedAsync(grid, args.hdr, resHeaderWords, kernel)
+	s.LaunchZeroedAsync(grid, args.hdr, resHeaderWords, slicedMatchKernel(args, shards[0], shards[1:]))
 	hdrHost := make([]uint32, resHeaderWords)
 	gpu.CopyFromDeviceAsync(s, args.hdr, hdrHost, 0)
 	if err := s.SynchronizeErr(); err != nil {
@@ -169,11 +156,12 @@ func equalPairs(t testing.TB, label string, got, want []pair) {
 	}
 }
 
-// TestSegmentedKernelsMatchBruteForce runs both kernel flavors over
-// segment tables with the shapes dispatch produces and a kernel must
-// survive: many partitions in one launch, one-entry segments, a segment
-// with no entries, an empty partition, partitions in extent buffers, and
-// one partition's entries split over two segments.
+// TestSegmentedKernelsMatchBruteForce runs the kernel, and the
+// cpuMatchBatch oracle segment by segment, over segment tables with the
+// shapes dispatch produces and a kernel must survive: many partitions in
+// one launch, one-entry segments, a segment with no entries, an empty
+// partition, partitions in extent buffers, and one partition's entries
+// split over two segments.
 func TestSegmentedKernelsMatchBruteForce(t *testing.T) {
 	a, qa := batchFixture(700, 40, 61)
 	b, qb := batchFixture(130, 9, 62)
@@ -193,15 +181,29 @@ func TestSegmentedKernelsMatchBruteForce(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("fixture produced no matches; test is vacuous")
 	}
-	for _, sliced := range []bool{false, true} {
-		for _, blockDim := range []int{256, 64, 100, 1} {
-			for _, prefilter := range []bool{true, false} {
-				got, overflow := runSegKernel(t, segs, sliced, 1<<16, blockDim, prefilter, nil)
-				if overflow {
-					t.Fatal("unexpected overflow")
-				}
-				equalPairs(t, "segmented launch", got, want)
+	for _, blockDim := range []int{256, 64, 100, 1} {
+		for _, prefilter := range []bool{true, false} {
+			got, overflow := runSegKernel(t, segs, 1<<16, blockDim, prefilter, nil)
+			if overflow {
+				t.Fatal("unexpected overflow")
 			}
+			equalPairs(t, "segmented launch", got, want)
 		}
 	}
+	equalPairs(t, "cpuMatchBatch oracle", oracleSegPairs(segs, true), want)
+}
+
+// oracleSegPairs runs the cpuMatchBatch oracle over every segment (whose
+// sets must be sorted) and returns the pairs with batch-wide query ids.
+func oracleSegPairs(segs []testSeg, prefilter bool) []pair {
+	var out []pair
+	first := 0
+	for _, sg := range segs {
+		cpuMatchBatch(sg.sets, int(sg.base), sg.queries, uint8(first), 256, prefilter, nil, nil, func(q uint8, s uint32) {
+			out = append(out, pair{q, s})
+		})
+		first += len(sg.queries)
+	}
+	sortPairs(out)
+	return out
 }

@@ -5,10 +5,10 @@
 // The engine indexes a database of tag sets, represented as 192-bit
 // Bloom-filter signatures, into balanced partitions (Algorithm 1 of the
 // paper). Queries flow through a four-stage pipeline: pre-process on CPUs
-// (Algorithm 2), subset match on (simulated) GPUs (Algorithms 3 and 4),
-// key lookup/reduce on CPUs, and merge on CPUs. Batching, the flush
-// timeout, GPU streams, and double-buffered result transfers follow
-// §3.3 and §3.4 of the paper.
+// (Algorithm 2), subset match on (simulated) GPUs (a bit-sliced form of
+// Algorithms 3 and 4), key lookup/reduce on CPUs, and merge on CPUs.
+// Batching, the flush timeout, GPU streams carrying one batch at a time,
+// and the packed result transfer follow §3.3 and §3.4 of the paper.
 package core
 
 import (
@@ -71,10 +71,9 @@ type Config struct {
 	StreamsPerDevice int
 
 	// BlockDim is the GPU thread-block size for the subset-match kernel:
-	// one thread per 64-set group for the bit-sliced kernel, so a block
-	// covers up to 64 × BlockDim sets of a partition and a partition of at
-	// most that many is one block; one thread per set under ScalarKernel.
-	// Defaults to 256.
+	// one thread per 64-set group, so a block covers up to 64 × BlockDim
+	// sets of a partition and a partition of at most that many is one
+	// block. Defaults to 256.
 	BlockDim int
 
 	// MaxPairsPerBatch sizes the kernel result buffer in (query,set)
@@ -83,15 +82,17 @@ type Config struct {
 	// Defaults to 16×BatchSize.
 	MaxPairsPerBatch int
 
-	// Replicate replicates the tagset table on every device so that any
+	// Replicate places the whole device index — every partition's
+	// transposed groups and run nodes — on every device, so that any
 	// stream can serve any partition (maximal inter-GPU parallelism).
 	// When false, partitions are spread across devices round-robin and
 	// each batch must use a stream of the owning device. Defaults true
 	// (set by DefaultConfig).
 	Replicate bool
 
-	// DisablePrefilter turns off the thread-block common-prefix
-	// pre-filtering of Algorithm 4 (ablation).
+	// DisablePrefilter turns off the kernel's pre-filters — the run and
+	// group gates that stand in for Algorithm 4's block pre-filter — so
+	// every routed entry walks every group's columns (ablation).
 	DisablePrefilter bool
 
 	// ExactVerify keeps the original tag sets alongside the Bloom
@@ -151,17 +152,6 @@ type Config struct {
 	// mask (ablation; the preprocess benchmark measures the two paths
 	// against each other). Results are identical either way.
 	ScalarRouting bool
-
-	// ScalarKernel replaces the bit-sliced (column-transposed)
-	// subset-match kernel with the retained scalar per-thread kernel of
-	// Algorithms 3 and 4 — one set per thread, three word operations per
-	// subset check (ablation; the kernel benchmark measures the two
-	// flavors against each other, and the differential tests hold them
-	// to exact pair-for-pair parity). A scalar-kernel engine skips
-	// building and uploading the transposed group index entirely, so it
-	// also reproduces the pre-sliced memory footprint. Results are
-	// identical either way.
-	ScalarKernel bool
 
 	// DisablePooling turns off the hot-path buffer recycling (query
 	// structs, batches, result carriers, reduce scratch), allocating
@@ -357,14 +347,13 @@ type Stats struct {
 	RouteAppends    int64 `json:"route_appends"`
 
 	// Subset-match kernel counters (mirrors of obs.KernelCounters):
-	// batches executed per kernel flavor, gate effectiveness —
+	// batches matched, on a device or the host, gate effectiveness —
 	// KernelGateChecks counts the (entry, group) pairs the gates decided,
 	// KernelGatePruned those rejected before any column was read (their
 	// ratio is the gate hit rate), KernelGateTests the three-word tests,
 	// on run nodes and on groups, that it took — and the column words
 	// touched by the bit-sliced walk.
 	KernelSliced        int64 `json:"kernel_sliced"`
-	KernelScalar        int64 `json:"kernel_scalar"`
 	KernelGateChecks    int64 `json:"kernel_gate_checks"`
 	KernelGatePruned    int64 `json:"kernel_gate_pruned"`
 	KernelGateTests     int64 `json:"kernel_gate_tests"`
@@ -480,8 +469,7 @@ type partition struct {
 
 	// grpOff is the offset of the partition's ⌈n/64⌉ bit-sliced groups in
 	// the flat transposed index (index.groups); local set i lives in lane
-	// i%64 of group grpOff+i/64. Zero when the engine runs the scalar
-	// kernel (no transposed index).
+	// i%64 of group grpOff+i/64.
 	grpOff uint32
 
 	// runOff and nRuns locate the partition's run nodes in index.runs
@@ -490,16 +478,16 @@ type partition struct {
 	runOff uint32
 	nRuns  uint32
 
-	// The partition's device row: ext names the buffer — 0 for the base
-	// shard uploaded by the last full build, e>0 for the e-th extent
-	// buffer appended by an incremental fold (index.devExts[dev][e-1]) —
-	// and devOff/devLen the range of it the configured kernel reads, in
-	// groups for the bit-sliced kernel and in sets for the scalar one. A
-	// device holds one layout, so one pair serves; devRunOff is where the
-	// partition's nRuns run nodes start beside it. uploadToDevices and
+	// The partition's place on its device: ext names the shard — 0 for
+	// the base shard uploaded by the last full build, e>0 for the e-th
+	// extent appended by an incremental fold (index.devShardExts[dev][e-1])
+	// — devOff where its nGroups groups start there, and devRunOff where
+	// its nRuns run nodes start beside them. uploadToDevices and
 	// adoptDevices resolve them when they place the partition.
 	ext       uint32
 	devOff    uint32
-	devLen    uint32
 	devRunOff uint32
 }
+
+// nGroups is the number of 64-set groups the partition's n sets fill.
+func (p *partition) nGroups() uint32 { return (p.n + 63) / 64 }

@@ -87,6 +87,13 @@ func TestObsSmoke(t *testing.T) {
 		if !strings.Contains(body, `tagmatch_gpu_op_duration_seconds_bucket{op="kernel",phase="service"`) {
 			t.Error("per-op-kind latency histogram missing")
 		}
+		// One subset-match kernel: the scalar flavor's series is gone.
+		if !strings.Contains(body, `tagmatch_kernel_batches_total{flavor="sliced"}`) {
+			t.Error("kernel batches series missing")
+		}
+		if strings.Contains(body, `tagmatch_kernel_batches_total{flavor="scalar"}`) {
+			t.Error("the scalar kernel's batches series is still exported")
+		}
 	})
 
 	t.Run("timeline", func(t *testing.T) {
@@ -178,10 +185,13 @@ func TestObsSmoke(t *testing.T) {
 			t.Fatalf("/debug/stats is not valid JSON: %v", err)
 		}
 		// The stream section carries the upload accounting and the two
-		// batching histograms, and no longer the window or occupancy keys.
+		// batching histograms, and no longer the window or occupancy keys;
+		// neither the stats nor the kernel section counts a scalar kernel.
 		var sections struct {
-			Obs struct {
+			Stats map[string]json.RawMessage `json:"stats"`
+			Obs   struct {
 				Streams map[string]json.RawMessage `json:"streams"`
+				Kernel  map[string]json.RawMessage `json:"kernel"`
 			} `json:"obs"`
 		}
 		if err := json.Unmarshal([]byte(raw), &sections); err != nil {
@@ -191,6 +201,15 @@ func TestObsSmoke(t *testing.T) {
 			if _, ok := sections.Obs.Streams[gone]; ok {
 				t.Errorf("obs.streams still carries %q", gone)
 			}
+		}
+		if _, ok := sections.Stats["kernel_scalar"]; ok {
+			t.Error("stats still carries kernel_scalar")
+		}
+		if _, ok := sections.Obs.Kernel["scalar_batches"]; ok {
+			t.Error("obs.kernel still carries scalar_batches")
+		}
+		if len(sections.Stats) == 0 || len(sections.Obs.Kernel) == 0 {
+			t.Fatal("/debug/stats has no stats or obs.kernel section")
 		}
 		if ds.Stats.QuerySlots == 0 || ds.Stats.H2DQueryBytes == 0 {
 			t.Errorf("stream byte accounting empty: slots=%d bytes=%d",

@@ -2,9 +2,8 @@ package obs
 
 import "sync/atomic"
 
-// KernelCounters instruments the subset-match stage: which kernel
-// flavor executed each batch and how much work the bit-sliced walk
-// actually did. Like FaultCounters and RoutingCounters they are NOT
+// KernelCounters instruments the subset-match stage: how many batches
+// the bit-sliced kernel matched and how much work its walk actually did. Like FaultCounters and RoutingCounters they are NOT
 // gated by Pipeline.On — they feed the engine's Stats and the
 // kernel-parity regression tests — and the kernels accumulate them in
 // locals, flushing one bulk atomic add per thread block (per batch on
@@ -13,10 +12,6 @@ type KernelCounters struct {
 	// SlicedBatches counts batch subset matches executed by the
 	// bit-sliced (column-transposed) kernel, on device or host.
 	SlicedBatches atomic.Int64
-	// ScalarBatches counts batch subset matches executed by the
-	// retained scalar per-thread kernel (Config.ScalarKernel, and the
-	// host fallback of a scalar-configured engine).
-	ScalarBatches atomic.Int64
 	// GateChecks counts the (group, query) pairs the gates decided;
 	// GatePruned counts those rejected — the group's 64 sets discarded —
 	// before any column was read. GatePruned / GateChecks is the gate
@@ -30,8 +25,8 @@ type KernelCounters struct {
 	// (or was disabled); ColumnsWalked accumulates the column words
 	// those walks touched. ColumnsWalked / GroupScans is the mean scan
 	// depth — the early-exit effectiveness of the sliced walk, to be
-	// compared against the ~64×3 word operations the scalar kernel
-	// spends per (group, query) worth of sets.
+	// compared against the ~64×3 word operations a one-set-per-thread
+	// kernel spends per (group, query) worth of sets.
 	GroupScans    atomic.Int64
 	ColumnsWalked atomic.Int64
 
@@ -44,7 +39,6 @@ type KernelCounters struct {
 // KernelSnapshot is the JSON-facing view of KernelCounters.
 type KernelSnapshot struct {
 	SlicedBatches int64        `json:"sliced_batches"`
-	ScalarBatches int64        `json:"scalar_batches"`
 	GateChecks    int64        `json:"gate_checks"`
 	GatePruned    int64        `json:"gate_pruned"`
 	GateTests     int64        `json:"gate_tests"`
@@ -57,7 +51,6 @@ type KernelSnapshot struct {
 func (k *KernelCounters) Snapshot() KernelSnapshot {
 	return KernelSnapshot{
 		SlicedBatches: k.SlicedBatches.Load(),
-		ScalarBatches: k.ScalarBatches.Load(),
 		GateChecks:    k.GateChecks.Load(),
 		GatePruned:    k.GatePruned.Load(),
 		GateTests:     k.GateTests.Load(),
@@ -70,11 +63,8 @@ func (k *KernelCounters) Snapshot() KernelSnapshot {
 // writeProm emits the kernel counters in Prometheus text format.
 func (k *KernelCounters) writeProm(w *PromWriter) {
 	w.Counter("tagmatch_kernel_batches_total",
-		"Batch subset matches executed, by kernel flavor.",
+		"Batch subset matches executed by the bit-sliced kernel, on a device or the host.",
 		Labels{{"flavor", "sliced"}}, float64(k.SlicedBatches.Load()))
-	w.Counter("tagmatch_kernel_batches_total",
-		"Batch subset matches executed, by kernel flavor.",
-		Labels{{"flavor", "scalar"}}, float64(k.ScalarBatches.Load()))
 	w.Counter("tagmatch_kernel_gate_checks_total",
 		"(group, query) pairs decided by the sliced kernel's gates.",
 		nil, float64(k.GateChecks.Load()))

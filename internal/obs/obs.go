@@ -99,9 +99,8 @@ type Pipeline struct {
 	// accumulators. Always recorded, like Faults; see RoutingCounters.
 	Routing RoutingCounters
 
-	// Kernel counts subset-match activity: kernel flavor per batch,
-	// group-gate effectiveness, and columns walked by the bit-sliced
-	// scan. Always recorded, like Faults; see KernelCounters.
+	// Kernel counts subset-match activity: batches matched, gate
+	// effectiveness, and columns walked by the bit-sliced scan. Always recorded, like Faults; see KernelCounters.
 	Kernel KernelCounters
 
 	// Streams counts GPU dispatch activity: H2D query bytes, segments

@@ -128,9 +128,11 @@ type Config struct {
 	Threads int
 	// StreamsPerGPU is the number of streams per device (default 10).
 	StreamsPerGPU int
-	// Replicate replicates the tagset table on every device (default
-	// true). When explicitly disabled with PartitionAcrossGPUs, each
-	// device holds only its share of the partitions.
+	// PartitionAcrossGPUs deals the partitions round-robin over the
+	// devices, so each device holds only its share of the device index —
+	// the partitions' transposed groups and run nodes — and serves only
+	// batches for those partitions. By default (false) every device holds
+	// the whole index and any stream can serve any partition.
 	PartitionAcrossGPUs bool
 	// MaxInFlight bounds the number of submitted-but-incomplete queries
 	// admitted before Submit-family calls return ErrOverloaded (the

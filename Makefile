@@ -22,10 +22,12 @@ vet:
 test:
 	$(GO) test ./...
 
-## race: the engine pipeline and the lock-free observability layer are
-## the packages with real concurrency; -race on the full tree is slow.
+## race: the engine pipeline, the lock-free observability layer and the
+## device simulator (whose SM workers claim a launch's blocks from a
+## shared counter) are the packages with real concurrency; -race on the
+## full tree is slow.
 race:
-	$(GO) test -race ./internal/core/ ./internal/obs/
+	$(GO) test -race ./internal/core/ ./internal/obs/ ./internal/gpu/
 
 ## chaos: the fault-injection suite under the race detector — seeded
 ## deterministic GPU faults, scripted device death, quarantine/recovery,
@@ -36,9 +38,11 @@ race:
 ## as must the exact operation count of a dispatched batch, the
 ## routed-entry log's kick path, counting sort and cut (TestLog*), and the
 ## run nodes — derivation, the walk at every block geometry, folds,
-## placements and the host fallback (TestRun*).
+## placements and the host fallback (TestRun*) — and the simulator's
+## block dispatch: concurrent grids run every block exactly once, spread
+## over every SM, at one allocation per launch (TestLaunch*).
 chaos:
-	$(GO) test -race -run 'TestCluster|TestBalancedPartition|TestRun|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta' \
+	$(GO) test -race -run 'TestLaunch|TestCluster|TestBalancedPartition|TestRun|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta' \
 		./internal/gpu/ ./internal/core/ ./internal/httpserver/
 
 ## bench-smoke: quick -benchmem pass over the hot-path benchmarks so a

@@ -23,6 +23,25 @@
 // effects — batching amortizing per-call overhead, streams overlapping
 // copy and compute, small batches wasting whole kernel invocations — all
 // emerge from the same mechanisms as on real hardware.
+//
+// Block scheduling. A launch hands its grid to the SM workers as
+// min(Workers, Blocks) claim tasks sharing one per-launch record. Each
+// worker that receives a task claims block indices in order from the
+// record's atomic counter and runs them back to back on its own BlockCtx
+// and shared scratch until the grid is exhausted, so every block runs
+// exactly once, one grid still spreads over every SM, and a worker that
+// finishes early takes more blocks (dynamic load balancing, as a
+// hardware block scheduler does). Concurrent launches from different
+// streams queue their tasks on the same workers.
+//
+// What is modeled and what is not. CostModel charges the host-side
+// driver costs real hardware has: a fixed cost per launch and per copy
+// call, and a per-byte bus cost. Handing a block to an SM costs the
+// simulation a host-side hand-off that real hardware does not pay and
+// no CostModel term charges for; claiming blocks from a shared counter
+// keeps that to one channel message per worker per launch, not one per
+// block. SM busy time and BlocksExecuted are accounted once per claim
+// task.
 package gpu
 
 import (
@@ -132,9 +151,12 @@ type Stats struct {
 
 // Device is a simulated GPU.
 type Device struct {
-	name    string
-	cfg     Config
-	blockQ  chan blockTask
+	name string
+	cfg  Config
+	// blockQ carries claim tasks to the SM workers; its buffer of
+	// 4×Workers holds the tasks of four concurrent launches before a
+	// launching stream blocks on the send.
+	blockQ  chan *launchRec
 	wg      sync.WaitGroup // SM workers
 	closed  atomic.Bool
 	streams struct {
@@ -166,11 +188,16 @@ type Device struct {
 	copiesDtoH     atomic.Int64
 }
 
-type blockTask struct {
-	kernel   KernelFunc
-	blockIdx int
-	grid     Grid
-	done     *sync.WaitGroup
+// launchRec is one kernel launch in flight, shared by the claim tasks
+// the launch enqueues: each SM worker that receives it claims block
+// indices from next until the grid is exhausted, then marks its task
+// done. Counter and WaitGroup live in one record so a launch costs one
+// allocation whatever its grid size.
+type launchRec struct {
+	kernel KernelFunc
+	grid   Grid
+	next   atomic.Int64
+	done   sync.WaitGroup
 }
 
 // ErrDeviceClosed is returned by operations on a closed device.
@@ -199,7 +226,7 @@ func New(cfg Config) *Device {
 	d := &Device{
 		name:      cfg.Name,
 		cfg:       cfg,
-		blockQ:    make(chan blockTask, 4*cfg.Workers),
+		blockQ:    make(chan *launchRec, 4*cfg.Workers),
 		createdAt: time.Now(),
 	}
 	if cfg.OpLogSize > 0 {
@@ -234,18 +261,30 @@ func (d *Device) smWorker() {
 	// the SM runs, so a kernel's block-local buffers are allocated once
 	// per SM, not once per block.
 	ctx := &BlockCtx{dev: d}
-	for task := range d.blockQ {
+	for l := range d.blockQ {
 		t0 := time.Now()
-		d.runBlock(ctx, task)
+		n := runClaimed(ctx, l)
 		d.smBusyNs.Add(time.Since(t0).Nanoseconds())
+		d.blocksExecuted.Add(int64(n))
+		l.done.Done()
 	}
 }
 
-func (d *Device) runBlock(ctx *BlockCtx, task blockTask) {
-	ctx.BlockIdx, ctx.Grid = task.blockIdx, task.grid
-	task.kernel(ctx)
-	d.blocksExecuted.Add(1)
-	task.done.Done()
+// runClaimed claims l's block indices in order and runs them back to
+// back on ctx until the grid is exhausted. It returns how many blocks it
+// ran, which is 0 when other workers claimed them all first.
+func runClaimed(ctx *BlockCtx, l *launchRec) int {
+	ctx.Grid = l.grid
+	n := 0
+	for {
+		blk := int(l.next.Add(1)) - 1
+		if blk >= l.grid.Blocks {
+			return n
+		}
+		ctx.BlockIdx = blk
+		l.kernel(ctx)
+		n++
+	}
 }
 
 // Grid describes a kernel launch geometry: Blocks thread blocks of
@@ -327,18 +366,14 @@ func (b *BlockCtx) LaunchNested(grid Grid, kernel KernelFunc) {
 	d := b.dev
 	d.nestedLaunches.Add(1)
 	spinWait(d.cfg.Cost.LaunchOverhead)
-	var done sync.WaitGroup
-	done.Add(grid.Blocks)
 	// The parent block is still using its SM's context and scratch, so
-	// the nested grid gets its own.
+	// the nested grid gets its own; the calling worker claims every block.
 	ctx := &BlockCtx{dev: d}
-	for blk := 0; blk < grid.Blocks; blk++ {
-		d.runBlock(ctx, blockTask{kernel: kernel, blockIdx: blk, grid: grid, done: &done})
-	}
-	done.Wait()
+	n := runClaimed(ctx, &launchRec{kernel: kernel, grid: grid})
+	d.blocksExecuted.Add(int64(n))
 }
 
-// launch enqueues all blocks of a grid and waits for their completion.
+// launch dispatches a grid to the SM workers and waits for its completion.
 // It is called from a stream executor goroutine. It returns
 // ErrDeviceClosed on a closed or dead device — rather than panicking, so
 // stream error propagation can route the failure to the dispatching
@@ -385,12 +420,15 @@ func (d *Device) launchZeroed(grid Grid, kernel KernelFunc, zero *Buffer[uint32]
 		d.opDone(OpKernel, site, 0, 0, start)
 		return nil
 	}
-	var done sync.WaitGroup
-	done.Add(grid.Blocks)
-	for blk := 0; blk < grid.Blocks; blk++ {
-		d.blockQ <- blockTask{kernel: kernel, blockIdx: blk, grid: grid, done: &done}
+	// One claim task per SM that can take part, all sharing one record:
+	// the workers split the grid between them through its block counter.
+	l := &launchRec{kernel: kernel, grid: grid}
+	tasks := min(d.cfg.Workers, grid.Blocks)
+	l.done.Add(tasks)
+	for i := 0; i < tasks; i++ {
+		d.blockQ <- l
 	}
-	done.Wait()
+	l.done.Wait()
 	d.opDone(OpKernel, site, 0, grid.Blocks, start)
 	return nil
 }

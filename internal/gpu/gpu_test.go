@@ -39,6 +39,109 @@ func TestLaunchRunsEveryThreadOnce(t *testing.T) {
 	}
 }
 
+// TestLaunchConcurrentGridsExactlyOnce issues grids of 1…300 blocks from
+// eight streams at once: the claim tasks of concurrent launches share the
+// SM workers, and every (launch, block) cell must still run exactly once.
+func TestLaunchConcurrentGridsExactlyOnce(t *testing.T) {
+	const streams, launches = 8, 50
+	d := New(Config{Workers: 4, MaxStreams: streams})
+	defer d.Close()
+	hits := make([][][]uint32, streams)
+	var wantBlocks int64
+	var wg sync.WaitGroup
+	for si := range hits {
+		hits[si] = make([][]uint32, launches)
+		for li := range hits[si] {
+			blocks := 1 + (si*launches+li)*37%300
+			hits[si][li] = make([]uint32, blocks)
+			wantBlocks += int64(blocks)
+		}
+		s, err := d.OpenStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(cells [][]uint32) {
+			defer wg.Done()
+			defer s.Close()
+			for _, c := range cells {
+				s.LaunchAsync(Grid{Blocks: len(c), BlockDim: 1}, func(b *BlockCtx) {
+					if b.Grid.Blocks != len(c) || b.Grid.BlockDim != 1 {
+						t.Errorf("block sees grid %+v, launched %d×1", b.Grid, len(c))
+					}
+					atomic.AddUint32(&c[b.BlockIdx], 1)
+				})
+			}
+			s.Synchronize()
+		}(hits[si])
+	}
+	wg.Wait()
+	for si, ls := range hits {
+		for li, c := range ls {
+			for blk, n := range c {
+				if n != 1 {
+					t.Fatalf("stream %d launch %d block %d ran %d times", si, li, blk, n)
+				}
+			}
+		}
+	}
+	st := d.Stats()
+	if st.KernelLaunches != streams*launches || st.BlocksExecuted != wantBlocks {
+		t.Fatalf("launches %d blocks %d, want %d and %d",
+			st.KernelLaunches, st.BlocksExecuted, streams*launches, wantBlocks)
+	}
+}
+
+// TestLaunchSpreadsBlocksOverSMs runs one grid of as many blocks as SMs,
+// each waiting until all of them are running: it completes only if the
+// grid spreads over every SM instead of one worker draining it alone.
+func TestLaunchSpreadsBlocksOverSMs(t *testing.T) {
+	const sms = 4
+	d := New(Config{Workers: sms})
+	defer d.Close()
+	s, err := d.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var arrived sync.WaitGroup
+	arrived.Add(sms)
+	all := make(chan struct{})
+	go func() { arrived.Wait(); close(all) }()
+	var alone atomic.Int32
+	s.LaunchAsync(Grid{Blocks: sms, BlockDim: 1}, func(b *BlockCtx) {
+		arrived.Done()
+		select {
+		case <-all:
+		case <-time.After(2 * time.Second):
+			alone.Add(1)
+		}
+	})
+	s.Synchronize()
+	if n := alone.Load(); n != 0 {
+		t.Fatalf("%d blocks timed out waiting for the other %d to run concurrently", n, sms-1)
+	}
+}
+
+// TestLaunchAllocsIndependentOfBlocks pins a launch at one allocation
+// (its shared record) however many blocks the grid has.
+func TestLaunchAllocsIndependentOfBlocks(t *testing.T) {
+	d := New(Config{Workers: 4})
+	defer d.Close()
+	kernel := func(b *BlockCtx) {}
+	allocs := func(blocks int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if err := d.launch(Grid{Blocks: blocks, BlockDim: 1}, kernel, directSite); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, many := allocs(1), allocs(1024)
+	if one != many || many > 1 {
+		t.Fatalf("allocs per launch: %v with 1 block, %v with 1024; want equal and at most 1", one, many)
+	}
+}
+
 func TestThreadsPhasesAreBarriers(t *testing.T) {
 	d := newTestDevice(t)
 	grid := Grid{Blocks: 3, BlockDim: 16}

@@ -6,7 +6,7 @@ import "sync/atomic"
 // the bit-sliced kernel matched and how much work its walk actually did. Like FaultCounters and RoutingCounters they are NOT
 // gated by Pipeline.On — they feed the engine's Stats and the
 // kernel-parity regression tests — and the kernels accumulate them in
-// locals, flushing one bulk atomic add per thread block (per batch on
+// locals, flushing one bulk atomic add per thread block (per segment on
 // the host path), never per (group, query).
 type KernelCounters struct {
 	// SlicedBatches counts batch subset matches executed by the
@@ -31,7 +31,7 @@ type KernelCounters struct {
 	ColumnsWalked atomic.Int64
 
 	// Columns is the distribution of column words walked per thread
-	// block (per batch on the host path): the per-launch-unit work
+	// block (per segment on the host path): the per-launch-unit work
 	// profile of the sliced kernel.
 	Columns Histogram
 }
@@ -81,6 +81,6 @@ func (k *KernelCounters) writeProm(w *PromWriter) {
 		"Column words touched by sliced subset scans.",
 		nil, float64(k.ColumnsWalked.Load()))
 	w.Histogram("tagmatch_kernel_columns_per_block",
-		"Column words walked per thread block (per batch on the host path).",
+		"Column words walked per thread block (per segment on the host path).",
 		nil, k.Columns.Snapshot(), 1)
 }

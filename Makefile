@@ -2,16 +2,14 @@
 
 GO ?= go
 
-.PHONY: check build vet test race chaos bench-canonical-smoke bench-smoke bench-obs bench-hotpath bench-chaos bench-preprocess bench-preprocess-smoke bench-tail bench-tail-smoke bench-churn bench-churn-smoke obs-smoke obsdiff-gate clean
+.PHONY: check build vet test race chaos bench-canonical-smoke bench-smoke bench-obs obs-smoke clean
 
 ## check: full CI gate — vet, build, tests, race detector on the
 ## concurrency-heavy packages, the chaos (fault-injection) suite, a
-## short allocation-tracking benchmark pass over the hot path,
-## reduced-scale smoke runs of the routing, tail-latency and live-update
-## experiments, the observability export smoke
-## test, the canonical benchmark's harness smoke and one driver-form run
-## of it, and the perf budgets on checked-in baselines.
-check: vet build test race chaos bench-smoke bench-preprocess-smoke bench-tail-smoke bench-churn-smoke obs-smoke bench-canonical-smoke obsdiff-gate
+## short allocation-tracking benchmark pass over the hot path, the
+## observability export smoke test, and the canonical benchmark's
+## harness smoke and one driver-form run of it per trace mode.
+check: vet build test race chaos bench-smoke obs-smoke bench-canonical-smoke
 
 build:
 	$(GO) build ./...
@@ -53,60 +51,10 @@ bench-smoke:
 		-benchtime=100x -benchmem ./internal/core/
 
 ## bench-obs: measure the observability layer's throughput overhead and
-## write BENCH_obs.json (budget <2%, gated by obsdiff-gate).
+## write BENCH_obs.json (budget <2%; the canonical benchmark does not
+## measure it yet).
 bench-obs:
 	$(GO) run ./cmd/tagmatch-bench obs-overhead
-
-## bench-hotpath: measure the buffer-pooling before/after (throughput,
-## p50/p99 latency, allocs per query) and write BENCH_hotpath.json.
-bench-hotpath:
-	$(GO) run ./cmd/tagmatch-bench hotpath
-
-## bench-chaos: measure throughput under seeded GPU faults plus a
-## mid-run device death vs. a healthy engine, assert identical match
-## output, and write BENCH_chaos.json.
-bench-chaos:
-	$(GO) run ./cmd/tagmatch-bench chaos
-
-## bench-preprocess: measure the bit-sliced vs. scalar routing lookup
-## (ns/query) and the end-to-end throughput of both flavors, and write
-## BENCH_preprocess.json. Use `-format benchstat` by hand to diff runs.
-bench-preprocess:
-	$(GO) run ./cmd/tagmatch-bench preprocess
-
-## bench-preprocess-smoke: the same experiment at reduced scale as a CI
-## gate; -no-bench-files keeps the small-scale numbers from overwriting
-## the committed BENCH_preprocess.json.
-bench-preprocess-smoke:
-	$(GO) run ./cmd/tagmatch-bench -scale 0.0005 -queries 4000 -no-bench-files preprocess
-
-## bench-tail: measure query-latency percentiles with and without hedged
-## re-dispatch while one degraded device straggles on 2% of its
-## operations, and write BENCH_tail.json (hedged p99 must be >= 2x
-## better, gated by obsdiff-gate).
-bench-tail:
-	$(GO) run ./cmd/tagmatch-bench tail
-
-## bench-tail-smoke: the same experiment at reduced scale as a CI gate;
-## -no-bench-files keeps the small-scale numbers from overwriting the
-## committed BENCH_tail.json.
-bench-tail-smoke:
-	$(GO) run ./cmd/tagmatch-bench -scale 0.0005 -queries 4000 -no-bench-files tail
-
-## bench-churn: measure live updates through the delta overlay — query
-## throughput under churn with background consolidation vs the no-churn
-## baseline and the stop-the-world ablation, update-visibility latency,
-## swap-pause percentiles, and overlay/oracle parity — and write
-## BENCH_churn.json (qps ratio >= 0.9, pause p99 >= 5x better than
-## stop-the-world, gated by obsdiff-gate).
-bench-churn:
-	$(GO) run ./cmd/tagmatch-bench churn
-
-## bench-churn-smoke: the same experiment at reduced scale as a CI
-## gate; -no-bench-files keeps the small-scale numbers from overwriting
-## the committed BENCH_churn.json.
-bench-churn-smoke:
-	$(GO) run ./cmd/tagmatch-bench -scale 0.0005 -queries 4000 -no-bench-files churn
 
 ## obs-smoke: boot a server, push traffic, and assert the export
 ## surfaces are well-formed — /metrics parses as Prometheus exposition
@@ -125,25 +73,6 @@ bench-canonical-smoke:
 	bash bench/run.sh --workload paced_latency --seed 1 --seconds 10 --trace 0
 	bash bench/run.sh --workload paced_latency --seed 1 --seconds 10 --trace 1
 
-## obsdiff-gate: the perf-regression gate — budget assertions against
-## the checked-in BENCH_*.json baselines via cmd/tagmatch-obsdiff
-## (which exits non-zero on a violated budget). Regenerate baselines
-## with the bench-* targets when an intentional perf change lands.
-obsdiff-gate:
-	$(GO) run ./cmd/tagmatch-obsdiff \
-		-assert 'overhead_pct<=2' BENCH_obs.json
-	$(GO) run ./cmd/tagmatch-obsdiff \
-		-assert 'results_match>=1' -assert 'cpu_fallbacks>=1' BENCH_chaos.json
-	$(GO) run ./cmd/tagmatch-obsdiff \
-		-assert 'routing_speedup>=2' BENCH_preprocess.json
-	$(GO) run ./cmd/tagmatch-obsdiff \
-		-assert 'hedged_p99_improvement>=2' -assert 'hedge_exactness>=1' \
-		-assert 'results_match>=1' BENCH_tail.json
-	$(GO) run ./cmd/tagmatch-obsdiff \
-		-assert 'churn_results_match>=1' -assert 'qps_ratio>=0.9' \
-		-assert 'pause_improvement>=5' -assert 'swap_pause_p99_ms<=250' \
-		-assert 'visibility_p99_ms<=250' BENCH_churn.json
-
 clean:
-	rm -f BENCH_obs.json BENCH_hotpath.json BENCH_chaos.json BENCH_preprocess.json BENCH_tail.json BENCH_churn.json
+	rm -f BENCH_obs.json
 	rm -rf results

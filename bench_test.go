@@ -167,13 +167,3 @@ func BenchmarkFamilies(b *testing.B) {
 		report(b, t, "Hash-table subsets", "hashsub-wide-Kqps")
 	}
 }
-
-func BenchmarkPreprocessRouting(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		t, r := experiments.Preprocess(p)
-		report(b, t, "scalar routing", "scalar-Kqps")
-		report(b, t, "sliced routing", "sliced-Kqps")
-		b.ReportMetric(r.Speedup, "routing-speedup-x")
-	}
-}

@@ -121,11 +121,11 @@ func (e *Engine) applyPrefix(cut int) {
 }
 
 // consolidateOnce runs one full consolidation. The synchronous form
-// (background=false — the public Consolidate, and the stop-the-world
-// ablation baseline) blocks submissions across all three phases, exactly
-// like the pre-overlay engine. The background form defers the exclusive
-// submitMu section to Phase C, so queries keep flowing — served by the
-// old index plus the overlay — during the long Phase B build.
+// (background=false — the public Consolidate and LoadSnapshot) blocks
+// submissions across all three phases, exactly like the pre-overlay
+// engine. The background form defers the exclusive submitMu section to
+// Phase C, so queries keep flowing — served by the old index plus the
+// overlay — during the long Phase B build.
 // consolidateMu serializes concurrent callers (explicit Consolidate vs
 // the background goroutine).
 //

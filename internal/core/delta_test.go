@@ -690,3 +690,74 @@ func TestDeltaFoldBehindConsolidate(t *testing.T) {
 	verifyEngine(t, e, db, db.makeQueries(100, 172), false)
 	assertDrained(t, e, mem)
 }
+
+// TestDeltaFoldUploadsOnlyAppendedPartitions pins what keeps a
+// background fold's swap pause short: an incremental fold of DeltaMaxSets
+// new sets adopts the base index's device state and copies only the
+// partitions it appended, so its host-to-device bytes are a small
+// fraction of the base upload. Re-uploading the base at the swap would
+// copy about as much again. The appended partitions must then answer
+// exactly, with nothing left in the overlay to answer for them.
+func TestDeltaFoldUploadsOnlyAppendedPartitions(t *testing.T) {
+	const foldSets = 16
+	db := makeTestDB(4000, 5, 2, 173)
+	dev := newTestGPU(t, 2)
+	e, err := New(Config{
+		MaxPartitionSize: 100, BatchSize: 32, Threads: 2,
+		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+		DeltaMaxSets: foldSets, DeltaMaxRatio: 1e-9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	// The base goes in as one bulk Consolidate (LoadSnapshot's path), so
+	// the small fold threshold starts no fold before it.
+	var base []stagedOp
+	for i, sig := range db.sigs {
+		for _, k := range db.keys[i] {
+			base = append(base, stagedOp{sig: sig, key: k})
+		}
+	}
+	if err := e.consolidateOnce(false, base); err != nil {
+		t.Fatal(err)
+	}
+	baseUpload := dev.Stats().BytesHtoD
+	baseParts := len(e.idx.Load().parts)
+
+	// DeltaMaxSets new sets, and no query traffic: the one fold they
+	// trigger is the only thing that can copy to the device.
+	next := Key(1 << 20)
+	for _, sig := range randomSets(foldSets, 5, 174) {
+		db.sigs = append(db.sigs, sig)
+		db.keys = append(db.keys, []Key{next})
+		e.AddSignature(sig, next)
+		next++
+	}
+	for deadline := time.Now().Add(10 * time.Second); e.Stats().IncrementalFolds == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no incremental fold within 10s")
+		}
+	}
+	e.consolidateMu.Lock() // the fold has swapped its index in once this is free
+	e.consolidateMu.Unlock()
+
+	st := e.Stats()
+	if st.IncrementalFolds != 1 || st.AutoConsolidations != 1 || e.PendingOps() != 0 {
+		t.Fatalf("%d incremental folds of %d background folds, %d ops pending; want one fold of everything",
+			st.IncrementalFolds, st.AutoConsolidations, e.PendingOps())
+	}
+	if parts := len(e.idx.Load().parts); parts <= baseParts {
+		t.Fatalf("the fold appended no partitions: %d before, %d after", baseParts, parts)
+	}
+	foldUpload := dev.Stats().BytesHtoD - baseUpload
+	t.Logf("base upload %d B, fold upload %d B", baseUpload, foldUpload)
+	if foldUpload <= 0 || foldUpload*8 >= baseUpload {
+		t.Fatalf("the fold copied %d bytes to the device against a %d-byte base upload; want (0, %d)",
+			foldUpload, baseUpload, baseUpload/8)
+	}
+
+	verifyEngine(t, e, db, db.sigs[len(db.sigs)-foldSets:], false)
+	verifyEngine(t, e, db, db.makeQueries(100, 175), false)
+}

@@ -306,7 +306,6 @@ func New(cfg Config) (*Engine, error) {
 	if e.log == nil {
 		e.log = slog.New(slog.DiscardHandler)
 	}
-	e.pools.disabled = cfg.DisablePooling
 	e.idx.Store(&index{pt: &partitionTable{}})
 	e.initHealth()
 	e.registerGauges()
@@ -525,10 +524,9 @@ func (e *Engine) PendingOps() int {
 // order within partitions, the partition table, the key table, and the
 // device-resident transposed index. It drains in-flight queries first
 // and blocks new submissions for the full rebuild — the stop-the-world
-// form, kept as the explicit bulk-load API and as the ablation baseline
-// for the background consolidator (which runs the same rebuild but
-// pauses traffic only for the drain + device-upload swap; see
-// consolidator.go).
+// form, kept as the explicit bulk-load API. The background consolidator
+// runs the same rebuild but pauses traffic only for the drain +
+// device-upload swap (see consolidator.go).
 //
 // If the device upload fails (errors.Is(err, ErrDeviceDegraded), with
 // the underlying cause — e.g. gpu.ErrOutOfMemory — in the chain), the
@@ -898,7 +896,6 @@ func (e *Engine) Stats() Stats {
 		ResultOverflows:     e.overflows.Load(),
 		PartitionsSearched:  e.partsSearched.Load(),
 		RoutedSliced:        e.obs.Routing.SlicedQueries.Load(),
-		RoutedScalar:        e.obs.Routing.ScalarQueries.Load(),
 		RouteMergeLocks:     e.obs.Routing.MergeLockAcqs.Load(),
 		RouteAppends:        e.obs.Routing.MergedAppends.Load(),
 		KernelSliced:        e.obs.Kernel.SlicedBatches.Load(),

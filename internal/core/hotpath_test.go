@@ -101,33 +101,33 @@ func TestReduceLocksOncePerQueryBatch(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocsPooledVsUnpooled drives identical bursts through
-// a pooled and an unpooled engine and requires pooling to cut
-// steady-state allocations per query by at least half.
-func TestSteadyStateAllocsPooledVsUnpooled(t *testing.T) {
+// TestSteadyStateAllocsPerQuery drives no-match bursts through a warmed
+// engine and bounds its steady-state allocations per query. The pools
+// hold it at zero. Bypassing every pool read 1.61; a query struct
+// allocated per use alone reads 1.00, a batch allocated per use alone
+// 0.26.
+func TestSteadyStateAllocsPerQuery(t *testing.T) {
 	const nSets, burst = 1024, 256
-	measure := func(disablePooling bool) float64 {
-		e, queries := hotpathEngine(t, Config{
-			MaxPartitionSize: 128, BatchSize: 64, Threads: 4,
-			DisablePooling: disablePooling,
-		}, nSets, 0) // no matches: isolates pipeline bookkeeping from result delivery
-		done := func(MatchResult) {}
-		run := func() {
-			for i := 0; i < burst; i++ {
-				if err := e.SubmitSignature(queries[i%len(queries)], false, done); err != nil {
-					t.Fatal(err)
-				}
+	e, queries := hotpathEngine(t, Config{
+		MaxPartitionSize: 128, BatchSize: 64, Threads: 4,
+	}, nSets, 0) // no matches: isolates pipeline bookkeeping from result delivery
+	done := func(MatchResult) {}
+	run := func() {
+		for i := 0; i < burst; i++ {
+			if err := e.SubmitSignature(queries[i%len(queries)], false, done); err != nil {
+				t.Fatal(err)
 			}
-			e.Drain()
 		}
-		run() // warm up pools and partition state
-		return testing.AllocsPerRun(20, run) / burst
+		e.Drain()
 	}
-	pooled := measure(false)
-	unpooled := measure(true)
-	t.Logf("allocs/query: pooled %.2f, unpooled %.2f", pooled, unpooled)
-	if pooled > unpooled/2 {
-		t.Fatalf("pooled allocs/query %.2f, want <= half of unpooled %.2f", pooled, unpooled)
+	run() // warm up pools and partition state
+	perQuery := testing.AllocsPerRun(20, run) / burst
+	t.Logf("allocs/query: %.2f", perQuery)
+	if raceEnabled {
+		return // pool misses are random under -race
+	}
+	if perQuery > 0.25 {
+		t.Fatalf("steady-state allocs/query %.2f, want <= 0.25", perQuery)
 	}
 }
 
@@ -153,36 +153,27 @@ func TestMatchPromptWithoutTimeout(t *testing.T) {
 }
 
 // BenchmarkHotpathSubmit measures the steady-state submit→complete path
-// (the hot path the pooling overhaul targets) in queries per op.
+// (the hot path the buffer pools serve) in queries per op.
 func BenchmarkHotpathSubmit(b *testing.B) {
-	for _, pooled := range []bool{true, false} {
-		name := "pooled"
-		if !pooled {
-			name = "unpooled"
+	e, queries := hotpathEngine(b, Config{
+		MaxPartitionSize: 128, BatchSize: 64, Threads: 4,
+	}, 4096, 4)
+	done := func(MatchResult) {}
+	// Warm up pools and partition batches.
+	for i := 0; i < 1024; i++ {
+		if err := e.SubmitSignature(queries[i%len(queries)], false, done); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			e, queries := hotpathEngine(b, Config{
-				MaxPartitionSize: 128, BatchSize: 64, Threads: 4,
-				DisablePooling: !pooled,
-			}, 4096, 4)
-			done := func(MatchResult) {}
-			// Warm up pools and partition batches.
-			for i := 0; i < 1024; i++ {
-				if err := e.SubmitSignature(queries[i%len(queries)], false, done); err != nil {
-					b.Fatal(err)
-				}
-			}
-			e.Drain()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := e.SubmitSignature(queries[i%len(queries)], false, done); err != nil {
-					b.Fatal(err)
-				}
-			}
-			e.Drain()
-		})
 	}
+	e.Drain()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.SubmitSignature(queries[i%len(queries)], false, done); err != nil {
+			b.Fatal(err)
+		}
+	}
+	e.Drain()
 }
 
 // BenchmarkBlockingMatch covers the event-driven blocking path end to

@@ -23,7 +23,7 @@ import (
 func waitRouted(e *Engine, n int64) {
 	routed := func() bool {
 		r := &e.obs.Routing
-		return r.SlicedQueries.Load()+r.ScalarQueries.Load() == n &&
+		return r.SlicedQueries.Load() == n &&
 			r.MergedAppends.Load() == e.partsSearched.Load()
 	}
 	e.drainWaiters.Add(1)

@@ -558,13 +558,12 @@ type routeState struct {
 
 // preprocessWorker implements the pre-process stage (Algorithm 2): find
 // the partitions whose mask is a subset of the query and log one routed
-// entry per partition. Routing uses the bit-sliced partition table
-// (Config.ScalarRouting selects the retained scalar scan), and entries
-// accumulate worker-locally across a burst of queries — as many as are
-// immediately available on the input channel, up to routeMergeAppends
-// entries — before one append hands them to the index's log. A worker
-// hands over before blocking for more input, so no query ever waits in a
-// local run while the pipeline is idle.
+// entry per partition. Routing uses the bit-sliced partition table, and
+// entries accumulate worker-locally across a burst of queries — as many
+// as are immediately available on the input channel, up to
+// routeMergeAppends entries — before one append hands them to the
+// index's log. A worker hands over before blocking for more input, so no
+// query ever waits in a local run while the pipeline is idle.
 func (e *Engine) preprocessWorker() {
 	defer e.workerWg.Done()
 	pprof.Do(context.Background(), pprof.Labels("stage", "preprocess"), func(context.Context) {
@@ -602,16 +601,11 @@ func (e *Engine) routeOne(w *routeState, q *query) {
 		w.idx = idx
 	}
 	t0 := time.Now()
-	// One pass over the signature serves both the bin walk (scalar and
-	// sliced lookups take the one-bit positions) and the trace below.
+	// One pass over the signature serves both the bin walk (the lookup
+	// takes the one-bit positions) and the trace below.
 	w.ones = q.sig.Ones(w.ones[:0])
-	if e.cfg.ScalarRouting {
-		w.pids = idx.pt.lookup(q.sig, w.ones, w.pids[:0])
-		e.obs.Routing.ScalarQueries.Add(1)
-	} else {
-		w.pids = idx.pt.lookupSliced(q.sig, w.ones, w.pids[:0])
-		e.obs.Routing.SlicedQueries.Add(1)
-	}
+	w.pids = idx.pt.lookupSliced(q.sig, w.ones, w.pids[:0])
+	e.obs.Routing.SlicedQueries.Add(1)
 	w.pids = append(w.pids, idx.maskless...)
 	e.partsSearched.Add(int64(len(w.pids)))
 	q.pending.Add(int32(len(w.pids)))

@@ -16,16 +16,14 @@ import (
 // have a clear last-touch point (the final finish for queries, the end
 // of reduceOne for batches/results/scratch), so they are recycled
 // through sync.Pools instead of being re-allocated per batch, keeping
-// the steady-state pipeline allocation-flat. Config.DisablePooling
-// bypasses every pool for before/after comparison (the hotpath
-// experiment) and as an escape hatch.
+// the steady-state pipeline allocation-flat (TestSteadyStateAllocsPerQuery
+// holds a no-match burst under a quarter of an allocation per query).
 type enginePools struct {
-	disabled bool
-	query    sync.Pool // *query
-	batch    sync.Pool // *openBatch
-	result   sync.Pool // *batchResult
-	scratch  sync.Pool // *reduceScratch
-	pass     sync.Pool // *passScratch
+	query   sync.Pool // *query
+	batch   sync.Pool // *openBatch
+	result  sync.Pool // *batchResult
+	scratch sync.Pool // *reduceScratch
+	pass    sync.Pool // *passScratch
 
 	// liveBatches counts batches handed out and not yet returned: zero on
 	// a drained engine, or a batch reference leaked.
@@ -33,10 +31,8 @@ type enginePools struct {
 }
 
 func (ep *enginePools) getQuery() *query {
-	if !ep.disabled {
-		if q, ok := ep.query.Get().(*query); ok {
-			return q
-		}
+	if q, ok := ep.query.Get().(*query); ok {
+		return q
 	}
 	return &query{}
 }
@@ -47,9 +43,6 @@ func (ep *enginePools) getQuery() *query {
 // The keys slice is never recycled — its ownership passed to the done
 // callback with the MatchResult.
 func (ep *enginePools) putQuery(q *query) {
-	if ep.disabled {
-		return
-	}
 	q.sig = bitvec.Vector{}
 	q.unique = false
 	q.start = time.Time{}
@@ -67,10 +60,7 @@ func (ep *enginePools) putQuery(q *query) {
 
 func (ep *enginePools) getBatch(batchSize int, created time.Time) *openBatch {
 	ep.liveBatches.Add(1)
-	var b *openBatch
-	if !ep.disabled {
-		b, _ = ep.batch.Get().(*openBatch)
-	}
+	b, _ := ep.batch.Get().(*openBatch)
 	if b == nil {
 		b = &openBatch{
 			queries: make([]*query, 0, batchSize),
@@ -89,9 +79,6 @@ func (ep *enginePools) getBatch(batchSize int, created time.Time) *openBatch {
 // (batchUnref) rather than calling this directly from reduceOne.
 func (ep *enginePools) putBatch(b *openBatch) {
 	ep.liveBatches.Add(-1)
-	if ep.disabled {
-		return
-	}
 	clear(b.queries) // drop query refs: they are recycled independently
 	b.queries = b.queries[:0]
 	b.sigs = b.sigs[:0]
@@ -109,10 +96,8 @@ func (ep *enginePools) putBatch(b *openBatch) {
 }
 
 func (ep *enginePools) getResult() *batchResult {
-	if !ep.disabled {
-		if r, ok := ep.result.Get().(*batchResult); ok {
-			return r
-		}
+	if r, ok := ep.result.Get().(*batchResult); ok {
+		return r
 	}
 	return &batchResult{}
 }
@@ -120,9 +105,6 @@ func (ep *enginePools) getResult() *batchResult {
 // putResult recycles a result carrier, retaining the capacity of its
 // payload buffer for the next batch.
 func (ep *enginePools) putResult(r *batchResult) {
-	if ep.disabled {
-		return
-	}
 	r.idx = nil
 	r.batch = nil
 	r.count = 0
@@ -145,10 +127,7 @@ type reduceScratch struct {
 }
 
 func (ep *enginePools) getScratch(batchSize int) *reduceScratch {
-	var sc *reduceScratch
-	if !ep.disabled {
-		sc, _ = ep.scratch.Get().(*reduceScratch)
-	}
+	sc, _ := ep.scratch.Get().(*reduceScratch)
 	if sc == nil {
 		sc = &reduceScratch{}
 	}
@@ -163,9 +142,6 @@ func (ep *enginePools) getScratch(batchSize int) *reduceScratch {
 // putScratch recycles a reduce scratch. The caller must have drained
 // every touched slot (flushScratch leaves them empty).
 func (ep *enginePools) putScratch(sc *reduceScratch) {
-	if ep.disabled {
-		return
-	}
 	ep.scratch.Put(sc)
 }
 
@@ -179,18 +155,14 @@ type passScratch struct {
 }
 
 func (ep *enginePools) getPass() *passScratch {
-	if !ep.disabled {
-		if sc, ok := ep.pass.Get().(*passScratch); ok {
-			return sc
-		}
+	if sc, ok := ep.pass.Get().(*passScratch); ok {
+		return sc
 	}
 	return &passScratch{}
 }
 
 func (ep *enginePools) putPass(sc *passScratch) {
-	if !ep.disabled {
-		ep.pass.Put(sc)
-	}
+	ep.pass.Put(sc)
 }
 
 // growBytes returns a length-n byte slice, reusing buf's backing array

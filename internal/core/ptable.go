@@ -17,9 +17,10 @@ import (
 // describes (one three-word SubsetOf per candidate), and as a bit-sliced
 // transposed index (bitvec.LaneBlock groups of 64 masks) that tests 64
 // candidates per column word by OR-ing the columns at the query's zero
-// bits. The sliced form is the production lookup path; the scalar form
-// is retained as the differential-testing and ablation baseline
-// (Config.ScalarRouting) and costs only the original bin storage.
+// bits. The sliced form is the engine's only lookup path; the scalar
+// form is the paper's algorithm, kept as the reference the sliced lookup
+// is tested against (TestSlicedLookupEquivalence) and timed against
+// (RoutingBenchmark), and costs only the original bin storage.
 //
 // The table is immutable after construction (Consolidate builds a fresh
 // one), so lookups need no locking. The bins store masks inline next to
@@ -97,8 +98,8 @@ func buildPartitionTable(parts []partition) (*partitionTable, []uint32) {
 // qOnes must be q's one-bit positions in increasing order (q.Ones),
 // computed once by the caller and shared with the sliced variant.
 //
-// This is the retained scalar baseline; the engine routes through
-// lookupSliced unless Config.ScalarRouting is set.
+// This is the reference scalar scan; the engine routes through
+// lookupSliced.
 func (pt *partitionTable) lookup(q bitvec.Vector, qOnes []int, dst []uint32) []uint32 {
 	for _, j := range qOnes {
 		for _, e := range pt.bins[j] {

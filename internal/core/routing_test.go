@@ -113,35 +113,6 @@ func TestSlicedLookupMasklessTable(t *testing.T) {
 	}
 }
 
-// TestScalarRoutingAblation runs the full engine with Config.ScalarRouting
-// and verifies answers against brute force, plus the flavor counters.
-func TestScalarRoutingAblation(t *testing.T) {
-	db := makeTestDB(2000, 5, 3, 61)
-	for _, scalar := range []bool{false, true} {
-		e, err := New(Config{MaxPartitionSize: 150, BatchSize: 64, Threads: 4, ScalarRouting: scalar})
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.load(e)
-		if err := e.Consolidate(); err != nil {
-			t.Fatal(err)
-		}
-		queries := db.makeQueries(200, 62)
-		verifyEngine(t, e, db, queries, false)
-		st := e.Stats()
-		if scalar {
-			if st.RoutedScalar == 0 || st.RoutedSliced != 0 {
-				t.Fatalf("scalar ablation: routed sliced=%d scalar=%d", st.RoutedSliced, st.RoutedScalar)
-			}
-		} else {
-			if st.RoutedSliced == 0 || st.RoutedScalar != 0 {
-				t.Fatalf("sliced default: routed sliced=%d scalar=%d", st.RoutedSliced, st.RoutedScalar)
-			}
-		}
-		e.Close()
-	}
-}
-
 // TestRouteMergeAccounting pins the hand-over bookkeeping: every routed
 // (query, partition) entry is logged exactly once (entries == partitions
 // searched), and a burst of queries takes the log's mutex once, however

@@ -146,20 +146,6 @@ type Config struct {
 	// delay, up to 64x. Defaults to 250ms.
 	QuarantineBackoff time.Duration
 
-	// ScalarRouting replaces the bit-sliced (column-transposed)
-	// partition-table lookup of the pre-process stage with the retained
-	// scalar Algorithm 2 scan — one three-word subset test per candidate
-	// mask (ablation; the preprocess benchmark measures the two paths
-	// against each other). Results are identical either way.
-	ScalarRouting bool
-
-	// DisablePooling turns off the hot-path buffer recycling (query
-	// structs, batches, result carriers, reduce scratch), allocating
-	// fresh objects for every query and batch instead. Used by the
-	// hotpath experiment to quantify the pooling win; production
-	// deployments should leave pooling on (the default).
-	DisablePooling bool
-
 	// DeltaMaxSets is the live-op count (overlay adds + tombstones) at
 	// which the background consolidator folds the delta overlay into the
 	// main index. Defaults to 4096.
@@ -173,8 +159,9 @@ type Config struct {
 
 	// DisableDeltaOverlay restores the legacy update semantics: staged
 	// ops stay invisible until an explicit Consolidate, no overlay is
-	// maintained on the query path, and no background consolidator runs
-	// (the stop-the-world ablation baseline of the churn experiment).
+	// maintained on the query path, and no background consolidator runs.
+	// A bulk loader that consolidates once at the end wants exactly this
+	// (tagmatch.Config.DisableLiveUpdates, tagmatch-server's flag).
 	DisableDeltaOverlay bool
 
 	// HedgePolicy enables hedged re-dispatch of straggling batches: a
@@ -335,14 +322,13 @@ type Stats struct {
 	ResultOverflows    int64 `json:"result_overflows"`
 	PartitionsSearched int64 `json:"partitions_searched"`
 
-	// Routing counters (mirrors of obs.RoutingCounters): queries per
-	// lookup flavor, and the hand-overs to the routed-entry log —
-	// RouteMergeLocks counts acquisitions of the log's mutex, one per
-	// burst of queries a pre-process worker routed, RouteAppends the
-	// entries handed over under them (equal to PartitionsSearched once
-	// the workers are idle).
+	// Routing counters (mirrors of obs.RoutingCounters): queries routed
+	// through the bit-sliced partition table, and the hand-overs to the
+	// routed-entry log — RouteMergeLocks counts acquisitions of the log's
+	// mutex, one per burst of queries a pre-process worker routed,
+	// RouteAppends the entries handed over under them (equal to
+	// PartitionsSearched once the workers are idle).
 	RoutedSliced    int64 `json:"routed_sliced"`
-	RoutedScalar    int64 `json:"routed_scalar"`
 	RouteMergeLocks int64 `json:"route_merge_locks"`
 	RouteAppends    int64 `json:"route_appends"`
 

@@ -240,21 +240,6 @@ func TestAblationGPUOnlySmoke(t *testing.T) {
 	checkTable(t, AblationGPUOnly(tinyParams()), 2)
 }
 
-func TestHotpathSmoke(t *testing.T) {
-	p := tinyParams()
-	p.Queries = 600
-	tb, r := Hotpath(p)
-	checkTable(t, tb, 4)
-	if len(r.Runs) != 4 {
-		t.Fatalf("hotpath runs = %d, want 4 (cpu/gpu x pooling on/off)", len(r.Runs))
-	}
-	for _, run := range r.Runs {
-		if run.QPS <= 0 || run.P99Us < run.P50Us {
-			t.Errorf("%s pooling=%v: qps=%v p50=%v p99=%v", run.Config, run.Pooling, run.QPS, run.P50Us, run.P99Us)
-		}
-	}
-}
-
 func TestTablePrintFormatting(t *testing.T) {
 	tb := &Table{ID: "x", Title: "demo", Cols: []string{"a", "b"}}
 	tb.Add("row with a rather long label", 1234567, 0.0021)
@@ -288,34 +273,6 @@ func TestFamiliesSmoke(t *testing.T) {
 	}
 	if hs[len(hs)-1] >= hs[0]/2 {
 		t.Errorf("hash-table matcher should collapse with query width: %v", hs)
-	}
-}
-
-func TestPreprocessSmoke(t *testing.T) {
-	p := tinyParams()
-	p.Queries = 600
-	tb, r := Preprocess(p)
-	checkTable(t, tb, 2)
-	if r.ScalarNsPerQuery <= 0 || r.SlicedNsPerQuery <= 0 || r.Partitions <= 0 {
-		t.Fatalf("bad routing numbers: %+v", r)
-	}
-	if len(r.E2E) != 2 {
-		t.Fatalf("e2e runs = %d, want 2 (scalar, sliced)", len(r.E2E))
-	}
-	for _, run := range r.E2E {
-		if run.QPS <= 0 {
-			t.Errorf("%s routing: qps=%v", run.Routing, run.QPS)
-		}
-		if run.RouteAppends > 0 && run.RouteMergeLocks > run.RouteAppends {
-			t.Errorf("%s routing: merge locks %d > appends %d",
-				run.Routing, run.RouteMergeLocks, run.RouteAppends)
-		}
-	}
-	// The tiny table is too small for the full 2x bar, but sliced must
-	// never be slower than the scalar scan it replaces.
-	if r.SlicedNsPerQuery > r.ScalarNsPerQuery {
-		t.Errorf("sliced lookup slower than scalar: %v ns/q vs %v ns/q",
-			r.SlicedNsPerQuery, r.ScalarNsPerQuery)
 	}
 }
 

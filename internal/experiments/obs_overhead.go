@@ -9,8 +9,9 @@ import (
 
 // ObsOverheadResult is the JSON shape of the obs-overhead comparison
 // (BENCH_obs.json): throughput with the observability layer enabled vs.
-// disabled, and the relative cost. The instrumentation budget is 2%
-// (gated by `make obsdiff-gate`).
+// disabled, and the relative cost. The instrumentation budget is 2%;
+// this comparison is its only measurement until the canonical benchmark
+// runs a traced/untraced pair.
 type ObsOverheadResult struct {
 	QPSOn       float64   `json:"qps_on"`
 	QPSOff      float64   `json:"qps_off"`

@@ -94,6 +94,13 @@ func TestObsSmoke(t *testing.T) {
 		if strings.Contains(body, `tagmatch_kernel_batches_total{flavor="scalar"}`) {
 			t.Error("the scalar kernel's batches series is still exported")
 		}
+		// One routing lookup: the scalar flavor's series is gone too.
+		if !strings.Contains(body, `tagmatch_routing_queries_total{flavor="sliced"}`) {
+			t.Error("routing queries series missing")
+		}
+		if strings.Contains(body, `tagmatch_routing_queries_total{flavor="scalar"}`) {
+			t.Error("the scalar routing series is still exported")
+		}
 	})
 
 	t.Run("timeline", func(t *testing.T) {
@@ -186,12 +193,13 @@ func TestObsSmoke(t *testing.T) {
 		}
 		// The stream section carries the upload accounting and the two
 		// batching histograms, and no longer the window or occupancy keys;
-		// neither the stats nor the kernel section counts a scalar kernel.
+		// no section counts a scalar kernel or a scalar routing lookup.
 		var sections struct {
 			Stats map[string]json.RawMessage `json:"stats"`
 			Obs   struct {
 				Streams map[string]json.RawMessage `json:"streams"`
 				Kernel  map[string]json.RawMessage `json:"kernel"`
+				Routing map[string]json.RawMessage `json:"routing"`
 			} `json:"obs"`
 		}
 		if err := json.Unmarshal([]byte(raw), &sections); err != nil {
@@ -207,6 +215,15 @@ func TestObsSmoke(t *testing.T) {
 		}
 		if _, ok := sections.Obs.Kernel["scalar_batches"]; ok {
 			t.Error("obs.kernel still carries scalar_batches")
+		}
+		if _, ok := sections.Stats["routed_scalar"]; ok {
+			t.Error("stats still carries routed_scalar")
+		}
+		if _, ok := sections.Obs.Routing["scalar_queries"]; ok {
+			t.Error("obs.routing still carries scalar_queries")
+		}
+		if _, ok := sections.Obs.Routing["sliced_queries"]; !ok {
+			t.Error("obs.routing lacks sliced_queries")
 		}
 		if len(sections.Stats) == 0 || len(sections.Obs.Kernel) == 0 {
 			t.Fatal("/debug/stats has no stats or obs.kernel section")

@@ -94,9 +94,8 @@ type Pipeline struct {
 	// On is false; see FaultCounters.
 	Faults FaultCounters
 
-	// Routing counts pre-process routing activity: lookup flavor per
-	// query and the lock amortization of the worker-local batch
-	// accumulators. Always recorded, like Faults; see RoutingCounters.
+	// Routing counts pre-process routing activity: queries routed and
+	// the lock amortization of the worker-local batch accumulators. Always recorded, like Faults; see RoutingCounters.
 	Routing RoutingCounters
 
 	// Kernel counts subset-match activity: batches matched, gate

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -371,6 +372,42 @@ func TestKernelCountersSnapshotAndProm(t *testing.T) {
 	// One kernel, one series: the scalar flavor left the engine.
 	if strings.Contains(out, `tagmatch_kernel_batches_total{flavor="scalar"}`) {
 		t.Fatalf("prom output still carries a scalar kernel series:\n%s", out)
+	}
+}
+
+func TestRoutingCountersSnapshotAndProm(t *testing.T) {
+	p := New(Options{})
+	p.Routing.SlicedQueries.Add(5)
+	p.Routing.MergeLockAcqs.Add(2)
+	p.Routing.MergedAppends.Add(40)
+
+	snap := p.Snapshot(false)
+	if r := snap.Routing; r.SlicedQueries != 5 || r.MergeLockAcqs != 2 || r.MergedAppends != 40 {
+		t.Fatalf("routing snapshot = %+v", r)
+	}
+	raw, err := json.Marshal(snap.Routing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One routing lookup: the scalar flavor's counter left the engine.
+	if strings.Contains(string(raw), "scalar_queries") {
+		t.Fatalf("routing snapshot still carries scalar_queries: %s", raw)
+	}
+
+	var sb strings.Builder
+	p.WriteProm(NewPromWriter(&sb))
+	out := sb.String()
+	for _, want := range []string{
+		`tagmatch_routing_queries_total{flavor="sliced"} 5`,
+		`tagmatch_routing_merge_locks_total 2`,
+		`tagmatch_routing_merged_appends_total 40`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("prom output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, `tagmatch_routing_queries_total{flavor="scalar"}`) {
+		t.Fatalf("prom output still carries a scalar routing series:\n%s", out)
 	}
 }
 

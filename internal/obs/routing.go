@@ -2,9 +2,9 @@ package obs
 
 import "sync/atomic"
 
-// RoutingCounters instruments the pre-process routing path: which
-// lookup flavor served each query, and how many entries each hand-over
-// to the routed-entry log carried. Like FaultCounters they are NOT
+// RoutingCounters instruments the pre-process routing path: the queries
+// routed through the bit-sliced partition table, and how many entries
+// each hand-over to the routed-entry log carried. Like FaultCounters they are NOT
 // gated by Pipeline.On — they feed the engine's Stats and the
 // contention regression tests, and they cost one bulk atomic add per
 // query or per hand-over, not per (query, partition).
@@ -12,9 +12,6 @@ type RoutingCounters struct {
 	// SlicedQueries counts queries routed through the bit-sliced
 	// (column-transposed) partition-table lookup.
 	SlicedQueries atomic.Int64
-	// ScalarQueries counts queries routed through the retained scalar
-	// Algorithm 2 scan (Config.ScalarRouting, CPU fallback baselines).
-	ScalarQueries atomic.Int64
 	// MergeLockAcqs counts acquisitions of the routed-entry log's mutex:
 	// one per burst of queries a pre-process worker hands over.
 	MergeLockAcqs atomic.Int64
@@ -27,7 +24,6 @@ type RoutingCounters struct {
 // RoutingSnapshot is the JSON-facing view of RoutingCounters.
 type RoutingSnapshot struct {
 	SlicedQueries int64 `json:"sliced_queries"`
-	ScalarQueries int64 `json:"scalar_queries"`
 	MergeLockAcqs int64 `json:"merge_lock_acquisitions"`
 	MergedAppends int64 `json:"merged_appends"`
 }
@@ -36,20 +32,18 @@ type RoutingSnapshot struct {
 func (r *RoutingCounters) Snapshot() RoutingSnapshot {
 	return RoutingSnapshot{
 		SlicedQueries: r.SlicedQueries.Load(),
-		ScalarQueries: r.ScalarQueries.Load(),
 		MergeLockAcqs: r.MergeLockAcqs.Load(),
 		MergedAppends: r.MergedAppends.Load(),
 	}
 }
 
-// writeProm emits the routing counters in Prometheus text format.
+// writeProm emits the routing counters in Prometheus text format. The
+// queries series keeps its flavor label, always "sliced", as
+// tagmatch_kernel_batches_total does.
 func (r *RoutingCounters) writeProm(w *PromWriter) {
 	w.Counter("tagmatch_routing_queries_total",
 		"Queries routed by the pre-process stage, by lookup flavor.",
 		Labels{{"flavor", "sliced"}}, float64(r.SlicedQueries.Load()))
-	w.Counter("tagmatch_routing_queries_total",
-		"Queries routed by the pre-process stage, by lookup flavor.",
-		Labels{{"flavor", "scalar"}}, float64(r.ScalarQueries.Load()))
 	w.Counter("tagmatch_routing_merge_locks_total",
 		"Acquisitions of the routed-entry log's mutex, one per pre-process burst.",
 		nil, float64(r.MergeLockAcqs.Load()))

@@ -35,12 +35,14 @@ race:
 ## ending in the drain-time resource checks) must all hold with -race on,
 ## as must the exact operation count of a dispatched batch, the
 ## routed-entry log's kick path, counting sort and cut (TestLog*), and the
-## run nodes — derivation, the walk at every block geometry, folds,
-## placements and the host fallback (TestRun*) — and the simulator's
-## block dispatch: concurrent grids run every block exactly once, spread
-## over every SM, at one allocation per launch (TestLaunch*).
+## run nodes — derivation, the walk at every block geometry, folds and
+## the host fallback (TestRun*) — the one device placement, each GPU
+## holding exactly its own partitions (TestEngineMultiGPU), Drain
+## waiting out every done callback (TestDrainWaitsForCallbacks), and the
+## simulator's block dispatch: concurrent grids run every block exactly
+## once, spread over every SM, at one allocation per launch (TestLaunch*).
 chaos:
-	$(GO) test -race -run 'TestLaunch|TestCluster|TestBalancedPartition|TestRun|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta' \
+	$(GO) test -race -run 'TestLaunch|TestCluster|TestBalancedPartition|TestRun|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta|TestDrainWaitsForCallbacks|TestEngineMultiGPU' \
 		./internal/gpu/ ./internal/core/ ./internal/httpserver/
 
 ## bench-smoke: quick -benchmem pass over the hot-path benchmarks so a

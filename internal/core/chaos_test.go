@@ -20,7 +20,7 @@ func TestChaosExactResultsUnderFaults(t *testing.T) {
 	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	e, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 64, Threads: 4,
-		Devices: devs, StreamsPerDevice: 3, Replicate: true,
+		Devices: devs, StreamsPerDevice: 3,
 		FailureThreshold:  3,
 		QuarantineBackoff: time.Millisecond,
 	})
@@ -72,7 +72,7 @@ func TestChaosAllAttemptsFailFallsBackToCPU(t *testing.T) {
 	dev := newTestGPU(t, 2)
 	e, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 32, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
 		FailureThreshold:  3,
 		QuarantineBackoff: 50 * time.Millisecond,
 	})
@@ -110,7 +110,7 @@ func TestQuarantineRecoveryProbe(t *testing.T) {
 	dev := newTestGPU(t, 2)
 	e, err := New(Config{
 		MaxPartitionSize: 1000, BatchSize: 16, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
 		FailureThreshold:  3,
 		QuarantineBackoff: time.Millisecond,
 	})
@@ -177,7 +177,7 @@ func TestConsolidateOOMDegradesToCPU(t *testing.T) {
 	t.Cleanup(dev.Close)
 	e, err := New(Config{
 		MaxPartitionSize: 500, BatchSize: 32, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestConsolidateOOMDegradedFold(t *testing.T) {
 	t.Cleanup(dev.Close)
 	e, err := New(Config{
 		MaxPartitionSize: 500, BatchSize: 32, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
 		DeltaMaxSets: 4, DeltaMaxRatio: 1e-9,
 	})
 	if err != nil {

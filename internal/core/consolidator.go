@@ -435,9 +435,8 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 		return false // old generation degraded to CPU: retry a full attach
 	}
 
-	// Upload the appended partitions, one extent per device. In replicate
-	// mode every device receives all new groups; partitioned placement
-	// gathers each device's own partitions, extent-relative.
+	// Upload the appended partitions, one extent per device that owns
+	// any: each device gathers its own, extent-relative.
 	newShards := make([]shard, nDev)
 	fail := func() bool {
 		for _, s := range newShards {
@@ -446,17 +445,7 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 		return false
 	}
 	for d, dev := range idx.devices {
-		var groups []bitvec.SlicedGroup
-		var runs []runNode
-		for pi := len(old.parts); pi < len(idx.parts); pi++ {
-			p := &idx.parts[pi]
-			if !e.cfg.Replicate && p.dev != d {
-				continue
-			}
-			p.devOff, p.devRunOff = uint32(len(groups)), uint32(len(runs))
-			g, r := idx.slicedPart(p)
-			groups, runs = append(groups, g...), append(runs, r...)
-		}
+		groups, runs := idx.gatherDevice(d, len(old.parts))
 		if len(groups) == 0 {
 			continue // pure key-substitution fold: no device traffic at all
 		}
@@ -467,22 +456,19 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 	}
 	for pi := len(old.parts); pi < len(idx.parts); pi++ {
 		p := &idx.parts[pi]
-		d := p.dev
-		if e.cfg.Replicate {
-			d = 0 // uniform extent counts across devices in replicate mode
-		}
-		if newShards[d].groups == nil {
+		if newShards[p.dev].groups == nil {
 			// Appended partition with zero rows cannot happen (specs are
 			// non-empty), so every new partition's device has an extent.
 			return fail()
 		}
-		p.ext = uint32(len(extsOf(old.devShardExts, d)) + 1)
+		p.ext = uint32(len(extsOf(old.devShardExts, p.dev)) + 1)
 	}
 
 	// The uploads landed; from here the adoption cannot fail. Fence the
-	// old generation's attempt chains (losing hedge attempts may still
-	// be enqueueing stream operations — safe, since every buffer they
-	// reference is carried over, not freed) and steal its device state.
+	// old generation's attempt chains (GPU attempts that lost to a hedge
+	// may still be enqueueing stream operations — safe, since every
+	// buffer they reference is carried over, not freed) and steal its
+	// device state.
 	old.dispatching.Wait()
 	idx.devShards, old.devShards = old.devShards, nil
 	idx.devShardExts, old.devShardExts = old.devShardExts, nil

@@ -26,7 +26,6 @@ func deltaEngineVariants(t *testing.T, base Config) map[string]*Engine {
 		}
 		if gpus > 0 {
 			cfg.StreamsPerDevice = 2
-			cfg.Replicate = true
 		}
 		e, err := New(cfg)
 		if err != nil {
@@ -297,18 +296,12 @@ func TestDeltaBackgroundConsolidate(t *testing.T) {
 // full-rebuild path that resets the drift — must not change any answer.
 // The device variants additionally pin the Phase C adoption path: the
 // swapped-in index serves appended partitions from extent buffers on
-// carried-over device state, in both placement modes.
+// carried-over device state, each device its own partitions.
 func TestDeltaIncrementalFold(t *testing.T) {
 	t.Run("cpu", func(t *testing.T) { testDeltaIncrementalFold(t, Config{}) })
 	t.Run("gpu-partitioned", func(t *testing.T) {
 		testDeltaIncrementalFold(t, Config{
 			Devices: []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}, StreamsPerDevice: 2,
-		})
-	})
-	t.Run("gpu-replicated", func(t *testing.T) {
-		testDeltaIncrementalFold(t, Config{
-			Devices: []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}, StreamsPerDevice: 2,
-			Replicate: true,
 		})
 	})
 }
@@ -527,7 +520,7 @@ func TestChaosDeltaSwap(t *testing.T) {
 	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	e, err := New(Config{
 		MaxPartitionSize: 100, BatchSize: 32, Threads: 4,
-		Devices: devs, StreamsPerDevice: 2, Replicate: true,
+		Devices: devs, StreamsPerDevice: 2,
 		FailureThreshold:  3,
 		QuarantineBackoff: time.Millisecond,
 		HedgePolicy:       HedgePolicy{Mode: HedgeFixed, Budget: time.Millisecond},
@@ -656,7 +649,7 @@ func TestDeltaFoldBehindConsolidate(t *testing.T) {
 	dev := newTestGPU(t, 2)
 	e, err := New(Config{
 		MaxPartitionSize: 100, BatchSize: 64, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
 		DeltaMaxSets: 64,
 	})
 	if err != nil {
@@ -696,21 +689,48 @@ func TestDeltaFoldBehindConsolidate(t *testing.T) {
 // new sets adopts the base index's device state and copies only the
 // partitions it appended, so its host-to-device bytes are a small
 // fraction of the base upload. Re-uploading the base at the swap would
-// copy about as much again. The appended partitions must then answer
+// copy about as much again. Each device receives exactly the groups and
+// run nodes of the partitions it owns, so across devices the base and the
+// fold are each one copy. The appended partitions must then answer
 // exactly, with nothing left in the overlay to answer for them.
 func TestDeltaFoldUploadsOnlyAppendedPartitions(t *testing.T) {
-	const foldSets = 16
+	t.Run("gpus=1", func(t *testing.T) { testDeltaFoldUploads(t, 1, 16) })
+	// Enough sets for several appended partitions, dealt over both devices.
+	t.Run("gpus=2", func(t *testing.T) { testDeltaFoldUploads(t, 2, 128) })
+}
+
+func testDeltaFoldUploads(t *testing.T, nDev, foldSets int) {
 	db := makeTestDB(4000, 5, 2, 173)
-	dev := newTestGPU(t, 2)
+	var devs []*gpu.Device
+	for i := 0; i < nDev; i++ {
+		devs = append(devs, newTestGPU(t, 2))
+	}
 	e, err := New(Config{
 		MaxPartitionSize: 100, BatchSize: 32, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+		Devices: devs, StreamsPerDevice: 2,
 		DeltaMaxSets: foldSets, DeltaMaxRatio: 1e-9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	uploaded := func() []int64 {
+		out := make([]int64, nDev)
+		for d, dev := range devs {
+			out[d] = dev.Stats().BytesHtoD
+		}
+		return out
+	}
+	// owned is what device d must hold of partitions [from, to): the
+	// groups and run nodes of those it owns, and nothing of the others.
+	owned := func(from, to int) []int64 {
+		idx := e.idx.Load()
+		out := make([]int64, nDev)
+		for _, p := range idx.parts[from:to] {
+			out[p.dev] += int64(p.nGroups())*slicedGroupBytes + int64(p.nRuns)*runNodeBytes
+		}
+		return out
+	}
 
 	// The base goes in as one bulk Consolidate (LoadSnapshot's path), so
 	// the small fold threshold starts no fold before it.
@@ -723,8 +743,15 @@ func TestDeltaFoldUploadsOnlyAppendedPartitions(t *testing.T) {
 	if err := e.consolidateOnce(false, base); err != nil {
 		t.Fatal(err)
 	}
-	baseUpload := dev.Stats().BytesHtoD
 	baseParts := len(e.idx.Load().parts)
+	perDevBase := uploaded()
+	if want := owned(0, baseParts); fmt.Sprint(perDevBase) != fmt.Sprint(want) {
+		t.Fatalf("base upload per device %v B, want each device's own partitions, %v B", perDevBase, want)
+	}
+	var baseUpload int64
+	for _, n := range perDevBase {
+		baseUpload += n
+	}
 
 	// DeltaMaxSets new sets, and no query traffic: the one fold they
 	// trigger is the only thing that can copy to the device.
@@ -748,10 +775,24 @@ func TestDeltaFoldUploadsOnlyAppendedPartitions(t *testing.T) {
 		t.Fatalf("%d incremental folds of %d background folds, %d ops pending; want one fold of everything",
 			st.IncrementalFolds, st.AutoConsolidations, e.PendingOps())
 	}
-	if parts := len(e.idx.Load().parts); parts <= baseParts {
+	parts := len(e.idx.Load().parts)
+	if parts <= baseParts {
 		t.Fatalf("the fold appended no partitions: %d before, %d after", baseParts, parts)
 	}
-	foldUpload := dev.Stats().BytesHtoD - baseUpload
+	perDevFold := uploaded()
+	var foldUpload int64
+	for d := range perDevFold {
+		perDevFold[d] -= perDevBase[d]
+		foldUpload += perDevFold[d]
+	}
+	if want := owned(baseParts, parts); fmt.Sprint(perDevFold) != fmt.Sprint(want) {
+		t.Fatalf("fold upload per device %v B, want each device's own appended partitions, %v B", perDevFold, want)
+	}
+	for d, n := range perDevFold {
+		if n == 0 {
+			t.Fatalf("device %d owns none of the %d appended partitions: the fixture does not spread the fold", d, parts-baseParts)
+		}
+	}
 	t.Logf("base upload %d B, fold upload %d B", baseUpload, foldUpload)
 	if foldUpload <= 0 || foldUpload*8 >= baseUpload {
 		t.Fatalf("the fold copied %d bytes to the device against a %d-byte base upload; want (0, %d)",

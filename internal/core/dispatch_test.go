@@ -13,8 +13,7 @@ import (
 // exactly two H2D copies (its signatures; its entry indices and segment
 // table), one launch and at most one result copy (none when nothing
 // matched), and uploads 24 bytes per entry plus 4 per table word —
-// whatever the fan-out and however often a signature repeats, in both
-// placements.
+// whatever the fan-out and however often a signature repeats.
 func TestDispatchOpsPerBatch(t *testing.T) {
 	db := makeTestDB(3000, 5, 2, 81)
 	// 300 distinct queries, each submitted 4 times and routed to many of
@@ -24,49 +23,47 @@ func TestDispatchOpsPerBatch(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		queries = append(queries, distinct...)
 	}
-	for _, replicate := range []bool{true, false} {
-		t.Run(fmt.Sprintf("replicate=%v", replicate), func(t *testing.T) {
-			devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
-			e, err := New(Config{
-				MaxPartitionSize: 50, BatchSize: 64, Threads: 4,
-				Devices: devs, StreamsPerDevice: 3, Replicate: replicate,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			db.load(e)
-			if err := e.Consolidate(); err != nil {
-				t.Fatal(err)
-			}
-			mem := deviceMem(e)
-			ops := func() (h2d, launches, d2h int64) {
-				for _, d := range devs {
-					st := d.Stats()
-					h2d, launches, d2h = h2d+st.CopiesHtoD, launches+st.KernelLaunches, d2h+st.CopiesDtoH
-				}
-				return
-			}
-			h0, l0, d0 := ops()
-			verifyEngine(t, e, db, queries, false)
-			h1, l1, d1 := ops()
-
-			st := e.Stats()
-			n := st.BatchesDispatched
-			if n == 0 || st.QuerySlots <= int64(len(queries)) {
-				t.Fatalf("%d batches, %d entries for %d queries: the fixture does not fan out", n, st.QuerySlots, len(queries))
-			}
-			if h1-h0 != 2*n || l1-l0 != n || d1-d0 > n {
-				t.Fatalf("%d batches cost %d H2D copies, %d launches, %d D2H copies; want %d, %d, at most %d",
-					n, h1-h0, l1-l0, d1-d0, 2*n, n, n)
-			}
-			if want := st.QuerySlots*int64(sigBytes+4) + st.SegmentsDispatched*segWords*4; st.H2DQueryBytes != want {
-				t.Fatalf("%d H2D query bytes for %d entries in %d segments, want exactly %d",
-					st.H2DQueryBytes, st.QuerySlots, st.SegmentsDispatched, want)
-			}
-			assertDrained(t, e, mem)
+	t.Run(onePlacement, func(t *testing.T) {
+		devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
+		e, err := New(Config{
+			MaxPartitionSize: 50, BatchSize: 64, Threads: 4,
+			Devices: devs, StreamsPerDevice: 3,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		db.load(e)
+		if err := e.Consolidate(); err != nil {
+			t.Fatal(err)
+		}
+		mem := deviceMem(e)
+		ops := func() (h2d, launches, d2h int64) {
+			for _, d := range devs {
+				st := d.Stats()
+				h2d, launches, d2h = h2d+st.CopiesHtoD, launches+st.KernelLaunches, d2h+st.CopiesDtoH
+			}
+			return
+		}
+		h0, l0, d0 := ops()
+		verifyEngine(t, e, db, queries, false)
+		h1, l1, d1 := ops()
+
+		st := e.Stats()
+		n := st.BatchesDispatched
+		if n == 0 || st.QuerySlots <= int64(len(queries)) {
+			t.Fatalf("%d batches, %d entries for %d queries: the fixture does not fan out", n, st.QuerySlots, len(queries))
+		}
+		if h1-h0 != 2*n || l1-l0 != n || d1-d0 > n {
+			t.Fatalf("%d batches cost %d H2D copies, %d launches, %d D2H copies; want %d, %d, at most %d",
+				n, h1-h0, l1-l0, d1-d0, 2*n, n, n)
+		}
+		if want := st.QuerySlots*int64(sigBytes+4) + st.SegmentsDispatched*segWords*4; st.H2DQueryBytes != want {
+			t.Fatalf("%d H2D query bytes for %d entries in %d segments, want exactly %d",
+				st.H2DQueryBytes, st.QuerySlots, st.SegmentsDispatched, want)
+		}
+		assertDrained(t, e, mem)
+	})
 }
 
 // TestPipelinedChaosFaultsWindow is the fault-injection suite for the
@@ -82,7 +79,7 @@ func TestPipelinedChaosFaultsWindow(t *testing.T) {
 			devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 			e, err := New(Config{
 				MaxPartitionSize: 200, BatchSize: 64, Threads: 4,
-				Devices: devs, StreamsPerDevice: streams, Replicate: true,
+				Devices: devs, StreamsPerDevice: streams,
 				FailureThreshold:  3,
 				QuarantineBackoff: time.Millisecond,
 			})
@@ -122,10 +119,10 @@ func TestPipelinedChaosFaultsWindow(t *testing.T) {
 
 // TestPipelinedChaosStragglerHedge crosses the dispatch path with the
 // tail-tolerance machinery: one device straggling hard, hedged
-// re-dispatch racing the stalls, with two streams per device and with one
-// — where a hedge waits for the only other stream or the straggler's
-// own. A losing hedge must never recycle a stream its rival attempt
-// still owns: results stay exact and every query completes exactly once.
+// re-runs on the host racing the stalls, with two streams per device and
+// with one. A GPU attempt that loses to its hedge still owns its stream
+// until its own final callback: results stay exact, every query
+// completes exactly once, and every stream comes back.
 func TestPipelinedChaosStragglerHedge(t *testing.T) {
 	for _, streams := range []int{2, 1} {
 		t.Run(fmt.Sprintf("streams=%d", streams), func(t *testing.T) {
@@ -133,7 +130,7 @@ func TestPipelinedChaosStragglerHedge(t *testing.T) {
 			devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 			e, err := New(Config{
 				MaxPartitionSize: 200, BatchSize: 32, Threads: 4,
-				Devices: devs, StreamsPerDevice: streams, Replicate: true,
+				Devices: devs, StreamsPerDevice: streams,
 				HedgePolicy: HedgePolicy{Mode: HedgeFixed, Budget: 2 * time.Millisecond},
 			})
 			if err != nil {

@@ -614,6 +614,30 @@ func (idx *index) slicedPart(p *partition) ([]bitvec.SlicedGroup, []runNode) {
 	return idx.groups[p.grpOff : p.grpOff+p.nGroups()], idx.runs[p.runOff : p.runOff+p.nRuns]
 }
 
+// gatherDevice packs the groups and run nodes of device d's partitions
+// among parts[from:] contiguously, for one upload, and records where each
+// partition lands in them (devOff, devRunOff). The buffers are sized
+// exactly: a full build gathers the whole index this way.
+func (idx *index) gatherDevice(d, from int) ([]bitvec.SlicedGroup, []runNode) {
+	var nG, nR uint32
+	for _, p := range idx.parts[from:] {
+		if p.dev == d {
+			nG, nR = nG+p.nGroups(), nR+p.nRuns
+		}
+	}
+	groups, runs := make([]bitvec.SlicedGroup, 0, nG), make([]runNode, 0, nR)
+	for pi := from; pi < len(idx.parts); pi++ {
+		p := &idx.parts[pi]
+		if p.dev != d {
+			continue
+		}
+		p.devOff, p.devRunOff = uint32(len(groups)), uint32(len(runs))
+		g, r := idx.slicedPart(p)
+		groups, runs = append(groups, g...), append(runs, r...)
+	}
+	return groups, runs
+}
+
 // appendKeys extends the key CSR by one row holding entries.
 func (idx *index) appendKeys(entries []dbEntry, withTags bool) {
 	for _, en := range entries {
@@ -668,39 +692,19 @@ const slicedGroupBytes = (bitvec.W + bitvec.Blocks + 1 + bitvec.Blocks) * 8
 
 // uploadToDevices allocates and fills the device-resident index — the
 // transposed groups and their run nodes — and opens the stream pools with
-// their per-stream batch buffers.
+// their per-stream batch buffers. Device d holds only the partitions it
+// owns (partition.dev), re-packed contiguously (gatherDevice).
 func (e *Engine) uploadToDevices(idx *index) error {
 	idx.devShards = make([]shard, len(idx.devices))
-	// A full upload lays every group into the base shards (extent ids from
+	// A full upload lays every group into the base shards: extent ids from
 	// an incrementally-built host index whose adoption fell through would
-	// otherwise point at buffers this index never had): under replication
-	// a partition's device range is its range of the flat arrays.
+	// otherwise point at buffers this index never had.
 	idx.devShardExts = nil
 	for pi := range idx.parts {
-		p := &idx.parts[pi]
-		p.ext, p.devOff, p.devRunOff = 0, p.grpOff, p.runOff
+		idx.parts[pi].ext = 0
 	}
-
 	for d, dev := range idx.devices {
-		// Full replication: every device holds the whole index.
-		// Partitioned placement: device d holds only its partitions,
-		// re-packed contiguously. Because partitions are assigned
-		// round-robin in partition order and the flat arrays are
-		// partition-major, each device's slice is a gather of whole-group
-		// runs with their nodes.
-		groups, runs := idx.groups, idx.runs
-		if !e.cfg.Replicate {
-			groups, runs = nil, nil
-			for pi := range idx.parts {
-				p := &idx.parts[pi]
-				if p.dev != d {
-					continue
-				}
-				p.devOff, p.devRunOff = uint32(len(groups)), uint32(len(runs))
-				g, r := idx.slicedPart(p)
-				groups, runs = append(groups, g...), append(runs, r...)
-			}
-		}
+		groups, runs := idx.gatherDevice(d, 0)
 		var err error
 		if idx.devShards[d], err = uploadShard(dev, groups, runs); err != nil {
 			return fmt.Errorf("uploading index to %s: %w", dev.Name(), err)
@@ -844,8 +848,9 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// Drain blocks until every submitted query has completed, flushing the
-// entry log as needed.
+// Drain blocks until every submitted query has completed and its done
+// callback has returned, flushing the entry log as needed. A done
+// callback must therefore not call Drain itself.
 func (e *Engine) Drain() {
 	e.flushAll(e.idx.Load())
 	e.awaitDrain()

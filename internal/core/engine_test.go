@@ -142,7 +142,7 @@ func TestEngineGPUCorrectness(t *testing.T) {
 	dev := newTestGPU(t, 4)
 	e, err := New(Config{
 		MaxPartitionSize: 300, BatchSize: 64, Threads: 4,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 4, Replicate: true,
+		Devices: []*gpu.Device{dev}, StreamsPerDevice: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,38 +157,15 @@ func TestEngineGPUCorrectness(t *testing.T) {
 	verifyEngine(t, e, db, queries, true)
 }
 
-func TestEngineMultiGPUReplicated(t *testing.T) {
-	db := makeTestDB(4000, 5, 2, 35)
-	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
-	e, err := New(Config{
-		MaxPartitionSize: 250, BatchSize: 32, Threads: 4,
-		Devices: devs, StreamsPerDevice: 3, Replicate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	db.load(e)
-	if err := e.Consolidate(); err != nil {
-		t.Fatal(err)
-	}
-	verifyEngine(t, e, db, db.makeQueries(300, 36), true)
-	// Both devices hold a full copy of the tagset table.
-	st := e.Stats()
-	if len(st.DeviceBytes) != 2 {
-		t.Fatalf("DeviceBytes = %v", st.DeviceBytes)
-	}
-	if st.DeviceBytes[0] == 0 || st.DeviceBytes[1] == 0 {
-		t.Fatalf("replicated mode must use memory on both devices: %v", st.DeviceBytes)
-	}
-}
-
-func TestEngineMultiGPUPartitioned(t *testing.T) {
+// TestEngineMultiGPU: each device holds exactly the groups (1592 B each)
+// and run nodes (40 B each) of the partitions it owns, so the devices
+// together hold one copy of the index, and both serve exact answers.
+func TestEngineMultiGPU(t *testing.T) {
 	db := makeTestDB(4000, 5, 2, 37)
 	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	e, err := New(Config{
 		MaxPartitionSize: 250, BatchSize: 32, Threads: 4,
-		Devices: devs, StreamsPerDevice: 3, Replicate: false,
+		Devices: devs, StreamsPerDevice: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,16 +176,27 @@ func TestEngineMultiGPUPartitioned(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyEngine(t, e, db, db.makeQueries(300, 38), false)
-	// Partitioned mode: the two shards together hold ONE copy of the
-	// index in the layout the sliced kernel reads — 1592 B per 64-lane
-	// group, at most one partial group per partition — not one copy per
-	// device. The 2x headroom absorbs the per-stream batch buffers.
-	st := e.Stats()
-	total := st.DeviceBytes[0] + st.DeviceBytes[1]
-	lo := int64(st.UniqueSets/64) * 1592
-	hi := 2 * int64(st.UniqueSets/64+st.Partitions) * 1592
-	if total < lo || total > hi {
-		t.Fatalf("sharded index memory %d not within [%d, %d]", total, lo, hi)
+	verifyEngine(t, e, db, db.makeQueries(300, 36), true)
+
+	idx := e.idx.Load()
+	want := make([]int64, len(devs))
+	for _, p := range idx.parts {
+		want[p.dev] += int64(p.nGroups())*1592 + int64(p.nRuns)*40
+	}
+	// What a device holds beyond its streams' batch buffers is its index.
+	got := deviceMem(e)
+	for _, sl := range idx.allStreams {
+		got[sl.dev] -= sl.qbuf.Bytes() + sl.tab.Bytes() + sl.hdr.Bytes() + sl.pairs.Bytes()
+	}
+	var total int64
+	for d := range devs {
+		if got[d] != want[d] || want[d] == 0 {
+			t.Fatalf("device %d holds %d index bytes, its own partitions are %d (all devices: %v, want %v)", d, got[d], want[d], got, want)
+		}
+		total += got[d]
+	}
+	if one := int64(len(idx.groups))*1592 + int64(len(idx.runs))*40; total != one {
+		t.Fatalf("the devices hold %d index bytes together, one copy is %d", total, one)
 	}
 }
 
@@ -219,7 +207,6 @@ func TestEngineOverflowFallback(t *testing.T) {
 		MaxPartitionSize: 500, BatchSize: 64, Threads: 2,
 		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
 		MaxPairsPerBatch: 4, // force overflows
-		Replicate:        true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +251,7 @@ func TestEngineAblationConfigs(t *testing.T) {
 			dev := newTestGPU(t, 4)
 			cfg := Config{
 				MaxPartitionSize: 200, BatchSize: 64, Threads: 2,
-				Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+				Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
 			}
 			tc.mut(&cfg)
 			e, err := New(cfg)
@@ -442,7 +429,7 @@ func TestEngineBatchTimeout(t *testing.T) {
 	e, err := New(Config{
 		MaxPartitionSize: 100, BatchSize: 256, Threads: 2,
 		BatchTimeout: 20 * time.Millisecond,
-		Devices:      []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+		Devices:      []*gpu.Device{dev}, StreamsPerDevice: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -647,7 +634,7 @@ func TestEngineFirstFitAblationCorrect(t *testing.T) {
 	dev := newTestGPU(t, 4)
 	e, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 64, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
 		FirstFitPartitioning: true,
 	})
 	if err != nil {
@@ -666,7 +653,7 @@ func TestEngineStageTimes(t *testing.T) {
 	dev := newTestGPU(t, 2)
 	e, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 32, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

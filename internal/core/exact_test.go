@@ -169,7 +169,7 @@ func TestExactVerifyOnGPU(t *testing.T) {
 	dev := newTestGPU(t, 4)
 	e, err := New(Config{
 		MaxPartitionSize: 300, BatchSize: 32, Threads: 2, ExactVerify: true,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

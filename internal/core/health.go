@@ -12,8 +12,8 @@ import (
 // deviceHealth is the per-device circuit breaker of the fault-tolerant
 // dispatch path. A device accumulating Config.FailureThreshold
 // consecutive failed batch attempts is quarantined: its streams are
-// skipped by stream acquisition (batches re-route to surviving devices
-// in Replicate mode, to the CPU otherwise) until a recovery probe — one
+// skipped by stream acquisition (batches of its partitions, which no
+// other device holds, run on the host) until a recovery probe — one
 // batch let through after an exponentially backed-off delay — succeeds.
 //
 // All fields are atomics: health is consulted on the dispatch hot path
@@ -32,8 +32,8 @@ type deviceHealth struct {
 	backoff    atomic.Int64 // current probe backoff, nanoseconds
 
 	// svc tracks the device's batch service time (dispatch to successful
-	// completion, primary attempts only) for the HedgePercentile
-	// straggler budget. Lock-free and always on: a single histogram
+	// completion on the device) for the HedgePercentile straggler
+	// budget. Lock-free and always on: a single histogram
 	// observation per successful batch is noise next to the device work.
 	svc obs.Histogram
 }

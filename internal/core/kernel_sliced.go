@@ -264,8 +264,8 @@ func (s shard) free() {
 }
 
 // slicedMatchKernel returns the bit-sliced subset-match kernel for one
-// dispatched batch. base is the device-resident transposed index (full
-// index in replicated mode, the device's shard otherwise) and exts the
+// dispatched batch. base is the device's shard of the transposed index
+// (the partitions it owns, as of the last full build) and exts the
 // device's extents; each segment names the one holding its partition's
 // groups and run nodes. A block is BlockDim threads with one group each,
 // so a partition of up to 64 × BlockDim sets is one block that sees its

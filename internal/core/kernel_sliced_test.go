@@ -172,7 +172,7 @@ func TestEngineClusteredRowsOnGPU(t *testing.T) {
 
 	e, err := New(Config{
 		MaxPartitionSize: 400, BatchSize: 32, Threads: 2,
-		Devices: []*gpu.Device{newTestGPU(t, 4)}, StreamsPerDevice: 2, Replicate: true,
+		Devices: []*gpu.Device{newTestGPU(t, 4)}, StreamsPerDevice: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -84,106 +84,104 @@ func assertDrained(t *testing.T, e *Engine, mem []int64) {
 	}
 }
 
-// logShape reads the entry log as it stands: entries per device (all on
-// device 0 unless partitions are placed) and the number of distinct
-// partitions.
-func logShape(e *Engine, placed bool) (perDev []int64, parts int) {
+// logShape reads the entry log as it stands: entries per owning device
+// and the number of distinct partitions.
+func logShape(e *Engine) (perDev []int64, parts int) {
 	idx := e.idx.Load()
 	perDev = make([]int64, max(1, len(idx.devices)))
 	seen := map[uint32]bool{}
 	idx.log.mu.Lock()
 	defer idx.log.mu.Unlock()
 	for _, en := range idx.log.entries {
-		d := 0
-		if placed {
-			d = idx.parts[en.pid].dev
-		}
-		perDev[d]++
+		perDev[idx.parts[en.pid].dev]++
 		seen[en.pid] = true
 	}
 	return perDev, len(seen)
 }
 
+// onePlacement names the subtest under which the two-GPU packing tests
+// run: every partition lives on its owning device alone, never on a
+// replica.
+const onePlacement = "replicate=false"
+
 // TestFlushPassLaunchCount: E logged entries over N partitions, taken in
-// one pass, cost exactly ⌈E/BatchSize⌉ kernel launches — per device under
-// partitioned placement, which cuts batches per device — and the keys of
-// the brute-force reference.
+// one pass, cost exactly ⌈E/BatchSize⌉ kernel launches per device — the
+// pass cuts batches device by device — and the keys of the brute-force
+// reference.
 func TestFlushPassLaunchCount(t *testing.T) {
 	db := makeTestDB(3000, 5, 2, 101)
 	queries := db.makeQueries(40, 102)
-	for _, replicate := range []bool{true, false} {
-		t.Run(fmt.Sprintf("replicate=%v", replicate), func(t *testing.T) {
-			devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
-			const batchSize = 64
-			e, err := New(Config{
-				MaxPartitionSize: 100, BatchSize: batchSize, Threads: 2,
-				Devices: devs, StreamsPerDevice: 2, Replicate: replicate,
-				// no BatchTimeout: only the drain flushes
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			db.load(e)
-			if err := e.Consolidate(); err != nil {
-				t.Fatal(err)
-			}
-			mem := deviceMem(e)
-
-			got := make([][]Key, len(queries))
-			done := make(chan int, len(queries))
-			for i, q := range queries {
-				if err := e.SubmitSignature(q, false, func(r MatchResult) { got[i] = r.Keys; done <- i }); err != nil {
-					t.Fatal(err)
-				}
-			}
-			waitRouted(e, int64(len(queries)))
-			entries := e.Stats().RouteAppends
-			if n := e.batches.Load(); n != 0 {
-				t.Fatalf("%d batches dispatched before the flush; the fixture must stay under BatchSize entries per partition", n)
-			}
-			perDev, parts := logShape(e, !replicate)
-			var want, logged int64
-			for _, n := range perDev {
-				want += (n + batchSize - 1) / batchSize
-				logged += n
-			}
-			if logged != entries {
-				t.Fatalf("the log holds %d entries, RouteAppends says %d", logged, entries)
-			}
-			if int64(parts) <= want {
-				t.Fatalf("%d partitions for %d batches: nothing to pack", parts, want)
-			}
-			launches := func() (n int64) {
-				for _, d := range devs {
-					n += d.Stats().KernelLaunches
-				}
-				return n
-			}
-			before := launches()
-			e.Drain()
-			for range queries {
-				<-done
-			}
-			if n := launches() - before; n != want {
-				t.Fatalf("%d partitions × %d entries flushed in %d launches, want exactly %d",
-					parts, entries, n, want)
-			}
-			st := e.Stats()
-			if st.BatchesDispatched != want || st.SegmentsDispatched < int64(parts) {
-				t.Fatalf("dispatched %d batches of %d segments, want %d batches of at least %d segments",
-					st.BatchesDispatched, st.SegmentsDispatched, want, parts)
-			}
-			for i, q := range queries {
-				keys := append([]Key(nil), got[i]...)
-				sortKeysSlice(keys)
-				if want := db.expected(q, false); fmt.Sprint(keys) != fmt.Sprint(want) {
-					t.Fatalf("query %d: keys %v, want %v", i, keys, want)
-				}
-			}
-			assertDrained(t, e, mem)
+	t.Run(onePlacement, func(t *testing.T) {
+		devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
+		const batchSize = 64
+		e, err := New(Config{
+			MaxPartitionSize: 100, BatchSize: batchSize, Threads: 2,
+			Devices: devs, StreamsPerDevice: 2,
+			// no BatchTimeout: only the drain flushes
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		db.load(e)
+		if err := e.Consolidate(); err != nil {
+			t.Fatal(err)
+		}
+		mem := deviceMem(e)
+
+		got := make([][]Key, len(queries))
+		done := make(chan int, len(queries))
+		for i, q := range queries {
+			if err := e.SubmitSignature(q, false, func(r MatchResult) { got[i] = r.Keys; done <- i }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitRouted(e, int64(len(queries)))
+		entries := e.Stats().RouteAppends
+		if n := e.batches.Load(); n != 0 {
+			t.Fatalf("%d batches dispatched before the flush; the fixture must stay under BatchSize entries per partition", n)
+		}
+		perDev, parts := logShape(e)
+		var want, logged int64
+		for _, n := range perDev {
+			want += (n + batchSize - 1) / batchSize
+			logged += n
+		}
+		if logged != entries {
+			t.Fatalf("the log holds %d entries, RouteAppends says %d", logged, entries)
+		}
+		if int64(parts) <= want {
+			t.Fatalf("%d partitions for %d batches: nothing to pack", parts, want)
+		}
+		launches := func() (n int64) {
+			for _, d := range devs {
+				n += d.Stats().KernelLaunches
+			}
+			return n
+		}
+		before := launches()
+		e.Drain()
+		for range queries {
+			<-done
+		}
+		if n := launches() - before; n != want {
+			t.Fatalf("%d partitions × %d entries flushed in %d launches, want exactly %d",
+				parts, entries, n, want)
+		}
+		st := e.Stats()
+		if st.BatchesDispatched != want || st.SegmentsDispatched < int64(parts) {
+			t.Fatalf("dispatched %d batches of %d segments, want %d batches of at least %d segments",
+				st.BatchesDispatched, st.SegmentsDispatched, want, parts)
+		}
+		for i, q := range queries {
+			keys := append([]Key(nil), got[i]...)
+			sortKeysSlice(keys)
+			if want := db.expected(q, false); fmt.Sprint(keys) != fmt.Sprint(want) {
+				t.Fatalf("query %d: keys %v, want %v", i, keys, want)
+			}
+		}
+		assertDrained(t, e, mem)
+	})
 }
 
 // TestLogKickWithoutTimeout: with no BatchTimeout and nobody draining, the
@@ -205,7 +203,7 @@ func testLogFlushesItself(t *testing.T, timeout time.Duration) {
 	dev := newTestGPU(t, 2)
 	e, err := New(Config{
 		MaxPartitionSize: 1000, BatchSize: batchSize, BatchTimeout: timeout, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,121 +259,110 @@ func testLogFlushesItself(t *testing.T, timeout time.Duration) {
 // were logged in, a partition's entries come out contiguous and in
 // partition order, a partition continues into the next batch only from
 // the end of a full one, every batch but a device's last is full, the
-// segment table tiles each batch, and under partitioned placement a batch
-// holds partitions of one device.
+// segment table tiles each batch, and a batch holds partitions of one
+// device.
 func TestLogCutBatches(t *testing.T) {
-	for _, replicate := range []bool{true, false} {
-		t.Run(fmt.Sprintf("replicate=%v", replicate), func(t *testing.T) {
-			const batchSize = 16
-			devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
-			e, err := New(Config{
-				MaxPartitionSize: 50, BatchSize: batchSize, Threads: 2,
-				Devices: devs, StreamsPerDevice: 2, Replicate: replicate,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			makeTestDB(1000, 5, 1, 107).load(e)
-			if err := e.Consolidate(); err != nil {
-				t.Fatal(err)
-			}
-			mem := deviceMem(e)
-			idx := e.idx.Load()
-			nP := len(idx.parts)
-
-			// A skewed log: partition 3 alone overflows two batches, eight
-			// partitions hold a few dozen entries, most hold one or none.
-			rng := rand.New(rand.NewSource(108))
-			var entries []routedEntry
-			logged := map[routedEntry]int{}
-			perDev := make([]int, len(devs))
-			add := func(pid uint32) {
-				q := &query{sig: bitvec.FromOnes(len(entries) % bitvec.W)}
-				entries = append(entries, routedEntry{pid, q})
-				logged[routedEntry{pid, q}]++
-				if !replicate {
-					perDev[idx.parts[pid].dev]++
-				} else {
-					perDev[0]++
-				}
-			}
-			for i := 0; i < 2*batchSize+5; i++ {
-				add(3)
-			}
-			for i := 0; i < 200; i++ {
-				add(uint32(rng.Intn(8)))
-				add(uint32(rng.Intn(nP)))
-			}
-			rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
-
-			var batches []*openBatch
-			e.cutBatches(idx, &passScratch{entries: entries}, time.Now(), func(b *openBatch) { batches = append(batches, b) })
-
-			devOf := func(b *openBatch) int {
-				if replicate {
-					return 0
-				}
-				return idx.parts[b.segs[0].pid].dev
-			}
-			wantBatches := 0
-			for _, n := range perDev {
-				wantBatches += (n + batchSize - 1) / batchSize
-			}
-			if len(batches) != wantBatches {
-				t.Fatalf("%d entries cut into %d batches, want %d", len(entries), len(batches), wantBatches)
-			}
-			for bi, b := range batches {
-				if len(b.queries) != len(b.sigs) || len(b.queries) == 0 || len(b.queries) > batchSize {
-					t.Fatalf("batch %d: %d queries, %d signatures", bi, len(b.queries), len(b.sigs))
-				}
-				last := bi == len(batches)-1 || devOf(batches[bi+1]) != devOf(b)
-				if !last && len(b.queries) != batchSize {
-					t.Fatalf("batch %d left with %d entries before its device's last", bi, len(b.queries))
-				}
-				next := 0
-				for si, sg := range b.segs {
-					if sg.first != next || sg.n <= 0 {
-						t.Fatalf("batch %d: segment %d is [%d,+%d), want it to start at %d", bi, si, sg.first, sg.n, next)
-					}
-					next += sg.n
-					if si > 0 && sg.pid <= b.segs[si-1].pid {
-						t.Fatalf("batch %d: partition %d after %d", bi, sg.pid, b.segs[si-1].pid)
-					}
-					if !replicate && idx.parts[sg.pid].dev != devOf(b) {
-						t.Fatalf("batch %d mixes devices %d and %d", bi, devOf(b), idx.parts[sg.pid].dev)
-					}
-					for i := sg.first; i < sg.first+sg.n; i++ {
-						en := routedEntry{sg.pid, b.queries[i]}
-						if logged[en] == 0 || b.sigs[i] != b.queries[i].sig {
-							t.Fatalf("batch %d entry %d: not a logged entry, or not its signature", bi, i)
-						}
-						logged[en]--
-					}
-				}
-				if next != len(b.queries) {
-					t.Fatalf("batch %d: segments cover %d of %d entries", bi, next, len(b.queries))
-				}
-				// A partition continues from the end of one batch at the
-				// start of the next, and nowhere else.
-				if bi > 0 && devOf(batches[bi-1]) == devOf(b) {
-					prev := batches[bi-1].segs[len(batches[bi-1].segs)-1].pid
-					if b.segs[0].pid < prev {
-						t.Fatalf("batch %d starts at partition %d, batch %d ended at %d", bi, b.segs[0].pid, bi-1, prev)
-					}
-				}
-			}
-			for en, n := range logged {
-				if n != 0 {
-					t.Fatalf("partition %d: %d entries of one query never cut", en.pid, n)
-				}
-			}
-			for _, b := range batches {
-				e.pools.putBatch(b)
-			}
-			assertDrained(t, e, mem)
+	const batchSize = 16
+	t.Run(onePlacement, func(t *testing.T) {
+		devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
+		e, err := New(Config{
+			MaxPartitionSize: 50, BatchSize: batchSize, Threads: 2,
+			Devices: devs, StreamsPerDevice: 2,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		makeTestDB(1000, 5, 1, 107).load(e)
+		if err := e.Consolidate(); err != nil {
+			t.Fatal(err)
+		}
+		mem := deviceMem(e)
+		idx := e.idx.Load()
+		nP := len(idx.parts)
+
+		// A skewed log: partition 3 alone overflows two batches, eight
+		// partitions hold a few dozen entries, most hold one or none.
+		rng := rand.New(rand.NewSource(108))
+		var entries []routedEntry
+		logged := map[routedEntry]int{}
+		perDev := make([]int, len(devs))
+		add := func(pid uint32) {
+			q := &query{sig: bitvec.FromOnes(len(entries) % bitvec.W)}
+			entries = append(entries, routedEntry{pid, q})
+			logged[routedEntry{pid, q}]++
+			perDev[idx.parts[pid].dev]++
+		}
+		for i := 0; i < 2*batchSize+5; i++ {
+			add(3)
+		}
+		for i := 0; i < 200; i++ {
+			add(uint32(rng.Intn(8)))
+			add(uint32(rng.Intn(nP)))
+		}
+		rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+
+		var batches []*openBatch
+		e.cutBatches(idx, &passScratch{entries: entries}, time.Now(), func(b *openBatch) { batches = append(batches, b) })
+
+		devOf := func(b *openBatch) int { return idx.parts[b.segs[0].pid].dev }
+		wantBatches := 0
+		for _, n := range perDev {
+			wantBatches += (n + batchSize - 1) / batchSize
+		}
+		if len(batches) != wantBatches {
+			t.Fatalf("%d entries cut into %d batches, want %d", len(entries), len(batches), wantBatches)
+		}
+		for bi, b := range batches {
+			if len(b.queries) != len(b.sigs) || len(b.queries) == 0 || len(b.queries) > batchSize {
+				t.Fatalf("batch %d: %d queries, %d signatures", bi, len(b.queries), len(b.sigs))
+			}
+			last := bi == len(batches)-1 || devOf(batches[bi+1]) != devOf(b)
+			if !last && len(b.queries) != batchSize {
+				t.Fatalf("batch %d left with %d entries before its device's last", bi, len(b.queries))
+			}
+			next := 0
+			for si, sg := range b.segs {
+				if sg.first != next || sg.n <= 0 {
+					t.Fatalf("batch %d: segment %d is [%d,+%d), want it to start at %d", bi, si, sg.first, sg.n, next)
+				}
+				next += sg.n
+				if si > 0 && sg.pid <= b.segs[si-1].pid {
+					t.Fatalf("batch %d: partition %d after %d", bi, sg.pid, b.segs[si-1].pid)
+				}
+				if idx.parts[sg.pid].dev != devOf(b) {
+					t.Fatalf("batch %d mixes devices %d and %d", bi, devOf(b), idx.parts[sg.pid].dev)
+				}
+				for i := sg.first; i < sg.first+sg.n; i++ {
+					en := routedEntry{sg.pid, b.queries[i]}
+					if logged[en] == 0 || b.sigs[i] != b.queries[i].sig {
+						t.Fatalf("batch %d entry %d: not a logged entry, or not its signature", bi, i)
+					}
+					logged[en]--
+				}
+			}
+			if next != len(b.queries) {
+				t.Fatalf("batch %d: segments cover %d of %d entries", bi, next, len(b.queries))
+			}
+			// A partition continues from the end of one batch at the
+			// start of the next, and nowhere else.
+			if bi > 0 && devOf(batches[bi-1]) == devOf(b) {
+				prev := batches[bi-1].segs[len(batches[bi-1].segs)-1].pid
+				if b.segs[0].pid < prev {
+					t.Fatalf("batch %d starts at partition %d, batch %d ended at %d", bi, b.segs[0].pid, bi-1, prev)
+				}
+			}
+		}
+		for en, n := range logged {
+			if n != 0 {
+				t.Fatalf("partition %d: %d entries of one query never cut", en.pid, n)
+			}
+		}
+		for _, b := range batches {
+			e.pools.putBatch(b)
+		}
+		assertDrained(t, e, mem)
+	})
 }
 
 // TestFlusherIdleEngineBound: on an idle engine a batch opened just after
@@ -490,7 +477,7 @@ func chaosEngine(t *testing.T, db *testDB, mut func(*Config)) (*Engine, []*gpu.D
 	cfg := Config{
 		MaxPartitionSize: 16, BatchSize: 64, Threads: 4,
 		BatchTimeout: time.Millisecond,
-		Devices:      devs, StreamsPerDevice: 2, Replicate: true,
+		Devices:      devs, StreamsPerDevice: 2,
 		FailureThreshold: 3, QuarantineBackoff: time.Millisecond,
 	}
 	if mut != nil {
@@ -524,28 +511,27 @@ func assertPacked(t *testing.T, e *Engine) {
 
 // TestChaosPackedBatchesFaults: multi-partition batches under copy and
 // launch faults on one device and the scripted death of the other
-// mid-batch, in both placements. Retries re-stage the whole segment
-// table on another slot; results stay exact.
+// mid-batch. Retries re-stage the whole segment table on another slot of
+// the owning device, the dead device's partitions fall back to the host;
+// results stay exact.
 func TestChaosPackedBatchesFaults(t *testing.T) {
-	for _, replicate := range []bool{true, false} {
-		t.Run(fmt.Sprintf("replicate=%v", replicate), func(t *testing.T) {
-			db := makeTestDB(2000, 5, 2, 111)
-			e, devs := chaosEngine(t, db, func(c *Config) { c.Replicate = replicate })
-			mem := deviceMem(e)
-			devs[0].SetFaultPlan(&gpu.FaultPlan{Seed: 21, DieAtOp: 300})
-			devs[1].SetFaultPlan(&gpu.FaultPlan{Seed: 22, CopyFailProb: 0.05, LaunchFailProb: 0.05})
-			verifyEngine(t, e, db, db.makeQueries(4000, 112), false)
-			if !devs[0].Dead() {
-				t.Fatal("device 0 never reached its scripted death")
-			}
-			st := e.Stats()
-			if st.GPUFaults == 0 || st.BatchRetries == 0 {
-				t.Fatalf("fault machinery idle under active fault plans: %d faults, %d retries", st.GPUFaults, st.BatchRetries)
-			}
-			assertPacked(t, e)
-			assertDrained(t, e, mem)
-		})
-	}
+	t.Run(onePlacement, func(t *testing.T) {
+		db := makeTestDB(2000, 5, 2, 111)
+		e, devs := chaosEngine(t, db, nil)
+		mem := deviceMem(e)
+		devs[0].SetFaultPlan(&gpu.FaultPlan{Seed: 21, DieAtOp: 300})
+		devs[1].SetFaultPlan(&gpu.FaultPlan{Seed: 22, CopyFailProb: 0.05, LaunchFailProb: 0.05})
+		verifyEngine(t, e, db, db.makeQueries(4000, 112), false)
+		if !devs[0].Dead() {
+			t.Fatal("device 0 never reached its scripted death")
+		}
+		st := e.Stats()
+		if st.GPUFaults == 0 || st.BatchRetries == 0 {
+			t.Fatalf("fault machinery idle under active fault plans: %d faults, %d retries", st.GPUFaults, st.BatchRetries)
+		}
+		assertPacked(t, e)
+		assertDrained(t, e, mem)
+	})
 }
 
 // TestChaosPackedBatchesHedged: a straggling device and a tight hedge
@@ -652,7 +638,7 @@ func TestGPUPathAllocsIndependentOfBlocks(t *testing.T) {
 		dev := newTestGPU(t, 2)
 		e, err := New(Config{
 			MaxPartitionSize: 2048, BatchSize: 64, Threads: 2, BlockDim: blockDim,
-			Devices: []*gpu.Device{dev}, StreamsPerDevice: 2, Replicate: true,
+			Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -3,20 +3,19 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // saturatedEngine builds a CPU-only engine with MaxInFlight=1 and parks
 // its single reduce worker inside the done callback of one admitted
-// query, plus a second admitted query filling the budget. It returns the
-// engine and the release function that unblocks the reduce worker.
+// query, which fills the budget: a query counts as in flight until its
+// callback returns. It returns the engine and the release function that
+// unblocks the reduce worker.
 //
 // Threads=2 gives one pre-process and one reduce worker; BatchSize=1
-// dispatches every query immediately. Blocking done of query 1 stalls
-// the only reduce worker, so query 2 — admitted because completion (and
-// thus capacity release) happens just before done runs — stays in flight
-// until release is called.
+// dispatches every query immediately.
 func saturatedEngine(t *testing.T) (*Engine, func()) {
 	t.Helper()
 	e, err := New(Config{
@@ -40,10 +39,6 @@ func saturatedEngine(t *testing.T) (*Engine, func()) {
 		t.Fatal(err)
 	}
 	<-entered // reduce worker is now parked in query 1's done
-
-	if err := e.Submit([]string{"a"}, func(MatchResult) {}); err != nil {
-		t.Fatalf("query filling the in-flight budget was rejected: %v", err)
-	}
 
 	var released bool
 	return e, func() {
@@ -104,6 +99,36 @@ func TestSubmitCtxBlocksForCapacity(t *testing.T) {
 	case <-got:
 	default:
 		t.Fatal("done never called for the blocked-then-admitted query")
+	}
+}
+
+// TestDrainWaitsForCallbacks: Drain returns only after every done
+// callback has returned, so what a callback did before returning is
+// visible to the caller of Drain — a query is not complete while its
+// callback still runs. Drain is called once the callback has started.
+func TestDrainWaitsForCallbacks(t *testing.T) {
+	e, err := New(Config{MaxPartitionSize: 100, BatchSize: 1, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.AddSet([]string{"a"}, 1)
+	if err := e.Consolidate(); err != nil {
+		t.Fatal(err)
+	}
+	entered := make(chan struct{})
+	var returned atomic.Bool
+	if err := e.Submit([]string{"a"}, func(MatchResult) {
+		close(entered)
+		time.Sleep(20 * time.Millisecond)
+		returned.Store(true)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	e.Drain()
+	if !returned.Load() {
+		t.Fatal("Drain returned while a done callback was still running")
 	}
 }
 

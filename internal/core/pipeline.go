@@ -93,7 +93,6 @@ func (q *query) finish(e *Engine, n int32) {
 		}
 	}
 	e.keysDelivered.Add(int64(len(keys)))
-	e.completed.Add(1)
 	latency := time.Since(q.start)
 	if e.obs.On {
 		e.obs.E2E.ObserveDuration(latency)
@@ -104,6 +103,9 @@ func (q *query) finish(e *Engine, n int32) {
 	if done != nil {
 		done(MatchResult{Keys: keys, Latency: latency})
 	}
+	// Counted only once done has returned: Drain's promise is that every
+	// callback has.
+	e.completed.Add(1)
 	e.notifyProgress()
 }
 
@@ -138,7 +140,6 @@ func (q *query) expire(e *Engine, cause error) {
 		return
 	}
 	e.obs.Faults.DeadlineExpired.Add(1)
-	e.completed.Add(1)
 	latency := time.Since(q.start)
 	if q.trace != nil {
 		q.trace.Fail("deadline_exceeded")
@@ -147,6 +148,7 @@ func (q *query) expire(e *Engine, cause error) {
 	if done := q.done; done != nil {
 		done(MatchResult{Err: cause, Latency: latency})
 	}
+	e.completed.Add(1) // after done, as in finish
 	e.notifyProgress()
 }
 
@@ -203,10 +205,10 @@ type openBatch struct {
 	// pays nothing.
 	deadlined bool
 
-	// Tail-tolerance state. settled elects the one attempt — primary
-	// chain or hedge — whose result reaches the reduce stage; refs
-	// counts the attachments that may still touch the batch (the
-	// reduce-stage hold, each in-flight attempt chain, an armed hedge
+	// Tail-tolerance state. settled elects the one attempt — the GPU
+	// chain or the host hedge — whose result reaches the reduce stage;
+	// refs counts the attachments that may still touch the batch (the
+	// reduce-stage hold, the in-flight attempt chain, an armed hedge
 	// timer) so recycling waits for the losing attempt; hedged records
 	// that a hedge was launched; hedgeTimer is the armed straggler
 	// budget, disarmed when the batch settles.
@@ -229,11 +231,11 @@ type openBatch struct {
 // of the device's streams): the batch's signatures, its entry indices and
 // segment table, the result header and the packed pair buffer. A stream
 // is owned exclusively by one attempt from pool acquisition until its
-// final callback returns it. Attempts share nothing — a retry or a hedge
-// uploads the batch again on the stream it acquires — which is what
-// keeps a losing hedge or a faulted segment from touching buffers a
-// rival attempt still reads, and the stream's FIFO from interleaving two
-// batches' operations and segment errors.
+// final callback returns it. Attempts share nothing — a retry uploads
+// the batch again on the stream it acquires — which is what keeps a
+// faulted segment from touching buffers the retry reads, and the
+// stream's FIFO from interleaving two batches' operations and segment
+// errors.
 //
 // res and fault carry the batch outcome from the header callback to the
 // completion callback. All of the staging state is written by the
@@ -730,9 +732,8 @@ func (e *Engine) flushPass(idx *index, reason dispatchReason) {
 // per run of a partition's entries; emit receives each batch as it fills,
 // so the copy → kernel → copy sequence is paid per BatchSize routed
 // entries whatever the fan-out spread them over. A run that does not fit
-// the remainder of a batch continues in the next one. Under partitioned
-// placement the batches go device by device, each holding partitions of
-// one device.
+// the remainder of a batch continues in the next one. The batches go
+// device by device, each holding partitions of one device.
 func (e *Engine) cutBatches(idx *index, sc *passScratch, opened time.Time, emit func(*openBatch)) {
 	entries := sc.entries
 	// ends[pid] counts the partition's entries, then is where its run
@@ -755,10 +756,7 @@ func (e *Engine) cutBatches(idx *index, sc *passScratch, opened time.Time, emit 
 	}
 	sc.ends, sc.queries = ends, queries
 
-	devs := 1
-	if !e.cfg.Replicate {
-		devs = max(1, len(idx.devices))
-	}
+	devs := max(1, len(idx.devices))
 	var cur *openBatch
 	for d := 0; d < devs; d++ {
 		start := 0
@@ -1011,7 +1009,7 @@ func (e *Engine) gpuDispatch(idx *index, b *openBatch) {
 	}
 	e.batchRef(b)
 	idx.dispatching.Add(1)
-	e.gpuDispatchAttempt(idx, b, 0, -1, false, traced)
+	e.gpuDispatchAttempt(idx, b, 0, traced)
 }
 
 // batchRef and batchUnref count the attachments that may still touch an
@@ -1098,11 +1096,13 @@ func (e *Engine) hedgeBudget(dev int) time.Duration {
 
 // maybeHedge fires when a dispatched batch outlives its straggler
 // budget: if the primary attempt still has not settled, the batch is
-// re-dispatched to another healthy device — or the host's match —
-// racing the straggler. The settle CAS keeps completion
-// exactly-once; the loser's results are discarded. Runs on the budget
-// timer's goroutine, holding the batch reference and index dispatching
-// hold taken when the timer was armed.
+// re-run on the host, racing the straggler. The host is the only other
+// holder of the batch's partitions — their owning device is the
+// straggler, and a second attempt queued behind it there is what a
+// hedge exists to avoid. The settle CAS keeps completion exactly-once;
+// the loser's results are discarded. Runs on the budget timer's
+// goroutine, holding the batch reference and index dispatching hold
+// taken when the timer was armed.
 func (e *Engine) maybeHedge(idx *index, b *openBatch, primary int, traced []*obs.Trace) {
 	defer idx.dispatching.Done()
 	if b.settled.Load() || e.closed.Load() {
@@ -1116,8 +1116,7 @@ func (e *Engine) maybeHedge(idx *index, b *openBatch, primary int, traced []*obs
 		"segments", len(b.segs), "entries", len(b.sigs),
 		"primary", e.deviceName(primary))
 	// The "hedge" span covers the primary attempt's run-up to the budget
-	// firing, so the timeline shows how long the straggler was tolerated;
-	// the hedge attempt's own device ops follow as ordinary op spans.
+	// firing, so the timeline shows how long the straggler was tolerated.
 	now := time.Now()
 	for _, tr := range traced {
 		tr.Span("hedge", "query", b.dispatched, 0, now.Sub(b.dispatched),
@@ -1125,33 +1124,23 @@ func (e *Engine) maybeHedge(idx *index, b *openBatch, primary int, traced []*obs
 		tr.Event("hedge-fired", -1, int64(primary))
 		tr.Degrade("hedged")
 	}
-	e.batchRef(b)
-	idx.dispatching.Add(1)
-	e.gpuDispatchAttempt(idx, b, 0, primary, true, traced)
+	// Not a fault fallback: only the hedge counters move.
+	e.cpuDispatch(idx, b, true)
 	e.batchUnref(b) // the timer's own hold
 }
 
-// gpuDispatchAttempt runs one GPU attempt for the batch. attempt 0 is the
-// initial dispatch; a failed attempt is retried once (attempt 1) on a
-// stream avoiding the failed device, and a second failure — or no usable
-// stream at all — re-runs the batch on the host, so every batch reaches
-// the reduce stage exactly once no matter how the devices behave. With
-// hedge set, the attempt is a straggler hedge racing the primary chain:
-// it neither retries nor falls back on failure (the primary chain owns
-// the delivery guarantee) and its result goes through the same settle
-// CAS, the loser being discarded. The caller has taken one batch
-// reference and one index dispatching hold for the chain; every
-// terminal path of the chain releases both exactly once.
-func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int, hedge bool, traced []*obs.Trace) {
-	sl := e.acquireStream(idx, b, avoid)
+// gpuDispatchAttempt runs one GPU attempt for the batch on its
+// partitions' device. attempt 0 is the initial dispatch; a failed attempt
+// is retried once (attempt 1) on a stream of that device, and a
+// second failure — or no usable stream at all — re-runs the batch on the
+// host, so every batch reaches the reduce stage exactly once no matter
+// how the devices behave. The caller has taken one batch reference and
+// one index dispatching hold for the chain; every terminal path of the
+// chain releases both exactly once.
+func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, traced []*obs.Trace) {
+	sl := e.acquireStream(idx, b)
 	if sl == nil {
-		if hedge {
-			// No device to hedge onto: race the straggler on the host.
-			// Not a fault fallback — only the hedge counters move.
-			e.cpuDispatch(idx, b, true)
-		} else {
-			e.fallbackCPU(idx, b, traced)
-		}
+		e.fallbackCPU(idx, b, traced)
 		e.batchUnref(b)
 		idx.dispatching.Done()
 		return
@@ -1174,9 +1163,9 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 	// it — the budget firing, or a settle stopping it first — releases
 	// them. The timer is created inert and started with Reset only after
 	// b.hedgeTimer is assigned: AfterFunc with the real budget could fire
-	// — and lead the hedge chain to read b.hedgeTimer in settleBatch —
-	// before the assignment of its own return value completes.
-	if attempt == 0 && !hedge && e.hedgingEnabled() {
+	// — and lead the hedge to read b.hedgeTimer in settleBatch — before
+	// the assignment of its own return value completes.
+	if attempt == 0 && e.hedgingEnabled() {
 		e.batchRef(b)
 		idx.dispatching.Add(1)
 		b.timerIdx = idx
@@ -1279,14 +1268,14 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 				e.pools.putResult(res)
 			}
 			idx.slots.put(sl)
-			e.batchFault(idx, b, dev, attempt, hedge, traced, fault)
+			e.batchFault(idx, b, dev, attempt, traced, fault)
 			return
 		}
 		// Success is recorded before the stream is pooled, so a dispatcher
 		// the put wakes already sees a recovered device as usable.
-		e.batchOK(dev, b, hedge)
+		e.batchOK(dev, b)
 		idx.slots.put(sl)
-		e.deliverResult(b, res, hedge)
+		e.deliverResult(b, res, false)
 		e.batchUnref(b)
 		idx.dispatching.Done()
 	})
@@ -1294,36 +1283,31 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt, avoid int
 
 // batchOK records a successful GPU attempt for the dispatching stream's
 // device, resetting its circuit breaker (and completing a recovery probe
-// when the device was quarantined). Primary attempts also feed the
-// device's batch service-time distribution, from which the percentile
-// hedge mode derives its straggler budget; hedge attempts are excluded
-// so the budget tracks the unhedged baseline.
-func (e *Engine) batchOK(dev int, b *openBatch, hedge bool) {
+// when the device was quarantined), and feeds the device's batch
+// service-time distribution, from which the percentile hedge mode
+// derives its straggler budget.
+func (e *Engine) batchOK(dev int, b *openBatch) {
 	e.recordDeviceSuccess(dev)
-	if !hedge {
-		e.health[dev].svc.ObserveDuration(time.Since(b.dispatched))
-	}
+	e.health[dev].svc.ObserveDuration(time.Since(b.dispatched))
 }
 
 // batchFault handles a batch whose GPU attempt failed (copy, launch, or
 // result-transfer error, including a dead device): instead of panicking,
 // the failure is charged to the device's circuit breaker and the batch
-// is retried once on a stream avoiding that device, then — on a second
-// failure — re-run on the host through the same payloadCPU mechanism as
-// a result-buffer overflow, so no submitted query is ever lost. A
-// failed hedge attempt just detaches: the primary chain still owns the
-// delivery guarantee. The caller has already released the stream; the
+// is retried once on the same device, then — on a second failure, or
+// with the device quarantined — re-run on the host through the same
+// payloadCPU mechanism as a result-buffer overflow, so no submitted
+// query is ever lost. The caller has already released the stream; the
 // retry runs on a fresh goroutine (inheriting this chain's batch
 // reference and dispatching hold) because this method executes on the
 // stream's executor goroutine, which must not block on stream
 // acquisition.
-func (e *Engine) batchFault(idx *index, b *openBatch, dev, attempt int, hedge bool, traced []*obs.Trace, err error) {
+func (e *Engine) batchFault(idx *index, b *openBatch, dev, attempt int, traced []*obs.Trace, err error) {
 	e.obs.Faults.GPUFaults.Add(1)
 	e.recordDeviceFailure(dev, err)
-	if hedge || b.settled.Load() {
-		// Nothing left for this chain to save: a hedge never retries,
-		// and a primary whose batch a rival already settled would only
-		// burn a retry re-computing a delivered result.
+	if b.settled.Load() {
+		// A hedge already settled the batch: a retry would only burn
+		// device time re-computing a delivered result.
 		e.batchUnref(b)
 		idx.dispatching.Done()
 		return
@@ -1333,7 +1317,7 @@ func (e *Engine) batchFault(idx *index, b *openBatch, dev, attempt int, hedge bo
 	}
 	if attempt == 0 {
 		e.obs.Faults.BatchRetries.Add(1)
-		go e.gpuDispatchAttempt(idx, b, 1, dev, false, traced)
+		go e.gpuDispatchAttempt(idx, b, 1, traced)
 		return
 	}
 	e.fallbackCPU(idx, b, traced)

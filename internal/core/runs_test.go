@@ -310,11 +310,11 @@ func TestRunGateTestsOnWorkload(t *testing.T) {
 }
 
 // TestRunNodesFollowTheIndex drives run nodes through everything that
-// moves an index: a full upload and an incremental fold's extents, under
-// both placements, with the host fallback taking the place of the two
-// batches in five that overflow. Answers stay exact, the nodes skip tests on the
-// device and on the host, and the devices hold 40 bytes per node beside
-// the groups.
+// moves an index: a full upload and an incremental fold's extents over
+// two devices, with the host fallback taking the place of the two
+// batches in five that overflow. Answers stay exact, the nodes skip tests
+// on the device and on the host, and the devices hold 40 bytes per node
+// beside the groups.
 func TestRunNodesFollowTheIndex(t *testing.T) {
 	sets := vocabSets(9000, 300, 4, 95)
 	base, added := sets[:7500], sets[7500:]
@@ -322,84 +322,78 @@ func TestRunNodesFollowTheIndex(t *testing.T) {
 	for i := range queries {
 		queries[i] = sets[(i*37)%len(sets)].Or(randomSets(1, 3, int64(i)+96)[0])
 	}
-	for _, replicate := range []bool{true, false} {
-		devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
-		e, err := New(Config{
-			MaxPartitionSize: 1500, BatchSize: 64, Threads: 2,
-			Devices: devs, StreamsPerDevice: 2, Replicate: replicate, BlockDim: 8,
-			MaxPairsPerBatch: 16, DeltaMaxSets: len(added), DeltaMaxRatio: 1e-9,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		db := &testDB{}
-		add := func(batch []bitvec.Vector) {
-			for _, s := range batch {
-				db.sigs = append(db.sigs, s)
-				db.keys = append(db.keys, []Key{Key(len(db.sigs))})
-				e.AddSignature(s, Key(len(db.sigs)))
-			}
-		}
-		add(base)
-		if err := e.Consolidate(); err != nil {
-			t.Fatal(err)
-		}
-		idx := e.idx.Load()
-		if len(idx.runs) == 0 {
-			t.Fatal("fixture index has no run node")
-		}
-		var devBytes int64
-		for _, m := range deviceMem(e) {
-			devBytes += m
-		}
-		copies := 1
-		if replicate {
-			copies = len(devs)
-		}
-		if floor := int64(copies) * (int64(len(idx.groups))*slicedGroupBytes + int64(len(idx.runs))*runNodeBytes); devBytes < floor {
-			t.Fatalf("replicate=%v: devices hold %d bytes, groups and run nodes alone are %d", replicate, devBytes, floor)
-		}
-		verifyEngine(t, e, db, queries, false)
-
-		// The fold: the background consolidator appends the added sets as
-		// new partitions in an extent, with run nodes of their own.
-		add(added)
-		for deadline := time.Now().Add(10 * time.Second); e.Stats().IncrementalFolds == 0; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("no incremental fold within 10s")
-			}
-		}
-		e.consolidateMu.Lock() // the fold has swapped its index in once this is free
-		e.consolidateMu.Unlock()
-		idx = e.idx.Load()
-		last := idx.parts[len(idx.parts)-1]
-		if last.ext == 0 {
-			t.Fatal("the fold's partitions are not in an extent")
-		}
-		extNodes := 0
-		for _, p := range idx.parts {
-			if p.ext > 0 {
-				extNodes += int(p.nRuns)
-			}
-		}
-		if extNodes == 0 {
-			t.Fatal("the fold's partitions have no run node")
-		}
-		mem := deviceMem(e)
-		verifyEngine(t, e, db, queries, false)
-
-		st := e.Stats()
-		t.Logf("replicate=%v: %d of %d batches overflowed into the host path", replicate, st.ResultOverflows, st.BatchesDispatched)
-		if st.ResultOverflows == 0 || st.ResultOverflows == st.BatchesDispatched {
-			t.Fatal("want batches on both paths: the device's and, by overflow, the host's")
-		}
-		if st.KernelGateTests == 0 || st.KernelGateTests >= st.KernelGateChecks {
-			t.Fatalf("replicate=%v: %d gate tests for %d (entry, group) pairs", replicate, st.KernelGateTests, st.KernelGateChecks)
-		}
-		if st.KernelGatePruned != st.KernelGateChecks-st.KernelGroupScans {
-			t.Fatalf("pruned %d ≠ checks %d − scans %d", st.KernelGatePruned, st.KernelGateChecks, st.KernelGroupScans)
-		}
-		assertDrained(t, e, mem)
-		e.Close()
+	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
+	e, err := New(Config{
+		MaxPartitionSize: 1500, BatchSize: 64, Threads: 2,
+		Devices: devs, StreamsPerDevice: 2, BlockDim: 8,
+		MaxPairsPerBatch: 16, DeltaMaxSets: len(added), DeltaMaxRatio: 1e-9,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer e.Close()
+	db := &testDB{}
+	add := func(batch []bitvec.Vector) {
+		for _, s := range batch {
+			db.sigs = append(db.sigs, s)
+			db.keys = append(db.keys, []Key{Key(len(db.sigs))})
+			e.AddSignature(s, Key(len(db.sigs)))
+		}
+	}
+	add(base)
+	if err := e.Consolidate(); err != nil {
+		t.Fatal(err)
+	}
+	idx := e.idx.Load()
+	if len(idx.runs) == 0 {
+		t.Fatal("fixture index has no run node")
+	}
+	var devBytes int64
+	for _, m := range deviceMem(e) {
+		devBytes += m
+	}
+	if floor := int64(len(idx.groups))*slicedGroupBytes + int64(len(idx.runs))*runNodeBytes; devBytes < floor {
+		t.Fatalf("devices hold %d bytes, groups and run nodes alone are %d", devBytes, floor)
+	}
+	verifyEngine(t, e, db, queries, false)
+
+	// The fold: the background consolidator appends the added sets as
+	// new partitions in an extent, with run nodes of their own.
+	add(added)
+	for deadline := time.Now().Add(10 * time.Second); e.Stats().IncrementalFolds == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no incremental fold within 10s")
+		}
+	}
+	e.consolidateMu.Lock() // the fold has swapped its index in once this is free
+	e.consolidateMu.Unlock()
+	idx = e.idx.Load()
+	last := idx.parts[len(idx.parts)-1]
+	if last.ext == 0 {
+		t.Fatal("the fold's partitions are not in an extent")
+	}
+	extNodes := 0
+	for _, p := range idx.parts {
+		if p.ext > 0 {
+			extNodes += int(p.nRuns)
+		}
+	}
+	if extNodes == 0 {
+		t.Fatal("the fold's partitions have no run node")
+	}
+	mem := deviceMem(e)
+	verifyEngine(t, e, db, queries, false)
+
+	st := e.Stats()
+	t.Logf("%d of %d batches overflowed into the host path", st.ResultOverflows, st.BatchesDispatched)
+	if st.ResultOverflows == 0 || st.ResultOverflows == st.BatchesDispatched {
+		t.Fatal("want batches on both paths: the device's and, by overflow, the host's")
+	}
+	if st.KernelGateTests == 0 || st.KernelGateTests >= st.KernelGateChecks {
+		t.Fatalf("%d gate tests for %d (entry, group) pairs", st.KernelGateTests, st.KernelGateChecks)
+	}
+	if st.KernelGatePruned != st.KernelGateChecks-st.KernelGroupScans {
+		t.Fatalf("pruned %d ≠ checks %d − scans %d", st.KernelGatePruned, st.KernelGateChecks, st.KernelGroupScans)
+	}
+	assertDrained(t, e, mem)
 }

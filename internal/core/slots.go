@@ -80,66 +80,35 @@ func (p *slotPool) take(pick func(free []*streamSlot) int, giveUp func() bool, b
 	}
 }
 
-// acquireStream pulls a dispatch slot whose device is healthy (or due a
-// recovery probe), preferring devices other than avoid — the device of a
-// failed prior attempt. It blocks while every usable slot is checked
-// out, and returns nil — the caller then re-runs the batch on the host —
-// when no device can serve the batch at all, or when waiting has become
-// pointless: the engine is closing, the batch has already settled (a
-// rival hedge attempt delivered), or every member query's context has
-// ended. Unusable slots stay pooled, so quarantining never shrinks the
-// pool itself.
-func (e *Engine) acquireStream(idx *index, b *openBatch, avoid int) *streamSlot {
+// acquireStream pulls a dispatch slot of the device that owns the
+// batch's partitions (cutBatches never mixes devices in one batch): the
+// only GPU holding them. It blocks while every slot of that device is
+// checked out, and returns nil — the caller then re-runs the batch on
+// the host — when the device is quarantined and not due a recovery
+// probe, or when waiting has become pointless: the engine is closing,
+// the batch has already settled (a rival hedge attempt delivered), or
+// every member query's context has ended. Unusable slots stay pooled,
+// so quarantining never shrinks the pool itself.
+func (e *Engine) acquireStream(idx *index, b *openBatch) *streamSlot {
 	t0 := time.Now()
 	defer func() { e.obs.Streams.AcquireWait.ObserveDuration(time.Since(t0)) }()
 
-	var pick func(free []*streamSlot) int
-	var giveUp func() bool
-	if !e.cfg.Replicate {
-		// Partitioned placement binds the batch's partitions to one
-		// device; there is no alternative device to retry on.
-		dev := idx.parts[b.segs[0].pid].dev
-		if e.acquireAbandoned(b) || !e.deviceUsable(dev) {
-			return nil
-		}
-		// A usable quarantined device means deviceUsable elected this
-		// batch as the recovery probe; the probe must dispatch, so it
-		// waits out the slot unconditionally.
-		probe := e.health[dev].quarantined.Load()
-		giveUp = func() bool { return !probe && e.acquireAbandoned(b) }
-		pick = func(free []*streamSlot) int {
-			for i, sl := range free {
-				if sl.dev == dev {
-					return i
-				}
+	dev := idx.parts[b.segs[0].pid].dev
+	if e.acquireAbandoned(b) || !e.deviceUsable(dev) {
+		return nil
+	}
+	// A usable quarantined device means deviceUsable elected this batch as
+	// the recovery probe; the probe must dispatch, so it waits out the
+	// slot unconditionally.
+	probe := e.health[dev].quarantined.Load()
+	giveUp := func() bool { return !probe && e.acquireAbandoned(b) }
+	pick := func(free []*streamSlot) int {
+		for i, sl := range free {
+			if sl.dev == dev {
+				return i
 			}
-			return -1
 		}
-	} else {
-		// Replicate mode: the oldest idle slot of a usable device other
-		// than avoid, else of the avoided device (a single-device engine
-		// retries on another slot of the same GPU). With every device
-		// quarantined there is nothing to wait for.
-		giveUp = func() bool { return e.acquireAbandoned(b) || e.allDevicesQuarantined() }
-		pick = func(free []*streamSlot) int {
-			fallback := -1
-			for i, sl := range free {
-				d := sl.dev
-				if !e.deviceUsable(d) {
-					continue
-				}
-				// A usable quarantined device means deviceUsable elected
-				// this batch as its recovery probe: dispatch there even if
-				// it is the avoided device, or the probe would leak.
-				if d != avoid || e.health[d].quarantined.Load() {
-					return i
-				}
-				if fallback < 0 {
-					fallback = i
-				}
-			}
-			return fallback
-		}
+		return -1
 	}
 	if sl := idx.slots.take(pick, giveUp, false); sl != nil {
 		return sl
@@ -151,19 +120,6 @@ func (e *Engine) acquireStream(idx *index, b *openBatch, avoid int) *streamSlot 
 		defer stop()
 	}
 	return idx.slots.take(pick, giveUp, true)
-}
-
-// allDevicesQuarantined reports whether no device can currently serve
-// batches at all; acquireStream stops waiting for pooled slots then
-// (the scan itself still lets recovery probes through, because
-// deviceUsable elects them while the pool is inspected).
-func (e *Engine) allDevicesQuarantined() bool {
-	for d := range e.health {
-		if !e.health[d].quarantined.Load() {
-			return false
-		}
-	}
-	return true
 }
 
 // acquireAbandoned reports whether a stream acquisition should give up:

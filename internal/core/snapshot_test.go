@@ -239,7 +239,7 @@ func TestSnapshotRestoreSlicedParity(t *testing.T) {
 	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	dst, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 32, Threads: 2,
-		Devices: devs, StreamsPerDevice: 2, Replicate: true,
+		Devices: devs, StreamsPerDevice: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +285,7 @@ func TestSnapshotRestoreChaosParity(t *testing.T) {
 	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	dst, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 32, Threads: 2,
-		Devices: devs, StreamsPerDevice: 2, Replicate: true,
+		Devices: devs, StreamsPerDevice: 2,
 		FailureThreshold:  3,
 		QuarantineBackoff: time.Millisecond,
 		HedgePolicy:       HedgePolicy{Mode: HedgeFixed, Budget: time.Millisecond},
@@ -297,12 +297,20 @@ func TestSnapshotRestoreChaosParity(t *testing.T) {
 	if err := dst.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
+	mem := deviceMem(dst)
+	// The plan counts operations from its installation, so FailOps fails
+	// device 0's first one whatever the run's interleaving: at least one
+	// fault is certain, and the seeded draws add more.
 	devs[0].SetFaultPlan(&gpu.FaultPlan{
 		Seed: 21, CopyFailProb: 0.05, LaunchFailProb: 0.05,
 		SlowProb: 0.02, SlowDelay: 2 * time.Millisecond,
+		FailOps: []int64{1},
 	})
 
 	verifyEngine(t, dst, db, db.makeQueries(2000, 94), false)
+	// A hedge can answer a batch before its failed GPU attempt reports the
+	// fault; the drain waits for every attempt chain to end.
+	assertDrained(t, dst, mem)
 
 	st := dst.Stats()
 	if st.QueriesCompleted != st.QueriesSubmitted {

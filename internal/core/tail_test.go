@@ -115,15 +115,18 @@ func TestMatchCtxDeadline(t *testing.T) {
 
 // TestHedgeExactlyOnce drives a two-device engine where the first device
 // straggles on every operation and the hedge budget is far below the
-// stall: nearly every batch hedges, the rival attempt lands on the clean
-// device, and despite two attempts racing per batch every query is
-// answered exactly once with exact keys.
+// stall: nearly every batch of its partitions hedges, the rival attempt
+// runs on the host — the only other holder of those partitions — and
+// despite two attempts racing per batch every query is answered exactly
+// once with exact keys. The clean device never receives a batch of the
+// straggler's partitions: each device executes exactly the blocks of its
+// own partitions' segments, and no batch launches twice.
 func TestHedgeExactlyOnce(t *testing.T) {
 	db := makeTestDB(1000, 5, 2, 85)
 	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	e, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 32, Threads: 2,
-		Devices: devs, StreamsPerDevice: 2, Replicate: true,
+		Devices: devs, StreamsPerDevice: 2,
 		HedgePolicy: HedgePolicy{Mode: HedgeFixed, Budget: 500 * time.Microsecond},
 	})
 	if err != nil {
@@ -134,16 +137,20 @@ func TestHedgeExactlyOnce(t *testing.T) {
 	if err := e.Consolidate(); err != nil {
 		t.Fatal(err)
 	}
+	mem := deviceMem(e)
 	devs[0].SetFaultPlan(&gpu.FaultPlan{Seed: 6, SlowProb: 1, SlowDelay: 3 * time.Millisecond})
 
 	verifyEngine(t, e, db, db.makeQueries(2000, 86), false)
+	// The straggler's losing attempts finish their launches before this
+	// returns, so the block counts below are final.
+	assertDrained(t, e, mem)
 
 	st := e.Stats()
 	if st.HedgesFired == 0 {
 		t.Fatal("no hedges fired despite a fully straggling device")
 	}
 	if st.HedgesWon == 0 {
-		t.Fatal("no hedge ever won despite a clean rival device")
+		t.Fatal("no hedge ever won against a 3ms-per-op straggler")
 	}
 	if st.HedgesWon+st.HedgesLost > st.HedgesFired {
 		t.Fatalf("hedge accounting: fired %d < won %d + lost %d",
@@ -152,6 +159,27 @@ func TestHedgeExactlyOnce(t *testing.T) {
 	if st.QueriesCompleted != st.QueriesSubmitted {
 		t.Fatalf("lost or duplicated queries: submitted %d completed %d",
 			st.QueriesSubmitted, st.QueriesCompleted)
+	}
+	if st.CPUFallbacks != 0 || st.GPUFaults != 0 {
+		t.Fatalf("a straggler is not a fault: %d faults, %d CPU fallbacks", st.GPUFaults, st.CPUFallbacks)
+	}
+	idx := e.idx.Load()
+	want := make([]int64, len(devs))
+	for pid, p := range idx.parts {
+		c := e.obs.Parts.Get(uint32(pid))
+		segs := c.BatchesFull.Load() + c.BatchesTimedOut.Load() + c.BatchesFlushed.Load()
+		want[p.dev] += segs * int64(segBlocks(int(p.n), e.cfg.BlockDim))
+	}
+	var launches int64
+	for d, dev := range devs {
+		ds := dev.Stats()
+		if ds.BlocksExecuted != want[d] {
+			t.Fatalf("device %d executed %d blocks, the segments of its own partitions are %d", d, ds.BlocksExecuted, want[d])
+		}
+		launches += ds.KernelLaunches
+	}
+	if launches != st.BatchesDispatched {
+		t.Fatalf("%d launches for %d batches: a hedge ran on a device", launches, st.BatchesDispatched)
 	}
 }
 
@@ -166,7 +194,7 @@ func TestChaosStragglersHedged(t *testing.T) {
 	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	e, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 64, Threads: 4,
-		Devices: devs, StreamsPerDevice: 3, Replicate: true,
+		Devices: devs, StreamsPerDevice: 3,
 		FailureThreshold:  3,
 		QuarantineBackoff: time.Millisecond,
 		HedgePolicy:       HedgePolicy{Mode: HedgeFixed, Budget: time.Millisecond},

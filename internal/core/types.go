@@ -82,14 +82,6 @@ type Config struct {
 	// Defaults to 16×BatchSize.
 	MaxPairsPerBatch int
 
-	// Replicate places the whole device index — every partition's
-	// transposed groups and run nodes — on every device, so that any
-	// stream can serve any partition (maximal inter-GPU parallelism).
-	// When false, partitions are spread across devices round-robin and
-	// each batch must use a stream of the owning device. Defaults true
-	// (set by DefaultConfig).
-	Replicate bool
-
 	// DisablePrefilter turns off the kernel's pre-filters — the run and
 	// group gates that stand in for Algorithm 4's block pre-filter — so
 	// every routed entry walks every group's columns (ablation).
@@ -136,9 +128,8 @@ type Config struct {
 
 	// FailureThreshold is the number of consecutive failed batch
 	// attempts on a device before the circuit breaker quarantines it:
-	// the device's streams are skipped (batches re-route to surviving
-	// devices in Replicate mode, to the CPU otherwise) until a recovery
-	// probe succeeds. Defaults to 3.
+	// the device's streams are skipped (batches of its partitions run on
+	// the host) until a recovery probe succeeds. Defaults to 3.
 	FailureThreshold int
 
 	// QuarantineBackoff is the delay before a quarantined device
@@ -165,10 +156,10 @@ type Config struct {
 	DisableDeltaOverlay bool
 
 	// HedgePolicy enables hedged re-dispatch of straggling batches: a
-	// dispatched batch that outlives its straggler budget is re-issued to
-	// another healthy device (or the host) and the two attempts race,
-	// exactly-once completion discarding the loser's results. The zero
-	// value disables hedging.
+	// dispatched batch that outlives its straggler budget is re-run on
+	// the host — the only other holder of its partitions — and the two
+	// attempts race, exactly-once completion discarding the loser's
+	// results. The zero value disables hedging.
 	HedgePolicy HedgePolicy
 
 	// Logger receives structured records of operationally significant
@@ -236,7 +227,6 @@ func DefaultConfig(dbSize int, devices ...*gpu.Device) Config {
 		Devices:          devices,
 		StreamsPerDevice: 10,
 		BlockDim:         256,
-		Replicate:        true,
 	}
 }
 
@@ -451,7 +441,7 @@ type partition struct {
 	mask bitvec.Vector
 	off  uint32 // offset in the global flat tagset table
 	n    uint32
-	dev  int // owning device index when not replicating
+	dev  int // the one device holding and matching the partition
 
 	// grpOff is the offset of the partition's ⌈n/64⌉ bit-sliced groups in
 	// the flat transposed index (index.groups); local set i lives in lane

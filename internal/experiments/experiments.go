@@ -305,7 +305,6 @@ func BuildEngine(spec EngineSpec) (*core.Engine, []*gpu.Device, error) {
 		Threads:          spec.Threads,
 		Devices:          devs,
 		StreamsPerDevice: 10,
-		Replicate:        true,
 		// Bulk staging below would repeatedly trip the background
 		// consolidator at the default threshold; raise it past the load so
 		// the explicit Consolidate that follows does one build. Mutate can

@@ -335,5 +335,6 @@ func Fig9(p Params) *Table {
 	t.Add("Host (key table + index)", host...)
 	t.Add("GPUs (tagset tables)", dev0...)
 	t.Note("paper shape: both linear; host dominated by the key table, GPU by the tagset table")
+	t.Note("GPUs row sums every device; each holds only its own partitions, so the sum is one copy (the paper keeps the whole table on every GPU)")
 	return t
 }

@@ -17,9 +17,9 @@ import (
 
 // saturatedServer builds a server over a CPU-only engine with
 // MaxInFlight=1 whose admission budget is fully consumed: one query is
-// parked inside its done callback (stalling the single reduce worker)
-// and a second admitted query is stuck behind it. The returned release
-// function unblocks them.
+// parked inside its done callback (stalling the single reduce worker),
+// and a query stays in flight until its callback returns. The returned
+// release function unblocks it.
 func saturatedServer(t *testing.T) (*httptest.Server, *tagmatch.Engine, func()) {
 	t.Helper()
 	eng, err := tagmatch.New(tagmatch.Config{
@@ -47,9 +47,6 @@ func saturatedServer(t *testing.T) (*httptest.Server, *tagmatch.Engine, func()) 
 		t.Fatal(err)
 	}
 	<-entered
-	if err := eng.Submit([]string{"a"}, func(tagmatch.MatchResult) {}); err != nil {
-		t.Fatalf("budget-filling query rejected: %v", err)
-	}
 
 	var once sync.Once
 	return srv, eng, func() { once.Do(func() { close(release) }) }

@@ -68,8 +68,8 @@ var ErrDeviceDegraded = core.ErrDeviceDegraded
 var ErrDeadlineExceeded = core.ErrDeadlineExceeded
 
 // HedgePolicy configures hedged batch re-dispatch: a dispatched batch
-// exceeding its straggler budget is speculatively re-run on another
-// healthy device (or the host), the first completion winning. The zero
+// exceeding its straggler budget is speculatively re-run on the host,
+// the first completion winning. The zero
 // value disables hedging. See the HedgeFixed and HedgePercentile modes.
 type HedgePolicy = core.HedgePolicy
 
@@ -98,7 +98,10 @@ type Stats = core.Stats
 // configuration with defaults suitable for small databases.
 type Config struct {
 	// GPUs is the number of simulated GPU devices to create. Zero runs
-	// the pipeline CPU-only.
+	// the pipeline CPU-only. The partitions are dealt round-robin over
+	// the devices: each device holds only its share of the device index
+	// — its partitions' transposed groups and run nodes — and serves only
+	// batches for those partitions.
 	GPUs int
 	// GPUWorkers is the number of simulated streaming multiprocessors
 	// per device, i.e. thread blocks executing in parallel. Defaults to 4.
@@ -128,20 +131,14 @@ type Config struct {
 	Threads int
 	// StreamsPerGPU is the number of streams per device (default 10).
 	StreamsPerGPU int
-	// PartitionAcrossGPUs deals the partitions round-robin over the
-	// devices, so each device holds only its share of the device index —
-	// the partitions' transposed groups and run nodes — and serves only
-	// batches for those partitions. By default (false) every device holds
-	// the whole index and any stream can serve any partition.
-	PartitionAcrossGPUs bool
 	// MaxInFlight bounds the number of submitted-but-incomplete queries
 	// admitted before Submit-family calls return ErrOverloaded (the
 	// SubmitCtx variants block for capacity instead). Zero disables the
 	// gate.
 	MaxInFlight int
 	// FailureThreshold is the number of consecutive failed batch
-	// attempts before a GPU is quarantined and its batches re-route to
-	// surviving devices or the CPU (default 3).
+	// attempts before a GPU is quarantined and the batches of its
+	// partitions run on the CPU until it recovers (default 3).
 	FailureThreshold int
 	// QuarantineBackoff is the delay before a quarantined GPU receives
 	// its first recovery probe; failed probes double it, up to 64x
@@ -231,7 +228,6 @@ func New(cfg Config) (*Engine, error) {
 		Threads:              cfg.Threads,
 		Devices:              devices,
 		StreamsPerDevice:     cfg.StreamsPerGPU,
-		Replicate:            !cfg.PartitionAcrossGPUs,
 		MaxInFlight:          cfg.MaxInFlight,
 		FailureThreshold:     cfg.FailureThreshold,
 		QuarantineBackoff:    cfg.QuarantineBackoff,
@@ -327,7 +323,8 @@ func (e *Engine) SubmitUniqueCtx(ctx context.Context, tags []string, done func(M
 	return e.core.SubmitUniqueCtx(ctx, tags, done)
 }
 
-// Drain blocks until every submitted query has completed.
+// Drain blocks until every submitted query has completed and its done
+// callback has returned; a done callback must not call Drain.
 func (e *Engine) Drain() { e.core.Drain() }
 
 // Stats returns engine counters, database shape and memory usage.

@@ -142,7 +142,7 @@ func TestPublicAPIInvalidConfig(t *testing.T) {
 
 func TestPublicAPIPartitionedGPUs(t *testing.T) {
 	eng, err := tagmatch.New(tagmatch.Config{
-		GPUs: 2, Threads: 2, PartitionAcrossGPUs: true, BatchSize: 16,
+		GPUs: 2, Threads: 2, BatchSize: 16,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -38,9 +38,12 @@ race:
 ## run nodes — derivation, the walk at every block geometry, folds and
 ## the host fallback (TestRun*) — the one device placement, each GPU
 ## holding exactly its own partitions (TestEngineMultiGPU), Drain
-## waiting out every done callback (TestDrainWaitsForCallbacks), and the
-## simulator's block dispatch: concurrent grids run every block exactly
-## once, spread over every SM, at one allocation per launch (TestLaunch*).
+## waiting out every done callback (TestDrainWaitsForCallbacks),
+## submitters racing Close never sending on the closed input channel nor
+## losing an admitted query (TestSubmitRacesClose, under TestSubmit), and
+## the simulator's block dispatch: concurrent grids run every block
+## exactly once, spread over every SM, at one allocation per launch
+## (TestLaunch*).
 chaos:
 	$(GO) test -race -run 'TestLaunch|TestCluster|TestBalancedPartition|TestRun|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta|TestDrainWaitsForCallbacks|TestEngineMultiGPU' \
 		./internal/gpu/ ./internal/core/ ./internal/httpserver/

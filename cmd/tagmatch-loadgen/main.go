@@ -76,7 +76,7 @@ func main() {
 	start := time.Now()
 	var sample []workload.Interest
 	n := gen.Generate(*users, func(in workload.Interest) {
-		if err := post("/add", httpserver.SetRequest{Tags: in.Tags, Key: tagmatch.Key(in.User)}, nil); err != nil {
+		if err := post("/sets", httpserver.SetRequest{Tags: in.Tags, Key: tagmatch.Key(in.User)}, nil); err != nil {
 			log.Fatal(err)
 		}
 		if len(sample) < 4096 {

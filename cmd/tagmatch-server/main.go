@@ -2,10 +2,9 @@
 // interactive deployment of the library ("integration of TagMatch within
 // a full-fledged messaging system", the paper's future-work direction).
 //
-// Endpoints (JSON): POST /add, /remove, /consolidate, /match,
-// /match-unique, POST/DELETE /sets (live-update aliases of add/remove);
-// GET /stats, /debug/stats, /metrics (Prometheus text format),
-// /healthz. See internal/httpserver for the request/response shapes and
+// Endpoints (JSON): POST/DELETE /sets (add/remove a set), POST
+// /consolidate, /match, /match-unique; GET /stats, /debug/stats,
+// /debug/timeline, /metrics (Prometheus text format), /healthz. See internal/httpserver for the request/response shapes and
 // the metric catalogue.
 //
 // Updates are live by default: an added set matches on the very next

@@ -126,7 +126,7 @@ func TestQuarantineRecoveryProbe(t *testing.T) {
 
 	dev.SetFaultPlan(&gpu.FaultPlan{Seed: 4, CopyFailProb: 1})
 	for _, q := range queries[:10] {
-		if _, err := e.MatchSignature(q, false); err != nil {
+		if _, err := match(e, Request{Sig: q}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,7 +146,7 @@ func TestQuarantineRecoveryProbe(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("device still quarantined after heal + probes")
 		}
-		if _, err := e.MatchSignature(queries[0], false); err != nil {
+		if _, err := match(e, Request{Sig: queries[0]}); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond)

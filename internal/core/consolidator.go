@@ -153,8 +153,7 @@ func (e *Engine) consolidateOnce(background bool, bulk []stagedOp) error {
 		e.submitMu.Lock()
 		defer e.submitMu.Unlock()
 		// Finish everything routed through the old index.
-		e.flushAll(e.idx.Load())
-		e.awaitDrain()
+		e.Drain()
 	}
 
 	// Phase A: cut the log and snapshot db ⊕ prefix. Background folds of
@@ -189,8 +188,7 @@ func (e *Engine) consolidateOnce(background bool, bulk []stagedOp) error {
 		if e.closed.Load() {
 			return ErrClosed
 		}
-		e.flushAll(e.idx.Load())
-		e.awaitDrain()
+		e.Drain()
 	}
 	pauseStart := time.Now()
 

@@ -230,7 +230,7 @@ func (d *delta) ageSeconds() float64 {
 // deltaMatch merges the overlay's hits for one query into its key set,
 // alongside whatever the main-index batches will deliver. It runs at the
 // end of the preprocess stage, before the routing guard drops, so the
-// overlay keys are in place before the query can complete; MatchUnique's
+// overlay keys are in place before the query can complete; match-unique's
 // dedup then collapses any key present in both overlay and main index.
 func (e *Engine) deltaMatch(w *routeState, q *query) {
 	if e.cfg.DisableDeltaOverlay || e.delta.addsLive.Load() == 0 {
@@ -273,7 +273,7 @@ func (e *Engine) tombsForReduce() map[tombKey]int {
 // tombstones: the first tombs[(sig,key)] occurrences of the key within
 // the run are suppressed. That multiset equals what Consolidate's
 // first-match (swap-with-last) removal leaves — removal reorders
-// survivors, but Match output is a multiset and MatchUnique dedups, so
+// survivors, but match output is a multiset and match-unique dedups, so
 // order is immaterial. The occurrence scan is quadratic in the set's
 // entry count, which is tiny (most sets carry one key) and only paid
 // while tombstones are pending.

@@ -40,7 +40,7 @@ func deltaEngineVariants(t *testing.T, base Config) map[string]*Engine {
 // TestDeltaVisibility pins the headline live-update contract on the host
 // and the device path: an AddSignature is matchable immediately — no
 // Consolidate — and a RemoveSignature disappears immediately from both
-// Match and MatchUnique; an add followed by a remove never surfaces; and
+// match and match-unique; an add followed by a remove never surfaces; and
 // consolidating afterward changes no answer.
 func TestDeltaVisibility(t *testing.T) {
 	db := makeTestDB(800, 5, 2, 151)
@@ -58,7 +58,7 @@ func TestDeltaVisibility(t *testing.T) {
 			fresh := randomSets(1, 6, 9000)[0]
 			probe := fresh.Or(randomSets(1, 3, 9001)[0])
 			e.AddSignature(fresh, 777)
-			got, err := e.MatchSignature(probe, false)
+			got, err := match(e, Request{Sig: probe})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,14 +69,14 @@ func TestDeltaVisibility(t *testing.T) {
 				t.Fatal("overlay matched but DeltaMatches counter is zero")
 			}
 
-			// Removing a main-index entry tombstones it out of Match and
-			// MatchUnique immediately.
+			// Removing a main-index entry tombstones it out of match and
+			// match-unique immediately.
 			victimSig, victimKeys := db.sigs[3], db.keys[3]
 			e.RemoveSignature(victimSig, victimKeys[0])
 			q := victimSig.Or(randomSets(1, 2, 9002)[0])
 			want := db.expected(q, false)
 			want = deleteFirstKey(want, victimKeys[0])
-			got, err = e.MatchSignature(q, false)
+			got, err = match(e, Request{Sig: q})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestDeltaVisibility(t *testing.T) {
 				t.Fatalf("tombstoned key still visible: got %v want %v", got, want)
 			}
 			if len(victimKeys) == 1 {
-				gotU, err := e.MatchSignature(q, true)
+				gotU, err := match(e, Request{Sig: q, Unique: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -101,13 +101,13 @@ func TestDeltaVisibility(t *testing.T) {
 			ghost := randomSets(1, 6, 9003)[0]
 			e.AddSignature(ghost, 888)
 			e.RemoveSignature(ghost, 888)
-			if got, _ := e.MatchSignature(ghost, false); len(got) != 0 {
+			if got, _ := match(e, Request{Sig: ghost}); len(got) != 0 {
 				t.Fatalf("cancelled add surfaced: %v", got)
 			}
 
 			// Re-adding the removed key through the overlay restores it.
 			e.AddSignature(victimSig, victimKeys[0])
-			got, _ = e.MatchSignature(q, false)
+			got, _ = match(e, Request{Sig: q})
 			sortKeysSlice(got)
 			wantBack := db.expected(q, false)
 			if fmt.Sprint(got) != fmt.Sprint(wantBack) {
@@ -122,16 +122,16 @@ func TestDeltaVisibility(t *testing.T) {
 			if e.PendingOps() != 0 {
 				t.Fatalf("PendingOps = %d after consolidate", e.PendingOps())
 			}
-			got, _ = e.MatchSignature(probe, false)
+			got, _ = match(e, Request{Sig: probe})
 			if fmt.Sprint(got) != "[777]" {
 				t.Fatalf("consolidated add lost: %v", got)
 			}
-			got, _ = e.MatchSignature(q, false)
+			got, _ = match(e, Request{Sig: q})
 			sortKeysSlice(got)
 			if fmt.Sprint(got) != fmt.Sprint(wantBack) {
 				t.Fatalf("post-consolidate divergence: got %v want %v", got, wantBack)
 			}
-			if got, _ := e.MatchSignature(ghost, false); len(got) != 0 {
+			if got, _ := match(e, Request{Sig: ghost}); len(got) != 0 {
 				t.Fatalf("cancelled add surfaced after consolidate: %v", got)
 			}
 		})
@@ -162,7 +162,7 @@ func TestDeltaExactVerify(t *testing.T) {
 	}
 	e.AddSet([]string{"a", "c"}, 2) // staged only
 
-	got, err := e.Match([]string{"a", "c"})
+	got, err := match(e, tagReq([]string{"a", "c"}, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +171,12 @@ func TestDeltaExactVerify(t *testing.T) {
 	}
 	// A query that covers neither set exactly returns nothing even if
 	// signatures would pass the Bloom test.
-	if got, _ := e.Match([]string{"a"}); len(got) != 0 {
+	if got, _ := match(e, tagReq([]string{"a"}, false)); len(got) != 0 {
 		t.Fatalf("partial query matched staged set: %v", got)
 	}
 	// Tombstone with exact tags.
 	e.RemoveSet([]string{"a", "b"}, 1)
-	if got, _ := e.Match([]string{"a", "b"}); len(got) != 0 {
+	if got, _ := match(e, tagReq([]string{"a", "b"}, false)); len(got) != 0 {
 		t.Fatalf("tombstoned exact set still visible: %v", got)
 	}
 }
@@ -199,12 +199,12 @@ func TestDeltaTombstoneMultiset(t *testing.T) {
 	}
 
 	e.RemoveSet([]string{"m"}, 5)
-	got, _ := e.Match([]string{"m"})
+	got, _ := match(e, tagReq([]string{"m"}, false))
 	sortKeysSlice(got)
 	if fmt.Sprint(got) != "[5 6]" {
 		t.Fatalf("after one remove: %v, want [5 6]", got)
 	}
-	gotU, _ := e.MatchUnique([]string{"m"})
+	gotU, _ := match(e, tagReq([]string{"m"}, true))
 	sortKeysSlice(gotU)
 	if fmt.Sprint(gotU) != "[5 6]" {
 		t.Fatalf("unique after one remove: %v, want [5 6]", gotU)
@@ -214,7 +214,7 @@ func TestDeltaTombstoneMultiset(t *testing.T) {
 	}
 
 	e.RemoveSet([]string{"m"}, 5)
-	got, _ = e.Match([]string{"m"})
+	got, _ = match(e, tagReq([]string{"m"}, false))
 	if fmt.Sprint(got) != "[6]" {
 		t.Fatalf("after two removes: %v, want [6]", got)
 	}
@@ -223,7 +223,7 @@ func TestDeltaTombstoneMultiset(t *testing.T) {
 	if err := e.Consolidate(); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = e.Match([]string{"m"})
+	got, _ = match(e, tagReq([]string{"m"}, false))
 	if fmt.Sprint(got) != "[6]" {
 		t.Fatalf("after consolidate: %v, want [6]", got)
 	}
@@ -251,7 +251,7 @@ func TestDeltaBackgroundConsolidate(t *testing.T) {
 			// Interleave queries with staging; answers must always cover
 			// what has been added so far.
 			q := db.sigs[i].Or(randomSets(1, 2, int64(9100+i))[0])
-			got, err := e.MatchSignature(q, false)
+			got, err := match(e, Request{Sig: q})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +339,7 @@ func testDeltaIncrementalFold(t *testing.T, cfg Config) {
 	probe := func(step int) {
 		t.Helper()
 		q := db.sigs[step%len(db.sigs)].Or(randomSets(1, 2, int64(9300+step))[0])
-		got, err := e.MatchSignature(q, false)
+		got, err := match(e, Request{Sig: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,14 +466,14 @@ func FuzzDeltaMatch(f *testing.F) {
 		}
 		probe := func(b byte) {
 			tags := tagOf(b | b>>1) // widen so subsets exist
-			got, err := live.Match(tags)
+			got, err := match(live, tagReq(tags, false))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := oracle.Consolidate(); err != nil {
 				t.Fatal(err)
 			}
-			want, err := oracle.Match(tags)
+			want, err := match(oracle, tagReq(tags, false))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -580,7 +580,7 @@ func TestChaosDeltaSwap(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 400 && !stop.Load(); i++ {
-				got, err := e.MatchSignature(stableQuery, false)
+				got, err := match(e, Request{Sig: stableQuery})
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
@@ -626,7 +626,7 @@ func TestChaosDeltaSwap(t *testing.T) {
 	if err := e.Consolidate(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.MatchSignature(stableQuery, false)
+	got, err := match(e, Request{Sig: stableQuery})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -19,8 +20,8 @@ import (
 //	add-set(set, key)       AddSet / AddSignature
 //	remove-set(set, key)    RemoveSet / RemoveSignature
 //	consolidate()           Consolidate
-//	match(q)                Match / Submit
-//	match-unique(q)         MatchUnique / SubmitUnique
+//	match(q)                Match / Submit / SubmitWait of a Request
+//	match-unique(q)         the same, with Request.Unique set
 //
 // Additions and removals are staged in an operation log and, by
 // default, simultaneously absorbed into a match-visible delta overlay
@@ -74,8 +75,8 @@ type Engine struct {
 
 	// drainCond is broadcast on pipeline progress (a query finishing
 	// pre-processing or completing, a batch leaving the reduce stage) so
-	// drain and close wait event-driven instead of polling. The
-	// broadcast is skipped entirely while drainWaiters is zero.
+	// await waits event-driven instead of polling. The broadcast is
+	// skipped entirely while drainWaiters is zero.
 	drainMu       sync.Mutex
 	drainCond     *sync.Cond
 	drainWaiters  atomic.Int32
@@ -249,10 +250,10 @@ var ErrClosed = errors.New("tagmatch: engine closed")
 // would silently alias query indices and corrupt results.
 var ErrBatchSizeTooLarge = errors.New("tagmatch: BatchSize exceeds 256 (query ids within a batch are 8-bit)")
 
-// ErrOverloaded is returned by Submit-family calls rejected by the
-// admission gate: Config.MaxInFlight queries were already in flight. The
+// ErrOverloaded is returned by Submit and Match when the admission gate
+// rejects a query: Config.MaxInFlight queries were already in flight. The
 // caller should shed load or back off and retry (the HTTP layer maps
-// this to 503 with a Retry-After); SubmitCtx blocks for capacity
+// this to 503 with a Retry-After); SubmitWait waits for capacity
 // instead.
 var ErrOverloaded = errors.New("tagmatch: engine overloaded")
 
@@ -451,8 +452,8 @@ func (e *Engine) partCounters(pid uint32) *obs.PartitionCounters {
 	return e.obs.Parts.Get(pid)
 }
 
-// notifyProgress advances the progress epoch and wakes drain/close
-// waiters after a pipeline progress event. The atomic waiter check keeps
+// notifyProgress advances the progress epoch and wakes await's waiters
+// after a pipeline progress event. The atomic waiter check keeps
 // the common no-waiter case to two atomic operations on the completion
 // path.
 func (e *Engine) notifyProgress() {
@@ -808,7 +809,7 @@ func (idx *index) release() {
 }
 
 // Close drains the pipeline and releases all resources. The engine cannot
-// be used afterwards.
+// be used afterwards: Submit returns ErrClosed.
 func (e *Engine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
@@ -826,22 +827,17 @@ func (e *Engine) Close() error {
 		p.wake()
 	}
 	// The workers go first: one may be waiting for the flusher to take
-	// its kick.
+	// its kick. The write lock waits out every submitter that found the
+	// engine open, so none sends on the closed channel.
+	e.submitMu.Lock()
 	close(e.inputCh)
+	e.submitMu.Unlock()
 	e.workerWg.Wait()
 	close(e.flushStop)
 	<-e.flushDone
-	// Preprocess workers are gone; flush whatever they logged, then
-	// wait (event-driven, woken by each batch leaving the reduce stage)
-	// for the in-flight batches to land.
-	e.flushAll(e.idx.Load())
-	e.drainWaiters.Add(1)
-	e.drainMu.Lock()
-	for e.inflightBatches.Load() > 0 {
-		e.drainCond.Wait()
-	}
-	e.drainMu.Unlock()
-	e.drainWaiters.Add(-1)
+	// Preprocess workers are gone; flush whatever they logged and wait for
+	// the in-flight batches to land.
+	e.await(context.Background(), true, func() bool { return e.inflightBatches.Load() == 0 })
 	close(e.reduceCh)
 	e.reduceWg.Wait()
 	e.idx.Load().release()
@@ -852,33 +848,46 @@ func (e *Engine) Close() error {
 // callback has returned, flushing the entry log as needed. A done
 // callback must therefore not call Drain itself.
 func (e *Engine) Drain() {
-	e.flushAll(e.idx.Load())
-	e.awaitDrain()
+	e.await(context.Background(), true, func() bool { return e.completed.Load() >= e.submitted.Load() })
 }
 
-// awaitDrain blocks until every submitted query has completed. It is
-// event-driven: each progress event (a query finishing pre-processing or
-// completing, a batch leaving reduce) wakes the waiter, which re-flushes
-// the entry log so queries parked there make progress. The epoch check
-// closes the lost-wakeup window where entries are handed over while the
-// waiter is inside flushAll: the waiter only sleeps
-// if nothing has progressed since before its flush, and any later event
-// must broadcast under drainMu. Go's sequentially consistent atomics
-// make the waiter-count/epoch handshake with notifyProgress safe.
-func (e *Engine) awaitDrain() {
-	if e.completed.Load() >= e.submitted.Load() {
-		return
-	}
+// await blocks until cond holds or ctx ends, and reports whether cond
+// held. It is the engine's one wait on pipeline progress: Drain, Match's
+// wait for its result, SubmitWait's for capacity and Close's for the
+// batches in flight. It is event-driven: each progress event (a query
+// routed or completed, a batch leaving reduce, and ctx's end) wakes the
+// waiter, which re-checks cond. With flush set it flushes the entry log
+// before each check, so what it waits for never rests on the flush
+// timeout; one flush would not do, as it can run before the pre-process
+// stage has logged the entries. A test observing the log unflushed
+// clears flush. The epoch check closes the lost-wakeup window where
+// progress happens while the waiter is flushing or inside cond: the
+// waiter only sleeps if nothing has progressed since before its flush,
+// and any later event must broadcast under drainMu. Go's sequentially
+// consistent atomics make the waiter-count/epoch handshake with
+// notifyProgress safe.
+func (e *Engine) await(ctx context.Context, flush bool, cond func() bool) bool {
 	e.drainWaiters.Add(1)
 	defer e.drainWaiters.Add(-1)
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, e.notifyProgress)()
+	}
 	for {
 		ep := e.progressEpoch.Load()
-		e.flushAll(e.idx.Load())
-		if e.completed.Load() >= e.submitted.Load() {
-			return
+		if flush {
+			e.flushPass(e.idx.Load(), dispatchFlush)
+		}
+		// Read before cond: what cond finds by the time the end is seen —
+		// a result that raced a cancellation — still counts.
+		ended := ctx.Err() != nil
+		if cond() {
+			return true
+		}
+		if ended {
+			return false
 		}
 		e.drainMu.Lock()
-		if e.progressEpoch.Load() == ep && e.completed.Load() < e.submitted.Load() {
+		if e.progressEpoch.Load() == ep && ctx.Err() == nil {
 			e.drainCond.Wait()
 		}
 		e.drainMu.Unlock()

@@ -1,15 +1,19 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"tagmatch/internal/bitvec"
+	"tagmatch/internal/bloom"
 	"tagmatch/internal/gpu"
 	"tagmatch/internal/trie"
 )
@@ -75,6 +79,15 @@ func (db *testDB) makeQueries(n int, seed int64) []bitvec.Vector {
 	return qs
 }
 
+// tagReq is the Request of a tag query: the tags' signature, checked
+// against the tags themselves under ExactVerify.
+func tagReq(tags []string, unique bool) Request {
+	return Request{Sig: bloom.Signature(tags), Tags: tags, Unique: unique}
+}
+
+// match is a blocking Match under a context that never ends.
+func match(e *Engine, r Request) ([]Key, error) { return e.Match(context.Background(), r) }
+
 func newTestGPU(t *testing.T, workers int) *gpu.Device {
 	t.Helper()
 	d := gpu.New(gpu.Config{Workers: workers})
@@ -95,7 +108,7 @@ func verifyEngine(t *testing.T, e *Engine, db *testDB, queries []bitvec.Vector, 
 	for i, q := range queries {
 		i, q := i, q
 		wg.Add(1)
-		if err := e.SubmitSignature(q, unique, func(r MatchResult) {
+		if err := e.Submit(context.Background(), Request{Sig: q, Unique: unique}, func(r MatchResult) {
 			results[i].got = r.Keys
 			wg.Done()
 		}); err != nil {
@@ -282,7 +295,7 @@ func TestEngineMatchVsMatchUniqueSemantics(t *testing.T) {
 	if err := e.Consolidate(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Match([]string{"a", "b", "c"})
+	got, err := match(e, tagReq([]string{"a", "b", "c"}, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +303,7 @@ func TestEngineMatchVsMatchUniqueSemantics(t *testing.T) {
 	if fmt.Sprint(got) != "[7 7 9]" {
 		t.Fatalf("match = %v, want [7 7 9]", got)
 	}
-	gotU, err := e.MatchUnique([]string{"a", "b", "c"})
+	gotU, err := match(e, tagReq([]string{"a", "b", "c"}, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +325,7 @@ func TestEngineRemoveSet(t *testing.T) {
 	if err := e.Consolidate(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := e.Match([]string{"x", "y"}); len(got) != 3 {
+	if got, _ := match(e, tagReq([]string{"x", "y"}, false)); len(got) != 3 {
 		t.Fatalf("before removal: %v", got)
 	}
 
@@ -320,7 +333,7 @@ func TestEngineRemoveSet(t *testing.T) {
 	// tombstone suppresses the main-index entry), while the op stays in
 	// the staged log until consolidation.
 	e.RemoveSet([]string{"x"}, 1)
-	got, _ := e.Match([]string{"x", "y"})
+	got, _ := match(e, tagReq([]string{"x", "y"}, false))
 	sortKeysSlice(got)
 	if fmt.Sprint(got) != "[2 3]" {
 		t.Fatalf("tombstoned removal still visible: %v, want [2 3]", got)
@@ -331,7 +344,7 @@ func TestEngineRemoveSet(t *testing.T) {
 	if err := e.Consolidate(); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = e.Match([]string{"x", "y"})
+	got, _ = match(e, tagReq([]string{"x", "y"}, false))
 	sortKeysSlice(got)
 	if fmt.Sprint(got) != "[2 3]" {
 		t.Fatalf("after removal: %v, want [2 3]", got)
@@ -365,17 +378,17 @@ func TestEngineRemoveSetOverlayDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.RemoveSet([]string{"x"}, 1)
-	if got, _ := e.Match([]string{"x", "y"}); len(got) != 2 {
+	if got, _ := match(e, tagReq([]string{"x", "y"}, false)); len(got) != 2 {
 		t.Fatalf("staged removal visible with overlay disabled: %v", got)
 	}
 	e.AddSet([]string{"z"}, 3)
-	if got, _ := e.Match([]string{"z"}); len(got) != 0 {
+	if got, _ := match(e, tagReq([]string{"z"}, false)); len(got) != 0 {
 		t.Fatalf("staged add visible with overlay disabled: %v", got)
 	}
 	if err := e.Consolidate(); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := e.Match([]string{"x", "y", "z"})
+	got, _ := match(e, tagReq([]string{"x", "y", "z"}, false))
 	sortKeysSlice(got)
 	if fmt.Sprint(got) != "[2 3]" {
 		t.Fatalf("after consolidate: %v, want [2 3]", got)
@@ -388,7 +401,7 @@ func TestEngineEmptyDatabase(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	got, err := e.Match([]string{"anything"})
+	got, err := match(e, tagReq([]string{"anything"}, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +411,7 @@ func TestEngineEmptyDatabase(t *testing.T) {
 	if err := e.Consolidate(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := e.Match([]string{"anything"}); len(got) != 0 {
+	if got, _ := match(e, tagReq([]string{"anything"}, false)); len(got) != 0 {
 		t.Fatalf("still empty database matched %v", got)
 	}
 }
@@ -413,7 +426,7 @@ func TestEngineEmptyQuery(t *testing.T) {
 	if err := e.Consolidate(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Match(nil)
+	got, err := match(e, tagReq(nil, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +455,7 @@ func TestEngineBatchTimeout(t *testing.T) {
 	}
 	q := db.makeQueries(1, 44)[0]
 	done := make(chan MatchResult, 1)
-	if err := e.SubmitSignature(q, false, func(r MatchResult) { done <- r }); err != nil {
+	if err := e.Submit(context.Background(), Request{Sig: q}, func(r MatchResult) { done <- r }); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -485,7 +498,7 @@ func TestEngineConsolidateUnderLoad(t *testing.T) {
 			}
 			wg.Add(1)
 			q := queries[i%len(queries)]
-			if err := e.SubmitSignature(q, true, func(MatchResult) { wg.Done() }); err != nil {
+			if err := e.Submit(context.Background(), Request{Sig: q, Unique: true}, func(MatchResult) { wg.Done() }); err != nil {
 				wg.Done()
 				return
 			}
@@ -510,7 +523,7 @@ func TestEngineConsolidateUnderLoad(t *testing.T) {
 	wg.Wait()
 
 	// The new sets are matchable after their consolidation.
-	got, _ := e.Match([]string{"new-tag-0", "new-tag-1"})
+	got, _ := match(e, tagReq([]string{"new-tag-0", "new-tag-1"}, false))
 	sortKeysSlice(got)
 	if fmt.Sprint(got) != "[100000 100001]" {
 		t.Fatalf("post-consolidate match = %v", got)
@@ -528,11 +541,64 @@ func TestEngineClosedErrors(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	if err := e.Submit([]string{"a"}, nil); err != ErrClosed {
+	if err := e.Submit(context.Background(), tagReq([]string{"a"}, false), nil); err != ErrClosed {
 		t.Fatalf("Submit after close = %v, want ErrClosed", err)
 	}
 	if err := e.Consolidate(); err != ErrClosed {
 		t.Fatalf("Consolidate after close = %v, want ErrClosed", err)
+	}
+}
+
+// TestSubmitRacesClose: submitters racing Close — some past the closed
+// check, some blocked on a full input channel — never send on the closed
+// channel, and Close drops no admitted query: by the time it returns,
+// every Submit that returned nil has had its done run, and every other
+// Submit returned ErrClosed.
+func TestSubmitRacesClose(t *testing.T) {
+	const submitters, perSubmitter = 8, 2000
+	db := makeTestDB(200, 5, 1, 131)
+	queries := db.makeQueries(16, 132)
+	for round := 0; round < 50; round++ {
+		e, err := New(Config{MaxPartitionSize: 50, BatchSize: 16, Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.load(e)
+		if err := e.Consolidate(); err != nil {
+			t.Fatal(err)
+		}
+		var admitted, done atomic.Int64
+		underway := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < submitters; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perSubmitter; i++ {
+					if g == 0 && i == perSubmitter/8 {
+						close(underway)
+					}
+					err := e.Submit(context.Background(), Request{Sig: queries[i%len(queries)]}, func(MatchResult) { done.Add(1) })
+					if err == nil {
+						admitted.Add(1)
+						continue
+					}
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("Submit racing Close = %v, want nil or ErrClosed", err)
+					}
+					return
+				}
+			}()
+		}
+		<-underway
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		finished := done.Load()
+		wg.Wait()
+		if n := admitted.Load(); finished != n || done.Load() != n {
+			t.Fatalf("round %d: %d submissions admitted, %d done callbacks run when Close returned", round, n, finished)
+		}
 	}
 }
 
@@ -582,7 +648,7 @@ func TestEngineLatencyReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan MatchResult, 1)
-	if err := e.Submit([]string{"t", "u"}, func(r MatchResult) { done <- r }); err != nil {
+	if err := e.Submit(context.Background(), tagReq([]string{"t", "u"}, false), func(r MatchResult) { done <- r }); err != nil {
 		t.Fatal(err)
 	}
 	e.Drain()
@@ -693,7 +759,7 @@ func TestQuickEngineAgreesWithTrie(t *testing.T) {
 		}
 		tr.Freeze()
 		for _, q := range randomSets(20, 7, qSeed) {
-			got, err := e.MatchSignature(q, false)
+			got, err := match(e, Request{Sig: q})
 			if err != nil {
 				return false
 			}

@@ -84,7 +84,7 @@ func TestExactVerifyEliminatesFalsePositives(t *testing.T) {
 	for _, q := range queries {
 		want := exactExpected(sets, keyOf, q)
 
-		got, err := exactEng.Match(q)
+		got, err := match(exactEng, tagReq(q, false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestExactVerifyEliminatesFalsePositives(t *testing.T) {
 			t.Fatalf("exact-verify mismatch: got %d keys, want %d", len(got), len(want))
 		}
 
-		raw, err := bloomEng.Match(q)
+		raw, err := match(bloomEng, tagReq(q, false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestExactVerifyMatchUnique(t *testing.T) {
 	if err := e.Consolidate(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.MatchUnique([]string{"x", "y", "w"})
+	got, err := match(e, tagReq([]string{"x", "y", "w"}, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestExactVerifySignatureEntriesPassThrough(t *testing.T) {
 	// even though it cannot be exactly verified.
 	sig := randomSets(1, 3, 5)[0]
 	q := sig.Or(randomSets(1, 2, 6)[0])
-	got, err := e.MatchSignature(q, false)
+	got, err := match(e, Request{Sig: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestExactVerifyOnGPU(t *testing.T) {
 	}
 	for _, q := range queries {
 		want := exactExpected(sets, keyOf, q)
-		got, err := e.Match(q)
+		got, err := match(e, tagReq(q, false))
 		if err != nil {
 			t.Fatal(err)
 		}

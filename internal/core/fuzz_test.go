@@ -68,7 +68,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 			return
 		}
 		// A successful load must leave a usable engine.
-		if _, err := eng.Match([]string{"x"}); err != nil {
+		if _, err := match(eng, tagReq([]string{"x"}, false)); err != nil {
 			t.Fatalf("engine unusable after load: %v", err)
 		}
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -71,7 +72,7 @@ func TestReduceLocksOncePerQueryBatch(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(nQueries)
 	for i := 0; i < nQueries; i++ {
-		if err := e.SubmitSignature(queries[i%len(queries)], false, func(r MatchResult) {
+		if err := e.Submit(context.Background(), Request{Sig: queries[i%len(queries)]}, func(r MatchResult) {
 			if len(r.Keys) < matchWidth {
 				t.Errorf("query matched %d keys, want >= %d", len(r.Keys), matchWidth)
 			}
@@ -114,7 +115,7 @@ func TestSteadyStateAllocsPerQuery(t *testing.T) {
 	done := func(MatchResult) {}
 	run := func() {
 		for i := 0; i < burst; i++ {
-			if err := e.SubmitSignature(queries[i%len(queries)], false, done); err != nil {
+			if err := e.Submit(context.Background(), Request{Sig: queries[i%len(queries)]}, done); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -141,7 +142,7 @@ func TestMatchPromptWithoutTimeout(t *testing.T) {
 	}, 512, 4)
 	start := time.Now()
 	for i := 0; i < 50; i++ {
-		keys, err := e.Match([]string{fmt.Sprintf("g%d", i%8), fmt.Sprintf("m%d", i)})
+		keys, err := match(e, tagReq([]string{fmt.Sprintf("g%d", i%8), fmt.Sprintf("m%d", i)}, false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func BenchmarkHotpathSubmit(b *testing.B) {
 	done := func(MatchResult) {}
 	// Warm up pools and partition batches.
 	for i := 0; i < 1024; i++ {
-		if err := e.SubmitSignature(queries[i%len(queries)], false, done); err != nil {
+		if err := e.Submit(context.Background(), Request{Sig: queries[i%len(queries)]}, done); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +170,7 @@ func BenchmarkHotpathSubmit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.SubmitSignature(queries[i%len(queries)], false, done); err != nil {
+		if err := e.Submit(context.Background(), Request{Sig: queries[i%len(queries)]}, done); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -185,7 +186,7 @@ func BenchmarkBlockingMatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.MatchSignature(queries[i%len(queries)], false); err != nil {
+		if _, err := match(e, Request{Sig: queries[i%len(queries)]}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -206,7 +206,7 @@ func TestEngineClusteredRowsOnGPU(t *testing.T) {
 				want = append(want, keyOf(i))
 			}
 		}
-		got, err := e.Match(q)
+		got, err := match(e, tagReq(q, false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func TestEngineMasklessPartitionSliced(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi, q := range randomSets(30, 9, 32) {
-		got, err := e.MatchSignature(q, false)
+		got, err := match(e, Request{Sig: q})
 		if err != nil {
 			t.Fatal(err)
 		}

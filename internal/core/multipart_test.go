@@ -19,20 +19,12 @@ import (
 
 // waitRouted blocks until n queries have been routed and their entries
 // handed over to the log. Pre-process workers signal progress after
-// every hand-over, so this waits on that event.
+// every hand-over, so this waits on that event, without flushing.
 func waitRouted(e *Engine, n int64) {
-	routed := func() bool {
-		r := &e.obs.Routing
-		return r.SlicedQueries.Load() == n &&
-			r.MergedAppends.Load() == e.partsSearched.Load()
-	}
-	e.drainWaiters.Add(1)
-	defer e.drainWaiters.Add(-1)
-	e.drainMu.Lock()
-	for !routed() {
-		e.drainCond.Wait()
-	}
-	e.drainMu.Unlock()
+	r := &e.obs.Routing
+	e.await(context.Background(), false, func() bool {
+		return r.SlicedQueries.Load() == n && r.MergedAppends.Load() == e.partsSearched.Load()
+	})
 }
 
 // deviceMem returns each device's memory in use; taken right after a
@@ -54,13 +46,7 @@ func deviceMem(e *Engine) []int64 {
 // flight to land.
 func assertDrained(t *testing.T, e *Engine, mem []int64) {
 	t.Helper()
-	e.drainWaiters.Add(1)
-	e.drainMu.Lock()
-	for e.inflightBatches.Load() > 0 {
-		e.drainCond.Wait()
-	}
-	e.drainMu.Unlock()
-	e.drainWaiters.Add(-1)
+	e.await(context.Background(), true, func() bool { return e.inflightBatches.Load() == 0 })
 	idx := e.idx.Load()
 	fenced := make(chan struct{})
 	go func() { idx.dispatching.Wait(); close(fenced) }()
@@ -132,7 +118,7 @@ func TestFlushPassLaunchCount(t *testing.T) {
 		got := make([][]Key, len(queries))
 		done := make(chan int, len(queries))
 		for i, q := range queries {
-			if err := e.SubmitSignature(q, false, func(r MatchResult) { got[i] = r.Keys; done <- i }); err != nil {
+			if err := e.Submit(context.Background(), Request{Sig: q}, func(r MatchResult) { got[i] = r.Keys; done <- i }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -218,7 +204,7 @@ func testLogFlushesItself(t *testing.T, timeout time.Duration) {
 	got := make([][]Key, len(queries))
 	done := make(chan int, len(queries))
 	for i, q := range queries {
-		if err := e.SubmitSignature(q, false, func(r MatchResult) { got[i] = r.Keys; done <- i }); err != nil {
+		if err := e.Submit(context.Background(), Request{Sig: q}, func(r MatchResult) { got[i] = r.Keys; done <- i }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -389,7 +375,7 @@ func TestFlusherIdleEngineBound(t *testing.T) {
 		// open right after a tick.
 		time.Sleep(tick/4 + time.Duration(i)*tick/8)
 		done := make(chan time.Duration, 1)
-		if err := e.SubmitSignature(q, false, func(r MatchResult) { done <- r.Latency }); err != nil {
+		if err := e.Submit(context.Background(), Request{Sig: q}, func(r MatchResult) { done <- r.Latency }); err != nil {
 			t.Fatal(err)
 		}
 		if lat := <-done; lat > bound {
@@ -597,7 +583,7 @@ func TestChaosPackedBatchesDeadlines(t *testing.T) {
 		if i%2 == 1 {
 			ctx = dead
 		}
-		if err := e.SubmitSignatureCtx(ctx, q, false, func(r MatchResult) { got[i] = r; done <- struct{}{} }); err != nil {
+		if err := e.SubmitWait(ctx, Request{Sig: q}, func(r MatchResult) { got[i] = r; done <- struct{}{} }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -651,7 +637,7 @@ func TestGPUPathAllocsIndependentOfBlocks(t *testing.T) {
 		sink := func(MatchResult) {}
 		run := func() {
 			for i := 0; i < burst; i++ {
-				if err := e.SubmitSignature(queries[i%len(queries)], false, sink); err != nil {
+				if err := e.Submit(context.Background(), Request{Sig: queries[i%len(queries)]}, sink); err != nil {
 					t.Fatal(err)
 				}
 			}

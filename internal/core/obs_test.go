@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -36,7 +37,7 @@ func TestObsStageHistogramsAndPartitions(t *testing.T) {
 	e := obsTestEngine(t, nil)
 	const n = 50
 	for i := 0; i < n; i++ {
-		if _, err := e.Match([]string{"a", fmt.Sprintf("t%d", i%50), "extra"}); err != nil {
+		if _, err := match(e, tagReq([]string{"a", fmt.Sprintf("t%d", i%50), "extra"}, false)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +96,7 @@ func TestObsStageHistogramsAndPartitions(t *testing.T) {
 
 func TestObsPerQueryTracing(t *testing.T) {
 	e := obsTestEngine(t, func(c *Config) { c.TraceEvery = 1; c.TraceKeep = 16 })
-	if _, err := e.Match([]string{"a", "t3", "x"}); err != nil {
+	if _, err := match(e, tagReq([]string{"a", "t3", "x"}, false)); err != nil {
 		t.Fatal(err)
 	}
 	traces := e.Obs().Tracer.Recent()
@@ -137,7 +138,7 @@ func TestShedTracePublishesError(t *testing.T) {
 	// overload_test.go).
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	if err := e.Submit([]string{"a"}, func(MatchResult) {
+	if err := e.Submit(context.Background(), tagReq([]string{"a"}, false), func(MatchResult) {
 		close(entered)
 		<-release
 	}); err != nil {
@@ -145,7 +146,7 @@ func TestShedTracePublishesError(t *testing.T) {
 	}
 	<-entered
 
-	if err := e.Submit([]string{"a"}, func(MatchResult) {
+	if err := e.Submit(context.Background(), tagReq([]string{"a"}, false), func(MatchResult) {
 		t.Error("done called for a shed query")
 	}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("Submit at capacity: got %v, want ErrOverloaded", err)
@@ -201,7 +202,7 @@ func TestFaultTracesTerminal(t *testing.T) {
 	dev.SetFaultPlan(&gpu.FaultPlan{Seed: 5, CopyFailProb: 1})
 
 	for _, q := range db.makeQueries(60, 80) {
-		if _, err := e.MatchSignature(q, false); err != nil {
+		if _, err := match(e, Request{Sig: q}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,7 +239,7 @@ func traceStatuses(traces []obs.TraceRecord) []string {
 
 func TestObsDisabled(t *testing.T) {
 	e := obsTestEngine(t, func(c *Config) { c.DisableObservability = true })
-	if _, err := e.Match([]string{"a", "t1"}); err != nil {
+	if _, err := match(e, tagReq([]string{"a", "t1"}, false)); err != nil {
 		t.Fatal(err)
 	}
 	p := e.Obs()
@@ -263,7 +264,7 @@ func TestDrainEventDriven(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		if err := e.Submit([]string{"a", fmt.Sprintf("t%d", i%50)}, func(MatchResult) { wg.Done() }); err != nil {
+		if err := e.Submit(context.Background(), tagReq([]string{"a", fmt.Sprintf("t%d", i%50)}, false), func(MatchResult) { wg.Done() }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +290,7 @@ func TestConcurrentDrainers(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if err := e.Submit([]string{"a", fmt.Sprintf("t%d", (i+w)%50)}, func(MatchResult) {}); err != nil {
+				if err := e.Submit(context.Background(), tagReq([]string{"a", fmt.Sprintf("t%d", (i+w)%50)}, false), func(MatchResult) {}); err != nil {
 					t.Error(err)
 					return
 				}

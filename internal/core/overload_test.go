@@ -32,7 +32,7 @@ func saturatedEngine(t *testing.T) (*Engine, func()) {
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	if err := e.Submit([]string{"a"}, func(MatchResult) {
+	if err := e.Submit(context.Background(), tagReq([]string{"a"}, false), func(MatchResult) {
 		close(entered)
 		<-release
 	}); err != nil {
@@ -56,7 +56,7 @@ func TestSubmitOverloadedRejectsImmediately(t *testing.T) {
 	e, release := saturatedEngine(t)
 
 	start := time.Now()
-	err := e.Submit([]string{"a"}, func(MatchResult) {
+	err := e.Submit(context.Background(), tagReq([]string{"a"}, false), func(MatchResult) {
 		t.Error("done called for a shed query")
 	})
 	if !errors.Is(err, ErrOverloaded) {
@@ -71,7 +71,7 @@ func TestSubmitOverloadedRejectsImmediately(t *testing.T) {
 
 	release()
 	e.Drain()
-	if err := e.Submit([]string{"a"}, func(MatchResult) {}); err != nil {
+	if err := e.Submit(context.Background(), tagReq([]string{"a"}, false), func(MatchResult) {}); err != nil {
 		t.Fatalf("Submit after drain: %v", err)
 	}
 	e.Drain()
@@ -81,18 +81,18 @@ func TestSubmitOverloadedRejectsImmediately(t *testing.T) {
 	}
 }
 
-// TestSubmitCtxBlocksForCapacity checks the blocking variant: SubmitCtx
+// TestSubmitCtxBlocksForCapacity checks the waiting variant: SubmitWait
 // waits out a saturated engine and succeeds once capacity frees up.
 func TestSubmitCtxBlocksForCapacity(t *testing.T) {
 	e, release := saturatedEngine(t)
 
 	time.AfterFunc(20*time.Millisecond, release)
 	got := make(chan struct{})
-	err := e.SubmitCtx(context.Background(), []string{"a"}, func(MatchResult) {
+	err := e.SubmitWait(context.Background(), tagReq([]string{"a"}, false), func(MatchResult) {
 		close(got)
 	})
 	if err != nil {
-		t.Fatalf("SubmitCtx: %v", err)
+		t.Fatalf("SubmitWait: %v", err)
 	}
 	e.Drain()
 	select {
@@ -118,7 +118,7 @@ func TestDrainWaitsForCallbacks(t *testing.T) {
 	}
 	entered := make(chan struct{})
 	var returned atomic.Bool
-	if err := e.Submit([]string{"a"}, func(MatchResult) {
+	if err := e.Submit(context.Background(), tagReq([]string{"a"}, false), func(MatchResult) {
 		close(entered)
 		time.Sleep(20 * time.Millisecond)
 		returned.Store(true)
@@ -132,7 +132,7 @@ func TestDrainWaitsForCallbacks(t *testing.T) {
 	}
 }
 
-// TestSubmitCtxCancellation checks that a cancelled SubmitCtx returns an
+// TestSubmitCtxCancellation checks that a cancelled SubmitWait returns an
 // error matching both ErrOverloaded and the context error, within the
 // context's deadline rather than blocking forever.
 func TestSubmitCtxCancellation(t *testing.T) {
@@ -142,7 +142,7 @@ func TestSubmitCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := e.SubmitCtx(ctx, []string{"a"}, func(MatchResult) {
+	err := e.SubmitWait(ctx, tagReq([]string{"a"}, false), func(MatchResult) {
 		t.Error("done called for a cancelled submission")
 	})
 	if !errors.Is(err, ErrOverloaded) || !errors.Is(err, context.DeadlineExceeded) {
@@ -166,7 +166,7 @@ func TestMaxInFlightDisabledByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := e.Submit([]string{"a"}, func(MatchResult) {}); err != nil {
+		if err := e.Submit(context.Background(), tagReq([]string{"a"}, false), func(MatchResult) {}); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 	}

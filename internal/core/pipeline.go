@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"tagmatch/internal/bitvec"
-	"tagmatch/internal/bloom"
 	"tagmatch/internal/gpu"
 	"tagmatch/internal/obs"
 )
@@ -41,7 +40,7 @@ type query struct {
 	trace *obs.Trace
 
 	// deadline and ctx carry the submitter's cancellation state into the
-	// pipeline (both zero for the non-ctx Submit family): batches check
+	// pipeline (both zero when the context never ends): batches check
 	// them at dispatch, completing already-expired queries with
 	// ErrDeadlineExceeded instead of spending device time on answers
 	// nobody is waiting for. ctx is stored only when cancellable.
@@ -302,54 +301,38 @@ type batchResult struct {
 	packed   []byte // packed layout payload
 }
 
-// Submit enqueues a match(q) operation; done is invoked exactly once with
-// the multiset of matching keys. Returns ErrClosed after Close and
-// ErrOverloaded when the Config.MaxInFlight admission gate rejects the
-// query (done is not called in either case).
-func (e *Engine) Submit(tags []string, done func(MatchResult)) error {
-	return e.submit(nil, bloom.Signature(tags), e.tagSet(tags), false, done)
+// Request is one query of the paper's Table 2: match(q), or
+// match-unique(q) when Unique is set. Sig is what gets matched. Tags, when
+// non-nil, is the query's tag set, which ExactVerify checks every match
+// against; a request built from a pre-computed signature leaves it nil and
+// matches as a plain Bloom query.
+type Request struct {
+	Sig    bitvec.Vector
+	Tags   []string
+	Unique bool
 }
 
-// SubmitUnique enqueues a match-unique(q) operation.
-func (e *Engine) SubmitUnique(tags []string, done func(MatchResult)) error {
-	return e.submit(nil, bloom.Signature(tags), e.tagSet(tags), true, done)
-}
-
-// SubmitSignature enqueues a match on a pre-computed signature. In
-// ExactVerify mode such queries cannot be verified and behave as plain
-// Bloom matches.
-func (e *Engine) SubmitSignature(sig bitvec.Vector, unique bool, done func(MatchResult)) error {
-	return e.submit(nil, sig, nil, unique, done)
-}
-
-// tagSet builds the exact-verification set for a query, or nil when the
-// engine does not verify.
-func (e *Engine) tagSet(tags []string) map[string]struct{} {
-	if !e.cfg.ExactVerify {
-		return nil
-	}
-	set := make(map[string]struct{}, len(tags))
-	for _, t := range tags {
-		set[t] = struct{}{}
-	}
-	return set
-}
-
-// submit is the common submission path. A non-nil cancellable ctx rides
-// along on the query: its deadline (when set) and cancellation are
-// observed at dispatch time, completing the query early with
-// ErrDeadlineExceeded instead of launching device work for it.
-func (e *Engine) submit(ctx context.Context, sig bitvec.Vector, tags map[string]struct{}, unique bool, done func(MatchResult)) error {
+// Submit enqueues r; done is invoked exactly once with the matching keys.
+// It returns ErrClosed after Close and ErrOverloaded when the
+// Config.MaxInFlight admission gate sheds the query (done is not called in
+// either case). A cancellable ctx rides along on the query: its deadline
+// and cancellation are observed at dispatch, completing the query early
+// with ErrDeadlineExceeded instead of launching device work for it. A ctx
+// that never ends (context.Background) costs nothing.
+func (e *Engine) Submit(ctx context.Context, r Request, done func(MatchResult)) error {
+	e.submitMu.RLock()
+	// Close sets closed before it closes inputCh under the write lock, so a
+	// submitter that finds the engine open here sends before the close.
 	if e.closed.Load() {
+		e.submitMu.RUnlock()
 		return ErrClosed
 	}
-	e.submitMu.RLock()
 	// Admission gate: counting this submission, more than MaxInFlight
 	// queries would be in flight — shed it. submitted is incremented
 	// before the capacity check (and before the channel send, which
-	// awaitDrain's completed>=submitted test relies on) so concurrent
+	// Drain's completed>=submitted test relies on) so concurrent
 	// submitters each see their own claim; a rejected claim is rolled
-	// back and progress is signalled for SubmitCtx waiters.
+	// back and progress is signalled for SubmitWait's waiters.
 	if max := int64(e.cfg.MaxInFlight); max > 0 {
 		if e.submitted.Add(1)-e.completed.Load() > max {
 			e.submitted.Add(-1)
@@ -369,11 +352,11 @@ func (e *Engine) submit(ctx context.Context, sig bitvec.Vector, tags map[string]
 		e.submitted.Add(1)
 	}
 	q := e.pools.getQuery()
-	q.sig, q.tags, q.unique, q.done = sig, tags, unique, done
+	q.sig, q.tags, q.unique, q.done = r.Sig, e.tagSet(r.Tags), r.Unique, done
 	q.start = time.Now()
 	q.idx = e.idx.Load()
 	q.trace = e.obs.Tracer.Maybe()
-	if ctx != nil && ctx.Done() != nil {
+	if ctx.Done() != nil {
 		q.ctx = ctx
 		if d, ok := ctx.Deadline(); ok {
 			q.deadline = d
@@ -385,158 +368,55 @@ func (e *Engine) submit(ctx context.Context, sig bitvec.Vector, tags map[string]
 	return nil
 }
 
-// SubmitCtx is Submit that blocks for admission capacity instead of
-// returning ErrOverloaded, up to the context's deadline. On cancellation
-// it returns an error matching both ErrOverloaded and the context error.
-func (e *Engine) SubmitCtx(ctx context.Context, tags []string, done func(MatchResult)) error {
-	return e.submitCtx(ctx, bloom.Signature(tags), e.tagSet(tags), false, done)
+// tagSet builds the exact-verification set for a query, or nil when the
+// engine does not verify or the query has no tags to verify against.
+func (e *Engine) tagSet(tags []string) map[string]struct{} {
+	if !e.cfg.ExactVerify || tags == nil {
+		return nil
+	}
+	set := make(map[string]struct{}, len(tags))
+	for _, t := range tags {
+		set[t] = struct{}{}
+	}
+	return set
 }
 
-// SubmitUniqueCtx is SubmitUnique with SubmitCtx's blocking admission.
-func (e *Engine) SubmitUniqueCtx(ctx context.Context, tags []string, done func(MatchResult)) error {
-	return e.submitCtx(ctx, bloom.Signature(tags), e.tagSet(tags), true, done)
-}
-
-// SubmitSignatureCtx is SubmitSignature with SubmitCtx's blocking
-// admission and deadline propagation.
-func (e *Engine) SubmitSignatureCtx(ctx context.Context, sig bitvec.Vector, unique bool, done func(MatchResult)) error {
-	return e.submitCtx(ctx, sig, nil, unique, done)
-}
-
-func (e *Engine) submitCtx(ctx context.Context, sig bitvec.Vector, tags map[string]struct{}, unique bool, done func(MatchResult)) error {
+// SubmitWait is Submit that waits for admission capacity instead of
+// returning ErrOverloaded, until ctx ends; it then returns an error
+// matching both ErrOverloaded and the context error.
+func (e *Engine) SubmitWait(ctx context.Context, r Request, done func(MatchResult)) error {
 	for {
-		err := e.submit(ctx, sig, tags, unique, done)
+		err := e.Submit(ctx, r, done)
 		if !errors.Is(err, ErrOverloaded) {
 			return err
 		}
-		if err := e.waitCapacity(ctx); err != nil {
-			return err
+		if !e.await(ctx, true, e.admits) {
+			return errors.Join(ErrOverloaded, ctx.Err())
 		}
 	}
 }
 
-// waitCapacity blocks until the pipeline makes progress (some query
-// completes, freeing admission capacity) or the context ends. It flushes
-// the entry log first so capacity appears even without other traffic
-// filling it.
-func (e *Engine) waitCapacity(ctx context.Context) error {
-	e.drainWaiters.Add(1)
-	defer e.drainWaiters.Add(-1)
-	stop := context.AfterFunc(ctx, func() {
-		e.drainMu.Lock()
-		e.drainCond.Broadcast()
-		e.drainMu.Unlock()
-	})
-	defer stop()
-	ep := e.progressEpoch.Load()
-	e.flushAll(e.idx.Load())
-	e.drainMu.Lock()
-	for e.progressEpoch.Load() == ep && ctx.Err() == nil {
-		e.drainCond.Wait()
-	}
-	e.drainMu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return errors.Join(ErrOverloaded, err)
-	}
-	return nil
+// admits reports whether the admission gate has room for one more query.
+func (e *Engine) admits() bool {
+	return e.submitted.Load()-e.completed.Load() < int64(e.cfg.MaxInFlight)
 }
 
-// Match performs a blocking match(q) and returns the multiset of keys of
-// all indexed sets that are subsets of the query. It flushes the entry log
-// after submitting, so it completes promptly even without traffic; use
-// Submit for maximal throughput.
-func (e *Engine) Match(tags []string) ([]Key, error) {
-	return e.blockingMatch(nil, bloom.Signature(tags), e.tagSet(tags), false)
-}
-
-// MatchUnique performs a blocking match-unique(q): the deduplicated set
-// of keys associated with at least one matching set.
-func (e *Engine) MatchUnique(tags []string) ([]Key, error) {
-	return e.blockingMatch(nil, bloom.Signature(tags), e.tagSet(tags), true)
-}
-
-// MatchSignature is Match on a pre-computed signature.
-func (e *Engine) MatchSignature(sig bitvec.Vector, unique bool) ([]Key, error) {
-	return e.blockingMatch(nil, sig, nil, unique)
-}
-
-// MatchCtx is Match with an end-to-end deadline: the context's deadline
-// and cancellation propagate into the pipeline, where expired queries
-// are completed with an error matching ErrDeadlineExceeded before any
-// kernel launch, and the call itself returns promptly when the context
-// ends while waiting.
-func (e *Engine) MatchCtx(ctx context.Context, tags []string) ([]Key, error) {
-	return e.blockingMatch(ctx, bloom.Signature(tags), e.tagSet(tags), false)
-}
-
-// MatchUniqueCtx is MatchUnique with MatchCtx's deadline propagation.
-func (e *Engine) MatchUniqueCtx(ctx context.Context, tags []string) ([]Key, error) {
-	return e.blockingMatch(ctx, bloom.Signature(tags), e.tagSet(tags), true)
-}
-
-// MatchSignatureCtx is MatchSignature with MatchCtx's deadline
-// propagation.
-func (e *Engine) MatchSignatureCtx(ctx context.Context, sig bitvec.Vector, unique bool) ([]Key, error) {
-	return e.blockingMatch(ctx, sig, nil, unique)
-}
-
-func (e *Engine) blockingMatch(ctx context.Context, sig bitvec.Vector, tags map[string]struct{}, unique bool) ([]Key, error) {
+// Match is the blocking Submit: it returns the matching keys of r, or the
+// query's error. It flushes the entry log while it waits, so it completes
+// promptly even without traffic; use Submit for throughput. The admission
+// gate sheds it with ErrOverloaded. When ctx ends first, Match returns an
+// error matching ErrDeadlineExceeded and the context error at once; the
+// query itself is expired at its next stage boundary.
+func (e *Engine) Match(ctx context.Context, r Request) ([]Key, error) {
 	ch := make(chan MatchResult, 1)
-	if err := e.submit(ctx, sig, tags, unique, func(r MatchResult) { ch <- r }); err != nil {
+	if err := e.Submit(ctx, r, func(res MatchResult) { ch <- res }); err != nil {
 		return nil, err
 	}
-	// Drive the pipeline event-driven until the result arrives, riding
-	// the same progress-epoch condition variable as Drain: without
-	// background traffic the query's entries would otherwise wait for
-	// the flush timeout, and a single flush could race ahead of the
-	// pre-process stage logging them. Each progress event (the
-	// query finishing pre-processing, a batch leaving reduce) wakes the
-	// waiter, which re-flushes; the epoch check closes the lost-wakeup
-	// window where they are handed over while the waiter is inside
-	// flushAll. No polling ticker: an idle blocking match costs no
-	// flushAll sweeps beyond the ones progress events trigger.
-	//
-	// With a cancellable ctx the context's end also broadcasts the
-	// condvar, so a caller parked in batch-wait unblocks promptly
-	// instead of sleeping until the next progress event. The submitted
-	// query still completes behind the scenes (its done callback writes
-	// to the buffered channel), delivering ErrDeadlineExceeded through
-	// the dispatch-time expiry sweep.
-	if ctx != nil && ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() {
-			e.drainMu.Lock()
-			e.drainCond.Broadcast()
-			e.drainMu.Unlock()
-		})
-		defer stop()
+	if !e.await(ctx, true, func() bool { return len(ch) > 0 }) {
+		return nil, errors.Join(ErrDeadlineExceeded, ctx.Err())
 	}
-	e.drainWaiters.Add(1)
-	defer e.drainWaiters.Add(-1)
-	for {
-		ep := e.progressEpoch.Load()
-		e.flushAll(e.idx.Load())
-		select {
-		case r := <-ch:
-			return r.Keys, r.Err
-		default:
-		}
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				// One last chance for a result that raced the cancellation.
-				select {
-				case r := <-ch:
-					return r.Keys, r.Err
-				default:
-				}
-				return nil, errors.Join(ErrDeadlineExceeded, err)
-			}
-		}
-		e.drainMu.Lock()
-		if e.progressEpoch.Load() == ep {
-			e.drainCond.Wait()
-		}
-		e.drainMu.Unlock()
-	}
+	res := <-ch
+	return res.Keys, res.Err
 }
 
 // routeMergeAppends caps how many routed entries a pre-process worker
@@ -801,11 +681,6 @@ func (e *Engine) cutBatches(idx *index, sc *passScratch, opened time.Time, emit 
 	clear(queries) // drop the query refs; they recycle independently
 }
 
-// flushAll dispatches every logged entry regardless of count or age.
-func (e *Engine) flushAll(idx *index) {
-	e.flushPass(idx, dispatchFlush)
-}
-
 // flusher runs the passes nobody asked for, one at a time: on every tick
 // at which the log's oldest entry has waited BatchTimeout (§3,
 // "configurable timeout period"; no ticks without a timeout), and on a
@@ -839,7 +714,7 @@ func flushTick(timeout time.Duration) time.Duration {
 
 // dispatchReason records what started the flush pass a batch left in: the
 // kick of the worker that filled the log, the flusher's tick, or an
-// explicit flush (Drain, a blocking Match, Consolidate, Close).
+// explicit flush (await: Drain, a blocking Match, SubmitWait, Close).
 type dispatchReason uint8
 
 const (

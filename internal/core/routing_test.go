@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"testing"
@@ -132,7 +133,7 @@ func TestRouteMergeAccounting(t *testing.T) {
 	var wg sync.WaitGroup
 	for _, q := range queries {
 		wg.Add(1)
-		if err := e.SubmitSignature(q, false, func(MatchResult) { wg.Done() }); err != nil {
+		if err := e.Submit(context.Background(), Request{Sig: q}, func(MatchResult) { wg.Done() }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -34,13 +34,6 @@ var snapshotMagic = [8]byte{'T', 'M', 'S', 'N', 'A', 'P', '0', '1'}
 
 const snapFlagTags = 1 << 0
 
-// ErrPendingOps is retained for callers matching the pre-live-update
-// contract.
-//
-// Deprecated: SaveSnapshot no longer returns it — staged operations are
-// now included in the snapshot rather than rejected.
-var ErrPendingOps = errors.New("tagmatch: staged operations pending; Consolidate before SaveSnapshot")
-
 // ErrBadSnapshot reports a malformed or incompatible snapshot stream.
 var ErrBadSnapshot = errors.New("tagmatch: malformed snapshot")
 

@@ -45,11 +45,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	// Answers must be identical.
 	for _, q := range db.makeQueries(100, 72) {
-		a, err := src.MatchSignature(q, true)
+		a, err := match(src, Request{Sig: q, Unique: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := dst.MatchSignature(q, true)
+		b, err := match(dst, Request{Sig: q, Unique: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestSnapshotWithExactTags(t *testing.T) {
 	if err := dst.LoadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := dst.Match([]string{"a", "b", "x"})
+	got, err := match(dst, tagReq([]string{"a", "b", "x"}, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSnapshotWithExactTags(t *testing.T) {
 	// The tags survived: a query that bitwise-collides but string-differs
 	// is still verified (cannot easily construct a collision; instead
 	// assert the loaded engine still answers exactly for a subset query).
-	if got, _ := dst.Match([]string{"a"}); len(got) != 0 {
+	if got, _ := match(dst, tagReq([]string{"a"}, false)); len(got) != 0 {
 		t.Fatalf("partial query matched %v", got)
 	}
 }
@@ -136,7 +136,7 @@ func TestSnapshotIncludesStaged(t *testing.T) {
 	if err := dst.LoadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := dst.Match([]string{"a", "b"})
+	got, _ := match(dst, tagReq([]string{"a", "b"}, false))
 	if fmt.Sprint(got) != "[2]" {
 		t.Fatalf("restored engine answered %v, want [2]", got)
 	}
@@ -208,7 +208,7 @@ func TestSnapshotLoadMerges(t *testing.T) {
 	if err := dst.LoadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := dst.Match([]string{"a", "b"})
+	got, _ := match(dst, tagReq([]string{"a", "b"}, false))
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	if fmt.Sprint(got) != "[1 2]" {
 		t.Fatalf("merged load: %v", got)

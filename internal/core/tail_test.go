@@ -38,7 +38,7 @@ func TestDeadlineExpiredNeverLaunches(t *testing.T) {
 	queries := db.makeQueries(n, 82)
 	errs := make(chan error, n)
 	for _, q := range queries {
-		if err := e.SubmitSignatureCtx(ctx, q, false, func(r MatchResult) { errs <- r.Err }); err != nil {
+		if err := e.SubmitWait(ctx, Request{Sig: q}, func(r MatchResult) { errs <- r.Err }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func TestDeadlineExpiredNeverLaunches(t *testing.T) {
 }
 
 // TestMatchCtxDeadline checks the blocking path: a straggling device
-// holds every batch far beyond the caller's deadline, and MatchSignatureCtx
+// holds every batch far beyond the caller's deadline, and Match
 // returns promptly with an error matching both ErrDeadlineExceeded and
 // the context cause instead of waiting out the stall.
 func TestMatchCtxDeadline(t *testing.T) {
@@ -94,7 +94,7 @@ func TestMatchCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	keys, err := e.MatchSignatureCtx(ctx, db.makeQueries(1, 84)[0], false)
+	keys, err := e.Match(ctx, Request{Sig: db.makeQueries(1, 84)[0]})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
@@ -109,7 +109,7 @@ func TestMatchCtxDeadline(t *testing.T) {
 	// the 5ms deadline, not on batch completion. Allow generous headroom
 	// for scheduling, but far below one full stall chain.
 	if elapsed > 80*time.Millisecond {
-		t.Fatalf("MatchSignatureCtx took %v, want prompt return on the deadline", elapsed)
+		t.Fatalf("Match took %v, want prompt return on the deadline", elapsed)
 	}
 }
 

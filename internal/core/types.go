@@ -119,9 +119,9 @@ type Config struct {
 	DisableObservability bool
 
 	// MaxInFlight bounds the number of submitted-but-incomplete queries
-	// the engine admits. At the bound, Submit-family calls return
-	// ErrOverloaded immediately instead of queueing without limit (the
-	// SubmitCtx variants block for capacity). Zero disables the gate
+	// the engine admits. At the bound, Submit and Match return
+	// ErrOverloaded immediately instead of queueing without limit
+	// (SubmitWait waits for capacity). Zero disables the gate
 	// (the default): submission applies only the pipeline's natural
 	// channel backpressure.
 	MaxInFlight int
@@ -422,8 +422,8 @@ type Stats struct {
 
 // MatchResult carries the outcome of one query through the pipeline.
 type MatchResult struct {
-	// Keys holds the matched keys: a multiset for Match, deduplicated
-	// for MatchUnique. Nil when Err is set.
+	// Keys holds the matched keys: a multiset, deduplicated for a
+	// Request with Unique set. Nil when Err is set.
 	Keys []Key
 	// Latency is the end-to-end time from submission to merge (or to
 	// the early completion when Err is set).

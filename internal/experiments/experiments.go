@@ -13,6 +13,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -370,7 +371,7 @@ func MeasureEngine(eng *core.Engine, queries []bitvec.Vector, n int, unique bool
 	var warmWg sync.WaitGroup
 	warmWg.Add(warm)
 	for i := 0; i < warm; i++ {
-		if err := eng.SubmitSignature(queries[i%len(queries)], unique, func(core.MatchResult) {
+		if err := eng.Submit(context.Background(), core.Request{Sig: queries[i%len(queries)], Unique: unique}, func(core.MatchResult) {
 			warmWg.Done()
 		}); err != nil {
 			panic(err)
@@ -386,7 +387,7 @@ func MeasureEngine(eng *core.Engine, queries []bitvec.Vector, n int, unique bool
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		q := queries[i%len(queries)]
-		if err := eng.SubmitSignature(q, unique, func(r core.MatchResult) {
+		if err := eng.Submit(context.Background(), core.Request{Sig: q, Unique: unique}, func(r core.MatchResult) {
 			keysMu.Lock()
 			keys += int64(len(r.Keys))
 			keysMu.Unlock()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -203,7 +204,7 @@ func Fig6(p Params) *Table {
 				time.Sleep(d)
 			}
 			next = next.Add(interval)
-			if err := eng.SubmitSignature(queries[i%len(queries)], true, func(r core.MatchResult) {
+			if err := eng.Submit(context.Background(), core.Request{Sig: queries[i%len(queries)], Unique: true}, func(r core.MatchResult) {
 				lat.Observe(r.Latency)
 				wg.Done()
 			}); err != nil {

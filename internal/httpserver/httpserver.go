@@ -5,10 +5,8 @@
 //
 // Endpoints (JSON bodies):
 //
-//	POST   /add          {"tags": ["a","b"], "key": 42}
-//	POST   /remove       {"tags": ["a","b"], "key": 42}
-//	POST   /sets         alias of /add (live-update REST face)
-//	DELETE /sets         alias of /remove
+//	POST   /sets         {"tags": ["a","b"], "key": 42}  add a (set, key) association
+//	DELETE /sets         {"tags": ["a","b"], "key": 42}  remove one
 //	POST   /consolidate  {}
 //	POST   /match        {"tags": ["a","b","c"], "timeout_ms": 50}
 //	POST   /match-unique {"tags": ["a","b","c"], "timeout_ms": 50}
@@ -102,29 +100,24 @@ type StagedResponse struct {
 // engine's lifecycle.
 func Handler(eng *tagmatch.Engine) http.Handler {
 	mux := http.NewServeMux()
-	addHandler := func(w http.ResponseWriter, r *http.Request) {
+	// POST adds an association, DELETE removes one — both visible on the
+	// very next query through the delta overlay.
+	mux.HandleFunc("POST /sets", func(w http.ResponseWriter, r *http.Request) {
 		var req SetRequest
 		if !decode(w, r, &req, &req.Tags) {
 			return
 		}
 		eng.AddSet(req.Tags, req.Key)
 		writeJSON(w, StagedResponse{Staged: eng.PendingOps()})
-	}
-	removeHandler := func(w http.ResponseWriter, r *http.Request) {
+	})
+	mux.HandleFunc("DELETE /sets", func(w http.ResponseWriter, r *http.Request) {
 		var req SetRequest
 		if !decode(w, r, &req, &req.Tags) {
 			return
 		}
 		eng.RemoveSet(req.Tags, req.Key)
 		writeJSON(w, StagedResponse{Staged: eng.PendingOps()})
-	}
-	mux.HandleFunc("POST /add", addHandler)
-	mux.HandleFunc("POST /remove", removeHandler)
-	// RESTful aliases for the live-update workflow: POST adds an
-	// association, DELETE removes one — both visible on the very next
-	// query through the delta overlay.
-	mux.HandleFunc("POST /sets", addHandler)
-	mux.HandleFunc("DELETE /sets", removeHandler)
+	})
 	mux.HandleFunc("POST /consolidate", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		resp := ConsolidateResponse{}

@@ -29,11 +29,21 @@ func newTestServer(t *testing.T) (*httptest.Server, *tagmatch.Engine) {
 
 func post(t *testing.T, url string, body any, out any) *http.Response {
 	t.Helper()
+	return send(t, http.MethodPost, url, body, out)
+}
+
+// send makes a request with a JSON body and decodes a 200 answer into out.
+func send(t *testing.T, method, url string, body any, out any) *http.Response {
+	t.Helper()
 	raw, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
+	req, err := http.NewRequest(method, url, bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +60,8 @@ func TestEndToEndFlow(t *testing.T) {
 	srv, _ := newTestServer(t)
 
 	var staged StagedResponse
-	post(t, srv.URL+"/add", SetRequest{Tags: []string{"go", "gpu"}, Key: 1}, &staged)
-	post(t, srv.URL+"/add", SetRequest{Tags: []string{"go"}, Key: 2}, &staged)
+	post(t, srv.URL+"/sets", SetRequest{Tags: []string{"go", "gpu"}, Key: 1}, &staged)
+	post(t, srv.URL+"/sets", SetRequest{Tags: []string{"go"}, Key: 2}, &staged)
 	if staged.Staged != 2 {
 		t.Fatalf("staged = %d", staged.Staged)
 	}
@@ -76,10 +86,10 @@ func TestEndToEndFlow(t *testing.T) {
 
 func TestRemoveFlow(t *testing.T) {
 	srv, _ := newTestServer(t)
-	post(t, srv.URL+"/add", SetRequest{Tags: []string{"a"}, Key: 1}, nil)
-	post(t, srv.URL+"/add", SetRequest{Tags: []string{"a"}, Key: 2}, nil)
+	post(t, srv.URL+"/sets", SetRequest{Tags: []string{"a"}, Key: 1}, nil)
+	post(t, srv.URL+"/sets", SetRequest{Tags: []string{"a"}, Key: 2}, nil)
 	post(t, srv.URL+"/consolidate", struct{}{}, nil)
-	post(t, srv.URL+"/remove", SetRequest{Tags: []string{"a"}, Key: 1}, nil)
+	send(t, http.MethodDelete, srv.URL+"/sets", SetRequest{Tags: []string{"a"}, Key: 1}, nil)
 	post(t, srv.URL+"/consolidate", struct{}{}, nil)
 
 	var match MatchResponse
@@ -106,17 +116,7 @@ func TestLiveSetsEndpoints(t *testing.T) {
 		t.Fatalf("staged add not live: %+v", match)
 	}
 
-	req, err := http.NewRequest(http.MethodDelete, srv.URL+"/sets",
-		bytes.NewReader([]byte(`{"tags":["live"],"key":9}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp := send(t, http.MethodDelete, srv.URL+"/sets", SetRequest{Tags: []string{"live"}, Key: 9}, &staged); resp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE /sets → %d", resp.StatusCode)
 	}
 	post(t, srv.URL+"/match", MatchRequest{Tags: []string{"live", "x"}}, &match)
@@ -163,6 +163,12 @@ func TestBadRequests(t *testing.T) {
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /match → %d, want 405", getResp.StatusCode)
 	}
+	// Sets are added and removed through /sets alone.
+	for _, path := range []string{"/add", "/remove"} {
+		if resp := post(t, srv.URL+path, SetRequest{Tags: []string{"a"}, Key: 1}, nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s → %d, want 404", path, resp.StatusCode)
+		}
+	}
 }
 
 // TestRequestLimits: every route that decodes a body refuses one over
@@ -185,7 +191,7 @@ func TestRequestLimits(t *testing.T) {
 	// refusal comes from the size cap and not from the JSON decoder.
 	huge := []byte(`{"tags":["` + strings.Repeat("x", maxBodyBytes) + `"]}`)
 	routes := []struct{ method, path string }{
-		{"POST", "/add"}, {"POST", "/remove"}, {"POST", "/sets"}, {"DELETE", "/sets"},
+		{"POST", "/sets"}, {"DELETE", "/sets"},
 		{"POST", "/match"}, {"POST", "/match-unique"},
 	}
 	for _, rt := range routes {
@@ -242,7 +248,7 @@ func TestStatsAndHealth(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)
-	post(t, srv.URL+"/add", SetRequest{Tags: []string{"m"}, Key: 7}, nil)
+	post(t, srv.URL+"/sets", SetRequest{Tags: []string{"m"}, Key: 7}, nil)
 	post(t, srv.URL+"/consolidate", struct{}{}, nil)
 	post(t, srv.URL+"/match", MatchRequest{Tags: []string{"m", "x"}}, nil)
 
@@ -280,7 +286,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestDebugStatsEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)
-	post(t, srv.URL+"/add", SetRequest{Tags: []string{"d"}, Key: 1}, nil)
+	post(t, srv.URL+"/sets", SetRequest{Tags: []string{"d"}, Key: 1}, nil)
 	post(t, srv.URL+"/consolidate", struct{}{}, nil)
 	post(t, srv.URL+"/match", MatchRequest{Tags: []string{"d", "y"}}, nil)
 
@@ -319,7 +325,7 @@ func TestDebugStatsEndpoint(t *testing.T) {
 func TestConcurrentClients(t *testing.T) {
 	srv, _ := newTestServer(t)
 	for i := 0; i < 50; i++ {
-		post(t, srv.URL+"/add", SetRequest{Tags: []string{"common"}, Key: tagmatch.Key(i)}, nil)
+		post(t, srv.URL+"/sets", SetRequest{Tags: []string{"common"}, Key: tagmatch.Key(i)}, nil)
 	}
 	post(t, srv.URL+"/consolidate", struct{}{}, nil)
 

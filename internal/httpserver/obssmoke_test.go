@@ -33,7 +33,7 @@ func TestObsSmoke(t *testing.T) {
 	})
 
 	for i := 0; i < 40; i++ {
-		post(t, srv.URL+"/add", SetRequest{
+		post(t, srv.URL+"/sets", SetRequest{
 			Tags: []string{"a", fmt.Sprintf("t%d", i%10)}, Key: tagmatch.Key(i),
 		}, nil)
 	}

@@ -181,7 +181,7 @@ func TestConsolidateDegradedReported(t *testing.T) {
 		eng.Close()
 	})
 	for i := 0; i < 2000; i++ {
-		post(t, srv.URL+"/add", SetRequest{Tags: []string{"t", string(rune('a' + i%26)), string(rune('A' + i%20))}, Key: tagmatch.Key(i)}, nil)
+		post(t, srv.URL+"/sets", SetRequest{Tags: []string{"t", string(rune('a' + i%26)), string(rune('A' + i%20))}, Key: tagmatch.Key(i)}, nil)
 	}
 	resp, err := http.Post(srv.URL+"/consolidate", "application/json",
 		bytes.NewReader([]byte(`{}`)))

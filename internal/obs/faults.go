@@ -12,8 +12,8 @@ type FaultCounters struct {
 	// GPUFaults counts batch attempts that failed on a device (copy,
 	// launch, or result-transfer error, including a dead device).
 	GPUFaults atomic.Int64
-	// BatchRetries counts batches re-dispatched to another stream or
-	// device after a failed attempt.
+	// BatchRetries counts batches re-dispatched after a failed attempt,
+	// on a stream of the device that owns their partitions.
 	BatchRetries atomic.Int64
 	// CPUFallbacks counts batches re-run on the host because no healthy
 	// device attempt remained (quarantine, repeated failure).
@@ -38,8 +38,8 @@ type FaultCounters struct {
 	// because every query in them had already expired.
 	BatchesCancelled atomic.Int64
 	// HedgesFired counts straggler hedges launched: a batch exceeded its
-	// straggler budget and was re-dispatched to another executor while
-	// the primary attempt was still running.
+	// straggler budget and was re-run on the host while the primary
+	// attempt was still running.
 	HedgesFired atomic.Int64
 	// HedgesWon counts hedges whose result was delivered (the primary
 	// attempt lost the race and was discarded).
@@ -100,7 +100,7 @@ func (f *FaultCounters) writeProm(w *PromWriter) {
 		"GPU batch attempts failed (copy, launch, or result-transfer error).",
 		nil, float64(f.GPUFaults.Load()))
 	w.Counter("tagmatch_batch_retries_total",
-		"Batches re-dispatched to another stream/device after a failure.",
+		"Batches re-dispatched on their owning device after a failure.",
 		nil, float64(f.BatchRetries.Load()))
 	w.Counter("tagmatch_cpu_fallbacks_total",
 		"Batches re-run on the host after GPU failure or quarantine.",

@@ -46,6 +46,7 @@ import (
 	"log/slog"
 	"time"
 
+	"tagmatch/internal/bloom"
 	"tagmatch/internal/core"
 	"tagmatch/internal/gpu"
 	"tagmatch/internal/obs"
@@ -280,47 +281,57 @@ func (e *Engine) PendingOps() int { return e.core.PendingOps() }
 // update mechanism when Config.DisableLiveUpdates is set.
 func (e *Engine) Consolidate() error { return e.core.Consolidate() }
 
+// request is the engine request of a tag query: the tags' signature,
+// checked against the tags themselves under Config.ExactVerify.
+func request(tags []string, unique bool) core.Request {
+	return core.Request{Sig: bloom.Signature(tags), Tags: tags, Unique: unique}
+}
+
 // Match returns the multiset of keys of every stored set that is a
 // subset of the query tags (blocking).
-func (e *Engine) Match(tags []string) ([]Key, error) { return e.core.Match(tags) }
+func (e *Engine) Match(tags []string) ([]Key, error) {
+	return e.core.Match(context.Background(), request(tags, false))
+}
 
 // MatchUnique returns the deduplicated keys of all matching sets
 // (blocking).
-func (e *Engine) MatchUnique(tags []string) ([]Key, error) { return e.core.MatchUnique(tags) }
+func (e *Engine) MatchUnique(tags []string) ([]Key, error) {
+	return e.core.Match(context.Background(), request(tags, true))
+}
 
 // MatchCtx is Match with an end-to-end deadline: the context's deadline
 // and cancellation propagate into the pipeline, where expired queries
 // are completed with an error matching ErrDeadlineExceeded before any
 // kernel launch, and the call returns promptly when the context ends.
 func (e *Engine) MatchCtx(ctx context.Context, tags []string) ([]Key, error) {
-	return e.core.MatchCtx(ctx, tags)
+	return e.core.Match(ctx, request(tags, false))
 }
 
 // MatchUniqueCtx is MatchUnique with MatchCtx's deadline propagation.
 func (e *Engine) MatchUniqueCtx(ctx context.Context, tags []string) ([]Key, error) {
-	return e.core.MatchUniqueCtx(ctx, tags)
+	return e.core.Match(ctx, request(tags, true))
 }
 
 // Submit enqueues a streaming match; done is called exactly once.
 func (e *Engine) Submit(tags []string, done func(MatchResult)) error {
-	return e.core.Submit(tags, done)
+	return e.core.Submit(context.Background(), request(tags, false), done)
 }
 
 // SubmitUnique enqueues a streaming match-unique.
 func (e *Engine) SubmitUnique(tags []string, done func(MatchResult)) error {
-	return e.core.SubmitUnique(tags, done)
+	return e.core.Submit(context.Background(), request(tags, true), done)
 }
 
 // SubmitCtx is Submit that blocks for admission capacity instead of
 // returning ErrOverloaded, up to the context's deadline. On cancellation
 // it returns an error matching both ErrOverloaded and the context error.
 func (e *Engine) SubmitCtx(ctx context.Context, tags []string, done func(MatchResult)) error {
-	return e.core.SubmitCtx(ctx, tags, done)
+	return e.core.SubmitWait(ctx, request(tags, false), done)
 }
 
 // SubmitUniqueCtx is SubmitUnique with SubmitCtx's blocking admission.
 func (e *Engine) SubmitUniqueCtx(ctx context.Context, tags []string, done func(MatchResult)) error {
-	return e.core.SubmitUniqueCtx(ctx, tags, done)
+	return e.core.SubmitWait(ctx, request(tags, true), done)
 }
 
 // Drain blocks until every submitted query has completed and its done

@@ -43,17 +43,21 @@ race:
 ## losing an admitted query (TestSubmitRacesClose, under TestSubmit), and
 ## the simulator's block dispatch: concurrent grids run every block
 ## exactly once, spread over every SM, at one allocation per launch
-## (TestLaunch*).
+## (TestLaunch*), and a snapshot loaded onto staged ops or saved during a
+## synchronous Consolidate being db ⊕ staged at one cut
+## (TestSnapshotLoadOntoStaged, TestSnapshotSaveRacesConsolidate).
 chaos:
-	$(GO) test -race -run 'TestLaunch|TestCluster|TestBalancedPartition|TestRun|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta|TestDrainWaitsForCallbacks|TestEngineMultiGPU' \
+	$(GO) test -race -run 'TestLaunch|TestCluster|TestBalancedPartition|TestRun|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestSnapshotLoadOntoStaged|TestSnapshotSaveRacesConsolidate|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta|TestDrainWaitsForCallbacks|TestEngineMultiGPU' \
 		./internal/gpu/ ./internal/core/ ./internal/httpserver/
 
 ## bench-smoke: quick -benchmem pass over the hot-path benchmarks so a
 ## regression in allocs/op shows up in the CI gate without a full
-## benchmark run.
+## benchmark run, and one bulk load of a 50,000-set snapshot
+## (BenchmarkLoadSnapshot: ns, B and allocs per set-up).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkHotpathSubmit|BenchmarkBlockingMatch|BenchmarkPartitionLookup' \
 		-benchtime=100x -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkLoadSnapshot' -benchtime=1x -benchmem ./internal/core/
 
 ## bench-obs: measure the observability layer's throughput overhead and
 ## write BENCH_obs.json (budget <2%; the canonical benchmark does not

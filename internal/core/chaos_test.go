@@ -237,13 +237,7 @@ func TestConsolidateOOMDegradedFold(t *testing.T) {
 
 	// The base goes in as one bulk Consolidate (LoadSnapshot's path), so
 	// the four-op fold threshold starts no fold before it.
-	var base []stagedOp
-	for i, sig := range db.sigs {
-		for _, k := range db.keys[i] {
-			base = append(base, stagedOp{sig: sig, key: k})
-		}
-	}
-	if err := e.consolidateOnce(false, base); !errors.Is(err, ErrDeviceDegraded) || !errors.Is(err, gpu.ErrOutOfMemory) {
+	if err := e.consolidateOnce(false, db.bulk()); !errors.Is(err, ErrDeviceDegraded) || !errors.Is(err, gpu.ErrOutOfMemory) {
 		t.Fatalf("Consolidate on an eight-group device: %v, want a degrade on out-of-memory", err)
 	}
 

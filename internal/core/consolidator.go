@@ -26,10 +26,19 @@ import (
 //	                             rebuild the overlay from the staged suffix
 //
 // Only Phase C pauses traffic, and its cost is drain + device upload —
-// not the full rebuild. db must stay unmutated until Phase C because the
-// overlay classifies removes against "what the live index serves", which
-// is db as of the last swap; and because SaveSnapshot serializes
-// db ⊕ staged under stagedMu concurrently with Phase B.
+// not the full rebuild. In the background form db must stay unmutated
+// until Phase C, because the overlay the old index serves with classifies
+// removes against "what the live index serves", which is db as of the
+// last swap.
+//
+// The synchronous form (Consolidate, LoadSnapshot) drains and blocks
+// submissions before Phase A, so no query reads the overlay until the
+// swap rebuilds it. Its Phase A therefore commits the cut (and a bulk
+// load) to db at once and lists db itself for Phase B: the log is walked
+// and the database built once, not previewed and then re-applied.
+// Either way SaveSnapshot, which holds stagedMu, serializes db ⊕ staged
+// — the same logical state before and after a commit — and nothing but
+// a consolidation, serialized by consolidateMu, writes db.
 //
 // When the cut is small relative to the index, Phase B runs the
 // incremental form (buildIncrementalIndex): existing rows keep their
@@ -63,8 +72,9 @@ func applyOpEntries(entries []dbEntry, op stagedOp) []dbEntry {
 // snapshotWithPrefix materializes the database with the first cut staged
 // ops applied, without mutating db: touched signatures are cloned on
 // first write, untouched ones alias the live db slices (safe — db slices
-// are only mutated by applyPrefix, in a later critical section of the
-// same serialized consolidation). Called with e.stagedMu held.
+// are only mutated by applyPrefix and applyBulk, in a later critical
+// section of the same serialized consolidation). With cut 0 it lists db
+// itself. Called with e.stagedMu held.
 func (e *Engine) snapshotWithPrefix(cut int) ([]bitvec.Vector, [][]dbEntry) {
 	var touched map[bitvec.Vector][]dbEntry
 	if cut > 0 {
@@ -98,7 +108,8 @@ func (e *Engine) snapshotWithPrefix(cut int) ([]bitvec.Vector, [][]dbEntry) {
 
 // applyPrefix commits the first cut staged ops to the master database
 // and compacts the log to the surviving suffix. Called with e.stagedMu
-// held; must apply exactly the transform snapshotWithPrefix previewed.
+// held; in a background fold it must apply exactly the transform
+// snapshotWithPrefix previewed.
 func (e *Engine) applyPrefix(cut int) {
 	for _, op := range e.staged[:cut] {
 		entries := applyOpEntries(e.db[op.sig], op)
@@ -111,12 +122,38 @@ func (e *Engine) applyPrefix(cut int) {
 	rest := len(e.staged) - cut
 	if cap(e.staged) > 4096 && cap(e.staged) > 4*rest {
 		// Release the log's backing array after a large consolidation —
-		// a bulk load can leave multi-million-op capacity behind that
-		// the steady-state suffix will never refill, and the GC would
-		// otherwise mark it on every cycle.
+		// a burst of staged ops (a bulk AddSet before one Consolidate) can
+		// leave multi-million-op capacity behind that the steady-state
+		// suffix will never refill, and the GC would otherwise mark it on
+		// every cycle.
 		e.staged = append(make([]stagedOp, 0, rest), e.staged[cut:]...)
 	} else {
 		e.staged = append(e.staged[:0], e.staged[cut:]...)
+	}
+}
+
+// bulkLoad is a batch of associations a synchronous consolidation commits
+// after the staged log, in a snapshot's own shape: sigs[i] gains the
+// entries of entries[i].
+type bulkLoad struct {
+	sigs    []bitvec.Vector
+	entries [][]dbEntry
+}
+
+// applyBulk commits a bulk load to the master database, in order after
+// the staged ops: a signature new to db takes the bulk's entry slice as
+// is, an existing one has the entries appended. Called with e.stagedMu
+// held.
+func (e *Engine) applyBulk(bulk bulkLoad) {
+	for i, sig := range bulk.sigs {
+		entries := bulk.entries[i]
+		if len(entries) == 0 {
+			continue // db holds no empty entry lists
+		}
+		if cur := e.db[sig]; len(cur) > 0 {
+			entries = append(cur, entries...)
+		}
+		e.db[sig] = entries
 	}
 }
 
@@ -129,13 +166,13 @@ func (e *Engine) applyPrefix(cut int) {
 // consolidateMu serializes concurrent callers (explicit Consolidate vs
 // the background goroutine).
 //
-// bulk, if non-nil, is a batch of ops spliced into the staged log inside
+// bulk is a batch of associations committed after the staged log inside
 // Phase A and consolidated in the same pass (LoadSnapshot's path). Only
-// the synchronous form accepts it: submissions are blocked for the whole
-// pass, so the spliced ops never need an overlay generation of their own
+// the synchronous form is handed one: submissions are blocked for the
+// whole pass, so the bulk never needs an overlay generation of its own
 // — a snapshot-sized overlay would cost hundreds of MB of bit-sliced
 // groups and maps just to be discarded at the swap.
-func (e *Engine) consolidateOnce(background bool, bulk []stagedOp) error {
+func (e *Engine) consolidateOnce(background bool, bulk bulkLoad) error {
 	e.consolidateMu.Lock()
 	defer e.consolidateMu.Unlock()
 	if e.closed.Load() {
@@ -156,13 +193,22 @@ func (e *Engine) consolidateOnce(background bool, bulk []stagedOp) error {
 		e.Drain()
 	}
 
-	// Phase A: cut the log and snapshot db ⊕ prefix. Background folds of
-	// a small delta take the incremental path: only the touched
-	// signatures are captured, and Phase B splices them into the old
-	// index's layout instead of re-partitioning the world.
+	// Phase A: cut the log and snapshot db ⊕ prefix. The synchronous form
+	// commits the prefix and the bulk here and leaves nothing for Phase C
+	// to apply. Background folds of a small delta take the incremental
+	// path: only the touched signatures are captured, and Phase B splices
+	// them into the old index's layout instead of re-partitioning the
+	// world.
 	e.stagedMu.Lock()
-	e.staged = append(e.staged, bulk...)
 	cut := len(e.staged)
+	if !background {
+		if len(e.db) == 0 {
+			e.db = make(map[bitvec.Vector][]dbEntry, cut+len(bulk.sigs))
+		}
+		e.applyPrefix(cut)
+		e.applyBulk(bulk)
+		cut = 0
+	}
 	old := e.idx.Load()
 	incremental := background && incrementalEligible(old, cut)
 	var idx *index
@@ -536,7 +582,7 @@ func (e *Engine) consolidatorLoop() {
 		case <-e.consolKick:
 		}
 		for e.deltaOverThreshold() {
-			err := e.consolidateOnce(true, nil)
+			err := e.consolidateOnce(true, bulkLoad{})
 			if err != nil && !errors.Is(err, ErrDeviceDegraded) {
 				return // ErrClosed: the engine is shutting down
 			}

@@ -231,9 +231,11 @@ func TestDeltaTombstoneMultiset(t *testing.T) {
 
 // TestDeltaBackgroundConsolidate forces the auto-consolidation
 // threshold low and verifies the background goroutine folds the overlay
-// into the main index without any explicit Consolidate call: pending ops
-// drain to zero, the auto-consolidation counter advances, and every key
-// stays matchable throughout.
+// into the main index without any explicit Consolidate call: the
+// auto-consolidation counter advances, the overlay falls back under its
+// threshold, and every key stays matchable throughout. Fewer than
+// DeltaMaxSets ops staged after the last fold never start another; the
+// overlay answers for them.
 func TestDeltaBackgroundConsolidate(t *testing.T) {
 	e, err := New(Config{
 		MaxPartitionSize: 50, BatchSize: 16, Threads: 2,
@@ -271,11 +273,11 @@ func TestDeltaBackgroundConsolidate(t *testing.T) {
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		st := e.Stats()
-		if st.AutoConsolidations >= 1 && e.PendingOps() == 0 {
+		if st.AutoConsolidations >= 1 && !e.deltaOverThreshold() {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("background consolidator never drained: %d auto-consolidations, %d pending",
+			t.Fatalf("background consolidator never caught up: %d auto-consolidations, %d pending",
 				st.AutoConsolidations, e.PendingOps())
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -671,7 +673,7 @@ func TestDeltaFoldBehindConsolidate(t *testing.T) {
 	// select, which it reaches after the fold the load woke has returned.
 	e.consolKick <- struct{}{}
 	e.consolKick <- struct{}{}
-	if err := e.consolidateOnce(true, nil); err != nil {
+	if err := e.consolidateOnce(true, bulkLoad{}); err != nil {
 		t.Fatal(err)
 	}
 	if e.idx.Load() != gen {
@@ -734,13 +736,7 @@ func testDeltaFoldUploads(t *testing.T, nDev, foldSets int) {
 
 	// The base goes in as one bulk Consolidate (LoadSnapshot's path), so
 	// the small fold threshold starts no fold before it.
-	var base []stagedOp
-	for i, sig := range db.sigs {
-		for _, k := range db.keys[i] {
-			base = append(base, stagedOp{sig: sig, key: k})
-		}
-	}
-	if err := e.consolidateOnce(false, base); err != nil {
+	if err := e.consolidateOnce(false, db.bulk()); err != nil {
 		t.Fatal(err)
 	}
 	baseParts := len(e.idx.Load().parts)

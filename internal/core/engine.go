@@ -537,7 +537,7 @@ func (e *Engine) Consolidate() error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	return e.consolidateOnce(false, nil)
+	return e.consolidateOnce(false, bulkLoad{})
 }
 
 // buildHostIndex constructs the host-side half of a fresh index from a

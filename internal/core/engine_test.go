@@ -47,6 +47,17 @@ func (db *testDB) load(e *Engine) {
 	}
 }
 
+// bulk is the database as LoadSnapshot hands it to a consolidation.
+func (db *testDB) bulk() bulkLoad {
+	b := bulkLoad{sigs: db.sigs, entries: make([][]dbEntry, len(db.sigs))}
+	for i, keys := range db.keys {
+		for _, k := range keys {
+			b.entries[i] = append(b.entries[i], dbEntry{key: k})
+		}
+	}
+	return b
+}
+
 // expected computes the reference answer for one query.
 func (db *testDB) expected(q bitvec.Vector, unique bool) []Key {
 	var out []Key

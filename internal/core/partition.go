@@ -83,7 +83,7 @@ func (f *bitFreq) pivot(n int32, used bitvec.Vector) int {
 // balancedPartition implements Algorithm 1 of the paper: recursively split
 // the database on the unused bit whose one-frequency is closest to 50%
 // until every partition has at most maxP members and a non-empty mask.
-// A work item carries its bit-frequency table, so a split counts only its
+// A run carries its bit-frequency table, so a split counts only its
 // smaller child and derives the other by subtraction instead of recounting
 // every member at every level.
 //
@@ -100,54 +100,66 @@ func balancedPartition(sets []bitvec.Vector, maxP int) []partitionSpec {
 	for i := range all {
 		all[i] = int32(i)
 	}
+	var freq bitFreq
+	freq.count(sets, all)
+	return splitRun(sets, maxP, nil, bitvec.Vector{}, bitvec.Vector{}, all, &freq)
+}
 
-	type work struct {
-		mask    bitvec.Vector
-		used    bitvec.Vector
-		members []int32
-		freq    bitFreq
+// forkRun is the run size, in multiples of maxP, above which splitRun
+// splits the one-side of a run on a goroutine of its own. Only runs that
+// still hold more than forkRun partitions' worth of members fork, so the
+// goroutines number a small fraction of the partitions, and the deltas an
+// incremental fold partitions stay on the caller's goroutine.
+const forkRun = 16
+
+// splitRun appends the partitions of one run — its mask, the bits used
+// above it, its members and their table freq — to out: the one-side's
+// subtree, then the zero-side's. That is the order of a depth-first walk
+// whatever runs concurrently, so the output does not depend on
+// scheduling. The zero side compacts in place within members and the one
+// side moves to a fresh slice, so concurrent subtrees share no memory.
+func splitRun(sets []bitvec.Vector, maxP int, out []partitionSpec, mask, used bitvec.Vector, members []int32, freq *bitFreq) []partitionSpec {
+	pivot := -1
+	if len(members) > maxP || mask.IsZero() {
+		pivot = freq.pivot(int32(len(members)), used)
 	}
-	root := work{members: all}
-	root.freq.count(sets, all)
-	queue := []work{root}
-	var out []partitionSpec
+	if pivot < 0 {
+		// Small enough with a mask, or all 192 bits consumed: accept.
+		return append(out, partitionSpec{mask: mask, members: members, freq: *freq})
+	}
+	used.Set(pivot)
 
-	for len(queue) > 0 {
-		w := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-
-		pivot := -1
-		if len(w.members) > maxP || w.mask.IsZero() {
-			pivot = w.freq.pivot(int32(len(w.members)), w.used)
-		}
-		if pivot < 0 {
-			// Small enough with a mask, or all 192 bits consumed: accept.
-			out = append(out, partitionSpec{mask: w.mask, members: w.members, freq: w.freq})
-			continue
-		}
-		w.used.Set(pivot)
-
-		// Stable split: the zero side compacts in place, the one side —
-		// whose size the table already knows — moves out.
-		p0, p1 := w.members[:0], make([]int32, 0, w.freq[pivot])
-		for _, idx := range w.members {
-			if sets[idx].Test(pivot) {
-				p1 = append(p1, idx)
-			} else {
-				p0 = append(p0, idx)
-			}
-		}
-		f0, f1 := w.freq.split(sets, p0, p1)
-		if len(p0) > 0 {
-			queue = append(queue, work{mask: w.mask, used: w.used, members: p0, freq: f0})
-		}
-		if len(p1) > 0 {
-			m := w.mask
-			m.Set(pivot)
-			queue = append(queue, work{mask: m, used: w.used, members: p1, freq: f1})
+	// Stable split: the zero side compacts in place, the one side — whose
+	// size the table already knows — moves out.
+	p0, p1 := members[:0], make([]int32, 0, freq[pivot])
+	for _, idx := range members {
+		if sets[idx].Test(pivot) {
+			p1 = append(p1, idx)
+		} else {
+			p0 = append(p0, idx)
 		}
 	}
-	return out
+	f0, f1 := freq.split(sets, p0, p1)
+	one := mask
+	one.Set(pivot)
+	switch {
+	case len(p1) == 0:
+		return splitRun(sets, maxP, out, mask, used, p0, &f0)
+	case len(p0) == 0:
+		return splitRun(sets, maxP, out, one, used, p1, &f1)
+	case len(members) <= forkRun*maxP:
+		out = splitRun(sets, maxP, out, one, used, p1, &f1)
+		return splitRun(sets, maxP, out, mask, used, p0, &f0)
+	}
+	var ones []partitionSpec
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ones = splitRun(sets, maxP, nil, one, used, p1, &f1)
+	}()
+	zeros := splitRun(sets, maxP, nil, mask, used, p0, &f0)
+	<-done
+	return append(append(out, ones...), zeros...)
 }
 
 // firstFitPartition is the naive alternative used by the partitioning

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -253,6 +255,11 @@ func recountingPartition(sets []bitvec.Vector, maxP int) []partitionSpec {
 	return out
 }
 
+// TestBalancedPartitionMatchesRecountingOracle holds Algorithm 1 to the
+// recounting reference at one and at four OS threads: runs of more than
+// forkRun·maxP members split their one-side on a goroutine of their own
+// ("random" forks at the root, "forking" through several levels), and the
+// output must not depend on how those goroutines are scheduled.
 func TestBalancedPartitionMatchesRecountingOracle(t *testing.T) {
 	nearDup := make([]bitvec.Vector, 300)
 	for i := range nearDup {
@@ -260,21 +267,31 @@ func TestBalancedPartitionMatchesRecountingOracle(t *testing.T) {
 		nearDup[i].Set(20 + i%150)
 		nearDup[i].Set(180 - i/150)
 	}
-	for _, tc := range []struct {
+	cases := []struct {
 		name string
 		sets []bitvec.Vector
 		maxP int
 	}{
 		{"random", randomSets(20000, 5, 11), 300},
+		{"forking", randomSets(40000, 4, 15), 40},
 		{"sparse", randomSets(3000, 1, 12), 40},
 		{"singletons", randomSets(200, 4, 13), 1},
 		{"near-duplicates", nearDup, 10},
 		{"with-zero-vector", append(randomSets(500, 3, 14), bitvec.Vector{}), 50},
-	} {
-		got, want := balancedPartition(tc.sets, tc.maxP), recountingPartition(tc.sets, tc.maxP)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: %d partitions differ from the recounting oracle's %d", tc.name, len(got), len(want))
-		}
+	}
+	want := make([][]partitionSpec, len(cases))
+	for i, tc := range cases {
+		want[i] = recountingPartition(tc.sets, tc.maxP)
+	}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for i, tc := range cases {
+				if got := balancedPartition(tc.sets, tc.maxP); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%s: %d partitions differ from the recounting oracle's %d", tc.name, len(got), len(want[i]))
+				}
+			}
+		})
 	}
 }
 

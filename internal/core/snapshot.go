@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"tagmatch/internal/bitvec"
 )
@@ -40,7 +41,8 @@ var ErrBadSnapshot = errors.New("tagmatch: malformed snapshot")
 // SaveSnapshot writes the database to w, staged operations included:
 // the stream carries db ⊕ staged, materialized without mutating either,
 // so pending ops survive a save/load cycle without requiring a
-// Consolidate first.
+// Consolidate first. Records are encoded into one reused scratch slice
+// and written out in chunks of about snapshotChunk bytes.
 func (e *Engine) SaveSnapshot(w io.Writer) error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -49,147 +51,164 @@ func (e *Engine) SaveSnapshot(w io.Writer) error {
 	defer e.stagedMu.Unlock()
 	sigs, entriesBySet := e.snapshotWithPrefix(len(e.staged))
 
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(snapshotMagic[:]); err != nil {
-		return err
-	}
 	var flags uint32
 	if e.cfg.ExactVerify {
 		flags |= snapFlagTags
 	}
-	if err := binary.Write(bw, binary.LittleEndian, flags); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(sigs))); err != nil {
-		return err
-	}
-
-	var sigBuf []byte
+	buf := make([]byte, 0, snapshotChunk+4096)
+	buf = append(buf, snapshotMagic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, flags)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(sigs)))
 	for si, sig := range sigs {
 		entries := entriesBySet[si]
-		sigBuf = sig.AppendBinary(sigBuf[:0])
-		if _, err := bw.Write(sigBuf); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(entries))); err != nil {
-			return err
-		}
+		buf = sig.AppendBinary(buf)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
 		for _, en := range entries {
-			if err := binary.Write(bw, binary.LittleEndian, uint32(en.key)); err != nil {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(en.key))
+			if flags&snapFlagTags == 0 {
+				continue
+			}
+			if len(en.tags) > 0xffff {
+				return fmt.Errorf("tagmatch: tag set too large to snapshot (%d tags)", len(en.tags))
+			}
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(en.tags)))
+			for _, t := range en.tags {
+				if len(t) > 0xffff {
+					return fmt.Errorf("tagmatch: tag too long to snapshot (%d bytes)", len(t))
+				}
+				buf = binary.LittleEndian.AppendUint16(buf, uint16(len(t)))
+				buf = append(buf, t...)
+			}
+		}
+		if len(buf) >= snapshotChunk {
+			if _, err := w.Write(buf); err != nil {
 				return err
 			}
-			if flags&snapFlagTags != 0 {
-				if len(en.tags) > 0xffff {
-					return fmt.Errorf("tagmatch: tag set too large to snapshot (%d tags)", len(en.tags))
-				}
-				if err := binary.Write(bw, binary.LittleEndian, uint16(len(en.tags))); err != nil {
-					return err
-				}
-				for _, t := range en.tags {
-					if len(t) > 0xffff {
-						return fmt.Errorf("tagmatch: tag too long to snapshot (%d bytes)", len(t))
-					}
-					if err := binary.Write(bw, binary.LittleEndian, uint16(len(t))); err != nil {
-						return err
-					}
-					if _, err := bw.WriteString(t); err != nil {
-						return err
-					}
-				}
-			}
+			buf = buf[:0]
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
-// LoadSnapshot reads a snapshot into the engine's staging area and
-// consolidates. It is intended for freshly created engines; loading into
-// a non-empty engine merges the snapshot's associations with existing
-// ones. A snapshot written with tags loads into any engine, but exact
-// verification only applies if the loading engine has ExactVerify set.
+// snapshotChunk is the size at which SaveSnapshot hands its encoded
+// records to the writer.
+const snapshotChunk = 1 << 20
+
+// LoadSnapshot reads a snapshot and consolidates it into the engine. It
+// is intended for freshly created engines; loading into a non-empty
+// engine merges the snapshot's associations with existing ones, after
+// any staged operations. A snapshot written with tags loads into any
+// engine, but exact verification only applies if the loading engine has
+// ExactVerify set.
 func (e *Engine) LoadSnapshot(r io.Reader) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
 	br := bufio.NewReaderSize(r, 1<<20)
-
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return fmt.Errorf("%w: reading magic: %v", ErrBadSnapshot, err)
-	}
-	if magic != snapshotMagic {
-		return fmt.Errorf("%w: bad magic %q", ErrBadSnapshot, magic[:])
-	}
-	var flags uint32
-	if err := binary.Read(br, binary.LittleEndian, &flags); err != nil {
-		return fmt.Errorf("%w: reading flags: %v", ErrBadSnapshot, err)
-	}
-	var nSets uint64
-	if err := binary.Read(br, binary.LittleEndian, &nSets); err != nil {
-		return fmt.Errorf("%w: reading set count: %v", ErrBadSnapshot, err)
-	}
-
-	// Accumulate locally and commit only after the whole stream parses:
-	// a malformed snapshot must not leave a partial load staged.
-	var ops []stagedOp
-	sigBuf := make([]byte, bitvec.Blocks*8)
-	for s := uint64(0); s < nSets; s++ {
-		if _, err := io.ReadFull(br, sigBuf); err != nil {
-			return fmt.Errorf("%w: reading signature %d: %v", ErrBadSnapshot, s, err)
+	// Fixed-width fields are read into one small array and decoded in
+	// place.
+	var fixed [bitvec.Blocks * 8]byte
+	read := func(n int, what string) ([]byte, error) {
+		if _, err := io.ReadFull(br, fixed[:n]); err != nil {
+			return nil, fmt.Errorf("%w: reading %s: %v", ErrBadSnapshot, what, err)
 		}
-		sig, err := bitvec.FromBinary(sigBuf)
+		return fixed[:n], nil
+	}
+
+	b, err := read(len(snapshotMagic), "magic")
+	if err != nil {
+		return err
+	}
+	if [8]byte(b) != snapshotMagic {
+		return fmt.Errorf("%w: bad magic %q", ErrBadSnapshot, b)
+	}
+	if b, err = read(4, "flags"); err != nil {
+		return err
+	}
+	flags := binary.LittleEndian.Uint32(b)
+	if b, err = read(8, "set count"); err != nil {
+		return err
+	}
+	nSets := binary.LittleEndian.Uint64(b)
+
+	// Accumulate locally and commit only after the whole stream parses: a
+	// malformed snapshot must not leave a partial load behind. The set
+	// count comes from the stream, so it only caps the pre-sizing.
+	presize := min(nSets, 1<<16)
+	bulk := bulkLoad{sigs: make([]bitvec.Vector, 0, presize)}
+	ends := make([]int, 0, presize)
+	all := make([]dbEntry, 0, presize)
+	var tagBuf []byte
+	for s := uint64(0); s < nSets; s++ {
+		if b, err = read(bitvec.Blocks*8, "signature"); err != nil {
+			return err
+		}
+		sig, err := bitvec.FromBinary(b)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 		}
-		var nEntries uint32
-		if err := binary.Read(br, binary.LittleEndian, &nEntries); err != nil {
-			return fmt.Errorf("%w: reading entry count: %v", ErrBadSnapshot, err)
+		if b, err = read(4, "entry count"); err != nil {
+			return err
 		}
+		nEntries := binary.LittleEndian.Uint32(b)
 		for i := uint32(0); i < nEntries; i++ {
-			var key uint32
-			if err := binary.Read(br, binary.LittleEndian, &key); err != nil {
-				return fmt.Errorf("%w: reading key: %v", ErrBadSnapshot, err)
+			if b, err = read(4, "key"); err != nil {
+				return err
 			}
-			var tags []string
+			en := dbEntry{key: Key(binary.LittleEndian.Uint32(b))}
 			if flags&snapFlagTags != 0 {
-				var nTags uint16
-				if err := binary.Read(br, binary.LittleEndian, &nTags); err != nil {
-					return fmt.Errorf("%w: reading tag count: %v", ErrBadSnapshot, err)
+				if b, err = read(2, "tag count"); err != nil {
+					return err
 				}
+				nTags := int(binary.LittleEndian.Uint16(b))
 				if e.cfg.ExactVerify {
-					tags = make([]string, nTags)
+					en.tags = make([]string, nTags)
 				}
-				for j := 0; j < int(nTags); j++ {
-					var tl uint16
-					if err := binary.Read(br, binary.LittleEndian, &tl); err != nil {
-						return fmt.Errorf("%w: reading tag length: %v", ErrBadSnapshot, err)
+				for j := 0; j < nTags; j++ {
+					if b, err = read(2, "tag length"); err != nil {
+						return err
 					}
-					if tags == nil {
+					tl := int(binary.LittleEndian.Uint16(b))
+					if en.tags == nil {
 						// Tags are only consulted by ExactVerify: skip the
 						// bytes instead of materializing millions of
 						// short-lived strings on a bulk load.
-						if _, err := br.Discard(int(tl)); err != nil {
+						if _, err := br.Discard(tl); err != nil {
 							return fmt.Errorf("%w: reading tag: %v", ErrBadSnapshot, err)
 						}
 						continue
 					}
-					raw := make([]byte, tl)
-					if _, err := io.ReadFull(br, raw); err != nil {
+					tagBuf = slices.Grow(tagBuf[:0], tl)[:tl]
+					if _, err := io.ReadFull(br, tagBuf); err != nil {
 						return fmt.Errorf("%w: reading tag: %v", ErrBadSnapshot, err)
 					}
-					tags[j] = string(raw)
+					en.tags[j] = string(tagBuf)
 				}
 			}
-			ops = append(ops, stagedOp{sig: sig, key: Key(key), tags: tags})
+			all = append(all, en)
 		}
+		bulk.sigs = append(bulk.sigs, sig)
+		ends = append(ends, len(all))
 	}
-	// Splice the parsed ops into the staged log inside the synchronous
-	// consolidation's Phase A rather than staging them here: submissions
-	// are blocked for the whole pass, so the bulk never needs an overlay
-	// generation of its own (a snapshot-sized overlay would cost hundreds
-	// of MB of bit-sliced groups and per-key maps just to be thrown away
-	// at the swap). The loaded sets are matchable when LoadSnapshot
-	// returns; concurrently staged ops survive as the suffix and are
-	// replayed into the fresh overlay by the swap's rebuild.
-	return e.consolidateOnce(false, ops)
+	// The engine keeps these entries as its database, so they live in one
+	// exactly sized array, each set's a capacity-limited window of it: a
+	// later add to the set reallocates instead of overwriting its
+	// neighbour's.
+	if cap(all) > len(all) {
+		all = append(make([]dbEntry, 0, len(all)), all...)
+	}
+	bulk.entries = make([][]dbEntry, len(ends))
+	start := 0
+	for i, end := range ends {
+		bulk.entries[i] = all[start:end:end]
+		start = end
+	}
+	// Submissions are blocked for the whole synchronous pass, so the bulk
+	// never needs an overlay generation of its own (a snapshot-sized
+	// overlay would cost hundreds of MB of bit-sliced groups and per-key
+	// maps just to be thrown away at the swap). The loaded sets are
+	// matchable when LoadSnapshot returns; ops staged meanwhile survive as
+	// the suffix and are replayed into the fresh overlay by the swap.
+	return e.consolidateOnce(false, bulk)
 }

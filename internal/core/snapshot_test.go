@@ -2,12 +2,16 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
+	"tagmatch/internal/bitvec"
 	"tagmatch/internal/gpu"
 )
 
@@ -156,6 +160,18 @@ func TestSnapshotEmptyDatabase(t *testing.T) {
 	}
 	if dst.Stats().UniqueSets != 0 {
 		t.Fatal("empty snapshot produced sets")
+	}
+
+	// A signature record without entries adds no set either.
+	rec := append(snapshotMagic[:], make([]byte, 4)...)
+	rec = binary.LittleEndian.AppendUint64(rec, 1)
+	rec = bitvec.FromOnes(3, 7).AppendBinary(rec)
+	rec = binary.LittleEndian.AppendUint32(rec, 0)
+	if err := dst.LoadSnapshot(bytes.NewReader(rec)); err != nil {
+		t.Fatal(err)
+	}
+	if n := dst.Stats().UniqueSets; n != 0 {
+		t.Fatalf("a record without entries produced %d sets", n)
 	}
 }
 
@@ -319,5 +335,327 @@ func TestSnapshotRestoreChaosParity(t *testing.T) {
 	}
 	if st.GPUFaults == 0 {
 		t.Fatal("no GPU faults recorded despite the fault plan")
+	}
+}
+
+// snapshotRecords splits a snapshot stream into its header (magic, flags,
+// set count) and one hex string per signature record, sorted: the bytes
+// of a record are fixed by the format, but records come out in the
+// database map's order.
+func snapshotRecords(t *testing.T, data []byte) (header string, records []string) {
+	t.Helper()
+	const headerLen = 8 + 4 + 8
+	if len(data) < headerLen {
+		t.Fatalf("snapshot of %d bytes has no header", len(data))
+	}
+	flags := binary.LittleEndian.Uint32(data[8:])
+	nSets := binary.LittleEndian.Uint64(data[12:])
+	header, rest := hex.EncodeToString(data[:headerLen]), data[headerLen:]
+	take := func(n int) []byte {
+		if len(rest) < n {
+			t.Fatalf("snapshot truncated: need %d bytes, have %d", n, len(rest))
+		}
+		b := rest[:n]
+		rest = rest[n:]
+		return b
+	}
+	for s := uint64(0); s < nSets; s++ {
+		start := rest
+		take(bitvec.Blocks * 8)
+		nEntries := binary.LittleEndian.Uint32(take(4))
+		for i := uint32(0); i < nEntries; i++ {
+			take(4)
+			if flags&snapFlagTags == 0 {
+				continue
+			}
+			nTags := binary.LittleEndian.Uint16(take(2))
+			for j := uint16(0); j < nTags; j++ {
+				take(int(binary.LittleEndian.Uint16(take(2))))
+			}
+		}
+		records = append(records, hex.EncodeToString(start[:len(start)-len(rest)]))
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d trailing bytes after %d records", len(rest), nSets)
+	}
+	sort.Strings(records)
+	return header, records
+}
+
+// TestSnapshotGoldenBytes pins the snapshot encoding byte for byte, up to
+// the order of the records, on a small fixed database with staged ops
+// pending (an add to a consolidated set, a remove, a new set), without
+// and with tags.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		exact   bool
+		header  string
+		records []string
+	}{
+		{
+			name:   "no-tags",
+			header: "544d534e41503031000000000400000000000000",
+			records: []string{
+				"0000000040010c02000000000000000000000020000000010100000007000000",
+				"020000000000000000004002004000020000000000800020020000000a0000002a000000",
+				"040882108081800000401000040100200004041830002000010000000c000000",
+				"10000200008880000018001081000000040008004000400001000000feffffff",
+			},
+		},
+		{
+			name:   "tags",
+			exact:  true,
+			header: "544d534e41503031010000000400000000000000",
+			records: []string{
+				"0000000040010c02000000000000000000000020000000010100000007000000010004007a657461",
+				"020000000000000000004002004000020000000000800020020000000a00000001000500616c7068612a00000001000500616c706861",
+				"040882108081800000401000040100200004041830002000010000000c0000000300050064656c74610700657073696c6f6e0000",
+				"10000200008880000018001081000000040008004000400001000000feffffff0200040062657461050067616d6d61",
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := New(Config{Threads: 1, ExactVerify: tc.exact})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			sets := [][]string{{"alpha"}, {"beta", "gamma"}, {"delta", "epsilon", ""}}
+			for i, tags := range sets {
+				e.AddSet(tags, Key(10+i))
+			}
+			e.AddSet(sets[1], 0xfffffffe)
+			if err := e.Consolidate(); err != nil {
+				t.Fatal(err)
+			}
+			e.AddSet(sets[0], 42)
+			e.RemoveSet(sets[1], 11)
+			e.AddSet([]string{"zeta"}, 7)
+			var buf bytes.Buffer
+			if err := e.SaveSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			header, records := snapshotRecords(t, buf.Bytes())
+			if header != tc.header || fmt.Sprint(records) != fmt.Sprint(tc.records) {
+				t.Fatalf("snapshot bytes changed:\nheader  %s\nrecords %q", header, records)
+			}
+		})
+	}
+}
+
+// TestSnapshotLoadOntoStaged loads a snapshot into an engine that already
+// serves consolidated sets and holds staged adds and removes, and holds
+// every answer to brute force over db ⊕ staged ⊕ snapshot, in that order,
+// on the host and on two GPUs. One staged remove takes a key the snapshot
+// then adds again, another removes a key only the snapshot carries (a
+// no-op, as it comes first), and the snapshot adds to sets the engine
+// already has. Then every set gains a key in one more Consolidate.
+func TestSnapshotLoadOntoStaged(t *testing.T) {
+	base := makeTestDB(600, 5, 2, 191)
+	snap := makeTestDB(400, 5, 2, 192)
+	for i := range snap.keys {
+		for j := range snap.keys[i] {
+			snap.keys[i][j] += 1 << 20
+		}
+	}
+	reAdded := base.keys[2][0]
+	snap.sigs = append(snap.sigs, base.sigs[0], base.sigs[2])
+	snap.keys = append(snap.keys, []Key{1 << 21}, []Key{reAdded})
+
+	src, err := New(Config{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	snap.load(src)
+	var buf bytes.Buffer
+	if err := src.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	type op struct {
+		sig    bitvec.Vector
+		key    Key
+		remove bool
+	}
+	staged := []op{
+		{sig: base.sigs[2], key: reAdded, remove: true},
+		{sig: base.sigs[3], key: base.keys[3][0], remove: true},
+		{sig: snap.sigs[0], key: snap.keys[0][0], remove: true},
+		{sig: base.sigs[5], key: 1 << 22},
+	}
+	for i, sig := range randomSets(50, 5, 193) {
+		staged = append(staged, op{sig: sig, key: Key(1<<23 + i)})
+	}
+
+	// The brute-force model: db, then the staged ops in order (a remove
+	// drops the first occurrence), then the snapshot's associations.
+	model := make(map[bitvec.Vector][]Key)
+	for i, sig := range base.sigs {
+		model[sig] = append(model[sig], base.keys[i]...)
+	}
+	for _, o := range staged {
+		if !o.remove {
+			model[o.sig] = append(model[o.sig], o.key)
+		} else if keys := model[o.sig]; slices.Contains(keys, o.key) {
+			model[o.sig] = deleteFirstKey(keys, o.key)
+		}
+	}
+	for i, sig := range snap.sigs {
+		model[sig] = append(model[sig], snap.keys[i]...)
+	}
+	want := &testDB{}
+	for sig, keys := range model {
+		want.sigs = append(want.sigs, sig)
+		want.keys = append(want.keys, keys)
+	}
+
+	for name, e := range deltaEngineVariants(t, Config{MaxPartitionSize: 100, BatchSize: 32, Threads: 2}) {
+		t.Run(name, func(t *testing.T) {
+			base.load(e)
+			if err := e.Consolidate(); err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range staged {
+				if o.remove {
+					e.RemoveSignature(o.sig, o.key)
+				} else {
+					e.AddSignature(o.sig, o.key)
+				}
+			}
+			if n := e.PendingOps(); n != len(staged) {
+				t.Fatalf("PendingOps = %d before the load, want %d", n, len(staged))
+			}
+			if err := e.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			if n := e.PendingOps(); n != 0 {
+				t.Fatalf("PendingOps = %d after the load, want 0", n)
+			}
+			queries := want.makeQueries(300, 194)
+			verifyEngine(t, e, want, queries, false)
+			verifyEngine(t, e, want, queries, true)
+
+			// The loaded sets share one entry array: adding to every one of
+			// them must not overwrite a neighbour's entries.
+			grown := &testDB{sigs: want.sigs, keys: make([][]Key, len(want.keys))}
+			copy(grown.keys, want.keys)
+			for i, sig := range grown.sigs {
+				e.AddSignature(sig, Key(1<<24+i))
+				grown.keys[i] = append(slices.Clip(grown.keys[i]), Key(1<<24+i))
+			}
+			if err := e.Consolidate(); err != nil {
+				t.Fatal(err)
+			}
+			verifyEngine(t, e, grown, queries, false)
+		})
+	}
+}
+
+// TestSnapshotSaveRacesConsolidate saves snapshots while a writer stages
+// adds and consolidates synchronously after every tenth. A snapshot is
+// db ⊕ staged at one cut, whether it lands before, inside or after a
+// consolidation's commit: it restores the base plus a prefix of the
+// writer's adds that never shrinks from one snapshot to the next, and the
+// last one restores all of them.
+func TestSnapshotSaveRacesConsolidate(t *testing.T) {
+	base := makeTestDB(300, 5, 1, 195)
+	e, err := New(Config{MaxPartitionSize: 50, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	base.load(e)
+	if err := e.Consolidate(); err != nil {
+		t.Fatal(err)
+	}
+	adds := randomSets(400, 5, 196)
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for i, sig := range adds {
+			e.AddSignature(sig, Key(1<<20+i))
+			if i%10 == 9 {
+				if err = e.Consolidate(); err != nil {
+					break
+				}
+			}
+		}
+		done <- err
+	}()
+
+	// restored is the number of the writer's adds a snapshot of e carries.
+	restored := func() int {
+		var buf bytes.Buffer
+		if err := e.SaveSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		dst, err := New(Config{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dst.Close()
+		if err := dst.LoadSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return dst.Stats().Keys - len(base.sigs)
+	}
+	prev, saves := 0, 0
+	for writing := true; writing; saves++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		default:
+		}
+		n := restored()
+		if n < prev || n > len(adds) {
+			t.Fatalf("snapshot %d carries %d of the writer's adds, after one with %d (of %d)", saves, n, prev, len(adds))
+		}
+		prev = n
+	}
+	if prev != len(adds) {
+		t.Fatalf("last snapshot carries %d of the writer's %d adds", prev, len(adds))
+	}
+	t.Logf("%d snapshots", saves)
+}
+
+// BenchmarkLoadSnapshot is set-up from a generated 50,000-set snapshot:
+// decoding, the one commit to the database, Algorithm 1 and the host
+// index build of a fresh CPU-only engine, at the paper's partition ratio
+// (MaxPartitionSize = sets/1000).
+func BenchmarkLoadSnapshot(b *testing.B) {
+	db := makeTestDB(50000, 5, 2, 197)
+	src, err := New(Config{Threads: 1, DisableDeltaOverlay: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	db.load(src)
+	var buf bytes.Buffer
+	if err := src.SaveSnapshot(&buf); err != nil {
+		b.Fatal(err)
+	}
+	src.Close()
+	data := buf.Bytes()
+	cfg := Config{MaxPartitionSize: 50, Threads: 2}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		e, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := e.LoadSnapshot(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		e.Close()
+		b.StartTimer()
 	}
 }

@@ -388,9 +388,9 @@ func (e *Engine) DeviceOpRecords() []DeviceOps {
 // the same instant would have committed.
 func (e *Engine) SaveSnapshot(w io.Writer) error { return e.core.SaveSnapshot(w) }
 
-// LoadSnapshot stages a previously saved database from r and
-// consolidates. Load into a freshly created engine to restore state, or
-// into a populated one to merge.
+// LoadSnapshot loads a previously saved database from r and
+// consolidates it, after any staged operations. Load into a freshly
+// created engine to restore state, or into a populated one to merge.
 func (e *Engine) LoadSnapshot(r io.Reader) error { return e.core.LoadSnapshot(r) }
 
 // Close drains the pipeline and releases all resources, including the

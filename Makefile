@@ -43,11 +43,14 @@ race:
 ## losing an admitted query (TestSubmitRacesClose, under TestSubmit), and
 ## the simulator's block dispatch: concurrent grids run every block
 ## exactly once, spread over every SM, at one allocation per launch
-## (TestLaunch*), and a snapshot loaded onto staged ops or saved during a
+## (TestLaunch*), a snapshot loaded onto staged ops or saved during a
 ## synchronous Consolidate being db ⊕ staged at one cut
-## (TestSnapshotLoadOntoStaged, TestSnapshotSaveRacesConsolidate).
+## (TestSnapshotLoadOntoStaged, TestSnapshotSaveRacesConsolidate), and
+## the live index and its signature→row table against a brute-force
+## model through full builds, dud-making folds, re-adds and loads onto
+## staged ops (TestRowTable*).
 chaos:
-	$(GO) test -race -run 'TestLaunch|TestCluster|TestBalancedPartition|TestRun|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestSnapshotLoadOntoStaged|TestSnapshotSaveRacesConsolidate|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta|TestDrainWaitsForCallbacks|TestEngineMultiGPU' \
+	$(GO) test -race -run 'TestLaunch|TestCluster|TestBalancedPartition|TestRun|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestSnapshotLoadOntoStaged|TestSnapshotSaveRacesConsolidate|TestRowTable|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta|TestDrainWaitsForCallbacks|TestEngineMultiGPU' \
 		./internal/gpu/ ./internal/core/ ./internal/httpserver/
 
 ## bench-smoke: quick -benchmem pass over the hot-path benchmarks so a

@@ -2,7 +2,7 @@ package core
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"time"
 
 	"tagmatch/internal/bitvec"
@@ -14,31 +14,29 @@ import (
 // goroutine that auto-triggers it when the delta overlay outgrows
 // Config.DeltaMaxSets / Config.DeltaMaxRatio.
 //
-// The background form (the zero-drain path) splits the rebuild so the
-// old index and the overlay keep serving while the expensive work runs:
+// The live index is the one consolidated copy of the database: row r
+// serves patched[r] if an incremental fold changed it, else its slice of
+// the key CSR, and the generation's rowTable maps each signature to its
+// live row. A consolidation never writes the live generation; it builds
+// the next one beside it and swaps:
 //
-//	Phase A (stagedMu, brief)    cut := len(staged); snapshot db ⊕ staged[:cut]
-//	                             without mutating db (copy-on-write overlay)
+//	Phase A (stagedMu, brief)    cut := len(staged); apply staged[:cut] to
+//	                             clones of the live rows it touches
 //	Phase B (no locks, long)     partition + sort + key table + transposed
-//	                             mirror, host-side only
-//	Phase C (submitMu+stagedMu)  drain in-flight queries, apply the prefix
-//	                             to db, swap the index, upload to devices,
+//	                             mirror + row table, host-side only
+//	Phase C (submitMu+stagedMu)  drain in-flight queries, drop the cut from
+//	                             the log, swap the index, upload to devices,
 //	                             rebuild the overlay from the staged suffix
 //
-// Only Phase C pauses traffic, and its cost is drain + device upload —
-// not the full rebuild. In the background form db must stay unmutated
-// until Phase C, because the overlay the old index serves with classifies
-// removes against "what the live index serves", which is db as of the
-// last swap.
-//
-// The synchronous form (Consolidate, LoadSnapshot) drains and blocks
-// submissions before Phase A, so no query reads the overlay until the
-// swap rebuilds it. Its Phase A therefore commits the cut (and a bulk
-// load) to db at once and lists db itself for Phase B: the log is walked
-// and the database built once, not previewed and then re-applied.
-// Either way SaveSnapshot, which holds stagedMu, serializes db ⊕ staged
-// — the same logical state before and after a commit — and nothing but
-// a consolidation, serialized by consolidateMu, writes db.
+// The background form takes submitMu only in Phase C, so the old index
+// and the overlay keep serving while Phase B runs, and the pause is drain
+// + device upload, not the full rebuild. The synchronous form
+// (Consolidate, LoadSnapshot) drains and blocks submissions before Phase
+// A; otherwise the phases are the same. Because the cut leaves the log
+// in the same critical section that swaps the index, the live index ⊕
+// staged is the same logical database before and after a swap: stageOp
+// classifies removes against the live index, and SaveSnapshot, which
+// holds stagedMu, writes the live index ⊕ staged.
 //
 // When the cut is small relative to the index, Phase B runs the
 // incremental form (buildIncrementalIndex): existing rows keep their
@@ -50,75 +48,149 @@ import (
 // consolidator keep up with sustained churn without starving the query
 // path for CPU. Drift (emptied "dud" rows, appended partitions) is
 // bounded by incrementalEligible, which forces a periodic full rebuild.
+// Any other consolidation is a full build: it lists the old index's
+// live rows with the cut applied, then the cut's new signatures, then a
+// bulk load (listDatabase), and lays them out afresh.
 
-// applyOpEntries applies one staged op to a set's entry list, returning
-// the updated list: an add appends, a remove drops the first entry
-// carrying the key (swap-with-last; entry order within a set is not
-// meaningful). Consolidation and the snapshot overlay share this helper
+// entryList is one set's entries: its keys and, only when the engine runs
+// in ExactVerify mode, their tags, parallel to keys (nil otherwise).
+type entryList struct {
+	keys []Key
+	tags [][]string
+}
+
+// applyOp applies one staged op to an entry list the caller owns and
+// returns the updated list: an add appends, a remove drops the first
+// entry carrying the key (swap-with-last; entry order within a set is not
+// meaningful). Consolidation and the snapshot writer share this helper,
 // so the two transforms cannot diverge.
-func applyOpEntries(entries []dbEntry, op stagedOp) []dbEntry {
+func (l entryList) applyOp(op stagedOp, withTags bool) entryList {
 	if !op.remove {
-		return append(entries, dbEntry{key: op.key, tags: op.tags})
-	}
-	for i := range entries {
-		if entries[i].key == op.key {
-			entries[i] = entries[len(entries)-1]
-			return entries[:len(entries)-1]
+		l.keys = append(l.keys, op.key)
+		if withTags {
+			l.tags = append(l.tags, op.tags)
 		}
+		return l
 	}
-	return entries
+	for i, k := range l.keys {
+		if k != op.key {
+			continue
+		}
+		last := len(l.keys) - 1
+		l.keys[i] = l.keys[last]
+		l.keys = l.keys[:last]
+		if l.tags != nil {
+			l.tags[i] = l.tags[last]
+			l.tags = l.tags[:last]
+		}
+		return l
+	}
+	return l
 }
 
-// snapshotWithPrefix materializes the database with the first cut staged
-// ops applied, without mutating db: touched signatures are cloned on
-// first write, untouched ones alias the live db slices (safe — db slices
-// are only mutated by applyPrefix and applyBulk, in a later critical
-// section of the same serialized consolidation). With cut 0 it lists db
-// itself. Called with e.stagedMu held.
-func (e *Engine) snapshotWithPrefix(cut int) ([]bitvec.Vector, [][]dbEntry) {
-	var touched map[bitvec.Vector][]dbEntry
-	if cut > 0 {
-		touched = make(map[bitvec.Vector][]dbEntry)
-		for _, op := range e.staged[:cut] {
-			cur, ok := touched[op.sig]
-			if !ok {
-				cur = append([]dbEntry(nil), e.db[op.sig]...)
+// touchedSet is one signature a cut of the staged log touches: its
+// entries once the cut is applied (empty when it removed them all), and
+// the live row they replace, -1 when the index has none.
+type touchedSet struct {
+	sig  bitvec.Vector
+	row  int32
+	ents entryList
+}
+
+// touchedBy applies ops to the entries idx serves, without writing idx:
+// it returns each signature the ops touch, in first-touched order, with
+// its entries cloned from its live row and rewritten.
+func touchedBy(idx *index, ops []stagedOp, withTags bool) []touchedSet {
+	at := make(map[bitvec.Vector]int, len(ops))
+	var out []touchedSet
+	for _, op := range ops {
+		i, ok := at[op.sig]
+		if !ok {
+			r, l := idx.liveRow(op.sig)
+			i = len(out)
+			at[op.sig] = i
+			ents := entryList{keys: slices.Clone(l.keys), tags: slices.Clone(l.tags)}
+			out = append(out, touchedSet{sig: op.sig, row: r, ents: ents})
+		}
+		out[i].ents = out[i].ents.applyOp(op, withTags)
+	}
+	return out
+}
+
+// setList is a list of sets in order: set m is sigs[m] with the entries
+// lists[m]. It carries a database a full build lays out or a snapshot
+// writes, and a bulk load a synchronous consolidation adds after the
+// staged log.
+type setList struct {
+	sigs  []bitvec.Vector
+	lists []entryList
+}
+
+func (l *setList) add(sig bitvec.Vector, ents entryList) {
+	l.sigs = append(l.sigs, sig)
+	l.lists = append(l.lists, ents)
+}
+
+// listDatabase lists the database from ⊕ touched ⊕ bulk: the live rows of
+// from in row order, each replaced by its touched entries where the cut
+// changed it; then the cut's new signatures in first-touched order; then
+// the bulk, where a signature already listed gains the record's entries.
+// No listed set is empty and no signature repeats. The lists alias
+// from's key arrays and the bulk's; a merge copies.
+func listDatabase(from *index, touched []touchedSet, bulk setList) setList {
+	var over map[uint32]int
+	for i, ts := range touched {
+		if ts.row >= 0 {
+			if over == nil {
+				over = make(map[uint32]int)
 			}
-			touched[op.sig] = applyOpEntries(cur, op)
+			over[uint32(ts.row)] = i
 		}
 	}
-	sigs := make([]bitvec.Vector, 0, len(e.db)+len(touched))
-	entriesBySet := make([][]dbEntry, 0, len(e.db)+len(touched))
-	for sig, entries := range e.db {
-		if _, ok := touched[sig]; ok {
+	n := len(from.sets) + len(touched) + len(bulk.sigs)
+	l := setList{sigs: make([]bitvec.Vector, 0, n), lists: make([]entryList, 0, n)}
+	for r := range from.sets {
+		ents := from.row(uint32(r))
+		if over != nil {
+			if i, ok := over[uint32(r)]; ok {
+				ents = touched[i].ents
+			}
+		}
+		if len(ents.keys) > 0 {
+			l.add(from.sets[r], ents)
+		}
+	}
+	for _, ts := range touched {
+		if ts.row < 0 && len(ts.ents.keys) > 0 {
+			l.add(ts.sig, ts.ents)
+		}
+	}
+	if len(bulk.sigs) == 0 {
+		return l
+	}
+	listed := fillRowTable(l.sigs, len(l.sigs)+len(bulk.sigs))
+	for i, sig := range bulk.sigs {
+		ents := bulk.lists[i]
+		if len(ents.keys) == 0 {
 			continue
 		}
-		sigs = append(sigs, sig)
-		entriesBySet = append(entriesBySet, entries)
-	}
-	for sig, entries := range touched {
-		if len(entries) == 0 {
+		if m, ok := listed.lookup(l.sigs, sig); ok {
+			cur := l.lists[m]
+			l.lists[m] = entryList{
+				keys: append(slices.Clip(cur.keys), ents.keys...),
+				tags: append(slices.Clip(cur.tags), ents.tags...),
+			}
 			continue
 		}
-		sigs = append(sigs, sig)
-		entriesBySet = append(entriesBySet, entries)
+		l.add(sig, ents)
+		listed.insert(l.sigs, uint32(len(l.sigs)-1))
 	}
-	return sigs, entriesBySet
+	return l
 }
 
-// applyPrefix commits the first cut staged ops to the master database
-// and compacts the log to the surviving suffix. Called with e.stagedMu
-// held; in a background fold it must apply exactly the transform
-// snapshotWithPrefix previewed.
-func (e *Engine) applyPrefix(cut int) {
-	for _, op := range e.staged[:cut] {
-		entries := applyOpEntries(e.db[op.sig], op)
-		if len(entries) == 0 {
-			delete(e.db, op.sig)
-		} else {
-			e.db[op.sig] = entries
-		}
-	}
+// trimStaged drops the first cut staged ops, which the index being
+// swapped in has consolidated. Called with e.stagedMu held.
+func (e *Engine) trimStaged(cut int) {
 	rest := len(e.staged) - cut
 	if cap(e.staged) > 4096 && cap(e.staged) > 4*rest {
 		// Release the log's backing array after a large consolidation —
@@ -132,31 +204,6 @@ func (e *Engine) applyPrefix(cut int) {
 	}
 }
 
-// bulkLoad is a batch of associations a synchronous consolidation commits
-// after the staged log, in a snapshot's own shape: sigs[i] gains the
-// entries of entries[i].
-type bulkLoad struct {
-	sigs    []bitvec.Vector
-	entries [][]dbEntry
-}
-
-// applyBulk commits a bulk load to the master database, in order after
-// the staged ops: a signature new to db takes the bulk's entry slice as
-// is, an existing one has the entries appended. Called with e.stagedMu
-// held.
-func (e *Engine) applyBulk(bulk bulkLoad) {
-	for i, sig := range bulk.sigs {
-		entries := bulk.entries[i]
-		if len(entries) == 0 {
-			continue // db holds no empty entry lists
-		}
-		if cur := e.db[sig]; len(cur) > 0 {
-			entries = append(cur, entries...)
-		}
-		e.db[sig] = entries
-	}
-}
-
 // consolidateOnce runs one full consolidation. The synchronous form
 // (background=false — the public Consolidate and LoadSnapshot) blocks
 // submissions across all three phases, exactly like the pre-overlay
@@ -166,13 +213,13 @@ func (e *Engine) applyBulk(bulk bulkLoad) {
 // consolidateMu serializes concurrent callers (explicit Consolidate vs
 // the background goroutine).
 //
-// bulk is a batch of associations committed after the staged log inside
-// Phase A and consolidated in the same pass (LoadSnapshot's path). Only
-// the synchronous form is handed one: submissions are blocked for the
-// whole pass, so the bulk never needs an overlay generation of its own
-// — a snapshot-sized overlay would cost hundreds of MB of bit-sliced
-// groups and maps just to be discarded at the swap.
-func (e *Engine) consolidateOnce(background bool, bulk bulkLoad) error {
+// bulk is a batch of associations consolidated after the staged log in
+// the same pass (LoadSnapshot's path). Only the synchronous form is
+// handed one: submissions are blocked for the whole pass, so the bulk
+// never needs an overlay generation of its own — a snapshot-sized
+// overlay would cost hundreds of MB of bit-sliced groups and maps just to
+// be discarded at the swap.
+func (e *Engine) consolidateOnce(background bool, bulk setList) error {
 	e.consolidateMu.Lock()
 	defer e.consolidateMu.Unlock()
 	if e.closed.Load() {
@@ -193,38 +240,26 @@ func (e *Engine) consolidateOnce(background bool, bulk bulkLoad) error {
 		e.Drain()
 	}
 
-	// Phase A: cut the log and snapshot db ⊕ prefix. The synchronous form
-	// commits the prefix and the bulk here and leaves nothing for Phase C
-	// to apply. Background folds of a small delta take the incremental
-	// path: only the touched signatures are captured, and Phase B splices
-	// them into the old index's layout instead of re-partitioning the
-	// world.
+	// Phase A: cut the log and apply the prefix to clones of the rows it
+	// touches. Background folds of a small delta take the incremental
+	// path: Phase B splices the touched signatures into the old index's
+	// layout instead of re-partitioning the world.
 	e.stagedMu.Lock()
 	cut := len(e.staged)
-	if !background {
-		if len(e.db) == 0 {
-			e.db = make(map[bitvec.Vector][]dbEntry, cut+len(bulk.sigs))
-		}
-		e.applyPrefix(cut)
-		e.applyBulk(bulk)
-		cut = 0
-	}
 	old := e.idx.Load()
+	touched := touchedBy(old, e.staged[:cut], e.cfg.ExactVerify)
+	e.stagedMu.Unlock()
 	incremental := background && incrementalEligible(old, cut)
 	var idx *index
 	if incremental {
-		touched, hadSig := e.deltaPrefix(cut)
-		e.stagedMu.Unlock()
-		idx = e.buildIncrementalIndex(old, touched, hadSig)
+		idx = e.buildIncrementalIndex(old, touched)
 		e.incFolds.Add(1)
 	} else {
-		sigs, entriesBySet := e.snapshotWithPrefix(cut)
-		e.stagedMu.Unlock()
 		// Phase B: the expensive host-side build — off the hot path in
 		// background mode. Device memory is untouched here, so the old
 		// index's buffers are not double-counted against the device
 		// budget.
-		idx = e.buildHostIndex(sigs, entriesBySet)
+		idx = e.buildHostIndex(listDatabase(old, touched, bulk))
 	}
 
 	// Phase C: drain, swap, upload.
@@ -239,8 +274,7 @@ func (e *Engine) consolidateOnce(background bool, bulk bulkLoad) error {
 	pauseStart := time.Now()
 
 	e.stagedMu.Lock()
-	e.applyPrefix(cut)
-	old = e.idx.Load()
+	e.trimStaged(cut)
 	e.idx.Store(&index{pt: &partitionTable{}})
 	var degraded error
 	if !incremental || !e.adoptDevices(idx, old) {
@@ -253,7 +287,7 @@ func (e *Engine) consolidateOnce(background bool, bulk bulkLoad) error {
 	}
 	e.idx.Store(idx)
 	if !e.cfg.DisableDeltaOverlay {
-		e.delta.rebuild(e.db, e.staged)
+		e.delta.rebuild(idx, e.staged)
 	}
 	e.stagedMu.Unlock()
 
@@ -275,25 +309,6 @@ func (e *Engine) consolidateOnce(background bool, bulk bulkLoad) error {
 	}
 	e.consolidateTime.Store(int64(time.Since(start)))
 	return degraded
-}
-
-// deltaPrefix captures just the signatures touched by the first cut
-// staged ops: the final entry list each touched signature should serve
-// (empty = fully removed), and whether the live database had the
-// signature before the prefix. Entry slices are cloned, so Phase B can
-// use them lock-free. Called with e.stagedMu held.
-func (e *Engine) deltaPrefix(cut int) (touched map[bitvec.Vector][]dbEntry, hadSig map[bitvec.Vector]bool) {
-	touched = make(map[bitvec.Vector][]dbEntry, cut)
-	hadSig = make(map[bitvec.Vector]bool, cut)
-	for _, op := range e.staged[:cut] {
-		cur, ok := touched[op.sig]
-		if !ok {
-			cur = append([]dbEntry(nil), e.db[op.sig]...)
-			hadSig[op.sig] = len(cur) > 0
-		}
-		touched[op.sig] = applyOpEntries(cur, op)
-	}
-	return touched, hadSig
 }
 
 // incrementalEligible decides whether a background fold may splice the
@@ -332,57 +347,14 @@ func incrementalEligible(old *index, cut int) bool {
 // substitutions recorded in a per-row patch map the reduce consults
 // first. A signature whose entry list emptied keeps its row as a "dud"
 // — the kernel still matches it, the reduce finds zero keys — so no
-// group retranspose or offset shift is ever needed. Genuinely new signatures are partitioned among
+// group retranspose or offset shift is ever needed. Signatures with no
+// live row (new ones, and re-adds after a dud) are partitioned among
 // themselves (same Algorithm 1, delta-sized input) and appended as
 // fresh partitions; the partition table is rebuilt over the combined
-// set, so routing sees them immediately.
-//
-// The sig→row map rides along from fold to fold (old.rowOf, stolen
-// under consolidateMu) so only the first incremental fold pays the
-// O(rows) map build. Duplicate signatures can exist (a dud plus a
-// later re-add); the map always points at the live row — appends
-// overwrite, and within one fold a signature resolves to a single
-// final entry list, so the dud and its successor are never updated
-// together.
-func (e *Engine) buildIncrementalIndex(old *index, touched map[bitvec.Vector][]dbEntry, hadSig map[bitvec.Vector]bool) *index {
-	rowOf := old.rowOf
-	old.rowOf = nil
-	if rowOf == nil {
-		rowOf = make(map[bitvec.Vector]uint32, len(old.sets))
-		for r, sig := range old.sets {
-			if _, dup := rowOf[sig]; !dup || old.keyOff[r+1] > old.keyOff[r] {
-				rowOf[sig] = uint32(r)
-			}
-		}
-	}
-
-	// Split the touched signatures into in-place row substitutions and
-	// brand-new sets. A touched signature the database didn't have
-	// (or — defensively — one the row map cannot place) becomes a new
-	// row; its possible dud predecessor serves zero keys and stays
-	// harmless.
-	replaced := make(map[uint32][]dbEntry, len(touched))
-	var newSigs []bitvec.Vector
-	var newEntries map[bitvec.Vector][]dbEntry
-	for sig, entries := range touched {
-		if hadSig[sig] {
-			if r, ok := rowOf[sig]; ok {
-				replaced[r] = entries
-				continue
-			}
-		}
-		if len(entries) > 0 {
-			if newEntries == nil {
-				newEntries = make(map[bitvec.Vector][]dbEntry)
-			}
-			newSigs = append(newSigs, sig)
-			newEntries[sig] = entries
-		}
-	}
-	// Map iteration order is random; sort so the delta partitioning is
-	// deterministic for a given op sequence.
-	sort.Slice(newSigs, func(i, j int) bool { return bitvec.Less(newSigs[i], newSigs[j]) })
-
+// set, so routing sees them immediately. The row table is copied, not
+// written, and the appended rows inserted into the copy: a re-added
+// signature's new row replaces its dud there.
+func (e *Engine) buildIncrementalIndex(old *index, touched []touchedSet) *index {
 	idx := &index{devices: e.cfg.Devices}
 	// Alias the old generation's row and group arrays instead of copying
 	// them: the incremental build only ever appends (new sets start new
@@ -406,54 +378,41 @@ func (e *Engine) buildIncrementalIndex(old *index, touched map[bitvec.Vector][]d
 	idx.keyOff = old.keyOff
 	idx.keys = old.keys
 	idx.keyTags = old.keyTags
-	idx.patched = make(map[uint32]patchedRow, len(old.patched)+len(replaced))
+	idx.patched = make(map[uint32]entryList, len(old.patched)+len(touched))
 	for r, pe := range old.patched {
 		idx.patched[r] = pe
 	}
 	duds := old.dudRows
-	rowEmpty := func(r uint32) bool {
-		if pe, ok := old.patched[r]; ok {
-			return len(pe.keys) == 0
-		}
-		return old.keyOff[r+1] == old.keyOff[r]
-	}
-	for r, entries := range replaced {
-		pe := patchedRow{keys: make([]Key, len(entries))}
-		if e.cfg.ExactVerify {
-			pe.tags = make([][]string, len(entries))
-		}
-		for i, en := range entries {
-			pe.keys[i] = en.key
-			if e.cfg.ExactVerify {
-				pe.tags[i] = en.tags
-			}
-		}
-		if len(entries) == 0 {
-			if !rowEmpty(r) {
+	var fresh setList
+	for _, ts := range touched {
+		switch {
+		case ts.row >= 0:
+			// A live row: its entries are replaced in place, and a row
+			// emptied by the cut becomes a dud.
+			if len(ts.ents.keys) == 0 {
 				duds++
 			}
-		} else if rowEmpty(r) {
-			duds--
+			idx.patched[uint32(ts.row)] = ts.ents
+		case len(ts.ents.keys) > 0:
+			fresh.add(ts.sig, ts.ents)
 		}
-		idx.patched[r] = pe
 	}
 
 	// Existing partitions keep their layout (a partition is immutable once
 	// its index is published).
 	idx.parts = append(make([]partition, 0, len(old.parts)+1), old.parts...)
 
-	if len(newSigs) > 0 {
-		idx.appendPartitions(newSigs, e.partition(newSigs), len(e.cfg.Devices), func(m int32, r uint32) {
-			rowOf[newSigs[m]] = r
-			idx.appendKeys(newEntries[newSigs[m]], e.cfg.ExactVerify)
+	if len(fresh.sigs) > 0 {
+		idx.appendPartitions(fresh.sigs, e.partition(fresh.sigs), len(e.cfg.Devices), func(m int32, _ uint32) {
+			idx.appendKeys(fresh.lists[m], e.cfg.ExactVerify)
 		})
 	}
+	idx.rows = old.rows.withRows(idx.sets, len(old.sets))
 
 	idx.pt, idx.maskless = buildPartitionTable(idx.parts)
 	idx.hostBytes = hostBytesFor(idx)
 	idx.fullSets = old.fullSets
 	idx.dudRows = duds
-	idx.rowOf = rowOf
 	return idx
 }
 
@@ -582,7 +541,7 @@ func (e *Engine) consolidatorLoop() {
 		case <-e.consolKick:
 		}
 		for e.deltaOverThreshold() {
-			err := e.consolidateOnce(true, bulkLoad{})
+			err := e.consolidateOnce(true, setList{})
 			if err != nil && !errors.Is(err, ErrDeviceDegraded) {
 				return // ErrClosed: the engine is shutting down
 			}

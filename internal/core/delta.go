@@ -17,11 +17,11 @@ import (
 // a small dynamic structure on the hot path, fold them into the main
 // index asynchronously).
 //
-// Invariant: the overlay is a pure function of (db, staged) and is
-// updated in the same stagedMu critical section that appends the op, so
-// matching against (main index + overlay) always equals matching against
-// the database Consolidate would produce from the same log. Concretely,
-// for every (signature, key):
+// Invariant: the overlay is a pure function of (live index, staged) and
+// is updated in the same stagedMu critical section that appends the op,
+// so matching against (main index + overlay) always equals matching
+// against the database Consolidate would produce from the same log.
+// Concretely, for every (signature, key):
 //
 //	live multiplicity = mainCount - tombs[(sig,key)] + liveOverlayAdds
 //
@@ -82,16 +82,17 @@ func (d *delta) init() {
 
 // absorb folds one freshly staged op into the overlay. Called with
 // e.stagedMu held, immediately after the op was appended to e.staged, so
-// the overlay and the op log stay in lockstep.
-func (d *delta) absorb(db map[bitvec.Vector][]dbEntry, op stagedOp) {
+// the overlay and the op log stay in lockstep; idx is the live index,
+// which the same lock keeps from being swapped meanwhile.
+func (d *delta) absorb(idx *index, op stagedOp) {
 	d.mu.Lock()
-	d.absorbLocked(db, op)
+	d.absorbLocked(idx, op)
 	d.mu.Unlock()
 }
 
-func (d *delta) absorbLocked(db map[bitvec.Vector][]dbEntry, op stagedOp) {
+func (d *delta) absorbLocked(idx *index, op stagedOp) {
 	if op.remove {
-		d.absorbRemoveLocked(db, op)
+		d.absorbRemoveLocked(idx, op)
 	} else {
 		d.absorbAddLocked(op)
 	}
@@ -120,16 +121,18 @@ func (d *delta) absorbAddLocked(op stagedOp) {
 	}
 }
 
-func (d *delta) absorbRemoveLocked(db map[bitvec.Vector][]dbEntry, op stagedOp) {
+func (d *delta) absorbRemoveLocked(idx *index, op stagedOp) {
 	tk := tombKey{sig: op.sig, key: op.key}
 	// Classify against the replay order Consolidate uses: main-index
 	// entries precede appended overlay adds, and the remove drops the
 	// first occurrence. So while an unsuppressed main entry remains, the
 	// remove becomes a tombstone; otherwise it cancels the oldest live
-	// overlay add; with neither it is a no-op (as at replay).
+	// overlay add; with neither it is a no-op (as at replay). The main
+	// entries are those the live index serves for the signature.
 	mainCount := 0
-	for _, en := range db[op.sig] {
-		if en.key == op.key {
+	_, main := idx.liveRow(op.sig)
+	for _, k := range main.keys {
+		if k == op.key {
 			mainCount++
 		}
 	}
@@ -182,11 +185,11 @@ func (d *delta) match(sig bitvec.Vector, tags map[string]struct{}, dst []Key) []
 }
 
 // rebuild resets the overlay and replays the surviving staged suffix
-// against the just-updated master database. Called with e.stagedMu held
-// during the consolidation swap, after the consolidated prefix was
-// applied to db — the overlay is purely derived state, so rebuilding it
-// from (db, staged) restores the invariant for the new generation.
-func (d *delta) rebuild(db map[bitvec.Vector][]dbEntry, staged []stagedOp) {
+// against the index just swapped in. Called with e.stagedMu held during
+// the consolidation swap, after the consolidated prefix left the log —
+// the overlay is purely derived state, so rebuilding it from (live
+// index, staged) restores the invariant for the new generation.
+func (d *delta) rebuild(idx *index, staged []stagedOp) {
 	d.mu.Lock()
 	// Reuse the backing arrays across steady-state folds, but release
 	// them when they dwarf the surviving suffix: a bulk load absorbed
@@ -207,7 +210,7 @@ func (d *delta) rebuild(db map[bitvec.Vector][]dbEntry, staged []stagedOp) {
 	d.addsLive.Store(0)
 	d.tombsLive.Store(0)
 	for _, op := range staged {
-		d.absorbLocked(db, op)
+		d.absorbLocked(idx, op)
 	}
 	if len(staged) == 0 {
 		d.sinceNs.Store(0)

@@ -673,7 +673,7 @@ func TestDeltaFoldBehindConsolidate(t *testing.T) {
 	// select, which it reaches after the fold the load woke has returned.
 	e.consolKick <- struct{}{}
 	e.consolKick <- struct{}{}
-	if err := e.consolidateOnce(true, bulkLoad{}); err != nil {
+	if err := e.consolidateOnce(true, setList{}); err != nil {
 		t.Fatal(err)
 	}
 	if e.idx.Load() != gen {

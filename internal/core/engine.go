@@ -41,12 +41,14 @@ type Engine struct {
 	// exclusively across drain + rebuild.
 	submitMu sync.RWMutex
 
-	// stagedMu guards the master database and staging area. The delta
-	// overlay is updated in the same critical section that appends a
-	// staged op (lock order stagedMu -> delta.mu), keeping overlay and
-	// op log in lockstep.
+	// stagedMu guards the staging area, and its pairing with the live
+	// index: a consolidation drops the ops it folded from the log in the
+	// same critical section that swaps the index in, so the live index ⊕
+	// staged is the database at every instant. The delta overlay is
+	// updated in the same critical section that appends a staged op
+	// (lock order stagedMu -> delta.mu), keeping overlay and op log in
+	// lockstep.
 	stagedMu sync.Mutex
-	db       map[bitvec.Vector][]dbEntry // consolidated master copy
 	staged   []stagedOp
 
 	// delta is the match-visible overlay over staged; see delta.go.
@@ -62,7 +64,10 @@ type Engine struct {
 	swapPauseNs   atomic.Int64 // last background swap pause, nanoseconds
 	incFolds      atomic.Int64 // background folds that took the incremental path
 
-	idx atomic.Pointer[index] // immutable between consolidates; swapped under submitMu
+	// idx is the live index — the one consolidated copy of the database —
+	// immutable between consolidates and swapped under submitMu and
+	// stagedMu.
+	idx atomic.Pointer[index]
 
 	inputCh  chan *query
 	reduceCh chan *batchResult
@@ -133,15 +138,11 @@ type stagedOp struct {
 	remove bool
 }
 
-// dbEntry is one (key, tags) association of the master database. tags is
-// nil unless the engine runs in ExactVerify mode.
-type dbEntry struct {
-	key  Key
-	tags []string
-}
-
-// index is the consolidated, immutable matching state (the entry log
-// below is the one mutable part, guarded by its own mutex).
+// index is the consolidated, immutable matching state and the engine's
+// master copy of the database: row r's entries are patched[r] if an
+// incremental fold changed them, else keys[keyOff[r]:keyOff[r+1]] (see
+// index.row). The entry log below is the one mutable part, guarded by its
+// own mutex.
 type index struct {
 	// sets is the flat tagset table, partition-major. Within a partition
 	// the rows are in the order appendPartitions laid them out: 64-aligned
@@ -195,16 +196,19 @@ type index struct {
 
 	hostBytes int64
 
+	// rows maps each signature to its live row (rowtable.go). Every build
+	// makes its own: a full build fills a fresh one after laying out the
+	// rows, an incremental fold copies its predecessor's and inserts the
+	// rows it appended, so stageOp can read the live generation's table
+	// while the next one is built.
+	rows rowTable
+
 	// Incremental-fold bookkeeping (see buildIncrementalIndex). fullSets
 	// is the row count at the last full rebuild; dudRows counts rows
 	// whose key list emptied in place (their signatures still occupy a
-	// kernel lane until the next full rebuild); rowOf maps each
-	// signature to its live row, built lazily by the first incremental
-	// fold and handed forward — under consolidateMu — from generation
-	// to generation.
+	// kernel lane until the next full rebuild).
 	fullSets int
 	dudRows  int
-	rowOf    map[bitvec.Vector]uint32
 
 	// patched overrides the key CSR for rows whose entry list changed in
 	// an incremental fold: the fold aliases the previous generation's
@@ -214,7 +218,7 @@ type index struct {
 	// reduceBatch); nil after a full rebuild. Bounded by
 	// incrementalEligible — too many patched rows forces a full rebuild
 	// that folds them back into a flat CSR.
-	patched map[uint32]patchedRow
+	patched map[uint32]entryList
 }
 
 // routedEntry is one (partition, query) pair of a query's fan-out.
@@ -231,14 +235,6 @@ type entryLog struct {
 	mu      sync.Mutex
 	entries []routedEntry
 	opened  time.Time // when the oldest entry was handed over
-}
-
-// patchedRow is one row's replacement entry list (see index.patched).
-// tags is parallel to keys and nil unless the engine runs in ExactVerify
-// mode.
-type patchedRow struct {
-	keys []Key
-	tags [][]string
 }
 
 // ErrClosed is returned by operations on a closed engine.
@@ -289,7 +285,6 @@ func New(cfg Config) (*Engine, error) {
 	cfg.applyDefaults()
 	e := &Engine{
 		cfg:      cfg,
-		db:       make(map[bitvec.Vector][]dbEntry),
 		inputCh:  make(chan *query, 4*cfg.BatchSize),
 		reduceCh: make(chan *batchResult, 64),
 
@@ -506,7 +501,7 @@ func (e *Engine) stageOp(op stagedOp) {
 	e.stagedMu.Lock()
 	e.staged = append(e.staged, op)
 	if !e.cfg.DisableDeltaOverlay {
-		e.delta.absorb(e.db, op)
+		e.delta.absorb(e.idx.Load(), op)
 		e.obs.Delta.AbsorbedOps.Add(1)
 	}
 	e.stagedMu.Unlock()
@@ -537,16 +532,17 @@ func (e *Engine) Consolidate() error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	return e.consolidateOnce(false, bulkLoad{})
+	return e.consolidateOnce(false, setList{})
 }
 
 // buildHostIndex constructs the host-side half of a fresh index from a
-// database snapshot: partitioning, ordered flat table, transposed mirror,
-// key table, partition table. It touches no device state, so the
-// background consolidator can run it while the previous index still
+// database listing: partitioning, ordered flat table, transposed mirror,
+// key table, row table, partition table. It touches no device state, so
+// the background consolidator can run it while the previous index still
 // holds every device's memory; attachDevices completes the index inside
 // the swap's critical section.
-func (e *Engine) buildHostIndex(sigs []bitvec.Vector, entriesBySet [][]dbEntry) *index {
+func (e *Engine) buildHostIndex(db setList) *index {
+	sigs := db.sigs
 	specs := e.partition(sigs)
 	idx := &index{devices: e.cfg.Devices}
 	// The row and group arrays carry ~12% slack so incremental folds can
@@ -559,12 +555,15 @@ func (e *Engine) buildHostIndex(sigs []bitvec.Vector, entriesBySet [][]dbEntry) 
 	idx.parts = make([]partition, 0, len(specs))
 
 	idx.appendPartitions(sigs, specs, len(e.cfg.Devices), func(m int32, _ uint32) {
-		idx.appendKeys(entriesBySet[m], e.cfg.ExactVerify)
+		idx.appendKeys(db.lists[m], e.cfg.ExactVerify)
 	})
+	// Sized for the rows incremental folds may append before
+	// incrementalEligible forces the next full build.
+	idx.rows = fillRowTable(idx.sets, len(idx.sets)*5/4)
 	idx.pt, idx.maskless = buildPartitionTable(idx.parts)
 	idx.hostBytes = hostBytesFor(idx)
-	// A fresh full build has no duds and no carried row map; incremental
-	// folds measure their drift against this baseline.
+	// A fresh full build has no duds; incremental folds measure their
+	// drift against this baseline.
 	idx.fullSets = len(idx.sets)
 	return idx
 }
@@ -639,13 +638,11 @@ func (idx *index) gatherDevice(d, from int) ([]bitvec.SlicedGroup, []runNode) {
 	return groups, runs
 }
 
-// appendKeys extends the key CSR by one row holding entries.
-func (idx *index) appendKeys(entries []dbEntry, withTags bool) {
-	for _, en := range entries {
-		idx.keys = append(idx.keys, en.key)
-		if withTags {
-			idx.keyTags = append(idx.keyTags, en.tags)
-		}
+// appendKeys extends the key CSR by one row holding ents.
+func (idx *index) appendKeys(ents entryList, withTags bool) {
+	idx.keys = append(idx.keys, ents.keys...)
+	if withTags {
+		idx.keyTags = append(idx.keyTags, ents.tags...)
 	}
 	idx.keyOff = append(idx.keyOff, uint32(len(idx.keys)))
 }
@@ -653,10 +650,11 @@ func (idx *index) appendKeys(entries []dbEntry, withTags bool) {
 // hostBytesFor is the host memory accounting (Fig 9): tagset table host
 // copy (24 B/set), its transposed mirror (1592 B per 64-set SlicedGroup
 // ≈ 24.9 B/set) with its run nodes (40 B each),
-// key table, CSR offsets, partition table (scalar bins + bit-sliced
-// groups).
+// key table, CSR offsets, row table (4 B per slot), partition table
+// (scalar bins + bit-sliced groups).
 func hostBytesFor(idx *index) int64 {
 	return int64(len(idx.sets))*24 +
+		int64(len(idx.rows))*4 +
 		int64(len(idx.groups))*slicedGroupBytes +
 		int64(len(idx.runs))*runNodeBytes +
 		int64(len(idx.keys))*4 +

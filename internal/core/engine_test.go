@@ -48,12 +48,10 @@ func (db *testDB) load(e *Engine) {
 }
 
 // bulk is the database as LoadSnapshot hands it to a consolidation.
-func (db *testDB) bulk() bulkLoad {
-	b := bulkLoad{sigs: db.sigs, entries: make([][]dbEntry, len(db.sigs))}
+func (db *testDB) bulk() setList {
+	b := setList{sigs: db.sigs, lists: make([]entryList, len(db.sigs))}
 	for i, keys := range db.keys {
-		for _, k := range keys {
-			b.entries[i] = append(b.entries[i], dbEntry{key: k})
-		}
+		b.lists[i].keys = keys
 	}
 	return b
 }

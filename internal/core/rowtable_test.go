@@ -1,0 +1,436 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"tagmatch/internal/bitvec"
+	"tagmatch/internal/bloom"
+	"tagmatch/internal/gpu"
+)
+
+// TestRowTableProbe drives the table on its own: signatures that repeat
+// resolve to their highest row, a signature never inserted resolves to
+// nothing, and withRows leaves the table it copies untouched, whether it
+// copies in place or refills a larger table.
+func TestRowTableProbe(t *testing.T) {
+	rng := rand.New(rand.NewSource(201))
+	distinct := randomSets(300, 3, 202)
+	var sets []bitvec.Vector
+	for range 600 {
+		sets = append(sets, distinct[rng.Intn(len(distinct)-50)])
+	}
+	highest := func(sets []bitvec.Vector) map[bitvec.Vector]uint32 {
+		out := make(map[bitvec.Vector]uint32)
+		for r, sig := range sets {
+			out[sig] = uint32(r)
+		}
+		return out
+	}
+	check := func(name string, tab rowTable, sets []bitvec.Vector) {
+		t.Helper()
+		want := highest(sets)
+		for _, sig := range distinct {
+			r, ok := tab.lookup(sets, sig)
+			wr, wok := want[sig]
+			if ok != wok || ok && r != wr {
+				t.Fatalf("%s: lookup = (%d, %v), want (%d, %v)", name, r, ok, wr, wok)
+			}
+		}
+	}
+
+	base := fillRowTable(sets[:400], 400*5/4)
+	frozen := slices.Clone(base)
+	check("fill", base, sets[:400])
+	inPlace := base.withRows(sets[:500], 400)
+	check("copy", inPlace, sets[:500])
+	if len(inPlace) != len(base) {
+		t.Fatalf("withRows refilled a table with room: %d slots, was %d", len(inPlace), len(base))
+	}
+	grown := base.withRows(sets, 400)
+	check("refill", grown, sets)
+	if len(grown) < 2*len(sets) {
+		t.Fatalf("refilled table has %d slots for %d rows", len(grown), len(sets))
+	}
+	if !slices.Equal(base, frozen) {
+		t.Fatal("withRows wrote the table it copied")
+	}
+	check("original", base, sets[:400])
+	if _, ok := rowTable(nil).lookup(nil, distinct[0]); ok {
+		t.Fatal("an empty table resolved a signature")
+	}
+}
+
+// rowModel is the brute-force database the live index is held to: each
+// signature's keys as a multiset, and the tags it was added with.
+type rowModel struct {
+	keys map[bitvec.Vector][]Key
+	tags map[bitvec.Vector][]string
+}
+
+func (m *rowModel) clone() rowModel {
+	c := rowModel{keys: make(map[bitvec.Vector][]Key, len(m.keys)), tags: m.tags}
+	for sig, ks := range m.keys {
+		c.keys[sig] = slices.Clone(ks)
+	}
+	return c
+}
+
+func (m *rowModel) apply(sig bitvec.Vector, key Key, remove bool) {
+	if !remove {
+		m.keys[sig] = append(m.keys[sig], key)
+	} else if slices.Contains(m.keys[sig], key) {
+		m.keys[sig] = deleteFirstKey(m.keys[sig], key)
+	}
+}
+
+// rowTableRig stages ops on an engine whose background folds it holds
+// off, and classifies every staged remove both ways: by the overlay's
+// counters, and by the model (a tombstone while the consolidated
+// database still has an unsuppressed entry for the key, else the
+// cancellation of a live overlay add, else a no-op).
+type rowTableRig struct {
+	t      *testing.T
+	e      *Engine
+	exact  bool
+	main   rowModel // as of the last consolidation
+	live   rowModel // main ⊕ staged
+	tombs  map[tombKey]int
+	adds   map[tombKey]int
+	staged int
+}
+
+func (g *rowTableRig) reset() {
+	g.main = g.live.clone()
+	g.tombs = make(map[tombKey]int)
+	g.adds = make(map[tombKey]int)
+	g.staged = 0
+}
+
+func (g *rowTableRig) add(tags []string, key Key) {
+	sig := bloom.Signature(tags)
+	g.live.tags[sig] = tags
+	g.e.AddSet(tags, key)
+	g.live.apply(sig, key, false)
+	g.adds[tombKey{sig: sig, key: key}]++
+	g.staged++
+}
+
+func (g *rowTableRig) remove(tags []string, key Key) {
+	g.t.Helper()
+	sig := bloom.Signature(tags)
+	tk := tombKey{sig: sig, key: key}
+	want := "no-op"
+	if g.tombs[tk] < countKey(g.main.keys[sig], key) {
+		g.tombs[tk]++
+		want = "tombstone"
+	} else if g.adds[tk] > 0 {
+		g.adds[tk]--
+		want = "cancel"
+	}
+	tombs, adds := g.e.delta.tombsLive.Load(), g.e.delta.addsLive.Load()
+	g.e.RemoveSet(tags, key)
+	got := "no-op"
+	switch {
+	case g.e.delta.tombsLive.Load() == tombs+1 && g.e.delta.addsLive.Load() == adds:
+		got = "tombstone"
+	case g.e.delta.addsLive.Load() == adds-1 && g.e.delta.tombsLive.Load() == tombs:
+		got = "cancel"
+	case g.e.delta.tombsLive.Load() != tombs || g.e.delta.addsLive.Load() != adds:
+		got = "both"
+	}
+	if got != want {
+		g.t.Fatalf("remove of key %d classified %s, model says %s", key, got, want)
+	}
+	g.live.apply(sig, key, true)
+	g.staged++
+}
+
+func countKey(keys []Key, k Key) int {
+	n := 0
+	for _, kk := range keys {
+		if kk == k {
+			n++
+		}
+	}
+	return n
+}
+
+// fold runs one background fold of everything staged and requires it to
+// have taken the incremental path.
+func (g *rowTableRig) fold() {
+	g.t.Helper()
+	before := g.e.Stats().IncrementalFolds
+	g.e.consolidateMu.Unlock()
+	err := g.e.consolidateOnce(true, setList{})
+	g.e.consolidateMu.Lock()
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	if n := g.e.PendingOps(); n != 0 || g.e.Stats().IncrementalFolds != before+1 {
+		g.t.Fatalf("%d ops left, %d incremental folds after %d; want one incremental fold of all %d",
+			n, g.e.Stats().IncrementalFolds, before, g.staged)
+	}
+	g.reset()
+	g.check()
+}
+
+// check holds the live index to the model: every signature with entries
+// resolves to a row holding exactly them (and their tags), every row
+// with entries is the row its signature resolves to — so no dud shadows
+// a live row — and the empty rows are exactly the duds the index counts.
+func (g *rowTableRig) check() {
+	g.t.Helper()
+	idx := g.e.idx.Load()
+	for sig, keys := range g.live.keys {
+		if len(keys) == 0 {
+			continue
+		}
+		r, ok := idx.rows.lookup(idx.sets, sig)
+		if !ok {
+			g.t.Fatalf("a signature with %d keys resolves to no row", len(keys))
+		}
+		ents := idx.row(r)
+		if !slices.Equal(sortedKeys(ents.keys), sortedKeys(keys)) {
+			g.t.Fatalf("row %d holds keys %v, model %v", r, ents.keys, keys)
+		}
+		if !g.exact {
+			if ents.tags != nil {
+				g.t.Fatalf("row %d carries tags without ExactVerify", r)
+			}
+			continue
+		}
+		if len(ents.tags) != len(ents.keys) {
+			g.t.Fatalf("row %d: %d tag lists for %d keys", r, len(ents.tags), len(ents.keys))
+		}
+		for _, tags := range ents.tags {
+			if !slices.Equal(tags, g.live.tags[sig]) {
+				g.t.Fatalf("row %d: tags %q, want %q", r, tags, g.live.tags[sig])
+			}
+		}
+	}
+	empty := 0
+	for r, sig := range idx.sets {
+		if len(idx.row(uint32(r)).keys) == 0 {
+			empty++
+			continue
+		}
+		if rr, _ := idx.rows.lookup(idx.sets, sig); rr != uint32(r) {
+			g.t.Fatalf("row %d holds entries but its signature resolves to row %d", r, rr)
+		}
+		if len(g.live.keys[sig]) == 0 {
+			g.t.Fatalf("row %d holds entries the model does not have", r)
+		}
+	}
+	if empty != idx.dudRows {
+		g.t.Fatalf("%d empty rows, the index counts %d duds", empty, idx.dudRows)
+	}
+}
+
+func sortedKeys(ks []Key) []Key {
+	out := slices.Clone(ks)
+	slices.Sort(out)
+	return out
+}
+
+// TestRowTableDifferential holds the live index and its row table to a
+// brute-force model through a full build, incremental folds that empty
+// rows into duds, re-add their signatures (a later row) and empty those
+// again, and bulk loads onto an engine with staged adds and removes —
+// with ExactVerify off and on. Every staged remove is classified
+// (tombstone, cancel, no-op) against the model as well.
+func TestRowTableDifferential(t *testing.T) {
+	for _, exact := range []bool{false, true} {
+		t.Run(fmt.Sprintf("exact=%v", exact), func(t *testing.T) {
+			testRowTableDifferential(t, exact)
+		})
+	}
+}
+
+func testRowTableDifferential(t *testing.T, exact bool) {
+	tagsOf := func(i int) []string { return []string{fmt.Sprintf("set-%d", i), fmt.Sprintf("g%d", i%9)} }
+	e, err := New(Config{
+		MaxPartitionSize: 40, BatchSize: 32, Threads: 2, ExactVerify: exact,
+		Devices: []*gpu.Device{newTestGPU(t, 2)}, StreamsPerDevice: 2,
+		DeltaMaxSets: 1, DeltaMaxRatio: 1e-9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	g := &rowTableRig{t: t, e: e, exact: exact,
+		live: rowModel{keys: make(map[bitvec.Vector][]Key), tags: make(map[bitvec.Vector][]string)}}
+	g.reset()
+
+	// Full build: 400 sets of one to three keys, then the rig holds the
+	// background consolidator off for the rest of the test.
+	bulk := setList{}
+	next := Key(1)
+	for i := range 400 {
+		sig := bloom.Signature(tagsOf(i))
+		g.live.tags[sig] = tagsOf(i)
+		var ents entryList
+		for range 1 + i%3 {
+			ents.keys = append(ents.keys, next)
+			if exact {
+				ents.tags = append(ents.tags, tagsOf(i))
+			}
+			g.live.apply(sig, next, false)
+			next++
+		}
+		bulk.sigs = append(bulk.sigs, sig)
+		bulk.lists = append(bulk.lists, ents)
+	}
+	if err := e.consolidateOnce(false, bulk); err != nil {
+		t.Fatal(err)
+	}
+	e.consolidateMu.Lock()
+	defer e.consolidateMu.Unlock()
+	g.reset()
+	g.check()
+	keysOf := func(i int) []Key { return slices.Clone(g.live.keys[bloom.Signature(tagsOf(i))]) }
+
+	// Fold 1: sets 0..19 lose every key (duds), seven of 20..29 lose one, one
+	// remove misses, sets 30..34 gain a key, and 400..409 are new — one
+	// of them added and removed again inside the cut.
+	for i := range 20 {
+		for _, k := range keysOf(i) {
+			g.remove(tagsOf(i), k)
+		}
+	}
+	for i := 20; i < 30; i++ {
+		if i%3 != 0 { // sets of two or three keys
+			g.remove(tagsOf(i), keysOf(i)[0])
+		}
+	}
+	g.remove(tagsOf(5), 1<<30)
+	for i := 30; i < 35; i++ {
+		g.add(tagsOf(i), next)
+		next++
+	}
+	for i := 400; i < 410; i++ {
+		g.add(tagsOf(i), next)
+		next++
+	}
+	g.remove(tagsOf(409), next-1)
+	g.remove(tagsOf(409), next-1)
+	g.fold()
+	if d := e.idx.Load().dudRows; d != 20 {
+		t.Fatalf("%d duds after emptying 20 rows", d)
+	}
+
+	// Fold 2: the duds' signatures come back, as later rows; one of them
+	// twice, with a remove of the first re-add in between (a cancel).
+	rows := len(e.idx.Load().sets)
+	for i := range 10 {
+		g.add(tagsOf(i), next)
+		next++
+	}
+	g.add(tagsOf(0), next)
+	g.remove(tagsOf(0), next-10)
+	next++
+	g.fold()
+	idx := e.idx.Load()
+	for i := range 10 {
+		if r, _ := idx.rows.lookup(idx.sets, bloom.Signature(tagsOf(i))); int(r) < rows {
+			t.Fatalf("re-added set %d resolves to row %d, not one appended after row %d", i, r, rows)
+		}
+	}
+
+	// Fold 3: the re-added rows empty again, and one more key goes from
+	// a set that still has some: a tombstone, then a no-op for the same
+	// key.
+	for i := range 10 {
+		for _, k := range keysOf(i) {
+			g.remove(tagsOf(i), k)
+		}
+	}
+	k := keysOf(40)[0]
+	g.remove(tagsOf(40), k)
+	g.remove(tagsOf(40), k)
+	g.add(tagsOf(41), next)
+	next++
+	g.fold()
+
+	// A snapshot of 60 sets — ten of them duds here, ten live, the rest
+	// new — loaded over staged adds and removes. The load is a full build:
+	// the duds go and the model is db ⊕ staged ⊕ snapshot.
+	src, err := New(Config{Threads: 1, ExactVerify: exact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	snap := rowModel{keys: make(map[bitvec.Vector][]Key), tags: g.live.tags}
+	for j := range 60 {
+		i := 10 + j // 10..19 are duds, 20..29 live
+		if j >= 20 {
+			i = 430 + j
+		}
+		tags := tagsOf(i)
+		g.live.tags[bloom.Signature(tags)] = tags
+		src.AddSet(tags, next)
+		snap.apply(bloom.Signature(tags), next, false)
+		next++
+	}
+	var buf bytes.Buffer
+	if err := src.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g.remove(tagsOf(25), keysOf(25)[0])
+	g.remove(tagsOf(300), keysOf(300)[0])
+	g.add(tagsOf(301), next)
+	next++
+	g.add(tagsOf(7), next)
+	next++
+	g.remove(tagsOf(7), next-1)
+	e.consolidateMu.Unlock()
+	err = e.LoadSnapshot(&buf)
+	e.consolidateMu.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sig, keys := range snap.keys {
+		g.live.keys[sig] = append(g.live.keys[sig], keys...)
+	}
+	g.reset()
+	g.check()
+	if d := e.idx.Load().dudRows; d != 0 {
+		t.Fatalf("%d duds after a full build", d)
+	}
+
+	// A bulk that names one signature twice, and one the index has:
+	// both merge into a single row.
+	dup := bloom.Signature(tagsOf(500))
+	g.live.tags[dup] = tagsOf(500)
+	bulk = setList{}
+	for _, sig := range []bitvec.Vector{dup, bloom.Signature(tagsOf(100)), dup} {
+		ents := entryList{keys: []Key{next}}
+		if exact {
+			ents.tags = [][]string{g.live.tags[sig]}
+		}
+		bulk.sigs = append(bulk.sigs, sig)
+		bulk.lists = append(bulk.lists, ents)
+		g.live.apply(sig, next, false)
+		next++
+	}
+	e.consolidateMu.Unlock()
+	err = e.consolidateOnce(false, bulk)
+	e.consolidateMu.Lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.reset()
+	g.check()
+
+	want := &testDB{}
+	for sig, keys := range g.live.keys {
+		if len(keys) > 0 {
+			want.sigs = append(want.sigs, sig)
+			want.keys = append(want.keys, keys)
+		}
+	}
+	verifyEngine(t, e, want, want.makeQueries(100, 203), false)
+}

@@ -24,13 +24,14 @@ import (
 //	    nTags u16        (only when flags bit 0 is set)
 //	    per tag: u16 length + bytes
 //
-// A snapshot captures the logical master database — the durable state of
-// the engine — with any staged (unconsolidated) operations applied on
-// the fly through a copy-on-write overlay, so a snapshot taken mid-churn
-// is exactly what a Consolidate at the same instant would have
-// committed. The partitioned index is derived state and is rebuilt by
-// Consolidate on load, exactly as the paper's system rebuilds its index
-// offline.
+// A snapshot captures the logical database — the durable state of the
+// engine — with any staged (unconsolidated) operations applied on the
+// fly to copies of the rows they touch, so a snapshot taken mid-churn is
+// exactly what a Consolidate at the same instant would have committed.
+// Records come in a deterministic order: the live index's rows in row
+// order, then the signatures only staged ops added, in the order they
+// were first staged. The partitioned index is rebuilt by Consolidate on
+// load, exactly as the paper's system rebuilds its index offline.
 var snapshotMagic = [8]byte{'T', 'M', 'S', 'N', 'A', 'P', '0', '1'}
 
 const snapFlagTags = 1 << 0
@@ -39,8 +40,8 @@ const snapFlagTags = 1 << 0
 var ErrBadSnapshot = errors.New("tagmatch: malformed snapshot")
 
 // SaveSnapshot writes the database to w, staged operations included:
-// the stream carries db ⊕ staged, materialized without mutating either,
-// so pending ops survive a save/load cycle without requiring a
+// the stream carries the live index ⊕ staged, listed without mutating
+// either, so pending ops survive a save/load cycle without requiring a
 // Consolidate first. Records are encoded into one reused scratch slice
 // and written out in chunks of about snapshotChunk bytes.
 func (e *Engine) SaveSnapshot(w io.Writer) error {
@@ -49,7 +50,8 @@ func (e *Engine) SaveSnapshot(w io.Writer) error {
 	}
 	e.stagedMu.Lock()
 	defer e.stagedMu.Unlock()
-	sigs, entriesBySet := e.snapshotWithPrefix(len(e.staged))
+	idx := e.idx.Load()
+	db := listDatabase(idx, touchedBy(idx, e.staged, e.cfg.ExactVerify), setList{})
 
 	var flags uint32
 	if e.cfg.ExactVerify {
@@ -58,21 +60,22 @@ func (e *Engine) SaveSnapshot(w io.Writer) error {
 	buf := make([]byte, 0, snapshotChunk+4096)
 	buf = append(buf, snapshotMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, flags)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(sigs)))
-	for si, sig := range sigs {
-		entries := entriesBySet[si]
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(db.sigs)))
+	for m, sig := range db.sigs {
+		ents := db.lists[m]
 		buf = sig.AppendBinary(buf)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
-		for _, en := range entries {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(en.key))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ents.keys)))
+		for j, k := range ents.keys {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(k))
 			if flags&snapFlagTags == 0 {
 				continue
 			}
-			if len(en.tags) > 0xffff {
-				return fmt.Errorf("tagmatch: tag set too large to snapshot (%d tags)", len(en.tags))
+			tags := ents.tags[j]
+			if len(tags) > 0xffff {
+				return fmt.Errorf("tagmatch: tag set too large to snapshot (%d tags)", len(tags))
 			}
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(en.tags)))
-			for _, t := range en.tags {
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(tags)))
+			for _, t := range tags {
 				if len(t) > 0xffff {
 					return fmt.Errorf("tagmatch: tag too long to snapshot (%d bytes)", len(t))
 				}
@@ -136,9 +139,10 @@ func (e *Engine) LoadSnapshot(r io.Reader) error {
 	// malformed snapshot must not leave a partial load behind. The set
 	// count comes from the stream, so it only caps the pre-sizing.
 	presize := min(nSets, 1<<16)
-	bulk := bulkLoad{sigs: make([]bitvec.Vector, 0, presize)}
+	bulk := setList{sigs: make([]bitvec.Vector, 0, presize)}
 	ends := make([]int, 0, presize)
-	all := make([]dbEntry, 0, presize)
+	keys := make([]Key, 0, presize)
+	var tags [][]string // parallel to keys in ExactVerify mode
 	var tagBuf []byte
 	for s := uint64(0); s < nSets; s++ {
 		if b, err = read(bitvec.Blocks*8, "signature"); err != nil {
@@ -156,21 +160,22 @@ func (e *Engine) LoadSnapshot(r io.Reader) error {
 			if b, err = read(4, "key"); err != nil {
 				return err
 			}
-			en := dbEntry{key: Key(binary.LittleEndian.Uint32(b))}
+			keys = append(keys, Key(binary.LittleEndian.Uint32(b)))
+			var enTags []string
 			if flags&snapFlagTags != 0 {
 				if b, err = read(2, "tag count"); err != nil {
 					return err
 				}
 				nTags := int(binary.LittleEndian.Uint16(b))
 				if e.cfg.ExactVerify {
-					en.tags = make([]string, nTags)
+					enTags = make([]string, nTags)
 				}
 				for j := 0; j < nTags; j++ {
 					if b, err = read(2, "tag length"); err != nil {
 						return err
 					}
 					tl := int(binary.LittleEndian.Uint16(b))
-					if en.tags == nil {
+					if enTags == nil {
 						// Tags are only consulted by ExactVerify: skip the
 						// bytes instead of materializing millions of
 						// short-lived strings on a bulk load.
@@ -183,25 +188,25 @@ func (e *Engine) LoadSnapshot(r io.Reader) error {
 					if _, err := io.ReadFull(br, tagBuf); err != nil {
 						return fmt.Errorf("%w: reading tag: %v", ErrBadSnapshot, err)
 					}
-					en.tags[j] = string(tagBuf)
+					enTags[j] = string(tagBuf)
 				}
 			}
-			all = append(all, en)
+			if e.cfg.ExactVerify {
+				tags = append(tags, enTags)
+			}
 		}
 		bulk.sigs = append(bulk.sigs, sig)
-		ends = append(ends, len(all))
+		ends = append(ends, len(keys))
 	}
-	// The engine keeps these entries as its database, so they live in one
-	// exactly sized array, each set's a capacity-limited window of it: a
-	// later add to the set reallocates instead of overwriting its
-	// neighbour's.
-	if cap(all) > len(all) {
-		all = append(make([]dbEntry, 0, len(all)), all...)
-	}
-	bulk.entries = make([][]dbEntry, len(ends))
+	// The entries live only until the build has copied them into the key
+	// table; each set's are a window of the one array.
+	bulk.lists = make([]entryList, len(ends))
 	start := 0
 	for i, end := range ends {
-		bulk.entries[i] = all[start:end:end]
+		bulk.lists[i].keys = keys[start:end]
+		if tags != nil {
+			bulk.lists[i].tags = tags[start:end]
+		}
 		start = end
 	}
 	// Submissions are blocked for the whole synchronous pass, so the bulk

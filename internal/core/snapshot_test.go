@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -623,23 +624,103 @@ func TestSnapshotSaveRacesConsolidate(t *testing.T) {
 	t.Logf("%d snapshots", saves)
 }
 
-// BenchmarkLoadSnapshot is set-up from a generated 50,000-set snapshot:
-// decoding, the one commit to the database, Algorithm 1 and the host
-// index build of a fresh CPU-only engine, at the paper's partition ratio
-// (MaxPartitionSize = sets/1000).
-func BenchmarkLoadSnapshot(b *testing.B) {
-	db := makeTestDB(50000, 5, 2, 197)
+// TestSnapshotDeterministic saves an unchanged engine twice and expects
+// the same bytes: records follow the live index's row order, then the
+// order in which staged ops first touched a new signature, never a map's
+// iteration order. Staged adds to consolidated sets, removes and new sets
+// are pending; with ExactVerify off and on.
+func TestSnapshotDeterministic(t *testing.T) {
+	for _, exact := range []bool{false, true} {
+		t.Run(fmt.Sprintf("exact=%v", exact), func(t *testing.T) {
+			e, err := New(Config{MaxPartitionSize: 40, Threads: 2, ExactVerify: exact, DeltaMaxSets: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			tagsOf := func(i int) []string { return []string{fmt.Sprintf("set-%d", i), fmt.Sprintf("g%d", i%7)} }
+			for i := range 300 {
+				e.AddSet(tagsOf(i), Key(i))
+			}
+			if err := e.Consolidate(); err != nil {
+				t.Fatal(err)
+			}
+			for i := range 40 {
+				e.AddSet(tagsOf(i*5), Key(1000+i))
+				e.RemoveSet(tagsOf(i*7+1), Key(i*7+1))
+				e.AddSet(tagsOf(300+i), Key(2000+i))
+			}
+			save := func() []byte {
+				var buf bytes.Buffer
+				if err := e.SaveSnapshot(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			first := save()
+			if second := save(); !bytes.Equal(first, second) {
+				t.Fatalf("two saves of an unchanged engine differ (%d and %d bytes)", len(first), len(second))
+			}
+		})
+	}
+}
+
+// snapshotOf is a generated snapshot of n sets of one or two keys.
+func snapshotOf(tb testing.TB, n int) []byte {
+	db := makeTestDB(n, 5, 2, 197)
 	src, err := New(Config{Threads: 1, DisableDeltaOverlay: true})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	defer src.Close()
 	db.load(src)
 	var buf bytes.Buffer
 	if err := src.SaveSnapshot(&buf); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	src.Close()
-	data := buf.Bytes()
+	return buf.Bytes()
+}
+
+// TestSnapshotLoadHeapPerSet bounds the live heap a loaded database
+// costs on a 2-GPU engine: the live index (host and simulated device
+// halves) and its row table, and no second copy of the database. A
+// per-set signature map with its entry lists beside the index reads
+// ≈316 B/set here; the index alone ≈205.
+func TestSnapshotLoadHeapPerSet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations distort the live heap")
+	}
+	const sets, bound = 50000, 260
+	data := snapshotOf(t, sets)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e, err := New(Config{
+		MaxPartitionSize: 50, Threads: 2,
+		Devices: []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}, StreamsPerDevice: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.LoadSnapshot(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(data)
+	perSet := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / sets
+	t.Logf("live heap after the load: %.1f B/set", perSet)
+	if perSet > bound {
+		t.Fatalf("a loaded set costs %.1f B of live heap, over the %d B bound", perSet, bound)
+	}
+}
+
+// BenchmarkLoadSnapshot is set-up from a generated 50,000-set snapshot:
+// decoding, Algorithm 1, and the host index and row table build of a
+// fresh CPU-only engine, at the paper's partition ratio
+// (MaxPartitionSize = sets/1000).
+func BenchmarkLoadSnapshot(b *testing.B) {
+	data := snapshotOf(b, 50000)
 	cfg := Config{MaxPartitionSize: 50, Threads: 2}
 
 	b.ReportAllocs()

@@ -385,7 +385,8 @@ func (e *Engine) DeviceOpRecords() []DeviceOps {
 // format. Staged (unconsolidated) operations are included: the stream
 // carries the logical database with pending adds and removes applied, so
 // a snapshot taken mid-churn restores to exactly what a Consolidate at
-// the same instant would have committed.
+// the same instant would have committed. Two saves of an unchanged
+// engine write the same bytes.
 func (e *Engine) SaveSnapshot(w io.Writer) error { return e.core.SaveSnapshot(w) }
 
 // LoadSnapshot loads a previously saved database from r and

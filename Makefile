@@ -30,7 +30,10 @@ race:
 ## chaos: the fault-injection suite under the race detector — seeded
 ## deterministic GPU faults, scripted device death, quarantine/recovery,
 ## OOM degrade, overload shedding, straggler injection, deadline
-## propagation, hedged re-dispatch, snapshot-restore parity, and every
+## propagation, hedged re-dispatch (every fired hedge won or lost once
+## the dispatching fence drains: hedges_fired == hedges_won +
+## hedges_lost, in TestHedge*, TestChaos* and TestPipelined*),
+## snapshot-restore parity, and every
 ## one of them crossed with multi-partition batches (TestChaosPacked*,
 ## ending in the drain-time resource checks) must all hold with -race on,
 ## as must the exact operation count of a dispatched batch, the

@@ -29,7 +29,7 @@ import (
 
 	"tagmatch"
 	"tagmatch/internal/httpserver"
-	"tagmatch/internal/metrics"
+	"tagmatch/internal/obs"
 	"tagmatch/internal/workload"
 )
 
@@ -159,7 +159,7 @@ func main() {
 	if *unique {
 		endpoint = "/match-unique"
 	}
-	lat := metrics.NewLatencies()
+	var lat obs.Histogram
 	var delivered int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -177,7 +177,7 @@ func main() {
 				if err := post(endpoint, httpserver.MatchRequest{Tags: tweet}, &resp); err != nil {
 					log.Fatal(err)
 				}
-				lat.Observe(time.Since(t0))
+				lat.ObserveDuration(time.Since(t0))
 				mu.Lock()
 				delivered += int64(resp.Count)
 				mu.Unlock()
@@ -189,15 +189,16 @@ func main() {
 	close(churnStop)
 	churnWG.Wait()
 	total := per * *clients
-	s := lat.Summarize()
+	s := lat.Snapshot()
 	fmt.Printf("%d %s queries from %d clients in %v\n", total, endpoint, *clients, el.Round(time.Millisecond))
 	if *churnRate > 0 {
-		fmt.Printf("churn: %d live updates (%s, remove ratio %.2f)\n",
-			churnOps, metrics.FmtRate(float64(churnOps)/el.Seconds()), *churnRatio)
+		fmt.Printf("churn: %d live updates (%.0f/s, remove ratio %.2f)\n",
+			churnOps, float64(churnOps)/el.Seconds(), *churnRatio)
 	}
-	fmt.Printf("throughput: %s, fan-out %s\n",
-		metrics.FmtRate(float64(total)/el.Seconds()),
-		metrics.FmtRate(float64(delivered)/el.Seconds()))
+	fmt.Printf("throughput: %.0f queries/s, fan-out %.0f keys/s\n",
+		float64(total)/el.Seconds(), float64(delivered)/el.Seconds())
+	// p50 and p99 are within one histogram sub-bucket (<= 12.5%); max is exact.
 	fmt.Printf("latency over HTTP: median %v, p99 %v, max %v\n",
-		s.Median.Round(time.Microsecond), s.P99.Round(time.Microsecond), s.Max.Round(time.Microsecond))
+		s.QuantileDuration(0.5).Round(time.Microsecond), s.QuantileDuration(0.99).Round(time.Microsecond),
+		time.Duration(s.Max).Round(time.Microsecond))
 }

@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"tagmatch"
-	"tagmatch/internal/metrics"
+	"tagmatch/internal/obs"
 	"tagmatch/internal/workload"
 )
 
@@ -60,8 +60,7 @@ func main() {
 		n, st.UniqueSets, st.Partitions, time.Since(start).Round(time.Millisecond), st.LastConsolidate.Round(time.Millisecond))
 
 	// Stream tweets: each is a sampled interest plus 2-4 trending tags.
-	lat := metrics.NewLatencies()
-	meter := metrics.NewMeter()
+	var lat obs.Histogram
 	var delivered int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -71,7 +70,7 @@ func main() {
 		tweet := gen.Query(rng, sample[rng.Intn(len(sample))].Tags, -1)
 		wg.Add(1)
 		err := eng.SubmitUnique(tweet, func(r tagmatch.MatchResult) {
-			lat.Observe(r.Latency)
+			lat.ObserveDuration(r.Latency)
 			mu.Lock()
 			delivered += int64(len(r.Keys))
 			mu.Unlock()
@@ -80,18 +79,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		meter.Add(1)
 	}
 	eng.Drain()
 	wg.Wait()
 	elapsed := time.Since(streamStart)
 
-	s := lat.Summarize()
-	fmt.Printf("streamed %d tweets in %v → %s input, %s fan-out\n",
+	s := lat.Snapshot()
+	fmt.Printf("streamed %d tweets in %v → %.0f tweets/s input, %.0f keys/s fan-out\n",
 		*tweets, elapsed.Round(time.Millisecond),
-		metrics.FmtRate(float64(*tweets)/elapsed.Seconds()),
-		metrics.FmtRate(float64(delivered)/elapsed.Seconds()))
+		float64(*tweets)/elapsed.Seconds(), float64(delivered)/elapsed.Seconds())
+	// p50 and p99 are within one histogram sub-bucket (<= 12.5%); max is exact.
 	fmt.Printf("latency: median %v, p99 %v, max %v\n",
-		s.Median.Round(time.Microsecond), s.P99.Round(time.Microsecond), s.Max.Round(time.Microsecond))
+		s.QuantileDuration(0.5).Round(time.Microsecond), s.QuantileDuration(0.99).Round(time.Microsecond),
+		time.Duration(s.Max).Round(time.Microsecond))
 	fmt.Printf("for reference: Twitter's 2015 average was 6000 tweets/second\n")
 }

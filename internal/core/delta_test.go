@@ -525,7 +525,7 @@ func TestChaosDeltaSwap(t *testing.T) {
 		Devices: devs, StreamsPerDevice: 2,
 		FailureThreshold:  3,
 		QuarantineBackoff: time.Millisecond,
-		HedgePolicy:       HedgePolicy{Mode: HedgeFixed, Budget: time.Millisecond},
+		HedgeAfter:        time.Millisecond,
 		DeltaMaxSets:      32, DeltaMaxRatio: 0.01,
 	})
 	if err != nil {

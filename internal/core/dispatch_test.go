@@ -131,7 +131,7 @@ func TestPipelinedChaosStragglerHedge(t *testing.T) {
 			e, err := New(Config{
 				MaxPartitionSize: 200, BatchSize: 32, Threads: 4,
 				Devices: devs, StreamsPerDevice: streams,
-				HedgePolicy: HedgePolicy{Mode: HedgeFixed, Budget: 2 * time.Millisecond},
+				HedgeAfter: 2 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -148,6 +148,7 @@ func TestPipelinedChaosStragglerHedge(t *testing.T) {
 			})
 
 			verifyEngine(t, e, db, db.makeQueries(3000, 90), false)
+			assertDrained(t, e, mem)
 
 			st := e.Stats()
 			if st.QueriesCompleted != st.QueriesSubmitted {
@@ -157,13 +158,13 @@ func TestPipelinedChaosStragglerHedge(t *testing.T) {
 			if st.HedgesFired == 0 {
 				t.Fatal("no hedges fired against a 5% straggler at a 2ms budget")
 			}
-			// Every fired hedge resolves as won or lost; cancellations are the
-			// timers that found the batch already settled and never re-dispatched.
-			if st.HedgesWon+st.HedgesLost > st.HedgesFired {
-				t.Fatalf("hedge accounting leaks attempts: fired=%d won=%d lost=%d",
+			// Once the fence has drained, every fired hedge has resolved as
+			// won or lost; cancellations are the timers that found the batch
+			// already settled and never re-dispatched.
+			if st.HedgesWon+st.HedgesLost != st.HedgesFired {
+				t.Fatalf("hedge accounting: fired=%d won=%d lost=%d",
 					st.HedgesFired, st.HedgesWon, st.HedgesLost)
 			}
-			assertDrained(t, e, mem)
 		})
 	}
 }

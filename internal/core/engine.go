@@ -186,12 +186,11 @@ type index struct {
 	allStreams []*streamSlot
 
 	// dispatching fences release() against attempt chains that may still
-	// enqueue stream operations. Before hedging every chain completed
-	// before its queries did, so the drain implied quiescence; a losing
-	// attempt now outlives its batch's settlement (and the queries'
-	// completion), and enqueueing on a closed stream would panic. Held
-	// from chain start until the chain can no longer touch a stream;
-	// armed hedge timers hold it too.
+	// enqueue stream operations: a device attempt that loses to a hedge
+	// outlives its batch's settlement and its queries' completion, so a
+	// drained pipeline is not a quiet one. Held from chain start until
+	// the chain can no longer touch a stream; armed hedge timers hold it
+	// too.
 	dispatching sync.WaitGroup
 
 	hostBytes int64
@@ -260,10 +259,6 @@ var ErrOverloaded = errors.New("tagmatch: engine overloaded")
 // only observed at pipeline stage boundaries — a query already running
 // on a device finishes normally.
 var ErrDeadlineExceeded = errors.New("tagmatch: query deadline exceeded")
-
-// ErrUnknownHedgeMode is returned by New for a Config.HedgePolicy.Mode
-// that is none of HedgeOff, HedgeFixed, HedgePercentile.
-var ErrUnknownHedgeMode = errors.New("tagmatch: unknown hedge mode")
 
 // ErrDeviceDegraded is returned (wrapped) by Consolidate when uploading
 // the index to the configured devices failed — typically device memory

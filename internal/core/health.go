@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tagmatch/internal/gpu"
-	"tagmatch/internal/obs"
 )
 
 // deviceHealth is the per-device circuit breaker of the fault-tolerant
@@ -30,12 +29,6 @@ type deviceHealth struct {
 
 	probeAfter atomic.Int64 // unix nanoseconds of the next probe window
 	backoff    atomic.Int64 // current probe backoff, nanoseconds
-
-	// svc tracks the device's batch service time (dispatch to successful
-	// completion on the device) for the HedgePercentile straggler
-	// budget. Lock-free and always on: a single histogram
-	// observation per successful batch is noise next to the device work.
-	svc obs.Histogram
 }
 
 // quarantineBackoffCap bounds the exponential probe backoff at this

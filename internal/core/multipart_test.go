@@ -526,23 +526,23 @@ func TestChaosPackedBatchesFaults(t *testing.T) {
 func TestChaosPackedBatchesHedged(t *testing.T) {
 	db := makeTestDB(2000, 5, 2, 113)
 	e, devs := chaosEngine(t, db, func(c *Config) {
-		c.HedgePolicy = HedgePolicy{Mode: HedgeFixed, Budget: 2 * time.Millisecond}
+		c.HedgeAfter = 2 * time.Millisecond
 	})
 	mem := deviceMem(e)
 	devs[0].SetFaultPlan(&gpu.FaultPlan{
 		Seed: 23, SlowProb: 0.05, SlowFactor: 20, SlowDelay: 20 * time.Millisecond,
 	})
 	verifyEngine(t, e, db, db.makeQueries(3000, 114), false)
+	assertDrained(t, e, mem)
 	st := e.Stats()
 	if st.HedgesFired == 0 {
 		t.Fatal("no hedges fired against a 5% straggler at a 2ms budget")
 	}
-	if st.HedgesWon+st.HedgesLost > st.HedgesFired {
-		t.Fatalf("hedge accounting leaks attempts: fired=%d won=%d lost=%d",
+	if st.HedgesWon+st.HedgesLost != st.HedgesFired {
+		t.Fatalf("hedge accounting: fired=%d won=%d lost=%d",
 			st.HedgesFired, st.HedgesWon, st.HedgesLost)
 	}
 	assertPacked(t, e)
-	assertDrained(t, e, mem)
 }
 
 // TestChaosPackedBatchesOverflow: a result buffer far too small for a

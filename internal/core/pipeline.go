@@ -208,14 +208,11 @@ type openBatch struct {
 	// chain or the host hedge — whose result reaches the reduce stage;
 	// refs counts the attachments that may still touch the batch (the
 	// reduce-stage hold, the in-flight attempt chain, an armed hedge
-	// timer) so recycling waits for the losing attempt; hedged records
-	// that a hedge was launched; hedgeTimer is the armed straggler
-	// budget, disarmed when the batch settles.
+	// timer) so recycling waits for the losing attempt; hedgeTimer is
+	// the armed straggler budget, disarmed when the batch settles.
 	settled    atomic.Bool
 	refs       atomic.Int32
-	hedged     atomic.Bool
 	hedgeTimer *time.Timer
-	timerIdx   *index // index whose dispatching fence the armed timer holds
 
 	// ctxs snapshots every member's context when ALL members carry one
 	// (empty otherwise), written once at dispatch before any attempt
@@ -889,9 +886,8 @@ func (e *Engine) gpuDispatch(idx *index, b *openBatch) {
 
 // batchRef and batchUnref count the attachments that may still touch an
 // openBatch: the reduce-stage hold, each in-flight attempt chain, and
-// an armed hedge timer. Before hedging exactly one attempt chain ever
-// ran, so reduceOne could recycle the batch directly; a losing attempt
-// now outlives the reduce, so the last detacher recycles instead.
+// an armed hedge timer. A losing attempt can outlive the reduce, so the
+// last detacher recycles the batch.
 func (e *Engine) batchRef(b *openBatch) { b.refs.Add(1) }
 
 func (e *Engine) batchUnref(b *openBatch) {
@@ -903,17 +899,19 @@ func (e *Engine) batchUnref(b *openBatch) {
 }
 
 // settleBatch claims the exclusive right to complete the batch: exactly
-// one attempt — primary chain or hedge — wins the CAS, extending PR 3's
-// "every batch reaches reduce exactly once" guarantee across racing
-// attempts. The winner also disarms the straggler budget timer; when
-// the timer is stopped before firing, its batch reference and
-// dispatching hold are released on its behalf.
+// one attempt — primary chain or hedge — wins the CAS, so every batch
+// reaches the reduce stage exactly once across racing attempts. The
+// winner also disarms the straggler budget timer; when the timer is
+// stopped before firing, its batch reference and its hold on idx's
+// dispatching fence are released on its behalf. Every attempt of a
+// batch runs against the one index its dispatch chain started with,
+// which is the index the timer holds.
 func (e *Engine) settleBatch(idx *index, b *openBatch) bool {
 	if !b.settled.CompareAndSwap(false, true) {
 		return false
 	}
 	if t := b.hedgeTimer; t != nil && t.Stop() {
-		b.timerIdx.dispatching.Done()
+		idx.dispatching.Done()
 		e.batchUnref(b)
 	}
 	if e.hedgingEnabled() && idx.slots != nil {
@@ -941,36 +939,12 @@ func (e *Engine) deliverResult(b *openBatch, res *batchResult, hedge bool) {
 	e.pools.putResult(res)
 }
 
-// hedgingEnabled reports whether Config.HedgePolicy arms straggler
+// hedgingEnabled reports whether Config.HedgeAfter arms straggler
 // budgets on GPU dispatches.
-func (e *Engine) hedgingEnabled() bool { return e.cfg.HedgePolicy.Mode != HedgeOff }
+func (e *Engine) hedgingEnabled() bool { return e.cfg.HedgeAfter > 0 }
 
-// hedgeMinSamples is the per-device successful-batch count below which
-// the percentile budget falls back to MinBudget: hedging off a
-// three-sample "p99" would fire on noise.
-const hedgeMinSamples = 16
-
-// hedgeBudget resolves the straggler budget for a batch dispatched to
-// dev: the fixed budget, or Multiplier times the device's tracked
-// Percentile batch service time once enough samples exist, floored at
-// MinBudget.
-func (e *Engine) hedgeBudget(dev int) time.Duration {
-	hp := &e.cfg.HedgePolicy
-	if hp.Mode == HedgeFixed {
-		return hp.Budget
-	}
-	h := &e.health[dev].svc
-	if h.Count() >= hedgeMinSamples {
-		p := h.Snapshot().QuantileDuration(hp.Percentile)
-		if budget := time.Duration(float64(p) * hp.Multiplier); budget > hp.MinBudget {
-			return budget
-		}
-	}
-	return hp.MinBudget
-}
-
-// maybeHedge fires when a dispatched batch outlives its straggler
-// budget: if the primary attempt still has not settled, the batch is
+// maybeHedge fires when a batch's first device attempt has held a
+// stream for HedgeAfter: if the batch still has not settled, it is
 // re-run on the host, racing the straggler. The host is the only other
 // holder of the batch's partitions — their owning device is the
 // straggler, and a second attempt queued behind it there is what a
@@ -985,13 +959,13 @@ func (e *Engine) maybeHedge(idx *index, b *openBatch, primary int, traced []*obs
 		e.batchUnref(b)
 		return
 	}
-	b.hedged.Store(true)
 	e.obs.Faults.HedgesFired.Add(1)
 	e.logger().Debug("hedging straggler batch",
 		"segments", len(b.segs), "entries", len(b.sigs),
 		"primary", e.deviceName(primary))
-	// The "hedge" span covers the primary attempt's run-up to the budget
-	// firing, so the timeline shows how long the straggler was tolerated.
+	// The "hedge" span runs from dispatch to the budget firing: the
+	// stream-acquire wait plus HedgeAfter, so the timeline shows how long
+	// the straggler was tolerated.
 	now := time.Now()
 	for _, tr := range traced {
 		tr.Span("hedge", "query", b.dispatched, 0, now.Sub(b.dispatched),
@@ -1031,24 +1005,25 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, trace
 	sl.traced = append(sl.traced[:0], traced...)
 	sl.res, sl.fault = nil, nil
 
-	// Arm the straggler budget on the primary chain's first attempt,
-	// before any operation is enqueued (the enqueue's channel send
-	// publishes the timer to the settling callback). The timer holds its
-	// own batch reference and dispatching fence hold; whoever resolves
-	// it — the budget firing, or a settle stopping it first — releases
-	// them. The timer is created inert and started with Reset only after
-	// b.hedgeTimer is assigned: AfterFunc with the real budget could fire
-	// — and lead the hedge to read b.hedgeTimer in settleBatch — before
-	// the assignment of its own return value completes.
+	// Arm the straggler budget on the primary chain's first attempt, once
+	// it holds a stream and before any operation is enqueued (the
+	// enqueue's channel send publishes the timer to the settling
+	// callback). The budget thus excludes the stream-acquire wait: a
+	// batch queued behind busy streams is not a straggler. The timer
+	// holds its own batch reference and dispatching fence hold; whoever
+	// resolves it — the budget firing, or a settle stopping it first —
+	// releases them. The timer is created inert and started with Reset
+	// only after b.hedgeTimer is assigned: AfterFunc with the real budget
+	// could fire — and lead the hedge to read b.hedgeTimer in settleBatch
+	// — before the assignment of its own return value completes.
 	if attempt == 0 && e.hedgingEnabled() {
 		e.batchRef(b)
 		idx.dispatching.Add(1)
-		b.timerIdx = idx
 		t := time.AfterFunc(time.Hour, func() {
 			e.maybeHedge(idx, b, dev, traced)
 		})
 		b.hedgeTimer = t
-		t.Reset(e.hedgeBudget(dev))
+		t.Reset(e.cfg.HedgeAfter)
 	}
 
 	// Query upload: the entries' signatures go into the stream's qbuf as
@@ -1148,22 +1123,12 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, trace
 		}
 		// Success is recorded before the stream is pooled, so a dispatcher
 		// the put wakes already sees a recovered device as usable.
-		e.batchOK(dev, b)
+		e.recordDeviceSuccess(dev)
 		idx.slots.put(sl)
 		e.deliverResult(b, res, false)
 		e.batchUnref(b)
 		idx.dispatching.Done()
 	})
-}
-
-// batchOK records a successful GPU attempt for the dispatching stream's
-// device, resetting its circuit breaker (and completing a recovery probe
-// when the device was quarantined), and feeds the device's batch
-// service-time distribution, from which the percentile hedge mode
-// derives its straggler budget.
-func (e *Engine) batchOK(dev int, b *openBatch) {
-	e.recordDeviceSuccess(dev)
-	e.health[dev].svc.ObserveDuration(time.Since(b.dispatched))
 }
 
 // batchFault handles a batch whose GPU attempt failed (copy, launch, or

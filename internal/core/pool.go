@@ -71,12 +71,8 @@ func (ep *enginePools) getBatch(batchSize int, created time.Time) *openBatch {
 	return b
 }
 
-// putBatch recycles a batch once nothing references it anymore. For an
-// unhedged batch the stream callback that forwarded the result ran
-// after the H2D copy of b.sigs (stream ops are FIFO), so reduceOne's
-// unref is the last touch; a hedged batch's losing attempt can outlive
-// the reduce, which is why every recycle goes through the refcount
-// (batchUnref) rather than calling this directly from reduceOne.
+// putBatch recycles a batch once nothing references it anymore; it is
+// called only through batchUnref.
 func (ep *enginePools) putBatch(b *openBatch) {
 	ep.liveBatches.Add(-1)
 	clear(b.queries) // drop query refs: they are recycled independently
@@ -87,9 +83,7 @@ func (ep *enginePools) putBatch(b *openBatch) {
 	b.deadlined = false
 	b.settled.Store(false)
 	b.refs.Store(0)
-	b.hedged.Store(false)
 	b.hedgeTimer = nil
-	b.timerIdx = nil
 	clear(b.ctxs) // drop context refs
 	b.ctxs = b.ctxs[:0]
 	ep.batch.Put(b)

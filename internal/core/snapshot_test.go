@@ -305,7 +305,7 @@ func TestSnapshotRestoreChaosParity(t *testing.T) {
 		Devices: devs, StreamsPerDevice: 2,
 		FailureThreshold:  3,
 		QuarantineBackoff: time.Millisecond,
-		HedgePolicy:       HedgePolicy{Mode: HedgeFixed, Budget: time.Millisecond},
+		HedgeAfter:        time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -127,7 +127,7 @@ func TestHedgeExactlyOnce(t *testing.T) {
 	e, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 32, Threads: 2,
 		Devices: devs, StreamsPerDevice: 2,
-		HedgePolicy: HedgePolicy{Mode: HedgeFixed, Budget: 500 * time.Microsecond},
+		HedgeAfter: 500 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +152,8 @@ func TestHedgeExactlyOnce(t *testing.T) {
 	if st.HedgesWon == 0 {
 		t.Fatal("no hedge ever won against a 3ms-per-op straggler")
 	}
-	if st.HedgesWon+st.HedgesLost > st.HedgesFired {
-		t.Fatalf("hedge accounting: fired %d < won %d + lost %d",
+	if st.HedgesWon+st.HedgesLost != st.HedgesFired {
+		t.Fatalf("hedge accounting: fired %d != won %d + lost %d",
 			st.HedgesFired, st.HedgesWon, st.HedgesLost)
 	}
 	if st.QueriesCompleted != st.QueriesSubmitted {
@@ -197,7 +197,7 @@ func TestChaosStragglersHedged(t *testing.T) {
 		Devices: devs, StreamsPerDevice: 3,
 		FailureThreshold:  3,
 		QuarantineBackoff: time.Millisecond,
-		HedgePolicy:       HedgePolicy{Mode: HedgeFixed, Budget: time.Millisecond},
+		HedgeAfter:        time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,6 +207,7 @@ func TestChaosStragglersHedged(t *testing.T) {
 	if err := e.Consolidate(); err != nil {
 		t.Fatal(err)
 	}
+	mem := deviceMem(e)
 
 	// Device 0 dies a few hundred operations in; device 1 survives under
 	// 5% faults plus 2% stragglers stalled 2ms — ~20x the microsecond
@@ -224,6 +225,7 @@ func TestChaosStragglersHedged(t *testing.T) {
 	if !devs[0].Dead() {
 		t.Fatal("device 0 never reached its scripted death")
 	}
+	assertDrained(t, e, mem)
 	st := e.Stats()
 	if st.QueriesCompleted != st.QueriesSubmitted {
 		t.Fatalf("lost queries: submitted %d completed %d",
@@ -231,6 +233,10 @@ func TestChaosStragglersHedged(t *testing.T) {
 	}
 	if st.HedgesFired == 0 {
 		t.Fatal("no hedges fired under injected stragglers")
+	}
+	if st.HedgesWon+st.HedgesLost != st.HedgesFired {
+		t.Fatalf("hedge accounting: fired %d != won %d + lost %d",
+			st.HedgesFired, st.HedgesWon, st.HedgesLost)
 	}
 	if st.GPUFaults == 0 {
 		t.Fatal("no GPU faults recorded despite active fault plans")
@@ -241,73 +247,5 @@ func TestChaosStragglersHedged(t *testing.T) {
 	slowed := devs[0].Stats().InjectedSlowdowns + devs[1].Stats().InjectedSlowdowns
 	if slowed == 0 {
 		t.Fatal("no stragglers injected despite SlowProb plans")
-	}
-}
-
-// TestHedgePercentileBudget checks the adaptive budget: before the
-// per-device service histogram has hedgeMinSamples observations the
-// budget is the floor, and once warmed it tracks the configured quantile
-// times the multiplier.
-func TestHedgePercentileBudget(t *testing.T) {
-	db := makeTestDB(500, 5, 2, 89)
-	dev := newTestGPU(t, 2)
-	e, err := New(Config{
-		MaxPartitionSize: 200, BatchSize: 16, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
-		HedgePolicy: HedgePolicy{
-			Mode: HedgePercentile, Percentile: 0.99,
-			Multiplier: 3, MinBudget: 750 * time.Microsecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	db.load(e)
-	if err := e.Consolidate(); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := e.hedgeBudget(0); got != 750*time.Microsecond {
-		t.Fatalf("cold budget = %v, want the MinBudget floor", got)
-	}
-
-	// Warm the histogram past hedgeMinSamples with real batches.
-	verifyEngine(t, e, db, db.makeQueries(600, 90), false)
-	if n := e.health[0].svc.Count(); n < hedgeMinSamples {
-		t.Fatalf("service histogram has %d samples, want >= %d", n, hedgeMinSamples)
-	}
-	warm := e.hedgeBudget(0)
-	if warm < 750*time.Microsecond {
-		t.Fatalf("warm budget %v below the MinBudget floor", warm)
-	}
-	want := time.Duration(float64(e.health[0].svc.Snapshot().QuantileDuration(0.99)) * 3)
-	if want > 750*time.Microsecond && warm != want {
-		t.Fatalf("warm budget = %v, want p99*multiplier = %v", warm, want)
-	}
-}
-
-// TestHedgePolicyValidation checks config validation and defaulting of
-// the hedge policy.
-func TestHedgePolicyValidation(t *testing.T) {
-	if _, err := New(Config{Threads: 1, HedgePolicy: HedgePolicy{Mode: "wild"}}); !errors.Is(err, ErrUnknownHedgeMode) {
-		t.Fatalf("err = %v, want ErrUnknownHedgeMode", err)
-	}
-	e, err := New(Config{Threads: 1, HedgePolicy: HedgePolicy{Mode: HedgeFixed}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if got := e.cfg.HedgePolicy.Budget; got != 5*time.Millisecond {
-		t.Fatalf("defaulted fixed budget = %v, want 5ms", got)
-	}
-	e2, err := New(Config{Threads: 1, HedgePolicy: HedgePolicy{Mode: HedgePercentile}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	p := e2.cfg.HedgePolicy
-	if p.Percentile != 0.99 || p.Multiplier != 3 || p.MinBudget != 500*time.Microsecond {
-		t.Fatalf("percentile defaults = %+v", p)
 	}
 }

@@ -12,7 +12,6 @@
 package core
 
 import (
-	"fmt"
 	"log/slog"
 	"time"
 
@@ -155,61 +154,20 @@ type Config struct {
 	// (tagmatch.Config.DisableLiveUpdates, tagmatch-server's flag).
 	DisableDeltaOverlay bool
 
-	// HedgePolicy enables hedged re-dispatch of straggling batches: a
-	// dispatched batch that outlives its straggler budget is re-run on
-	// the host — the only other holder of its partitions — and the two
-	// attempts race, exactly-once completion discarding the loser's
-	// results. The zero value disables hedging.
-	HedgePolicy HedgePolicy
+	// HedgeAfter is the straggler budget: a batch whose device attempt
+	// has held a stream this long without settling is re-run on the
+	// host — the only other holder of its partitions — and the two
+	// attempts race, the settle CAS delivering exactly one result. The
+	// budget starts when the first attempt acquires a stream, so a
+	// batch waiting for a free stream is not hedged. A value <= 0
+	// disables hedging; there is no default budget.
+	HedgeAfter time.Duration
 
 	// Logger receives structured records of operationally significant
 	// events: device quarantine entry/exit, device death, CPU fallbacks.
 	// Nil disables logging (the library default — counters and traces
 	// still record everything); tagmatch-server wires slog.Default().
 	Logger *slog.Logger
-}
-
-// HedgeMode selects how HedgePolicy derives a batch's straggler budget.
-type HedgeMode string
-
-const (
-	// HedgeOff disables hedged re-dispatch (the default).
-	HedgeOff HedgeMode = ""
-	// HedgeFixed hedges any batch still unsettled Budget after dispatch.
-	HedgeFixed HedgeMode = "fixed"
-	// HedgePercentile hedges a batch still unsettled after Multiplier
-	// times the dispatching device's tracked Percentile batch service
-	// time — an adaptive budget that follows the device's own tail, so
-	// a uniformly slow device is not hedged while a bimodal one is.
-	HedgePercentile HedgeMode = "percentile"
-)
-
-// HedgePolicy configures hedged re-dispatch of straggling batches
-// (Config.HedgePolicy). The tail-tolerance idea is the classic hedged
-// request: rather than waiting out a straggler, re-issue the work
-// elsewhere once the response is slower than the expected tail, and let
-// the two attempts race.
-type HedgePolicy struct {
-	// Mode selects the budget derivation; HedgeOff (the zero value)
-	// disables hedging. New rejects unknown modes.
-	Mode HedgeMode
-
-	// Budget is the fixed straggler budget of HedgeFixed mode.
-	// Defaults to 5ms.
-	Budget time.Duration
-
-	// Percentile is the per-device batch service-time quantile tracked
-	// for HedgePercentile mode. Defaults to 0.99.
-	Percentile float64
-
-	// Multiplier scales the tracked percentile into the straggler
-	// budget. Defaults to 3.
-	Multiplier float64
-
-	// MinBudget floors the adaptive budget, and serves as the budget
-	// until a device has accumulated enough batches to trust its
-	// tracked distribution. Defaults to 500µs.
-	MinBudget time.Duration
 }
 
 // DefaultConfig returns the paper-faithful defaults for a database of
@@ -236,11 +194,6 @@ func DefaultConfig(dbSize int, devices ...*gpu.Device) Config {
 func (c *Config) validate() error {
 	if c.BatchSize > maxBatchSize {
 		return ErrBatchSizeTooLarge
-	}
-	switch c.HedgePolicy.Mode {
-	case HedgeOff, HedgeFixed, HedgePercentile:
-	default:
-		return fmt.Errorf("%w: %q", ErrUnknownHedgeMode, c.HedgePolicy.Mode)
 	}
 	return nil
 }
@@ -269,18 +222,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.QuarantineBackoff <= 0 {
 		c.QuarantineBackoff = 250 * time.Millisecond
-	}
-	if c.HedgePolicy.Budget <= 0 {
-		c.HedgePolicy.Budget = 5 * time.Millisecond
-	}
-	if c.HedgePolicy.Percentile <= 0 || c.HedgePolicy.Percentile >= 1 {
-		c.HedgePolicy.Percentile = 0.99
-	}
-	if c.HedgePolicy.Multiplier <= 0 {
-		c.HedgePolicy.Multiplier = 3
-	}
-	if c.HedgePolicy.MinBudget <= 0 {
-		c.HedgePolicy.MinBudget = 500 * time.Microsecond
 	}
 	if c.DeltaMaxSets <= 0 {
 		c.DeltaMaxSets = 4096

@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // tinyParams keeps the smoke tests fast: a few tens of thousands of
@@ -178,6 +179,39 @@ func TestFig6Smoke(t *testing.T) {
 	p.Queries = 600
 	tb := Fig6(p)
 	checkTable(t, tb, 5)
+}
+
+// TestLatencySummaryPercentiles pins Fig 6's digest on unsorted samples:
+// exact nearest-rank median and p99, and the maximum.
+func TestLatencySummaryPercentiles(t *testing.T) {
+	ms := time.Millisecond
+	lat := make([]time.Duration, 0, 100)
+	for i := 100; i >= 1; i-- {
+		lat = append(lat, time.Duration(i)*ms)
+	}
+	if m, p, x := latencySummary(lat); m != 50*ms || p != 99*ms || x != 100*ms {
+		t.Fatalf("1..100 ms: median %v p99 %v max %v, want 50ms 99ms 100ms", m, p, x)
+	}
+}
+
+// TestLatencySummaryEmpty pins Fig 6's digest with no samples: all zeros.
+func TestLatencySummaryEmpty(t *testing.T) {
+	if m, p, x := latencySummary(nil); m != 0 || p != 0 || x != 0 {
+		t.Fatalf("no samples: median %v p99 %v max %v, want zeros", m, p, x)
+	}
+}
+
+// TestLatencySummarySingleAndDuplicates pins Fig 6's digest with one
+// sample and with repeated samples: every statistic is that sample.
+func TestLatencySummarySingleAndDuplicates(t *testing.T) {
+	ms := time.Millisecond
+	seven := []time.Duration{7 * ms, 7 * ms, 7 * ms}
+	if m, p, x := latencySummary(seven); m != 7*ms || p != 7*ms || x != 7*ms {
+		t.Fatalf("duplicates: median %v p99 %v max %v, want 7ms each", m, p, x)
+	}
+	if m, p, x := latencySummary(seven[:1]); m != 7*ms || p != 7*ms || x != 7*ms {
+		t.Fatalf("one sample: median %v p99 %v max %v, want 7ms each", m, p, x)
+	}
 }
 
 func TestFig7Smoke(t *testing.T) {

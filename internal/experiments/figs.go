@@ -3,11 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"tagmatch/internal/core"
-	"tagmatch/internal/metrics"
 	"tagmatch/internal/trie"
 )
 
@@ -193,7 +193,7 @@ func Fig6(p Params) *Table {
 		if err != nil {
 			panic(err)
 		}
-		lat := metrics.NewLatencies()
+		lat := make([]time.Duration, n)
 		var wg sync.WaitGroup
 		wg.Add(n)
 		start := time.Now()
@@ -205,7 +205,7 @@ func Fig6(p Params) *Table {
 			}
 			next = next.Add(interval)
 			if err := eng.Submit(context.Background(), core.Request{Sig: queries[i%len(queries)], Unique: true}, func(r core.MatchResult) {
-				lat.Observe(r.Latency)
+				lat[i] = r.Latency
 				wg.Done()
 			}); err != nil {
 				panic(err)
@@ -216,9 +216,9 @@ func Fig6(p Params) *Table {
 		}
 		wg.Wait()
 		el := time.Since(start)
-		s := lat.Summarize()
+		median, p99, most := latencySummary(lat)
 		t.Add(to.label,
-			float64(s.Median)/1e6, float64(s.P99)/1e6, float64(s.Max)/1e6,
+			float64(median)/1e6, float64(p99)/1e6, float64(most)/1e6,
 			float64(n)/el.Seconds()/1e3)
 		eng.Close()
 		closeDevices(devs)
@@ -226,6 +226,20 @@ func Fig6(p Params) *Table {
 	t.Note("arrival rate paced at 50%% of measured capacity (%.0f queries/s)", rate)
 	t.Note("paper shape: longer timeouts cut tail latency; a too-short timeout (100ms) costs ~20%% throughput")
 	return t
+}
+
+// latencySummary sorts lat in place and returns the digest Fig 6
+// reports: the exact nearest-rank median and 99th percentile, and the
+// maximum. All three are zero for no samples.
+func latencySummary(lat []time.Duration) (median, p99, most time.Duration) {
+	if len(lat) == 0 {
+		return 0, 0, 0
+	}
+	slices.Sort(lat)
+	rank := func(p float64) time.Duration {
+		return lat[min(max(int(p*float64(len(lat))+0.5)-1, 0), len(lat)-1)]
+	}
+	return rank(0.5), rank(0.99), lat[len(lat)-1]
 }
 
 // Fig7 reproduces Figure 7: throughput as MAX_P (the maximum partition

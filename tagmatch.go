@@ -68,23 +68,6 @@ var ErrDeviceDegraded = core.ErrDeviceDegraded
 // batch is already running on a device finishes normally.
 var ErrDeadlineExceeded = core.ErrDeadlineExceeded
 
-// HedgePolicy configures hedged batch re-dispatch: a dispatched batch
-// exceeding its straggler budget is speculatively re-run on the host,
-// the first completion winning. The zero
-// value disables hedging. See the HedgeFixed and HedgePercentile modes.
-type HedgePolicy = core.HedgePolicy
-
-// HedgeMode selects how the straggler budget is derived.
-type HedgeMode = core.HedgeMode
-
-// Hedge modes: off (zero value), a fixed budget, or an adaptive budget
-// tracking a percentile of the device's own batch service time.
-const (
-	HedgeOff        = core.HedgeOff
-	HedgeFixed      = core.HedgeFixed
-	HedgePercentile = core.HedgePercentile
-)
-
 // Key is the application value associated with a stored tag set — a user
 // id in the paper's Twitter-like workload.
 type Key = core.Key
@@ -145,9 +128,13 @@ type Config struct {
 	// its first recovery probe; failed probes double it, up to 64x
 	// (default 250ms).
 	QuarantineBackoff time.Duration
-	// Hedge configures hedged re-dispatch of straggling batches. The
-	// zero value disables hedging.
-	Hedge HedgePolicy
+	// HedgeAfter is the straggler budget of hedged re-dispatch: a batch
+	// whose GPU attempt has held a stream this long without completing
+	// is re-run on the host, the first completion winning and the
+	// other discarded. The budget starts once the attempt holds a
+	// stream, not when the batch leaves the log. Zero or negative (the
+	// default) disables hedging; there is no default budget.
+	HedgeAfter time.Duration
 	// ExactVerify re-checks every match against the original tag sets
 	// during key lookup, eliminating Bloom-filter false positives at the
 	// cost of storing the tags and one string-set containment check per
@@ -232,7 +219,7 @@ func New(cfg Config) (*Engine, error) {
 		MaxInFlight:          cfg.MaxInFlight,
 		FailureThreshold:     cfg.FailureThreshold,
 		QuarantineBackoff:    cfg.QuarantineBackoff,
-		HedgePolicy:          cfg.Hedge,
+		HedgeAfter:           cfg.HedgeAfter,
 		ExactVerify:          cfg.ExactVerify,
 		DeltaMaxSets:         cfg.DeltaMaxSets,
 		DeltaMaxRatio:        cfg.DeltaMaxRatio,

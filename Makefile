@@ -75,7 +75,10 @@ bench-obs:
 ## surfaces are well-formed — /metrics parses as Prometheus exposition
 ## (with the GPU overlap/utilization/op-latency families), /debug/timeline
 ## parses as a Chrome trace-event file, /debug/stats carries the latency
-## attribution table.
+## attribution table — and validate the metric registry: each family's
+## # HELP/# TYPE once, every histogram's _count equal to its +Inf bucket,
+## every declared metric on /metrics and in /debug/stats, and every Stats
+## field a declaration backs equal to its /metrics sample after a drain.
 obs-smoke:
 	$(GO) test -race -count=1 -run TestObsSmoke ./internal/httpserver/
 

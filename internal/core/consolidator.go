@@ -253,7 +253,7 @@ func (e *Engine) consolidateOnce(background bool, bulk setList) error {
 	var idx *index
 	if incremental {
 		idx = e.buildIncrementalIndex(old, touched)
-		e.incFolds.Add(1)
+		e.obs.Delta.IncrementalFolds.Add(1)
 	} else {
 		// Phase B: the expensive host-side build — off the hot path in
 		// background mode. Device memory is untouched here, so the old
@@ -303,11 +303,11 @@ func (e *Engine) consolidateOnce(background bool, bulk setList) error {
 
 	if background {
 		pause := time.Since(pauseStart)
-		e.swapPauseNs.Store(int64(pause))
+		e.obs.Delta.LastSwapPauseNs.Store(int64(pause))
 		e.obs.Delta.AutoConsolidations.Add(1)
 		e.obs.Delta.SwapPause.Observe(int64(pause))
 	}
-	e.consolidateTime.Store(int64(time.Since(start)))
+	e.obs.Delta.LastConsolidateNs.Store(int64(time.Since(start)))
 	return degraded
 }
 

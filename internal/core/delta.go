@@ -220,14 +220,14 @@ func (d *delta) rebuild(idx *index, staged []stagedOp) {
 	d.mu.Unlock()
 }
 
-// ageSeconds is the delta-age gauge: seconds since the overlay last
+// ageNs is the delta-age gauge: nanoseconds since the overlay last
 // became non-empty, 0 while it is empty.
-func (d *delta) ageSeconds() float64 {
+func (d *delta) ageNs() float64 {
 	ns := d.sinceNs.Load()
 	if ns == 0 || d.addsLive.Load()+d.tombsLive.Load() == 0 {
 		return 0
 	}
-	return time.Since(time.Unix(0, ns)).Seconds()
+	return float64(time.Since(time.Unix(0, ns)))
 }
 
 // deltaMatch merges the overlay's hits for one query into its key set,

@@ -61,8 +61,6 @@ type Engine struct {
 	consolKick    chan struct{}
 	consolStop    chan struct{}
 	consolDone    chan struct{}
-	swapPauseNs   atomic.Int64 // last background swap pause, nanoseconds
-	incFolds      atomic.Int64 // background folds that took the incremental path
 
 	// idx is the live index — the one consolidated copy of the database —
 	// immutable between consolidates and swapped under submitMu and
@@ -88,31 +86,14 @@ type Engine struct {
 	progressEpoch atomic.Int64
 
 	// obs is the pipeline-wide observability layer: per-stage latency
-	// histograms, per-partition hot-spot counters, sampled traces.
+	// histograms, per-partition hot-spot counters, sampled traces, and
+	// every counter Stats reports (obs.FlowCounters and the rest).
 	obs *obs.Pipeline
 
 	closed atomic.Bool
 
-	submitted       atomic.Int64
-	completed       atomic.Int64
 	dispatchSeq     atomic.Uint64 // stamps each dispatched batch; see dispatch
-	batches         atomic.Int64
-	batchesTimedOut atomic.Int64
 	inflightBatches atomic.Int64
-	pairs           atomic.Int64
-	keysDelivered   atomic.Int64
-	overflows       atomic.Int64
-	partsSearched   atomic.Int64
-
-	consolidateTime atomic.Int64 // nanoseconds
-
-	// Cumulative per-stage busy time (nanoseconds), for the stage
-	// breakdown diagnostic. Subset-match time covers dispatch to result
-	// arrival (queueing + kernel + transfer); on the CPU path it is the
-	// synchronous matching time.
-	preprocessNs atomic.Int64
-	matchNs      atomic.Int64
-	reduceNs     atomic.Int64
 
 	// pools recycles hot-path objects (queries, batches, results,
 	// reduce scratch); see pool.go.
@@ -289,7 +270,6 @@ func New(cfg Config) (*Engine, error) {
 		obs: obs.New(obs.Options{
 			Disabled:   cfg.DisableObservability,
 			TraceEvery: cfg.TraceEvery,
-			TraceKeep:  cfg.TraceKeep,
 		}),
 	}
 	e.drainCond = sync.NewCond(&e.drainMu)
@@ -336,101 +316,86 @@ func (e *Engine) Obs() *obs.Pipeline { return e.obs }
 // logger returns the engine's structured logger (never nil).
 func (e *Engine) logger() *slog.Logger { return e.log }
 
-// registerGauges wires the queue-depth and stream-pool gauges the export
-// surfaces (GET /metrics) evaluate at scrape time.
+// registerGauges installs the gauges the export surfaces evaluate when
+// they read them (obs.EngineGauges), and each device's series.
 func (e *Engine) registerGauges() {
-	e.obs.RegisterGauge("tagmatch_queue_depth",
-		"Queued items per pipeline queue.",
-		obs.Labels{{"queue", "input"}}, func() float64 { return float64(len(e.inputCh)) })
-	e.obs.RegisterGauge("tagmatch_queue_depth",
-		"Queued items per pipeline queue.",
-		obs.Labels{{"queue", "reduce"}}, func() float64 { return float64(len(e.reduceCh)) })
-	e.obs.RegisterGauge("tagmatch_inflight_batches",
-		"Batches dispatched to the subset-match stage and not yet reduced.",
-		nil, func() float64 { return float64(e.inflightBatches.Load()) })
-	e.obs.RegisterGauge("tagmatch_staged_ops",
-		"Staged add/remove operations awaiting Consolidate.",
-		nil, func() float64 { return float64(e.PendingOps()) })
-	e.obs.RegisterGauge("tagmatch_delta_sets",
-		"Live delta-overlay adds matchable ahead of consolidation.",
-		nil, func() float64 { return float64(e.delta.addsLive.Load()) })
-	e.obs.RegisterGauge("tagmatch_delta_tombstones",
-		"Live tombstones suppressing main-index keys ahead of consolidation.",
-		nil, func() float64 { return float64(e.delta.tombsLive.Load()) })
-	e.obs.RegisterGauge("tagmatch_delta_age_seconds",
-		"Seconds since the delta overlay last became non-empty (0 when empty).",
-		nil, e.delta.ageSeconds)
-	e.obs.RegisterGauge("tagmatch_routed_log_entries",
-		"Routed (query, partition) entries logged and not yet taken by a flush pass.",
-		nil, func() float64 {
-			lg := &e.idx.Load().log
-			lg.mu.Lock()
-			defer lg.mu.Unlock()
-			return float64(len(lg.entries))
-		})
-	e.obs.RegisterGauge("tagmatch_streams_idle",
-		"GPU stream dispatch slots currently idle in the acquisition pools.",
-		nil, func() float64 {
-			if p := e.idx.Load().slots; p != nil {
-				return float64(p.idle())
-			}
-			return 0
-		})
-	e.obs.RegisterGauge("tagmatch_pipeline_overlap_fraction",
-		"Fraction of cumulative kernel time overlapped with copies, aggregated across devices.",
-		nil, func() float64 {
-			var kernelNs, overlapNs int64
-			for _, dev := range e.cfg.Devices {
-				s := dev.OverlapStats()
-				kernelNs += s.KernelNs
-				overlapNs += s.OverlapNs
-			}
-			if kernelNs == 0 {
-				return 0
-			}
-			return float64(overlapNs) / float64(kernelNs)
-		})
-	e.obs.RegisterGauge("tagmatch_devices_quarantined",
-		"Devices currently quarantined by the failure circuit breaker.",
-		nil, func() float64 {
-			n := 0
-			for i := range e.health {
-				if e.health[i].quarantined.Load() {
-					n++
-				}
-			}
-			return float64(n)
-		})
-	e.obs.RegisterGauge("tagmatch_stream_ops_pending",
-		"Device operations queued on GPU streams and not yet executed.",
-		nil, func() float64 {
-			n := 0
-			for _, sl := range e.idx.Load().allStreams {
-				n += sl.stream.QueueDepth()
-			}
-			return float64(n)
-		})
-	for di, dev := range e.cfg.Devices {
-		di, dev := di, dev
-		labels := obs.Labels{{"device", dev.Name()}}
-		e.obs.RegisterGauge("tagmatch_gpu_overlap_fraction",
-			"Fraction of cumulative kernel time overlapped with copies on the device.",
-			labels, dev.OverlapFraction)
-		e.obs.RegisterGauge("tagmatch_gpu_utilization",
-			"Fraction of device SM-worker capacity busy executing blocks since creation.",
-			labels, dev.Utilization)
-		e.obs.RegisterGauge("tagmatch_gpu_stream_queue_depth",
-			"Device operations queued (not yet started) across the device's streams.",
-			labels, func() float64 {
-				n := 0
-				for _, sl := range e.idx.Load().allStreams {
-					if sl.dev == di {
-						n += sl.stream.QueueDepth()
-					}
-				}
-				return float64(n)
-			})
+	g := &e.obs.Gauges
+	g.UniqueSets = func() float64 { return float64(len(e.idx.Load().sets)) }
+	g.Partitions = func() float64 { return float64(len(e.idx.Load().parts)) }
+	g.Keys = func() float64 { return float64(len(e.idx.Load().keys)) }
+	g.HostBytes = func() float64 { return float64(e.idx.Load().hostBytes) }
+	g.InputQueue = func() float64 { return float64(len(e.inputCh)) }
+	g.ReduceQueue = func() float64 { return float64(len(e.reduceCh)) }
+	g.InflightBatches = func() float64 { return float64(e.inflightBatches.Load()) }
+	g.StagedOps = func() float64 { return float64(e.PendingOps()) }
+	g.DeltaAdds = func() float64 { return float64(e.delta.addsLive.Load()) }
+	g.DeltaTombstones = func() float64 { return float64(e.delta.tombsLive.Load()) }
+	g.DeltaAge = e.delta.ageNs
+	g.RoutedLogEntries = func() float64 {
+		lg := &e.idx.Load().log
+		lg.mu.Lock()
+		defer lg.mu.Unlock()
+		return float64(len(lg.entries))
 	}
+	g.StreamsIdle = func() float64 {
+		if p := e.idx.Load().slots; p != nil {
+			return float64(p.idle())
+		}
+		return 0
+	}
+	g.OverlapFraction = func() float64 {
+		var kernelNs, overlapNs int64
+		for _, dev := range e.cfg.Devices {
+			s := dev.OverlapStats()
+			kernelNs += s.KernelNs
+			overlapNs += s.OverlapNs
+		}
+		if kernelNs == 0 {
+			return 0
+		}
+		return float64(overlapNs) / float64(kernelNs)
+	}
+	g.DevicesQuarantined = func() float64 {
+		n := 0
+		for i := range e.health {
+			if e.health[i].quarantined.Load() {
+				n++
+			}
+		}
+		return float64(n)
+	}
+	g.StreamOpsPending = func() float64 { return float64(e.streamQueueDepth(-1)) }
+	e.obs.Devices = func() []obs.Labeled {
+		var out []obs.Labeled
+		for di, dev := range e.cfg.Devices {
+			lbl := obs.Labels{{"device", dev.Name()}}
+			out = append(out, obs.Labeled{Labels: lbl, Value: dev.Stats()}, obs.Labeled{Labels: lbl, Value: e.DeviceGauges(di)})
+		}
+		return out
+	}
+}
+
+// DeviceGauges returns the derived gauges of device dev (an index into
+// Config.Devices).
+func (e *Engine) DeviceGauges(dev int) obs.DeviceGauges {
+	d := e.cfg.Devices[dev]
+	return obs.DeviceGauges{
+		OverlapFraction:  d.OverlapFraction(),
+		Utilization:      d.Utilization(),
+		StreamQueueDepth: e.streamQueueDepth(dev),
+	}
+}
+
+// streamQueueDepth counts the operations queued and not yet started on
+// device dev's streams, or on every device's when dev is negative.
+func (e *Engine) streamQueueDepth(dev int) int {
+	n := 0
+	for _, sl := range e.idx.Load().allStreams {
+		if dev < 0 || sl.dev == dev {
+			n += sl.stream.QueueDepth()
+		}
+	}
+	return n
 }
 
 // partCounters returns the hot-spot counters for a partition, or nil
@@ -841,7 +806,7 @@ func (e *Engine) Close() error {
 // callback has returned, flushing the entry log as needed. A done
 // callback must therefore not call Drain itself.
 func (e *Engine) Drain() {
-	e.await(context.Background(), true, func() bool { return e.completed.Load() >= e.submitted.Load() })
+	e.await(context.Background(), true, func() bool { return e.obs.Flow.Completed.Load() >= e.obs.Flow.Submitted.Load() })
 }
 
 // await blocks until cond holds or ctx ends, and reports whether cond
@@ -887,63 +852,13 @@ func (e *Engine) await(ctx context.Context, flush bool, cond func() bool) bool {
 	}
 }
 
-// Stats returns a snapshot of engine counters.
+// Stats returns a snapshot of engine counters: every field whose JSON
+// name is a declared metric's key (obs.Pipeline.Fill), and each device's
+// memory in use.
 func (e *Engine) Stats() Stats {
-	idx := e.idx.Load()
-	st := Stats{
-		UniqueSets:          len(idx.sets),
-		Partitions:          len(idx.parts),
-		Keys:                len(idx.keys),
-		QueriesSubmitted:    e.submitted.Load(),
-		QueriesCompleted:    e.completed.Load(),
-		BatchesDispatched:   e.batches.Load(),
-		BatchesTimedOut:     e.batchesTimedOut.Load(),
-		PairsProduced:       e.pairs.Load(),
-		KeysDelivered:       e.keysDelivered.Load(),
-		ResultOverflows:     e.overflows.Load(),
-		PartitionsSearched:  e.partsSearched.Load(),
-		RoutedSliced:        e.obs.Routing.SlicedQueries.Load(),
-		RouteMergeLocks:     e.obs.Routing.MergeLockAcqs.Load(),
-		RouteAppends:        e.obs.Routing.MergedAppends.Load(),
-		KernelSliced:        e.obs.Kernel.SlicedBatches.Load(),
-		KernelGateChecks:    e.obs.Kernel.GateChecks.Load(),
-		KernelGatePruned:    e.obs.Kernel.GatePruned.Load(),
-		KernelGateTests:     e.obs.Kernel.GateTests.Load(),
-		KernelGroupScans:    e.obs.Kernel.GroupScans.Load(),
-		KernelColumnsWalked: e.obs.Kernel.ColumnsWalked.Load(),
-		H2DQueryBytes:       e.obs.Streams.H2DQueryBytes.Load(),
-		QuerySlots:          e.obs.Streams.QuerySlots.Load(),
-		SegmentsDispatched:  e.obs.Streams.SegmentsPerBatch.Sum(),
-		StreamAcquireWait:   time.Duration(e.obs.Streams.AcquireWait.Sum()),
-		HostBytes:           idx.hostBytes,
-		LastConsolidate:     time.Duration(e.consolidateTime.Load()),
-		PreprocessTime:      time.Duration(e.preprocessNs.Load()),
-		SubsetMatchTime:     time.Duration(e.matchNs.Load()),
-		ReduceTime:          time.Duration(e.reduceNs.Load()),
-		GPUFaults:           e.obs.Faults.GPUFaults.Load(),
-		BatchRetries:        e.obs.Faults.BatchRetries.Load(),
-		CPUFallbacks:        e.obs.Faults.CPUFallbacks.Load(),
-		DeviceQuarantines:   e.obs.Faults.Quarantines.Load(),
-		RecoveryProbes:      e.obs.Faults.Probes.Load(),
-		DeviceRecoveries:    e.obs.Faults.Recoveries.Load(),
-		QueriesShed:         e.obs.Faults.QueriesShed.Load(),
-		DeadlineExpired:     e.obs.Faults.DeadlineExpired.Load(),
-		BatchesCancelled:    e.obs.Faults.BatchesCancelled.Load(),
-		HedgesFired:         e.obs.Faults.HedgesFired.Load(),
-		HedgesWon:           e.obs.Faults.HedgesWon.Load(),
-		HedgesLost:          e.obs.Faults.HedgesLost.Load(),
-		HedgesCancelled:     e.obs.Faults.HedgesCancelled.Load(),
-		DeltaAdds:           e.delta.addsLive.Load(),
-		DeltaTombstones:     e.delta.tombsLive.Load(),
-		DeltaAbsorbedOps:    e.obs.Delta.AbsorbedOps.Load(),
-		DeltaMatches:        e.obs.Delta.OverlayMatches.Load(),
-		DeltaKeys:           e.obs.Delta.OverlayKeys.Load(),
-		TombstoneSuppressed: e.obs.Delta.TombSuppressed.Load(),
-		AutoConsolidations:  e.obs.Delta.AutoConsolidations.Load(),
-		IncrementalFolds:    e.incFolds.Load(),
-		LastSwapPause:       time.Duration(e.swapPauseNs.Load()),
-	}
-	for _, dev := range idx.devices {
+	var st Stats
+	e.obs.Fill(&st)
+	for _, dev := range e.idx.Load().devices {
 		st.DeviceBytes = append(st.DeviceBytes, dev.MemInUse())
 	}
 	return st

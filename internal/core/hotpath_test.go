@@ -84,9 +84,9 @@ func TestReduceLocksOncePerQueryBatch(t *testing.T) {
 	e.Drain()
 	wg.Wait()
 
-	pairs := e.pairs.Load()
+	pairs := e.obs.Flow.Pairs.Load()
 	acqs := e.queryLockAcqs.Load()
-	memberships := e.partsSearched.Load() // (query, batch) memberships: one per routed pair
+	memberships := e.obs.Flow.PartitionsSearched.Load() // (query, batch) memberships: one per routed pair
 	if pairs < int64(nQueries*matchWidth) {
 		t.Fatalf("pairs = %d, want >= %d", pairs, nQueries*matchWidth)
 	}

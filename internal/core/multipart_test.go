@@ -23,7 +23,7 @@ import (
 func waitRouted(e *Engine, n int64) {
 	r := &e.obs.Routing
 	e.await(context.Background(), false, func() bool {
-		return r.SlicedQueries.Load() == n && r.MergedAppends.Load() == e.partsSearched.Load()
+		return r.SlicedQueries.Load() == n && r.MergedAppends.Load() == e.obs.Flow.PartitionsSearched.Load()
 	})
 }
 
@@ -124,7 +124,7 @@ func TestFlushPassLaunchCount(t *testing.T) {
 		}
 		waitRouted(e, int64(len(queries)))
 		entries := e.Stats().RouteAppends
-		if n := e.batches.Load(); n != 0 {
+		if n := e.obs.Flow.Batches.Load(); n != 0 {
 			t.Fatalf("%d batches dispatched before the flush; the fixture must stay under BatchSize entries per partition", n)
 		}
 		perDev, parts := logShape(e)

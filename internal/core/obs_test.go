@@ -86,16 +86,13 @@ func TestObsStageHistogramsAndPartitions(t *testing.T) {
 	if len(snap.Stages) != 5 || len(snap.Partitions) != len(parts) {
 		t.Fatalf("snapshot shape: %d stages, %d partitions", len(snap.Stages), len(snap.Partitions))
 	}
-	if snap.Gauges == nil {
-		t.Fatal("engine gauges not registered")
-	}
-	if _, ok := snap.Gauges[`tagmatch_queue_depth{queue="input"}`]; !ok {
-		t.Fatalf("missing input queue gauge: %v", snap.Gauges)
+	if _, ok := snap.Metrics["queue_depth_input"].(float64); !ok {
+		t.Fatalf("missing input queue gauge: %v", snap.Metrics)
 	}
 }
 
 func TestObsPerQueryTracing(t *testing.T) {
-	e := obsTestEngine(t, func(c *Config) { c.TraceEvery = 1; c.TraceKeep = 16 })
+	e := obsTestEngine(t, func(c *Config) { c.TraceEvery = 1 })
 	if _, err := match(e, tagReq([]string{"a", "t3", "x"}, false)); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +119,7 @@ func TestObsPerQueryTracing(t *testing.T) {
 func TestShedTracePublishesError(t *testing.T) {
 	e, err := New(Config{
 		MaxPartitionSize: 100, BatchSize: 1, Threads: 2, MaxInFlight: 1,
-		TraceEvery: 1, TraceKeep: 16,
+		TraceEvery: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +186,7 @@ func TestFaultTracesTerminal(t *testing.T) {
 		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
 		FailureThreshold:  3,
 		QuarantineBackoff: 50 * time.Millisecond,
-		TraceEvery:        1, TraceKeep: 256,
+		TraceEvery:        1,
 	})
 	if err != nil {
 		t.Fatal(err)

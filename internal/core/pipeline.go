@@ -91,7 +91,7 @@ func (q *query) finish(e *Engine, n int32) {
 			keys = dedupKeys(keys)
 		}
 	}
-	e.keysDelivered.Add(int64(len(keys)))
+	e.obs.Flow.KeysDelivered.Add(int64(len(keys)))
 	latency := time.Since(q.start)
 	if e.obs.On {
 		e.obs.E2E.ObserveDuration(latency)
@@ -104,7 +104,7 @@ func (q *query) finish(e *Engine, n int32) {
 	}
 	// Counted only once done has returned: Drain's promise is that every
 	// callback has.
-	e.completed.Add(1)
+	e.obs.Flow.Completed.Add(1)
 	e.notifyProgress()
 }
 
@@ -147,7 +147,7 @@ func (q *query) expire(e *Engine, cause error) {
 	if done := q.done; done != nil {
 		done(MatchResult{Err: cause, Latency: latency})
 	}
-	e.completed.Add(1) // after done, as in finish
+	e.obs.Flow.Completed.Add(1) // after done, as in finish
 	e.notifyProgress()
 }
 
@@ -331,8 +331,8 @@ func (e *Engine) Submit(ctx context.Context, r Request, done func(MatchResult)) 
 	// submitters each see their own claim; a rejected claim is rolled
 	// back and progress is signalled for SubmitWait's waiters.
 	if max := int64(e.cfg.MaxInFlight); max > 0 {
-		if e.submitted.Add(1)-e.completed.Load() > max {
-			e.submitted.Add(-1)
+		if e.obs.Flow.Submitted.Add(1)-e.obs.Flow.Completed.Load() > max {
+			e.obs.Flow.Submitted.Add(-1)
 			e.submitMu.RUnlock()
 			e.obs.Faults.QueriesShed.Add(1)
 			// Shed queries never enter the pipeline, so finish() never
@@ -346,7 +346,7 @@ func (e *Engine) Submit(ctx context.Context, r Request, done func(MatchResult)) 
 			return ErrOverloaded
 		}
 	} else {
-		e.submitted.Add(1)
+		e.obs.Flow.Submitted.Add(1)
 	}
 	q := e.pools.getQuery()
 	q.sig, q.tags, q.unique, q.done = r.Sig, e.tagSet(r.Tags), r.Unique, done
@@ -395,7 +395,7 @@ func (e *Engine) SubmitWait(ctx context.Context, r Request, done func(MatchResul
 
 // admits reports whether the admission gate has room for one more query.
 func (e *Engine) admits() bool {
-	return e.submitted.Load()-e.completed.Load() < int64(e.cfg.MaxInFlight)
+	return e.obs.Flow.Submitted.Load()-e.obs.Flow.Completed.Load() < int64(e.cfg.MaxInFlight)
 }
 
 // Match is the blocking Submit: it returns the matching keys of r, or the
@@ -486,16 +486,16 @@ func (e *Engine) routeOne(w *routeState, q *query) {
 	w.pids = idx.pt.lookupSliced(q.sig, w.ones, w.pids[:0])
 	e.obs.Routing.SlicedQueries.Add(1)
 	w.pids = append(w.pids, idx.maskless...)
-	e.partsSearched.Add(int64(len(w.pids)))
+	e.obs.Flow.PartitionsSearched.Add(int64(len(w.pids)))
 	q.pending.Add(int32(len(w.pids)))
 	for _, pid := range w.pids {
 		w.run = append(w.run, routedEntry{pid, q})
 	}
 	spent := time.Since(t0)
-	e.preprocessNs.Add(int64(spent))
+	e.obs.Flow.PreprocessNs.Add(int64(spent))
 	if e.obs.On {
 		// Per-query routing time; the hand-over time is accounted to
-		// preprocessNs by mergeRoutes but not attributed per query.
+		// Flow.PreprocessNs by mergeRoutes but not attributed per query.
 		e.obs.Preprocess.ObserveDuration(spent)
 		// Input-queue wait: submit to pre-process pickup.
 		e.obs.InputWait.ObserveDuration(t0.Sub(q.start))
@@ -546,7 +546,7 @@ func (e *Engine) mergeRoutes(w *routeState) {
 	e.obs.Routing.MergedAppends.Add(int64(len(w.run)))
 	clear(w.run) // drop query refs; they recycle independently
 	w.run = w.run[:0]
-	e.preprocessNs.Add(int64(time.Since(t0)))
+	e.obs.Flow.PreprocessNs.Add(int64(time.Since(t0)))
 	if n >= e.fullLog(idx) {
 		e.flushKick <- struct{}{}
 	}
@@ -755,10 +755,10 @@ func (e *Engine) dispatch(idx *index, b *openBatch, reason dispatchReason) {
 		q.stamp.Store(stamp | uint64(i))
 		b.dup = append(b.dup, uint8(i))
 	}
-	e.batches.Add(1)
+	e.obs.Flow.Batches.Add(1)
 	e.inflightBatches.Add(1)
 	if reason == dispatchTimeout {
-		e.batchesTimedOut.Add(1)
+		e.obs.Flow.BatchesTimedOut.Add(1)
 	}
 	e.obs.Streams.SegmentsPerBatch.Observe(int64(len(b.segs)))
 	b.dispatched = time.Now()
@@ -1244,13 +1244,13 @@ func (e *Engine) reduceOne(res *batchResult) {
 	b := res.batch
 	t0 := time.Now()
 	matchDur := t0.Sub(b.dispatched)
-	e.matchNs.Add(int64(matchDur))
+	e.obs.Flow.MatchNs.Add(int64(matchDur))
 	if e.obs.On {
 		e.obs.SubsetMatch.ObserveDuration(matchDur)
 	}
 	defer func() {
 		reduceDur := time.Since(t0)
-		e.reduceNs.Add(int64(reduceDur))
+		e.obs.Flow.ReduceNs.Add(int64(reduceDur))
 		if e.obs.On {
 			e.obs.Reduce.ObserveDuration(reduceDur)
 		}
@@ -1318,7 +1318,7 @@ func (e *Engine) reduceOne(res *batchResult) {
 		// segment — the device kernel's matchSpan, so counters and pairs
 		// hold across fallbacks.
 		if res.overflow {
-			e.overflows.Add(1)
+			e.obs.Flow.Overflows.Add(1)
 		}
 		e.obs.Kernel.SlicedBatches.Add(1)
 		for _, sg := range b.segs {
@@ -1362,7 +1362,7 @@ func (e *Engine) reduceOne(res *batchResult) {
 			pc.Pairs.Add(n)
 		}
 	}
-	e.pairs.Add(nPairs)
+	e.obs.Flow.Pairs.Add(nPairs)
 
 	// A query holds one pending reference per entry; count each distinct
 	// query's entries (reusing the per-entry scratch) so its countdown —

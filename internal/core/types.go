@@ -107,9 +107,6 @@ type Config struct {
 	// retrievable via Obs().Tracer. Zero disables tracing (default).
 	TraceEvery int
 
-	// TraceKeep is the number of completed traces retained (default 128).
-	TraceKeep int
-
 	// DisableObservability turns off the internal/obs instrumentation —
 	// stage histograms, per-partition counters, traces — leaving only
 	// the cumulative Stats counters. The obs-overhead benchmark compares
@@ -232,18 +229,23 @@ func (c *Config) applyDefaults() {
 }
 
 // Stats is a snapshot of engine activity. The JSON field names are part
-// of the GET /stats contract of internal/httpserver.
+// of the GET /stats contract of internal/httpserver. Engine.Stats fills
+// every field whose JSON name is the key of a metric declared in
+// internal/obs (see its counters.go for what each counts); a field with
+// no such metric stays as documented here.
 type Stats struct {
 	// Database shape after the last Consolidate.
 	UniqueSets int `json:"unique_sets"`
 	Partitions int `json:"partitions"`
 	Keys       int `json:"keys"`
 
-	// Pipeline counters. BatchesTimedOut counts the batches of flush
-	// passes the flusher's tick started because the log's oldest entry had
-	// waited BatchTimeout; batches of a pass a worker's kick started
-	// because the log was full, or of an explicit flush (blocking Match,
-	// Drain, Consolidate, Close), are not among them.
+	// Pipeline counters (obs.FlowCounters). BatchesTimedOut counts
+	// batches by what started their flush pass: the passes the flusher's
+	// tick started because the log's oldest entry had waited
+	// BatchTimeout. A tick-started pass still cuts full batches, so it
+	// does not say whether a batch filled. Batches of a pass a worker's
+	// kick started because the log was full, or of an explicit flush
+	// (blocking Match, Drain, Consolidate, Close), are not among them.
 	QueriesSubmitted   int64 `json:"queries_submitted"`
 	QueriesCompleted   int64 `json:"queries_completed"`
 	BatchesDispatched  int64 `json:"batches_dispatched"`
@@ -253,23 +255,13 @@ type Stats struct {
 	ResultOverflows    int64 `json:"result_overflows"`
 	PartitionsSearched int64 `json:"partitions_searched"`
 
-	// Routing counters (mirrors of obs.RoutingCounters): queries routed
-	// through the bit-sliced partition table, and the hand-overs to the
-	// routed-entry log — RouteMergeLocks counts acquisitions of the log's
-	// mutex, one per burst of queries a pre-process worker routed,
-	// RouteAppends the entries handed over under them (equal to
-	// PartitionsSearched once the workers are idle).
+	// Routing counters (obs.RoutingCounters). RouteAppends equals
+	// PartitionsSearched once the workers are idle.
 	RoutedSliced    int64 `json:"routed_sliced"`
 	RouteMergeLocks int64 `json:"route_merge_locks"`
 	RouteAppends    int64 `json:"route_appends"`
 
-	// Subset-match kernel counters (mirrors of obs.KernelCounters):
-	// batches matched, on a device or the host, gate effectiveness —
-	// KernelGateChecks counts the (entry, group) pairs the gates decided,
-	// KernelGatePruned those rejected before any column was read (their
-	// ratio is the gate hit rate), KernelGateTests the three-word tests,
-	// on run nodes and on groups, that it took — and the column words
-	// touched by the bit-sliced walk.
+	// Subset-match kernel counters (obs.KernelCounters).
 	KernelSliced        int64 `json:"kernel_sliced"`
 	KernelGateChecks    int64 `json:"kernel_gate_checks"`
 	KernelGatePruned    int64 `json:"kernel_gate_pruned"`
@@ -277,10 +269,10 @@ type Stats struct {
 	KernelGroupScans    int64 `json:"kernel_group_scans"`
 	KernelColumnsWalked int64 `json:"kernel_columns_walked"`
 
-	// Query upload accounting (mirrors of obs.StreamCounters):
-	// H2DQueryBytes / QuerySlots is the mean H2D bytes per dispatched
-	// batch entry — its 24-byte signature, its 4-byte index and its share
-	// of the segment table.
+	// Query upload accounting (obs.StreamCounters): H2DQueryBytes /
+	// QuerySlots is the mean H2D bytes per dispatched batch entry — its
+	// 24-byte signature, its 4-byte index and its share of the segment
+	// table.
 	H2DQueryBytes int64 `json:"h2d_query_bytes"`
 	QuerySlots    int64 `json:"query_slots"`
 
@@ -294,17 +286,12 @@ type Stats struct {
 	WindowFallbacks     int64 `json:"window_fallbacks"`
 	PipelinedDispatches int64 `json:"pipelined_dispatches"`
 
-	// Multi-partition batching: SegmentsDispatched / BatchesDispatched is
-	// the mean number of partitions sharing one copy/launch/copy, and
-	// StreamAcquireWait the cumulative time dispatch attempts waited for
-	// a stream slot (the distributions are obs.StreamCounters'
-	// SegmentsPerBatch and AcquireWait).
+	// Multi-partition batching: the sums of obs.StreamCounters'
+	// SegmentsPerBatch and AcquireWait histograms.
 	SegmentsDispatched int64         `json:"segments_dispatched"`
 	StreamAcquireWait  time.Duration `json:"stream_acquire_wait_ns"`
 
-	// Fault-tolerance counters (mirrors of obs.FaultCounters): failed
-	// GPU batch attempts, re-dispatches, host re-runs, circuit-breaker
-	// transitions, and overload rejections.
+	// Fault-tolerance counters (obs.FaultCounters).
 	GPUFaults         int64 `json:"gpu_faults"`
 	BatchRetries      int64 `json:"batch_retries"`
 	CPUFallbacks      int64 `json:"cpu_fallbacks"`
@@ -312,28 +299,15 @@ type Stats struct {
 	RecoveryProbes    int64 `json:"recovery_probes"`
 	DeviceRecoveries  int64 `json:"device_recoveries"`
 	QueriesShed       int64 `json:"queries_shed"`
+	DeadlineExpired   int64 `json:"deadline_expired"`
+	BatchesCancelled  int64 `json:"batches_cancelled"`
+	HedgesFired       int64 `json:"hedges_fired"`
+	HedgesWon         int64 `json:"hedges_won"`
+	HedgesLost        int64 `json:"hedges_lost"`
+	HedgesCancelled   int64 `json:"hedges_cancelled"`
 
-	// Tail-tolerance counters: queries completed early because their
-	// deadline passed before launch, batches cancelled outright because
-	// every member had expired, and straggler hedges by outcome
-	// (fired: launched; won: hedge result used; lost: primary won the
-	// race; cancelled: budget elapsed after the batch settled).
-	DeadlineExpired  int64 `json:"deadline_expired"`
-	BatchesCancelled int64 `json:"batches_cancelled"`
-	HedgesFired      int64 `json:"hedges_fired"`
-	HedgesWon        int64 `json:"hedges_won"`
-	HedgesLost       int64 `json:"hedges_lost"`
-	HedgesCancelled  int64 `json:"hedges_cancelled"`
-
-	// Live-update counters (mirrors of obs.DeltaCounters plus the
-	// overlay's live sizes): DeltaAdds/DeltaTombstones are the overlay
-	// entries currently serving queries ahead of consolidation;
-	// DeltaMatches/DeltaKeys count its match contribution;
-	// TombstoneSuppressed the main-index entries hidden by pending
-	// removes; AutoConsolidations the background folds; LastSwapPause
-	// the traffic pause of the most recent background swap (drain +
-	// index swap + device upload — compare LastConsolidate, the full
-	// stop-the-world rebuild time).
+	// Live-update counters (obs.DeltaCounters) and the overlay's live
+	// sizes (obs.EngineGauges).
 	DeltaAdds           int64         `json:"delta_adds"`
 	DeltaTombstones     int64         `json:"delta_tombstones"`
 	DeltaAbsorbedOps    int64         `json:"delta_absorbed_ops"`
@@ -344,18 +318,18 @@ type Stats struct {
 	IncrementalFolds    int64         `json:"incremental_folds"`
 	LastSwapPause       time.Duration `json:"last_swap_pause_ns"`
 
-	// Memory accounting (Fig 9): host side and per-device.
+	// Memory accounting (Fig 9): host side, and each device's memory in
+	// use (the per-device tagmatch_device_mem_bytes series).
 	HostBytes   int64   `json:"host_bytes"`
 	DeviceBytes []int64 `json:"device_bytes,omitempty"`
 
-	// LastConsolidate is the duration of the most recent Consolidate
-	// call (Fig 8).
+	// LastConsolidate is the duration of the most recent consolidation
+	// (Fig 8).
 	LastConsolidate time.Duration `json:"last_consolidate_ns"`
 
-	// Cumulative busy time per pipeline stage, summed across workers:
-	// pre-process (Algorithm 2 + the hand-over to the log), subset match (dispatch to
-	// result arrival), and key lookup/reduce. Useful for locating the
-	// pipeline bottleneck on a given host and workload.
+	// Cumulative busy time per pipeline stage, summed across workers
+	// (obs.FlowCounters). Useful for locating the pipeline bottleneck on
+	// a given host and workload.
 	PreprocessTime  time.Duration `json:"preprocess_time_ns"`
 	SubsetMatchTime time.Duration `json:"subset_match_time_ns"`
 	ReduceTime      time.Duration `json:"reduce_time_ns"`

@@ -124,18 +124,20 @@ type Config struct {
 	OpLogSize int
 }
 
-// Stats is a snapshot of device activity counters.
+// Stats is a snapshot of device activity counters. A field with a prom
+// tag is a metric declaration: the engine exports it per device,
+// labeled {device=name} (see internal/obs).
 type Stats struct {
-	KernelLaunches    int64
+	KernelLaunches    int64 `prom:"tagmatch_device_kernel_launches_total" help:"Kernel launches on the device."`
 	NestedLaunches    int64
-	BlocksExecuted    int64
+	BlocksExecuted    int64 `prom:"tagmatch_device_blocks_executed_total" help:"Thread blocks executed on the device."`
 	AtomicOps         int64
-	BytesHtoD         int64
-	BytesDtoH         int64
-	CopiesHtoD        int64
-	CopiesDtoH        int64
-	MemInUse          int64
-	MemHighWater      int64
+	BytesHtoD         int64 `prom:"tagmatch_device_bytes_htod_total" help:"Bytes copied host-to-device."`
+	BytesDtoH         int64 `prom:"tagmatch_device_bytes_dtoh_total" help:"Bytes copied device-to-host."`
+	CopiesHtoD        int64 `prom:"tagmatch_device_copies_htod_total" help:"Host-to-device copies."`
+	CopiesDtoH        int64 `prom:"tagmatch_device_copies_dtoh_total" help:"Device-to-host copies."`
+	MemInUse          int64 `prom:"tagmatch_device_mem_bytes" help:"Device memory currently allocated."`
+	MemHighWater      int64 `prom:"tagmatch_device_mem_high_water_bytes" help:"Peak device memory allocated."`
 	InjectedFaults    int64
 	InjectedSlowdowns int64
 

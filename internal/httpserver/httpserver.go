@@ -35,12 +35,14 @@
 // Request bodies are limited to 1 MiB (413 Request Entity Too Large
 // beyond it) and a set or a query to 4,096 tags (400 Bad Request).
 //
-// The /metrics endpoint exports everything a dashboard needs: engine
-// counters as tagmatch_*_total, database shape and memory as gauges,
-// per-stage latency histograms labeled {stage=...}, per-device counters
-// labeled {device=...}, and the hottest partitions' counters labeled
-// {partition=...} (capped to keep series cardinality bounded; the JSON
-// /debug/stats carries every partition).
+// The /metrics endpoint exports every metric declared in internal/obs:
+// engine counters as tagmatch_*_total, database shape and memory as
+// gauges, per-stage latency histograms labeled {stage=...}, per-device
+// series labeled {device=...}, and the hottest partitions' counters
+// labeled {partition=...} (capped to keep series cardinality bounded;
+// the JSON /debug/stats carries every partition). /debug/stats carries
+// the same metrics by their JSON keys, and /stats the engine's Stats,
+// derived from them.
 package httpserver
 
 import (
@@ -150,7 +152,7 @@ func Handler(eng *tagmatch.Engine) http.Handler {
 	mux.HandleFunc("GET /debug/timeline", timelineHandler(eng))
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		writeMetrics(w, eng)
+		eng.Obs().WriteProm(w)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -166,77 +168,6 @@ type DebugStats struct {
 	Stats   tagmatch.Stats        `json:"stats"`
 	Obs     obs.Snapshot          `json:"obs"`
 	Devices []tagmatch.DeviceStat `json:"devices,omitempty"`
-}
-
-// writeMetrics renders the Prometheus exposition: engine counters and
-// shape first, then per-device counters, then the obs layer (stage
-// histograms, gauges, hot partitions).
-func writeMetrics(w http.ResponseWriter, eng *tagmatch.Engine) {
-	pw := obs.NewPromWriter(w)
-	st := eng.Stats()
-
-	pw.Counter("tagmatch_queries_submitted_total",
-		"Queries accepted by Submit/Match.", nil, float64(st.QueriesSubmitted))
-	pw.Counter("tagmatch_queries_completed_total",
-		"Queries whose results were delivered.", nil, float64(st.QueriesCompleted))
-	pw.Counter("tagmatch_batches_dispatched_total",
-		"Batches dispatched to the subset-match stage.", nil, float64(st.BatchesDispatched))
-	pw.Counter("tagmatch_batches_timed_out_total",
-		"Batches dispatched by the flush timeout rather than by filling.", nil, float64(st.BatchesTimedOut))
-	pw.Counter("tagmatch_pairs_produced_total",
-		"(query,set) candidate pairs produced by subset match.", nil, float64(st.PairsProduced))
-	pw.Counter("tagmatch_keys_delivered_total",
-		"Keys delivered to callers across all queries.", nil, float64(st.KeysDelivered))
-	pw.Counter("tagmatch_result_overflows_total",
-		"Batches whose result buffer overflowed (CPU fallback).", nil, float64(st.ResultOverflows))
-	pw.Counter("tagmatch_partitions_searched_total",
-		"Partition visits after Algorithm 2 pruning.", nil, float64(st.PartitionsSearched))
-
-	pw.Gauge("tagmatch_db_sets", "Unique tag sets in the consolidated index.",
-		nil, float64(st.UniqueSets))
-	pw.Gauge("tagmatch_db_partitions", "Partitions in the consolidated index.",
-		nil, float64(st.Partitions))
-	pw.Gauge("tagmatch_db_keys", "Distinct (set,key) associations.",
-		nil, float64(st.Keys))
-	pw.Gauge("tagmatch_host_bytes", "Host memory held by the index.",
-		nil, float64(st.HostBytes))
-	pw.Gauge("tagmatch_last_consolidate_seconds",
-		"Duration of the most recent Consolidate.", nil, st.LastConsolidate.Seconds())
-
-	for _, sb := range []struct {
-		stage string
-		d     time.Duration
-	}{
-		{obs.StagePreprocess, st.PreprocessTime},
-		{obs.StageSubsetMatch, st.SubsetMatchTime},
-		{obs.StageReduce, st.ReduceTime},
-	} {
-		pw.Counter("tagmatch_stage_busy_seconds_total",
-			"Cumulative busy time per pipeline stage, summed across workers.",
-			obs.Labels{{"stage", sb.stage}}, sb.d.Seconds())
-	}
-
-	for _, ds := range eng.DeviceStats() {
-		lbl := obs.Labels{{"device", ds.Name}}
-		pw.Counter("tagmatch_device_kernel_launches_total",
-			"Kernel launches on the device.", lbl, float64(ds.Stats.KernelLaunches))
-		pw.Counter("tagmatch_device_blocks_executed_total",
-			"Thread blocks executed on the device.", lbl, float64(ds.Stats.BlocksExecuted))
-		pw.Counter("tagmatch_device_copies_htod_total",
-			"Host-to-device copies.", lbl, float64(ds.Stats.CopiesHtoD))
-		pw.Counter("tagmatch_device_copies_dtoh_total",
-			"Device-to-host copies.", lbl, float64(ds.Stats.CopiesDtoH))
-		pw.Counter("tagmatch_device_bytes_htod_total",
-			"Bytes copied host-to-device.", lbl, float64(ds.Stats.BytesHtoD))
-		pw.Counter("tagmatch_device_bytes_dtoh_total",
-			"Bytes copied device-to-host.", lbl, float64(ds.Stats.BytesDtoH))
-		pw.Gauge("tagmatch_device_mem_bytes",
-			"Device memory currently allocated.", lbl, float64(ds.Stats.MemInUse))
-		pw.Gauge("tagmatch_device_mem_high_water_bytes",
-			"Peak device memory allocated.", lbl, float64(ds.Stats.MemHighWater))
-	}
-
-	eng.Obs().WriteProm(pw)
 }
 
 func matchHandler(eng *tagmatch.Engine, unique bool) http.HandlerFunc {

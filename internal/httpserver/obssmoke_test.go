@@ -6,21 +6,28 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"tagmatch"
+	"tagmatch/internal/gpu"
+	"tagmatch/internal/obs"
 )
 
 // TestObsSmoke is the `make obs-smoke` target: boot a server with
-// tracing on, push traffic through it, and assert the two observability
+// tracing on, push traffic through it, and assert the observability
 // export surfaces are well-formed — /metrics parses as Prometheus text
 // exposition (and carries the GPU utilization/overlap/op-latency
 // families), /debug/timeline parses as a Chrome trace-event file with
-// per-stream device-op slices, and /debug/stats carries the latency
-// attribution table with exemplar trace ids.
+// per-stream device-op slices, /debug/stats carries the latency
+// attribution table with exemplar trace ids — and that they agree with
+// the metric declarations: each family once, every histogram's _count
+// equal to its +Inf bucket, every declared series on /metrics and
+// /debug/stats, and every Stats field a declaration backs equal to its
+// /metrics sample after a drain.
 func TestObsSmoke(t *testing.T) {
 	eng, err := tagmatch.New(tagmatch.Config{GPUs: 1, Threads: 2, TraceEvery: 1})
 	if err != nil {
@@ -169,19 +176,27 @@ func TestObsSmoke(t *testing.T) {
 		}
 		// The batching mechanism's own counters: a dispatched batch has at
 		// least one segment, and every dispatch attempt acquires a slot.
-		if st := ds.Obs.Streams; st.SegmentsPerBatch.Count == 0 || st.AcquireWait.Count < st.SegmentsPerBatch.Count {
+		m := debugMetrics(t, srv.URL)
+		var segs, wait obs.HistSnapshot
+		for key, h := range map[string]*obs.HistSnapshot{"segments_dispatched": &segs, "stream_acquire_wait_ns": &wait} {
+			if err := json.Unmarshal(m[key], h); err != nil {
+				t.Fatalf("metrics.%s: %v", key, err)
+			}
+		}
+		if segs.Count == 0 || wait.Count < segs.Count {
 			t.Errorf("segments-per-batch (%d) / stream-acquire-wait (%d) histograms not recorded",
-				st.SegmentsPerBatch.Count, st.AcquireWait.Count)
+				segs.Count, wait.Count)
 		}
 		if s := ds.Stats; s.SegmentsDispatched < s.BatchesDispatched || s.BatchesDispatched == 0 {
 			t.Errorf("stats: %d segments in %d dispatched batches", s.SegmentsDispatched, s.BatchesDispatched)
 		}
 		// The kernel's gate counters reach both sections: pairs decided,
 		// and the three-word tests that took.
-		if s, k := ds.Stats, ds.Obs.Kernel; s.KernelGateTests == 0 || s.KernelGateChecks == 0 ||
-			k.GateTests != s.KernelGateTests || k.GateChecks != s.KernelGateChecks {
-			t.Errorf("gate counters: stats %d tests / %d checks, obs.kernel %d / %d",
-				s.KernelGateTests, s.KernelGateChecks, k.GateTests, k.GateChecks)
+		if s := ds.Stats; s.KernelGateTests == 0 || s.KernelGateChecks == 0 ||
+			ds.Obs.Metrics["kernel_gate_tests"] != float64(s.KernelGateTests) ||
+			ds.Obs.Metrics["kernel_gate_checks"] != float64(s.KernelGateChecks) {
+			t.Errorf("gate counters: stats %d tests / %d checks, obs.metrics %v / %v",
+				s.KernelGateTests, s.KernelGateChecks, ds.Obs.Metrics["kernel_gate_tests"], ds.Obs.Metrics["kernel_gate_checks"])
 		}
 	})
 
@@ -191,52 +206,177 @@ func TestObsSmoke(t *testing.T) {
 		if err := json.Unmarshal([]byte(raw), &ds); err != nil {
 			t.Fatalf("/debug/stats is not valid JSON: %v", err)
 		}
-		// The stream section carries the upload accounting and the two
-		// batching histograms, and no longer the window or occupancy keys;
-		// no section counts a scalar kernel or a scalar routing lookup.
+		// The upload accounting is exported, and the window, occupancy,
+		// scalar kernel and scalar routing keys are gone.
 		var sections struct {
 			Stats map[string]json.RawMessage `json:"stats"`
-			Obs   struct {
-				Streams map[string]json.RawMessage `json:"streams"`
-				Kernel  map[string]json.RawMessage `json:"kernel"`
-				Routing map[string]json.RawMessage `json:"routing"`
-			} `json:"obs"`
 		}
 		if err := json.Unmarshal([]byte(raw), &sections); err != nil {
 			t.Fatal(err)
 		}
-		for _, gone := range []string{"window_hits", "window_misses", "window_evictions", "window_fallbacks", "pipelined_dispatches", "slot_occupancy"} {
-			if _, ok := sections.Obs.Streams[gone]; ok {
-				t.Errorf("obs.streams still carries %q", gone)
+		m := ds.Obs.Metrics
+		for _, gone := range []string{"window_hits", "window_misses", "window_evictions", "window_fallbacks", "pipelined_dispatches", "slot_occupancy", "kernel_scalar", "scalar_batches", "routed_scalar", "scalar_queries"} {
+			if _, ok := m[gone]; ok {
+				t.Errorf("obs.metrics still carries %q", gone)
 			}
 		}
-		if _, ok := sections.Stats["kernel_scalar"]; ok {
-			t.Error("stats still carries kernel_scalar")
+		for _, gone := range []string{"kernel_scalar", "routed_scalar"} {
+			if _, ok := sections.Stats[gone]; ok {
+				t.Errorf("stats still carries %q", gone)
+			}
 		}
-		if _, ok := sections.Obs.Kernel["scalar_batches"]; ok {
-			t.Error("obs.kernel still carries scalar_batches")
-		}
-		if _, ok := sections.Stats["routed_scalar"]; ok {
-			t.Error("stats still carries routed_scalar")
-		}
-		if _, ok := sections.Obs.Routing["scalar_queries"]; ok {
-			t.Error("obs.routing still carries scalar_queries")
-		}
-		if _, ok := sections.Obs.Routing["sliced_queries"]; !ok {
-			t.Error("obs.routing lacks sliced_queries")
-		}
-		if len(sections.Stats) == 0 || len(sections.Obs.Kernel) == 0 {
-			t.Fatal("/debug/stats has no stats or obs.kernel section")
+		if _, ok := m["routed_sliced"]; !ok {
+			t.Error("obs.metrics lacks routed_sliced")
 		}
 		if ds.Stats.QuerySlots == 0 || ds.Stats.H2DQueryBytes == 0 {
 			t.Errorf("stream byte accounting empty: slots=%d bytes=%d",
 				ds.Stats.QuerySlots, ds.Stats.H2DQueryBytes)
 		}
-		if ds.Obs.Streams.QuerySlots != ds.Stats.QuerySlots {
-			t.Errorf("obs snapshot (%d) and stats mirror (%d) disagree on query slots",
-				ds.Obs.Streams.QuerySlots, ds.Stats.QuerySlots)
+		if m["query_slots"] != float64(ds.Stats.QuerySlots) {
+			t.Errorf("obs metrics (%v) and stats (%d) disagree on query slots",
+				m["query_slots"], ds.Stats.QuerySlots)
 		}
 	})
+
+	// The registry: every declared series is exported once on each
+	// surface, and Stats reads what /metrics reads.
+	t.Run("registry", func(t *testing.T) {
+		eng.Drain()
+		samples := promSamples(t, get(t, srv.URL+"/metrics"))
+		m := debugMetrics(t, srv.URL)
+		decls := eng.Obs().Metrics()
+		for _, d := range decls {
+			series := d.Name + d.Labels.String()
+			if d.Kind == "histogram" {
+				series = d.Name + "_count" + d.Labels.String()
+			}
+			if _, ok := samples[series]; !ok {
+				t.Errorf("declared %s has no /metrics sample", series)
+			}
+			if _, ok := m[d.Key]; !ok {
+				t.Errorf("declared %s (key %q) missing from /debug/stats", series, d.Key)
+			}
+		}
+		// Each device's and each partition's declared series, on /metrics
+		// and in their /debug/stats sections.
+		var doc struct {
+			Devices []struct {
+				Stats  map[string]json.RawMessage `json:"stats"`
+				Gauges map[string]json.RawMessage `json:"gauges"`
+			} `json:"devices"`
+			Obs struct {
+				Partitions []map[string]json.RawMessage `json:"partitions"`
+			} `json:"obs"`
+		}
+		if err := json.Unmarshal([]byte(get(t, srv.URL+"/debug/stats")), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Devices) != 1 || len(doc.Obs.Partitions) == 0 {
+			t.Fatalf("/debug/stats: %d devices, %d partitions", len(doc.Devices), len(doc.Obs.Partitions))
+		}
+		for _, lv := range []struct {
+			v       any
+			label   string
+			section map[string]json.RawMessage
+		}{
+			{gpu.Stats{}, `{device="sim-gpu-0"}`, doc.Devices[0].Stats},
+			{obs.DeviceGauges{}, `{device="sim-gpu-0"}`, doc.Devices[0].Gauges},
+			{obs.PartitionSnapshot{}, `{partition="0"}`, doc.Obs.Partitions[0]},
+		} {
+			rt := reflect.TypeOf(lv.v)
+			for i := 0; i < rt.NumField(); i++ {
+				f := rt.Field(i)
+				name := f.Tag.Get("prom")
+				if name == "" {
+					continue
+				}
+				if _, ok := samples[name+lv.label]; !ok {
+					t.Errorf("declared %s has no /metrics sample%s", name, lv.label)
+				}
+				key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+				if key == "" {
+					key = f.Name
+				}
+				if _, ok := lv.section[key]; !ok {
+					t.Errorf("declared %s (%s) missing from /debug/stats", name, key)
+				}
+			}
+		}
+		// After the drain, every Stats field backed by a declaration
+		// equals its /metrics sample: a counter's or gauge's value, or a
+		// histogram's sum.
+		byKey := map[string]obs.Desc{}
+		for _, d := range decls {
+			byKey[d.Key] = d
+		}
+		st := reflect.ValueOf(eng.Stats())
+		backed := 0
+		for i := 0; i < st.NumField(); i++ {
+			key, _, _ := strings.Cut(st.Type().Field(i).Tag.Get("json"), ",")
+			d, ok := byKey[key]
+			if !ok {
+				continue
+			}
+			backed++
+			series := d.Name + d.Labels.String()
+			if d.Kind == "histogram" {
+				series = d.Name + "_sum" + d.Labels.String()
+			}
+			if want := float64(st.Field(i).Int()) * d.Scale; samples[series] != want {
+				t.Errorf("Stats.%s = %v, /metrics %s = %v", st.Type().Field(i).Name, want, series, samples[series])
+			}
+		}
+		if backed < 50 {
+			t.Errorf("only %d Stats fields are backed by a declaration", backed)
+		}
+	})
+}
+
+// debugMetrics returns /debug/stats' obs.metrics section, raw.
+func debugMetrics(t *testing.T, url string) map[string]json.RawMessage {
+	t.Helper()
+	var doc struct {
+		Obs struct {
+			Metrics map[string]json.RawMessage `json:"metrics"`
+		} `json:"obs"`
+	}
+	if err := json.Unmarshal([]byte(get(t, url+"/debug/stats")), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Obs.Metrics) == 0 {
+		t.Fatal("/debug/stats has no obs.metrics section")
+	}
+	return doc.Obs.Metrics
+}
+
+// promSamples validates an exposition (validatePromExposition) and
+// returns its samples by `name{labels}` as printed. Every histogram's
+// _count must equal its +Inf bucket.
+func promSamples(t *testing.T, body string) map[string]float64 {
+	t.Helper()
+	validatePromExposition(t, body)
+	out := map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		if m := promSampleRe.FindStringSubmatch(line); m != nil {
+			v, _ := strconv.ParseFloat(m[3], 64)
+			out[m[1]+m[2]] = v
+		}
+	}
+	for series, v := range out {
+		name, labels, ok := strings.Cut(series, "_bucket{")
+		if !ok || !strings.HasSuffix(labels, `le="+Inf"}`) {
+			continue
+		}
+		labels = strings.TrimSuffix(strings.TrimSuffix(labels, `le="+Inf"}`), ",")
+		count := name + "_count"
+		if labels != "" {
+			count += "{" + labels + "}"
+		}
+		if c, ok := out[count]; !ok || c != v {
+			t.Errorf("%s = %v, +Inf bucket %v", count, c, v)
+		}
+	}
+	return out
 }
 
 func get(t *testing.T, url string) string {
@@ -263,22 +403,30 @@ var (
 )
 
 // validatePromExposition checks text-format structural validity line by
-// line — every line is a HELP/TYPE header or a sample whose value parses
-// as a float and whose family was declared by a preceding TYPE — and
-// returns the declared family names.
+// line — every line is a HELP/TYPE header, once per family, or a sample
+// whose value parses as a float and whose family was declared by a
+// preceding TYPE — and returns the declared family names.
 func validatePromExposition(t *testing.T, body string) map[string]bool {
 	t.Helper()
 	families := map[string]bool{}
+	helps := map[string]bool{}
 	for i, line := range strings.Split(body, "\n") {
 		if line == "" {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
 			if m := promTypeRe.FindStringSubmatch(line); m != nil {
+				if families[m[1]] {
+					t.Fatalf("line %d: family %s declared twice", i+1, m[1])
+				}
 				families[m[1]] = true
 				continue
 			}
-			if promHelpRe.MatchString(line) {
+			if m := promHelpRe.FindStringSubmatch(line); m != nil {
+				if helps[m[1]] {
+					t.Fatalf("line %d: second # HELP for %s", i+1, m[1])
+				}
+				helps[m[1]] = true
 				continue
 			}
 			t.Fatalf("line %d: malformed comment %q", i+1, line)

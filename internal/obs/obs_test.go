@@ -1,10 +1,13 @@
 package obs
 
 import (
-	"encoding/json"
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -278,8 +281,8 @@ func TestPipelineSnapshotAndProm(t *testing.T) {
 	p.E2E.ObserveDuration(2 * time.Millisecond)
 	p.BatchOccupancy.Observe(100)
 	p.Parts.Get(0).QueriesRouted.Add(5)
-	p.RegisterGauge("tagmatch_queue_depth", "Queued items per pipeline queue.",
-		Labels{{"queue", "input"}}, func() float64 { return 3 })
+	p.Gauges.InputQueue = func() float64 { return 3 }
+	p.Flow.PreprocessNs.Add(1500000000)
 	sp := p.Tracer.Maybe()
 	sp.Event("batch", 1, 42)
 	sp.Done(1)
@@ -297,15 +300,18 @@ func TestPipelineSnapshotAndProm(t *testing.T) {
 	if len(snap.Partitions) != 3 || len(snap.HotPartitions) != 2 {
 		t.Fatalf("partitions = %d hot = %d", len(snap.Partitions), len(snap.HotPartitions))
 	}
-	if snap.Gauges[`tagmatch_queue_depth{queue="input"}`] != 3 {
-		t.Fatalf("gauges = %v", snap.Gauges)
+	if snap.Metrics["queue_depth_input"] != 3.0 || snap.Metrics["preprocess_time_ns"] != int64(1500000000) {
+		t.Fatalf("metrics = %v", snap.Metrics)
+	}
+	if h, ok := snap.Metrics["batch_occupancy"].(HistSnapshot); !ok || h.Count != 1 {
+		t.Fatalf("batch occupancy = %#v", snap.Metrics["batch_occupancy"])
 	}
 	if len(snap.Traces) != 1 {
 		t.Fatalf("traces = %d", len(snap.Traces))
 	}
 
 	var sb strings.Builder
-	p.WriteProm(NewPromWriter(&sb))
+	p.WriteProm(&sb)
 	out := sb.String()
 	for _, want := range []string{
 		`# TYPE tagmatch_stage_duration_seconds histogram`,
@@ -313,6 +319,8 @@ func TestPipelineSnapshotAndProm(t *testing.T) {
 		`tagmatch_stage_duration_seconds_count{stage="e2e"} 1`,
 		`tagmatch_batch_occupancy_queries_count 1`,
 		`tagmatch_queue_depth{queue="input"} 3`,
+		`tagmatch_queue_depth{queue="reduce"} 0`,
+		`tagmatch_stage_busy_seconds_total{stage="preprocess"} 1.5`,
 		`tagmatch_partition_queries_routed_total{partition="0"} 5`,
 		`tagmatch_partition_series_truncated 1`,
 	} {
@@ -320,13 +328,15 @@ func TestPipelineSnapshotAndProm(t *testing.T) {
 			t.Fatalf("prom output missing %q:\n%s", want, out)
 		}
 	}
-	// HELP/TYPE headers must appear exactly once per family.
-	if strings.Count(out, "# TYPE tagmatch_stage_duration_seconds histogram") != 1 {
-		t.Fatalf("duplicate family header:\n%s", out)
-	}
-	// Bucket counts must be cumulative and end at the +Inf bucket.
-	if !strings.Contains(out, `le="+Inf"`) {
-		t.Fatalf("missing +Inf bucket:\n%s", out)
+	// HELP/TYPE headers appear exactly once per family.
+	seen := map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			if seen[name] {
+				t.Fatalf("family %s has two headers:\n%s", name, out)
+			}
+			seen[name] = true
+		}
 	}
 }
 
@@ -340,18 +350,21 @@ func TestKernelCountersSnapshotAndProm(t *testing.T) {
 	p.Kernel.ColumnsWalked.Add(90)
 	p.Kernel.Columns.Observe(90)
 
-	snap := p.Snapshot(false)
-	k := snap.Kernel
-	if k.SlicedBatches != 3 || k.GateChecks != 10 ||
-		k.GatePruned != 4 || k.GateTests != 7 || k.GroupScans != 6 || k.ColumnsWalked != 90 {
-		t.Fatalf("kernel snapshot = %+v", k)
+	m := p.Snapshot(false).Metrics
+	for key, want := range map[string]int64{
+		"kernel_sliced": 3, "kernel_gate_checks": 10, "kernel_gate_pruned": 4,
+		"kernel_gate_tests": 7, "kernel_group_scans": 6, "kernel_columns_walked": 90,
+	} {
+		if m[key] != want {
+			t.Fatalf("%s = %v, want %d", key, m[key], want)
+		}
 	}
-	if k.Columns.Count != 1 {
-		t.Fatalf("columns histogram count = %d", k.Columns.Count)
+	if h := m["kernel_columns_per_block"].(HistSnapshot); h.Count != 1 {
+		t.Fatalf("columns histogram count = %d", h.Count)
 	}
 
 	var sb strings.Builder
-	p.WriteProm(NewPromWriter(&sb))
+	p.WriteProm(&sb)
 	out := sb.String()
 	for _, want := range []string{
 		`tagmatch_kernel_batches_total{flavor="sliced"} 3`,
@@ -381,21 +394,17 @@ func TestRoutingCountersSnapshotAndProm(t *testing.T) {
 	p.Routing.MergeLockAcqs.Add(2)
 	p.Routing.MergedAppends.Add(40)
 
-	snap := p.Snapshot(false)
-	if r := snap.Routing; r.SlicedQueries != 5 || r.MergeLockAcqs != 2 || r.MergedAppends != 40 {
-		t.Fatalf("routing snapshot = %+v", r)
-	}
-	raw, err := json.Marshal(snap.Routing)
-	if err != nil {
-		t.Fatal(err)
+	m := p.Snapshot(false).Metrics
+	if m["routed_sliced"] != int64(5) || m["route_merge_locks"] != int64(2) || m["route_appends"] != int64(40) {
+		t.Fatalf("routing metrics = %v", m)
 	}
 	// One routing lookup: the scalar flavor's counter left the engine.
-	if strings.Contains(string(raw), "scalar_queries") {
-		t.Fatalf("routing snapshot still carries scalar_queries: %s", raw)
+	if _, ok := m["routed_scalar"]; ok {
+		t.Fatal("metrics still carry routed_scalar")
 	}
 
 	var sb strings.Builder
-	p.WriteProm(NewPromWriter(&sb))
+	p.WriteProm(&sb)
 	out := sb.String()
 	for _, want := range []string{
 		`tagmatch_routing_queries_total{flavor="sliced"} 5`,
@@ -408,6 +417,57 @@ func TestRoutingCountersSnapshotAndProm(t *testing.T) {
 	}
 	if strings.Contains(out, `tagmatch_routing_queries_total{flavor="scalar"}`) {
 		t.Fatalf("prom output still carries a scalar routing series:\n%s", out)
+	}
+}
+
+// TestRegistryDeclarations pins how a declaration's tags become a series:
+// the kind from the field and the name, the seconds scale, labels and
+// key prefixes from enclosing fields, and a Labeled value's plain
+// numbers.
+func TestRegistryDeclarations(t *testing.T) {
+	var v struct {
+		Busy  atomic.Int64 `prom:"x_busy_seconds_total{stage=a}" json:"busy_ns" help:"h"`
+		Depth Gauge        `prom:"x_depth" json:"depth" help:"h"`
+		Inner struct {
+			Lat Histogram `prom:"x_lat_seconds{phase=wait}" json:"lat_ns" help:"h"`
+		} `prom:"{op=k}" json:"op_k"`
+		Plain    int64 `prom:"x_plain_total" help:"h"`
+		Untagged atomic.Int64
+	}
+	ms := declare(reflect.ValueOf(&v).Elem(), Labels{{"dev", "0"}}, "", nil)
+	got := make([]string, len(ms))
+	for i, m := range ms {
+		got[i] = fmt.Sprintf("%s%s %s %s %g", m.Name, m.Labels, m.Kind, m.Key, m.Scale)
+	}
+	want := []string{
+		`x_busy_seconds_total{dev="0",stage="a"} counter busy_ns 1e-09`,
+		`x_depth{dev="0"} gauge depth 1`,
+		`x_lat_seconds{dev="0",op="k",phase="wait"} histogram op_k_lat_ns 1e-09`,
+		`x_plain_total{dev="0"} counter  1`,
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("declarations:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	v.Busy.Store(7)
+	v.Plain = 9
+	if ms[0].read() != int64(7) || ms[1].read() != 0.0 || ms[3].read() != int64(9) {
+		t.Fatalf("reads: %v %v %v", ms[0].read(), ms[1].read(), ms[3].read())
+	}
+
+	// Every declaration of the pipeline has a key, and Fill reads by it.
+	p := New(Options{})
+	p.Faults.GPUFaults.Add(2)
+	p.Streams.SegmentsPerBatch.Observe(3)
+	p.Streams.SegmentsPerBatch.Observe(4)
+	var dst struct {
+		GPUFaults int64 `json:"gpu_faults"`
+		Segments  int64 `json:"segments_dispatched"`
+		Other     int64 `json:"not_declared"`
+	}
+	dst.Other = -1
+	p.Fill(&dst)
+	if dst.GPUFaults != 2 || dst.Segments != 7 || dst.Other != -1 {
+		t.Fatalf("Fill = %+v", dst)
 	}
 }
 

@@ -19,18 +19,22 @@ type PartitionCounters struct {
 	PrefilterPruned atomic.Int64 // blocks where the prefilter rejected every query
 }
 
-// PartitionSnapshot is the exported view of one partition's counters.
+// PartitionSnapshot is the exported view of one partition's counters;
+// WriteProm exports the hottest partitions' labeled {partition=id}. The
+// batch counters count batches holding the partition by what started
+// their flush pass, not by whether they filled: a tick-started pass
+// still cuts full batches.
 type PartitionSnapshot struct {
 	ID              int   `json:"id"`
 	Sets            int   `json:"sets"` // partition size (tag sets)
-	QueriesRouted   int64 `json:"queries_routed"`
-	BatchesFull     int64 `json:"batches_full"`
-	BatchesTimedOut int64 `json:"batches_timed_out"`
-	BatchesFlushed  int64 `json:"batches_flushed"`
-	Pairs           int64 `json:"pairs"`
-	Overflows       int64 `json:"overflows"`
-	PrefilterBlocks int64 `json:"prefilter_blocks"`
-	PrefilterPruned int64 `json:"prefilter_pruned"`
+	QueriesRouted   int64 `json:"queries_routed" prom:"tagmatch_partition_queries_routed_total" help:"Queries routed to the partition's batches."`
+	BatchesFull     int64 `json:"batches_full" prom:"tagmatch_partition_batches_full_total" help:"Batches holding the partition cut by a flush pass a worker's kick started (the log held BatchSize entries per partition); counts what started the pass, not whether the batch filled."`
+	BatchesTimedOut int64 `json:"batches_timed_out" prom:"tagmatch_partition_batches_timeout_total" help:"Batches holding the partition cut by a flush pass the flusher's tick started (the oldest logged entry had waited BatchTimeout); such a pass still cuts full batches."`
+	BatchesFlushed  int64 `json:"batches_flushed" prom:"tagmatch_partition_batches_flushed_total" help:"Batches dispatched by explicit flush/drain."`
+	Pairs           int64 `json:"pairs" prom:"tagmatch_partition_pairs_total" help:"(query,set) pairs produced by the partition."`
+	Overflows       int64 `json:"overflows" prom:"tagmatch_partition_overflows_total" help:"Result-buffer overflows (CPU fallback) in the partition."`
+	PrefilterBlocks int64 `json:"prefilter_blocks" prom:"tagmatch_partition_prefilter_blocks_total" help:"Thread blocks that evaluated the Algorithm 4 prefilter."`
+	PrefilterPruned int64 `json:"prefilter_pruned" prom:"tagmatch_partition_prefilter_pruned_total" help:"Blocks where the prefilter rejected the whole batch."`
 }
 
 // partitionSet is one generation of per-partition counters, swapped

@@ -47,51 +47,25 @@ func escapeLabel(v string) string {
 
 func itoa(v int) string { return strconv.Itoa(v) }
 
-// PromWriter emits the Prometheus text exposition format (version
-// 0.0.4). It writes each metric family's # HELP/# TYPE header once, on
-// the family's first sample, so callers may interleave families freely
-// as long as samples of one family are emitted consecutively.
-type PromWriter struct {
-	w    io.Writer
-	seen map[string]bool
-}
+// promWriter emits samples in the Prometheus text exposition format
+// (version 0.0.4); WriteProm writes each family's # HELP/# TYPE header.
+type promWriter struct{ w io.Writer }
 
-// NewPromWriter wraps w.
-func NewPromWriter(w io.Writer) *PromWriter {
-	return &PromWriter{w: w, seen: make(map[string]bool)}
-}
-
-func (p *PromWriter) header(name, help, typ string) {
-	if p.seen[name] {
-		return
-	}
-	p.seen[name] = true
-	fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// Counter emits one counter sample.
-func (p *PromWriter) Counter(name, help string, labels Labels, v float64) {
-	p.header(name, help, "counter")
+// sample emits one counter or gauge sample.
+func (p promWriter) sample(name string, labels Labels, v float64) {
 	fmt.Fprintf(p.w, "%s%s %s\n", name, labels.String(), fmtFloat(v))
 }
 
-// Gauge emits one gauge sample.
-func (p *PromWriter) Gauge(name, help string, labels Labels, v float64) {
-	p.header(name, help, "gauge")
-	fmt.Fprintf(p.w, "%s%s %s\n", name, labels.String(), fmtFloat(v))
-}
-
-// Histogram emits a histogram family from a snapshot: cumulative
+// histogram emits a histogram series from a snapshot: cumulative
 // `_bucket` samples at the snapshot's (non-empty) bucket bounds plus
 // +Inf, and `_sum`/`_count`. scale converts recorded values to the
 // exported unit (1e-9 for nanoseconds→seconds).
-func (p *PromWriter) Histogram(name, help string, labels Labels, s HistSnapshot, scale float64) {
-	p.header(name, help, "histogram")
+func (p promWriter) histogram(name string, labels Labels, s HistSnapshot, scale float64) {
 	lbl := labels.String()
 	cum := uint64(0)
 	for _, b := range s.Buckets {
 		cum += b.Count
-		le := p.fmtLE(float64(b.Upper) * scale)
+		le := fmtFloat(float64(b.Upper) * scale)
 		fmt.Fprintf(p.w, "%s_bucket%s %d\n", name, labels.with([2]string{"le", le}).String(), cum)
 	}
 	fmt.Fprintf(p.w, "%s_bucket%s %d\n", name, labels.with([2]string{"le", "+Inf"}).String(), cum)
@@ -99,10 +73,6 @@ func (p *PromWriter) Histogram(name, help string, labels Labels, s HistSnapshot,
 	// _count must equal the +Inf bucket; under concurrent recording the
 	// snapshot's Count field can transiently disagree with the buckets.
 	fmt.Fprintf(p.w, "%s_count%s %d\n", name, lbl, cum)
-}
-
-func (p *PromWriter) fmtLE(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 func fmtFloat(v float64) string {

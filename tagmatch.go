@@ -333,18 +333,21 @@ func (e *Engine) Stats() Stats { return e.core.Stats() }
 // gauges, and sampled query traces. See internal/obs.
 func (e *Engine) Obs() *obs.Pipeline { return e.core.Obs() }
 
-// DeviceStat pairs a simulated GPU's name with its activity counters.
+// DeviceStat pairs a simulated GPU's name with its activity counters and
+// derived gauges.
 type DeviceStat struct {
-	Name  string    `json:"name"`
-	Stats gpu.Stats `json:"stats"`
+	Name   string           `json:"name"`
+	Stats  gpu.Stats        `json:"stats"`
+	Gauges obs.DeviceGauges `json:"gauges"`
 }
 
 // DeviceStats returns per-device counters: kernel launches, blocks,
-// copies and bytes in each direction, atomics, and memory in use.
+// copies and bytes in each direction, atomics, and memory in use; and
+// the device's copy/compute overlap, utilization and stream queue depth.
 func (e *Engine) DeviceStats() []DeviceStat {
 	out := make([]DeviceStat, len(e.devices))
 	for i, d := range e.devices {
-		out[i] = DeviceStat{Name: d.Name(), Stats: d.Stats()}
+		out[i] = DeviceStat{Name: d.Name(), Stats: d.Stats(), Gauges: e.core.DeviceGauges(i)}
 	}
 	return out
 }

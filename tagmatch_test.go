@@ -195,3 +195,73 @@ func TestPublicAPISnapshot(t *testing.T) {
 		t.Fatalf("restored engine answered %v", keys)
 	}
 }
+
+// TestSubmitAllocsPerQuery pins the allocations per query through the
+// public Submit — tags → bloom.Signature → core.Submit — on the
+// benchmark's engine shape (two GPUs, two threads, BatchSize 256). With
+// no match the wrapper adds nothing to core.Submit (0.11 per query, the
+// GPU path's per-batch allocations spread over the batch's queries; core's
+// CPU-only TestSteadyStateAllocsPerQuery reads 0.00). Delivering eight
+// keys costs 3.16: the query's key slice grows by append as each batch's
+// keys arrive. Tracing one query in 64 adds 0.43. The queries' tag lists
+// and the done callback are built once, outside the measurement.
+func TestSubmitAllocsPerQuery(t *testing.T) {
+	const nSets, width, burst = 4096, 8, 256
+	for _, c := range []struct {
+		name         string
+		match, trace int
+		max          float64
+	}{
+		{"no-match", 0, 0, 0.25},
+		{"match", width, 0, 3.5},
+		{"match-traced", width, 64, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng, err := tagmatch.New(tagmatch.Config{
+				GPUs: 2, GPUWorkers: 2, Threads: 2, BatchSize: 256,
+				MaxPartitionSize: 128, TraceEvery: c.trace,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			for i := 0; i < nSets; i++ {
+				eng.AddSet([]string{fmt.Sprintf("g%d", i/width), fmt.Sprintf("m%d", i)}, tagmatch.Key(i))
+			}
+			if err := eng.Consolidate(); err != nil {
+				t.Fatal(err)
+			}
+			queries := make([][]string, 64)
+			for i := range queries {
+				queries[i] = []string{fmt.Sprintf("nomatch%d", i)}
+				if c.match > 0 {
+					// Every tag of one group: matches its width sets.
+					g := i * 7 % (nSets / width)
+					queries[i] = []string{fmt.Sprintf("g%d", g)}
+					for j := 0; j < width; j++ {
+						queries[i] = append(queries[i], fmt.Sprintf("m%d", g*width+j))
+					}
+				}
+			}
+			var keys int64
+			done := func(r tagmatch.MatchResult) { keys += int64(len(r.Keys)) }
+			run := func() {
+				for i := 0; i < burst; i++ {
+					if err := eng.Submit(queries[i%len(queries)], done); err != nil {
+						t.Fatal(err)
+					}
+				}
+				eng.Drain()
+			}
+			run() // warm up pools and partition state
+			perQuery := testing.AllocsPerRun(20, run) / burst
+			t.Logf("allocs/query: %.2f (%d keys delivered)", perQuery, keys)
+			if c.match > 0 && keys == 0 {
+				t.Fatal("no keys delivered: the match case is vacuous")
+			}
+			if perQuery > c.max {
+				t.Fatalf("allocs/query %.2f, want <= %.2f", perQuery, c.max)
+			}
+		})
+	}
+}

@@ -50,8 +50,10 @@ race:
 ## synchronous Consolidate being db ⊕ staged at one cut
 ## (TestSnapshotLoadOntoStaged, TestSnapshotSaveRacesConsolidate), and
 ## the live index and its signature→row table against a brute-force
-## model through full builds, dud-making folds, re-adds and loads onto
-## staged ops (TestRowTable*).
+## model through full builds, folds that empty rows, re-adds that refill
+## them and loads onto staged ops (TestRowTable*), and the layout such
+## folds keep: no row, partition or device byte added
+## (TestDeltaFoldKeepsLayout, under TestDelta).
 chaos:
 	$(GO) test -race -run 'TestLaunch|TestCluster|TestBalancedPartition|TestRun|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestSnapshotLoadOntoStaged|TestSnapshotSaveRacesConsolidate|TestRowTable|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta|TestDrainWaitsForCallbacks|TestEngineMultiGPU' \
 		./internal/gpu/ ./internal/core/ ./internal/httpserver/

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"slices"
 	"time"
@@ -14,14 +15,14 @@ import (
 // goroutine that auto-triggers it when the delta overlay outgrows
 // Config.DeltaMaxSets / Config.DeltaMaxRatio.
 //
-// The live index is the one consolidated copy of the database: row r
-// serves patched[r] if an incremental fold changed it, else its slice of
-// the key CSR, and the generation's rowTable maps each signature to its
-// live row. A consolidation never writes the live generation; it builds
-// the next one beside it and swaps:
+// The live index is the one consolidated copy of the database: a
+// signature keeps one row for the life of a layout, row r's entries are
+// its slice of the key CSR, and the generation's rowTable maps each
+// signature to its row. A consolidation never writes the live generation;
+// it builds the next one beside it and swaps:
 //
 //	Phase A (stagedMu, brief)    cut := len(staged); apply staged[:cut] to
-//	                             clones of the live rows it touches
+//	                             clones of the rows it touches
 //	Phase B (no locks, long)     partition + sort + key table + transposed
 //	                             mirror + row table, host-side only
 //	Phase C (submitMu+stagedMu)  drain in-flight queries, drop the cut from
@@ -40,14 +41,15 @@ import (
 //
 // When the cut is small relative to the index, Phase B runs the
 // incremental form (buildIncrementalIndex): existing rows keep their
-// partition, row order, transposed groups, and key CSR — all aliased
-// from the old generation, with changed rows patched in a side map —
-// and just the genuinely new signatures are partitioned. That drops
-// the steady-state fold cost from O(database) partitioning
-// to O(delta) appends, which is what lets the background
-// consolidator keep up with sustained churn without starving the query
-// path for CPU. Drift (emptied "dud" rows, appended partitions) is
-// bounded by incrementalEligible, which forces a periodic full rebuild.
+// partition, row order and transposed groups, all aliased from the old
+// generation; touched rows — an emptied row a re-add refills among them —
+// take their new entries in a rewritten key CSR, and only signatures the
+// index has never held are partitioned and appended. That drops the
+// steady-state fold cost from O(database) partitioning to a flat key copy
+// plus O(delta) appends, which is what lets the background consolidator
+// keep up with sustained churn without starving the query path for CPU.
+// Drift (emptied rows, appended partitions) is bounded by
+// incrementalEligible, which forces a periodic full rebuild.
 // Any other consolidation is a full build: it lists the old index's
 // live rows with the cut applied, then the cut's new signatures, then a
 // bulk load (listDatabase), and lays them out afresh.
@@ -90,7 +92,7 @@ func (l entryList) applyOp(op stagedOp, withTags bool) entryList {
 
 // touchedSet is one signature a cut of the staged log touches: its
 // entries once the cut is applied (empty when it removed them all), and
-// the live row they replace, -1 when the index has none.
+// the signature's row they replace, -1 when the index has none.
 type touchedSet struct {
 	sig  bitvec.Vector
 	row  int32
@@ -99,7 +101,7 @@ type touchedSet struct {
 
 // touchedBy applies ops to the entries idx serves, without writing idx:
 // it returns each signature the ops touch, in first-touched order, with
-// its entries cloned from its live row and rewritten.
+// its entries cloned from its row and rewritten.
 func touchedBy(idx *index, ops []stagedOp, withTags bool) []touchedSet {
 	at := make(map[bitvec.Vector]int, len(ops))
 	var out []touchedSet
@@ -315,9 +317,9 @@ func (e *Engine) consolidateOnce(background bool, bulk setList) error {
 // delta into the old index instead of rebuilding from scratch. The
 // incremental form never re-partitions existing rows, so three kinds of
 // drift accumulate until a full rebuild resets them: the delta itself
-// must be small (else splicing approaches rebuild cost), emptied dud
-// rows waste kernel lanes, and appended delta partitions dilute the
-// Algorithm-1 balance.
+// must be small (else splicing approaches rebuild cost), emptied rows
+// waste kernel lanes, and appended partitions dilute the Algorithm-1
+// balance.
 func incrementalEligible(old *index, cut int) bool {
 	if old.fullSets <= 0 || len(old.sets) == 0 || cut <= 0 {
 		return false
@@ -325,35 +327,27 @@ func incrementalEligible(old *index, cut int) bool {
 	if cut*4 > old.fullSets {
 		return false
 	}
-	if old.dudRows*8 > old.fullSets {
+	if old.emptyRows*8 > old.fullSets {
 		return false
 	}
 	if (len(old.sets)-old.fullSets)*4 > old.fullSets {
 		return false
 	}
-	// The CSR patch map is cloned on every fold and probed per matched
-	// row at reduce; once it covers a meaningful fraction of the rows, a
-	// full rebuild that folds the patches back into a flat CSR is both
-	// cheaper and faster to query.
-	if len(old.patched)*8 > old.fullSets {
-		return false
-	}
 	return true
 }
 
-// buildIncrementalIndex is the O(delta) Phase B: a new index whose
-// existing rows keep their signature, partition, row order, transposed
-// groups, and key CSR verbatim (aliased, not copied), with touched
-// substitutions recorded in a per-row patch map the reduce consults
-// first. A signature whose entry list emptied keeps its row as a "dud"
-// — the kernel still matches it, the reduce finds zero keys — so no
-// group retranspose or offset shift is ever needed. Signatures with no
-// live row (new ones, and re-adds after a dud) are partitioned among
-// themselves (same Algorithm 1, delta-sized input) and appended as
-// fresh partitions; the partition table is rebuilt over the combined
-// set, so routing sees them immediately. The row table is copied, not
-// written, and the appended rows inserted into the copy: a re-added
-// signature's new row replaces its dud there.
+// buildIncrementalIndex is the incremental Phase B: a new index whose
+// existing rows keep their signature, partition, row order and transposed
+// groups verbatim (aliased, not copied), so no group retranspose or device
+// upload is needed for them. A touched signature the index holds a row
+// for takes its new entries in that row; a row the cut empties stays in
+// place — the kernel still matches it, the reduce finds zero keys — and a
+// later re-add of its signature refills it. Only signatures the index has
+// never held are partitioned among themselves (same Algorithm 1,
+// delta-sized input) and appended as fresh partitions; the partition
+// table is rebuilt over the combined set, so routing sees them
+// immediately. The key CSR is written afresh (rewriteKeys), and the row
+// table is shared, or copied with the appended rows inserted.
 func (e *Engine) buildIncrementalIndex(old *index, touched []touchedSet) *index {
 	idx := &index{devices: e.cfg.Devices}
 	// Alias the old generation's row and group arrays instead of copying
@@ -361,42 +355,21 @@ func (e *Engine) buildIncrementalIndex(old *index, touched []touchedSet) *index 
 	// partitions, and each partition's transposed groups are
 	// self-contained), so writing past the old length is invisible to
 	// queries still served by the old index. With the slack capacity the
-	// full build reserves, a steady-state fold's cost is the key-CSR
-	// rewrite plus O(delta) — not an O(database) flat-array copy whose
-	// allocation and GC marking would tax the query path it is supposed
-	// to stay off.
+	// full build reserves, the key CSR is the only O(database) array a
+	// fold writes; copying the signature and group arrays as well would
+	// tax, with their allocation and GC marking, the query path the fold
+	// is supposed to stay off.
 	idx.sets = old.sets
 	idx.groups = old.groups
 	idx.runs = old.runs
 
-	// The key CSR is aliased too: rows whose entry list changed land in
-	// the patch map the reduce consults before the CSR, so a fold never
-	// walks the full key table. The map is cloned copy-on-write — the
-	// old generation keeps serving its own view while this build runs —
-	// and incrementalEligible bounds its size, so the clone is O(delta
-	// accumulated since the last full rebuild), not O(rows).
-	idx.keyOff = old.keyOff
-	idx.keys = old.keys
-	idx.keyTags = old.keyTags
-	idx.patched = make(map[uint32]entryList, len(old.patched)+len(touched))
-	for r, pe := range old.patched {
-		idx.patched[r] = pe
-	}
-	duds := old.dudRows
 	var fresh setList
 	for _, ts := range touched {
-		switch {
-		case ts.row >= 0:
-			// A live row: its entries are replaced in place, and a row
-			// emptied by the cut becomes a dud.
-			if len(ts.ents.keys) == 0 {
-				duds++
-			}
-			idx.patched[uint32(ts.row)] = ts.ents
-		case len(ts.ents.keys) > 0:
+		if ts.row < 0 && len(ts.ents.keys) > 0 {
 			fresh.add(ts.sig, ts.ents)
 		}
 	}
+	idx.emptyRows = idx.rewriteKeys(old, touched, e.cfg.ExactVerify)
 
 	// Existing partitions keep their layout (a partition is immutable once
 	// its index is published).
@@ -412,8 +385,55 @@ func (e *Engine) buildIncrementalIndex(old *index, touched []touchedSet) *index 
 	idx.pt, idx.maskless = buildPartitionTable(idx.parts)
 	idx.hostBytes = hostBytesFor(idx)
 	idx.fullSets = old.fullSets
-	idx.dudRows = duds
 	return idx
+}
+
+// rewriteKeys writes idx's key CSR afresh: old's rows in order, each
+// touched row holding its new entries. Runs of untouched rows are copied
+// in bulk, their offsets shifted (a row-by-row copy takes about five
+// times as long at 800,000 rows). It returns how many of the rows are
+// empty.
+func (idx *index) rewriteKeys(old *index, touched []touchedSet, withTags bool) (empty int) {
+	var over []*touchedSet // the touched sets that have a row, in row order
+	nKeys := len(old.keys)
+	for i := range touched {
+		if ts := &touched[i]; ts.row >= 0 {
+			over = append(over, ts)
+			nKeys += len(ts.ents.keys) - len(old.row(uint32(ts.row)).keys)
+		}
+	}
+	slices.SortFunc(over, func(a, b *touchedSet) int { return cmp.Compare(a.row, b.row) })
+
+	idx.keyOff = make([]uint32, 1, len(old.sets)+1)
+	idx.keys = make([]Key, 0, nKeys)
+	if withTags {
+		idx.keyTags = make([][]string, 0, nKeys)
+	}
+	from := 0 // the first of old's rows not yet written
+	copyRows := func(to int) {
+		lo, hi := old.keyOff[from], old.keyOff[to]
+		shift := uint32(len(idx.keys)) - lo
+		idx.keys = append(idx.keys, old.keys[lo:hi]...)
+		if withTags {
+			idx.keyTags = append(idx.keyTags, old.keyTags[lo:hi]...)
+		}
+		for r := from; r < to; r++ {
+			if old.keyOff[r+1] == old.keyOff[r] {
+				empty++
+			}
+			idx.keyOff = append(idx.keyOff, old.keyOff[r+1]+shift)
+		}
+	}
+	for _, ts := range over {
+		copyRows(int(ts.row))
+		idx.appendKeys(ts.ents, withTags)
+		if len(ts.ents.keys) == 0 {
+			empty++
+		}
+		from = int(ts.row) + 1
+	}
+	copyRows(len(old.sets))
+	return empty
 }
 
 // adoptDevices is the O(delta) Phase C: instead of freeing the old
@@ -423,8 +443,10 @@ func (e *Engine) buildIncrementalIndex(old *index, touched []touchedSet) *index 
 // buffers and stream pool — all still valid, because the incremental
 // build keeps every existing row's signature, row order, and transposed
 // groups verbatim — and uploads only the partitions appended by this
-// fold as one fresh extent buffer per device. Key rewrites need no
-// device traffic at all: keys live host-side in the reduce stage.
+// fold, for signatures the index has never held, as one fresh extent
+// buffer per device. Key rewrites — re-adds that refill an emptied row
+// among them — need no device traffic at all: keys live host-side in the
+// reduce stage.
 // Returns false (having changed nothing) when the old index has no
 // usable device state or the extent upload fails; the caller then takes
 // the full release+attach path. Called with the pipeline drained and

@@ -271,15 +271,14 @@ func (e *Engine) tombsForReduce() map[tombKey]int {
 	return e.delta.tombs
 }
 
-// tombSuppressed reports whether entry j of a set's key run (the CSR
-// slice, or a patched row's replacement list) is hidden by the overlay's
-// tombstones: the first tombs[(sig,key)] occurrences of the key within
-// the run are suppressed. That multiset equals what Consolidate's
-// first-match (swap-with-last) removal leaves — removal reorders
-// survivors, but match output is a multiset and match-unique dedups, so
-// order is immaterial. The occurrence scan is quadratic in the set's
-// entry count, which is tiny (most sets carry one key) and only paid
-// while tombstones are pending.
+// tombSuppressed reports whether entry j of a set's key run (its CSR
+// slice) is hidden by the overlay's tombstones: the first
+// tombs[(sig,key)] occurrences of the key within the run are suppressed.
+// That multiset equals what Consolidate's first-match (swap-with-last)
+// removal leaves — removal reorders survivors, but match output is a
+// multiset and match-unique dedups, so order is immaterial. The
+// occurrence scan is quadratic in the set's entry count, which is tiny
+// (most sets carry one key) and only paid while tombstones are pending.
 func (e *Engine) tombSuppressed(sig bitvec.Vector, keys []Key, j int, tombs map[tombKey]int) bool {
 	k := keys[j]
 	n := tombs[tombKey{sig: sig, key: k}]

@@ -291,9 +291,9 @@ func TestDeltaBackgroundConsolidate(t *testing.T) {
 
 // TestDeltaIncrementalFold drives sustained add/remove churn through
 // many background folds and pins the incremental Phase B path: folds of
-// a small delta must take the O(delta) splice (IncrementalFolds
-// advances), fully-removed sets (dud rows), re-added signatures
-// (duplicate rows), and appended delta partitions must all keep exact
+// a small delta must take the incremental splice (IncrementalFolds
+// advances), fully-removed sets (emptied rows), re-added signatures
+// (refilled rows), and appended delta partitions must all keep exact
 // signature-level answers, and a final synchronous Consolidate — the
 // full-rebuild path that resets the drift — must not change any answer.
 // The device variants additionally pin the Phase C adoption path: the
@@ -357,7 +357,7 @@ func testDeltaIncrementalFold(t *testing.T, cfg Config) {
 	for step := 0; step < 500; step++ {
 		switch {
 		case rng.Float64() < 0.15:
-			// Empty a whole set: its row becomes a dud after the fold.
+			// Empty a whole set: its row stays, empty, after the fold.
 			sig := db.sigs[rng.Intn(len(db.sigs))]
 			for _, k := range model[sig] {
 				e.RemoveSignature(sig, k)
@@ -365,8 +365,7 @@ func testDeltaIncrementalFold(t *testing.T, cfg Config) {
 			delete(model, sig)
 			emptied = append(emptied, sig)
 		case len(emptied) > 0 && rng.Float64() < 0.2:
-			// Re-add an emptied signature: a fresh row joins a delta
-			// partition while the dud row lingers.
+			// Re-add an emptied signature: the fold refills its row.
 			sig := emptied[len(emptied)-1]
 			emptied = emptied[:len(emptied)-1]
 			e.AddSignature(sig, next)
@@ -797,4 +796,106 @@ func testDeltaFoldUploads(t *testing.T, nDev, foldSets int) {
 
 	verifyEngine(t, e, db, db.sigs[len(db.sigs)-foldSets:], false)
 	verifyEngine(t, e, db, db.makeQueries(100, 175), false)
+}
+
+// TestDeltaFoldKeepsLayout pins the one-row-per-signature rule through
+// incremental folds that empty whole sets and then re-add them: a re-add
+// refills its signature's emptied row, so no fold appends a row or a
+// partition, none copies a byte to a device, each shares its
+// predecessor's row table, and every answer equals brute force.
+func TestDeltaFoldKeepsLayout(t *testing.T) {
+	db := makeTestDB(2000, 5, 2, 176)
+	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
+	e, err := New(Config{
+		MaxPartitionSize: 100, BatchSize: 32, Threads: 2,
+		Devices: devs, StreamsPerDevice: 2,
+		DeltaMaxSets: 1, DeltaMaxRatio: 1e-9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.consolidateOnce(false, db.bulk()); err != nil {
+		t.Fatal(err)
+	}
+	// Hold the background consolidator off: each fold below runs once,
+	// on everything staged.
+	e.consolidateMu.Lock()
+	defer e.consolidateMu.Unlock()
+	base := e.idx.Load()
+	sets, parts := len(base.sets), len(base.parts)
+	uploaded := func() (out [2]int64) {
+		for d, dev := range devs {
+			out[d] = dev.Stats().BytesHtoD
+		}
+		return out
+	}
+	fold := func(what string) {
+		t.Helper()
+		old, h2d, folds := e.idx.Load(), uploaded(), e.Stats().IncrementalFolds
+		e.consolidateMu.Unlock()
+		err := e.consolidateOnce(true, setList{})
+		e.consolidateMu.Lock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := e.idx.Load()
+		if idx == old || e.PendingOps() != 0 || e.Stats().IncrementalFolds != folds+1 {
+			t.Fatalf("%s: want one incremental fold of everything staged, %d ops left", what, e.PendingOps())
+		}
+		if len(idx.sets) != sets || len(idx.parts) != parts {
+			t.Fatalf("%s: %d rows in %d partitions, want the base's %d in %d",
+				what, len(idx.sets), len(idx.parts), sets, parts)
+		}
+		if now := uploaded(); now != h2d {
+			t.Fatalf("%s: a key-only fold copied to the devices: %v B before, %v B after", what, h2d, now)
+		}
+		if &idx.rows[0] != &old.rows[0] {
+			t.Fatalf("%s: a fold that appends no row copied the row table", what)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(177))
+	perm := rng.Perm(len(db.sigs))
+	groups := [][]int{perm[:30], perm[30:60]}
+	next := Key(1 << 20)
+	for round := range 4 {
+		group := groups[round%2]
+		// Empty the group's sets, and churn keys of sets outside it.
+		for _, i := range group {
+			for _, k := range db.keys[i] {
+				e.RemoveSignature(db.sigs[i], k)
+			}
+			db.keys[i] = nil
+		}
+		for _, i := range perm[100+10*round : 110+10*round] {
+			e.AddSignature(db.sigs[i], next)
+			db.keys[i] = append(db.keys[i], next)
+			next++
+		}
+		fold(fmt.Sprintf("round %d, emptying", round))
+		if n := e.idx.Load().emptyRows; n != len(group) {
+			t.Fatalf("round %d: %d empty rows, want %d", round, n, len(group))
+		}
+		verifyEngine(t, e, db, db.makeQueries(100, int64(178+round)), false)
+
+		// Re-add every emptied signature, some with two keys.
+		for j, i := range group {
+			for range 1 + j%2 {
+				e.AddSignature(db.sigs[i], next)
+				db.keys[i] = append(db.keys[i], next)
+				next++
+			}
+		}
+		fold(fmt.Sprintf("round %d, re-adding", round))
+		if n := e.idx.Load().emptyRows; n != 0 {
+			t.Fatalf("round %d: %d empty rows after every emptied set came back", round, n)
+		}
+		var qs []bitvec.Vector
+		for _, i := range group {
+			qs = append(qs, db.sigs[i])
+		}
+		verifyEngine(t, e, db, qs, false)
+		verifyEngine(t, e, db, db.makeQueries(100, int64(182+round)), false)
+	}
 }

@@ -120,10 +120,10 @@ type stagedOp struct {
 }
 
 // index is the consolidated, immutable matching state and the engine's
-// master copy of the database: row r's entries are patched[r] if an
-// incremental fold changed them, else keys[keyOff[r]:keyOff[r+1]] (see
-// index.row). The entry log below is the one mutable part, guarded by its
-// own mutex.
+// master copy of the database: a signature keeps one row for the life of
+// a layout, and row r's entries are always keys[keyOff[r]:keyOff[r+1]]
+// (see index.row). The entry log below is the one mutable part, guarded
+// by its own mutex.
 type index struct {
 	// sets is the flat tagset table, partition-major. Within a partition
 	// the rows are in the order appendPartitions laid them out: 64-aligned
@@ -176,29 +176,20 @@ type index struct {
 
 	hostBytes int64
 
-	// rows maps each signature to its live row (rowtable.go). Every build
-	// makes its own: a full build fills a fresh one after laying out the
-	// rows, an incremental fold copies its predecessor's and inserts the
-	// rows it appended, so stageOp can read the live generation's table
-	// while the next one is built.
+	// rows maps each signature to its row (rowtable.go). A full build
+	// fills a fresh one after laying out the rows; an incremental fold
+	// shares its predecessor's, or copies it and inserts the rows it
+	// appended, so stageOp can read the live generation's table while the
+	// next one is built.
 	rows rowTable
 
 	// Incremental-fold bookkeeping (see buildIncrementalIndex). fullSets
-	// is the row count at the last full rebuild; dudRows counts rows
-	// whose key list emptied in place (their signatures still occupy a
-	// kernel lane until the next full rebuild).
-	fullSets int
-	dudRows  int
-
-	// patched overrides the key CSR for rows whose entry list changed in
-	// an incremental fold: the fold aliases the previous generation's
-	// keys/keyOff arrays untouched and records only the changed rows
-	// here, so a fold's cost stays O(delta) instead of an O(rows+keys)
-	// CSR rewrite. The reduce consults it before the CSR (see visit in
-	// reduceBatch); nil after a full rebuild. Bounded by
-	// incrementalEligible — too many patched rows forces a full rebuild
-	// that folds them back into a flat CSR.
-	patched map[uint32]entryList
+	// is the row count at the last full rebuild; emptyRows counts rows
+	// whose key list is empty (their signatures still occupy a kernel
+	// lane until a re-add refills them or the next full rebuild drops
+	// them).
+	fullSets  int
+	emptyRows int
 }
 
 // routedEntry is one (partition, query) pair of a query's fan-out.
@@ -511,7 +502,7 @@ func (e *Engine) buildHostIndex(db setList) *index {
 	// own growth re-establishes headroom for the folds that follow.
 	idx.sets = make([]bitvec.Vector, 0, len(sigs)+len(sigs)/8+1024)
 	idx.groups = make([]bitvec.SlicedGroup, 0, len(sigs)/64+len(specs)+len(sigs)/512+64)
-	idx.keyOff = make([]uint32, 1, len(sigs)+len(sigs)/8+1025)
+	idx.keyOff = make([]uint32, 1, len(sigs)+1)
 	idx.parts = make([]partition, 0, len(specs))
 
 	idx.appendPartitions(sigs, specs, len(e.cfg.Devices), func(m int32, _ uint32) {
@@ -522,8 +513,8 @@ func (e *Engine) buildHostIndex(db setList) *index {
 	idx.rows = fillRowTable(idx.sets, len(idx.sets)*5/4)
 	idx.pt, idx.maskless = buildPartitionTable(idx.parts)
 	idx.hostBytes = hostBytesFor(idx)
-	// A fresh full build has no duds; incremental folds measure their
-	// drift against this baseline.
+	// A fresh full build has no empty rows; incremental folds measure
+	// their drift against this baseline.
 	idx.fullSets = len(idx.sets)
 	return idx
 }

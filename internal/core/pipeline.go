@@ -117,16 +117,17 @@ func (q *query) lapsed(now time.Time) bool {
 	return q.ctx != nil && q.ctx.Err() != nil
 }
 
-// expiryCause builds the terminal error for an expired query: always
+// expiryCause builds the terminal error for a lapsed query: always
 // matchable with ErrDeadlineExceeded, with the context's own error
 // joined in so callers can also distinguish cancellation from timeout.
+// lapsed can see the context's deadline pass a moment before the
+// context's timer fires; the cause is then context.DeadlineExceeded.
 func (q *query) expiryCause() error {
-	if q.ctx != nil {
-		if err := q.ctx.Err(); err != nil {
-			return errors.Join(ErrDeadlineExceeded, err)
-		}
+	err := q.ctx.Err()
+	if err == nil {
+		err = context.DeadlineExceeded
 	}
-	return ErrDeadlineExceeded
+	return errors.Join(ErrDeadlineExceeded, err)
 }
 
 // expire completes a query early with ErrDeadlineExceeded. The CAS
@@ -1268,10 +1269,6 @@ func (e *Engine) reduceOne(res *batchResult) {
 	// atomic load. The overlay read lock, when taken, is released right
 	// after the payload decode below — before any query completes.
 	tombs := e.tombsForReduce()
-	patched := idx.patched
-	if len(patched) == 0 {
-		patched = nil // skip the per-pair probe entirely on a flat CSR
-	}
 	visit := func(qi uint8, setID uint32) {
 		sc.pairs[qi]++
 		lo, hi := idx.keyOff[setID], idx.keyOff[setID+1]
@@ -1280,12 +1277,6 @@ func (e *Engine) reduceOne(res *batchResult) {
 		var rowTags [][]string
 		if exact {
 			rowTags = idx.keyTags[lo:hi]
-		}
-		if patched != nil {
-			// Rows changed by incremental folds override the CSR.
-			if pe, ok := patched[setID]; ok {
-				rowKeys, rowTags = pe.keys, pe.tags
-			}
 		}
 		ks := sc.keys[qi]
 		if tombs == nil && !exact {

@@ -6,14 +6,12 @@ import (
 	"tagmatch/internal/bitvec"
 )
 
-// rowTable maps a signature to its live row in one index generation: a
-// flat open-addressing table of row+1 (0 marks an empty slot), probed
-// linearly and keyed by the row's own signature in the index's sets, so
-// it holds no pointers for the GC to scan. A signature can own several
-// rows — a dud left by an incremental fold and the row a later re-add
-// appended — and the table keeps the highest, the only one that can hold
-// entries: a fold appends a new row for a signature only when its highest
-// row is empty, and never writes an older one again.
+// rowTable maps a signature to its row in one index generation: a flat
+// open-addressing table of row+1 (0 marks an empty slot), probed linearly
+// and keyed by the row's own signature in the index's sets, so it holds no
+// pointers for the GC to scan. A signature owns one row for the life of a
+// layout — an emptied row stays mapped, and a re-add refills it — so rows
+// enter the table only when a build lays them out.
 type rowTable []uint32
 
 // fillRowTable returns a table with room for reach rows at most half full,
@@ -30,11 +28,16 @@ func fillRowTable(sets []bitvec.Vector, reach int) rowTable {
 	return t
 }
 
-// withRows returns a copy of t that also maps rows [from, len(sets)),
-// refilled into a larger table once they would fill more than half of t.
-// t itself is never written: the generation it belongs to keeps serving
-// lookups while the next one is built.
+// withRows returns a table that also maps rows [from, len(sets)): t
+// itself when there are none, else a copy of t, refilled into a larger
+// table once the rows would fill more than half of t. t is never written:
+// the generation it belongs to keeps serving lookups while the next one is
+// built, and a published table is shared, not copied, by a fold that
+// appends no row.
 func (t rowTable) withRows(sets []bitvec.Vector, from int) rowTable {
+	if from == len(sets) {
+		return t
+	}
 	if 2*len(sets) > len(t) {
 		return fillRowTable(sets, len(sets)*5/4)
 	}
@@ -65,8 +68,7 @@ func (t rowTable) lookup(sets []bitvec.Vector, sig bitvec.Vector) (uint32, bool)
 	return v - 1, v != 0
 }
 
-// insert maps sets[r] to row r, replacing the earlier row of the same
-// signature if there is one.
+// insert maps sets[r] to row r.
 func (t rowTable) insert(sets []bitvec.Vector, r uint32) {
 	t[t.find(sets, sets[r])] = r + 1
 }
@@ -81,13 +83,9 @@ func sigHash(sig bitvec.Vector) uint64 {
 	return h
 }
 
-// row returns row r's entries: its patch if an incremental fold changed
-// it, else its slice of the key CSR. Both alias the index; a caller that
-// changes them copies first.
+// row returns row r's entries, its slice of the key CSR. It aliases the
+// index; a caller that changes them copies first.
 func (idx *index) row(r uint32) entryList {
-	if pe, ok := idx.patched[r]; ok {
-		return pe
-	}
 	lo, hi := idx.keyOff[r], idx.keyOff[r+1]
 	l := entryList{keys: idx.keys[lo:hi]}
 	if idx.keyTags != nil {
@@ -96,16 +94,12 @@ func (idx *index) row(r uint32) entryList {
 	return l
 }
 
-// liveRow returns the row serving sig and its entries, or -1 when no row
-// of the index holds any for it.
+// liveRow returns sig's row and its entries, or -1 when the index has no
+// row for it. An emptied row is still sig's row: a re-add refills it.
 func (idx *index) liveRow(sig bitvec.Vector) (int32, entryList) {
 	r, ok := idx.rows.lookup(idx.sets, sig)
 	if !ok {
 		return -1, entryList{}
 	}
-	l := idx.row(r)
-	if len(l.keys) == 0 {
-		return -1, entryList{}
-	}
-	return int32(r), l
+	return int32(r), idx.row(r)
 }

@@ -12,27 +12,22 @@ import (
 	"tagmatch/internal/gpu"
 )
 
-// TestRowTableProbe drives the table on its own: signatures that repeat
-// resolve to their highest row, a signature never inserted resolves to
-// nothing, and withRows leaves the table it copies untouched, whether it
-// copies in place or refills a larger table.
+// TestRowTableProbe drives the table on its own: every row's signature
+// resolves to that row, a signature never inserted resolves to nothing,
+// withRows leaves the table it copies untouched, whether it copies in
+// place or refills a larger table, and returns the table itself when
+// there is no row to add.
 func TestRowTableProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
-	distinct := randomSets(300, 3, 202)
-	var sets []bitvec.Vector
-	for range 600 {
-		sets = append(sets, distinct[rng.Intn(len(distinct)-50)])
-	}
-	highest := func(sets []bitvec.Vector) map[bitvec.Vector]uint32 {
-		out := make(map[bitvec.Vector]uint32)
-		for r, sig := range sets {
-			out[sig] = uint32(r)
-		}
-		return out
-	}
+	distinct := randomSets(650, 3, 202)
+	sets := slices.Clone(distinct[:600])
+	rng.Shuffle(len(sets), func(i, j int) { sets[i], sets[j] = sets[j], sets[i] })
 	check := func(name string, tab rowTable, sets []bitvec.Vector) {
 		t.Helper()
-		want := highest(sets)
+		want := make(map[bitvec.Vector]uint32)
+		for r, sig := range sets {
+			want[sig] = uint32(r)
+		}
 		for _, sig := range distinct {
 			r, ok := tab.lookup(sets, sig)
 			wr, wok := want[sig]
@@ -59,6 +54,9 @@ func TestRowTableProbe(t *testing.T) {
 		t.Fatal("withRows wrote the table it copied")
 	}
 	check("original", base, sets[:400])
+	if same := base.withRows(sets[:400], 400); &same[0] != &base[0] {
+		t.Fatal("withRows copied a table it adds no row to")
+	}
 	if _, ok := rowTable(nil).lookup(nil, distinct[0]); ok {
 		t.Fatal("an empty table resolved a signature")
 	}
@@ -179,9 +177,9 @@ func (g *rowTableRig) fold() {
 }
 
 // check holds the live index to the model: every signature with entries
-// resolves to a row holding exactly them (and their tags), every row
-// with entries is the row its signature resolves to — so no dud shadows
-// a live row — and the empty rows are exactly the duds the index counts.
+// resolves to a row holding exactly them (and their tags), every row is
+// the row its signature resolves to — one row per signature, emptied or
+// not — and the empty rows are exactly those the index counts.
 func (g *rowTableRig) check() {
 	g.t.Helper()
 	idx := g.e.idx.Load()
@@ -214,19 +212,19 @@ func (g *rowTableRig) check() {
 	}
 	empty := 0
 	for r, sig := range idx.sets {
+		if rr, _ := idx.rows.lookup(idx.sets, sig); rr != uint32(r) {
+			g.t.Fatalf("row %d's signature resolves to row %d", r, rr)
+		}
 		if len(idx.row(uint32(r)).keys) == 0 {
 			empty++
 			continue
-		}
-		if rr, _ := idx.rows.lookup(idx.sets, sig); rr != uint32(r) {
-			g.t.Fatalf("row %d holds entries but its signature resolves to row %d", r, rr)
 		}
 		if len(g.live.keys[sig]) == 0 {
 			g.t.Fatalf("row %d holds entries the model does not have", r)
 		}
 	}
-	if empty != idx.dudRows {
-		g.t.Fatalf("%d empty rows, the index counts %d duds", empty, idx.dudRows)
+	if empty != idx.emptyRows {
+		g.t.Fatalf("%d empty rows, the index counts %d", empty, idx.emptyRows)
 	}
 }
 
@@ -238,7 +236,7 @@ func sortedKeys(ks []Key) []Key {
 
 // TestRowTableDifferential holds the live index and its row table to a
 // brute-force model through a full build, incremental folds that empty
-// rows into duds, re-add their signatures (a later row) and empty those
+// rows, re-add their signatures (refilling the same rows) and empty those
 // again, and bulk loads onto an engine with staged adds and removes —
 // with ExactVerify off and on. Every staged remove is classified
 // (tombstone, cancel, no-op) against the model as well.
@@ -293,7 +291,7 @@ func testRowTableDifferential(t *testing.T, exact bool) {
 	g.check()
 	keysOf := func(i int) []Key { return slices.Clone(g.live.keys[bloom.Signature(tagsOf(i))]) }
 
-	// Fold 1: sets 0..19 lose every key (duds), seven of 20..29 lose one, one
+	// Fold 1: sets 0..19 lose every key (emptied rows), seven of 20..29 lose one, one
 	// remove misses, sets 30..34 gain a key, and 400..409 are new — one
 	// of them added and removed again inside the cut.
 	for i := range 20 {
@@ -318,13 +316,19 @@ func testRowTableDifferential(t *testing.T, exact bool) {
 	g.remove(tagsOf(409), next-1)
 	g.remove(tagsOf(409), next-1)
 	g.fold()
-	if d := e.idx.Load().dudRows; d != 20 {
-		t.Fatalf("%d duds after emptying 20 rows", d)
+	if d := e.idx.Load().emptyRows; d != 20 {
+		t.Fatalf("%d empty rows after emptying 20 rows", d)
 	}
 
-	// Fold 2: the duds' signatures come back, as later rows; one of them
-	// twice, with a remove of the first re-add in between (a cancel).
-	rows := len(e.idx.Load().sets)
+	// Fold 2: the emptied signatures come back, into their own rows; one
+	// of them twice, with a remove of the first re-add in between (a
+	// cancel).
+	idx := e.idx.Load()
+	rows, parts := len(idx.sets), len(idx.parts)
+	var rowOf [10]uint32
+	for i := range rowOf {
+		rowOf[i], _ = idx.rows.lookup(idx.sets, bloom.Signature(tagsOf(i)))
+	}
 	for i := range 10 {
 		g.add(tagsOf(i), next)
 		next++
@@ -333,11 +337,15 @@ func testRowTableDifferential(t *testing.T, exact bool) {
 	g.remove(tagsOf(0), next-10)
 	next++
 	g.fold()
-	idx := e.idx.Load()
+	idx = e.idx.Load()
 	for i := range 10 {
-		if r, _ := idx.rows.lookup(idx.sets, bloom.Signature(tagsOf(i))); int(r) < rows {
-			t.Fatalf("re-added set %d resolves to row %d, not one appended after row %d", i, r, rows)
+		if r, _ := idx.rows.lookup(idx.sets, bloom.Signature(tagsOf(i))); r != rowOf[i] {
+			t.Fatalf("re-added set %d resolves to row %d, not its own row %d", i, r, rowOf[i])
 		}
+	}
+	if len(idx.sets) != rows || len(idx.parts) != parts {
+		t.Fatalf("re-adds grew the index from %d rows in %d partitions to %d in %d",
+			rows, parts, len(idx.sets), len(idx.parts))
 	}
 
 	// Fold 3: the re-added rows empty again, and one more key goes from
@@ -355,9 +363,9 @@ func testRowTableDifferential(t *testing.T, exact bool) {
 	next++
 	g.fold()
 
-	// A snapshot of 60 sets — ten of them duds here, ten live, the rest
-	// new — loaded over staged adds and removes. The load is a full build:
-	// the duds go and the model is db ⊕ staged ⊕ snapshot.
+	// A snapshot of 60 sets — ten of them emptied here, ten live, the
+	// rest new — loaded over staged adds and removes. The load is a full
+	// build: the empty rows go and the model is db ⊕ staged ⊕ snapshot.
 	src, err := New(Config{Threads: 1, ExactVerify: exact})
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +373,7 @@ func testRowTableDifferential(t *testing.T, exact bool) {
 	defer src.Close()
 	snap := rowModel{keys: make(map[bitvec.Vector][]Key), tags: g.live.tags}
 	for j := range 60 {
-		i := 10 + j // 10..19 are duds, 20..29 live
+		i := 10 + j // 10..19 are emptied, 20..29 live
 		if j >= 20 {
 			i = 430 + j
 		}
@@ -397,8 +405,8 @@ func testRowTableDifferential(t *testing.T, exact bool) {
 	}
 	g.reset()
 	g.check()
-	if d := e.idx.Load().dudRows; d != 0 {
-		t.Fatalf("%d duds after a full build", d)
+	if d := e.idx.Load().emptyRows; d != 0 {
+		t.Fatalf("%d empty rows after a full build", d)
 	}
 
 	// A bulk that names one signature twice, and one the index has:

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race chaos bench-canonical-smoke bench-smoke bench-obs obs-smoke clean
+.PHONY: check build vet test race chaos bench-canonical-smoke bench-smoke bench-obs obs-smoke loc clean
 
 ## check: full CI gate — vet, build, tests, race detector on the
 ## concurrency-heavy packages, the chaos (fault-injection) suite, a
@@ -92,6 +92,14 @@ bench-canonical-smoke:
 	$(GO) run ./bench -smoke
 	bash bench/run.sh --workload paced_latency --seed 1 --seconds 10 --trace 0
 	bash bench/run.sh --workload paced_latency --seed 1 --seconds 10 --trace 1
+
+## loc: non-test Go lines per package and for the whole tree, the figure
+## ROADMAP.md's size targets are stated in.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -exec wc -l {} + | awk '$$2 != "total" { \
+		d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+		printf "%7d  total\n", t }'
 
 clean:
 	rm -f BENCH_obs.json

@@ -158,12 +158,3 @@ func BenchmarkAblationGPUOnly(b *testing.B) {
 		report(b, t, "TagMatch (hybrid)", "hybrid-Kqps")
 	}
 }
-
-func BenchmarkFamilies(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		t := experiments.Families(p)
-		report(b, t, "TagMatch", "tagmatch-wide-Kqps")
-		report(b, t, "Hash-table subsets", "hashsub-wide-Kqps")
-	}
-}

@@ -8,7 +8,7 @@
 //	tagmatch-bench all
 //
 // Experiments: table1, table3, fig2 (with fig3), fig4, fig5, fig6, fig7,
-// fig8, fig9, fig10, fig11, families, ablation-pipeline,
+// fig8, fig9, fig10, fig11, ablation-pipeline,
 // ablation-gpuonly, and obs-overhead (observability-layer cost, also
 // written to BENCH_obs.json: the ≤ 2 % budget on instrumentation cost
 // has no other measurement yet). The engine itself is measured by the
@@ -113,7 +113,7 @@ func writeBenchFile(name string, r *experiments.ObsOverheadResult) {
 func allNames() []string {
 	return []string{
 		"table1", "table3", "fig2", "fig4", "fig5", "fig6", "fig7",
-		"fig8", "fig9", "fig10", "fig11", "families",
+		"fig8", "fig9", "fig10", "fig11",
 		"ablation-pipeline", "ablation-gpuonly", "obs-overhead",
 	}
 }
@@ -145,8 +145,6 @@ func runOne(out io.Writer, name string, p experiments.Params, format string) {
 		tables = append(tables, experiments.Fig10(p))
 	case "fig11":
 		tables = append(tables, experiments.Fig11(p))
-	case "families":
-		tables = append(tables, experiments.Families(p))
 	case "ablation-pipeline":
 		tables = append(tables, experiments.AblationPipeline(p))
 	case "ablation-gpuonly":

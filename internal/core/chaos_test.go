@@ -17,16 +17,15 @@ import (
 // quarantined the dead device.
 func TestChaosExactResultsUnderFaults(t *testing.T) {
 	db := makeTestDB(2000, 5, 2, 71)
-	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	e, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 64, Threads: 4,
-		Devices: devs, StreamsPerDevice: 3,
-		FailureThreshold:  3,
-		QuarantineBackoff: time.Millisecond,
+		GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 3,
+		quarantineBackoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	devs := e.devices
 	defer e.Close()
 	db.load(e)
 	if err := e.Consolidate(); err != nil {
@@ -59,7 +58,7 @@ func TestChaosExactResultsUnderFaults(t *testing.T) {
 	if st.DeviceQuarantines == 0 {
 		t.Fatal("dead device was never quarantined")
 	}
-	if !e.DeviceQuarantined(0) {
+	if !e.health[0].quarantined.Load() {
 		t.Fatal("device 0 not quarantined at end of run")
 	}
 }
@@ -69,16 +68,15 @@ func TestChaosExactResultsUnderFaults(t *testing.T) {
 // batch re-runs on the host, and results stay exact.
 func TestChaosAllAttemptsFailFallsBackToCPU(t *testing.T) {
 	db := makeTestDB(1000, 5, 2, 73)
-	dev := newTestGPU(t, 2)
 	e, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 32, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
-		FailureThreshold:  3,
-		QuarantineBackoff: 50 * time.Millisecond,
+		GPUs: 1, GPUWorkers: 2, StreamsPerGPU: 2,
+		quarantineBackoff: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dev := e.devices[0]
 	defer e.Close()
 	db.load(e)
 	if err := e.Consolidate(); err != nil {
@@ -107,16 +105,15 @@ func TestChaosAllAttemptsFailFallsBackToCPU(t *testing.T) {
 // succeeds and returns the device to rotation.
 func TestQuarantineRecoveryProbe(t *testing.T) {
 	db := makeTestDB(500, 5, 2, 75)
-	dev := newTestGPU(t, 2)
 	e, err := New(Config{
 		MaxPartitionSize: 1000, BatchSize: 16, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
-		FailureThreshold:  3,
-		QuarantineBackoff: time.Millisecond,
+		GPUs: 1, GPUWorkers: 2, StreamsPerGPU: 2,
+		quarantineBackoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dev := e.devices[0]
 	defer e.Close()
 	db.load(e)
 	if err := e.Consolidate(); err != nil {
@@ -130,7 +127,7 @@ func TestQuarantineRecoveryProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !e.DeviceQuarantined(0) {
+	if !e.health[0].quarantined.Load() {
 		t.Fatal("device not quarantined after consecutive failures")
 	}
 	if e.Stats().DeviceQuarantines != 1 {
@@ -142,7 +139,7 @@ func TestQuarantineRecoveryProbe(t *testing.T) {
 	// with a generous deadline; results must be correct throughout.
 	dev.SetFaultPlan(nil)
 	deadline := time.Now().Add(10 * time.Second)
-	for e.DeviceQuarantined(0) {
+	for e.health[0].quarantined.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("device still quarantined after heal + probes")
 		}
@@ -173,15 +170,14 @@ func TestQuarantineRecoveryProbe(t *testing.T) {
 // index that answers queries correctly.
 func TestConsolidateOOMDegradesToCPU(t *testing.T) {
 	db := makeTestDB(2000, 5, 2, 77)
-	dev := gpu.New(gpu.Config{Workers: 2, GlobalMemBytes: 4096})
-	t.Cleanup(dev.Close)
 	e, err := New(Config{
 		MaxPartitionSize: 500, BatchSize: 32, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
+		GPUs: 1, GPUWorkers: 2, GPUMemBytes: 4096, StreamsPerGPU: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dev := e.devices[0]
 	defer e.Close()
 	db.load(e)
 
@@ -223,16 +219,15 @@ func TestConsolidateOOMDegradedFold(t *testing.T) {
 	db := makeTestDB(2000, 5, 2, 79)
 	// Eight groups: the base index needs dozens, the fold's extent at most
 	// one per new set.
-	dev := gpu.New(gpu.Config{Workers: 2, GlobalMemBytes: 8 * slicedGroupBytes})
-	t.Cleanup(dev.Close)
 	e, err := New(Config{
 		MaxPartitionSize: 500, BatchSize: 32, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
+		GPUs: 1, GPUWorkers: 2, GPUMemBytes: 8 * slicedGroupBytes, StreamsPerGPU: 2,
 		DeltaMaxSets: 4, DeltaMaxRatio: 1e-9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dev := e.devices[0]
 	defer e.Close()
 
 	// The base goes in as one bulk Consolidate (LoadSnapshot's path), so

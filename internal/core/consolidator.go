@@ -288,7 +288,7 @@ func (e *Engine) consolidateOnce(background bool, bulk setList) error {
 		degraded = e.attachDevices(idx)
 	}
 	e.idx.Store(idx)
-	if !e.cfg.DisableDeltaOverlay {
+	if !e.cfg.DisableLiveUpdates {
 		e.delta.rebuild(idx, e.staged)
 	}
 	e.stagedMu.Unlock()
@@ -349,7 +349,7 @@ func incrementalEligible(old *index, cut int) bool {
 // immediately. The key CSR is written afresh (rewriteKeys), and the row
 // table is shared, or copied with the appended rows inserted.
 func (e *Engine) buildIncrementalIndex(old *index, touched []touchedSet) *index {
-	idx := &index{devices: e.cfg.Devices}
+	idx := &index{devices: e.devices}
 	// Alias the old generation's row and group arrays instead of copying
 	// them: the incremental build only ever appends (new sets start new
 	// partitions, and each partition's transposed groups are
@@ -376,7 +376,7 @@ func (e *Engine) buildIncrementalIndex(old *index, touched []touchedSet) *index 
 	idx.parts = append(make([]partition, 0, len(old.parts)+1), old.parts...)
 
 	if len(fresh.sigs) > 0 {
-		idx.appendPartitions(fresh.sigs, e.partition(fresh.sigs), len(e.cfg.Devices), func(m int32, _ uint32) {
+		idx.appendPartitions(fresh.sigs, e.partition(fresh.sigs), len(e.devices), func(m int32, _ uint32) {
 			idx.appendKeys(fresh.lists[m], e.cfg.ExactVerify)
 		})
 	}
@@ -519,7 +519,7 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 // the same associations) still forces consolidation at 8x the op
 // threshold, bounding the log.
 func (e *Engine) deltaOverThreshold() bool {
-	if e.cfg.DisableDeltaOverlay {
+	if e.cfg.DisableLiveUpdates {
 		return false
 	}
 	size := e.delta.addsLive.Load() + e.delta.tombsLive.Load()
@@ -553,7 +553,7 @@ func (e *Engine) maybeKickConsolidator() {
 // maybeKickConsolidator, it re-checks the threshold and folds the
 // overlay into the main index until the overlay is back under it (churn
 // absorbed during a swap re-arms the loop immediately). Started by New
-// unless Config.DisableDeltaOverlay; stopped first thing in Close.
+// unless Config.DisableLiveUpdates; stopped first thing in Close.
 func (e *Engine) consolidatorLoop() {
 	defer close(e.consolDone)
 	for {

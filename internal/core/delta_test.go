@@ -21,11 +21,8 @@ func deltaEngineVariants(t *testing.T, base Config) map[string]*Engine {
 	out := make(map[string]*Engine, len(variants))
 	for name, gpus := range variants {
 		cfg := base
-		for i := 0; i < gpus; i++ {
-			cfg.Devices = append(cfg.Devices, newTestGPU(t, 2))
-		}
 		if gpus > 0 {
-			cfg.StreamsPerDevice = 2
+			cfg.GPUs, cfg.GPUWorkers, cfg.StreamsPerGPU = gpus, 2, 2
 		}
 		e, err := New(cfg)
 		if err != nil {
@@ -303,7 +300,7 @@ func TestDeltaIncrementalFold(t *testing.T) {
 	t.Run("cpu", func(t *testing.T) { testDeltaIncrementalFold(t, Config{}) })
 	t.Run("gpu-partitioned", func(t *testing.T) {
 		testDeltaIncrementalFold(t, Config{
-			Devices: []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}, StreamsPerDevice: 2,
+			GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 2,
 		})
 	})
 }
@@ -444,7 +441,7 @@ func FuzzDeltaMatch(f *testing.F) {
 		defer live.Close()
 		oracle, err := New(Config{
 			MaxPartitionSize: 8, BatchSize: 4, Threads: 1,
-			DisableDeltaOverlay: true,
+			DisableLiveUpdates: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -518,18 +515,17 @@ func FuzzDeltaMatch(f *testing.F) {
 // proves the three-phase swap publishes the new index safely.
 func TestChaosDeltaSwap(t *testing.T) {
 	db := makeTestDB(1000, 5, 2, 161)
-	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	e, err := New(Config{
 		MaxPartitionSize: 100, BatchSize: 32, Threads: 4,
-		Devices: devs, StreamsPerDevice: 2,
-		FailureThreshold:  3,
-		QuarantineBackoff: time.Millisecond,
+		GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 2,
+		quarantineBackoff: time.Millisecond,
 		HedgeAfter:        time.Millisecond,
 		DeltaMaxSets:      32, DeltaMaxRatio: 0.01,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	devs := e.devices
 	defer e.Close()
 	db.load(e)
 	if err := e.Consolidate(); err != nil {
@@ -647,15 +643,15 @@ func TestChaosDeltaSwap(t *testing.T) {
 // fold when its turn comes; it must not swap the generation or upload the
 // index again.
 func TestDeltaFoldBehindConsolidate(t *testing.T) {
-	dev := newTestGPU(t, 2)
 	e, err := New(Config{
 		MaxPartitionSize: 100, BatchSize: 64, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
+		GPUs: 1, GPUWorkers: 2, StreamsPerGPU: 2,
 		DeltaMaxSets: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dev := e.devices[0]
 	defer e.Close()
 	db := makeTestDB(1000, 5, 1, 171)
 	// The load crosses DeltaMaxSets many times over; with the consolidation
@@ -702,19 +698,16 @@ func TestDeltaFoldUploadsOnlyAppendedPartitions(t *testing.T) {
 
 func testDeltaFoldUploads(t *testing.T, nDev, foldSets int) {
 	db := makeTestDB(4000, 5, 2, 173)
-	var devs []*gpu.Device
-	for i := 0; i < nDev; i++ {
-		devs = append(devs, newTestGPU(t, 2))
-	}
 	e, err := New(Config{
 		MaxPartitionSize: 100, BatchSize: 32, Threads: 2,
-		Devices: devs, StreamsPerDevice: 2,
+		GPUs: nDev, GPUWorkers: 2, StreamsPerGPU: 2,
 		DeltaMaxSets: foldSets, DeltaMaxRatio: 1e-9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	devs := e.devices
 	uploaded := func() []int64 {
 		out := make([]int64, nDev)
 		for d, dev := range devs {
@@ -805,15 +798,15 @@ func testDeltaFoldUploads(t *testing.T, nDev, foldSets int) {
 // predecessor's row table, and every answer equals brute force.
 func TestDeltaFoldKeepsLayout(t *testing.T) {
 	db := makeTestDB(2000, 5, 2, 176)
-	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	e, err := New(Config{
 		MaxPartitionSize: 100, BatchSize: 32, Threads: 2,
-		Devices: devs, StreamsPerDevice: 2,
+		GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 2,
 		DeltaMaxSets: 1, DeltaMaxRatio: 1e-9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	devs := e.devices
 	defer e.Close()
 	if err := e.consolidateOnce(false, db.bulk()); err != nil {
 		t.Fatal(err)

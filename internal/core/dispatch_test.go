@@ -24,14 +24,14 @@ func TestDispatchOpsPerBatch(t *testing.T) {
 		queries = append(queries, distinct...)
 	}
 	t.Run(onePlacement, func(t *testing.T) {
-		devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 		e, err := New(Config{
 			MaxPartitionSize: 50, BatchSize: 64, Threads: 4,
-			Devices: devs, StreamsPerDevice: 3,
+			GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 3,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		devs := e.devices
 		defer e.Close()
 		db.load(e)
 		if err := e.Consolidate(); err != nil {
@@ -76,16 +76,15 @@ func TestPipelinedChaosFaultsWindow(t *testing.T) {
 	for _, streams := range []int{3, 1} {
 		t.Run(fmt.Sprintf("streams=%d", streams), func(t *testing.T) {
 			db := makeTestDB(2000, 5, 2, 87)
-			devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 			e, err := New(Config{
 				MaxPartitionSize: 200, BatchSize: 64, Threads: 4,
-				Devices: devs, StreamsPerDevice: streams,
-				FailureThreshold:  3,
-				QuarantineBackoff: time.Millisecond,
+				GPUs: 2, GPUWorkers: 2, StreamsPerGPU: streams,
+				quarantineBackoff: time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			devs := e.devices
 			defer e.Close()
 			db.load(e)
 			if err := e.Consolidate(); err != nil {
@@ -127,15 +126,15 @@ func TestPipelinedChaosStragglerHedge(t *testing.T) {
 	for _, streams := range []int{2, 1} {
 		t.Run(fmt.Sprintf("streams=%d", streams), func(t *testing.T) {
 			db := makeTestDB(1000, 5, 2, 89)
-			devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 			e, err := New(Config{
 				MaxPartitionSize: 200, BatchSize: 32, Threads: 4,
-				Devices: devs, StreamsPerDevice: streams,
+				GPUs: 2, GPUWorkers: 2, StreamsPerGPU: streams,
 				HedgeAfter: 2 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			devs := e.devices
 			defer e.Close()
 			db.load(e)
 			if err := e.Consolidate(); err != nil {

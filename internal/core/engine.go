@@ -31,10 +31,14 @@ import (
 // partitioned main index (Algorithm 1) once it outgrows
 // Config.DeltaMaxSets / Config.DeltaMaxRatio, pausing traffic only for
 // the drain + device-upload swap. Consolidate remains as the explicit
-// synchronous (stop-the-world) form; Config.DisableDeltaOverlay
+// synchronous (stop-the-world) form; Config.DisableLiveUpdates
 // restores the legacy staged-until-Consolidate semantics.
 type Engine struct {
 	cfg Config
+
+	// devices are the Config.GPUs simulated devices, created by New and
+	// closed by Close.
+	devices []*gpu.Device
 
 	// submitMu serializes index swaps against query submission: Submit
 	// holds it shared for the enqueue only; Consolidate holds it
@@ -105,7 +109,7 @@ type Engine struct {
 	queryLockAcqs atomic.Int64
 
 	// health holds the per-device circuit breakers of the fault-tolerant
-	// dispatch path, indexed like cfg.Devices; see health.go.
+	// dispatch path, indexed like devices; see health.go.
 	health []deviceHealth
 
 	// log is the resolved Config.Logger (a discard logger when nil).
@@ -250,8 +254,20 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	cfg.applyDefaults()
+	devices := make([]*gpu.Device, cfg.GPUs)
+	for i := range devices {
+		gcfg := gpu.Config{Name: fmt.Sprintf("sim-gpu-%d", i), Workers: cfg.GPUWorkers, GlobalMemBytes: cfg.GPUMemBytes}
+		if !cfg.DisableObservability {
+			gcfg.OpLogSize = opLogSize
+		}
+		if cfg.RealisticGPUCosts {
+			gcfg.Cost = gpu.DefaultCost
+		}
+		devices[i] = gpu.New(gcfg)
+	}
 	e := &Engine{
 		cfg:      cfg,
+		devices:  devices,
 		inputCh:  make(chan *query, 4*cfg.BatchSize),
 		reduceCh: make(chan *batchResult, 64),
 
@@ -272,7 +288,7 @@ func New(cfg Config) (*Engine, error) {
 	e.initHealth()
 	e.registerGauges()
 	e.delta.init()
-	if !cfg.DisableDeltaOverlay {
+	if !cfg.DisableLiveUpdates {
 		e.consolKick = make(chan struct{}, 1)
 		e.consolStop = make(chan struct{})
 		e.consolDone = make(chan struct{})
@@ -304,9 +320,6 @@ func New(cfg Config) (*Engine, error) {
 // call.
 func (e *Engine) Obs() *obs.Pipeline { return e.obs }
 
-// logger returns the engine's structured logger (never nil).
-func (e *Engine) logger() *slog.Logger { return e.log }
-
 // registerGauges installs the gauges the export surfaces evaluate when
 // they read them (obs.EngineGauges), and each device's series.
 func (e *Engine) registerGauges() {
@@ -336,7 +349,7 @@ func (e *Engine) registerGauges() {
 	}
 	g.OverlapFraction = func() float64 {
 		var kernelNs, overlapNs int64
-		for _, dev := range e.cfg.Devices {
+		for _, dev := range e.devices {
 			s := dev.OverlapStats()
 			kernelNs += s.KernelNs
 			overlapNs += s.OverlapNs
@@ -358,7 +371,7 @@ func (e *Engine) registerGauges() {
 	g.StreamOpsPending = func() float64 { return float64(e.streamQueueDepth(-1)) }
 	e.obs.Devices = func() []obs.Labeled {
 		var out []obs.Labeled
-		for di, dev := range e.cfg.Devices {
+		for di, dev := range e.devices {
 			lbl := obs.Labels{{"device", dev.Name()}}
 			out = append(out, obs.Labeled{Labels: lbl, Value: dev.Stats()}, obs.Labeled{Labels: lbl, Value: e.DeviceGauges(di)})
 		}
@@ -366,10 +379,13 @@ func (e *Engine) registerGauges() {
 	}
 }
 
+// Devices returns the engine's simulated devices, in Config.GPUs order.
+func (e *Engine) Devices() []*gpu.Device { return e.devices }
+
 // DeviceGauges returns the derived gauges of device dev (an index into
-// Config.Devices).
+// Devices).
 func (e *Engine) DeviceGauges(dev int) obs.DeviceGauges {
-	d := e.cfg.Devices[dev]
+	d := e.devices[dev]
 	return obs.DeviceGauges{
 		OverlapFraction:  d.OverlapFraction(),
 		Utilization:      d.Utilization(),
@@ -414,7 +430,7 @@ func (e *Engine) notifyProgress() {
 
 // AddSet stages the addition of a tag set with an associated key. The
 // set is matchable by the next query through the delta overlay (unless
-// Config.DisableDeltaOverlay defers visibility to the next Consolidate).
+// Config.DisableLiveUpdates defers visibility to the next Consolidate).
 // In ExactVerify mode the original tags are retained so matches can be
 // confirmed exactly (Bloom signatures alone admit rare false positives).
 func (e *Engine) AddSet(tags []string, key Key) {
@@ -451,7 +467,7 @@ func (e *Engine) RemoveSignature(sig bitvec.Vector, key Key) {
 func (e *Engine) stageOp(op stagedOp) {
 	e.stagedMu.Lock()
 	e.staged = append(e.staged, op)
-	if !e.cfg.DisableDeltaOverlay {
+	if !e.cfg.DisableLiveUpdates {
 		e.delta.absorb(e.idx.Load(), op)
 		e.obs.Delta.AbsorbedOps.Add(1)
 	}
@@ -495,7 +511,7 @@ func (e *Engine) Consolidate() error {
 func (e *Engine) buildHostIndex(db setList) *index {
 	sigs := db.sigs
 	specs := e.partition(sigs)
-	idx := &index{devices: e.cfg.Devices}
+	idx := &index{devices: e.devices}
 	// The row and group arrays carry ~12% slack so incremental folds can
 	// append new partitions in place (buildIncrementalIndex aliases these
 	// arrays rather than copying them); once the slack is gone, append's
@@ -505,7 +521,7 @@ func (e *Engine) buildHostIndex(db setList) *index {
 	idx.keyOff = make([]uint32, 1, len(sigs)+1)
 	idx.parts = make([]partition, 0, len(specs))
 
-	idx.appendPartitions(sigs, specs, len(e.cfg.Devices), func(m int32, _ uint32) {
+	idx.appendPartitions(sigs, specs, len(e.devices), func(m int32, _ uint32) {
 		idx.appendKeys(db.lists[m], e.cfg.ExactVerify)
 	})
 	// Sized for the rows incremental folds may append before
@@ -661,9 +677,9 @@ func (e *Engine) uploadToDevices(idx *index) error {
 		}
 	}
 
-	idx.slots = newSlotPool(len(idx.devices) * e.cfg.StreamsPerDevice)
+	idx.slots = newSlotPool(len(idx.devices) * e.cfg.StreamsPerGPU)
 	for d, dev := range idx.devices {
-		for i := 0; i < e.cfg.StreamsPerDevice; i++ {
+		for i := 0; i < e.cfg.StreamsPerGPU; i++ {
 			s, err := dev.OpenStream()
 			if err != nil {
 				if errors.Is(err, gpu.ErrTooManyStreams) && i > 0 {
@@ -686,7 +702,7 @@ func (e *Engine) uploadToDevices(idx *index) error {
 				sl.hdr, err = gpu.Alloc[uint32](dev, resHeaderWords)
 			}
 			if err == nil {
-				sl.pairs, err = gpu.Alloc[byte](dev, pairBufBytes(e.cfg.MaxPairsPerBatch))
+				sl.pairs, err = gpu.Alloc[byte](dev, pairBufBytes(e.cfg.maxPairsPerBatch))
 			}
 			if err != nil {
 				sl.close()
@@ -757,8 +773,9 @@ func (idx *index) release() {
 	idx.devShardExts = nil
 }
 
-// Close drains the pipeline and releases all resources. The engine cannot
-// be used afterwards: Submit returns ErrClosed.
+// Close drains the pipeline and releases all resources, the simulated
+// devices last. The engine cannot be used afterwards: Submit returns
+// ErrClosed.
 func (e *Engine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
@@ -790,6 +807,9 @@ func (e *Engine) Close() error {
 	close(e.reduceCh)
 	e.reduceWg.Wait()
 	e.idx.Load().release()
+	for _, d := range e.devices {
+		d.Close()
+	}
 	return nil
 }
 

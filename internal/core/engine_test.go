@@ -14,7 +14,6 @@ import (
 
 	"tagmatch/internal/bitvec"
 	"tagmatch/internal/bloom"
-	"tagmatch/internal/gpu"
 	"tagmatch/internal/trie"
 )
 
@@ -97,13 +96,6 @@ func tagReq(tags []string, unique bool) Request {
 // match is a blocking Match under a context that never ends.
 func match(e *Engine, r Request) ([]Key, error) { return e.Match(context.Background(), r) }
 
-func newTestGPU(t *testing.T, workers int) *gpu.Device {
-	t.Helper()
-	d := gpu.New(gpu.Config{Workers: workers})
-	t.Cleanup(d.Close)
-	return d
-}
-
 // verifyEngine runs queries through the engine and compares every answer
 // against the brute-force reference.
 func verifyEngine(t *testing.T, e *Engine, db *testDB, queries []bitvec.Vector, unique bool) {
@@ -161,10 +153,9 @@ func TestEngineCPUOnlyCorrectness(t *testing.T) {
 
 func TestEngineGPUCorrectness(t *testing.T) {
 	db := makeTestDB(5000, 5, 3, 33)
-	dev := newTestGPU(t, 4)
 	e, err := New(Config{
 		MaxPartitionSize: 300, BatchSize: 64, Threads: 4,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 4,
+		GPUs: 1, GPUWorkers: 4, StreamsPerGPU: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,14 +175,14 @@ func TestEngineGPUCorrectness(t *testing.T) {
 // together hold one copy of the index, and both serve exact answers.
 func TestEngineMultiGPU(t *testing.T) {
 	db := makeTestDB(4000, 5, 2, 37)
-	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	e, err := New(Config{
 		MaxPartitionSize: 250, BatchSize: 32, Threads: 4,
-		Devices: devs, StreamsPerDevice: 3,
+		GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	devs := e.devices
 	defer e.Close()
 	db.load(e)
 	if err := e.Consolidate(); err != nil {
@@ -224,11 +215,10 @@ func TestEngineMultiGPU(t *testing.T) {
 
 func TestEngineOverflowFallback(t *testing.T) {
 	db := makeTestDB(2000, 5, 2, 39)
-	dev := newTestGPU(t, 4)
 	e, err := New(Config{
 		MaxPartitionSize: 500, BatchSize: 64, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
-		MaxPairsPerBatch: 4, // force overflows
+		GPUs: 1, GPUWorkers: 4, StreamsPerGPU: 2,
+		maxPairsPerBatch: 4, // force overflows
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +230,7 @@ func TestEngineOverflowFallback(t *testing.T) {
 	}
 	verifyEngine(t, e, db, db.makeQueries(200, 40), false)
 	if e.Stats().ResultOverflows == 0 {
-		t.Fatal("expected result-buffer overflows with MaxPairsPerBatch=4")
+		t.Fatal("expected result-buffer overflows with maxPairsPerBatch=4")
 	}
 	// The per-partition observability counters must agree that overflows
 	// happened (they drive the tagmatch_partition_overflows_total series).
@@ -270,10 +260,9 @@ func TestEngineAblationConfigs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dev := newTestGPU(t, 4)
 			cfg := Config{
 				MaxPartitionSize: 200, BatchSize: 64, Threads: 2,
-				Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
+				GPUs: 1, GPUWorkers: 4, StreamsPerGPU: 2,
 			}
 			tc.mut(&cfg)
 			e, err := New(cfg)
@@ -375,7 +364,7 @@ func TestEngineRemoveSet(t *testing.T) {
 func TestEngineRemoveSetOverlayDisabled(t *testing.T) {
 	e, err := New(Config{
 		MaxPartitionSize: 8, BatchSize: 4, Threads: 1,
-		DisableDeltaOverlay: true,
+		DisableLiveUpdates: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -447,11 +436,10 @@ func TestEngineEmptyQuery(t *testing.T) {
 func TestEngineBatchTimeout(t *testing.T) {
 	// A single query in a 256-deep batch must complete within the flush
 	// timeout without any manual flush.
-	dev := newTestGPU(t, 2)
 	e, err := New(Config{
 		MaxPartitionSize: 100, BatchSize: 256, Threads: 2,
 		BatchTimeout: 20 * time.Millisecond,
-		Devices:      []*gpu.Device{dev}, StreamsPerDevice: 2,
+		GPUs:         1, GPUWorkers: 2, StreamsPerGPU: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -706,10 +694,9 @@ func TestDedupKeys(t *testing.T) {
 
 func TestEngineFirstFitAblationCorrect(t *testing.T) {
 	db := makeTestDB(2000, 5, 2, 51)
-	dev := newTestGPU(t, 4)
 	e, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 64, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
+		GPUs: 1, GPUWorkers: 4, StreamsPerGPU: 2,
 		FirstFitPartitioning: true,
 	})
 	if err != nil {
@@ -725,10 +712,9 @@ func TestEngineFirstFitAblationCorrect(t *testing.T) {
 
 func TestEngineStageTimes(t *testing.T) {
 	db := makeTestDB(2000, 5, 2, 53)
-	dev := newTestGPU(t, 2)
 	e, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 32, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
+		GPUs: 1, GPUWorkers: 2, StreamsPerGPU: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-
-	"tagmatch/internal/gpu"
 )
 
 // sharedVocabWorkload builds a database and queries over a small shared
@@ -166,10 +164,9 @@ func TestExactVerifySignatureEntriesPassThrough(t *testing.T) {
 func TestExactVerifyOnGPU(t *testing.T) {
 	sets, queries := sharedVocabWorkload(5000, 60, 63)
 	keyOf := func(i int) Key { return Key(i + 1) }
-	dev := newTestGPU(t, 4)
 	e, err := New(Config{
 		MaxPartitionSize: 300, BatchSize: 32, Threads: 2, ExactVerify: true,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
+		GPUs: 1, GPUWorkers: 4, StreamsPerGPU: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 )
 
 // deviceHealth is the per-device circuit breaker of the fault-tolerant
-// dispatch path. A device accumulating Config.FailureThreshold
+// dispatch path. A device accumulating failureThreshold
 // consecutive failed batch attempts is quarantined: its streams are
 // skipped by stream acquisition (batches of its partitions, which no
 // other device holds, run on the host) until a recovery probe — one
@@ -31,14 +31,21 @@ type deviceHealth struct {
 	backoff    atomic.Int64 // current probe backoff, nanoseconds
 }
 
-// quarantineBackoffCap bounds the exponential probe backoff at this
-// multiple of Config.QuarantineBackoff.
-const quarantineBackoffCap = 64
+const (
+	// failureThreshold is the number of consecutive failed batch attempts
+	// that quarantines a device.
+	failureThreshold = 3
+	// quarantineBackoff is the delay before a quarantined device's first
+	// recovery probe; each failed probe doubles it, up to
+	// quarantineBackoffCap times.
+	quarantineBackoff    = 250 * time.Millisecond
+	quarantineBackoffCap = 64
+)
 
 func (e *Engine) initHealth() {
-	e.health = make([]deviceHealth, len(e.cfg.Devices))
+	e.health = make([]deviceHealth, len(e.devices))
 	for i := range e.health {
-		e.health[i].backoff.Store(int64(e.cfg.QuarantineBackoff))
+		e.health[i].backoff.Store(int64(e.cfg.quarantineBackoff))
 	}
 }
 
@@ -68,9 +75,9 @@ func (e *Engine) recordDeviceSuccess(dev int) {
 	h.consecFails.Store(0)
 	if h.quarantined.Load() && h.probing.CompareAndSwap(true, false) {
 		h.quarantined.Store(false)
-		h.backoff.Store(int64(e.cfg.QuarantineBackoff))
+		h.backoff.Store(int64(e.cfg.quarantineBackoff))
 		e.obs.Faults.Recoveries.Add(1)
-		e.logger().Info("device recovered from quarantine",
+		e.log.Info("device recovered from quarantine",
 			"device", e.deviceName(dev))
 	}
 }
@@ -87,29 +94,29 @@ func (e *Engine) recordDeviceFailure(dev int, err error) {
 	if errors.Is(err, gpu.ErrDeviceClosed) {
 		// ErrDeviceClosed outside shutdown is the simulator's device
 		// death (Kill); every subsequent op fails the same way.
-		e.logger().Error("device lost", "device", e.deviceName(dev), "err", err)
+		e.log.Error("device lost", "device", e.deviceName(dev), "err", err)
 	} else {
-		e.logger().Debug("device batch attempt failed",
+		e.log.Debug("device batch attempt failed",
 			"device", e.deviceName(dev), "err", err)
 	}
 	if h.quarantined.Load() {
 		h.probing.Store(false)
 		b := 2 * h.backoff.Load()
-		if max := quarantineBackoffCap * int64(e.cfg.QuarantineBackoff); b > max {
+		if max := quarantineBackoffCap * int64(e.cfg.quarantineBackoff); b > max {
 			b = max
 		}
 		h.backoff.Store(b)
 		h.probeAfter.Store(time.Now().UnixNano() + b)
-		e.logger().Debug("quarantine probe failed, extending backoff",
+		e.log.Debug("quarantine probe failed, extending backoff",
 			"device", e.deviceName(dev), "backoff", time.Duration(b), "err", err)
 		return
 	}
-	if fails := h.consecFails.Add(1); fails >= int32(e.cfg.FailureThreshold) {
+	if fails := h.consecFails.Add(1); fails >= failureThreshold {
 		if h.quarantined.CompareAndSwap(false, true) {
 			h.probing.Store(false)
 			h.probeAfter.Store(time.Now().UnixNano() + h.backoff.Load())
 			e.obs.Faults.Quarantines.Add(1)
-			e.logger().Warn("device quarantined",
+			e.log.Warn("device quarantined",
 				"device", e.deviceName(dev),
 				"consecutive_failures", fails,
 				"probe_backoff", time.Duration(h.backoff.Load()),
@@ -120,14 +127,8 @@ func (e *Engine) recordDeviceFailure(dev int, err error) {
 
 // deviceName resolves a device index to its name for log records.
 func (e *Engine) deviceName(dev int) string {
-	if dev < 0 || dev >= len(e.cfg.Devices) {
+	if dev < 0 || dev >= len(e.devices) {
 		return "?"
 	}
-	return e.cfg.Devices[dev].Name()
-}
-
-// DeviceQuarantined reports whether device dev (an index into
-// Config.Devices) is currently quarantined.
-func (e *Engine) DeviceQuarantined(dev int) bool {
-	return e.health[dev].quarantined.Load()
+	return e.devices[dev].Name()
 }

@@ -9,7 +9,6 @@ import (
 
 	"tagmatch/internal/bitvec"
 	"tagmatch/internal/bloom"
-	"tagmatch/internal/gpu"
 	"tagmatch/internal/obs"
 )
 
@@ -172,7 +171,7 @@ func TestEngineClusteredRowsOnGPU(t *testing.T) {
 
 	e, err := New(Config{
 		MaxPartitionSize: 400, BatchSize: 32, Threads: 2,
-		Devices: []*gpu.Device{newTestGPU(t, 4)}, StreamsPerDevice: 2,
+		GPUs: 1, GPUWorkers: 4, StreamsPerGPU: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -30,8 +30,8 @@ func waitRouted(e *Engine, n int64) {
 // deviceMem returns each device's memory in use; taken right after a
 // consolidate, it is what assertDrained expects to find after the run.
 func deviceMem(e *Engine) []int64 {
-	mem := make([]int64, len(e.cfg.Devices))
-	for d, dev := range e.cfg.Devices {
+	mem := make([]int64, len(e.devices))
+	for d, dev := range e.devices {
 		mem[d] = dev.MemInUse()
 	}
 	return mem
@@ -39,7 +39,8 @@ func deviceMem(e *Engine) []int64 {
 
 // assertDrained checks that a drained engine holds nothing it borrowed:
 // no attempt chain or hedge timer behind the dispatching fence, every
-// batch recycled, every stream back in the pool, every device's memory
+// batch recycled, no entry left in the live index's log, every stream
+// back in the pool, every device's memory
 // in use what it was right after the last consolidate (mem, from
 // deviceMem). A query's completion precedes the tail of its last batch's
 // reduce, so the check first waits, as Close does, for the batches in
@@ -57,6 +58,12 @@ func assertDrained(t *testing.T, e *Engine, mem []int64) {
 	}
 	if n := e.pools.liveBatches.Load(); n != 0 {
 		t.Errorf("%d batches never recycled (leaked batch references)", n)
+	}
+	idx.log.mu.Lock()
+	logged := len(idx.log.entries)
+	idx.log.mu.Unlock()
+	if logged != 0 {
+		t.Errorf("%d routed entries still in the log after the drain", logged)
 	}
 	if idx.slots != nil {
 		if idle, all := idx.slots.idle(), cap(idx.slots.free); idle != all {
@@ -98,16 +105,16 @@ func TestFlushPassLaunchCount(t *testing.T) {
 	db := makeTestDB(3000, 5, 2, 101)
 	queries := db.makeQueries(40, 102)
 	t.Run(onePlacement, func(t *testing.T) {
-		devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 		const batchSize = 64
 		e, err := New(Config{
 			MaxPartitionSize: 100, BatchSize: batchSize, Threads: 2,
-			Devices: devs, StreamsPerDevice: 2,
+			GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 2,
 			// no BatchTimeout: only the drain flushes
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		devs := e.devices
 		defer e.Close()
 		db.load(e)
 		if err := e.Consolidate(); err != nil {
@@ -186,10 +193,9 @@ func testLogFlushesItself(t *testing.T, timeout time.Duration) {
 	const batchSize = 16
 	db := makeTestDB(3000, 5, 2, 105)
 	queries := db.makeQueries(400, 106)
-	dev := newTestGPU(t, 2)
 	e, err := New(Config{
 		MaxPartitionSize: 1000, BatchSize: batchSize, BatchTimeout: timeout, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
+		GPUs: 1, GPUWorkers: 2, StreamsPerGPU: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,14 +256,14 @@ func testLogFlushesItself(t *testing.T, timeout time.Duration) {
 func TestLogCutBatches(t *testing.T) {
 	const batchSize = 16
 	t.Run(onePlacement, func(t *testing.T) {
-		devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 		e, err := New(Config{
 			MaxPartitionSize: 50, BatchSize: batchSize, Threads: 2,
-			Devices: devs, StreamsPerDevice: 2,
+			GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		devs := e.devices
 		defer e.Close()
 		makeTestDB(1000, 5, 1, 107).load(e)
 		if err := e.Consolidate(); err != nil {
@@ -459,12 +465,11 @@ func TestSweepExpiredAcrossSegments(t *testing.T) {
 // partitions into each dispatched batch.
 func chaosEngine(t *testing.T, db *testDB, mut func(*Config)) (*Engine, []*gpu.Device) {
 	t.Helper()
-	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	cfg := Config{
 		MaxPartitionSize: 16, BatchSize: 64, Threads: 4,
 		BatchTimeout: time.Millisecond,
-		Devices:      devs, StreamsPerDevice: 2,
-		FailureThreshold: 3, QuarantineBackoff: time.Millisecond,
+		GPUs:         2, GPUWorkers: 2, StreamsPerGPU: 2,
+		quarantineBackoff: time.Millisecond,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -473,6 +478,7 @@ func chaosEngine(t *testing.T, db *testDB, mut func(*Config)) (*Engine, []*gpu.D
 	if err != nil {
 		t.Fatal(err)
 	}
+	devs := e.devices
 	t.Cleanup(func() { e.Close() })
 	db.load(e)
 	if err := e.Consolidate(); err != nil {
@@ -550,7 +556,7 @@ func TestChaosPackedBatchesHedged(t *testing.T) {
 // on the host segment by segment, exactly.
 func TestChaosPackedBatchesOverflow(t *testing.T) {
 	db := makeTestDB(2000, 5, 2, 115)
-	e, _ := chaosEngine(t, db, func(c *Config) { c.MaxPairsPerBatch = 8 })
+	e, _ := chaosEngine(t, db, func(c *Config) { c.maxPairsPerBatch = 8 })
 	mem := deviceMem(e)
 	verifyEngine(t, e, db, db.makeQueries(2000, 116), false)
 	st := e.Stats()
@@ -621,14 +627,14 @@ func TestGPUPathAllocsIndependentOfBlocks(t *testing.T) {
 	db := makeTestDB(8192, 5, 1, 119)
 	queries := db.makeQueries(64, 120)
 	measure := func(blockDim int) (allocs float64, blocks int64) {
-		dev := newTestGPU(t, 2)
 		e, err := New(Config{
-			MaxPartitionSize: 2048, BatchSize: 64, Threads: 2, BlockDim: blockDim,
-			Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
+			MaxPartitionSize: 2048, BatchSize: 64, Threads: 2, blockDim: blockDim,
+			GPUs: 1, GPUWorkers: 2, StreamsPerGPU: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		dev := e.devices[0]
 		defer e.Close()
 		db.load(e)
 		if err := e.Consolidate(); err != nil {

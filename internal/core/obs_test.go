@@ -180,17 +180,16 @@ func TestShedTracePublishesError(t *testing.T) {
 // survivors, never the empty string.
 func TestFaultTracesTerminal(t *testing.T) {
 	db := makeTestDB(300, 5, 2, 79)
-	dev := newTestGPU(t, 2)
 	e, err := New(Config{
 		MaxPartitionSize: 100, BatchSize: 8, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
-		FailureThreshold:  3,
-		QuarantineBackoff: 50 * time.Millisecond,
+		GPUs: 1, GPUWorkers: 2, StreamsPerGPU: 2,
+		quarantineBackoff: 50 * time.Millisecond,
 		TraceEvery:        1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dev := e.devices[0]
 	defer e.Close()
 	db.load(e)
 	if err := e.Consolidate(); err != nil {

@@ -961,7 +961,7 @@ func (e *Engine) maybeHedge(idx *index, b *openBatch, primary int, traced []*obs
 		return
 	}
 	e.obs.Faults.HedgesFired.Add(1)
-	e.logger().Debug("hedging straggler batch",
+	e.log.Debug("hedging straggler batch",
 		"segments", len(b.segs), "entries", len(b.sigs),
 		"primary", e.deviceName(primary))
 	// The "hedge" span runs from dispatch to the budget firing: the
@@ -1042,7 +1042,7 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, trace
 	args := &sl.args
 	*args = batchArgs{
 		sigs: sl.qbuf, tab: sl.tab, nQ: nQ, nSeg: len(b.segs),
-		hdr: sl.hdr, pairs: sl.pairs, maxPairs: e.cfg.MaxPairsPerBatch,
+		hdr: sl.hdr, pairs: sl.pairs, maxPairs: e.cfg.maxPairsPerBatch,
 		prefilter: !e.cfg.DisablePrefilter, pfs: args.pfs[:0], kc: &e.obs.Kernel,
 	}
 
@@ -1053,7 +1053,7 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, trace
 	blocks := 0
 	for si, sg := range b.segs {
 		p := &idx.parts[sg.pid]
-		blocks += segBlocks(int(p.n), e.cfg.BlockDim)
+		blocks += segBlocks(int(p.n), e.cfg.blockDim)
 		row := sl.tabHost[nQ+si*segWords:][:segWords]
 		row[segBlockEnd] = uint32(blocks)
 		row[segFirst], row[segCount] = uint32(sg.first), uint32(sg.n)
@@ -1064,7 +1064,7 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, trace
 			args.pfs = append(args.pfs, e.obs.Parts.Get(sg.pid))
 		}
 	}
-	grid := gpu.Grid{Blocks: blocks, BlockDim: e.cfg.BlockDim}
+	grid := gpu.Grid{Blocks: blocks, BlockDim: e.cfg.blockDim}
 	kernel := slicedMatchKernel(args, idx.devShards[dev], extsOf(idx.devShardExts, dev))
 	e.obs.Kernel.SlicedBatches.Add(1)
 
@@ -1087,7 +1087,7 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, trace
 		}
 		rawCount := atomic.LoadUint32(&sl.hdr.Data()[0])
 		rawOver := atomic.LoadUint32(&sl.hdr.Data()[1])
-		count, overflow := clampCount(rawCount, rawOver, e.cfg.MaxPairsPerBatch)
+		count, overflow := clampCount(rawCount, rawOver, e.cfg.maxPairsPerBatch)
 		res := e.pools.getResult()
 		res.idx, res.batch, res.count, res.overflow = idx, b, count, overflow
 		if !overflow {
@@ -1170,7 +1170,7 @@ func (e *Engine) batchFault(idx *index, b *openBatch, dev, attempt int, traced [
 // it (device failures, quarantine, no usable stream).
 func (e *Engine) fallbackCPU(idx *index, b *openBatch, traced []*obs.Trace) {
 	e.obs.Faults.CPUFallbacks.Add(1)
-	e.logger().Debug("batch falling back to CPU",
+	e.log.Debug("batch falling back to CPU",
 		"segments", len(b.segs), "entries", len(b.sigs))
 	for _, tr := range traced {
 		tr.Degrade("cpu-fallback")

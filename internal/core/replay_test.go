@@ -95,7 +95,7 @@ func TestReplayKernel(t *testing.T) {
 				groups, runs := idx.slicedPart(p)
 				for ; len(qs) > 0; qs = qs[min(w.cohort, len(qs)):] {
 					segments++
-					blocks += segBlocks(int(p.n), DefaultConfig(0).BlockDim)
+					blocks += segBlocks(int(p.n), blockDim)
 					cpuMatchBatchSliced(groups, runs, int(p.off), qs[:min(w.cohort, len(qs))], 0, true, &sc, nil, &kc,
 						func(uint8, uint32) { pairs++ })
 				}

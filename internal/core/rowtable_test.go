@@ -9,7 +9,6 @@ import (
 
 	"tagmatch/internal/bitvec"
 	"tagmatch/internal/bloom"
-	"tagmatch/internal/gpu"
 )
 
 // TestRowTableProbe drives the table on its own: every row's signature
@@ -252,7 +251,7 @@ func testRowTableDifferential(t *testing.T, exact bool) {
 	tagsOf := func(i int) []string { return []string{fmt.Sprintf("set-%d", i), fmt.Sprintf("g%d", i%9)} }
 	e, err := New(Config{
 		MaxPartitionSize: 40, BatchSize: 32, Threads: 2, ExactVerify: exact,
-		Devices: []*gpu.Device{newTestGPU(t, 2)}, StreamsPerDevice: 2,
+		GPUs: 1, GPUWorkers: 2, StreamsPerGPU: 2,
 		DeltaMaxSets: 1, DeltaMaxRatio: 1e-9,
 	})
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"tagmatch/internal/bitvec"
 	"tagmatch/internal/bloom"
-	"tagmatch/internal/gpu"
 	"tagmatch/internal/obs"
 )
 
@@ -329,11 +328,10 @@ func TestRunNodesFollowTheIndex(t *testing.T) {
 	for i := range queries {
 		queries[i] = sets[(i*37)%len(sets)].Or(randomSets(1, 3, int64(i)+96)[0])
 	}
-	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	e, err := New(Config{
 		MaxPartitionSize: 1500, BatchSize: 64, Threads: 2,
-		Devices: devs, StreamsPerDevice: 2, BlockDim: 8,
-		MaxPairsPerBatch: 16, DeltaMaxSets: len(added), DeltaMaxRatio: 1e-9,
+		GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 2, blockDim: 8,
+		maxPairsPerBatch: 16, DeltaMaxSets: len(added), DeltaMaxRatio: 1e-9,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -253,14 +253,14 @@ func TestSnapshotRestoreSlicedParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	dst, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 32, Threads: 2,
-		Devices: devs, StreamsPerDevice: 2,
+		GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	devs := dst.devices
 	defer dst.Close()
 	if err := dst.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
@@ -299,17 +299,16 @@ func TestSnapshotRestoreChaosParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	dst, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 32, Threads: 2,
-		Devices: devs, StreamsPerDevice: 2,
-		FailureThreshold:  3,
-		QuarantineBackoff: time.Millisecond,
+		GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 2,
+		quarantineBackoff: time.Millisecond,
 		HedgeAfter:        time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	devs := dst.devices
 	defer dst.Close()
 	if err := dst.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
@@ -667,7 +666,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 // snapshotOf is a generated snapshot of n sets of one or two keys.
 func snapshotOf(tb testing.TB, n int) []byte {
 	db := makeTestDB(n, 5, 2, 197)
-	src, err := New(Config{Threads: 1, DisableDeltaOverlay: true})
+	src, err := New(Config{Threads: 1, DisableLiveUpdates: true})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -696,7 +695,7 @@ func TestSnapshotLoadHeapPerSet(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	e, err := New(Config{
 		MaxPartitionSize: 50, Threads: 2,
-		Devices: []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}, StreamsPerDevice: 2,
+		GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,14 +16,14 @@ import (
 // kernel launch — the device's launch counter does not move.
 func TestDeadlineExpiredNeverLaunches(t *testing.T) {
 	db := makeTestDB(500, 5, 2, 81)
-	dev := newTestGPU(t, 2)
 	e, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 16, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
+		GPUs: 1, GPUWorkers: 2, StreamsPerGPU: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dev := e.devices[0]
 	defer e.Close()
 	db.load(e)
 	if err := e.Consolidate(); err != nil {
@@ -76,14 +76,14 @@ func TestDeadlineExpiredNeverLaunches(t *testing.T) {
 // the context cause instead of waiting out the stall.
 func TestMatchCtxDeadline(t *testing.T) {
 	db := makeTestDB(500, 5, 2, 83)
-	dev := newTestGPU(t, 2)
 	e, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 16, Threads: 2,
-		Devices: []*gpu.Device{dev}, StreamsPerDevice: 2,
+		GPUs: 1, GPUWorkers: 2, StreamsPerGPU: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dev := e.devices[0]
 	defer e.Close()
 	db.load(e)
 	if err := e.Consolidate(); err != nil {
@@ -123,15 +123,15 @@ func TestMatchCtxDeadline(t *testing.T) {
 // own partitions' segments, and no batch launches twice.
 func TestHedgeExactlyOnce(t *testing.T) {
 	db := makeTestDB(1000, 5, 2, 85)
-	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	e, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 32, Threads: 2,
-		Devices: devs, StreamsPerDevice: 2,
+		GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 2,
 		HedgeAfter: 500 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	devs := e.devices
 	defer e.Close()
 	db.load(e)
 	if err := e.Consolidate(); err != nil {
@@ -168,7 +168,7 @@ func TestHedgeExactlyOnce(t *testing.T) {
 	for pid, p := range idx.parts {
 		c := e.obs.Parts.Get(uint32(pid))
 		segs := c.BatchesFull.Load() + c.BatchesTimedOut.Load() + c.BatchesFlushed.Load()
-		want[p.dev] += segs * int64(segBlocks(int(p.n), e.cfg.BlockDim))
+		want[p.dev] += segs * int64(segBlocks(int(p.n), e.cfg.blockDim))
 	}
 	var launches int64
 	for d, dev := range devs {
@@ -191,17 +191,16 @@ func TestHedgeExactlyOnce(t *testing.T) {
 // re-dispatch is exactly-once), and hedges must actually have fired.
 func TestChaosStragglersHedged(t *testing.T) {
 	db := makeTestDB(2000, 5, 2, 87)
-	devs := []*gpu.Device{newTestGPU(t, 2), newTestGPU(t, 2)}
 	e, err := New(Config{
 		MaxPartitionSize: 200, BatchSize: 64, Threads: 4,
-		Devices: devs, StreamsPerDevice: 3,
-		FailureThreshold:  3,
-		QuarantineBackoff: time.Millisecond,
+		GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 3,
+		quarantineBackoff: time.Millisecond,
 		HedgeAfter:        time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	devs := e.devices
 	defer e.Close()
 	db.load(e)
 	if err := e.Consolidate(); err != nil {

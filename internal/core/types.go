@@ -9,14 +9,17 @@
 // Algorithms 3 and 4), key lookup/reduce on CPUs, and merge on CPUs.
 // Batching, the flush timeout, GPU streams carrying one batch at a time,
 // and the packed result transfer follow §3.3 and §3.4 of the paper.
+// New creates the engine's Config.GPUs simulated devices (internal/gpu)
+// and Close closes them.
 package core
 
 import (
+	"cmp"
+	"errors"
 	"log/slog"
 	"time"
 
 	"tagmatch/internal/bitvec"
-	"tagmatch/internal/gpu"
 )
 
 // Key is the application-supplied value associated with a tag set; in the
@@ -26,169 +29,147 @@ type Key uint32
 // SetID identifies a unique tag set in the consolidated tagset table.
 type SetID uint32
 
-// Config controls engine construction. The zero value selects CPU-only
-// operation with paper defaults scaled for small databases; use
-// DefaultConfig for documented defaults.
+// Config configures an Engine; tagmatch.Config is this type. The zero
+// value is a valid CPU-only configuration with defaults suitable for
+// small databases. Each field is a parameter the paper's evaluation
+// tunes (GPUs and streams, MAX_P, the flush timeout, threads), one of its
+// ablations, or an operator's need; the rest are constants.
 type Config struct {
-	// MaxPartitionSize is MAX_P of Algorithm 1: the maximum number of tag
-	// sets per partition. The paper's sweet spot was 200K sets for a 212M
-	// set database (Fig 7); scale proportionally.
+	// GPUs is the number of simulated GPU devices the engine creates and
+	// closes. Zero runs the same pipeline CPU-only, the subset-match
+	// stage on the dispatching thread (Table 1's "CPU-only, TagMatch").
+	// The partitions are dealt round-robin over the devices: each holds
+	// only its partitions' groups and run nodes and serves only their
+	// batches.
+	GPUs int
+	// GPUWorkers is the number of simulated streaming multiprocessors
+	// per device, i.e. thread blocks executing in parallel. Defaults to 4.
+	GPUWorkers int
+	// GPUMemBytes is the per-device memory budget (default 12 GiB, one
+	// TITAN X as in the paper's testbed). An index that does not fit
+	// leaves the engine CPU-only (ErrDeviceDegraded).
+	GPUMemBytes int64
+	// RealisticGPUCosts enables the calibrated kernel-launch and
+	// PCIe-copy cost model. Leave false in unit tests, set true in
+	// benchmarks: batching and stream effects only appear with costs.
+	RealisticGPUCosts bool
+	// StreamsPerGPU is the number of streams opened per GPU (default 10,
+	// as on the paper's platform). A stream carries one batch at a time —
+	// copy, kernel, copy (§3.3) — so this is also the number of batches a
+	// device has in flight.
+	StreamsPerGPU int
+
+	// MaxPartitionSize is MAX_P of Algorithm 1, the most tag sets per
+	// partition (default 1024). The paper's sweet spot was 200K sets for a
+	// 212M set database (Fig 7); the caller scales it, as the database
+	// size is not known when the engine is created.
 	MaxPartitionSize int
-
 	// BatchSize is the most routed (query, partition) entries a GPU batch
-	// holds: a flush pass cuts the routed-entry log into batches of this
-	// many, a partition's entries one segment of a batch. It also says
-	// when the log is full and leaves without waiting for BatchTimeout: at
+	// holds (default 256): a flush pass cuts the routed-entry log into
+	// batches of this many, a partition's entries one segment of a batch.
+	// The log is full, and leaves without waiting for BatchTimeout, at
 	// BatchSize entries per partition. Entry ids inside a batch are 8-bit
-	// in the packed result layout (§3.3.1), so the batch size may not
-	// exceed 256: a larger batch would silently alias query indices and
-	// corrupt results. New rejects larger values with ErrBatchSizeTooLarge.
+	// in the packed result layout (§3.3.1), so New rejects a BatchSize
+	// over 256 with ErrBatchSizeTooLarge rather than alias query indices.
 	BatchSize int
-
 	// BatchTimeout is how long a routed entry may wait in the log for
 	// company (§3, "configurable timeout period"): a flush pass takes the
 	// log once its oldest entry is this old, within a tick (a quarter of
 	// the timeout, at least 1ms). Zero disables the timeout: entries wait
-	// until the log is full (see BatchSize) or until a blocking Match,
-	// Drain, Consolidate or Close flushes it.
+	// until the log is full or a blocking Match, Drain, Consolidate or
+	// Close flushes it.
 	BatchTimeout time.Duration
-
 	// Threads is the number of CPU worker threads shared by the
 	// pre-process and key-lookup/reduce/merge stages. Defaults to 4.
 	Threads int
 
-	// Devices are the GPUs to use. Empty means CPU-only TagMatch: the
-	// same pipeline with the subset-match stage executed synchronously on
-	// the dispatching CPU thread (the "CPU-only, TagMatch" row of
-	// Table 1).
-	Devices []*gpu.Device
-
-	// StreamsPerDevice is the number of streams opened per GPU; the
-	// paper's platform supported 10. A stream carries one batch at a time
-	// — copy, kernel, copy (§3.3) — so this is also the number of batches
-	// a device has in flight. Defaults to min(10, device max).
-	StreamsPerDevice int
-
-	// BlockDim is the GPU thread-block size for the subset-match kernel:
-	// one thread per 64-set group, so a block covers up to 64 × BlockDim
-	// sets of a partition and a partition of at most that many is one
-	// block. Defaults to 256.
-	BlockDim int
-
-	// MaxPairsPerBatch sizes the kernel result buffer in (query,set)
-	// pairs. A batch producing more matches than this falls back to CPU
-	// matching for correctness (counted in Stats.ResultOverflows).
-	// Defaults to 16×BatchSize.
-	MaxPairsPerBatch int
-
-	// DisablePrefilter turns off the kernel's pre-filters — the run and
-	// group gates that stand in for Algorithm 4's block pre-filter — so
-	// every routed entry walks every group's columns (ablation).
-	DisablePrefilter bool
-
-	// ExactVerify keeps the original tag sets alongside the Bloom
-	// signatures and re-checks every match exactly during key lookup,
-	// eliminating Bloom false positives entirely (§3: "the system or the
-	// application can perform an additional exact subset check").
-	// Sets staged via AddSignature and queries submitted without tags
-	// cannot be verified and pass through unchecked.
-	ExactVerify bool
-
-	// FirstFitPartitioning replaces the balanced partitioning of
-	// Algorithm 1 with naive first-fit chunking: sets sorted
-	// lexicographically and cut into MAX_P-sized runs, each run's mask
-	// being the intersection of its members (ablation). Masks produced
-	// this way are often empty or tiny, so pre-processing prunes far
-	// fewer partitions.
-	FirstFitPartitioning bool
-
-	// TraceEvery samples one query in N for full pipeline tracing: the
-	// timestamped path through every stage and its batch assignments,
-	// retrievable via Obs().Tracer. Zero disables tracing (default).
-	TraceEvery int
-
-	// DisableObservability turns off the internal/obs instrumentation —
-	// stage histograms, per-partition counters, traces — leaving only
-	// the cumulative Stats counters. The obs-overhead benchmark compares
-	// against this configuration; production deployments should leave
-	// observability on (the overhead is a few percent at most).
-	DisableObservability bool
-
-	// MaxInFlight bounds the number of submitted-but-incomplete queries
-	// the engine admits. At the bound, Submit and Match return
-	// ErrOverloaded immediately instead of queueing without limit
-	// (SubmitWait waits for capacity). Zero disables the gate
-	// (the default): submission applies only the pipeline's natural
-	// channel backpressure.
+	// MaxInFlight bounds the submitted-but-incomplete queries the engine
+	// admits: at the bound, Submit and Match return ErrOverloaded
+	// (SubmitWait, tagmatch's SubmitCtx, waits for capacity). Zero, the
+	// default, disables the gate, leaving only channel backpressure.
 	MaxInFlight int
-
-	// FailureThreshold is the number of consecutive failed batch
-	// attempts on a device before the circuit breaker quarantines it:
-	// the device's streams are skipped (batches of its partitions run on
-	// the host) until a recovery probe succeeds. Defaults to 3.
-	FailureThreshold int
-
-	// QuarantineBackoff is the delay before a quarantined device
-	// receives its first recovery probe; each failed probe doubles the
-	// delay, up to 64x. Defaults to 250ms.
-	QuarantineBackoff time.Duration
+	// HedgeAfter is the straggler budget: a batch whose device attempt
+	// has held a stream this long without settling is re-run on the
+	// host — the only other holder of its partitions — and the settle CAS
+	// delivers exactly one of the two results. The budget starts when the
+	// attempt acquires a stream, so a batch waiting for one is not
+	// hedged. Zero or negative, the default, disables hedging.
+	HedgeAfter time.Duration
+	// ExactVerify keeps the original tag sets and re-checks every match
+	// exactly during key lookup, eliminating Bloom false positives (§3:
+	// "the system or the application can perform an additional exact
+	// subset check"). Sets staged via AddSignature and queries submitted
+	// without tags cannot be verified and pass through unchecked.
+	ExactVerify bool
 
 	// DeltaMaxSets is the live-op count (overlay adds + tombstones) at
 	// which the background consolidator folds the delta overlay into the
 	// main index. Defaults to 4096.
 	DeltaMaxSets int
-
-	// DeltaMaxRatio raises the auto-consolidation threshold to this
-	// fraction of the main index's set count when that exceeds
-	// DeltaMaxSets, keeping rebuild cost amortized-geometric as the
-	// database grows. Defaults to 0.25.
+	// DeltaMaxRatio raises that threshold to this fraction of the main
+	// index's set count when it is larger (default 0.25), keeping rebuild
+	// cost amortized-geometric as the database grows.
 	DeltaMaxRatio float64
+	// DisableLiveUpdates turns off the match-visible delta overlay and
+	// the background consolidator: adds and removes take effect only at
+	// an explicit Consolidate. A bulk loader that consolidates once at the
+	// end wants this (the benchmark's snapshot builder, tagmatch-server's
+	// -no-live-updates).
+	DisableLiveUpdates bool
 
-	// DisableDeltaOverlay restores the legacy update semantics: staged
-	// ops stay invisible until an explicit Consolidate, no overlay is
-	// maintained on the query path, and no background consolidator runs.
-	// A bulk loader that consolidates once at the end wants exactly this
-	// (tagmatch.Config.DisableLiveUpdates, tagmatch-server's flag).
-	DisableDeltaOverlay bool
+	// DisablePrefilter is the paper's Algorithm 4 ablation: the kernel's
+	// run and group gates, which stand in for the block pre-filter, are
+	// off, so every routed entry walks every group's columns.
+	DisablePrefilter bool
+	// FirstFitPartitioning is the paper's Algorithm 1 ablation: sets
+	// sorted lexicographically and cut into MAX_P-sized runs, each run's
+	// mask the intersection of its members. Such masks are often empty or
+	// tiny, so pre-processing prunes far fewer partitions.
+	FirstFitPartitioning bool
 
-	// HedgeAfter is the straggler budget: a batch whose device attempt
-	// has held a stream this long without settling is re-run on the
-	// host — the only other holder of its partitions — and the two
-	// attempts race, the settle CAS delivering exactly one result. The
-	// budget starts when the first attempt acquires a stream, so a
-	// batch waiting for a free stream is not hedged. A value <= 0
-	// disables hedging; there is no default budget.
-	HedgeAfter time.Duration
-
+	// TraceEvery samples one query in N for full pipeline tracing,
+	// retrievable via Obs().Tracer or GET /debug/stats. Zero, the
+	// default, disables tracing.
+	TraceEvery int
+	// DisableObservability turns off the stage histograms, per-partition
+	// counters, traces and per-device op logs (DeviceOpRecords), keeping
+	// only the cumulative Stats counters. Observability costs a few
+	// percent at most (tagmatch-bench obs-overhead).
+	DisableObservability bool
 	// Logger receives structured records of operationally significant
 	// events: device quarantine entry/exit, device death, CPU fallbacks.
-	// Nil disables logging (the library default — counters and traces
-	// still record everything); tagmatch-server wires slog.Default().
+	// Nil disables logging; tagmatch-server wires slog.Default().
 	Logger *slog.Logger
+
+	// Overrides of the constants of the same names, set only by this
+	// package's tests to reach what their inputs cannot: blocks of a few
+	// groups, result buffers of a few pairs, recovery probes within
+	// milliseconds. Zero keeps the constant.
+	blockDim          int
+	maxPairsPerBatch  int // default maxPairsFactor × BatchSize
+	quarantineBackoff time.Duration
 }
 
-// DefaultConfig returns the paper-faithful defaults for a database of
-// approximately dbSize sets.
-func DefaultConfig(dbSize int, devices ...*gpu.Device) Config {
-	maxP := dbSize / 1000 // paper ratio: 200K partitions cap for 212M sets
-	if maxP < 64 {
-		maxP = 64
-	}
-	return Config{
-		MaxPartitionSize: maxP,
-		BatchSize:        256,
-		BatchTimeout:     200 * time.Millisecond,
-		Threads:          4,
-		Devices:          devices,
-		StreamsPerDevice: 10,
-		BlockDim:         256,
-	}
-}
+const (
+	// blockDim is the kernel's thread-block size: one thread per 64-set
+	// group, so a partition of up to 64 × blockDim sets is one block.
+	blockDim = 256
+	// maxPairsFactor sizes a batch's result buffer in (query, set) pairs
+	// per entry; a batch producing more re-matches on the host
+	// (Stats.ResultOverflows).
+	maxPairsFactor = 16
+	// opLogSize is each device's ring of recent operation records
+	// (DeviceOpRecords, GET /debug/timeline) unless DisableObservability.
+	opLogSize = 2048
+)
 
 // validate rejects configurations that would corrupt results rather
 // than merely perform badly. It runs before applyDefaults, on the
 // caller's values.
 func (c *Config) validate() error {
+	if c.GPUs < 0 {
+		return errors.New("tagmatch: negative GPU count")
+	}
 	if c.BatchSize > maxBatchSize {
 		return ErrBatchSizeTooLarge
 	}
@@ -205,21 +186,12 @@ func (c *Config) applyDefaults() {
 	if c.Threads <= 0 {
 		c.Threads = 4
 	}
-	if c.StreamsPerDevice <= 0 {
-		c.StreamsPerDevice = 10
+	if c.StreamsPerGPU <= 0 {
+		c.StreamsPerGPU = 10
 	}
-	if c.BlockDim <= 0 {
-		c.BlockDim = 256
-	}
-	if c.MaxPairsPerBatch <= 0 {
-		c.MaxPairsPerBatch = 16 * c.BatchSize
-	}
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 3
-	}
-	if c.QuarantineBackoff <= 0 {
-		c.QuarantineBackoff = 250 * time.Millisecond
-	}
+	c.blockDim = cmp.Or(c.blockDim, blockDim)
+	c.maxPairsPerBatch = cmp.Or(c.maxPairsPerBatch, maxPairsFactor*c.BatchSize)
+	c.quarantineBackoff = cmp.Or(c.quarantineBackoff, quarantineBackoff)
 	if c.DeltaMaxSets <= 0 {
 		c.DeltaMaxSets = 4096
 	}

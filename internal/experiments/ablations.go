@@ -37,7 +37,7 @@ func AblationPipeline(p Params) *Table {
 		maxP = 1024
 	}
 	run := func(label string, mutate func(*core.Config)) {
-		eng, devs, err := BuildEngine(EngineSpec{
+		eng, err := BuildEngine(EngineSpec{
 			Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: maxP, Mutate: mutate,
 		})
 		if err != nil {
@@ -50,7 +50,6 @@ func AblationPipeline(p Params) *Table {
 			qps = append(qps, MeasureEngine(eng, queries, p.Queries, false).QPS)
 		}
 		eng.Close()
-		closeDevices(devs)
 		t.Add(label, SortedCopy(qps)[1]/1e3)
 	}
 
@@ -106,7 +105,7 @@ func AblationGPUOnly(p Params) *Table {
 	t.Add("GPU-only dynamic parallelism", dpVals...)
 
 	// Hybrid TagMatch on the same database and queries.
-	eng, devs, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: ds.BaseMaxP()})
+	eng, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: ds.BaseMaxP()})
 	if err != nil {
 		panic(err)
 	}
@@ -116,7 +115,6 @@ func AblationGPUOnly(p Params) *Table {
 		tmVals = append(tmVals, MeasureEngine(eng, queries, p.Queries/2, false).QPS/1e3)
 	}
 	eng.Close()
-	closeDevices(devs)
 	t.Add("TagMatch (hybrid)", tmVals...)
 	t.Note("paper finding (§4.5): the GPU-only design degrades as more queries survive pre-processing — atomic queue appends and scattered global-memory writes dominate")
 	return t

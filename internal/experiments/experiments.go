@@ -26,7 +26,6 @@ import (
 	"tagmatch/internal/bitvec"
 	"tagmatch/internal/bloom"
 	"tagmatch/internal/core"
-	"tagmatch/internal/gpu"
 	"tagmatch/internal/workload"
 )
 
@@ -283,16 +282,9 @@ type EngineSpec struct {
 	Mutate  func(*core.Config)
 }
 
-// BuildEngine constructs devices and a consolidated engine.
-func BuildEngine(spec EngineSpec) (*core.Engine, []*gpu.Device, error) {
-	var devs []*gpu.Device
-	for i := 0; i < spec.GPUs; i++ {
-		devs = append(devs, gpu.New(gpu.Config{
-			Name:    fmt.Sprintf("sim-gpu-%d", i),
-			Workers: simWorkersPerGPU(spec.GPUs),
-			Cost:    gpu.DefaultCost,
-		}))
-	}
+// BuildEngine constructs a consolidated engine on spec.GPUs simulated
+// devices with the calibrated cost model.
+func BuildEngine(spec EngineSpec) (*core.Engine, error) {
 	maxP := spec.MaxP
 	if maxP == 0 {
 		maxP = len(spec.Sigs) / 1000
@@ -301,11 +293,13 @@ func BuildEngine(spec EngineSpec) (*core.Engine, []*gpu.Device, error) {
 		}
 	}
 	cfg := core.Config{
-		MaxPartitionSize: maxP,
-		BatchSize:        256,
-		Threads:          spec.Threads,
-		Devices:          devs,
-		StreamsPerDevice: 10,
+		GPUs:              spec.GPUs,
+		GPUWorkers:        simWorkersPerGPU(spec.GPUs),
+		RealisticGPUCosts: true,
+		StreamsPerGPU:     10,
+		MaxPartitionSize:  maxP,
+		BatchSize:         256,
+		Threads:           spec.Threads,
 		// Bulk staging below would repeatedly trip the background
 		// consolidator at the default threshold; raise it past the load so
 		// the explicit Consolidate that follows does one build. Mutate can
@@ -317,24 +311,16 @@ func BuildEngine(spec EngineSpec) (*core.Engine, []*gpu.Device, error) {
 	}
 	eng, err := core.New(cfg)
 	if err != nil {
-		closeDevices(devs)
-		return nil, nil, err
+		return nil, err
 	}
 	for i := range spec.Sigs {
 		eng.AddSignature(spec.Sigs[i], spec.Keys[i])
 	}
 	if err := eng.Consolidate(); err != nil {
 		eng.Close()
-		closeDevices(devs)
-		return nil, nil, err
+		return nil, err
 	}
-	return eng, devs, nil
-}
-
-func closeDevices(devs []*gpu.Device) {
-	for _, d := range devs {
-		d.Close()
-	}
+	return eng, nil
 }
 
 // simWorkersPerGPU sizes the simulated SM pool so that the simulation's

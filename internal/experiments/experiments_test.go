@@ -150,11 +150,10 @@ func TestFig4Smoke(t *testing.T) {
 	ds := BuildDataset(p)
 	work := func(frac float64) (scans, words float64) {
 		sigs, keys := ds.Slice(frac)
-		eng, devs, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, MaxP: ds.BaseMaxP()})
+		eng, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, MaxP: ds.BaseMaxP()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer closeDevices(devs)
 		defer eng.Close()
 		MeasureEngine(eng, ds.Queries(4096, frac, -1, p.Seed+500), p.Queries, false)
 		st := eng.Stats()
@@ -291,22 +290,6 @@ func TestSortedCopy(t *testing.T) {
 	out := SortedCopy(in)
 	if out[0] != 1 || out[2] != 3 || in[0] != 3 {
 		t.Fatalf("SortedCopy wrong: in=%v out=%v", in, out)
-	}
-}
-
-func TestFamiliesSmoke(t *testing.T) {
-	tb := Families(tinyParams())
-	checkTable(t, tb, 6)
-	// Defining shape: the hash-table subset matcher collapses with query
-	// width far faster than every scan-based matcher.
-	var hs []float64
-	for _, r := range tb.Rows {
-		if r.Label == "Hash-table subsets" {
-			hs = r.Values
-		}
-	}
-	if hs[len(hs)-1] >= hs[0]/2 {
-		t.Errorf("hash-table matcher should collapse with query width: %v", hs)
 	}
 }
 

@@ -35,12 +35,11 @@ func Fig2And3(p Params) (*Table, *Table) {
 	}
 	tr.Freeze()
 
-	eng, devs, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: ds.BaseMaxP()})
+	eng, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: ds.BaseMaxP()})
 	if err != nil {
 		panic(err)
 	}
 	defer eng.Close()
-	defer closeDevices(devs)
 
 	var tmIn, tmOut, ptIn, ptOut []float64
 	for _, e := range extras {
@@ -80,14 +79,13 @@ func Fig4(p Params) *Table {
 		sigs, keys := ds.Slice(frac)
 		queries := ds.Queries(4096, frac, -1, p.Seed+500)
 
-		eng, devs, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: ds.BaseMaxP()})
+		eng, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: ds.BaseMaxP()})
 		if err != nil {
 			panic(err)
 		}
 		tmM = append(tmM, MeasureEngine(eng, queries, p.Queries, false).QPS/1e3)
 		tmU = append(tmU, MeasureEngine(eng, queries, p.Queries, true).QPS/1e3)
 		eng.Close()
-		closeDevices(devs)
 
 		uniqueSigs, keysBySet := KeysBySet(sigs, keys)
 		tr := trie.New()
@@ -132,14 +130,13 @@ func Fig5(p Params) *Table {
 
 	var tmM, tmU, ptM []float64
 	for _, th := range threads {
-		eng, devs, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: th, GPUs: p.GPUs, MaxP: ds.BaseMaxP()})
+		eng, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: th, GPUs: p.GPUs, MaxP: ds.BaseMaxP()})
 		if err != nil {
 			panic(err)
 		}
 		tmM = append(tmM, MeasureEngine(eng, queries, p.Queries, false).QPS/1e3)
 		tmU = append(tmU, MeasureEngine(eng, queries, p.Queries, true).QPS/1e3)
 		eng.Close()
-		closeDevices(devs)
 		ptM = append(ptM, MeasureMatcher(matcherAdapter{tr}, queries, 3000, th, false).QPS/1e3)
 	}
 	t.Add("TagMatch match", tmM...)
@@ -160,13 +157,12 @@ func Fig6(p Params) *Table {
 
 	// Probe sustainable throughput once, then pace arrivals at 50% of it
 	// so queueing delay reflects batching, not saturation.
-	probeEng, probeDevs, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: ds.BaseMaxP()})
+	probeEng, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: ds.BaseMaxP()})
 	if err != nil {
 		panic(err)
 	}
 	capacity := MeasureEngine(probeEng, queries, p.Queries/2, true).QPS
 	probeEng.Close()
-	closeDevices(probeDevs)
 	rate := capacity * 0.5
 
 	t := &Table{
@@ -186,7 +182,7 @@ func Fig6(p Params) *Table {
 	}
 	n := p.Queries / 2
 	for _, to := range timeouts {
-		eng, devs, err := BuildEngine(EngineSpec{
+		eng, err := BuildEngine(EngineSpec{
 			Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: ds.BaseMaxP(),
 			Mutate: func(c *core.Config) { c.BatchTimeout = to.d },
 		})
@@ -221,7 +217,6 @@ func Fig6(p Params) *Table {
 			float64(median)/1e6, float64(p99)/1e6, float64(most)/1e6,
 			float64(n)/el.Seconds()/1e3)
 		eng.Close()
-		closeDevices(devs)
 	}
 	t.Note("arrival rate paced at 50%% of measured capacity (%.0f queries/s)", rate)
 	t.Note("paper shape: longer timeouts cut tail latency; a too-short timeout (100ms) costs ~20%% throughput")
@@ -264,7 +259,7 @@ func Fig7(p Params) *Table {
 		if maxP < 16 {
 			maxP = 16
 		}
-		eng, devs, err := BuildEngine(EngineSpec{
+		eng, err := BuildEngine(EngineSpec{
 			Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: maxP,
 		})
 		if err != nil {
@@ -273,7 +268,6 @@ func Fig7(p Params) *Table {
 		m = append(m, MeasureEngine(eng, queries, p.Queries, false).QPS/1e3)
 		u = append(u, MeasureEngine(eng, queries, p.Queries, true).QPS/1e3)
 		eng.Close()
-		closeDevices(devs)
 	}
 	t.Add("match", m...)
 	t.Add("match-unique", u...)
@@ -297,7 +291,7 @@ func Fig8(p Params) *Table {
 	var secs []float64
 	for _, frac := range []float64{0.25, 0.5, 0.75, 1.0} {
 		sigs, keys := ds.Slice(frac)
-		eng, devs, err := BuildEngine(EngineSpec{
+		eng, err := BuildEngine(EngineSpec{
 			Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: maxP,
 		})
 		if err != nil {
@@ -314,7 +308,6 @@ func Fig8(p Params) *Table {
 		}
 		secs = append(secs, best)
 		eng.Close()
-		closeDevices(devs)
 	}
 	t.Add("consolidate time (s)", secs...)
 	t.Note("paper shape: linear in database size; ~50s for 200M sets at full scale")
@@ -333,7 +326,7 @@ func Fig9(p Params) *Table {
 	var host, dev0 []float64
 	for _, frac := range []float64{0.25, 0.5, 0.75, 1.0} {
 		sigs, keys := ds.Slice(frac)
-		eng, devs, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: ds.BaseMaxP()})
+		eng, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: ds.BaseMaxP()})
 		if err != nil {
 			panic(err)
 		}
@@ -345,7 +338,6 @@ func Fig9(p Params) *Table {
 		}
 		dev0 = append(dev0, float64(dsum)/1e6)
 		eng.Close()
-		closeDevices(devs)
 	}
 	t.Add("Host (key table + index)", host...)
 	t.Add("GPUs (tagset tables)", dev0...)

@@ -112,7 +112,7 @@ func Fig10(p Params) *Table {
 		dbKeys[i] = core.Key(i)
 	}
 	var vals []float64
-	eng, devs, err := BuildEngine(EngineSpec{
+	eng, err := BuildEngine(EngineSpec{
 		Sigs: dbSigs, Keys: dbKeys, Threads: p.Threads, GPUs: p.GPUs,
 	})
 	if err != nil {
@@ -127,7 +127,6 @@ func Fig10(p Params) *Table {
 		vals = append(vals, MeasureEngine(eng, qsigs, p.Queries/2, false).QPS)
 	}
 	eng.Close()
-	closeDevices(devs)
 	t.Add(fmt.Sprintf("TagMatch %d docs, 3 tags/set", 5*base), vals...)
 	t.Note("paper db sizes 1M/3M/5M map to %d/%d/%d docs here", base, 3*base, 5*base)
 	t.Note("paper shape: minidb throughput is flat in query/set width, degrades linearly with db size, and sits orders of magnitude below TagMatch")

@@ -38,18 +38,18 @@ func ObsOverhead(p Params) (*Table, *ObsOverheadResult) {
 	queries := ds.Queries(4096, 0.5, -1, p.Seed+2000)
 
 	const reps = 21
-	build := func(mutate func(*core.Config)) (*core.Engine, func()) {
-		eng, devs, err := BuildEngine(EngineSpec{
+	build := func(mutate func(*core.Config)) *core.Engine {
+		eng, err := BuildEngine(EngineSpec{
 			Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs,
 			MaxP: ds.BaseMaxP(), Mutate: mutate,
 		})
 		if err != nil {
 			panic(err)
 		}
-		return eng, func() { eng.Close(); closeDevices(devs) }
+		return eng
 	}
-	engOn, closeOn := build(func(c *core.Config) { c.TraceEvery = 1000 })
-	engOff, closeOff := build(func(c *core.Config) { c.DisableObservability = true })
+	engOn := build(func(c *core.Config) { c.TraceEvery = 1000 })
+	engOff := build(func(c *core.Config) { c.DisableObservability = true })
 
 	// Warmup pair: first runs pay page faults, allocator growth, and
 	// branch-predictor training; discard them.
@@ -73,8 +73,8 @@ func ObsOverhead(p Params) (*Table, *ObsOverheadResult) {
 		runsOff = append(runsOff, off)
 		ratios = append(ratios, on/off)
 	}
-	closeOn()
-	closeOff()
+	engOn.Close()
+	engOff.Close()
 
 	r := &ObsOverheadResult{
 		QPSOn:   SortedCopy(runsOn)[reps/2],

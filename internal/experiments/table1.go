@@ -116,24 +116,22 @@ func Table1(p Params) *Table {
 
 		// CPU-only TagMatch (same pipeline, no devices).
 		func() {
-			eng, devs, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: 0, MaxP: ds.BaseMaxP()})
+			eng, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: 0, MaxP: ds.BaseMaxP()})
 			if err != nil {
 				panic(err)
 			}
 			defer eng.Close()
-			defer closeDevices(devs)
 			r := MeasureEngine(eng, queries, p.Queries/4, false)
 			rows["CPU-only, TagMatch"] = append(rows["CPU-only, TagMatch"], r.QPS/1e3)
 		}()
 
 		// TagMatch (hybrid).
 		func() {
-			eng, devs, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: ds.BaseMaxP()})
+			eng, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: ds.BaseMaxP()})
 			if err != nil {
 				panic(err)
 			}
 			defer eng.Close()
-			defer closeDevices(devs)
 			r := MeasureEngine(eng, queries, p.Queries, false)
 			rows["TagMatch"] = append(rows["TagMatch"], r.QPS/1e3)
 		}()
@@ -206,7 +204,7 @@ func Table3(p Params) *Table {
 		icnPeak = im.BuildPeakBytes()
 		icnResident = im.MemoryBytes()
 
-		eng, devs, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: ds.BaseMaxP()})
+		eng, err := BuildEngine(EngineSpec{Sigs: sigs, Keys: keys, Threads: p.Threads, GPUs: p.GPUs, MaxP: ds.BaseMaxP()})
 		if err != nil {
 			panic(err)
 		}
@@ -217,7 +215,6 @@ func Table3(p Params) *Table {
 			ic[col] = MeasureMatcher(matcherAdapter{im}, queries, 3000, p.Threads, unique).QPS / 1e3
 		}
 		eng.Close()
-		closeDevices(devs)
 	}
 	t.Add("TagMatch", tm[:]...)
 	t.Add("Prefix tree", pt[:]...)

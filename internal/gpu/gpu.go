@@ -353,12 +353,6 @@ func (b *BlockCtx) AtomicAddU32(p *uint32, delta uint32) uint32 {
 	return atomic.AddUint32(p, delta) - delta
 }
 
-// AtomicAddU64 atomically adds delta to *p and returns the old value.
-func (b *BlockCtx) AtomicAddU64(p *uint64, delta uint64) uint64 {
-	b.dev.atomicOps.Add(1)
-	return atomic.AddUint64(p, delta) - delta
-}
-
 // LaunchNested launches a kernel from inside a running kernel ("dynamic
 // parallelism", §4.5) and waits for it. The nested grid's blocks execute
 // inline in the calling worker: a real nested launch competes with the
@@ -460,14 +454,6 @@ func (d *Device) Stats() Stats {
 
 // MemInUse returns the current simulated device memory consumption.
 func (d *Device) MemInUse() int64 { return d.memInUse.Load() }
-
-// OpenStreams returns the number of streams currently open on the
-// device (of the MaxStreams budget).
-func (d *Device) OpenStreams() int {
-	d.streams.Lock()
-	defer d.streams.Unlock()
-	return d.streams.open
-}
 
 // reserve accounts a device memory allocation against the budget.
 func (d *Device) reserve(bytes int64) error {

@@ -242,12 +242,6 @@ func (d *Device) OverlapFraction() float64 {
 	return float64(s.OverlapNs) / float64(s.KernelNs)
 }
 
-// SMBusyTime returns the cumulative wall time the device's SM workers
-// spent executing thread blocks.
-func (d *Device) SMBusyTime() time.Duration {
-	return time.Duration(d.smBusyNs.Load())
-}
-
 // Utilization returns the fraction of total SM-worker capacity consumed
 // since the device was created: SM busy time divided by workers ×
 // elapsed wall time. An idle device decays toward 0.

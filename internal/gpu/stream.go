@@ -38,22 +38,15 @@ type Stream struct {
 	segErr error
 }
 
-// OpenStream opens a new stream on the device with the default
-// operation FIFO depth. It fails with ErrTooManyStreams when MaxStreams
-// streams are already open — the paper's platform capped at 10 streams
-// per GPU, and that cap shapes the thread-scalability results (Fig 5).
-func (d *Device) OpenStream() (*Stream, error) {
-	return d.OpenStreamBuffered(64)
-}
+// streamFIFO is the number of pending operations a stream holds before
+// an enqueue blocks.
+const streamFIFO = 64
 
-// OpenStreamBuffered opens a stream whose operation FIFO holds up to
-// opsBuf pending operations before enqueues block, for a caller that
-// enqueues more than the default of 64 operations in one burst. Values
-// below the default are rounded up.
-func (d *Device) OpenStreamBuffered(opsBuf int) (*Stream, error) {
-	if opsBuf < 64 {
-		opsBuf = 64
-	}
+// OpenStream opens a new stream on the device. It fails with
+// ErrTooManyStreams when MaxStreams streams are already open — the
+// paper's platform capped at 10 streams per GPU, and that cap shapes the
+// thread-scalability results (Fig 5).
+func (d *Device) OpenStream() (*Stream, error) {
 	d.streams.Lock()
 	if d.streams.open >= d.cfg.MaxStreams {
 		d.streams.Unlock()
@@ -65,7 +58,7 @@ func (d *Device) OpenStreamBuffered(opsBuf int) (*Stream, error) {
 	s := &Stream{
 		dev: d,
 		id:  int(d.streamSeq.Add(1)) - 1,
-		ops: make(chan func(), opsBuf),
+		ops: make(chan func(), streamFIFO),
 	}
 	s.done.Add(1)
 	go s.run()

@@ -14,7 +14,9 @@
 // Because this reproduction runs without GPU hardware, the subset-match
 // stage executes on simulated GPU devices (package internal/gpu): SPMD
 // kernels over thread blocks with modeled kernel-launch and PCIe-copy
-// costs. Setting Config.GPUs to zero selects the CPU-only pipeline.
+// costs. New creates Config.GPUs of them and Close closes them; setting
+// Config.GPUs to zero selects the CPU-only pipeline. Config is declared
+// once, in the engine package, with each field's documentation.
 //
 // # Quick start
 //
@@ -41,10 +43,7 @@ package tagmatch
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"log/slog"
-	"time"
 
 	"tagmatch/internal/bloom"
 	"tagmatch/internal/core"
@@ -78,164 +77,25 @@ type MatchResult = core.MatchResult
 // Stats is a snapshot of engine activity and memory usage.
 type Stats = core.Stats
 
-// Config configures an Engine. The zero value is a valid CPU-only
-// configuration with defaults suitable for small databases.
-type Config struct {
-	// GPUs is the number of simulated GPU devices to create. Zero runs
-	// the pipeline CPU-only. The partitions are dealt round-robin over
-	// the devices: each device holds only its share of the device index
-	// — its partitions' transposed groups and run nodes — and serves only
-	// batches for those partitions.
-	GPUs int
-	// GPUWorkers is the number of simulated streaming multiprocessors
-	// per device, i.e. thread blocks executing in parallel. Defaults to 4.
-	GPUWorkers int
-	// GPUMemBytes is the per-device memory budget (default 12 GiB, one
-	// TITAN X as in the paper's testbed).
-	GPUMemBytes int64
-	// RealisticGPUCosts enables the calibrated kernel-launch and
-	// PCIe-copy cost model. Leave false in unit tests, set true in
-	// benchmarks: batching and stream effects only appear with costs.
-	RealisticGPUCosts bool
-
-	// MaxPartitionSize is MAX_P of Algorithm 1 (0 = 1024 sets; the
-	// paper's ratio is dbSize/1000, which the caller must compute — the
-	// database size is not known when the engine is created).
-	MaxPartitionSize int
-	// BatchSize is the most routed (query, partition) entries a GPU batch
-	// holds (max 256): routed entries wait in one log, which a flush pass
-	// cuts into batches of this many. The log is full, and flushed at
-	// once, when it holds this many entries per partition.
-	BatchSize int
-	// BatchTimeout is how long a routed entry may wait in the log for
-	// company before a flush pass takes it (0 = no timeout: entries leave
-	// when the log is full; the blocking Match calls flush explicitly).
-	BatchTimeout time.Duration
-	// Threads is the number of CPU worker threads across pipeline stages.
-	Threads int
-	// StreamsPerGPU is the number of streams per device (default 10).
-	StreamsPerGPU int
-	// MaxInFlight bounds the number of submitted-but-incomplete queries
-	// admitted before Submit-family calls return ErrOverloaded (the
-	// SubmitCtx variants block for capacity instead). Zero disables the
-	// gate.
-	MaxInFlight int
-	// FailureThreshold is the number of consecutive failed batch
-	// attempts before a GPU is quarantined and the batches of its
-	// partitions run on the CPU until it recovers (default 3).
-	FailureThreshold int
-	// QuarantineBackoff is the delay before a quarantined GPU receives
-	// its first recovery probe; failed probes double it, up to 64x
-	// (default 250ms).
-	QuarantineBackoff time.Duration
-	// HedgeAfter is the straggler budget of hedged re-dispatch: a batch
-	// whose GPU attempt has held a stream this long without completing
-	// is re-run on the host, the first completion winning and the
-	// other discarded. The budget starts once the attempt holds a
-	// stream, not when the batch leaves the log. Zero or negative (the
-	// default) disables hedging; there is no default budget.
-	HedgeAfter time.Duration
-	// ExactVerify re-checks every match against the original tag sets
-	// during key lookup, eliminating Bloom-filter false positives at the
-	// cost of storing the tags and one string-set containment check per
-	// candidate key.
-	ExactVerify bool
-
-	// DeltaMaxSets is the number of live overlay entries (staged adds
-	// plus tombstones) that triggers a background consolidation
-	// (default 4096). Together with DeltaMaxRatio it bounds how much of
-	// each query is answered by the slower CPU-side overlay before the
-	// consolidator folds it into the partitioned index.
-	DeltaMaxSets int
-	// DeltaMaxRatio triggers background consolidation when the overlay
-	// grows past this fraction of the main index's set count (default
-	// 0.25). The effective threshold is max(DeltaMaxSets,
-	// DeltaMaxRatio × sets), so small databases are not consolidated on
-	// every handful of updates.
-	DeltaMaxRatio float64
-	// DisableLiveUpdates turns off the match-visible delta overlay and
-	// the background consolidator: adds and removes stage silently and
-	// take effect only at an explicit Consolidate, the pre-live-update
-	// batch contract. Intended for ablation benchmarks.
-	DisableLiveUpdates bool
-
-	// TraceEvery samples one query in N for full pipeline tracing,
-	// retrievable via Obs().Tracer or GET /debug/stats. Zero disables
-	// tracing (the default).
-	TraceEvery int
-
-	// DisableObservability turns off the stage histograms, per-partition
-	// counters and traces of the observability layer, keeping only the
-	// cumulative Stats counters. It also disables the per-device op log
-	// (DeviceOpRecords). Overhead with observability on is a few percent
-	// at most (see cmd/tagmatch-bench obs-overhead).
-	DisableObservability bool
-
-	// Logger receives structured records of operationally significant
-	// events (device quarantine entry/exit, device death, CPU fallbacks).
-	// Nil disables logging.
-	Logger *slog.Logger
-}
-
-// opLogSize is the per-device ring of recent operation records kept for
-// GET /debug/timeline and DeviceOpRecords (when observability is on).
-const opLogSize = 2048
+// Config configures an Engine; see core.Config for each field. The zero
+// value is a valid CPU-only configuration with defaults suitable for
+// small databases.
+type Config = core.Config
 
 // Engine is a TagMatch subset-matching engine. See the package
 // documentation for the lifecycle; all methods are safe for concurrent
 // use.
 type Engine struct {
-	core    *core.Engine
-	devices []*gpu.Device
+	core *core.Engine
 }
 
-// New creates an engine and its simulated GPU devices.
+// New creates an engine and its Config.GPUs simulated GPU devices.
 func New(cfg Config) (*Engine, error) {
-	if cfg.GPUs < 0 {
-		return nil, fmt.Errorf("tagmatch: negative GPU count")
-	}
-	var devices []*gpu.Device
-	for i := 0; i < cfg.GPUs; i++ {
-		gcfg := gpu.Config{
-			Name:           fmt.Sprintf("sim-gpu-%d", i),
-			Workers:        cfg.GPUWorkers,
-			GlobalMemBytes: cfg.GPUMemBytes,
-		}
-		if !cfg.DisableObservability {
-			gcfg.OpLogSize = opLogSize
-		}
-		if cfg.RealisticGPUCosts {
-			gcfg.Cost = gpu.DefaultCost
-		}
-		devices = append(devices, gpu.New(gcfg))
-	}
-	ccfg := core.Config{
-		MaxPartitionSize:     cfg.MaxPartitionSize,
-		BatchSize:            cfg.BatchSize,
-		BatchTimeout:         cfg.BatchTimeout,
-		Threads:              cfg.Threads,
-		Devices:              devices,
-		StreamsPerDevice:     cfg.StreamsPerGPU,
-		MaxInFlight:          cfg.MaxInFlight,
-		FailureThreshold:     cfg.FailureThreshold,
-		QuarantineBackoff:    cfg.QuarantineBackoff,
-		HedgeAfter:           cfg.HedgeAfter,
-		ExactVerify:          cfg.ExactVerify,
-		DeltaMaxSets:         cfg.DeltaMaxSets,
-		DeltaMaxRatio:        cfg.DeltaMaxRatio,
-		DisableDeltaOverlay:  cfg.DisableLiveUpdates,
-		TraceEvery:           cfg.TraceEvery,
-		DisableObservability: cfg.DisableObservability,
-		Logger:               cfg.Logger,
-	}
-	eng, err := core.New(ccfg)
+	eng, err := core.New(cfg)
 	if err != nil {
-		for _, d := range devices {
-			d.Close()
-		}
 		return nil, err
 	}
-	return &Engine{core: eng, devices: devices}, nil
+	return &Engine{core: eng}, nil
 }
 
 // AddSet adds a tag set associated with key. The association is
@@ -345,8 +205,9 @@ type DeviceStat struct {
 // copies and bytes in each direction, atomics, and memory in use; and
 // the device's copy/compute overlap, utilization and stream queue depth.
 func (e *Engine) DeviceStats() []DeviceStat {
-	out := make([]DeviceStat, len(e.devices))
-	for i, d := range e.devices {
+	devs := e.core.Devices()
+	out := make([]DeviceStat, len(devs))
+	for i, d := range devs {
 		out[i] = DeviceStat{Name: d.Name(), Stats: d.Stats(), Gauges: e.core.DeviceGauges(i)}
 	}
 	return out
@@ -364,8 +225,9 @@ type DeviceOps struct {
 // service times — the raw feed of GET /debug/timeline's device tracks.
 // Empty when DisableObservability is set.
 func (e *Engine) DeviceOpRecords() []DeviceOps {
-	out := make([]DeviceOps, len(e.devices))
-	for i, d := range e.devices {
+	devs := e.core.Devices()
+	out := make([]DeviceOps, len(devs))
+	for i, d := range devs {
 		out[i] = DeviceOps{Name: d.Name(), Ops: d.OpRecords()}
 	}
 	return out
@@ -386,10 +248,4 @@ func (e *Engine) LoadSnapshot(r io.Reader) error { return e.core.LoadSnapshot(r)
 
 // Close drains the pipeline and releases all resources, including the
 // simulated devices.
-func (e *Engine) Close() error {
-	err := e.core.Close()
-	for _, d := range e.devices {
-		d.Close()
-	}
-	return err
-}
+func (e *Engine) Close() error { return e.core.Close() }

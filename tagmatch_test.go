@@ -2,7 +2,9 @@ package tagmatch_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -137,6 +139,105 @@ func TestPublicAPIRemoveAndReconsolidate(t *testing.T) {
 func TestPublicAPIInvalidConfig(t *testing.T) {
 	if _, err := tagmatch.New(tagmatch.Config{GPUs: -1}); err == nil {
 		t.Fatal("negative GPU count accepted")
+	}
+}
+
+// TestPublicAPIDevices checks the devices New creates from the
+// configuration: each keeps a ring of op records unless
+// DisableObservability is set, and devices too small for the index leave
+// Consolidate degraded to an exact CPU-only index.
+func TestPublicAPIDevices(t *testing.T) {
+	for _, off := range []bool{false, true} {
+		eng, err := tagmatch.New(tagmatch.Config{GPUs: 1, Threads: 1, DisableObservability: off})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.AddSet([]string{"a"}, 1)
+		if err := eng.Consolidate(); err != nil {
+			t.Fatal(err)
+		}
+		if keys, err := eng.Match([]string{"a", "b"}); err != nil || fmt.Sprint(keys) != "[1]" {
+			t.Fatalf("keys %v, err %v", keys, err)
+		}
+		recs := eng.DeviceOpRecords()
+		if len(recs) != 1 || recs[0].Name != "sim-gpu-0" {
+			t.Fatalf("op records of %d devices, want sim-gpu-0's", len(recs))
+		}
+		if logged := len(recs[0].Ops) > 0; logged == off {
+			t.Errorf("DisableObservability=%v: %d op records", off, len(recs[0].Ops))
+		}
+		eng.Close()
+	}
+
+	eng, err := tagmatch.New(tagmatch.Config{GPUs: 2, Threads: 1, GPUMemBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for i := 0; i < 2000; i++ {
+		eng.AddSet([]string{fmt.Sprintf("t%d", i)}, tagmatch.Key(i))
+	}
+	if err := eng.Consolidate(); !errors.Is(err, tagmatch.ErrDeviceDegraded) {
+		t.Fatalf("Consolidate on 4 KiB devices: %v, want ErrDeviceDegraded", err)
+	}
+	keys, err := eng.Match([]string{"t7", "t8"})
+	if sortKeys(keys); err != nil || fmt.Sprint(keys) != "[7 8]" {
+		t.Fatalf("degraded engine answered %v, err %v", keys, err)
+	}
+	for _, d := range eng.DeviceStats() {
+		if d.Stats.MemInUse != 0 {
+			t.Errorf("%s holds %d bytes after the degrade", d.Name, d.Stats.MemInUse)
+		}
+	}
+}
+
+// TestCloseReleasesEverything runs queries and churn through a
+// background fold on two costed GPUs with hedging armed, then closes the
+// engine: no goroutine outlives Close, and no device holds memory.
+func TestCloseReleasesEverything(t *testing.T) {
+	base := runtime.NumGoroutine()
+	eng, err := tagmatch.New(tagmatch.Config{
+		GPUs: 2, GPUWorkers: 2, RealisticGPUCosts: true, Threads: 2,
+		MaxPartitionSize: 100, BatchSize: 32, BatchTimeout: time.Millisecond,
+		HedgeAfter: 200 * time.Microsecond, DeltaMaxSets: 64, DeltaMaxRatio: 1e-9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nSets = 2000
+	tags := func(i int) []string { return []string{fmt.Sprintf("g%d", i%200), fmt.Sprintf("s%d", i)} }
+	for i := 0; i < nSets; i++ {
+		eng.AddSet(tags(i), tagmatch.Key(i))
+	}
+	if err := eng.Consolidate(); err != nil {
+		t.Fatal(err)
+	}
+	done := func(tagmatch.MatchResult) {}
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; eng.Stats().AutoConsolidations == 0; i++ {
+		if time.Now().After(deadline) {
+			t.Fatal("no background fold within 10s")
+		}
+		eng.RemoveSet(tags(i%nSets), tagmatch.Key(i%nSets))
+		eng.AddSet(tags(nSets+i), tagmatch.Key(nSets+i))
+		if err := eng.Submit(append(tags(i%nSets), "x"), done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Drain()
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range eng.DeviceStats() {
+		if d.Stats.MemInUse != 0 {
+			t.Errorf("%s holds %d bytes after Close", d.Name, d.Stats.MemInUse)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines 5s after Close, %d before New:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

@@ -20,12 +20,13 @@ vet:
 test:
 	$(GO) test ./...
 
-## race: the engine pipeline, the lock-free observability layer and the
+## race: the engine pipeline, the lock-free observability layer, the
 ## device simulator (whose SM workers claim a launch's blocks from a
-## shared counter) are the packages with real concurrency; -race on the
-## full tree is slow.
+## shared counter) and the public package (whose tests' done callbacks
+## run on the reduce workers) are the packages with real concurrency;
+## -race on the full tree is slow.
 race:
-	$(GO) test -race ./internal/core/ ./internal/obs/ ./internal/gpu/
+	$(GO) test -race . ./internal/core/ ./internal/obs/ ./internal/gpu/
 
 ## chaos: the fault-injection suite under the race detector — seeded
 ## deterministic GPU faults, scripted device death, quarantine/recovery,
@@ -53,9 +54,13 @@ race:
 ## model through full builds, folds that empty rows, re-adds that refill
 ## them and loads onto staged ops (TestRowTable*), and the layout such
 ## folds keep: no row, partition or device byte added
-## (TestDeltaFoldKeepsLayout, under TestDelta).
+## (TestDeltaFoldKeepsLayout, under TestDelta), and the one copy of the
+## transposed index: no group on the host while devices hold them, and
+## every host-side match — overflow, device death, hedge, OOM degrade —
+## exact, building each partition it touches once (TestHostPath*,
+## TestNoHostGroups*).
 chaos:
-	$(GO) test -race -run 'TestLaunch|TestCluster|TestBalancedPartition|TestRun|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestSnapshotLoadOntoStaged|TestSnapshotSaveRacesConsolidate|TestRowTable|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta|TestDrainWaitsForCallbacks|TestEngineMultiGPU' \
+	$(GO) test -race -run 'TestLaunch|TestCluster|TestBalancedPartition|TestRun|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestSnapshotLoadOntoStaged|TestSnapshotSaveRacesConsolidate|TestRowTable|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta|TestDrainWaitsForCallbacks|TestEngineMultiGPU|TestHostPath|TestNoHostGroups' \
 		./internal/gpu/ ./internal/core/ ./internal/httpserver/
 
 ## bench-smoke: quick -benchmem pass over the hot-path benchmarks so a

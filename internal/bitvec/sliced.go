@@ -1,6 +1,9 @@
 package bitvec
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Bit-sliced (column-transposed) storage for batched subset tests.
 //
@@ -109,7 +112,16 @@ type SlicedGroup struct {
 // sharing a group have many one-bits in common, which is what makes the
 // gates selective.
 func BuildSlicedGroups(sets []Vector) []SlicedGroup {
-	groups := make([]SlicedGroup, (len(sets)+63)/64)
+	return AppendSlicedGroups(nil, sets)
+}
+
+// AppendSlicedGroups appends the groups BuildSlicedGroups would return
+// for sets to dst, transposing in place rather than through a temporary.
+func AppendSlicedGroups(dst []SlicedGroup, sets []Vector) []SlicedGroup {
+	n := len(dst)
+	dst = slices.Grow(dst, (len(sets)+63)/64)[:n+(len(sets)+63)/64]
+	groups := dst[n:]
+	clear(groups)
 	for g := range groups {
 		grp := &groups[g]
 		grp.Gate = Vector{^uint64(0), ^uint64(0), ^uint64(0)}
@@ -118,5 +130,5 @@ func BuildSlicedGroups(sets []Vector) []SlicedGroup {
 			grp.Gate = grp.Gate.And(sets[i])
 		}
 	}
-	return groups
+	return dst
 }

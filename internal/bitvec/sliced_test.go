@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -124,4 +125,28 @@ func BenchmarkLaneBlockSubsetLanes(b *testing.B) {
 		sink ^= lb.SubsetLanes(qs[i&63])
 	}
 	_ = sink
+}
+
+// TestAppendSlicedGroupsMatchesBuild: appending partitions' groups to a
+// shared array yields each partition's BuildSlicedGroups, whatever the
+// array's spare capacity held before.
+func TestAppendSlicedGroupsMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	sets := make([]Vector, 300)
+	for i := range sets {
+		sets[i] = randVec(rng, 20)
+	}
+	dst := make([]SlicedGroup, 1, 16)
+	for i := range dst[:cap(dst)] {
+		dst[:cap(dst)][i].Valid = ^uint64(0) // stale data beyond len
+	}
+	lo := 0
+	for _, n := range []int{1, 64, 65, 170} {
+		at := len(dst)
+		dst = AppendSlicedGroups(dst, sets[lo:lo+n])
+		if got, want := dst[at:], BuildSlicedGroups(sets[lo:lo+n]); !slices.Equal(got, want) {
+			t.Fatalf("%d sets: appended groups differ from a fresh build", n)
+		}
+		lo += n
+	}
 }

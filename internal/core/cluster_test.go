@@ -250,11 +250,11 @@ func appendLexicographic(idx *index, sigs []bitvec.Vector, specs []partitionSpec
 	for i := range specs {
 		members := specs[i].members
 		sortMembersLexicographically(sigs, members)
-		p := partition{mask: specs[i].mask, off: uint32(len(idx.sets)), n: uint32(len(members)), grpOff: uint32(len(idx.groups))}
+		p := partition{mask: specs[i].mask, off: uint32(len(idx.sets)), n: uint32(len(members))}
 		for _, m := range members {
 			idx.sets = append(idx.sets, sigs[m])
 		}
-		idx.groups = append(idx.groups, bitvec.BuildSlicedGroups(idx.sets[p.off:])...)
+		idx.groups = append(idx.groups, groupSlot{g: bitvec.BuildSlicedGroups(idx.sets[p.off:])})
 		idx.parts = append(idx.parts, p)
 	}
 }
@@ -309,7 +309,7 @@ func TestClusterGatePruneOnWorkload(t *testing.T) {
 			pids = append(pt.lookupSliced(q, q.Ones(nil), pids[:0]), maskless...)
 			for _, pid := range pids {
 				p := &idx.parts[pid]
-				groups, runs := idx.slicedPart(p)
+				groups, runs := idx.slicedPart(pid)
 				cpuMatchBatchSliced(groups, runs, int(p.off), []bitvec.Vector{q}, 0, true, &sc, nil, &kc, func(_ uint8, s uint32) {
 					got = append(got, sigPair{qi, idx.sets[s]})
 				})

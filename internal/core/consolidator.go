@@ -24,7 +24,7 @@ import (
 //	Phase A (stagedMu, brief)    cut := len(staged); apply staged[:cut] to
 //	                             clones of the rows it touches
 //	Phase B (no locks, long)     partition + sort + key table + transposed
-//	                             mirror + row table, host-side only
+//	                             groups + row table, host-side only
 //	Phase C (submitMu+stagedMu)  drain in-flight queries, drop the cut from
 //	                             the log, swap the index, upload to devices,
 //	                             rebuild the overlay from the staged suffix
@@ -41,10 +41,12 @@ import (
 //
 // When the cut is small relative to the index, Phase B runs the
 // incremental form (buildIncrementalIndex): existing rows keep their
-// partition, row order and transposed groups, all aliased from the old
-// generation; touched rows — an emptied row a re-add refills among them —
-// take their new entries in a rewritten key CSR, and only signatures the
-// index has never held are partitioned and appended. That drops the
+// partition, row order and run nodes, all aliased from the old
+// generation, and their transposed groups stay where they are (on the
+// devices, or in a CPU index's cache); touched rows — an emptied row a
+// re-add refills among them — take their new entries in a rewritten key
+// CSR, and only signatures the index has never held are partitioned and
+// appended. That drops the
 // steady-state fold cost from O(database) partitioning to a flat key copy
 // plus O(delta) appends, which is what lets the background consolidator
 // keep up with sustained churn without starving the query path for CPU.
@@ -287,6 +289,7 @@ func (e *Engine) consolidateOnce(background bool, bulk setList) error {
 		old.release()
 		degraded = e.attachDevices(idx)
 	}
+	idx.hostBytes.Store(hostBytesFor(idx))
 	e.idx.Store(idx)
 	if !e.cfg.DisableLiveUpdates {
 		e.delta.rebuild(idx, e.staged)
@@ -337,8 +340,8 @@ func incrementalEligible(old *index, cut int) bool {
 }
 
 // buildIncrementalIndex is the incremental Phase B: a new index whose
-// existing rows keep their signature, partition, row order and transposed
-// groups verbatim (aliased, not copied), so no group retranspose or device
+// existing rows keep their signature, partition, row order and run nodes
+// verbatim (aliased, not copied), so no group retranspose or device
 // upload is needed for them. A touched signature the index holds a row
 // for takes its new entries in that row; a row the cut empties stays in
 // place — the kernel still matches it, the reduce finds zero keys — and a
@@ -350,18 +353,27 @@ func incrementalEligible(old *index, cut int) bool {
 // table is shared, or copied with the appended rows inserted.
 func (e *Engine) buildIncrementalIndex(old *index, touched []touchedSet) *index {
 	idx := &index{devices: e.devices}
-	// Alias the old generation's row and group arrays instead of copying
-	// them: the incremental build only ever appends (new sets start new
-	// partitions, and each partition's transposed groups are
+	// Alias the old generation's row and run-node arrays instead of
+	// copying them: the incremental build only ever appends (new sets
+	// start new partitions, and each partition's run nodes are
 	// self-contained), so writing past the old length is invisible to
 	// queries still served by the old index. With the slack capacity the
 	// full build reserves, the key CSR is the only O(database) array a
-	// fold writes; copying the signature and group arrays as well would
-	// tax, with their allocation and GC marking, the query path the fold
-	// is supposed to stay off.
+	// fold writes; copying the signature array as well would tax, with its
+	// allocation and GC marking, the query path the fold is supposed to
+	// stay off.
 	idx.sets = old.sets
-	idx.groups = old.groups
 	idx.runs = old.runs
+	// The existing partitions' groups: a CPU index (no devices) holds all
+	// of them, immutable, and the new one shares them; on a device-backed
+	// one they stay on the devices, and the new generation starts with
+	// none on the host.
+	idx.groups = make([]groupSlot, len(old.parts), len(old.parts)+1)
+	if len(old.devices) == 0 {
+		for i := range old.groups {
+			idx.groups[i].g = old.groups[i].g
+		}
+	}
 
 	var fresh setList
 	for _, ts := range touched {
@@ -383,7 +395,6 @@ func (e *Engine) buildIncrementalIndex(old *index, touched []touchedSet) *index 
 	idx.rows = old.rows.withRows(idx.sets, len(old.sets))
 
 	idx.pt, idx.maskless = buildPartitionTable(idx.parts)
-	idx.hostBytes = hostBytesFor(idx)
 	idx.fullSets = old.fullSets
 	return idx
 }
@@ -444,9 +455,9 @@ func (idx *index) rewriteKeys(old *index, touched []touchedSet, withTags bool) (
 // build keeps every existing row's signature, row order, and transposed
 // groups verbatim — and uploads only the partitions appended by this
 // fold, for signatures the index has never held, as one fresh extent
-// buffer per device. Key rewrites — re-adds that refill an emptied row
-// among them — need no device traffic at all: keys live host-side in the
-// reduce stage.
+// buffer per device; the host then drops their groups. Key rewrites —
+// re-adds that refill an emptied row among them — need no device traffic
+// at all: keys live host-side in the reduce stage.
 // Returns false (having changed nothing) when the old index has no
 // usable device state or the extent upload fails; the caller then takes
 // the full release+attach path. Called with the pipeline drained and
@@ -507,6 +518,7 @@ func (e *Engine) adoptDevices(idx, old *index) bool {
 	}
 	idx.slots, old.slots = old.slots, nil
 	idx.allStreams, old.allStreams = old.allStreams, nil
+	idx.dropGroups()
 	return true
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"tagmatch/internal/bitvec"
 	"tagmatch/internal/bloom"
@@ -133,15 +134,18 @@ type index struct {
 	// the rows are in the order appendPartitions laid them out: 64-aligned
 	// clusters (partition.go: clusterer).
 	sets []bitvec.Vector
-	// groups is the column-transposed mirror of sets the subset-match
-	// kernel reads: partition-major ⌈n/64⌉-group runs, local set i of a
-	// partition in lane i%64 of group grpOff+i/64 (see partition.grpOff).
-	// The host copy also serves the CPU execution path and the
-	// overflow/fault fallback.
-	groups []bitvec.SlicedGroup
+	// groups caches, by partition id, the column-transposed rows the
+	// subset-match kernel reads: ⌈n/64⌉ groups, local set i in lane i%64
+	// of group i/64. A build fills every slot (the run nodes and the upload
+	// need them); attachDevices and adoptDevices empty it once the devices
+	// hold the groups, and a host-side match refills the slots it needs
+	// from the rows (slicedPart). An index without devices — GPUs: 0, or
+	// degraded — holds every slot: it is the CPU kernel's index.
+	groups []groupSlot
 	// runs holds the run nodes of every partition's groups, partition-major
-	// (partition.runOff/nRuns; kernel_sliced.go: runNode). Appended with
-	// the groups and aliased with them by incremental folds.
+	// (partition.runOff/nRuns; kernel_sliced.go: runNode). They stay on the
+	// host beside the rows, for the upload and the host-side match, and
+	// incremental folds alias and append to them.
 	runs     []runNode
 	keyOff   []uint32 // CSR offsets into keys; len(sets)+1
 	keys     []Key
@@ -178,7 +182,9 @@ type index struct {
 	// too.
 	dispatching sync.WaitGroup
 
-	hostBytes int64
+	// hostBytes is the index's host memory (hostBytesFor), set when the
+	// index is published and grown by slicedPart as it fills the cache.
+	hostBytes atomic.Int64
 
 	// rows maps each signature to its row (rowtable.go). A full build
 	// fills a fresh one after laying out the rows; an incremental fold
@@ -194,6 +200,14 @@ type index struct {
 	// them).
 	fullSets  int
 	emptyRows int
+}
+
+// groupSlot is one partition's entry in index.groups: its groups, or nil
+// while the host does not hold them. once guards the one build a host-side
+// match makes of a published index's partition.
+type groupSlot struct {
+	once sync.Once
+	g    []bitvec.SlicedGroup
 }
 
 // routedEntry is one (partition, query) pair of a query's fan-out.
@@ -327,7 +341,7 @@ func (e *Engine) registerGauges() {
 	g.UniqueSets = func() float64 { return float64(len(e.idx.Load().sets)) }
 	g.Partitions = func() float64 { return float64(len(e.idx.Load().parts)) }
 	g.Keys = func() float64 { return float64(len(e.idx.Load().keys)) }
-	g.HostBytes = func() float64 { return float64(e.idx.Load().hostBytes) }
+	g.HostBytes = func() float64 { return float64(e.idx.Load().hostBytes.Load()) }
 	g.InputQueue = func() float64 { return float64(len(e.inputCh)) }
 	g.ReduceQueue = func() float64 { return float64(len(e.reduceCh)) }
 	g.InflightBatches = func() float64 { return float64(e.inflightBatches.Load()) }
@@ -503,7 +517,7 @@ func (e *Engine) Consolidate() error {
 }
 
 // buildHostIndex constructs the host-side half of a fresh index from a
-// database listing: partitioning, ordered flat table, transposed mirror,
+// database listing: partitioning, ordered flat table, transposed groups,
 // key table, row table, partition table. It touches no device state, so
 // the background consolidator can run it while the previous index still
 // holds every device's memory; attachDevices completes the index inside
@@ -512,14 +526,14 @@ func (e *Engine) buildHostIndex(db setList) *index {
 	sigs := db.sigs
 	specs := e.partition(sigs)
 	idx := &index{devices: e.devices}
-	// The row and group arrays carry ~12% slack so incremental folds can
-	// append new partitions in place (buildIncrementalIndex aliases these
-	// arrays rather than copying them); once the slack is gone, append's
-	// own growth re-establishes headroom for the folds that follow.
+	// The tagset table carries ~12% slack so incremental folds can append
+	// new partitions in place (buildIncrementalIndex aliases it rather than
+	// copying it); once the slack is gone, append's own growth
+	// re-establishes headroom for the folds that follow.
 	idx.sets = make([]bitvec.Vector, 0, len(sigs)+len(sigs)/8+1024)
-	idx.groups = make([]bitvec.SlicedGroup, 0, len(sigs)/64+len(specs)+len(sigs)/512+64)
 	idx.keyOff = make([]uint32, 1, len(sigs)+1)
 	idx.parts = make([]partition, 0, len(specs))
+	idx.groups = make([]groupSlot, 0, len(specs))
 
 	idx.appendPartitions(sigs, specs, len(e.devices), func(m int32, _ uint32) {
 		idx.appendKeys(db.lists[m], e.cfg.ExactVerify)
@@ -528,7 +542,6 @@ func (e *Engine) buildHostIndex(db setList) *index {
 	// incrementalEligible forces the next full build.
 	idx.rows = fillRowTable(idx.sets, len(idx.sets)*5/4)
 	idx.pt, idx.maskless = buildPartitionTable(idx.parts)
-	idx.hostBytes = hostBytesFor(idx)
 	// A fresh full build has no empty rows; incremental folds measure
 	// their drift against this baseline.
 	idx.fullSets = len(idx.sets)
@@ -546,14 +559,20 @@ func (e *Engine) partition(sigs []bitvec.Vector) []partitionSpec {
 // appendPartitions is the one place partitions become rows: it clusters
 // each spec's members (orderMembers), appends them to idx.sets
 // partition-major, calls row for every member with its global row id so
-// the caller can extend its key table in step, column-transposes the
-// partition into idx.groups, derives the partition's run nodes from the
+// the caller can extend its key table in step, column-transposes each
+// partition into its idx.groups slot (all of the call's partitions share
+// one exactly-sized array), derives the partition's run nodes from the
 // new groups' gates into idx.runs, and appends the partition descriptors,
 // dealt round-robin over nDev devices. Full builds, incremental folds and
 // KernelBenchmark all lay out through here, so they cannot disagree on the
 // order or on the run tree.
 func (idx *index) appendPartitions(sigs []bitvec.Vector, specs []partitionSpec, nDev int, row func(m int32, r uint32)) {
 	orderMembers(sigs, specs)
+	nG := 0
+	for i := range specs {
+		nG += (len(specs[i].members) + 63) / 64
+	}
+	flat := make([]bitvec.SlicedGroup, 0, nG)
 	for i := range specs {
 		spec := &specs[i]
 		off := uint32(len(idx.sets))
@@ -563,28 +582,51 @@ func (idx *index) appendPartitions(sigs []bitvec.Vector, specs []partitionSpec, 
 				row(m, uint32(len(idx.sets)-1))
 			}
 		}
-		p := partition{mask: spec.mask, off: off, n: uint32(len(spec.members)), grpOff: uint32(len(idx.groups))}
+		p := partition{mask: spec.mask, off: off, n: uint32(len(spec.members))}
 		if nDev > 0 {
 			p.dev = len(idx.parts) % nDev
 		}
-		idx.groups = append(idx.groups, bitvec.BuildSlicedGroups(idx.sets[off:])...)
+		g0 := len(flat)
+		flat = bitvec.AppendSlicedGroups(flat, idx.sets[off:])
+		g := flat[g0:]
+		idx.groups = append(idx.groups, groupSlot{g: g})
 		p.runOff = uint32(len(idx.runs))
-		idx.runs = deriveRuns(idx.runs, idx.groups[p.grpOff:])
+		idx.runs = deriveRuns(idx.runs, g)
 		p.nRuns = uint32(len(idx.runs)) - p.runOff
 		idx.parts = append(idx.parts, p)
 	}
 }
 
-// slicedPart returns partition p's slice of the transposed index: its
-// groups and their run nodes.
-func (idx *index) slicedPart(p *partition) ([]bitvec.SlicedGroup, []runNode) {
-	return idx.groups[p.grpOff : p.grpOff+p.nGroups()], idx.runs[p.runOff : p.runOff+p.nRuns]
+// slicedPart returns partition pid's slice of the transposed index — its
+// groups and their run nodes — for a host-side match. When the devices
+// hold the groups, the first call in a generation builds the partition's
+// from its rows and caches them; reduce workers asking at once wait for
+// that one build.
+func (idx *index) slicedPart(pid uint32) ([]bitvec.SlicedGroup, []runNode) {
+	p, s := &idx.parts[pid], &idx.groups[pid]
+	s.once.Do(func() {
+		if s.g == nil {
+			s.g = bitvec.BuildSlicedGroups(idx.sets[p.off : p.off+p.n])
+			idx.hostBytes.Add(int64(len(s.g)) * slicedGroupBytes)
+		}
+	})
+	return s.g, idx.runs[p.runOff : p.runOff+p.nRuns]
+}
+
+// dropGroups empties the group cache of an index whose devices accepted
+// its upload. The index is not yet published, so no slot is being built.
+func (idx *index) dropGroups() {
+	for i := range idx.groups {
+		idx.groups[i].g = nil
+	}
 }
 
 // gatherDevice packs the groups and run nodes of device d's partitions
 // among parts[from:] contiguously, for one upload, and records where each
-// partition lands in them (devOff, devRunOff). The buffers are sized
-// exactly: a full build gathers the whole index this way.
+// partition lands in them (devOff, devRunOff). A partition whose groups
+// the host does not hold is transposed from its rows straight into the
+// buffer, and the cache stays as it was. The buffers are sized exactly: a
+// full build gathers the whole index this way.
 func (idx *index) gatherDevice(d, from int) ([]bitvec.SlicedGroup, []runNode) {
 	var nG, nR uint32
 	for _, p := range idx.parts[from:] {
@@ -599,8 +641,12 @@ func (idx *index) gatherDevice(d, from int) ([]bitvec.SlicedGroup, []runNode) {
 			continue
 		}
 		p.devOff, p.devRunOff = uint32(len(groups)), uint32(len(runs))
-		g, r := idx.slicedPart(p)
-		groups, runs = append(groups, g...), append(runs, r...)
+		if g := idx.groups[pi].g; g != nil {
+			groups = append(groups, g...)
+		} else {
+			groups = bitvec.AppendSlicedGroups(groups, idx.sets[p.off:p.off+p.n])
+		}
+		runs = append(runs, idx.runs[p.runOff:p.runOff+p.nRuns]...)
 	}
 	return groups, runs
 }
@@ -614,27 +660,38 @@ func (idx *index) appendKeys(ents entryList, withTags bool) {
 	idx.keyOff = append(idx.keyOff, uint32(len(idx.keys)))
 }
 
-// hostBytesFor is the host memory accounting (Fig 9): tagset table host
-// copy (24 B/set), its transposed mirror (1592 B per 64-set SlicedGroup
-// ≈ 24.9 B/set) with its run nodes (40 B each),
-// key table, CSR offsets, row table (4 B per slot), partition table
-// (scalar bins + bit-sliced groups).
+// hostBytesFor is the host memory accounting (Fig 9), by the capacity the
+// index holds, slack included: the tagset table (24 B/set), the key table
+// and its CSR offsets, the row table (4 B per slot), the run nodes (40 B
+// each), the partition descriptors with their group-cache slots, and the
+// partition table (scalar bins + bit-sliced groups) — the paper's host
+// side. The transposed groups (1592 B per 64-set SlicedGroup ≈ 24.9
+// B/set) count only while the host holds them: all of them on an index
+// without devices, none on a device-backed one until a host-side match
+// builds some (slicedPart adds those).
 func hostBytesFor(idx *index) int64 {
-	return int64(len(idx.sets))*24 +
+	var held int64
+	for i := range idx.groups {
+		held += int64(len(idx.groups[i].g))
+	}
+	return int64(cap(idx.sets))*24 +
 		int64(len(idx.rows))*4 +
-		int64(len(idx.groups))*slicedGroupBytes +
-		int64(len(idx.runs))*runNodeBytes +
-		int64(len(idx.keys))*4 +
-		int64(len(idx.keyOff))*4 +
+		held*slicedGroupBytes +
+		int64(cap(idx.runs))*runNodeBytes +
+		int64(cap(idx.keys))*4 +
+		int64(cap(idx.keyOff))*4 +
 		int64(idx.pt.entries())*28 +
 		idx.pt.slicedBytes() +
-		int64(len(idx.parts))*48
+		int64(cap(idx.parts))*int64(unsafe.Sizeof(partition{})) +
+		int64(cap(idx.groups))*int64(unsafe.Sizeof(groupSlot{}))
 }
 
 // attachDevices uploads a host-built index to the configured devices and
-// opens its stream pools. On failure the index is degraded in place to a
-// usable CPU-only form (dispatch sees no devices and runs every batch on
-// the host) and an ErrDeviceDegraded-wrapped error is returned.
+// opens its stream pools; the host then drops its groups. On failure the
+// index is degraded in place to a usable CPU-only form (dispatch sees no
+// devices and runs every batch on the host, against groups the host now
+// holds for every partition) and an ErrDeviceDegraded-wrapped error is
+// returned.
 func (e *Engine) attachDevices(idx *index) error {
 	if len(idx.devices) == 0 {
 		return nil
@@ -646,8 +703,12 @@ func (e *Engine) attachDevices(idx *index) error {
 		idx.release()
 		idx.devices = nil
 		idx.slots = nil
+		for pid := range idx.parts {
+			idx.slicedPart(uint32(pid)) // builds what the cache lacks
+		}
 		return fmt.Errorf("%w: %w", ErrDeviceDegraded, err)
 	}
+	idx.dropGroups()
 	return nil
 }
 

@@ -208,7 +208,7 @@ func TestEngineMultiGPU(t *testing.T) {
 		}
 		total += got[d]
 	}
-	if one := int64(len(idx.groups))*1592 + int64(len(idx.runs))*40; total != one {
+	if one := int64(totalGroups(idx))*1592 + int64(len(idx.runs))*40; total != one {
 		t.Fatalf("the devices hold %d index bytes together, one copy is %d", total, one)
 	}
 }

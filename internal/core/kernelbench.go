@@ -39,10 +39,11 @@ type KernelBenchResult struct {
 // KernelBenchmark measures the subset-match kernel in isolation: it
 // partitions sigs and lays the rows out exactly as Consolidate does
 // (Algorithm 1, then appendPartitions: 64-aligned clusters, transposed
-// groups and their run nodes), routes every query through the partition
-// table to form per-partition batches of at most batchSize, and times
-// iters passes of the whole batch set through the bit-sliced kernel on
-// one simulated zero-cost device — so the figure is the matching work
+// groups and their run nodes, gathered for the device by gatherDevice),
+// routes every query through the partition table to form per-partition
+// batches of at most batchSize, and times iters passes of the whole batch
+// set through the bit-sliced kernel on one simulated zero-cost device —
+// so the figure is the matching work
 // itself, without bus and driver overheads. Before timing, an untimed
 // pass checks the kernel against the brute-force reference pair multiset
 // (Parity).
@@ -137,7 +138,8 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 		panic(err)
 	}
 	defer stream.Close()
-	sh, err := uploadShard(dev, idx.groups, idx.runs)
+	groups, runs := idx.gatherDevice(0, 0)
+	sh, err := uploadShard(dev, groups, runs)
 	if err != nil {
 		panic(err)
 	}
@@ -156,8 +158,8 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 		it.grid = gpu.Grid{Blocks: segBlocks(int(p.n), blockDim), BlockDim: blockDim}
 		row := make([]uint32, segWords)
 		row[segBlockEnd], row[segCount] = uint32(it.grid.Blocks), uint32(len(it.qs))
-		row[segOff], row[segLen], row[segBase] = p.grpOff, p.nGroups(), p.off
-		row[segRunOff], row[segRunLen] = p.runOff, p.nRuns
+		row[segOff], row[segLen], row[segBase] = p.devOff, p.nGroups(), p.off
+		row[segRunOff], row[segRunLen] = p.devRunOff, p.nRuns
 		it.tab = append(slices.Clone(it.qs), row...)
 		it.kernel = slicedMatchKernel(&batchArgs{
 			sigs: qsBuf, tab: tab, nQ: len(it.qs), nSeg: 1,

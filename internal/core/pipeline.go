@@ -1318,7 +1318,7 @@ func (e *Engine) reduceOne(res *batchResult) {
 			if res.overflow && pc != nil {
 				pc.Overflows.Add(1)
 			}
-			groups, runs := idx.slicedPart(p)
+			groups, runs := idx.slicedPart(sg.pid)
 			cpuMatchBatchSliced(groups, runs, int(p.off), b.sigs[sg.first:sg.first+sg.n], uint8(sg.first),
 				!e.cfg.DisablePrefilter, &sc.span, pc, &e.obs.Kernel, visit)
 		}

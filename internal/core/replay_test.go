@@ -3,6 +3,7 @@ package core
 import (
 	"flag"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -29,6 +30,17 @@ var (
 // gate, layout or finishing idea can be measured before it is built:
 //
 //	go test ./internal/core/ -run TestReplayKernel -v -replay 4000
+//
+// Segments run in the order flush passes dispatch them: round-robin over
+// the partitions, one segment of each per round, so a partition's next
+// segment comes after every other partition's. Only the entries of one
+// segment share warm caches: the stream_fanout (20 per segment) and
+// scan_heavy (256) rows read a partition's groups cold once per segment
+// and warm for the rest of its entries, while the paced_latency row (one)
+// reads them cold for every entry, as the engine does at 2,000 queries/s.
+// No row runs a partition's segments back to back, which would read them
+// all warm (EXPERIMENTS.md, "One copy of the transposed index", has
+// both timings).
 func TestReplayKernel(t *testing.T) {
 	if *replayQueries <= 0 {
 		t.Skip("sizing harness; run with -replay N")
@@ -89,14 +101,22 @@ func TestReplayKernel(t *testing.T) {
 		best := time.Duration(1 << 62)
 		for pass := 0; pass < *replayPasses; pass++ {
 			kc, pairs, segments, blocks = obs.KernelCounters{}, 0, 0, 0
+			rest := slices.Clone(perPart) // each partition's entries not yet matched
 			t0 := time.Now()
-			for pid, qs := range perPart {
-				p := &idx.parts[pid]
-				groups, runs := idx.slicedPart(p)
-				for ; len(qs) > 0; qs = qs[min(w.cohort, len(qs)):] {
+			for left := true; left; {
+				left = false
+				for pid, qs := range rest {
+					if len(qs) == 0 {
+						continue
+					}
+					left = true
+					seg := qs[:min(w.cohort, len(qs))]
+					rest[pid] = qs[len(seg):]
+					p := &idx.parts[pid]
+					groups, runs := idx.slicedPart(uint32(pid))
 					segments++
 					blocks += segBlocks(int(p.n), blockDim)
-					cpuMatchBatchSliced(groups, runs, int(p.off), qs[:min(w.cohort, len(qs))], 0, true, &sc, nil, &kc,
+					cpuMatchBatchSliced(groups, runs, int(p.off), seg, 0, true, &sc, nil, &kc,
 						func(uint8, uint32) { pairs++ })
 				}
 			}
@@ -104,7 +124,7 @@ func TestReplayKernel(t *testing.T) {
 		}
 		per := func(v int64) float64 { return float64(v) / float64(*replayQueries) }
 		t.Logf("%s seed %d: %d sets, %d partitions, %d groups, %d run nodes (%d B); %d queries, %.1f partitions/query, %.1f entries/segment",
-			w.name, *replaySeed, len(idx.sets), len(idx.parts), len(idx.groups), len(idx.runs), len(idx.runs)*runNodeBytes,
+			w.name, *replaySeed, len(idx.sets), len(idx.parts), totalGroups(&idx), len(idx.runs), len(idx.runs)*runNodeBytes,
 			*replayQueries, per(int64(entries)), float64(entries)/float64(segments))
 		t.Logf("%s per query: thread blocks %.1f, gate checks %.0f, gate tests %.0f, group scans %.0f, column words %.0f, pairs %.1f, prune rate %.3f, %.0f ns",
 			w.name, per(int64(blocks)), per(kc.GateChecks.Load()), per(kc.GateTests.Load()), per(kc.GroupScans.Load()), per(kc.ColumnsWalked.Load()),

@@ -289,7 +289,7 @@ func TestRunGateTestsOnWorkload(t *testing.T) {
 	var pairs [2][]pair
 	for pid, qs := range perPart {
 		p := &idx.parts[pid]
-		groups, runs := idx.slicedPart(p)
+		groups, runs := idx.slicedPart(uint32(pid))
 		for ; len(qs) > 0; qs = qs[min(maxBatchSize, len(qs)):] {
 			seg := qs[:min(maxBatchSize, len(qs))]
 			cpuMatchBatchSliced(groups, runs, int(p.off), seg, 0, true, &sc, nil, &with,
@@ -300,7 +300,7 @@ func TestRunGateTestsOnWorkload(t *testing.T) {
 	}
 	w, wo := countsOf(&with), countsOf(&without)
 	t.Logf("%d groups, %d run nodes; (entry, group) pairs %d, three-word tests %d with the nodes, %d without; scans %d",
-		len(idx.groups), len(idx.runs), w.GateChecks, w.GateTests, wo.GateTests, w.GroupScans)
+		totalGroups(&idx), len(idx.runs), w.GateChecks, w.GateTests, wo.GateTests, w.GroupScans)
 	if len(pairs[0]) == 0 || !slices.Equal(pairs[0], pairs[1]) {
 		t.Fatalf("%d pairs with the run nodes, %d without, or in another order", len(pairs[0]), len(pairs[1]))
 	}
@@ -357,7 +357,7 @@ func TestRunNodesFollowTheIndex(t *testing.T) {
 	for _, m := range deviceMem(e) {
 		devBytes += m
 	}
-	if floor := int64(len(idx.groups))*slicedGroupBytes + int64(len(idx.runs))*runNodeBytes; devBytes < floor {
+	if floor := int64(totalGroups(idx))*slicedGroupBytes + int64(len(idx.runs))*runNodeBytes; devBytes < floor {
 		t.Fatalf("devices hold %d bytes, groups and run nodes alone are %d", devBytes, floor)
 	}
 	verifyEngine(t, e, db, queries, false)

@@ -681,14 +681,15 @@ func snapshotOf(tb testing.TB, n int) []byte {
 
 // TestSnapshotLoadHeapPerSet bounds the live heap a loaded database
 // costs on a 2-GPU engine: the live index (host and simulated device
-// halves) and its row table, and no second copy of the database. A
-// per-set signature map with its entry lists beside the index reads
-// ≈316 B/set here; the index alone ≈205.
+// halves) and its row table, and no second copy of the database or of
+// the transposed index. A per-set signature map with its entry lists
+// beside the index reads ≈316 B/set here, a host mirror of the devices'
+// groups ≈215; the index alone ≈134.
 func TestSnapshotLoadHeapPerSet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations distort the live heap")
 	}
-	const sets, bound = 50000, 260
+	const sets, bound = 50000, 175
 	data := snapshotOf(t, sets)
 	var before, after runtime.MemStats
 	runtime.GC()

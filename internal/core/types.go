@@ -330,10 +330,9 @@ type partition struct {
 	n    uint32
 	dev  int // the one device holding and matching the partition
 
-	// grpOff is the offset of the partition's ⌈n/64⌉ bit-sliced groups in
-	// the flat transposed index (index.groups); local set i lives in lane
-	// i%64 of group grpOff+i/64.
-	grpOff uint32
+	// The partition's ⌈n/64⌉ bit-sliced groups, local set i in lane i%64
+	// of group i/64, are in index.groups[pid] while the host holds them,
+	// and on the device at devOff below.
 
 	// runOff and nRuns locate the partition's run nodes in index.runs
 	// (kernel_sliced.go: runNode); nRuns is zero for a partition of one

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -344,8 +345,8 @@ func TestSubmitAllocsPerQuery(t *testing.T) {
 					}
 				}
 			}
-			var keys int64
-			done := func(r tagmatch.MatchResult) { keys += int64(len(r.Keys)) }
+			var keys atomic.Int64 // added to by the reduce workers
+			done := func(r tagmatch.MatchResult) { keys.Add(int64(len(r.Keys))) }
 			run := func() {
 				for i := 0; i < burst; i++ {
 					if err := eng.Submit(queries[i%len(queries)], done); err != nil {
@@ -356,9 +357,12 @@ func TestSubmitAllocsPerQuery(t *testing.T) {
 			}
 			run() // warm up pools and partition state
 			perQuery := testing.AllocsPerRun(20, run) / burst
-			t.Logf("allocs/query: %.2f (%d keys delivered)", perQuery, keys)
-			if c.match > 0 && keys == 0 {
+			t.Logf("allocs/query: %.2f (%d keys delivered)", perQuery, keys.Load())
+			if c.match > 0 && keys.Load() == 0 {
 				t.Fatal("no keys delivered: the match case is vacuous")
+			}
+			if raceEnabled {
+				return // pool misses are random under -race
 			}
 			if perQuery > c.max {
 				t.Fatalf("allocs/query %.2f, want <= %.2f", perQuery, c.max)

@@ -52,9 +52,11 @@ race:
 ## (TestSnapshotLoadOntoStaged, TestSnapshotSaveRacesConsolidate), and
 ## the live index and its signature→row table against a brute-force
 ## model through full builds, folds that empty rows, re-adds that refill
-## them and loads onto staged ops (TestRowTable*), and the layout such
-## folds keep: no row, partition or device byte added
-## (TestDeltaFoldKeepsLayout, under TestDelta), and the one copy of the
+## them and loads onto staged ops (TestRowTable*), and the one layout
+## rule: a key-only fold shares its predecessor's layout and copies no
+## byte to a device (TestDeltaFoldKeepsLayout), and a fold of a signature
+## the index never held is a full build (TestDeltaNewSignatureFoldRebuilds,
+## both under TestDelta), and the one copy of the
 ## transposed index: no group on the host while devices hold them, and
 ## every host-side match — overflow, device death, hedge, OOM degrade —
 ## exact, building each partition it touches once (TestHostPath*,

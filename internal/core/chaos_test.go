@@ -207,18 +207,16 @@ func TestConsolidateOOMDegradesToCPU(t *testing.T) {
 	}
 }
 
-// TestConsolidateOOMDegradedFold pins what an incremental fold does after
-// a degraded Consolidate: the device has room for the fold's extent (a
-// few one-group partitions) but not for the base index, and the old
-// generation holds no device shards, so the fold must not adopt it — it
-// takes the full attach, which degrades again. Answers stay exact, nothing is left on the device,
-// and the drained engine holds nothing it borrowed. Adopting the degraded
-// generation would upload the extent beside shards that do not exist and
-// leave the index with devices but no streams.
+// TestConsolidateOOMDegradedFold pins what a background fold does after
+// a degraded Consolidate: its cut only rewrites keys, but the old layout
+// lost its devices, so the fold takes a full build and retries the
+// upload, which degrades again. Answers stay exact, nothing is left on
+// the device, and the drained engine holds nothing it borrowed. Keeping
+// the degraded layout would leave the engine CPU-only until the next
+// full build.
 func TestConsolidateOOMDegradedFold(t *testing.T) {
 	db := makeTestDB(2000, 5, 2, 79)
-	// Eight groups: the base index needs dozens, the fold's extent at most
-	// one per new set.
+	// Eight groups: the base index needs dozens.
 	e, err := New(Config{
 		MaxPartitionSize: 500, BatchSize: 32, Threads: 2,
 		GPUs: 1, GPUWorkers: 2, GPUMemBytes: 8 * slicedGroupBytes, StreamsPerGPU: 2,
@@ -236,22 +234,24 @@ func TestConsolidateOOMDegradedFold(t *testing.T) {
 		t.Fatalf("Consolidate on an eight-group device: %v, want a degrade on out-of-memory", err)
 	}
 
-	// Four new sets, appended by an incremental fold as new partitions of
-	// one group each.
+	// Four new keys on stored sets: a key-only cut.
+	degraded := e.idx.Load()
 	next := Key(1 << 20)
-	for _, sig := range randomSets(4, 5, 80) {
-		db.sigs = append(db.sigs, sig)
-		db.keys = append(db.keys, []Key{next})
-		e.AddSignature(sig, next)
+	for _, i := range []int{1, 20, 300, 1999} {
+		db.keys[i] = append(db.keys[i], next)
+		e.AddSignature(db.sigs[i], next)
 		next++
 	}
-	for deadline := time.Now().Add(10 * time.Second); e.Stats().IncrementalFolds == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); e.Stats().AutoConsolidations == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("no incremental fold within 10s")
+			t.Fatal("no background fold within 10s")
 		}
 	}
 	e.consolidateMu.Lock() // the fold has swapped its index in once this is free
 	e.consolidateMu.Unlock()
+	if n := e.Stats().IncrementalFolds; n != 0 || e.idx.Load().layout == degraded.layout {
+		t.Fatalf("%d incremental folds over a degraded layout, want a full build", n)
+	}
 	if idx := e.idx.Load(); len(idx.devices) != 0 || idx.slots != nil {
 		t.Fatalf("the fold left %d devices and slots %v on a degraded index", len(idx.devices), idx.slots)
 	}

@@ -246,7 +246,7 @@ func generatedSets(t *testing.T, users int, seed int64) (gen *workload.Generator
 // rows — every partition's members sorted lexicographically — and
 // transposes each partition into groups by hand, with no run nodes: the
 // comparison layout for what the clusterer and the run nodes buy.
-func appendLexicographic(idx *index, sigs []bitvec.Vector, specs []partitionSpec) {
+func appendLexicographic(idx *layout, sigs []bitvec.Vector, specs []partitionSpec) {
 	for i := range specs {
 		members := specs[i].members
 		sortMembersLexicographically(sigs, members)
@@ -294,7 +294,7 @@ func TestClusterGatePruneOnWorkload(t *testing.T) {
 	specs := balancedPartition(sigs, 800)
 	var prune [2]float64
 	for f, clustered := range []bool{false, true} {
-		var idx index
+		var idx layout
 		if clustered {
 			idx.appendPartitions(sigs, specs, 0, nil)
 		} else {

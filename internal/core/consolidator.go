@@ -39,22 +39,22 @@ import (
 // classifies removes against the live index, and SaveSnapshot, which
 // holds stagedMu, writes the live index ⊕ staged.
 //
-// When the cut is small relative to the index, Phase B runs the
-// incremental form (buildIncrementalIndex): existing rows keep their
-// partition, row order and run nodes, all aliased from the old
-// generation, and their transposed groups stay where they are (on the
-// devices, or in a CPU index's cache); touched rows — an emptied row a
-// re-add refills among them — take their new entries in a rewritten key
-// CSR, and only signatures the index has never held are partitioned and
-// appended. That drops the
-// steady-state fold cost from O(database) partitioning to a flat key copy
-// plus O(delta) appends, which is what lets the background consolidator
-// keep up with sustained churn without starving the query path for CPU.
-// Drift (emptied rows, appended partitions) is bounded by
-// incrementalEligible, which forces a periodic full rebuild.
-// Any other consolidation is a full build: it lists the old index's
-// live rows with the cut applied, then the cut's new signatures, then a
-// bulk load (listDatabase), and lays them out afresh.
+// A layout — the rows, partitioned and ordered, their groups and run
+// nodes, the routing and row tables, the device shards and streams —
+// changes only in a full build, as the paper lays its partitions out only
+// at consolidate() (Algorithm 1). When the cut is small relative to the
+// index and touches only signatures the index holds a row for, Phase B
+// runs the incremental form: the new generation shares its predecessor's
+// layout by pointer and writes only a new key CSR (rewriteKeys), so a
+// fold costs a flat key copy, nothing is uploaded, and the background
+// consolidator keeps up with sustained churn without starving the query
+// path for CPU. A touched row takes its new entries; a row the cut empties
+// stays in place, and a later re-add refills it. A cut holding a signature
+// the index has never held takes a full build, as does a cut over a layout
+// that lost its devices (a degraded upload, retried) and one whose emptied
+// rows have grown past incrementalEligible's bound. A full build lists the
+// old index's live rows with the cut applied, then the cut's new
+// signatures, then a bulk load (listDatabase), and lays them out afresh.
 
 // entryList is one set's entries: its keys and, only when the engine runs
 // in ExactVerify mode, their tags, parallel to keys (nil otherwise).
@@ -245,18 +245,19 @@ func (e *Engine) consolidateOnce(background bool, bulk setList) error {
 	}
 
 	// Phase A: cut the log and apply the prefix to clones of the rows it
-	// touches. Background folds of a small delta take the incremental
-	// path: Phase B splices the touched signatures into the old index's
-	// layout instead of re-partitioning the world.
+	// touches. Background folds of a small delta that only rewrites keys
+	// take the incremental path: Phase B keeps the old index's layout and
+	// writes a new key table instead of re-partitioning the world.
 	e.stagedMu.Lock()
 	cut := len(e.staged)
 	old := e.idx.Load()
 	touched := touchedBy(old, e.staged[:cut], e.cfg.ExactVerify)
 	e.stagedMu.Unlock()
-	incremental := background && incrementalEligible(old, cut)
+	incremental := background && e.incrementalEligible(old, touched, cut)
 	var idx *index
 	if incremental {
-		idx = e.buildIncrementalIndex(old, touched)
+		idx = &index{layout: old.layout}
+		idx.emptyRows = idx.rewriteKeys(old, touched, e.cfg.ExactVerify)
 		e.obs.Delta.IncrementalFolds.Add(1)
 	} else {
 		// Phase B: the expensive host-side build — off the hot path in
@@ -279,15 +280,15 @@ func (e *Engine) consolidateOnce(background bool, bulk setList) error {
 
 	e.stagedMu.Lock()
 	e.trimStaged(cut)
-	e.idx.Store(&index{pt: &partitionTable{}})
 	var degraded error
-	if !incremental || !e.adoptDevices(idx, old) {
-		// Full path: release the old index before the new one allocates
+	if !incremental {
+		// Full path: release the old layout before the new one allocates
 		// device memory, or the per-device stream and memory budgets
 		// would be double-counted. The pipeline is drained and
 		// submissions are blocked, so nothing references it.
+		e.idx.Store(emptyIndex())
 		old.release()
-		degraded = e.attachDevices(idx)
+		degraded = e.attachDevices(idx.layout)
 	}
 	idx.hostBytes.Store(hostBytesFor(idx))
 	e.idx.Store(idx)
@@ -296,9 +297,10 @@ func (e *Engine) consolidateOnce(background bool, bulk setList) error {
 	}
 	e.stagedMu.Unlock()
 
-	// Fresh per-partition hot-spot counters for the new generation, so
-	// partition ids in the stats always refer to the live index.
-	if e.obs.On {
+	// Fresh per-partition hot-spot counters for a new layout, so partition
+	// ids in the stats always refer to the live index's partitions; a
+	// key-only fold keeps the partitions, and their counters count on.
+	if e.obs.On && !incremental {
 		sizes := make([]int, len(idx.parts))
 		for i := range idx.parts {
 			sizes[i] = int(idx.parts[i].n)
@@ -316,87 +318,27 @@ func (e *Engine) consolidateOnce(background bool, bulk setList) error {
 	return degraded
 }
 
-// incrementalEligible decides whether a background fold may splice the
-// delta into the old index instead of rebuilding from scratch. The
-// incremental form never re-partitions existing rows, so three kinds of
-// drift accumulate until a full rebuild resets them: the delta itself
-// must be small (else splicing approaches rebuild cost), emptied rows
-// waste kernel lanes, and appended partitions dilute the Algorithm-1
-// balance.
-func incrementalEligible(old *index, cut int) bool {
-	if old.fullSets <= 0 || len(old.sets) == 0 || cut <= 0 {
+// incrementalEligible decides whether a background fold may keep the old
+// index's layout and rewrite only its key table. It may when the cut is
+// small (else the key copy approaches rebuild cost), touches no signature
+// the index has never held (a new row is a new layout), leaves few emptied
+// rows (each still takes a kernel lane), and the layout holds the devices
+// the engine has (a layout that degraded to CPU retries its upload in a
+// full build).
+func (e *Engine) incrementalEligible(old *index, touched []touchedSet, cut int) bool {
+	n := len(old.sets)
+	if n == 0 || cut <= 0 || cut*4 > n || old.emptyRows*8 > n {
 		return false
 	}
-	if cut*4 > old.fullSets {
+	if len(old.devShards) != len(e.devices) {
 		return false
 	}
-	if old.emptyRows*8 > old.fullSets {
-		return false
-	}
-	if (len(old.sets)-old.fullSets)*4 > old.fullSets {
-		return false
-	}
-	return true
-}
-
-// buildIncrementalIndex is the incremental Phase B: a new index whose
-// existing rows keep their signature, partition, row order and run nodes
-// verbatim (aliased, not copied), so no group retranspose or device
-// upload is needed for them. A touched signature the index holds a row
-// for takes its new entries in that row; a row the cut empties stays in
-// place — the kernel still matches it, the reduce finds zero keys — and a
-// later re-add of its signature refills it. Only signatures the index has
-// never held are partitioned among themselves (same Algorithm 1,
-// delta-sized input) and appended as fresh partitions; the partition
-// table is rebuilt over the combined set, so routing sees them
-// immediately. The key CSR is written afresh (rewriteKeys), and the row
-// table is shared, or copied with the appended rows inserted.
-func (e *Engine) buildIncrementalIndex(old *index, touched []touchedSet) *index {
-	idx := &index{devices: e.devices}
-	// Alias the old generation's row and run-node arrays instead of
-	// copying them: the incremental build only ever appends (new sets
-	// start new partitions, and each partition's run nodes are
-	// self-contained), so writing past the old length is invisible to
-	// queries still served by the old index. With the slack capacity the
-	// full build reserves, the key CSR is the only O(database) array a
-	// fold writes; copying the signature array as well would tax, with its
-	// allocation and GC marking, the query path the fold is supposed to
-	// stay off.
-	idx.sets = old.sets
-	idx.runs = old.runs
-	// The existing partitions' groups: a CPU index (no devices) holds all
-	// of them, immutable, and the new one shares them; on a device-backed
-	// one they stay on the devices, and the new generation starts with
-	// none on the host.
-	idx.groups = make([]groupSlot, len(old.parts), len(old.parts)+1)
-	if len(old.devices) == 0 {
-		for i := range old.groups {
-			idx.groups[i].g = old.groups[i].g
-		}
-	}
-
-	var fresh setList
 	for _, ts := range touched {
 		if ts.row < 0 && len(ts.ents.keys) > 0 {
-			fresh.add(ts.sig, ts.ents)
+			return false
 		}
 	}
-	idx.emptyRows = idx.rewriteKeys(old, touched, e.cfg.ExactVerify)
-
-	// Existing partitions keep their layout (a partition is immutable once
-	// its index is published).
-	idx.parts = append(make([]partition, 0, len(old.parts)+1), old.parts...)
-
-	if len(fresh.sigs) > 0 {
-		idx.appendPartitions(fresh.sigs, e.partition(fresh.sigs), len(e.devices), func(m int32, _ uint32) {
-			idx.appendKeys(fresh.lists[m], e.cfg.ExactVerify)
-		})
-	}
-	idx.rows = old.rows.withRows(idx.sets, len(old.sets))
-
-	idx.pt, idx.maskless = buildPartitionTable(idx.parts)
-	idx.fullSets = old.fullSets
-	return idx
+	return true
 }
 
 // rewriteKeys writes idx's key CSR afresh: old's rows in order, each
@@ -445,81 +387,6 @@ func (idx *index) rewriteKeys(old *index, touched []touchedSet, withTags bool) (
 	}
 	copyRows(len(old.sets))
 	return empty
-}
-
-// adoptDevices is the O(delta) Phase C: instead of freeing the old
-// generation's device state and re-uploading the whole index (a bus
-// copy proportional to the database, which would dominate the swap
-// pause), the new index adopts the old one's base shards, extent
-// buffers and stream pool — all still valid, because the incremental
-// build keeps every existing row's signature, row order, and transposed
-// groups verbatim — and uploads only the partitions appended by this
-// fold, for signatures the index has never held, as one fresh extent
-// buffer per device; the host then drops their groups. Key rewrites —
-// re-adds that refill an emptied row among them — need no device traffic
-// at all: keys live host-side in the reduce stage.
-// Returns false (having changed nothing) when the old index has no
-// usable device state or the extent upload fails; the caller then takes
-// the full release+attach path. Called with the pipeline drained and
-// submissions blocked.
-func (e *Engine) adoptDevices(idx, old *index) bool {
-	nDev := len(idx.devices)
-	if nDev == 0 {
-		return true // CPU-only engine: nothing device-side to move
-	}
-	if len(old.devShards) != nDev {
-		return false // old generation degraded to CPU: retry a full attach
-	}
-
-	// Upload the appended partitions, one extent per device that owns
-	// any: each device gathers its own, extent-relative.
-	newShards := make([]shard, nDev)
-	fail := func() bool {
-		for _, s := range newShards {
-			s.free()
-		}
-		return false
-	}
-	for d, dev := range idx.devices {
-		groups, runs := idx.gatherDevice(d, len(old.parts))
-		if len(groups) == 0 {
-			continue // pure key-substitution fold: no device traffic at all
-		}
-		var err error
-		if newShards[d], err = uploadShard(dev, groups, runs); err != nil {
-			return fail()
-		}
-	}
-	for pi := len(old.parts); pi < len(idx.parts); pi++ {
-		p := &idx.parts[pi]
-		if newShards[p.dev].groups == nil {
-			// Appended partition with zero rows cannot happen (specs are
-			// non-empty), so every new partition's device has an extent.
-			return fail()
-		}
-		p.ext = uint32(len(extsOf(old.devShardExts, p.dev)) + 1)
-	}
-
-	// The uploads landed; from here the adoption cannot fail. Fence the
-	// old generation's attempt chains (GPU attempts that lost to a hedge
-	// may still be enqueueing stream operations — safe, since every
-	// buffer they reference is carried over, not freed) and steal its
-	// device state.
-	old.dispatching.Wait()
-	idx.devShards, old.devShards = old.devShards, nil
-	idx.devShardExts, old.devShardExts = old.devShardExts, nil
-	if idx.devShardExts == nil {
-		idx.devShardExts = make([][]shard, nDev)
-	}
-	for d := range newShards {
-		if newShards[d].groups != nil {
-			idx.devShardExts[d] = append(idx.devShardExts[d], newShards[d])
-		}
-	}
-	idx.slots, old.slots = old.slots, nil
-	idx.allStreams, old.allStreams = old.allStreams, nil
-	idx.dropGroups()
-	return true
 }
 
 // deltaOverThreshold reports whether the overlay has outgrown the

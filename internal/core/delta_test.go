@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -288,14 +289,11 @@ func TestDeltaBackgroundConsolidate(t *testing.T) {
 
 // TestDeltaIncrementalFold drives sustained add/remove churn through
 // many background folds and pins the incremental Phase B path: folds of
-// a small delta must take the incremental splice (IncrementalFolds
-// advances), fully-removed sets (emptied rows), re-added signatures
-// (refilled rows), and appended delta partitions must all keep exact
-// signature-level answers, and a final synchronous Consolidate — the
-// full-rebuild path that resets the drift — must not change any answer.
-// The device variants additionally pin the Phase C adoption path: the
-// swapped-in index serves appended partitions from extent buffers on
-// carried-over device state, each device its own partitions.
+// a small delta must take the key-only path (IncrementalFolds advances),
+// fully-removed sets (emptied rows) and re-added signatures (refilled
+// rows) must keep exact signature-level answers, on the host and on two
+// devices, and a final synchronous Consolidate — the full-rebuild path
+// that resets the drift — must not change any answer.
 func TestDeltaIncrementalFold(t *testing.T) {
 	t.Run("cpu", func(t *testing.T) { testDeltaIncrementalFold(t, Config{}) })
 	t.Run("gpu-partitioned", func(t *testing.T) {
@@ -681,126 +679,98 @@ func TestDeltaFoldBehindConsolidate(t *testing.T) {
 	assertDrained(t, e, mem)
 }
 
-// TestDeltaFoldUploadsOnlyAppendedPartitions pins what keeps a
-// background fold's swap pause short: an incremental fold of DeltaMaxSets
-// new sets adopts the base index's device state and copies only the
-// partitions it appended, so its host-to-device bytes are a small
-// fraction of the base upload. Re-uploading the base at the swap would
-// copy about as much again. Each device receives exactly the groups and
-// run nodes of the partitions it owns, so across devices the base and the
-// fold are each one copy. The appended partitions must then answer
-// exactly, with nothing left in the overlay to answer for them.
-func TestDeltaFoldUploadsOnlyAppendedPartitions(t *testing.T) {
-	t.Run("gpus=1", func(t *testing.T) { testDeltaFoldUploads(t, 1, 16) })
-	// Enough sets for several appended partitions, dealt over both devices.
-	t.Run("gpus=2", func(t *testing.T) { testDeltaFoldUploads(t, 2, 128) })
-}
+// TestDeltaNewSignatureFoldRebuilds pins the layout rule for a cut that
+// holds a signature the index has never held, beside key churn on stored
+// ones: the background fold takes a full build (AutoConsolidations goes
+// up, IncrementalFolds does not) and lays out a new layout with a row for
+// it, each device then holds exactly the groups and run nodes of its own
+// partitions, and answers equal brute force — on the host and on two
+// devices.
+func TestDeltaNewSignatureFoldRebuilds(t *testing.T) {
+	for _, gpus := range []int{0, 2} {
+		t.Run(fmt.Sprintf("gpus=%d", gpus), func(t *testing.T) {
+			db := makeTestDB(2000, 5, 2, 173)
+			e, err := New(Config{
+				MaxPartitionSize: 100, BatchSize: 32, Threads: 2,
+				GPUs: gpus, GPUWorkers: 2, StreamsPerGPU: 2,
+				DeltaMaxSets: 1, DeltaMaxRatio: 1e-9,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if err := e.consolidateOnce(false, db.bulk()); err != nil {
+				t.Fatal(err)
+			}
+			// Hold the background consolidator off: the fold below runs
+			// once, on everything staged.
+			e.consolidateMu.Lock()
+			defer e.consolidateMu.Unlock()
+			old, before, pc := e.idx.Load(), e.Stats(), e.obs.Parts.Get(0)
 
-func testDeltaFoldUploads(t *testing.T, nDev, foldSets int) {
-	db := makeTestDB(4000, 5, 2, 173)
-	e, err := New(Config{
-		MaxPartitionSize: 100, BatchSize: 32, Threads: 2,
-		GPUs: nDev, GPUWorkers: 2, StreamsPerGPU: 2,
-		DeltaMaxSets: foldSets, DeltaMaxRatio: 1e-9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	devs := e.devices
-	uploaded := func() []int64 {
-		out := make([]int64, nDev)
-		for d, dev := range devs {
-			out[d] = dev.Stats().BytesHtoD
-		}
-		return out
-	}
-	// owned is what device d must hold of partitions [from, to): the
-	// groups and run nodes of those it owns, and nothing of the others.
-	owned := func(from, to int) []int64 {
-		idx := e.idx.Load()
-		out := make([]int64, nDev)
-		for _, p := range idx.parts[from:to] {
-			out[p.dev] += int64(p.nGroups())*slicedGroupBytes + int64(p.nRuns)*runNodeBytes
-		}
-		return out
-	}
+			next := Key(1 << 20)
+			for _, i := range []int{3, 70, 900} {
+				e.AddSignature(db.sigs[i], next)
+				db.keys[i] = append(db.keys[i], next)
+				next++
+			}
+			two := slices.IndexFunc(db.keys, func(ks []Key) bool { return len(ks) == 2 })
+			e.RemoveSignature(db.sigs[two], db.keys[two][0])
+			db.keys[two] = db.keys[two][1:]
+			fresh := randomSets(1, 5, 174)[0]
+			if _, ok := old.rows.lookup(old.sets, fresh); ok {
+				t.Fatal("the fixture's new signature is in the index")
+			}
+			e.AddSignature(fresh, next)
+			db.sigs = append(db.sigs, fresh)
+			db.keys = append(db.keys, []Key{next})
 
-	// The base goes in as one bulk Consolidate (LoadSnapshot's path), so
-	// the small fold threshold starts no fold before it.
-	if err := e.consolidateOnce(false, db.bulk()); err != nil {
-		t.Fatal(err)
+			e.consolidateMu.Unlock()
+			err = e.consolidateOnce(true, setList{})
+			e.consolidateMu.Lock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := e.Stats()
+			if st.IncrementalFolds != before.IncrementalFolds || st.AutoConsolidations != before.AutoConsolidations+1 || e.PendingOps() != 0 {
+				t.Fatalf("%d incremental folds (before %d) of %d background folds (before %d), %d ops pending; want one full build of everything",
+					st.IncrementalFolds, before.IncrementalFolds, st.AutoConsolidations, before.AutoConsolidations, e.PendingOps())
+			}
+			idx := e.idx.Load()
+			if idx.layout == old.layout || e.obs.Parts.Get(0) == pc {
+				t.Fatal("a fold of a new signature kept its predecessor's layout or per-partition counters")
+			}
+			if _, ok := idx.rows.lookup(idx.sets, fresh); !ok || len(idx.sets) != len(old.sets)+1 {
+				t.Fatalf("%d rows, before %d: the new signature has no row of its own", len(idx.sets), len(old.sets))
+			}
+			if gpus > 0 {
+				if got, want := indexBytesPerDevice(e); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("devices hold %v index bytes, their own partitions are %v", got, want)
+				}
+			}
+			verifyEngine(t, e, db, append([]bitvec.Vector{fresh}, db.makeQueries(200, 175)...), false)
+			assertDrained(t, e, deviceMem(e))
+		})
 	}
-	baseParts := len(e.idx.Load().parts)
-	perDevBase := uploaded()
-	if want := owned(0, baseParts); fmt.Sprint(perDevBase) != fmt.Sprint(want) {
-		t.Fatalf("base upload per device %v B, want each device's own partitions, %v B", perDevBase, want)
-	}
-	var baseUpload int64
-	for _, n := range perDevBase {
-		baseUpload += n
-	}
-
-	// DeltaMaxSets new sets, and no query traffic: the one fold they
-	// trigger is the only thing that can copy to the device.
-	next := Key(1 << 20)
-	for _, sig := range randomSets(foldSets, 5, 174) {
-		db.sigs = append(db.sigs, sig)
-		db.keys = append(db.keys, []Key{next})
-		e.AddSignature(sig, next)
-		next++
-	}
-	for deadline := time.Now().Add(10 * time.Second); e.Stats().IncrementalFolds == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("no incremental fold within 10s")
-		}
-	}
-	e.consolidateMu.Lock() // the fold has swapped its index in once this is free
-	e.consolidateMu.Unlock()
-
-	st := e.Stats()
-	if st.IncrementalFolds != 1 || st.AutoConsolidations != 1 || e.PendingOps() != 0 {
-		t.Fatalf("%d incremental folds of %d background folds, %d ops pending; want one fold of everything",
-			st.IncrementalFolds, st.AutoConsolidations, e.PendingOps())
-	}
-	parts := len(e.idx.Load().parts)
-	if parts <= baseParts {
-		t.Fatalf("the fold appended no partitions: %d before, %d after", baseParts, parts)
-	}
-	perDevFold := uploaded()
-	var foldUpload int64
-	for d := range perDevFold {
-		perDevFold[d] -= perDevBase[d]
-		foldUpload += perDevFold[d]
-	}
-	if want := owned(baseParts, parts); fmt.Sprint(perDevFold) != fmt.Sprint(want) {
-		t.Fatalf("fold upload per device %v B, want each device's own appended partitions, %v B", perDevFold, want)
-	}
-	for d, n := range perDevFold {
-		if n == 0 {
-			t.Fatalf("device %d owns none of the %d appended partitions: the fixture does not spread the fold", d, parts-baseParts)
-		}
-	}
-	t.Logf("base upload %d B, fold upload %d B", baseUpload, foldUpload)
-	if foldUpload <= 0 || foldUpload*8 >= baseUpload {
-		t.Fatalf("the fold copied %d bytes to the device against a %d-byte base upload; want (0, %d)",
-			foldUpload, baseUpload, baseUpload/8)
-	}
-
-	verifyEngine(t, e, db, db.sigs[len(db.sigs)-foldSets:], false)
-	verifyEngine(t, e, db, db.makeQueries(100, 175), false)
 }
 
 // TestDeltaFoldKeepsLayout pins the one-row-per-signature rule through
 // incremental folds that empty whole sets and then re-add them: a re-add
-// refills its signature's emptied row, so no fold appends a row or a
-// partition, none copies a byte to a device, each shares its
-// predecessor's row table, and every answer equals brute force.
+// refills its signature's emptied row, so every fold shares its
+// predecessor's layout by pointer — no row, partition or device byte
+// added, no byte copied to a device, the per-partition counters kept —
+// and every answer equals brute force, on the host and on two devices.
 func TestDeltaFoldKeepsLayout(t *testing.T) {
+	for _, gpus := range []int{0, 2} {
+		t.Run(fmt.Sprintf("gpus=%d", gpus), func(t *testing.T) { testDeltaFoldKeepsLayout(t, gpus) })
+	}
+}
+
+func testDeltaFoldKeepsLayout(t *testing.T, gpus int) {
 	db := makeTestDB(2000, 5, 2, 176)
 	e, err := New(Config{
 		MaxPartitionSize: 100, BatchSize: 32, Threads: 2,
-		GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 2,
+		GPUs: gpus, GPUWorkers: 2, StreamsPerGPU: 2,
 		DeltaMaxSets: 1, DeltaMaxRatio: 1e-9,
 	})
 	if err != nil {
@@ -816,16 +786,16 @@ func TestDeltaFoldKeepsLayout(t *testing.T) {
 	e.consolidateMu.Lock()
 	defer e.consolidateMu.Unlock()
 	base := e.idx.Load()
-	sets, parts := len(base.sets), len(base.parts)
-	uploaded := func() (out [2]int64) {
-		for d, dev := range devs {
-			out[d] = dev.Stats().BytesHtoD
+	sets, parts, mem := len(base.sets), len(base.parts), deviceMem(e)
+	uploaded := func() (n int64) {
+		for _, dev := range devs {
+			n += dev.Stats().BytesHtoD
 		}
-		return out
+		return n
 	}
 	fold := func(what string) {
 		t.Helper()
-		old, h2d, folds := e.idx.Load(), uploaded(), e.Stats().IncrementalFolds
+		old, h2d, folds, pc := e.idx.Load(), uploaded(), e.Stats().IncrementalFolds, e.obs.Parts.Get(0)
 		e.consolidateMu.Unlock()
 		err := e.consolidateOnce(true, setList{})
 		e.consolidateMu.Lock()
@@ -836,15 +806,21 @@ func TestDeltaFoldKeepsLayout(t *testing.T) {
 		if idx == old || e.PendingOps() != 0 || e.Stats().IncrementalFolds != folds+1 {
 			t.Fatalf("%s: want one incremental fold of everything staged, %d ops left", what, e.PendingOps())
 		}
+		if idx.layout != base.layout {
+			t.Fatalf("%s: a key-only fold laid out a new layout", what)
+		}
 		if len(idx.sets) != sets || len(idx.parts) != parts {
 			t.Fatalf("%s: %d rows in %d partitions, want the base's %d in %d",
 				what, len(idx.sets), len(idx.parts), sets, parts)
 		}
-		if now := uploaded(); now != h2d {
-			t.Fatalf("%s: a key-only fold copied to the devices: %v B before, %v B after", what, h2d, now)
+		if n := uploaded() - h2d; n != 0 {
+			t.Fatalf("%s: a key-only fold copied %d bytes to the devices", what, n)
 		}
-		if &idx.rows[0] != &old.rows[0] {
-			t.Fatalf("%s: a fold that appends no row copied the row table", what)
+		if now := deviceMem(e); fmt.Sprint(now) != fmt.Sprint(mem) {
+			t.Fatalf("%s: the devices hold %v bytes, the base's %v", what, now, mem)
+		}
+		if e.obs.Parts.Get(0) != pc {
+			t.Fatalf("%s: a key-only fold reset the per-partition counters", what)
 		}
 	}
 

@@ -10,9 +10,9 @@ import (
 )
 
 // TestDispatchOpsPerBatch pins the one dispatch path: a batch costs
-// exactly two H2D copies (its signatures; its entry indices and segment
-// table), one launch and at most one result copy (none when nothing
-// matched), and uploads 24 bytes per entry plus 4 per table word —
+// exactly two H2D copies (its signatures; its segment table), one launch
+// and at most one result copy (none when nothing matched), and uploads 24
+// bytes per entry plus 4 per table word —
 // whatever the fan-out and however often a signature repeats.
 func TestDispatchOpsPerBatch(t *testing.T) {
 	db := makeTestDB(3000, 5, 2, 81)
@@ -58,7 +58,7 @@ func TestDispatchOpsPerBatch(t *testing.T) {
 			t.Fatalf("%d batches cost %d H2D copies, %d launches, %d D2H copies; want %d, %d, at most %d",
 				n, h1-h0, l1-l0, d1-d0, 2*n, n, n)
 		}
-		if want := st.QuerySlots*int64(sigBytes+4) + st.SegmentsDispatched*segWords*4; st.H2DQueryBytes != want {
+		if want := st.QuerySlots*sigBytes + st.SegmentsDispatched*segWords*4; st.H2DQueryBytes != want {
 			t.Fatalf("%d H2D query bytes for %d entries in %d segments, want exactly %d",
 				st.H2DQueryBytes, st.QuerySlots, st.SegmentsDispatched, want)
 		}

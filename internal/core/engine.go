@@ -124,12 +124,38 @@ type stagedOp struct {
 	remove bool
 }
 
-// index is the consolidated, immutable matching state and the engine's
-// master copy of the database: a signature keeps one row for the life of
-// a layout, and row r's entries are always keys[keyOff[r]:keyOff[r+1]]
-// (see index.row). The entry log below is the one mutable part, guarded
-// by its own mutex.
+// index is one generation of the consolidated matching state and the
+// engine's master copy of the database: a signature keeps one row for the
+// life of a layout, and row r's entries are always
+// keys[keyOff[r]:keyOff[r+1]] (see index.row). The layout is shared by
+// every generation between two full builds; what a generation adds is its
+// key table and its entry log, the one mutable part, guarded by its own
+// mutex.
 type index struct {
+	*layout
+
+	keyOff  []uint32 // CSR offsets into keys; len(sets)+1
+	keys    []Key
+	keyTags [][]string // aligned with keys; populated only in ExactVerify mode
+
+	// emptyRows counts rows whose key list is empty: their signatures
+	// still occupy a kernel lane until a re-add refills them or the next
+	// full build drops them (incrementalEligible bounds them).
+	emptyRows int
+
+	// log holds the entries routed against this generation until a flush
+	// pass takes them. A consolidation drains the pipeline before it swaps
+	// generations, so a retired index's log is empty.
+	log entryLog
+}
+
+// layout is what a full build lays out and an incremental fold keeps: the
+// rows, partitioned and ordered, their transposed groups and run nodes,
+// the tables that route to them and find them, and the devices holding
+// them. It is immutable once published, but for the group cache's slots a
+// host-side match fills. A full build is the only thing that creates a
+// layout and the only thing that releases one.
+type layout struct {
 	// sets is the flat tagset table, partition-major. Within a partition
 	// the rows are in the order appendPartitions laid them out: 64-aligned
 	// clusters (partition.go: clusterer).
@@ -137,39 +163,25 @@ type index struct {
 	// groups caches, by partition id, the column-transposed rows the
 	// subset-match kernel reads: ⌈n/64⌉ groups, local set i in lane i%64
 	// of group i/64. A build fills every slot (the run nodes and the upload
-	// need them); attachDevices and adoptDevices empty it once the devices
-	// hold the groups, and a host-side match refills the slots it needs
-	// from the rows (slicedPart). An index without devices — GPUs: 0, or
-	// degraded — holds every slot: it is the CPU kernel's index.
+	// need them); attachDevices empties it once the devices hold the
+	// groups, and a host-side match refills the slots it needs from the
+	// rows (slicedPart). A layout without devices — GPUs: 0, or degraded —
+	// holds every slot: it is the CPU kernel's index.
 	groups []groupSlot
 	// runs holds the run nodes of every partition's groups, partition-major
 	// (partition.runOff/nRuns; kernel_sliced.go: runNode). They stay on the
-	// host beside the rows, for the upload and the host-side match, and
-	// incremental folds alias and append to them.
+	// host beside the rows, for the upload and the host-side match.
 	runs     []runNode
-	keyOff   []uint32 // CSR offsets into keys; len(sets)+1
-	keys     []Key
-	keyTags  [][]string // aligned with keys; populated only in ExactVerify mode
 	parts    []partition
 	pt       *partitionTable
 	maskless []uint32 // partitions with empty mask (degenerate databases)
 
-	// log holds the entries routed against this generation until a flush
-	// pass takes them. A consolidation drains the pipeline before it swaps
-	// generations, so a retired index's log is empty.
-	log entryLog
+	// rows maps each signature to its row (rowtable.go), filled by the
+	// full build once the rows are laid out.
+	rows rowTable
 
 	devices   []*gpu.Device
 	devShards []shard // transposed index per device; nil once degraded to CPU
-
-	// devShardExts holds the per-device extents appended by incremental
-	// folds: devShardExts[d][e-1] backs the partitions with dev==d,
-	// ext==e. The base shards above hold every group uploaded by the last
-	// full build; an incremental swap carries them (and the streams below)
-	// over from the previous generation untouched and uploads only these
-	// extents — the zero-drain pause is drain + O(delta) copy, never
-	// O(database) (see adoptDevices).
-	devShardExts [][]shard
 
 	slots      *slotPool // the idle streams of every device
 	allStreams []*streamSlot
@@ -179,30 +191,16 @@ type index struct {
 	// outlives its batch's settlement and its queries' completion, so a
 	// drained pipeline is not a quiet one. Held from chain start until
 	// the chain can no longer touch a stream; armed hedge timers hold it
-	// too.
+	// too. Every generation on the layout holds the one fence.
 	dispatching sync.WaitGroup
 
-	// hostBytes is the index's host memory (hostBytesFor), set when the
-	// index is published and grown by slicedPart as it fills the cache.
+	// hostBytes is the live generation's host memory (hostBytesFor), set
+	// when a generation is published and grown by slicedPart as it fills
+	// the cache.
 	hostBytes atomic.Int64
-
-	// rows maps each signature to its row (rowtable.go). A full build
-	// fills a fresh one after laying out the rows; an incremental fold
-	// shares its predecessor's, or copies it and inserts the rows it
-	// appended, so stageOp can read the live generation's table while the
-	// next one is built.
-	rows rowTable
-
-	// Incremental-fold bookkeeping (see buildIncrementalIndex). fullSets
-	// is the row count at the last full rebuild; emptyRows counts rows
-	// whose key list is empty (their signatures still occupy a kernel
-	// lane until a re-add refills them or the next full rebuild drops
-	// them).
-	fullSets  int
-	emptyRows int
 }
 
-// groupSlot is one partition's entry in index.groups: its groups, or nil
+// groupSlot is one partition's entry in layout.groups: its groups, or nil
 // while the host does not hold them. once guards the one build a host-side
 // match makes of a published index's partition.
 type groupSlot struct {
@@ -298,7 +296,7 @@ func New(cfg Config) (*Engine, error) {
 	if e.log == nil {
 		e.log = slog.New(slog.DiscardHandler)
 	}
-	e.idx.Store(&index{pt: &partitionTable{}})
+	e.idx.Store(emptyIndex())
 	e.initHealth()
 	e.registerGauges()
 	e.delta.init()
@@ -516,6 +514,12 @@ func (e *Engine) Consolidate() error {
 	return e.consolidateOnce(false, setList{})
 }
 
+// emptyIndex is the index of an empty database, which the engine starts
+// with and a full swap stands in while it releases the old layout.
+func emptyIndex() *index {
+	return &index{layout: &layout{pt: &partitionTable{}}}
+}
+
 // buildHostIndex constructs the host-side half of a fresh index from a
 // database listing: partitioning, ordered flat table, transposed groups,
 // key table, row table, partition table. It touches no device state, so
@@ -525,26 +529,17 @@ func (e *Engine) Consolidate() error {
 func (e *Engine) buildHostIndex(db setList) *index {
 	sigs := db.sigs
 	specs := e.partition(sigs)
-	idx := &index{devices: e.devices}
-	// The tagset table carries ~12% slack so incremental folds can append
-	// new partitions in place (buildIncrementalIndex aliases it rather than
-	// copying it); once the slack is gone, append's own growth
-	// re-establishes headroom for the folds that follow.
-	idx.sets = make([]bitvec.Vector, 0, len(sigs)+len(sigs)/8+1024)
-	idx.keyOff = make([]uint32, 1, len(sigs)+1)
-	idx.parts = make([]partition, 0, len(specs))
-	idx.groups = make([]groupSlot, 0, len(specs))
+	l := &layout{devices: e.devices}
+	l.sets = make([]bitvec.Vector, 0, len(sigs))
+	l.parts = make([]partition, 0, len(specs))
+	l.groups = make([]groupSlot, 0, len(specs))
+	idx := &index{layout: l, keyOff: make([]uint32, 1, len(sigs)+1)}
 
-	idx.appendPartitions(sigs, specs, len(e.devices), func(m int32, _ uint32) {
+	l.appendPartitions(sigs, specs, len(e.devices), func(m int32, _ uint32) {
 		idx.appendKeys(db.lists[m], e.cfg.ExactVerify)
 	})
-	// Sized for the rows incremental folds may append before
-	// incrementalEligible forces the next full build.
-	idx.rows = fillRowTable(idx.sets, len(idx.sets)*5/4)
-	idx.pt, idx.maskless = buildPartitionTable(idx.parts)
-	// A fresh full build has no empty rows; incremental folds measure
-	// their drift against this baseline.
-	idx.fullSets = len(idx.sets)
+	l.rows = fillRowTable(l.sets, len(l.sets))
+	l.pt, l.maskless = buildPartitionTable(l.parts)
 	return idx
 }
 
@@ -563,10 +558,10 @@ func (e *Engine) partition(sigs []bitvec.Vector) []partitionSpec {
 // partition into its idx.groups slot (all of the call's partitions share
 // one exactly-sized array), derives the partition's run nodes from the
 // new groups' gates into idx.runs, and appends the partition descriptors,
-// dealt round-robin over nDev devices. Full builds, incremental folds and
-// KernelBenchmark all lay out through here, so they cannot disagree on the
-// order or on the run tree.
-func (idx *index) appendPartitions(sigs []bitvec.Vector, specs []partitionSpec, nDev int, row func(m int32, r uint32)) {
+// dealt round-robin over nDev devices. Full builds and KernelBenchmark
+// both lay out through here, so they cannot disagree on the order or on
+// the run tree.
+func (idx *layout) appendPartitions(sigs []bitvec.Vector, specs []partitionSpec, nDev int, row func(m int32, r uint32)) {
 	orderMembers(sigs, specs)
 	nG := 0
 	for i := range specs {
@@ -599,10 +594,10 @@ func (idx *index) appendPartitions(sigs []bitvec.Vector, specs []partitionSpec, 
 
 // slicedPart returns partition pid's slice of the transposed index — its
 // groups and their run nodes — for a host-side match. When the devices
-// hold the groups, the first call in a generation builds the partition's
+// hold the groups, the first call on the layout builds the partition's
 // from its rows and caches them; reduce workers asking at once wait for
 // that one build.
-func (idx *index) slicedPart(pid uint32) ([]bitvec.SlicedGroup, []runNode) {
+func (idx *layout) slicedPart(pid uint32) ([]bitvec.SlicedGroup, []runNode) {
 	p, s := &idx.parts[pid], &idx.groups[pid]
 	s.once.Do(func() {
 		if s.g == nil {
@@ -613,39 +608,33 @@ func (idx *index) slicedPart(pid uint32) ([]bitvec.SlicedGroup, []runNode) {
 	return s.g, idx.runs[p.runOff : p.runOff+p.nRuns]
 }
 
-// dropGroups empties the group cache of an index whose devices accepted
-// its upload. The index is not yet published, so no slot is being built.
-func (idx *index) dropGroups() {
+// dropGroups empties the group cache of a layout whose devices accepted
+// its upload. The layout is not yet published, so no slot is being built.
+func (idx *layout) dropGroups() {
 	for i := range idx.groups {
 		idx.groups[i].g = nil
 	}
 }
 
 // gatherDevice packs the groups and run nodes of device d's partitions
-// among parts[from:] contiguously, for one upload, and records where each
-// partition lands in them (devOff, devRunOff). A partition whose groups
-// the host does not hold is transposed from its rows straight into the
-// buffer, and the cache stays as it was. The buffers are sized exactly: a
-// full build gathers the whole index this way.
-func (idx *index) gatherDevice(d, from int) ([]bitvec.SlicedGroup, []runNode) {
+// contiguously, for one upload, and records where each partition lands in
+// them (devOff, devRunOff). It runs on a freshly built layout, whose cache
+// holds every partition's groups. The buffers are sized exactly.
+func (idx *layout) gatherDevice(d int) ([]bitvec.SlicedGroup, []runNode) {
 	var nG, nR uint32
-	for _, p := range idx.parts[from:] {
+	for _, p := range idx.parts {
 		if p.dev == d {
 			nG, nR = nG+p.nGroups(), nR+p.nRuns
 		}
 	}
 	groups, runs := make([]bitvec.SlicedGroup, 0, nG), make([]runNode, 0, nR)
-	for pi := from; pi < len(idx.parts); pi++ {
+	for pi := range idx.parts {
 		p := &idx.parts[pi]
 		if p.dev != d {
 			continue
 		}
 		p.devOff, p.devRunOff = uint32(len(groups)), uint32(len(runs))
-		if g := idx.groups[pi].g; g != nil {
-			groups = append(groups, g...)
-		} else {
-			groups = bitvec.AppendSlicedGroups(groups, idx.sets[p.off:p.off+p.n])
-		}
+		groups = append(groups, idx.groups[pi].g...)
 		runs = append(runs, idx.runs[p.runOff:p.runOff+p.nRuns]...)
 	}
 	return groups, runs
@@ -661,11 +650,10 @@ func (idx *index) appendKeys(ents entryList, withTags bool) {
 }
 
 // hostBytesFor is the host memory accounting (Fig 9), by the capacity the
-// index holds, slack included: the tagset table (24 B/set), the key table
-// and its CSR offsets, the row table (4 B per slot), the run nodes (40 B
-// each), the partition descriptors with their group-cache slots, and the
-// partition table (scalar bins + bit-sliced groups) — the paper's host
-// side. The transposed groups (1592 B per 64-set SlicedGroup ≈ 24.9
+// index holds: the tagset table (24 B/set), the key table and its CSR
+// offsets, the row table (4 B per slot), the run nodes (40 B each), the
+// partition descriptors with their group-cache slots, and the partition
+// table (scalar bins + bit-sliced groups) — the paper's host side. The transposed groups (1592 B per 64-set SlicedGroup ≈ 24.9
 // B/set) count only while the host holds them: all of them on an index
 // without devices, none on a device-backed one until a host-side match
 // builds some (slicedPart adds those).
@@ -686,13 +674,13 @@ func hostBytesFor(idx *index) int64 {
 		int64(cap(idx.groups))*int64(unsafe.Sizeof(groupSlot{}))
 }
 
-// attachDevices uploads a host-built index to the configured devices and
-// opens its stream pools; the host then drops its groups. On failure the
-// index is degraded in place to a usable CPU-only form (dispatch sees no
-// devices and runs every batch on the host, against groups the host now
-// holds for every partition) and an ErrDeviceDegraded-wrapped error is
+// attachDevices uploads a freshly built layout to the configured devices
+// and opens its stream pools; the host then drops its groups. On failure
+// the layout is degraded in place to a usable CPU-only form (dispatch
+// sees no devices and runs every batch on the host, against the groups
+// the build left in the cache) and an ErrDeviceDegraded-wrapped error is
 // returned.
-func (e *Engine) attachDevices(idx *index) error {
+func (e *Engine) attachDevices(idx *layout) error {
 	if len(idx.devices) == 0 {
 		return nil
 	}
@@ -703,9 +691,6 @@ func (e *Engine) attachDevices(idx *index) error {
 		idx.release()
 		idx.devices = nil
 		idx.slots = nil
-		for pid := range idx.parts {
-			idx.slicedPart(uint32(pid)) // builds what the cache lacks
-		}
 		return fmt.Errorf("%w: %w", ErrDeviceDegraded, err)
 	}
 	idx.dropGroups()
@@ -721,17 +706,10 @@ const slicedGroupBytes = (bitvec.W + bitvec.Blocks + 1 + bitvec.Blocks) * 8
 // transposed groups and their run nodes — and opens the stream pools with
 // their per-stream batch buffers. Device d holds only the partitions it
 // owns (partition.dev), re-packed contiguously (gatherDevice).
-func (e *Engine) uploadToDevices(idx *index) error {
+func (e *Engine) uploadToDevices(idx *layout) error {
 	idx.devShards = make([]shard, len(idx.devices))
-	// A full upload lays every group into the base shards: extent ids from
-	// an incrementally-built host index whose adoption fell through would
-	// otherwise point at buffers this index never had.
-	idx.devShardExts = nil
-	for pi := range idx.parts {
-		idx.parts[pi].ext = 0
-	}
 	for d, dev := range idx.devices {
-		groups, runs := idx.gatherDevice(d, 0)
+		groups, runs := idx.gatherDevice(d)
 		var err error
 		if idx.devShards[d], err = uploadShard(dev, groups, runs); err != nil {
 			return fmt.Errorf("uploading index to %s: %w", dev.Name(), err)
@@ -755,9 +733,9 @@ func (e *Engine) uploadToDevices(idx *index) error {
 			sl := &streamSlot{dev: d, stream: s}
 			sl.qbuf, err = gpu.Alloc[bitvec.Vector](dev, e.cfg.BatchSize)
 			if err == nil {
-				// One index per entry plus the segment table; a batch
-				// has at most one segment per entry.
-				sl.tab, err = gpu.Alloc[uint32](dev, e.cfg.BatchSize*(1+segWords))
+				// The segment table; a batch has at most one segment
+				// per entry.
+				sl.tab, err = gpu.Alloc[uint32](dev, e.cfg.BatchSize*segWords)
 			}
 			if err == nil {
 				sl.hdr, err = gpu.Alloc[uint32](dev, resHeaderWords)
@@ -802,20 +780,11 @@ func uploadShard(dev *gpu.Device, groups []bitvec.SlicedGroup, runs []runNode) (
 	return s, nil
 }
 
-// extsOf returns device dev's extent buffers (none before the first
-// incremental fold).
-func extsOf[T any](exts [][]T, dev int) []T {
-	if exts == nil {
-		return nil
-	}
-	return exts[dev]
-}
-
-// release frees an index's device resources. Called only after the
+// release frees a layout's device resources. Called only after the
 // pipeline has drained, so no kernel references the buffers. The
 // dispatching fence additionally waits out losing hedge-race attempts,
 // which can still be enqueueing stream operations after the drain.
-func (idx *index) release() {
+func (idx *layout) release() {
 	idx.dispatching.Wait()
 	for _, sl := range idx.allStreams {
 		sl.stream.Synchronize()
@@ -826,12 +795,6 @@ func (idx *index) release() {
 		s.free()
 	}
 	idx.devShards = nil
-	for _, exts := range idx.devShardExts {
-		for _, s := range exts {
-			s.free()
-		}
-	}
-	idx.devShardExts = nil
 }
 
 // Close drains the pipeline and releases all resources, the simulated

@@ -170,6 +170,22 @@ func TestEngineGPUCorrectness(t *testing.T) {
 	verifyEngine(t, e, db, queries, true)
 }
 
+// indexBytesPerDevice returns the index bytes each device holds — its
+// memory in use beyond its streams' batch buffers — and what the groups
+// and run nodes of the partitions it owns come to.
+func indexBytesPerDevice(e *Engine) (got, want []int64) {
+	idx := e.idx.Load()
+	want = make([]int64, len(e.devices))
+	for _, p := range idx.parts {
+		want[p.dev] += int64(p.nGroups())*1592 + int64(p.nRuns)*40
+	}
+	got = deviceMem(e)
+	for _, sl := range idx.allStreams {
+		got[sl.dev] -= sl.qbuf.Bytes() + sl.tab.Bytes() + sl.hdr.Bytes() + sl.pairs.Bytes()
+	}
+	return got, want
+}
+
 // TestEngineMultiGPU: each device holds exactly the groups (1592 B each)
 // and run nodes (40 B each) of the partitions it owns, so the devices
 // together hold one copy of the index, and both serve exact answers.
@@ -192,15 +208,7 @@ func TestEngineMultiGPU(t *testing.T) {
 	verifyEngine(t, e, db, db.makeQueries(300, 36), true)
 
 	idx := e.idx.Load()
-	want := make([]int64, len(devs))
-	for _, p := range idx.parts {
-		want[p.dev] += int64(p.nGroups())*1592 + int64(p.nRuns)*40
-	}
-	// What a device holds beyond its streams' batch buffers is its index.
-	got := deviceMem(e)
-	for _, sl := range idx.allStreams {
-		got[sl.dev] -= sl.qbuf.Bytes() + sl.tab.Bytes() + sl.hdr.Bytes() + sl.pairs.Bytes()
-	}
+	got, want := indexBytesPerDevice(e)
 	var total int64
 	for d := range devs {
 		if got[d] != want[d] || want[d] == 0 {
@@ -208,7 +216,7 @@ func TestEngineMultiGPU(t *testing.T) {
 		}
 		total += got[d]
 	}
-	if one := int64(totalGroups(idx))*1592 + int64(len(idx.runs))*40; total != one {
+	if one := int64(totalGroups(idx.layout))*1592 + int64(len(idx.runs))*40; total != one {
 		t.Fatalf("the devices hold %d index bytes together, one copy is %d", total, one)
 	}
 }

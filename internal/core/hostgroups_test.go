@@ -11,7 +11,7 @@ import (
 
 // totalGroups counts the groups of idx's partitions, wherever they are
 // held.
-func totalGroups(idx *index) int {
+func totalGroups(idx *layout) int {
 	n := 0
 	for i := range idx.parts {
 		n += int(idx.parts[i].nGroups())
@@ -21,7 +21,7 @@ func totalGroups(idx *index) int {
 
 // heldGroups returns the partitions whose groups the host holds, in id
 // order, and how many groups that is.
-func heldGroups(idx *index) (pids []uint32, groups int) {
+func heldGroups(idx *layout) (pids []uint32, groups int) {
 	for pid := range idx.groups {
 		if g := idx.groups[pid].g; g != nil {
 			pids = append(pids, uint32(pid))
@@ -39,7 +39,7 @@ func assertNoHostGroups(t *testing.T, e *Engine, when string) {
 	if len(idx.devShards) == 0 {
 		t.Fatalf("%s: the index has no device shards", when)
 	}
-	if pids, n := heldGroups(idx); n != 0 {
+	if pids, n := heldGroups(idx.layout); n != 0 {
 		t.Fatalf("%s: the host holds %d groups of %d partitions beside the devices", when, n, len(pids))
 	}
 	if got, want := idx.hostBytes.Load(), hostBytesFor(idx); got != want {
@@ -47,13 +47,13 @@ func assertNoHostGroups(t *testing.T, e *Engine, when string) {
 	}
 }
 
-// foldedAfter waits for the background consolidator's first incremental
-// fold after the folds-th, and for its index to be swapped in.
+// foldedAfter waits for the background consolidator's first fold after
+// the folds-th, and for its index to be swapped in.
 func foldedAfter(t *testing.T, e *Engine, folds int64) {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); e.Stats().IncrementalFolds == folds; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); e.Stats().AutoConsolidations == folds; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("no incremental fold within 10s")
+			t.Fatal("no background fold within 10s")
 		}
 	}
 	e.consolidateMu.Lock()
@@ -88,7 +88,7 @@ func TestHostBytesCountsHeldGroups(t *testing.T) {
 			t.Fatal(err)
 		}
 		idx := e.idx.Load()
-		host[i], groups = e.Stats().HostBytes, totalGroups(idx)
+		host[i], groups = e.Stats().HostBytes, totalGroups(idx.layout)
 		if floor := int64(cap(idx.sets))*24 + int64(cap(idx.keys))*4; host[i] < floor {
 			t.Errorf("GPUs %d: %d host bytes, the tagset and key tables' capacity alone is %d", gpus, host[i], floor)
 		}
@@ -96,7 +96,7 @@ func TestHostBytesCountsHeldGroups(t *testing.T) {
 		if gpus == 0 {
 			want = groups // the CPU kernel's index
 		}
-		if _, held := heldGroups(idx); held != want {
+		if _, held := heldGroups(idx.layout); held != want {
 			t.Errorf("GPUs %d: the host holds %d of %d groups", gpus, held, groups)
 		}
 		e.Close()
@@ -108,11 +108,10 @@ func TestHostBytesCountsHeldGroups(t *testing.T) {
 }
 
 // TestNoHostGroupsWithDevices: a two-GPU engine holds no transposed group
-// on the host after LoadSnapshot, after a fold that appends partitions for
-// signatures the index never held, and after a fold whose adoption falls
-// through to a full attach (its generation had degraded to CPU). The
-// degraded generation holds every group, built from rows where the
-// devices had them. Answers stay exact throughout.
+// on the host after LoadSnapshot, after a fold of signatures the index
+// never held (a full build), and after a key-only fold that re-attaches
+// the devices a degraded generation gave up. The degraded generation
+// holds every group. Answers stay exact throughout.
 func TestNoHostGroupsWithDevices(t *testing.T) {
 	db := makeTestDB(3000, 5, 2, 43)
 	src, err := New(Config{MaxPartitionSize: 400, Threads: 2, DisableLiveUpdates: true})
@@ -143,42 +142,49 @@ func TestNoHostGroupsWithDevices(t *testing.T) {
 	assertNoHostGroups(t, e, "after LoadSnapshot")
 	verifyEngine(t, e, db, db.makeQueries(200, 44), false)
 
-	parts := len(e.idx.Load().parts)
+	rows := len(e.idx.Load().sets)
 	addNew(e, db, 8, 45)
 	foldedAfter(t, e, 0)
-	if n := len(e.idx.Load().parts); n <= parts {
-		t.Fatalf("the fold appended no partition (%d, before %d)", n, parts)
+	if n := len(e.idx.Load().sets); n != rows+8 {
+		t.Fatalf("the fold laid out %d rows, before %d, for 8 new signatures", n, rows)
 	}
-	assertNoHostGroups(t, e, "after an appending fold")
+	assertNoHostGroups(t, e, "after a fold of new signatures")
 	verifyEngine(t, e, db, db.makeQueries(200, 46), false)
 
-	// Every allocation fails: the next fold cannot upload its extent, falls
-	// through to a full attach, which fails too, and degrades to CPU with
-	// most partitions' groups only on the devices it gave up.
+	// Every allocation fails: the next fold's upload fails and the index
+	// degrades to CPU, keeping every group its build transposed.
 	devs := e.devices
 	for _, d := range devs {
 		d.SetFaultPlan(&gpu.FaultPlan{Seed: 47, AllocFailProb: 1})
 	}
-	folds := e.Stats().IncrementalFolds
+	folds := e.Stats().AutoConsolidations
 	addNew(e, db, 8, 47)
 	foldedAfter(t, e, folds)
 	idx := e.idx.Load()
 	if len(idx.devShards) != 0 {
 		t.Fatal("the fold attached devices that fail every allocation")
 	}
-	if _, held := heldGroups(idx); held != totalGroups(idx) {
-		t.Fatalf("the degraded index holds %d of its %d groups", held, totalGroups(idx))
+	if _, held := heldGroups(idx.layout); held != totalGroups(idx.layout) {
+		t.Fatalf("the degraded index holds %d of its %d groups", held, totalGroups(idx.layout))
 	}
 	verifyEngine(t, e, db, db.makeQueries(200, 48), false)
 
-	// The devices recover; the next fold cannot adopt a degraded
-	// generation's device state and attaches the whole index.
+	// The devices recover; a fold of eight new keys on stored sets lays
+	// out afresh, as the degraded layout has no devices, and attaches the
+	// whole index.
 	for _, d := range devs {
 		d.SetFaultPlan(nil)
 	}
-	folds = e.Stats().IncrementalFolds
-	addNew(e, db, 8, 49)
+	folds = e.Stats().AutoConsolidations
+	for i := range 8 {
+		k := Key(1<<25 + i)
+		db.keys[i] = append(db.keys[i], k)
+		e.AddSignature(db.sigs[i], k)
+	}
 	foldedAfter(t, e, folds)
+	if n := e.Stats().IncrementalFolds; n != 0 {
+		t.Fatalf("%d incremental folds: a key-only fold kept a degraded layout", n)
+	}
 	assertNoHostGroups(t, e, "after a fold that re-attached the devices")
 	verifyEngine(t, e, db, db.makeQueries(200, 50), false)
 	assertDrained(t, e, deviceMem(e))
@@ -245,7 +251,7 @@ func TestHostPathsBuildWhatTheyTouch(t *testing.T) {
 			assertDrained(t, e, mem)
 
 			idx := e.idx.Load()
-			held, n := heldGroups(idx)
+			held, n := heldGroups(idx.layout)
 			if n == 0 {
 				t.Fatal("no host-side match ran: the case is vacuous")
 			}
@@ -305,7 +311,7 @@ func TestHostPathSameCounters(t *testing.T) {
 		e.Drain()
 		kc := &e.obs.Kernel
 		work[i] = [5]int64{kc.GateChecks.Load(), kc.GateTests.Load(), kc.GatePruned.Load(), kc.GroupScans.Load(), kc.ColumnsWalked.Load()}
-		if _, held := heldGroups(e.idx.Load()); kill != (held > 0) {
+		if _, held := heldGroups(e.idx.Load().layout); kill != (held > 0) {
 			t.Fatalf("kill %v: the host holds %d groups", kill, held)
 		}
 		e.Close()

@@ -72,24 +72,20 @@ func decodePacked(packed []byte, count int, visit func(q uint8, s uint32)) {
 // the whole batch — its grid is the sum of the segments' thread blocks —
 // and every block finds its segment, and through it its partition's
 // slice of the device index and its entries' signatures, in a small
-// table uploaded with the batch. A (query, set) pair carries the entry's
-// index in the batch, so the result format, the 8-bit query id and the
-// reduce stage are the same for one segment or many.
-//
-// The table rides in the same device buffer, and the same H2D copy, as
-// the entries' signature indices: words [0, nQ) hold one index per entry
-// into the signature buffer (the engine uploads the batch's signatures
-// in entry order, so there the indices are the identity), followed by
-// segWords words per segment.
+// table uploaded with the batch: segWords words per segment. The batch's
+// signatures are uploaded in entry order, so a segment's are the run
+// [segFirst, segFirst+segCount) of the signature buffer. A (query, set)
+// pair carries the entry's index in the batch, so the result format, the
+// 8-bit query id and the reduce stage are the same for one segment or
+// many.
 const (
 	segBlockEnd = iota // thread blocks of the launch up to and including this segment
 	segFirst           // the segment's first entry in the batch
 	segCount           // its number of entries
-	segExt             // device buffer holding the partition: 0 base shard, e the e-th extent
-	segOff             // offset of the partition's first group in it
+	segOff             // offset of the partition's first group in the device's shard
 	segLen             // the partition's groups
 	segBase            // global set id of the partition's first set
-	segRunOff          // offset of the partition's first run node beside that buffer
+	segRunOff          // offset of the partition's first run node beside the groups
 	segRunLen          // the partition's run nodes
 	segWords
 )
@@ -102,9 +98,9 @@ type segment struct {
 
 // batchArgs are the kernel arguments of one dispatched batch.
 type batchArgs struct {
-	sigs      *gpu.Buffer[bitvec.Vector] // signatures the entry indices point into
-	tab       *gpu.Buffer[uint32]        // entry indices, then the segment table
-	nQ, nSeg  int
+	sigs      *gpu.Buffer[bitvec.Vector] // the entries' signatures, in entry order
+	tab       *gpu.Buffer[uint32]        // the segment table
+	nSeg      int
 	hdr       *gpu.Buffer[uint32]
 	pairs     *gpu.Buffer[byte]
 	maxPairs  int
@@ -123,23 +119,14 @@ func (a *batchArgs) pf(seg int) *obs.PartitionCounters {
 	return a.pfs[seg]
 }
 
-// blockScratch is what the kernel keeps in an SM's shared memory across
-// blocks: the block's gathered query signatures and its stack of
-// surviving-entry lists.
-type blockScratch struct {
-	qs   []bitvec.Vector
-	span spanScratch
-}
-
 // block resolves the segment a thread block serves: the segment's table
-// row and index, the block's index within the segment, and the segment's
-// query signatures gathered through the entry indices into shared memory
-// — the CUDA idiom — so the per-group inner loop reads a dense array. The
+// row and index, the block's index within the segment, its entries'
+// signatures — a dense run of the signature buffer — and the SM's stack
+// of surviving-entry lists, kept in its shared memory across blocks. The
 // signature buffer is not written while a kernel reading it runs: the
 // engine's is filled by the batch's own stream ahead of the launch.
-func (a *batchArgs) block(b *gpu.BlockCtx) (row []uint32, seg, local int, sh *blockScratch) {
-	tab := a.tab.Data()
-	rows := tab[a.nQ : a.nQ+a.nSeg*segWords]
+func (a *batchArgs) block(b *gpu.BlockCtx) (row []uint32, seg, local int, qs []bitvec.Vector, sc *spanScratch) {
+	rows := a.tab.Data()[:a.nSeg*segWords]
 	lo, hi := 0, a.nSeg-1
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -156,18 +143,13 @@ func (a *batchArgs) block(b *gpu.BlockCtx) (row []uint32, seg, local int, sh *bl
 	row = rows[seg*segWords : (seg+1)*segWords]
 
 	p := b.Shared()
-	sh, _ = (*p).(*blockScratch)
-	if sh == nil {
-		sh = &blockScratch{}
-		*p = sh
+	sc, _ = (*p).(*spanScratch)
+	if sc == nil {
+		sc = &spanScratch{}
+		*p = sc
 	}
-	entries := tab[row[segFirst] : row[segFirst]+row[segCount]]
-	sigs := a.sigs.Data()
-	sh.qs = sh.qs[:0]
-	for _, j := range entries {
-		sh.qs = append(sh.qs, sigs[j])
-	}
-	return row, seg, local, sh
+	qs = a.sigs.Data()[row[segFirst] : row[segFirst]+row[segCount]]
+	return row, seg, local, qs, sc
 }
 
 // segBlocks returns the thread blocks a partition of n sets occupies in

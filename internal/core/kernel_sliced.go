@@ -76,14 +76,14 @@ type runNode struct {
 const runNodeBytes = 40
 
 // deriveRuns appends the run tree of one partition's groups to dst. It
-// reads nothing but the group gates, so every index that has groups — full
-// builds, incremental folds, KernelBenchmark — gets the same tree whatever
-// ordered its rows: left to right, a run is extended while the
-// intersection of its gates still holds a bit outside known, the bits
-// every group of the enclosing run shares (for the outermost runs: of the
-// partition, which include its mask — routing has found those in the
-// query already); a run of two or more groups becomes a node and is
-// searched for runs of its own. A node's intersection is strictly larger
+// reads nothing but the group gates, so every layout that has groups —
+// full builds, KernelBenchmark, a test's hand-made partitions — gets the
+// same tree whatever ordered its rows: left to right, a run is extended
+// while the intersection of its gates still holds a bit outside known,
+// the bits every group of the enclosing run shares (for the outermost
+// runs: of the partition, which include its mask — routing has found
+// those in the query already); a run of two or more groups becomes a node
+// and is searched for runs of its own. A node's intersection is strictly larger
 // than its parent's, so a child never spans its whole parent and the
 // recursion ends.
 func deriveRuns(dst []runNode, groups []bitvec.SlicedGroup) []runNode {
@@ -250,9 +250,8 @@ walk:
 	return st
 }
 
-// shard is one device buffer of the transposed index — a device's base
-// shard or one of its extents: the groups of the partitions placed there
-// and, beside them, those partitions' run nodes.
+// shard is a device's part of the transposed index: the groups of the
+// partitions it owns and, beside them, those partitions' run nodes.
 type shard struct {
 	groups *gpu.Buffer[bitvec.SlicedGroup]
 	runs   *gpu.Buffer[runNode]
@@ -264,26 +263,21 @@ func (s shard) free() {
 }
 
 // slicedMatchKernel returns the bit-sliced subset-match kernel for one
-// dispatched batch. base is the device's shard of the transposed index
-// (the partitions it owns, as of the last full build) and exts the
-// device's extents; each segment names the one holding its partition's
-// groups and run nodes. A block is BlockDim threads with one group each,
+// dispatched batch against the device's shard of the transposed index;
+// each segment locates its partition's groups and run nodes in it. A
+// block is BlockDim threads with one group each,
 // so a partition of up to 64 × BlockDim sets is one block that sees its
 // whole run tree. batchArgs.prefilter enables the run and group gates
 // (Config.DisablePrefilter turns them off).
-func slicedMatchKernel(a *batchArgs, base shard, exts []shard) gpu.KernelFunc {
+func slicedMatchKernel(a *batchArgs, s shard) gpu.KernelFunc {
 	return func(b *gpu.BlockCtx) {
-		row, seg, local, sh := a.block(b)
-		s := base
-		if e := row[segExt]; e > 0 {
-			s = exts[e-1]
-		}
+		row, seg, local, qs, sc := a.block(b)
 		gs := s.groups.Data()[row[segOff] : row[segOff]+row[segLen]]
 		runs := s.runs.Data()[row[segRunOff] : row[segRunOff]+row[segRunLen]]
 		h, out := a.hdr.Data(), a.pairs.Data()
 		g0 := local * b.Grid.BlockDim
 		st := matchSpan(gs, runs, g0, min(g0+b.Grid.BlockDim, len(gs)), row[segBase],
-			sh.qs, uint8(row[segFirst]), a.prefilter, &sh.span,
+			qs, uint8(row[segFirst]), a.prefilter, sc,
 			func(qi uint8, setID uint32) {
 				emitPacked(b, h, out, a.maxPairs, qi, setID)
 			})

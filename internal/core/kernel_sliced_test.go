@@ -288,8 +288,8 @@ func TestKernelBenchmarkSmoke(t *testing.T) {
 	}
 	// The header reset is fused into the launch: exactly the one query
 	// upload per batch, never a separate reset copy.
-	if res.H2DCopiesPerBatch != 1 {
-		t.Fatalf("H2D copies per batch = %v, want exactly 1 (fused header reset)", res.H2DCopiesPerBatch)
+	if res.H2DCopiesPerBatch != 2 {
+		t.Fatalf("H2D copies per batch = %v, want exactly 2 (signatures and segment table; fused header reset)", res.H2DCopiesPerBatch)
 	}
 }
 
@@ -305,8 +305,7 @@ func TestKernelBenchmarkEmptyInputs(t *testing.T) {
 }
 
 // FuzzSlicedMatch differentially fuzzes the subset matcher over random
-// segment tables: the sets are cut into partitions (sorted, some in
-// extent buffers), the queries dealt over segments — empty ones,
+// segment tables: the sets are cut into partitions (sorted), the queries dealt over segments — empty ones,
 // one-entry ones, a partition's entries split over two — and the kernel,
 // on the device and on the host, and the cpuMatchBatch oracle must all
 // produce the brute-force pair multiset, with and without the
@@ -319,7 +318,7 @@ func FuzzSlicedMatch(f *testing.F) {
 		[]byte{4, 8, 12, 5, 9, 13, 0, 0, 0, 0, 0, 0, 7, 11, 15, 4, 9, 14, 6, 10, 14, 7, 11, 15, 1, 2, 3, 4, 5, 6}, true)
 	f.Fuzz(func(t *testing.T, setBytes, qBytes []byte, gate bool) {
 		// Partitions: a new one starts wherever a set's first byte is a
-		// multiple of 4; its extent comes from that byte too.
+		// multiple of 4.
 		var segs []testSeg
 		base := uint32(7)
 		for i, n := 0, 0; i < len(setBytes) && n < 400; i, n = i+3, n+1 {
@@ -331,7 +330,7 @@ func FuzzSlicedMatch(f *testing.F) {
 				if k := len(segs); k > 0 {
 					base += uint32(len(segs[k-1].sets))
 				}
-				segs = append(segs, testSeg{base: base, ext: int(setBytes[i]/4) % 3})
+				segs = append(segs, testSeg{base: base})
 			}
 			sg := &segs[len(segs)-1]
 			sg.sets = append(sg.sets, v)

@@ -27,12 +27,10 @@ type KernelBenchResult struct {
 
 	// H2DCopiesPerBatch is the mean H2D copy operations issued per
 	// kernel launch over the timed passes. With the result-header reset
-	// fused into the launch (LaunchZeroedAsync), exactly one copy — the
-	// batch's entry indices and segment table — remains here (the query
-	// signatures are uploaded once, before the timed passes; the engine
-	// uploads each batch's with it, a second copy); the kernel bench test
-	// asserts this stays 1 so the separate header-reset transfer cannot
-	// silently come back.
+	// fused into the launch (LaunchZeroedAsync), exactly two copies — the
+	// batch's signatures and its segment table, as the engine stages
+	// them — remain; the kernel bench test asserts this stays 2 so the
+	// separate header-reset transfer cannot silently come back.
 	H2DCopiesPerBatch float64
 }
 
@@ -42,9 +40,10 @@ type KernelBenchResult struct {
 // groups and their run nodes, gathered for the device by gatherDevice),
 // routes every query through the partition table to form per-partition
 // batches of at most batchSize, and times iters passes of the whole batch
-// set through the bit-sliced kernel on one simulated zero-cost device —
-// so the figure is the matching work
-// itself, without bus and driver overheads. Before timing, an untimed
+// set — each batch's signatures and segment table staged as the engine
+// stages them, then the launch — through the bit-sliced kernel on one
+// simulated zero-cost device, so the figure is the matching work itself,
+// without bus and driver overheads. Before timing, an untimed
 // pass checks the kernel against the brute-force reference pair multiset
 // (Parity).
 func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, batchSize, blockDim, iters, workers int) KernelBenchResult {
@@ -58,19 +57,19 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 		iters = 1
 	}
 
-	var idx index
+	var idx layout
 	idx.appendPartitions(sigs, balancedPartition(sigs, maxP), 0, nil)
 	parts := idx.parts
 	pt, maskless := buildPartitionTable(parts)
 
 	// Route queries and pack them into per-partition batches, the work
 	// units the pipeline would dispatch when partitions fill: one-segment
-	// batches. The queries sit in one device buffer, uploaded once; a
-	// batch carries their indices.
+	// batches.
 	type workItem struct {
 		pid    uint32
-		qs     []uint32 // indices into queries
-		tab    []uint32 // the entry indices, then the segment table
+		qs     []uint32        // indices into queries
+		sigs   []bitvec.Vector // the entries' signatures, in entry order
+		tab    []uint32        // the segment table
 		kernel gpu.KernelFunc
 		grid   gpu.Grid
 	}
@@ -138,18 +137,15 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 		panic(err)
 	}
 	defer stream.Close()
-	groups, runs := idx.gatherDevice(0, 0)
+	groups, runs := idx.gatherDevice(0)
 	sh, err := uploadShard(dev, groups, runs)
 	if err != nil {
 		panic(err)
 	}
-	qsBuf := gpu.MustAlloc[bitvec.Vector](dev, len(queries))
-	tab := gpu.MustAlloc[uint32](dev, batchSize+segWords)
+	qsBuf := gpu.MustAlloc[bitvec.Vector](dev, batchSize)
+	tab := gpu.MustAlloc[uint32](dev, segWords)
 	hdr := gpu.MustAlloc[uint32](dev, resHeaderWords)
 	pairs := gpu.MustAlloc[byte](dev, pairBufBytes(maxPairs))
-	if err := qsBuf.CopyToDevice(0, queries); err != nil {
-		panic(err)
-	}
 
 	var kc obs.KernelCounters
 	for i := range items {
@@ -160,13 +156,17 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 		row[segBlockEnd], row[segCount] = uint32(it.grid.Blocks), uint32(len(it.qs))
 		row[segOff], row[segLen], row[segBase] = p.devOff, p.nGroups(), p.off
 		row[segRunOff], row[segRunLen] = p.devRunOff, p.nRuns
-		it.tab = append(slices.Clone(it.qs), row...)
+		it.tab = row
+		for _, qi := range it.qs {
+			it.sigs = append(it.sigs, queries[qi])
+		}
 		it.kernel = slicedMatchKernel(&batchArgs{
-			sigs: qsBuf, tab: tab, nQ: len(it.qs), nSeg: 1,
+			sigs: qsBuf, tab: tab, nSeg: 1,
 			hdr: hdr, pairs: pairs, maxPairs: maxPairs, prefilter: true, kc: &kc,
-		}, sh, nil)
+		}, sh)
 	}
 	launch := func(it *workItem) {
+		gpu.CopyToDeviceAsync(stream, qsBuf, 0, it.sigs)
 		gpu.CopyToDeviceAsync(stream, tab, 0, it.tab)
 		// Header reset fused into the launch: no separate tiny H2D copy.
 		stream.LaunchZeroedAsync(it.grid, hdr, resHeaderWords, it.kernel)
@@ -206,7 +206,8 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 	// Timed passes: enqueue a full iteration's batches back to back and
 	// synchronize once, so host-side bookkeeping stays off the clock.
 	// The H2D op count is measured across the passes: fused header
-	// resets mean exactly one copy (indices + segment table) per launch.
+	// resets mean exactly two copies (signatures, segment table) per
+	// launch.
 	copies0 := dev.Stats().CopiesHtoD
 	t0 := time.Now()
 	for it := 0; it < iters; it++ {

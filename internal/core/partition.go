@@ -108,8 +108,8 @@ func balancedPartition(sets []bitvec.Vector, maxP int) []partitionSpec {
 // forkRun is the run size, in multiples of maxP, above which splitRun
 // splits the one-side of a run on a goroutine of its own. Only runs that
 // still hold more than forkRun partitions' worth of members fork, so the
-// goroutines number a small fraction of the partitions, and the deltas an
-// incremental fold partitions stay on the caller's goroutine.
+// goroutines number a small fraction of the partitions, and a database
+// of at most forkRun partitions is split on the caller's goroutine.
 const forkRun = 16
 
 // splitRun appends the partitions of one run — its mask, the bits used

@@ -247,8 +247,8 @@ type streamSlot struct {
 	hdr    *gpu.Buffer[uint32]
 	pairs  *gpu.Buffer[byte]
 
-	// tabHost stages the batch's entry indices and segment table, one
-	// H2D copy; args are the launch's kernel arguments.
+	// tabHost stages the batch's segment table, one H2D copy; args are
+	// the launch's kernel arguments.
 	tabHost []uint32
 	args    batchArgs
 
@@ -1032,16 +1032,13 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, trace
 	// signature once per device, or once per batch, and pointing its
 	// entries at it saves bus bytes and costs more host time than it
 	// saves: EXPERIMENTS.md, "Query window and stream depth: verdict".)
-	nTab := nQ + len(b.segs)*segWords
+	nTab := len(b.segs) * segWords
 	sl.tabHost = growU32(sl.tabHost, nTab)
-	for i := range sl.tabHost[:nQ] {
-		sl.tabHost[i] = uint32(i)
-	}
 	e.obs.Streams.QuerySlots.Add(int64(nQ))
 	e.obs.Streams.H2DQueryBytes.Add(int64(nQ*sigBytes + nTab*4))
 	args := &sl.args
 	*args = batchArgs{
-		sigs: sl.qbuf, tab: sl.tab, nQ: nQ, nSeg: len(b.segs),
+		sigs: sl.qbuf, tab: sl.tab, nSeg: len(b.segs),
 		hdr: sl.hdr, pairs: sl.pairs, maxPairs: e.cfg.maxPairsPerBatch,
 		prefilter: !e.cfg.DisablePrefilter, pfs: args.pfs[:0], kc: &e.obs.Kernel,
 	}
@@ -1054,10 +1051,10 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, trace
 	for si, sg := range b.segs {
 		p := &idx.parts[sg.pid]
 		blocks += segBlocks(int(p.n), e.cfg.blockDim)
-		row := sl.tabHost[nQ+si*segWords:][:segWords]
+		row := sl.tabHost[si*segWords:][:segWords]
 		row[segBlockEnd] = uint32(blocks)
 		row[segFirst], row[segCount] = uint32(sg.first), uint32(sg.n)
-		row[segExt], row[segOff], row[segLen] = p.ext, p.devOff, p.nGroups()
+		row[segOff], row[segLen] = p.devOff, p.nGroups()
 		row[segBase] = p.off
 		row[segRunOff], row[segRunLen] = p.devRunOff, p.nRuns
 		if e.obs.On {
@@ -1065,11 +1062,11 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, trace
 		}
 	}
 	grid := gpu.Grid{Blocks: blocks, BlockDim: e.cfg.blockDim}
-	kernel := slicedMatchKernel(args, idx.devShards[dev], extsOf(idx.devShardExts, dev))
+	kernel := slicedMatchKernel(args, idx.devShards[dev])
 	e.obs.Kernel.SlicedBatches.Add(1)
 
-	// The batch's stream operations: two uploads (signatures; indices +
-	// segment table), the launch with the device-side header reset fused
+	// The batch's stream operations: two uploads (signatures; segment
+	// table), the launch with the device-side header reset fused
 	// in (LaunchZeroedAsync — the cudaMemsetAsync that used to be a
 	// separate tiny H2D copy rides in the kernel prologue), and the result
 	// transfer in the packed layout (§3.3.1). The header callback reads

@@ -77,7 +77,7 @@ func TestReplayKernel(t *testing.T) {
 		{"paced_latency", -1, 1000, 1},
 		{"scan_heavy", 8, 16, 256},
 	} {
-		var idx index
+		var idx layout
 		idx.appendPartitions(sigs, balancedPartition(sigs, len(sigs)/w.partDiv), 0, nil)
 		pt, maskless := buildPartitionTable(idx.parts)
 		rng := rand.New(rand.NewSource(*replaySeed ^ int64(w.extra)<<32 ^ 0x51ed))

@@ -1,17 +1,14 @@
 package core
 
-import (
-	"slices"
+import "tagmatch/internal/bitvec"
 
-	"tagmatch/internal/bitvec"
-)
-
-// rowTable maps a signature to its row in one index generation: a flat
+// rowTable maps a signature to its row in one layout: a flat
 // open-addressing table of row+1 (0 marks an empty slot), probed linearly
 // and keyed by the row's own signature in the index's sets, so it holds no
 // pointers for the GC to scan. A signature owns one row for the life of a
-// layout — an emptied row stays mapped, and a re-add refills it — so rows
-// enter the table only when a build lays them out.
+// layout — an emptied row stays mapped, and a re-add refills it — so the
+// table is filled once, by the full build that lays the rows out, and
+// shared by every generation on that layout.
 type rowTable []uint32
 
 // fillRowTable returns a table with room for reach rows at most half full,
@@ -26,26 +23,6 @@ func fillRowTable(sets []bitvec.Vector, reach int) rowTable {
 		t.insert(sets, uint32(r))
 	}
 	return t
-}
-
-// withRows returns a table that also maps rows [from, len(sets)): t
-// itself when there are none, else a copy of t, refilled into a larger
-// table once the rows would fill more than half of t. t is never written:
-// the generation it belongs to keeps serving lookups while the next one is
-// built, and a published table is shared, not copied, by a fold that
-// appends no row.
-func (t rowTable) withRows(sets []bitvec.Vector, from int) rowTable {
-	if from == len(sets) {
-		return t
-	}
-	if 2*len(sets) > len(t) {
-		return fillRowTable(sets, len(sets)*5/4)
-	}
-	nt := slices.Clone(t)
-	for r := from; r < len(sets); r++ {
-		nt.insert(sets, uint32(r))
-	}
-	return nt
 }
 
 // find returns the slot holding sig's row, or the empty slot where it

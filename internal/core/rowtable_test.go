@@ -13,9 +13,8 @@ import (
 
 // TestRowTableProbe drives the table on its own: every row's signature
 // resolves to that row, a signature never inserted resolves to nothing,
-// withRows leaves the table it copies untouched, whether it copies in
-// place or refills a larger table, and returns the table itself when
-// there is no row to add.
+// rows inserted into the room a fill reserved resolve too (listDatabase's
+// use), and a table holds at most half as many rows as slots.
 func TestRowTableProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	distinct := randomSets(650, 3, 202)
@@ -36,26 +35,17 @@ func TestRowTableProbe(t *testing.T) {
 		}
 	}
 
-	base := fillRowTable(sets[:400], 400*5/4)
-	frozen := slices.Clone(base)
-	check("fill", base, sets[:400])
-	inPlace := base.withRows(sets[:500], 400)
-	check("copy", inPlace, sets[:500])
-	if len(inPlace) != len(base) {
-		t.Fatalf("withRows refilled a table with room: %d slots, was %d", len(inPlace), len(base))
+	full := fillRowTable(sets, len(sets))
+	check("fill", full, sets)
+	if len(full) < 2*len(sets) {
+		t.Fatalf("table has %d slots for %d rows", len(full), len(sets))
 	}
-	grown := base.withRows(sets, 400)
-	check("refill", grown, sets)
-	if len(grown) < 2*len(sets) {
-		t.Fatalf("refilled table has %d slots for %d rows", len(grown), len(sets))
+	part := fillRowTable(sets[:400], len(sets))
+	check("fill part", part, sets[:400])
+	for r := 400; r < len(sets); r++ {
+		part.insert(sets, uint32(r))
 	}
-	if !slices.Equal(base, frozen) {
-		t.Fatal("withRows wrote the table it copied")
-	}
-	check("original", base, sets[:400])
-	if same := base.withRows(sets[:400], 400); &same[0] != &base[0] {
-		t.Fatal("withRows copied a table it adds no row to")
-	}
+	check("insert", part, sets)
 	if _, ok := rowTable(nil).lookup(nil, distinct[0]); ok {
 		t.Fatal("an empty table resolved a signature")
 	}
@@ -157,19 +147,31 @@ func countKey(keys []Key, k Key) int {
 }
 
 // fold runs one background fold of everything staged and requires it to
-// have taken the incremental path.
-func (g *rowTableRig) fold() {
+// have taken the incremental path, keeping the layout, or else a full
+// build, laying out a new one.
+func (g *rowTableRig) fold(incremental bool) {
 	g.t.Helper()
-	before := g.e.Stats().IncrementalFolds
+	old, before := g.e.idx.Load(), g.e.Stats()
 	g.e.consolidateMu.Unlock()
 	err := g.e.consolidateOnce(true, setList{})
 	g.e.consolidateMu.Lock()
 	if err != nil {
 		g.t.Fatal(err)
 	}
-	if n := g.e.PendingOps(); n != 0 || g.e.Stats().IncrementalFolds != before+1 {
-		g.t.Fatalf("%d ops left, %d incremental folds after %d; want one incremental fold of all %d",
-			n, g.e.Stats().IncrementalFolds, before, g.staged)
+	st := g.e.Stats()
+	if n := g.e.PendingOps(); n != 0 || st.AutoConsolidations != before.AutoConsolidations+1 {
+		g.t.Fatalf("%d ops left, %d background folds after %d; want one fold of all %d",
+			n, st.AutoConsolidations, before.AutoConsolidations, g.staged)
+	}
+	want := int64(0)
+	if incremental {
+		want = 1
+	}
+	if folded := st.IncrementalFolds - before.IncrementalFolds; folded != want {
+		g.t.Fatalf("%d incremental folds, want %d", folded, want)
+	}
+	if kept := g.e.idx.Load().layout == old.layout; kept != incremental {
+		g.t.Fatalf("the fold kept its predecessor's layout: %v, want %v", kept, incremental)
 	}
 	g.reset()
 	g.check()
@@ -236,7 +238,7 @@ func sortedKeys(ks []Key) []Key {
 // TestRowTableDifferential holds the live index and its row table to a
 // brute-force model through a full build, incremental folds that empty
 // rows, re-add their signatures (refilling the same rows) and empty those
-// again, and bulk loads onto an engine with staged adds and removes —
+// again, a fold of new signatures (a full build), and bulk loads onto an engine with staged adds and removes —
 // with ExactVerify off and on. Every staged remove is classified
 // (tombstone, cancel, no-op) against the model as well.
 func TestRowTableDifferential(t *testing.T) {
@@ -290,9 +292,10 @@ func testRowTableDifferential(t *testing.T, exact bool) {
 	g.check()
 	keysOf := func(i int) []Key { return slices.Clone(g.live.keys[bloom.Signature(tagsOf(i))]) }
 
-	// Fold 1: sets 0..19 lose every key (emptied rows), seven of 20..29 lose one, one
-	// remove misses, sets 30..34 gain a key, and 400..409 are new — one
-	// of them added and removed again inside the cut.
+	// Fold 1: sets 0..19 lose every key (emptied rows), seven of 20..29
+	// lose one, one remove misses, sets 30..34 gain a key, and 409 is new
+	// but added and removed again inside the cut, so the fold still only
+	// rewrites keys.
 	for i := range 20 {
 		for _, k := range keysOf(i) {
 			g.remove(tagsOf(i), k)
@@ -308,13 +311,11 @@ func testRowTableDifferential(t *testing.T, exact bool) {
 		g.add(tagsOf(i), next)
 		next++
 	}
-	for i := 400; i < 410; i++ {
-		g.add(tagsOf(i), next)
-		next++
-	}
+	g.add(tagsOf(409), next)
+	next++
 	g.remove(tagsOf(409), next-1)
 	g.remove(tagsOf(409), next-1)
-	g.fold()
+	g.fold(true)
 	if d := e.idx.Load().emptyRows; d != 20 {
 		t.Fatalf("%d empty rows after emptying 20 rows", d)
 	}
@@ -335,7 +336,7 @@ func testRowTableDifferential(t *testing.T, exact bool) {
 	g.add(tagsOf(0), next)
 	g.remove(tagsOf(0), next-10)
 	next++
-	g.fold()
+	g.fold(true)
 	idx = e.idx.Load()
 	for i := range 10 {
 		if r, _ := idx.rows.lookup(idx.sets, bloom.Signature(tagsOf(i))); r != rowOf[i] {
@@ -360,7 +361,19 @@ func testRowTableDifferential(t *testing.T, exact bool) {
 	g.remove(tagsOf(40), k)
 	g.add(tagsOf(41), next)
 	next++
-	g.fold()
+	g.fold(true)
+
+	// Fold 4: sets 400..408 are new, so the fold is a full build: the
+	// emptied rows go and the new signatures get rows.
+	for i := 400; i < 409; i++ {
+		g.add(tagsOf(i), next)
+		next++
+	}
+	g.remove(tagsOf(42), keysOf(42)[0])
+	g.fold(false)
+	if d := e.idx.Load().emptyRows; d != 0 {
+		t.Fatalf("%d empty rows after a full build", d)
+	}
 
 	// A snapshot of 60 sets — ten of them emptied here, ten live, the
 	// rest new — loaded over staged adds and removes. The load is a full

@@ -123,7 +123,7 @@ func TestRunDeriveShapes(t *testing.T) {
 func TestRunDeriveOnClusteredPartitions(t *testing.T) {
 	sets := vocabSets(30000, 400, 4, 81)
 	for _, clustered := range []bool{true, false} {
-		var idx index
+		var idx layout
 		if clustered {
 			idx.appendPartitions(sets, balancedPartition(sets, 3000), 0, nil)
 		} else {
@@ -164,15 +164,14 @@ func FuzzRunDerive(f *testing.F) {
 
 // clusteredSegs cuts sets into partitions the way an index does (balanced
 // partitioning, clustered rows), keeps the first nParts — the partitioner
-// emits the large ones first — with the last two in extents, and deals the
-// queries — stored sets plus extra bits — to the partitions that hold a
+// emits the large ones first — and deals the queries — stored sets plus extra bits — to the partitions that hold a
 // subset of them, as routing would.
 func clusteredSegs(sets []bitvec.Vector, maxP, nParts, nQueries int, seed int64) []testSeg {
-	var idx index
+	var idx layout
 	idx.appendPartitions(sets, balancedPartition(sets, maxP), 0, nil)
 	segs := make([]testSeg, nParts)
 	for pi, p := range idx.parts[:nParts] {
-		segs[pi] = testSeg{sets: idx.sets[p.off : p.off+p.n], base: p.off, ext: max(0, pi-(nParts-3))}
+		segs[pi] = testSeg{sets: idx.sets[p.off : p.off+p.n], base: p.off}
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for n := 0; n < nQueries; {
@@ -190,8 +189,8 @@ func clusteredSegs(sets []bitvec.Vector, maxP, nParts, nQueries int, seed int64)
 // TestRunSpanBlockDims re-runs the sliced differential checks on a
 // clustered fixture — partitions of dozens of groups with nested runs —
 // at block dimensions that make blocks start and end inside runs (1, 2,
-// 3) and that cover a partition whole (256): the device kernel over base
-// shard and extents and the host path must produce the brute-force pairs,
+// 3) and that cover a partition whole (256): the device kernel and the
+// host path must produce the brute-force pairs,
 // which the cpuMatchBatch oracle must produce too, with the gates on and
 // off; and with them on, the same scans and column words at every block
 // dimension — a block that cannot see a run's node decides the same pairs
@@ -270,7 +269,7 @@ func TestRunSpanBlockDims(t *testing.T) {
 // prunes, scans, column words and pairs.
 func TestRunGateTestsOnWorkload(t *testing.T) {
 	gen, sigs, pool := generatedSets(t, 30000, 5)
-	var idx index
+	var idx layout
 	idx.appendPartitions(sigs, balancedPartition(sigs, len(sigs)/4), 0, nil)
 	pt, maskless := buildPartitionTable(idx.parts)
 	rng := rand.New(rand.NewSource(6))
@@ -316,11 +315,11 @@ func TestRunGateTestsOnWorkload(t *testing.T) {
 }
 
 // TestRunNodesFollowTheIndex drives run nodes through everything that
-// moves an index: a full upload and an incremental fold's extents over
-// two devices, with the host fallback taking the place of the two
-// batches in five that overflow. Answers stay exact, the nodes skip tests
-// on the device and on the host, and the devices hold 40 bytes per node
-// beside the groups.
+// lays an index out: a full upload and a background fold of new
+// signatures, which lays the index out afresh, over two devices, with the
+// host fallback taking the place of the two batches in five that
+// overflow. Answers stay exact, the nodes skip tests on the device and on
+// the host, and the devices hold 40 bytes per node beside the groups.
 func TestRunNodesFollowTheIndex(t *testing.T) {
 	sets := vocabSets(9000, 300, 4, 95)
 	base, added := sets[:7500], sets[7500:]
@@ -349,43 +348,43 @@ func TestRunNodesFollowTheIndex(t *testing.T) {
 	if err := e.Consolidate(); err != nil {
 		t.Fatal(err)
 	}
-	idx := e.idx.Load()
-	if len(idx.runs) == 0 {
-		t.Fatal("fixture index has no run node")
+	uploaded := func(sigs []bitvec.Vector) {
+		t.Helper()
+		idx := e.idx.Load()
+		rows := map[bitvec.Vector]bool{}
+		for _, s := range sigs {
+			rows[s] = true
+		}
+		if len(idx.sets) != len(rows) || len(idx.runs) == 0 {
+			t.Fatalf("the index lays out %d rows with %d run nodes, want %d rows and some nodes", len(idx.sets), len(idx.runs), len(rows))
+		}
+		var devBytes int64
+		for _, m := range deviceMem(e) {
+			devBytes += m
+		}
+		if floor := int64(totalGroups(idx.layout))*slicedGroupBytes + int64(len(idx.runs))*runNodeBytes; devBytes < floor {
+			t.Fatalf("devices hold %d bytes, groups and run nodes alone are %d", devBytes, floor)
+		}
 	}
-	var devBytes int64
-	for _, m := range deviceMem(e) {
-		devBytes += m
-	}
-	if floor := int64(totalGroups(idx))*slicedGroupBytes + int64(len(idx.runs))*runNodeBytes; devBytes < floor {
-		t.Fatalf("devices hold %d bytes, groups and run nodes alone are %d", devBytes, floor)
-	}
+	uploaded(base)
 	verifyEngine(t, e, db, queries, false)
 
-	// The fold: the background consolidator appends the added sets as
-	// new partitions in an extent, with run nodes of their own.
+	// The fold: its cut holds signatures the index has never held, so the
+	// background consolidator lays the index out afresh, run nodes and
+	// all.
+	before := e.Stats()
 	add(added)
-	for deadline := time.Now().Add(10 * time.Second); e.Stats().IncrementalFolds == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); e.Stats().AutoConsolidations == before.AutoConsolidations; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("no incremental fold within 10s")
+			t.Fatal("no background fold within 10s")
 		}
 	}
 	e.consolidateMu.Lock() // the fold has swapped its index in once this is free
 	e.consolidateMu.Unlock()
-	idx = e.idx.Load()
-	last := idx.parts[len(idx.parts)-1]
-	if last.ext == 0 {
-		t.Fatal("the fold's partitions are not in an extent")
+	if n := e.Stats().IncrementalFolds - before.IncrementalFolds; n != 0 || e.PendingOps() != 0 {
+		t.Fatalf("%d incremental folds of a cut of new signatures, %d ops left", n, e.PendingOps())
 	}
-	extNodes := 0
-	for _, p := range idx.parts {
-		if p.ext > 0 {
-			extNodes += int(p.nRuns)
-		}
-	}
-	if extNodes == 0 {
-		t.Fatal("the fold's partitions have no run node")
-	}
+	uploaded(sets)
 	mem := deviceMem(e)
 	verifyEngine(t, e, db, queries, false)
 

@@ -10,13 +10,11 @@ import (
 
 // testSeg is one segment of a kernel-test launch: a partition — its
 // sets in row order (sorted for the cpuMatchBatch oracle; in any order
-// for the kernel), the global id of the first, and the device buffer
-// holding it (0 the base shard, e the e-th extent) — and the entries
-// routed to it.
+// for the kernel) and the global id of the first — and the entries routed
+// to it.
 type testSeg struct {
 	sets    []bitvec.Vector
 	base    uint32
-	ext     int
 	queries []bitvec.Vector
 }
 
@@ -42,11 +40,10 @@ func hostSliced(sets []bitvec.Vector, base int, queries []bitvec.Vector, qbase u
 	cpuMatchBatchSliced(groups, deriveRuns(nil, groups), base, queries, qbase, gate, &spanScratch{}, nil, kc, visit)
 }
 
-// runSegKernel lays the segments' partitions out in a base shard and
-// extent shards (each partition's run nodes beside its groups), stages the
-// entries' signatures in reverse (so entry indices are not the identity,
-// as in KernelBenchmark) and the entry indices and segment table in one
-// buffer, as gpuDispatchAttempt does, and runs one launch of the kernel.
+// runSegKernel lays the segments' partitions out in one shard (each
+// partition's run nodes beside its groups), stages the entries'
+// signatures in entry order and the segment table, as gpuDispatchAttempt
+// does, and runs one launch of the kernel.
 func runSegKernel(t testing.TB, segs []testSeg, maxPairs, blockDim int, prefilter bool, kc *obs.KernelCounters) ([]pair, bool) {
 	t.Helper()
 	dev := gpu.New(gpu.Config{Workers: 4})
@@ -57,39 +54,29 @@ func runSegKernel(t testing.TB, segs []testSeg, maxPairs, blockDim int, prefilte
 	}
 	defer s.Close()
 
-	nQ, nExt := 0, 0
-	for _, sg := range segs {
-		nQ += len(sg.queries)
-		nExt = max(nExt, sg.ext)
-	}
-	staged := make([]bitvec.Vector, nQ)
-	tab := make([]uint32, nQ+len(segs)*segWords)
-	groups := make([][]bitvec.SlicedGroup, nExt+1)
-	runs := make([][]runNode, nExt+1)
-	first, blocks := 0, 0
+	var staged []bitvec.Vector
+	tab := make([]uint32, len(segs)*segWords)
+	var groups []bitvec.SlicedGroup
+	var runs []runNode
+	blocks := 0
 	for si, sg := range segs {
-		for i, q := range sg.queries {
-			j := nQ - 1 - (first + i)
-			staged[j], tab[first+i] = q, uint32(j)
-		}
-		row := tab[nQ+si*segWords:][:segWords]
+		row := tab[si*segWords:][:segWords]
 		g := bitvec.BuildSlicedGroups(sg.sets)
-		row[segOff], row[segLen] = uint32(len(groups[sg.ext])), uint32(len(g))
-		groups[sg.ext] = append(groups[sg.ext], g...)
-		row[segRunOff] = uint32(len(runs[sg.ext]))
-		runs[sg.ext] = deriveRuns(runs[sg.ext], g)
-		row[segRunLen] = uint32(len(runs[sg.ext])) - row[segRunOff]
+		row[segOff], row[segLen] = uint32(len(groups)), uint32(len(g))
+		groups = append(groups, g...)
+		row[segRunOff] = uint32(len(runs))
+		runs = deriveRuns(runs, g)
+		row[segRunLen] = uint32(len(runs)) - row[segRunOff]
 		blocks += segBlocks(len(sg.sets), blockDim)
 		row[segBlockEnd] = uint32(blocks)
-		row[segFirst], row[segCount] = uint32(first), uint32(len(sg.queries))
-		row[segExt], row[segBase] = uint32(sg.ext), sg.base
-		first += len(sg.queries)
+		row[segFirst], row[segCount] = uint32(len(staged)), uint32(len(sg.queries))
+		row[segBase] = sg.base
+		staged = append(staged, sg.queries...)
 	}
 
 	upload := func(n int) *gpu.Buffer[uint32] { return gpu.MustAlloc[uint32](dev, n) }
 	args := &batchArgs{
-		sigs: gpu.MustAlloc[bitvec.Vector](dev, max(1, nQ)), tab: upload(len(tab) + 1),
-		nQ: nQ, nSeg: len(segs),
+		sigs: gpu.MustAlloc[bitvec.Vector](dev, max(1, len(staged))), tab: upload(len(tab) + 1), nSeg: len(segs),
 		hdr: upload(resHeaderWords), pairs: gpu.MustAlloc[byte](dev, pairBufBytes(maxPairs)),
 		maxPairs: maxPairs, prefilter: prefilter, kc: kc,
 	}
@@ -101,11 +88,12 @@ func runSegKernel(t testing.TB, segs []testSeg, maxPairs, blockDim int, prefilte
 		t.Fatal(err)
 	}
 	grid := gpu.Grid{Blocks: blocks, BlockDim: blockDim}
-	shards := make([]shard, nExt+1)
-	for e, bufs, nodes := 0, uploadAll(t, dev, groups), uploadAll(t, dev, runs); e <= nExt; e++ {
-		shards[e] = shard{groups: bufs[e], runs: nodes[e]}
+	sh, err := uploadShard(dev, groups, runs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.LaunchZeroedAsync(grid, args.hdr, resHeaderWords, slicedMatchKernel(args, shards[0], shards[1:]))
+	defer sh.free()
+	s.LaunchZeroedAsync(grid, args.hdr, resHeaderWords, slicedMatchKernel(args, sh))
 	hdrHost := make([]uint32, resHeaderWords)
 	gpu.CopyFromDeviceAsync(s, args.hdr, hdrHost, 0)
 	if err := s.SynchronizeErr(); err != nil {
@@ -128,22 +116,6 @@ func runSegKernel(t testing.TB, segs []testSeg, maxPairs, blockDim int, prefilte
 	return got, false
 }
 
-// uploadAll uploads each slice into its own device buffer, freed with
-// the test.
-func uploadAll[T any](t testing.TB, dev *gpu.Device, srcs [][]T) []*gpu.Buffer[T] {
-	t.Helper()
-	bufs := make([]*gpu.Buffer[T], len(srcs))
-	for i, src := range srcs {
-		buf, err := uploadBuffer(dev, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(buf.Free)
-		bufs[i] = buf
-	}
-	return bufs
-}
-
 func equalPairs(t testing.TB, label string, got, want []pair) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -160,8 +132,7 @@ func equalPairs(t testing.TB, label string, got, want []pair) {
 // cpuMatchBatch oracle segment by segment, over segment tables with the
 // shapes dispatch produces and a kernel must survive: many partitions in
 // one launch, one-entry segments, a segment with no entries, an empty
-// partition, partitions in extent buffers, and one partition's entries
-// split over two segments.
+// partition, and one partition's entries split over two segments.
 func TestSegmentedKernelsMatchBruteForce(t *testing.T) {
 	a, qa := batchFixture(700, 40, 61)
 	b, qb := batchFixture(130, 9, 62)
@@ -170,10 +141,10 @@ func TestSegmentedKernelsMatchBruteForce(t *testing.T) {
 	segs := []testSeg{
 		{sets: a, base: 0, queries: qa[:25]},
 		{sets: b, base: 700, queries: qb[:1]},
-		{sets: c, base: 830, ext: 1, queries: qc},
+		{sets: c, base: 830, queries: qc},
 		{sets: b, base: 700, queries: nil},
 		{sets: nil, base: 894, queries: qb[1:3]},
-		{sets: d, base: 894, ext: 2, queries: qd},
+		{sets: d, base: 894, queries: qd},
 		{sets: a, base: 0, queries: qa[25:]}, // the rest of partition a's entries
 		{sets: b, base: 700, queries: qb[3:4]},
 	}

@@ -243,8 +243,7 @@ type Stats struct {
 
 	// Query upload accounting (obs.StreamCounters): H2DQueryBytes /
 	// QuerySlots is the mean H2D bytes per dispatched batch entry — its
-	// 24-byte signature, its 4-byte index and its share of the segment
-	// table.
+	// 24-byte signature and its share of the segment table.
 	H2DQueryBytes int64 `json:"h2d_query_bytes"`
 	QuerySlots    int64 `json:"query_slots"`
 
@@ -340,13 +339,10 @@ type partition struct {
 	runOff uint32
 	nRuns  uint32
 
-	// The partition's place on its device: ext names the shard — 0 for
-	// the base shard uploaded by the last full build, e>0 for the e-th
-	// extent appended by an incremental fold (index.devShardExts[dev][e-1])
-	// — devOff where its nGroups groups start there, and devRunOff where
-	// its nRuns run nodes start beside them. uploadToDevices and
-	// adoptDevices resolve them when they place the partition.
-	ext       uint32
+	// The partition's place in its device's shard: devOff where its
+	// nGroups groups start, and devRunOff where its nRuns run nodes start
+	// beside them. gatherDevice resolves them when it packs the
+	// shard.
 	devOff    uint32
 	devRunOff uint32
 }

@@ -30,13 +30,13 @@ race:
 
 ## chaos: the fault-injection suite under the race detector — seeded
 ## deterministic GPU faults, scripted device death, quarantine/recovery,
-## OOM degrade, overload shedding, straggler injection, deadline
-## propagation, hedged re-dispatch (every fired hedge won or lost once
-## the dispatching fence drains: hedges_fired == hedges_won +
-## hedges_lost, in TestHedge*, TestChaos* and TestPipelined*),
-## snapshot-restore parity, and every
+## OOM degrade, overload shedding, straggler injection (a straggling
+## device's batches stay on it and launch once: TestStraggler*),
+## deadline propagation, snapshot-restore parity, and every
 ## one of them crossed with multi-partition batches (TestChaosPacked*,
-## ending in the drain-time resource checks) must all hold with -race on,
+## ending in the drain-time checks that every pooled query, batch and
+## result carrier, stream and device byte is back) must all hold with
+## -race on,
 ## as must the exact operation count of a dispatched batch, the
 ## routed-entry log's kick path, counting sort and cut (TestLog*), and the
 ## run nodes — derivation, the walk at every block geometry, folds and
@@ -58,11 +58,11 @@ race:
 ## the index never held is a full build (TestDeltaNewSignatureFoldRebuilds,
 ## both under TestDelta), and the one copy of the
 ## transposed index: no group on the host while devices hold them, and
-## every host-side match — overflow, device death, hedge, OOM degrade —
+## every host-side match — overflow, device death, OOM degrade —
 ## exact, building each partition it touches once (TestHostPath*,
 ## TestNoHostGroups*).
 chaos:
-	$(GO) test -race -run 'TestLaunch|TestCluster|TestBalancedPartition|TestRun|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestHedge|TestMatchCtx|TestSnapshotRestore|TestSnapshotLoadOntoStaged|TestSnapshotSaveRacesConsolidate|TestRowTable|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta|TestDrainWaitsForCallbacks|TestEngineMultiGPU|TestHostPath|TestNoHostGroups' \
+	$(GO) test -race -run 'TestLaunch|TestCluster|TestBalancedPartition|TestRun|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestMatchCtx|TestSnapshotRestore|TestSnapshotLoadOntoStaged|TestSnapshotSaveRacesConsolidate|TestRowTable|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta|TestDrainWaitsForCallbacks|TestEngineMultiGPU|TestHostPath|TestNoHostGroups' \
 		./internal/gpu/ ./internal/core/ ./internal/httpserver/
 
 ## bench-smoke: quick -benchmem pass over the hot-path benchmarks so a

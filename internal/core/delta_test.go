@@ -506,7 +506,7 @@ func FuzzDeltaMatch(f *testing.F) {
 
 // TestChaosDeltaSwap crosses every moving part shipped so far: a churn
 // goroutine streams adds and removes through the overlay while query
-// workers run against two faulty devices with hedging enabled, and a
+// workers run against two faulty, straggling devices, and a
 // deliberately low threshold forces repeated background consolidation
 // swaps mid-flight. A stable core of the database is never touched by
 // churn, so every answer must contain its keys; under -race this also
@@ -517,7 +517,6 @@ func TestChaosDeltaSwap(t *testing.T) {
 		MaxPartitionSize: 100, BatchSize: 32, Threads: 4,
 		GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 2,
 		quarantineBackoff: time.Millisecond,
-		HedgeAfter:        time.Millisecond,
 		DeltaMaxSets:      32, DeltaMaxRatio: 0.01,
 	})
 	if err != nil {
@@ -569,7 +568,7 @@ func TestChaosDeltaSwap(t *testing.T) {
 	}()
 
 	// Query workers: the stable keys must be present in every single
-	// answer regardless of swap timing, faults, hedges, or churn.
+	// answer regardless of swap timing, faults, stragglers, or churn.
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {

@@ -116,12 +116,11 @@ func TestPipelinedChaosFaultsWindow(t *testing.T) {
 	}
 }
 
-// TestPipelinedChaosStragglerHedge crosses the dispatch path with the
-// tail-tolerance machinery: one device straggling hard, hedged
-// re-runs on the host racing the stalls, with two streams per device and
-// with one. A GPU attempt that loses to its hedge still owns its stream
-// until its own final callback: results stay exact, every query
-// completes exactly once, and every stream comes back.
+// TestPipelinedChaosStragglerHedge crosses the dispatch path with a
+// device straggling hard, with two streams per device and with one: a
+// straggling attempt owns its stream until its own final callback,
+// results stay exact, every query completes exactly once, and every
+// stream comes back.
 func TestPipelinedChaosStragglerHedge(t *testing.T) {
 	for _, streams := range []int{2, 1} {
 		t.Run(fmt.Sprintf("streams=%d", streams), func(t *testing.T) {
@@ -129,7 +128,6 @@ func TestPipelinedChaosStragglerHedge(t *testing.T) {
 			e, err := New(Config{
 				MaxPartitionSize: 200, BatchSize: 32, Threads: 4,
 				GPUs: 2, GPUWorkers: 2, StreamsPerGPU: streams,
-				HedgeAfter: 2 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -154,15 +152,8 @@ func TestPipelinedChaosStragglerHedge(t *testing.T) {
 				t.Fatalf("lost queries: submitted %d completed %d",
 					st.QueriesSubmitted, st.QueriesCompleted)
 			}
-			if st.HedgesFired == 0 {
-				t.Fatal("no hedges fired against a 5% straggler at a 2ms budget")
-			}
-			// Once the fence has drained, every fired hedge has resolved as
-			// won or lost; cancellations are the timers that found the batch
-			// already settled and never re-dispatched.
-			if st.HedgesWon+st.HedgesLost != st.HedgesFired {
-				t.Fatalf("hedge accounting: fired=%d won=%d lost=%d",
-					st.HedgesFired, st.HedgesWon, st.HedgesLost)
+			if devs[0].Stats().InjectedSlowdowns == 0 {
+				t.Fatal("no stragglers injected despite a 5% SlowProb plan")
 			}
 		})
 	}

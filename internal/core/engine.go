@@ -187,11 +187,11 @@ type layout struct {
 	allStreams []*streamSlot
 
 	// dispatching fences release() against attempt chains that may still
-	// enqueue stream operations: a device attempt that loses to a hedge
-	// outlives its batch's settlement and its queries' completion, so a
-	// drained pipeline is not a quiet one. Held from chain start until
-	// the chain can no longer touch a stream; armed hedge timers hold it
-	// too. Every generation on the layout holds the one fence.
+	// touch a stream, a retry's goroutine among them: a query that expires
+	// in one batch's dispatch-time sweep completes while another batch
+	// still carries it to a device, so a drained pipeline is not a quiet
+	// one. Held from chain start until the chain can no longer touch a
+	// stream. Every generation on the layout holds the one fence.
 	dispatching sync.WaitGroup
 
 	// hostBytes is the live generation's host memory (hostBytesFor), set
@@ -782,8 +782,9 @@ func uploadShard(dev *gpu.Device, groups []bitvec.SlicedGroup, runs []runNode) (
 
 // release frees a layout's device resources. Called only after the
 // pipeline has drained, so no kernel references the buffers. The
-// dispatching fence additionally waits out losing hedge-race attempts,
-// which can still be enqueueing stream operations after the drain.
+// dispatching fence additionally waits out attempt chains — a retry's
+// goroutine among them — that can still be enqueueing stream operations
+// after the drain.
 func (idx *layout) release() {
 	idx.dispatching.Wait()
 	for _, sl := range idx.allStreams {

@@ -96,6 +96,25 @@ type segment struct {
 	first, n int
 }
 
+// fillSegTable writes one segWords row per segment into tab: which of the
+// batch's entries the segment holds, which thread blocks of the launch
+// serve it (one 64-set group per thread), and where its partition's
+// groups and run nodes lie on the device (see partition.devOff). Returns
+// the launch's block count.
+func fillSegTable(tab []uint32, parts []partition, segs []segment, blockDim int) (blocks int) {
+	for si, sg := range segs {
+		p := &parts[sg.pid]
+		blocks += segBlocks(int(p.n), blockDim)
+		row := tab[si*segWords:][:segWords]
+		row[segBlockEnd] = uint32(blocks)
+		row[segFirst], row[segCount] = uint32(sg.first), uint32(sg.n)
+		row[segOff], row[segLen] = p.devOff, p.nGroups()
+		row[segBase] = p.off
+		row[segRunOff], row[segRunLen] = p.devRunOff, p.nRuns
+	}
+	return blocks
+}
+
 // batchArgs are the kernel arguments of one dispatched batch.
 type batchArgs struct {
 	sigs      *gpu.Buffer[bitvec.Vector] // the entries' signatures, in entry order

@@ -201,32 +201,15 @@ type openBatch struct {
 	dup []uint8
 
 	// deadlined marks that at least one member carries a cancellable
-	// context, so dispatch runs the expiry sweep; deadline-free traffic
-	// pays nothing.
+	// context, so dispatch runs the expiry sweep and stream acquisition
+	// watches the contexts; deadline-free traffic pays nothing.
 	deadlined bool
-
-	// Tail-tolerance state. settled elects the one attempt — the GPU
-	// chain or the host hedge — whose result reaches the reduce stage;
-	// refs counts the attachments that may still touch the batch (the
-	// reduce-stage hold, the in-flight attempt chain, an armed hedge
-	// timer) so recycling waits for the losing attempt; hedgeTimer is
-	// the armed straggler budget, disarmed when the batch settles.
-	settled    atomic.Bool
-	refs       atomic.Int32
-	hedgeTimer *time.Timer
-
-	// ctxs snapshots every member's context when ALL members carry one
-	// (empty otherwise), written once at dispatch before any attempt
-	// exists. Late attempt chains poll it — never b.queries, whose
-	// members a rival settle may have recycled — to abandon stream
-	// acquisition once every caller is gone.
-	ctxs []context.Context
 }
 
 // streamSlot is a GPU stream with the device buffers and host staging
 // of the one batch it carries at a time (§3.3: copy, kernel, copy on one
-// of the device's streams): the batch's signatures, its entry indices and
-// segment table, the result header and the packed pair buffer. A stream
+// of the device's streams): the batch's signatures and segment table,
+// the result header and the packed pair buffer. A stream
 // is owned exclusively by one attempt from pool acquisition until its
 // final callback returns it. Attempts share nothing — a retry uploads
 // the batch again on the stream it acquires — which is what keeps a
@@ -733,13 +716,6 @@ func (e *Engine) dispatch(idx *index, b *openBatch, reason dispatchReason) {
 		if b = e.sweepExpired(b); b == nil {
 			return
 		}
-		for _, q := range b.queries {
-			if q.ctx == nil {
-				b.ctxs = b.ctxs[:0] // a ctx-less member can never expire
-				break
-			}
-			b.ctxs = append(b.ctxs, q.ctx)
-		}
 	}
 	// Mark each entry with the first entry of the same query. The stamp is
 	// unique to this dispatch, and a query's batches may be dispatched by
@@ -790,12 +766,12 @@ func (e *Engine) dispatch(idx *index, b *openBatch, reason dispatchReason) {
 			}
 		}
 	}
-	b.refs.Store(1) // the reduce-stage hold, dropped by reduceOne
 	if len(idx.devices) == 0 {
-		e.cpuDispatch(idx, b, false)
+		e.cpuDispatch(idx, b)
 		return
 	}
-	e.gpuDispatch(idx, b)
+	idx.dispatching.Add(1) // released where the attempt chain ends
+	e.gpuDispatchAttempt(idx, b, 0)
 }
 
 // segOf returns the segment holding entry i.
@@ -857,141 +833,39 @@ func (e *Engine) sweepExpired(b *openBatch) *openBatch {
 }
 
 // cpuDispatch forwards the batch to the reduce stage for a host-side
-// subset match, racing any concurrent attempt through the settle CAS.
-func (e *Engine) cpuDispatch(idx *index, b *openBatch, hedge bool) {
+// subset match.
+func (e *Engine) cpuDispatch(idx *index, b *openBatch) {
 	res := e.pools.getResult()
 	res.idx, res.batch, res.kind = idx, b, payloadCPU // reduce runs the CPU match
-	e.deliverResult(b, res, hedge)
+	e.reduceCh <- res
 }
 
-// gpuDispatch issues the copy/launch/copy sequence on an acquired stream
-// (§3.3.2). All operations are asynchronous; the final stream callback
-// hands the results to the reduce stage and releases the stream. The
-// sampled traces of the batch are captured once here — before any
-// concurrent attempt exists — and threaded through retries and hedges,
-// which must not re-read b.queries (the reduce stage recycles queries
-// as soon as the winning attempt lands).
-func (e *Engine) gpuDispatch(idx *index, b *openBatch) {
-	var traced []*obs.Trace
-	if e.obs.Tracing() {
-		for i, q := range b.queries {
-			if q.trace != nil && int(b.dup[i]) == i {
-				traced = append(traced, q.trace)
-			}
+// eachTrace calls f with the sampled trace of each of the batch's
+// queries, once per query.
+func (b *openBatch) eachTrace(f func(*obs.Trace)) {
+	for i, q := range b.queries {
+		if q.trace != nil && int(b.dup[i]) == i {
+			f(q.trace)
 		}
 	}
-	e.batchRef(b)
-	idx.dispatching.Add(1)
-	e.gpuDispatchAttempt(idx, b, 0, traced)
-}
-
-// batchRef and batchUnref count the attachments that may still touch an
-// openBatch: the reduce-stage hold, each in-flight attempt chain, and
-// an armed hedge timer. A losing attempt can outlive the reduce, so the
-// last detacher recycles the batch.
-func (e *Engine) batchRef(b *openBatch) { b.refs.Add(1) }
-
-func (e *Engine) batchUnref(b *openBatch) {
-	if n := b.refs.Add(-1); n == 0 {
-		e.pools.putBatch(b)
-	} else if n < 0 {
-		panic("batchUnref: negative refcount")
-	}
-}
-
-// settleBatch claims the exclusive right to complete the batch: exactly
-// one attempt — primary chain or hedge — wins the CAS, so every batch
-// reaches the reduce stage exactly once across racing attempts. The
-// winner also disarms the straggler budget timer; when the timer is
-// stopped before firing, its batch reference and its hold on idx's
-// dispatching fence are released on its behalf. Every attempt of a
-// batch runs against the one index its dispatch chain started with,
-// which is the index the timer holds.
-func (e *Engine) settleBatch(idx *index, b *openBatch) bool {
-	if !b.settled.CompareAndSwap(false, true) {
-		return false
-	}
-	if t := b.hedgeTimer; t != nil && t.Stop() {
-		idx.dispatching.Done()
-		e.batchUnref(b)
-	}
-	if e.hedgingEnabled() && idx.slots != nil {
-		// The rival attempt may be parked waiting for a stream slot the
-		// batch no longer needs.
-		idx.slots.wake()
-	}
-	return true
-}
-
-// deliverResult forwards one completed attempt's result to the reduce
-// stage if the attempt settled the batch, or discards it when the rival
-// attempt already won the race.
-func (e *Engine) deliverResult(b *openBatch, res *batchResult, hedge bool) {
-	if e.settleBatch(res.idx, b) {
-		if hedge {
-			e.obs.Faults.HedgesWon.Add(1)
-		}
-		e.reduceCh <- res
-		return
-	}
-	if hedge {
-		e.obs.Faults.HedgesLost.Add(1)
-	}
-	e.pools.putResult(res)
-}
-
-// hedgingEnabled reports whether Config.HedgeAfter arms straggler
-// budgets on GPU dispatches.
-func (e *Engine) hedgingEnabled() bool { return e.cfg.HedgeAfter > 0 }
-
-// maybeHedge fires when a batch's first device attempt has held a
-// stream for HedgeAfter: if the batch still has not settled, it is
-// re-run on the host, racing the straggler. The host is the only other
-// holder of the batch's partitions — their owning device is the
-// straggler, and a second attempt queued behind it there is what a
-// hedge exists to avoid. The settle CAS keeps completion exactly-once;
-// the loser's results are discarded. Runs on the budget timer's
-// goroutine, holding the batch reference and index dispatching hold
-// taken when the timer was armed.
-func (e *Engine) maybeHedge(idx *index, b *openBatch, primary int, traced []*obs.Trace) {
-	defer idx.dispatching.Done()
-	if b.settled.Load() || e.closed.Load() {
-		e.obs.Faults.HedgesCancelled.Add(1)
-		e.batchUnref(b)
-		return
-	}
-	e.obs.Faults.HedgesFired.Add(1)
-	e.log.Debug("hedging straggler batch",
-		"segments", len(b.segs), "entries", len(b.sigs),
-		"primary", e.deviceName(primary))
-	// The "hedge" span runs from dispatch to the budget firing: the
-	// stream-acquire wait plus HedgeAfter, so the timeline shows how long
-	// the straggler was tolerated.
-	now := time.Now()
-	for _, tr := range traced {
-		tr.Span("hedge", "query", b.dispatched, 0, now.Sub(b.dispatched),
-			-1, "", -1, int64(primary))
-		tr.Event("hedge-fired", -1, int64(primary))
-		tr.Degrade("hedged")
-	}
-	// Not a fault fallback: only the hedge counters move.
-	e.cpuDispatch(idx, b, true)
-	e.batchUnref(b) // the timer's own hold
 }
 
 // gpuDispatchAttempt runs one GPU attempt for the batch on its
-// partitions' device. attempt 0 is the initial dispatch; a failed attempt
-// is retried once (attempt 1) on a stream of that device, and a
-// second failure — or no usable stream at all — re-runs the batch on the
-// host, so every batch reaches the reduce stage exactly once no matter
-// how the devices behave. The caller has taken one batch reference and
-// one index dispatching hold for the chain; every terminal path of the
-// chain releases both exactly once.
-func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, traced []*obs.Trace) {
+// partitions' device (§3.3.2): copy, launch and copy, all asynchronous
+// on one acquired stream, whose final callback hands the result to the
+// reduce stage and releases the stream. attempt 0 is the initial
+// dispatch; a failed attempt is retried once (attempt 1) on a stream of
+// that device, and a second failure — or no usable stream at all —
+// re-runs the batch on the host, so every batch reaches the reduce stage
+// exactly once, through the one terminal path of its chain, no matter
+// how the devices behave. At most one attempt of a batch is in flight,
+// and nothing recycles b.queries before the batch's reduce, so every
+// attempt reads the batch's members directly. The caller has taken one
+// index dispatching hold for the chain; its terminal path releases it.
+func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int) {
 	sl := e.acquireStream(idx, b)
 	if sl == nil {
-		e.fallbackCPU(idx, b, traced)
-		e.batchUnref(b)
+		e.fallbackCPU(idx, b)
 		idx.dispatching.Done()
 		return
 	}
@@ -1000,40 +874,19 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, trace
 
 	// Point the stream at this batch's sampled traces before any operation
 	// is enqueued (every op carries the stream as its attribution tag).
-	// The traces were captured at dispatch time (gpuDispatch), NOT re-read
-	// from b.queries: on a retry or hedge the rival attempt may already
-	// have settled the batch and recycled its queries.
-	sl.traced = append(sl.traced[:0], traced...)
+	sl.traced = sl.traced[:0]
+	if e.obs.Tracing() {
+		b.eachTrace(func(tr *obs.Trace) { sl.traced = append(sl.traced, tr) })
+	}
 	sl.res, sl.fault = nil, nil
 
-	// Arm the straggler budget on the primary chain's first attempt, once
-	// it holds a stream and before any operation is enqueued (the
-	// enqueue's channel send publishes the timer to the settling
-	// callback). The budget thus excludes the stream-acquire wait: a
-	// batch queued behind busy streams is not a straggler. The timer
-	// holds its own batch reference and dispatching fence hold; whoever
-	// resolves it — the budget firing, or a settle stopping it first —
-	// releases them. The timer is created inert and started with Reset
-	// only after b.hedgeTimer is assigned: AfterFunc with the real budget
-	// could fire — and lead the hedge to read b.hedgeTimer in settleBatch
-	// — before the assignment of its own return value completes.
-	if attempt == 0 && e.hedgingEnabled() {
-		e.batchRef(b)
-		idx.dispatching.Add(1)
-		t := time.AfterFunc(time.Hour, func() {
-			e.maybeHedge(idx, b, dev, traced)
-		})
-		b.hedgeTimer = t
-		t.Reset(e.cfg.HedgeAfter)
-	}
-
-	// Query upload: the entries' signatures go into the stream's qbuf as
-	// they stand in the batch, so entry i reads signature i. (Uploading a
-	// signature once per device, or once per batch, and pointing its
-	// entries at it saves bus bytes and costs more host time than it
-	// saves: EXPERIMENTS.md, "Query window and stream depth: verdict".)
+	// Entry i reads signature i of the stream's qbuf. (Uploading a
+	// signature once per batch and pointing its entries at it saves bus
+	// bytes and costs more host time than it saves: EXPERIMENTS.md,
+	// "Query window and stream depth: verdict".)
 	nTab := len(b.segs) * segWords
 	sl.tabHost = growU32(sl.tabHost, nTab)
+	blocks := fillSegTable(sl.tabHost, idx.parts, b.segs, e.cfg.blockDim)
 	e.obs.Streams.QuerySlots.Add(int64(nQ))
 	e.obs.Streams.H2DQueryBytes.Add(int64(nQ*sigBytes + nTab*4))
 	args := &sl.args
@@ -1042,22 +895,8 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, trace
 		hdr: sl.hdr, pairs: sl.pairs, maxPairs: e.cfg.maxPairsPerBatch,
 		prefilter: !e.cfg.DisablePrefilter, pfs: args.pfs[:0], kc: &e.obs.Kernel,
 	}
-
-	// Segment table: which of the batch's entries each segment holds,
-	// which thread blocks of the launch serve it (one 64-set group per
-	// thread), and where its partition's groups and run nodes lie on the
-	// device (see partition.devOff).
-	blocks := 0
-	for si, sg := range b.segs {
-		p := &idx.parts[sg.pid]
-		blocks += segBlocks(int(p.n), e.cfg.blockDim)
-		row := sl.tabHost[si*segWords:][:segWords]
-		row[segBlockEnd] = uint32(blocks)
-		row[segFirst], row[segCount] = uint32(sg.first), uint32(sg.n)
-		row[segOff], row[segLen] = p.devOff, p.nGroups()
-		row[segBase] = p.off
-		row[segRunOff], row[segRunLen] = p.devRunOff, p.nRuns
-		if e.obs.On {
+	if e.obs.On {
+		for _, sg := range b.segs {
 			args.pfs = append(args.pfs, e.obs.Parts.Get(sg.pid))
 		}
 	}
@@ -1066,14 +905,11 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, trace
 	e.obs.Kernel.SlicedBatches.Add(1)
 
 	// The batch's stream operations: two uploads (signatures; segment
-	// table), the launch with the device-side header reset fused
-	// in (LaunchZeroedAsync — the cudaMemsetAsync that used to be a
-	// separate tiny H2D copy rides in the kernel prologue), and the result
-	// transfer in the packed layout (§3.3.1). The header callback reads
-	// the device-side length for free and stages the outcome on the
-	// stream; the gated copy then resolves its exact-size destination at
-	// the FIFO head and transfers asynchronously. Nothing here blocks the
-	// executor.
+	// table), the launch with the result header's reset fused into its
+	// prologue (LaunchZeroedAsync), and the result transfer in the packed
+	// layout (§3.3.1). The header callback reads the device-side length
+	// and stages the outcome on the stream; the gated copy then sizes its
+	// destination at the FIFO head. Nothing here blocks the executor.
 	gpu.CopyToDeviceAsync(sl.stream, sl.qbuf, 0, b.sigs, sl)
 	gpu.CopyToDeviceAsync(sl.stream, sl.tab, 0, sl.tabHost[:nTab], sl)
 	sl.stream.LaunchZeroedAsync(grid, sl.hdr, resHeaderWords, kernel, sl)
@@ -1082,9 +918,8 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, trace
 			sl.fault = opErr
 			return
 		}
-		rawCount := atomic.LoadUint32(&sl.hdr.Data()[0])
-		rawOver := atomic.LoadUint32(&sl.hdr.Data()[1])
-		count, overflow := clampCount(rawCount, rawOver, e.cfg.maxPairsPerBatch)
+		hdr := sl.hdr.Data()
+		count, overflow := clampCount(atomic.LoadUint32(&hdr[0]), atomic.LoadUint32(&hdr[1]), e.cfg.maxPairsPerBatch)
 		res := e.pools.getResult()
 		res.idx, res.batch, res.count, res.overflow = idx, b, count, overflow
 		if !overflow {
@@ -1100,11 +935,9 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, trace
 		res.packed = growBytes(res.packed, ((res.count+3)/4)*bytesPerGroup)
 		return res.packed, 0
 	}, sl)
-	// The batch's final stream callback: it consumes the result-transfer
-	// segment's error, takes the outcome staged on the stream by the
-	// header callback, returns the stream to the pool, and routes to the
-	// reduce stage or the fault machinery. Every terminal path of the
-	// attempt chain runs through here exactly once.
+	// The final callback takes the outcome the header callback staged (or
+	// the transfer's error), returns the stream to the pool, and hands the
+	// batch to the reduce stage or to the fault ladder.
 	sl.stream.CallbackErr(func(opErr error) {
 		res, fault := sl.res, sl.fault
 		sl.res, sl.fault = nil, nil
@@ -1116,15 +949,14 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, trace
 				e.pools.putResult(res)
 			}
 			idx.slots.put(sl)
-			e.batchFault(idx, b, dev, attempt, traced, fault)
+			e.batchFault(idx, b, dev, attempt, fault)
 			return
 		}
 		// Success is recorded before the stream is pooled, so a dispatcher
 		// the put wakes already sees a recovered device as usable.
 		e.recordDeviceSuccess(dev)
 		idx.slots.put(sl)
-		e.deliverResult(b, res, false)
-		e.batchUnref(b)
+		e.reduceCh <- res
 		idx.dispatching.Done()
 	})
 }
@@ -1136,43 +968,30 @@ func (e *Engine) gpuDispatchAttempt(idx *index, b *openBatch, attempt int, trace
 // with the device quarantined — re-run on the host through the same
 // payloadCPU mechanism as a result-buffer overflow, so no submitted
 // query is ever lost. The caller has already released the stream; the
-// retry runs on a fresh goroutine (inheriting this chain's batch
-// reference and dispatching hold) because this method executes on the
-// stream's executor goroutine, which must not block on stream
-// acquisition.
-func (e *Engine) batchFault(idx *index, b *openBatch, dev, attempt int, traced []*obs.Trace, err error) {
+// retry runs on a fresh goroutine (inheriting this chain's dispatching
+// hold) because this method executes on the stream's executor goroutine,
+// which must not block on stream acquisition.
+func (e *Engine) batchFault(idx *index, b *openBatch, dev, attempt int, err error) {
 	e.obs.Faults.GPUFaults.Add(1)
 	e.recordDeviceFailure(dev, err)
-	if b.settled.Load() {
-		// A hedge already settled the batch: a retry would only burn
-		// device time re-computing a delivered result.
-		e.batchUnref(b)
-		idx.dispatching.Done()
-		return
-	}
-	for _, tr := range traced {
-		tr.Degrade("gpu-fault")
-	}
+	b.eachTrace(func(tr *obs.Trace) { tr.Degrade("gpu-fault") })
 	if attempt == 0 {
 		e.obs.Faults.BatchRetries.Add(1)
-		go e.gpuDispatchAttempt(idx, b, 1, traced)
+		go e.gpuDispatchAttempt(idx, b, 1)
 		return
 	}
-	e.fallbackCPU(idx, b, traced)
-	e.batchUnref(b)
+	e.fallbackCPU(idx, b)
 	idx.dispatching.Done()
 }
 
 // fallbackCPU re-runs a batch on the host after the GPU path gave up on
 // it (device failures, quarantine, no usable stream).
-func (e *Engine) fallbackCPU(idx *index, b *openBatch, traced []*obs.Trace) {
+func (e *Engine) fallbackCPU(idx *index, b *openBatch) {
 	e.obs.Faults.CPUFallbacks.Add(1)
 	e.log.Debug("batch falling back to CPU",
 		"segments", len(b.segs), "entries", len(b.sigs))
-	for _, tr := range traced {
-		tr.Degrade("cpu-fallback")
-	}
-	e.cpuDispatch(idx, b, false)
+	b.eachTrace(func(tr *obs.Trace) { tr.Degrade("cpu-fallback") })
+	e.cpuDispatch(idx, b)
 }
 
 // tagsContained reports whether every stored tag is present in the query
@@ -1212,10 +1031,9 @@ func (e *Engine) reduceWorker() {
 
 // observeGPUOp is the per-stream OnOp observer: it feeds the completed
 // device operation into the op-kind histograms and attaches a span to
-// every sampled trace of the issuing batch. With pipelined dispatch a
-// stream interleaves ops of several batches, so the issuing slot rides
-// on the op's attribution tag rather than on per-stream state. Runs on
-// the stream's executor goroutine.
+// every sampled trace of the issuing batch, found through the slot the
+// op carries as its attribution tag (a stream carries one batch at a
+// time). Runs on the stream's executor goroutine.
 func (e *Engine) observeGPUOp(r gpu.OpRecord) {
 	if !e.obs.On {
 		return
@@ -1382,9 +1200,7 @@ func (e *Engine) reduceOne(res *batchResult) {
 		}
 	}
 	e.pools.putScratch(sc)
-	// Drop the reduce-stage hold; a losing hedge-race attempt may still
-	// be running, in which case the last detacher recycles the batch.
-	e.batchUnref(b)
+	e.pools.putBatch(b)
 	e.pools.putResult(res)
 	e.inflightBatches.Add(-1)
 	e.notifyProgress()

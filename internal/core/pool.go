@@ -25,12 +25,14 @@ type enginePools struct {
 	scratch sync.Pool // *reduceScratch
 	pass    sync.Pool // *passScratch
 
-	// liveBatches counts batches handed out and not yet returned: zero on
-	// a drained engine, or a batch reference leaked.
-	liveBatches atomic.Int64
+	// liveQueries, liveBatches and liveResults count the queries, batches
+	// and result carriers handed out and not yet returned: each is zero on
+	// a drained engine, or one was leaked.
+	liveQueries, liveBatches, liveResults atomic.Int64
 }
 
 func (ep *enginePools) getQuery() *query {
+	ep.liveQueries.Add(1)
 	if q, ok := ep.query.Get().(*query); ok {
 		return q
 	}
@@ -43,6 +45,7 @@ func (ep *enginePools) getQuery() *query {
 // The keys slice is never recycled — its ownership passed to the done
 // callback with the MatchResult.
 func (ep *enginePools) putQuery(q *query) {
+	ep.liveQueries.Add(-1)
 	q.sig = bitvec.Vector{}
 	q.unique = false
 	q.start = time.Time{}
@@ -71,8 +74,8 @@ func (ep *enginePools) getBatch(batchSize int, created time.Time) *openBatch {
 	return b
 }
 
-// putBatch recycles a batch once nothing references it anymore; it is
-// called only through batchUnref.
+// putBatch recycles a batch: at the end of its reduce, or when the
+// dispatch-time sweep cancels it.
 func (ep *enginePools) putBatch(b *openBatch) {
 	ep.liveBatches.Add(-1)
 	clear(b.queries) // drop query refs: they are recycled independently
@@ -81,15 +84,11 @@ func (ep *enginePools) putBatch(b *openBatch) {
 	b.segs = b.segs[:0]
 	b.dup = b.dup[:0]
 	b.deadlined = false
-	b.settled.Store(false)
-	b.refs.Store(0)
-	b.hedgeTimer = nil
-	clear(b.ctxs) // drop context refs
-	b.ctxs = b.ctxs[:0]
 	ep.batch.Put(b)
 }
 
 func (ep *enginePools) getResult() *batchResult {
+	ep.liveResults.Add(1)
 	if r, ok := ep.result.Get().(*batchResult); ok {
 		return r
 	}
@@ -99,6 +98,7 @@ func (ep *enginePools) getResult() *batchResult {
 // putResult recycles a result carrier, retaining the capacity of its
 // payload buffer for the next batch.
 func (ep *enginePools) putResult(r *batchResult) {
+	ep.liveResults.Add(-1)
 	r.idx = nil
 	r.batch = nil
 	r.count = 0

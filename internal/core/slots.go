@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 )
@@ -9,11 +10,10 @@ import (
 // slotPool holds an index's idle streams. A stream carries one batch at a
 // time, so a dispatcher takes a stream for the whole attempt; one that
 // finds no usable stream blocks until one is returned, or until
-// something else changes what it is waiting for — the engine closing, a
-// rival attempt settling its batch, its queries' contexts ending — each
-// of which calls wake. The pool is the engine's batching governor: while
-// every stream is busy the flush pass is parked here, and the entry log
-// keeps filling for the next one.
+// something else changes what it is waiting for — the engine closing,
+// its queries' contexts ending — each of which calls wake. The pool is
+// the engine's batching governor: while every stream is busy the flush
+// pass is parked here, and the entry log keeps filling for the next one.
 type slotPool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -85,10 +85,9 @@ func (p *slotPool) take(pick func(free []*streamSlot) int, giveUp func() bool, b
 // only GPU holding them. It blocks while every slot of that device is
 // checked out, and returns nil — the caller then re-runs the batch on
 // the host — when the device is quarantined and not due a recovery
-// probe, or when waiting has become pointless: the engine is closing,
-// the batch has already settled (a rival hedge attempt delivered), or
-// every member query's context has ended. Unusable slots stay pooled,
-// so quarantining never shrinks the pool itself.
+// probe, or when waiting has become pointless: the engine is closing, or
+// every member query's context has ended. Unusable slots stay pooled, so
+// quarantining never shrinks the pool itself.
 func (e *Engine) acquireStream(idx *index, b *openBatch) *streamSlot {
 	t0 := time.Now()
 	defer func() { e.obs.Streams.AcquireWait.ObserveDuration(time.Since(t0)) }()
@@ -114,29 +113,33 @@ func (e *Engine) acquireStream(idx *index, b *openBatch) *streamSlot {
 		return sl
 	}
 	// About to wait: have the end of any member context re-evaluate the
-	// wait (b.ctxs is non-empty only when every member carries one).
-	for _, ctx := range b.ctxs {
-		stop := context.AfterFunc(ctx, idx.slots.wake)
-		defer stop()
+	// wait, unless a member carries none and so can never give it up.
+	// One registration per query, not per entry: a query routed to k of
+	// the batch's partitions holds k entries.
+	if b.deadlined && !slices.ContainsFunc(b.queries, func(q *query) bool { return q.ctx == nil }) {
+		for i, q := range b.queries {
+			if int(b.dup[i]) == i {
+				stop := context.AfterFunc(q.ctx, idx.slots.wake)
+				defer stop()
+			}
+		}
 	}
 	return idx.slots.take(pick, giveUp, true)
 }
 
 // acquireAbandoned reports whether a stream acquisition should give up:
-// the engine is closing, a rival attempt has settled the batch, or every
-// member query's context has ended. The expiry check reads the context
-// snapshot captured at dispatch, not b.queries — after a rival settles,
-// the reduce stage recycles the query structs while this attempt is
-// still running, but a context value stays valid forever.
+// the engine is closing, or every member query's context has ended. The
+// members are read from b.queries: they stay the batch's until its
+// reduce, which only the attempt chain asking here can start.
 func (e *Engine) acquireAbandoned(b *openBatch) bool {
-	if e.closed.Load() || b.settled.Load() {
+	if e.closed.Load() {
 		return true
 	}
-	if len(b.ctxs) == 0 {
+	if !b.deadlined {
 		return false
 	}
-	for _, ctx := range b.ctxs {
-		if ctx.Err() == nil {
+	for _, q := range b.queries {
+		if q.ctx == nil || q.ctx.Err() == nil {
 			return false
 		}
 	}

@@ -279,10 +279,9 @@ func TestSnapshotRestoreSlicedParity(t *testing.T) {
 }
 
 // TestSnapshotRestoreChaosParity restores a snapshot and then drives the
-// restored engine under a combined fault-and-straggler plan with hedging
-// enabled: the restored index must stay exact through retries, hedges,
-// and CPU fallbacks, proving restore composes with the whole
-// tail-tolerant dispatch path.
+// restored engine under a combined fault-and-straggler plan: the restored
+// index must stay exact through retries and CPU fallbacks, proving
+// restore composes with the whole fault-tolerant dispatch path.
 func TestSnapshotRestoreChaosParity(t *testing.T) {
 	db := makeTestDB(1500, 5, 2, 93)
 	src, err := New(Config{MaxPartitionSize: 200, Threads: 2})
@@ -303,7 +302,6 @@ func TestSnapshotRestoreChaosParity(t *testing.T) {
 		MaxPartitionSize: 200, BatchSize: 32, Threads: 2,
 		GPUs: 2, GPUWorkers: 2, StreamsPerGPU: 2,
 		quarantineBackoff: time.Millisecond,
-		HedgeAfter:        time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -324,8 +322,6 @@ func TestSnapshotRestoreChaosParity(t *testing.T) {
 	})
 
 	verifyEngine(t, dst, db, db.makeQueries(2000, 94), false)
-	// A hedge can answer a batch before its failed GPU attempt reports the
-	// fault; the drain waits for every attempt chain to end.
 	assertDrained(t, dst, mem)
 
 	st := dst.Stats()

@@ -88,13 +88,6 @@ type Config struct {
 	// (SubmitWait, tagmatch's SubmitCtx, waits for capacity). Zero, the
 	// default, disables the gate, leaving only channel backpressure.
 	MaxInFlight int
-	// HedgeAfter is the straggler budget: a batch whose device attempt
-	// has held a stream this long without settling is re-run on the
-	// host — the only other holder of its partitions — and the settle CAS
-	// delivers exactly one of the two results. The budget starts when the
-	// attempt acquires a stream, so a batch waiting for one is not
-	// hedged. Zero or negative, the default, disables hedging.
-	HedgeAfter time.Duration
 	// ExactVerify keeps the original tag sets and re-checks every match
 	// exactly during key lookup, eliminating Bloom false positives (§3:
 	// "the system or the application can perform an additional exact
@@ -272,10 +265,6 @@ type Stats struct {
 	QueriesShed       int64 `json:"queries_shed"`
 	DeadlineExpired   int64 `json:"deadline_expired"`
 	BatchesCancelled  int64 `json:"batches_cancelled"`
-	HedgesFired       int64 `json:"hedges_fired"`
-	HedgesWon         int64 `json:"hedges_won"`
-	HedgesLost        int64 `json:"hedges_lost"`
-	HedgesCancelled   int64 `json:"hedges_cancelled"`
 
 	// Live-update counters (obs.DeltaCounters) and the overlay's live
 	// sizes (obs.EngineGauges).

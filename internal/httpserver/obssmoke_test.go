@@ -326,7 +326,7 @@ func TestObsSmoke(t *testing.T) {
 				t.Errorf("Stats.%s = %v, /metrics %s = %v", st.Type().Field(i).Name, want, series, samples[series])
 			}
 		}
-		if backed < 50 {
+		if backed < 47 {
 			t.Errorf("only %d Stats fields are backed by a declaration", backed)
 		}
 	})

@@ -32,11 +32,7 @@ type FlowCounters struct {
 
 // FaultCounters is the fault-tolerance event log: GPU batch failures,
 // retries, CPU fallbacks, device quarantine transitions, load shedding,
-// deadlines and straggler hedges. A hedge is fired when a batch exceeds
-// its straggler budget and is re-run on the host while the primary
-// attempt still runs; it is won when its result is delivered, lost when
-// the primary settled the batch first, and cancelled when the budget
-// expired after the batch had settled.
+// deadlines and HTTP timeouts.
 type FaultCounters struct {
 	GPUFaults        atomic.Int64 `prom:"tagmatch_gpu_faults_total" json:"gpu_faults" help:"GPU batch attempts failed (copy, launch, or result-transfer error)."`
 	BatchRetries     atomic.Int64 `prom:"tagmatch_batch_retries_total" json:"batch_retries" help:"Batches re-dispatched on their owning device after a failure."`
@@ -47,10 +43,6 @@ type FaultCounters struct {
 	QueriesShed      atomic.Int64 `prom:"tagmatch_queries_shed_total" json:"queries_shed" help:"Query submissions rejected by the overload gate."`
 	DeadlineExpired  atomic.Int64 `prom:"tagmatch_deadline_expired_total" json:"deadline_expired" help:"Queries completed with ErrDeadlineExceeded before their batch launched."`
 	BatchesCancelled atomic.Int64 `prom:"tagmatch_batches_cancelled_total" json:"batches_cancelled" help:"Batches dropped before device work because every query had expired."`
-	HedgesFired      atomic.Int64 `prom:"tagmatch_hedges_total{outcome=fired}" json:"hedges_fired" help:"Straggler hedges by outcome (fired: launched; won: hedge result used; lost: primary won the race; cancelled: budget expired after settle)."`
-	HedgesWon        atomic.Int64 `prom:"tagmatch_hedges_total{outcome=won}" json:"hedges_won"`
-	HedgesLost       atomic.Int64 `prom:"tagmatch_hedges_total{outcome=lost}" json:"hedges_lost"`
-	HedgesCancelled  atomic.Int64 `prom:"tagmatch_hedges_total{outcome=cancelled}" json:"hedges_cancelled"`
 	HTTPTimeouts     atomic.Int64 `prom:"tagmatch_http_timeouts_total" json:"http_timeouts" help:"HTTP match requests answered 504 (deadline exceeded or request cancelled)."`
 }
 

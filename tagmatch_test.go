@@ -193,14 +193,14 @@ func TestPublicAPIDevices(t *testing.T) {
 }
 
 // TestCloseReleasesEverything runs queries and churn through a
-// background fold on two costed GPUs with hedging armed, then closes the
+// background fold on two costed GPUs, then closes the
 // engine: no goroutine outlives Close, and no device holds memory.
 func TestCloseReleasesEverything(t *testing.T) {
 	base := runtime.NumGoroutine()
 	eng, err := tagmatch.New(tagmatch.Config{
 		GPUs: 2, GPUWorkers: 2, RealisticGPUCosts: true, Threads: 2,
 		MaxPartitionSize: 100, BatchSize: 32, BatchTimeout: time.Millisecond,
-		HedgeAfter: 200 * time.Microsecond, DeltaMaxSets: 64, DeltaMaxRatio: 1e-9,
+		DeltaMaxSets: 64, DeltaMaxRatio: 1e-9,
 	})
 	if err != nil {
 		t.Fatal(err)

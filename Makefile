@@ -60,7 +60,9 @@ race:
 ## transposed index: no group on the host while devices hold them, and
 ## every host-side match — overflow, device death, OOM degrade —
 ## exact, building each partition it touches once (TestHostPath*,
-## TestNoHostGroups*).
+## TestNoHostGroups*), and the full build, its splits forked and its
+## partitions laid out by concurrent workers, identical to the digit to
+## the serial build it replaced (TestBalancedPartition*).
 chaos:
 	$(GO) test -race -run 'TestLaunch|TestCluster|TestBalancedPartition|TestRun|TestFlushPass|TestLog|TestSweepExpired|TestSegmented|TestFaultPlan|TestStreamSegmentError|TestKill|TestChaos|TestQuarantine|TestConsolidateOOM|TestSubmit|TestMaxInFlight|TestMatchOverloaded|TestServeGraceful|TestConsolidateDegraded|TestStraggler|TestDeadline|TestMatchCtx|TestSnapshotRestore|TestSnapshotLoadOntoStaged|TestSnapshotSaveRacesConsolidate|TestRowTable|TestMatchTimeout|TestPipelined|TestDispatchOpsPerBatch|TestDelta|TestDrainWaitsForCallbacks|TestEngineMultiGPU|TestHostPath|TestNoHostGroups' \
 		./internal/gpu/ ./internal/core/ ./internal/httpserver/

@@ -39,11 +39,11 @@ func vocabSets(n, vocab, maxTags int, seed int64) []bitvec.Vector {
 // onePartition wraps all of sets into a single spec, as an oversized or
 // maskless partition would reach the clusterer.
 func onePartition(sets []bitvec.Vector) []partitionSpec {
-	spec := partitionSpec{members: make([]int32, len(sets))}
+	spec := partitionSpec{members: make([]int32, len(sets)), sets: sets}
 	for i := range spec.members {
 		spec.members[i] = int32(i)
 	}
-	spec.freq.count(sets, spec.members)
+	spec.freq.count(sets)
 	return []partitionSpec{spec}
 }
 
@@ -95,25 +95,29 @@ func checkClusterTree(t *testing.T, c *clusterer, run []int32) {
 	}
 }
 
-// checkClustered runs orderMembers over specs and checks every partition:
-// a permutation of what went in, laid out as checkClusterTree requires.
+// checkClustered lays specs out (newLayout) and checks every partition: a
+// permutation of what went in, laid out as checkClusterTree requires, its
+// rows its members' signatures in that order.
 func checkClustered(t *testing.T, sets []bitvec.Vector, specs []partitionSpec) {
 	t.Helper()
 	before := make([][]int32, len(specs))
 	for i := range specs {
 		before[i] = slices.Sorted(slices.Values(specs[i].members))
 	}
-	orderMembers(sets, specs)
-
-	// The same weights orderMembers derives, for re-deriving its pivots.
-	all := slices.Concat(before...)
-	global := recount(sets, all)
-	c := &clusterer{sets: sets, weight: clusterWeights(&global, len(all))}
+	// The same weights newLayout derives, for re-deriving its pivots.
+	c := &clusterer{sets: sets, weight: clusterWeights(specs)}
+	idx := newLayout(specs, 0, nil)
 	for i := range specs {
 		if got := slices.Sorted(slices.Values(specs[i].members)); !slices.Equal(got, before[i]) {
 			t.Fatalf("partition %d: clustered members are not a permutation of the input", i)
 		}
 		checkClusterTree(t, c, specs[i].members)
+		p := &idx.parts[i]
+		for r, m := range specs[i].members {
+			if idx.sets[p.off+uint32(r)] != sets[m] {
+				t.Fatalf("partition %d: row %d does not hold its member's signature", i, r)
+			}
+		}
 	}
 }
 
@@ -157,7 +161,7 @@ func TestClusterSmallPartitionIsLexicographic(t *testing.T) {
 	for _, n := range []int{1, 2, 37, 64} {
 		sets := vocabSets(n, 100, 4, int64(n))
 		specs, want := onePartition(sets), onePartition(sets)
-		orderMembers(sets, specs)
+		newLayout(specs, 0, nil)
 		sortMembersLexicographically(sets, want[0].members)
 		if !slices.Equal(specs[0].members, want[0].members) {
 			t.Fatalf("%d members: clustered order differs from the lexicographic one", n)
@@ -207,7 +211,7 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 	for _, procs := range []int{1, 4, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		specs := balancedPartition(sets, 500)
-		orderMembers(sets, specs)
+		newLayout(specs, 0, nil)
 		runtime.GOMAXPROCS(prev)
 		order := make([][]int32, len(specs))
 		for i := range specs {
@@ -294,11 +298,11 @@ func TestClusterGatePruneOnWorkload(t *testing.T) {
 	specs := balancedPartition(sigs, 800)
 	var prune [2]float64
 	for f, clustered := range []bool{false, true} {
-		var idx layout
+		idx := &layout{}
 		if clustered {
-			idx.appendPartitions(sigs, specs, 0, nil)
+			idx = newLayout(specs, 0, nil)
 		} else {
-			appendLexicographic(&idx, sigs, specs)
+			appendLexicographic(idx, sigs, specs)
 		}
 		pt, maskless := buildPartitionTable(idx.parts)
 		var kc obs.KernelCounters

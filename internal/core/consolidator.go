@@ -124,10 +124,12 @@ func touchedBy(idx *index, ops []stagedOp, withTags bool) []touchedSet {
 // setList is a list of sets in order: set m is sigs[m] with the entries
 // lists[m]. It carries a database a full build lays out or a snapshot
 // writes, and a bulk load a synchronous consolidation adds after the
-// staged log.
+// staged log. A listed database also carries rows, the row table of its
+// signatures keyed by list index, which the build rekeys to its rows.
 type setList struct {
 	sigs  []bitvec.Vector
 	lists []entryList
+	rows  rowTable
 }
 
 func (l *setList) add(sig bitvec.Vector, ents entryList) {
@@ -139,8 +141,9 @@ func (l *setList) add(sig bitvec.Vector, ents entryList) {
 // from in row order, each replaced by its touched entries where the cut
 // changed it; then the cut's new signatures in first-touched order; then
 // the bulk, where a signature already listed gains the record's entries.
-// No listed set is empty and no signature repeats. The lists alias
-// from's key arrays and the bulk's; a merge copies.
+// No listed set is empty and no signature repeats: the list's row table,
+// sized for every non-empty record, finds the bulk's repeats. The lists
+// alias from's key arrays and the bulk's; a merge copies.
 func listDatabase(from *index, touched []touchedSet, bulk setList) setList {
 	var over map[uint32]int
 	for i, ts := range touched {
@@ -169,16 +172,19 @@ func listDatabase(from *index, touched []touchedSet, bulk setList) setList {
 			l.add(ts.sig, ts.ents)
 		}
 	}
-	if len(bulk.sigs) == 0 {
-		return l
+	reach := len(l.sigs)
+	for _, ents := range bulk.lists {
+		if len(ents.keys) > 0 {
+			reach++
+		}
 	}
-	listed := fillRowTable(l.sigs, len(l.sigs)+len(bulk.sigs))
+	l.rows = fillRowTable(l.sigs, reach)
 	for i, sig := range bulk.sigs {
 		ents := bulk.lists[i]
 		if len(ents.keys) == 0 {
 			continue
 		}
-		if m, ok := listed.lookup(l.sigs, sig); ok {
+		if m, ok := l.rows.lookup(l.sigs, sig); ok {
 			cur := l.lists[m]
 			l.lists[m] = entryList{
 				keys: append(slices.Clip(cur.keys), ents.keys...),
@@ -187,7 +193,12 @@ func listDatabase(from *index, touched []touchedSet, bulk setList) setList {
 			continue
 		}
 		l.add(sig, ents)
-		listed.insert(l.sigs, uint32(len(l.sigs)-1))
+		l.rows.insert(l.sigs, uint32(len(l.sigs)-1))
+	}
+	if len(l.rows) > rowTableSlots(len(l.sigs)) {
+		// The bulk repeated enough signatures to leave the table twice
+		// the size its sets need.
+		l.rows = fillRowTable(l.sigs, len(l.sigs))
 	}
 	return l
 }

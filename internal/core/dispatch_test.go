@@ -116,12 +116,12 @@ func TestPipelinedChaosFaultsWindow(t *testing.T) {
 	}
 }
 
-// TestPipelinedChaosStragglerHedge crosses the dispatch path with a
-// device straggling hard, with two streams per device and with one: a
-// straggling attempt owns its stream until its own final callback,
-// results stay exact, every query completes exactly once, and every
-// stream comes back.
-func TestPipelinedChaosStragglerHedge(t *testing.T) {
+// TestPipelinedChaosStraggler crosses the dispatch path with a device
+// straggling hard, with two streams per device and with one: a
+// straggling attempt, its batch's only one, owns its stream until its own
+// final callback, results stay exact, every query completes exactly once,
+// and every stream comes back.
+func TestPipelinedChaosStraggler(t *testing.T) {
 	for _, streams := range []int{2, 1} {
 		t.Run(fmt.Sprintf("streams=%d", streams), func(t *testing.T) {
 			db := makeTestDB(1000, 5, 2, 89)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,7 +158,7 @@ type index struct {
 // layout and the only thing that releases one.
 type layout struct {
 	// sets is the flat tagset table, partition-major. Within a partition
-	// the rows are in the order appendPartitions laid them out: 64-aligned
+	// the rows are in the order newLayout laid them out: 64-aligned
 	// clusters (partition.go: clusterer).
 	sets []bitvec.Vector
 	// groups caches, by partition id, the column-transposed rows the
@@ -527,18 +528,40 @@ func emptyIndex() *index {
 // holds every device's memory; attachDevices completes the index inside
 // the swap's critical section.
 func (e *Engine) buildHostIndex(db setList) *index {
-	sigs := db.sigs
-	specs := e.partition(sigs)
-	l := &layout{devices: e.devices}
-	l.sets = make([]bitvec.Vector, 0, len(sigs))
-	l.parts = make([]partition, 0, len(specs))
-	l.groups = make([]groupSlot, 0, len(specs))
-	idx := &index{layout: l, keyOff: make([]uint32, 1, len(sigs)+1)}
-
-	l.appendPartitions(sigs, specs, len(e.devices), func(m int32, _ uint32) {
-		idx.appendKeys(db.lists[m], e.cfg.ExactVerify)
+	specs := e.partition(db.sigs)
+	withTags := e.cfg.ExactVerify
+	// Each partition's slice of the key CSR: ordering permutes a
+	// partition's members but not the sum of their entries.
+	keyAt := make([]uint32, len(specs)+1)
+	for i := range specs {
+		n := keyAt[i]
+		for _, m := range specs[i].members {
+			n += uint32(len(db.lists[m].keys))
+		}
+		keyAt[i+1] = n
+	}
+	idx := &index{keyOff: make([]uint32, len(db.sigs)+1), keys: make([]Key, keyAt[len(specs)])}
+	if withTags {
+		idx.keyTags = make([][]string, len(idx.keys))
+	}
+	rowOf := make([]uint32, len(db.sigs))
+	idx.layout = newLayout(specs, len(e.devices), func(p int, members []int32, off uint32) {
+		k := keyAt[p]
+		for j, m := range members {
+			ents := db.lists[m]
+			copy(idx.keys[k:], ents.keys)
+			if withTags {
+				copy(idx.keyTags[k:], ents.tags)
+			}
+			k += uint32(len(ents.keys))
+			idx.keyOff[off+uint32(j)+1] = k
+			rowOf[m] = off + uint32(j)
+		}
 	})
-	l.rows = fillRowTable(l.sets, len(l.sets))
+	l := idx.layout
+	l.devices = e.devices
+	l.rows = db.rows
+	l.rows.rekey(rowOf)
 	l.pt, l.maskless = buildPartitionTable(l.parts)
 	return idx
 }
@@ -551,45 +574,67 @@ func (e *Engine) partition(sigs []bitvec.Vector) []partitionSpec {
 	return balancedPartition(sigs, e.cfg.MaxPartitionSize)
 }
 
-// appendPartitions is the one place partitions become rows: it clusters
-// each spec's members (orderMembers), appends them to idx.sets
-// partition-major, calls row for every member with its global row id so
-// the caller can extend its key table in step, column-transposes each
-// partition into its idx.groups slot (all of the call's partitions share
-// one exactly-sized array), derives the partition's run nodes from the
-// new groups' gates into idx.runs, and appends the partition descriptors,
-// dealt round-robin over nDev devices. Full builds and KernelBenchmark
-// both lay out through here, so they cannot disagree on the order or on
-// the run tree.
-func (idx *layout) appendPartitions(sigs []bitvec.Vector, specs []partitionSpec, nDev int, row func(m int32, r uint32)) {
-	orderMembers(sigs, specs)
-	nG := 0
+// newLayout is the one place partitions become rows. It places every
+// partition before any is ordered — its rows and its groups by the spec's
+// size, its device round-robin over nDev — and then workers take
+// partitions off a shared counter. A worker clusters a partition's members
+// (clusterer.layOut) straight into its rows, column-transposes them into
+// its slice of the one exactly-sized group array, derives its run nodes
+// and calls fill with the members in row order and the first row's id, so
+// the caller writes its per-row data in the same pass. Partitions are
+// independent, so the result does not depend on scheduling. The run
+// nodes, whose count is known only once derived, are joined at the end.
+// Full builds and KernelBenchmark both lay out through here, so they
+// cannot disagree on the order or on the run tree.
+func newLayout(specs []partitionSpec, nDev int, fill func(p int, members []int32, off uint32)) *layout {
+	l := &layout{parts: make([]partition, len(specs)), groups: make([]groupSlot, len(specs))}
+	groupAt := make([]uint32, len(specs)+1)
+	var nSets uint32
 	for i := range specs {
-		nG += (len(specs[i].members) + 63) / 64
-	}
-	flat := make([]bitvec.SlicedGroup, 0, nG)
-	for i := range specs {
-		spec := &specs[i]
-		off := uint32(len(idx.sets))
-		for _, m := range spec.members {
-			idx.sets = append(idx.sets, sigs[m])
-			if row != nil {
-				row(m, uint32(len(idx.sets)-1))
-			}
-		}
-		p := partition{mask: spec.mask, off: off, n: uint32(len(spec.members))}
+		p := &l.parts[i]
+		*p = partition{mask: specs[i].mask, off: nSets, n: uint32(len(specs[i].members))}
 		if nDev > 0 {
-			p.dev = len(idx.parts) % nDev
+			p.dev = i % nDev
 		}
-		g0 := len(flat)
-		flat = bitvec.AppendSlicedGroups(flat, idx.sets[off:])
-		g := flat[g0:]
-		idx.groups = append(idx.groups, groupSlot{g: g})
-		p.runOff = uint32(len(idx.runs))
-		idx.runs = deriveRuns(idx.runs, g)
-		p.nRuns = uint32(len(idx.runs)) - p.runOff
-		idx.parts = append(idx.parts, p)
+		nSets += p.n
+		groupAt[i+1] = groupAt[i] + p.nGroups()
 	}
+	l.sets = make([]bitvec.Vector, nSets)
+	flat := make([]bitvec.SlicedGroup, groupAt[len(specs)])
+	runs := make([][]runNode, len(specs))
+	weight := clusterWeights(specs)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(specs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := clusterer{weight: weight}
+			for i := int(next.Add(1)) - 1; i < len(specs); i = int(next.Add(1)) - 1 {
+				p := &l.parts[i]
+				rows := l.sets[p.off : p.off+p.n]
+				c.layOut(&specs[i], rows)
+				g := bitvec.AppendSlicedGroups(flat[groupAt[i]:groupAt[i]:groupAt[i+1]], rows)
+				l.groups[i].g = g
+				runs[i] = deriveRuns(nil, g)
+				if fill != nil {
+					fill(i, specs[i].members, p.off)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	nR := 0
+	for i := range runs {
+		nR += len(runs[i])
+	}
+	l.runs = make([]runNode, 0, nR)
+	for i := range runs {
+		p := &l.parts[i]
+		p.runOff, p.nRuns = uint32(len(l.runs)), uint32(len(runs[i]))
+		l.runs = append(l.runs, runs[i]...)
+	}
+	return l
 }
 
 // slicedPart returns partition pid's slice of the transposed index — its

@@ -36,7 +36,7 @@ type KernelBenchResult struct {
 
 // KernelBenchmark measures the subset-match kernel in isolation: it
 // partitions sigs and lays the rows out exactly as Consolidate does
-// (Algorithm 1, then appendPartitions: 64-aligned clusters, transposed
+// (Algorithm 1, then newLayout: 64-aligned clusters, transposed
 // groups and their run nodes, gathered for the device by gatherDevice),
 // routes every query through the partition table to form per-partition
 // batches of at most batchSize, and times iters passes of the whole batch
@@ -57,8 +57,7 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 		iters = 1
 	}
 
-	var idx layout
-	idx.appendPartitions(sigs, balancedPartition(sigs, maxP), 0, nil)
+	idx := newLayout(balancedPartition(sigs, maxP), 0, nil)
 	parts := idx.parts
 	pt, maskless := buildPartitionTable(parts)
 

@@ -535,10 +535,11 @@ func TestChaosPackedBatchesFaults(t *testing.T) {
 	})
 }
 
-// TestChaosPackedBatchesHedged: a straggling device holds
-// multi-partition batches on their streams; answers stay exact, and
-// every stream and batch comes back.
-func TestChaosPackedBatchesHedged(t *testing.T) {
+// TestChaosPackedBatchesStragglers: a straggling device holds
+// multi-partition batches on their streams, each batch waiting its one
+// attempt out there; answers stay exact, and every stream and batch
+// comes back.
+func TestChaosPackedBatchesStragglers(t *testing.T) {
 	db := makeTestDB(2000, 5, 2, 113)
 	e, devs := chaosEngine(t, db, nil)
 	mem := deviceMem(e)

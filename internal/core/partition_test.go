@@ -206,6 +206,15 @@ func pickPivot(sets []bitvec.Vector, members []int32, used bitvec.Vector) int {
 	return fallback
 }
 
+// gather returns the signatures of members, in order.
+func gather(sets []bitvec.Vector, members []int32) []bitvec.Vector {
+	out := make([]bitvec.Vector, len(members))
+	for i, m := range members {
+		out[i] = sets[m]
+	}
+	return out
+}
+
 // recountingPartition is Algorithm 1 driven by pickPivot: the reference
 // balancedPartition must reproduce partition for partition.
 func recountingPartition(sets []bitvec.Vector, maxP int) []partitionSpec {
@@ -231,7 +240,7 @@ func recountingPartition(sets []bitvec.Vector, maxP int) []partitionSpec {
 			pivot = pickPivot(sets, w.members, w.used)
 		}
 		if pivot < 0 {
-			out = append(out, partitionSpec{mask: w.mask, members: w.members, freq: recount(sets, w.members)})
+			out = append(out, partitionSpec{mask: w.mask, members: w.members, sets: gather(sets, w.members), freq: recount(sets, w.members)})
 			continue
 		}
 		w.used.Set(pivot)

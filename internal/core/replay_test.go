@@ -77,8 +77,7 @@ func TestReplayKernel(t *testing.T) {
 		{"paced_latency", -1, 1000, 1},
 		{"scan_heavy", 8, 16, 256},
 	} {
-		var idx layout
-		idx.appendPartitions(sigs, balancedPartition(sigs, len(sigs)/w.partDiv), 0, nil)
+		idx := newLayout(balancedPartition(sigs, len(sigs)/w.partDiv), 0, nil)
 		pt, maskless := buildPartitionTable(idx.parts)
 		rng := rand.New(rand.NewSource(*replaySeed ^ int64(w.extra)<<32 ^ 0x51ed))
 		perPart := make([][]bitvec.Vector, len(idx.parts))
@@ -124,7 +123,7 @@ func TestReplayKernel(t *testing.T) {
 		}
 		per := func(v int64) float64 { return float64(v) / float64(*replayQueries) }
 		t.Logf("%s seed %d: %d sets, %d partitions, %d groups, %d run nodes (%d B); %d queries, %.1f partitions/query, %.1f entries/segment",
-			w.name, *replaySeed, len(idx.sets), len(idx.parts), totalGroups(&idx), len(idx.runs), len(idx.runs)*runNodeBytes,
+			w.name, *replaySeed, len(idx.sets), len(idx.parts), totalGroups(idx), len(idx.runs), len(idx.runs)*runNodeBytes,
 			*replayQueries, per(int64(entries)), float64(entries)/float64(segments))
 		t.Logf("%s per query: thread blocks %.1f, gate checks %.0f, gate tests %.0f, group scans %.0f, column words %.0f, pairs %.1f, prune rate %.3f, %.0f ns",
 			w.name, per(int64(blocks)), per(kc.GateChecks.Load()), per(kc.GateTests.Load()), per(kc.GroupScans.Load()), per(kc.ColumnsWalked.Load()),

@@ -7,22 +7,41 @@ import "tagmatch/internal/bitvec"
 // and keyed by the row's own signature in the index's sets, so it holds no
 // pointers for the GC to scan. A signature owns one row for the life of a
 // layout — an emptied row stays mapped, and a re-add refills it — so the
-// table is filled once, by the full build that lays the rows out, and
-// shared by every generation on that layout.
+// table is filled once per full build and shared by every generation on
+// that layout. The build does not hash its rows: listDatabase fills the
+// table as it lists the database, keyed by list index, and the build
+// rekeys it to the rows the sets landed in.
 type rowTable []uint32
 
-// fillRowTable returns a table with room for reach rows at most half full,
-// mapping every row of sets.
-func fillRowTable(sets []bitvec.Vector, reach int) rowTable {
+// rowTableSlots is the size of a table with room for reach rows at most
+// half full.
+func rowTableSlots(reach int) int {
 	n := 16
 	for n < 2*reach {
 		n <<= 1
 	}
-	t := make(rowTable, n)
+	return n
+}
+
+// fillRowTable returns a table with room for reach rows, mapping every
+// row of sets.
+func fillRowTable(sets []bitvec.Vector, reach int) rowTable {
+	t := make(rowTable, rowTableSlots(reach))
 	for r := range sets {
 		t.insert(sets, uint32(r))
 	}
 	return t
+}
+
+// rekey rewrites every mapping r to to[r], in place: a table keyed by
+// positions in one list becomes keyed by positions in another holding the
+// same signatures. Each signature keeps its slot, so probing is unchanged.
+func (t rowTable) rekey(to []uint32) {
+	for i, v := range t {
+		if v != 0 {
+			t[i] = to[v-1] + 1
+		}
+	}
 }
 
 // find returns the slot holding sig's row, or the empty slot where it

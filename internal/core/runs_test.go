@@ -123,11 +123,11 @@ func TestRunDeriveShapes(t *testing.T) {
 func TestRunDeriveOnClusteredPartitions(t *testing.T) {
 	sets := vocabSets(30000, 400, 4, 81)
 	for _, clustered := range []bool{true, false} {
-		var idx layout
+		idx := &layout{}
 		if clustered {
-			idx.appendPartitions(sets, balancedPartition(sets, 3000), 0, nil)
+			idx = newLayout(balancedPartition(sets, 3000), 0, nil)
 		} else {
-			appendLexicographic(&idx, sets, balancedPartition(sets, 3000))
+			appendLexicographic(idx, sets, balancedPartition(sets, 3000))
 		}
 		nodes := 0
 		for pi := range idx.parts {
@@ -136,7 +136,7 @@ func TestRunDeriveOnClusteredPartitions(t *testing.T) {
 			runs := deriveRuns(nil, groups)
 			checkRuns(t, groups, runs)
 			if clustered && !slices.Equal(runs, idx.runs[p.runOff:p.runOff+p.nRuns]) {
-				t.Fatalf("partition %d: appendPartitions stored other nodes than deriveRuns yields", pi)
+				t.Fatalf("partition %d: newLayout stored other nodes than deriveRuns yields", pi)
 			}
 			nodes += len(runs)
 		}
@@ -167,8 +167,7 @@ func FuzzRunDerive(f *testing.F) {
 // emits the large ones first — and deals the queries — stored sets plus extra bits — to the partitions that hold a
 // subset of them, as routing would.
 func clusteredSegs(sets []bitvec.Vector, maxP, nParts, nQueries int, seed int64) []testSeg {
-	var idx layout
-	idx.appendPartitions(sets, balancedPartition(sets, maxP), 0, nil)
+	idx := newLayout(balancedPartition(sets, maxP), 0, nil)
 	segs := make([]testSeg, nParts)
 	for pi, p := range idx.parts[:nParts] {
 		segs[pi] = testSeg{sets: idx.sets[p.off : p.off+p.n], base: p.off}
@@ -269,8 +268,7 @@ func TestRunSpanBlockDims(t *testing.T) {
 // prunes, scans, column words and pairs.
 func TestRunGateTestsOnWorkload(t *testing.T) {
 	gen, sigs, pool := generatedSets(t, 30000, 5)
-	var idx layout
-	idx.appendPartitions(sigs, balancedPartition(sigs, len(sigs)/4), 0, nil)
+	idx := newLayout(balancedPartition(sigs, len(sigs)/4), 0, nil)
 	pt, maskless := buildPartitionTable(idx.parts)
 	rng := rand.New(rand.NewSource(6))
 	perPart := make([][]bitvec.Vector, len(idx.parts))
@@ -299,7 +297,7 @@ func TestRunGateTestsOnWorkload(t *testing.T) {
 	}
 	w, wo := countsOf(&with), countsOf(&without)
 	t.Logf("%d groups, %d run nodes; (entry, group) pairs %d, three-word tests %d with the nodes, %d without; scans %d",
-		totalGroups(&idx), len(idx.runs), w.GateChecks, w.GateTests, wo.GateTests, w.GroupScans)
+		totalGroups(idx), len(idx.runs), w.GateChecks, w.GateTests, wo.GateTests, w.GroupScans)
 	if len(pairs[0]) == 0 || !slices.Equal(pairs[0], pairs[1]) {
 		t.Fatalf("%d pairs with the run nodes, %d without, or in another order", len(pairs[0]), len(pairs[1]))
 	}

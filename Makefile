@@ -32,11 +32,11 @@ race:
 ## deterministic GPU faults, scripted device death, quarantine/recovery,
 ## OOM degrade, overload shedding, straggler injection (a straggling
 ## device's batches stay on it and launch once: TestStraggler*),
-## deadline propagation, snapshot-restore parity, and every
-## one of them crossed with multi-partition batches (TestChaosPacked*,
-## ending in the drain-time checks that every pooled query, batch and
-## result carrier, stream and device byte is back) must all hold with
-## -race on,
+## deadline propagation, snapshot-restore parity, a retry that starts
+## from no outcome (TestChaosRetryStartsClean), and every one of them
+## crossed with multi-partition batches (TestChaosPacked*, ending in the
+## drain-time checks that every pooled query and batch, stream and
+## device byte is back) must all hold with -race on,
 ## as must the exact operation count of a dispatched batch, the
 ## routed-entry log's kick path, counting sort and cut (TestLog*), and the
 ## run nodes — derivation, the walk at every block geometry, folds and

@@ -38,6 +38,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -46,6 +47,9 @@ import (
 
 var noBenchFiles bool
 
+// formats are the values -format accepts.
+var formats = []string{"text", "json", "csv", "benchstat"}
+
 func main() {
 	var p experiments.Params
 	flag.Float64Var(&p.Scale, "scale", experiments.DefaultScale, "fraction of the paper's workload")
@@ -53,10 +57,14 @@ func main() {
 	flag.IntVar(&p.Threads, "threads", runtime.GOMAXPROCS(0), "CPU threads per subject system")
 	flag.IntVar(&p.GPUs, "gpus", 2, "simulated GPUs")
 	flag.IntVar(&p.Queries, "queries", 20000, "queries per measurement")
-	format := flag.String("format", "text", "output format: text, json, csv, benchstat")
+	format := flag.String("format", "text", "output format: "+strings.Join(formats, ", "))
 	flag.BoolVar(&noBenchFiles, "no-bench-files", false, "skip writing BENCH_*.json artifacts")
 	resultsDir := flag.String("results-dir", "results", "directory for run transcripts (empty disables)")
 	flag.Parse()
+	if !slices.Contains(formats, *format) {
+		fmt.Fprintf(os.Stderr, "unknown format %q; available: %v\n", *format, formats)
+		os.Exit(2)
+	}
 
 	names := flag.Args()
 	if len(names) == 0 {
@@ -176,7 +184,7 @@ func runOne(out io.Writer, name string, p experiments.Params, format string) {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-		default:
+		case "text":
 			t.Print(out)
 		}
 	}

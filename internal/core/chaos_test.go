@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -96,6 +98,80 @@ func TestChaosAllAttemptsFailFallsBackToCPU(t *testing.T) {
 	if st.QueriesCompleted != st.QueriesSubmitted {
 		t.Fatalf("lost queries: submitted %d completed %d",
 			st.QueriesSubmitted, st.QueriesCompleted)
+	}
+}
+
+// TestChaosRetryStartsClean: a batch carries its own outcome, so each
+// attempt must start from none. The one batch's first attempt has its
+// header callback stage a non-zero pair count and then loses its result
+// transfer. When the retry fails on its first upload and the batch
+// re-runs on the host, that run must not decode the first attempt's
+// count against a payload that never arrived; when the retry succeeds,
+// it must not take the first attempt's fault for its own.
+func TestChaosRetryStartsClean(t *testing.T) {
+	db := makeTestDB(300, 5, 2, 79)
+	queries := db.makeQueries(8, 80)
+	// The first attempt's operations are the two uploads (1, 2), the
+	// launch (3) and, after the header callback, the result transfer (4);
+	// the retry's first upload is operation 5.
+	for _, tc := range []struct {
+		name      string
+		failOps   []int64
+		fallbacks int64
+	}{
+		{"host", []int64{4, 5}, 1},
+		{"device", []int64{4}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := New(Config{
+				MaxPartitionSize: 1000, BatchSize: 256, Threads: 2,
+				GPUs: 1, GPUWorkers: 2, StreamsPerGPU: 1,
+				// no BatchTimeout: only the drain flushes
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			db.load(e)
+			if err := e.Consolidate(); err != nil {
+				t.Fatal(err)
+			}
+			mem := deviceMem(e)
+			e.devices[0].SetFaultPlan(&gpu.FaultPlan{FailOps: tc.failOps})
+
+			got := make([][]Key, len(queries))
+			done := make(chan struct{}, len(queries))
+			for i, q := range queries {
+				if err := e.Submit(context.Background(), Request{Sig: q}, func(r MatchResult) { got[i] = r.Keys; done <- struct{}{} }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// One pass, one batch: every entry is logged before the drain
+			// flushes.
+			waitRouted(e, int64(len(queries)))
+			if n := e.Stats().RouteAppends; n > 256 {
+				t.Fatalf("%d entries routed: the fixture must fit one batch", n)
+			}
+			e.Drain()
+			for range queries {
+				<-done
+			}
+			for i, q := range queries {
+				keys := append([]Key(nil), got[i]...)
+				sortKeysSlice(keys)
+				if want := db.expected(q, false); fmt.Sprint(keys) != fmt.Sprint(want) {
+					t.Fatalf("query %d: keys %v, want %v", i, keys, want)
+				}
+			}
+			st := e.Stats()
+			if st.BatchesDispatched != 1 || st.GPUFaults != int64(len(tc.failOps)) || st.BatchRetries != 1 ||
+				st.CPUFallbacks != tc.fallbacks || st.ResultOverflows != 0 {
+				t.Fatalf("batches %d, faults %d, retries %d, fallbacks %d, overflows %d; want 1, %d, 1, %d, 0",
+					st.BatchesDispatched, st.GPUFaults, st.BatchRetries, st.CPUFallbacks, st.ResultOverflows,
+					len(tc.failOps), tc.fallbacks)
+			}
+			assertDrained(t, e, mem)
+		})
 	}
 }
 

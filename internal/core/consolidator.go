@@ -220,11 +220,11 @@ func (e *Engine) trimStaged(cut int) {
 }
 
 // consolidateOnce runs one full consolidation. The synchronous form
-// (background=false — the public Consolidate and LoadSnapshot) blocks
-// submissions across all three phases, exactly like the pre-overlay
-// engine. The background form defers the exclusive submitMu section to
-// Phase C, so queries keep flowing — served by the old index plus the
-// overlay — during the long Phase B build.
+// (background=false — the public Consolidate and LoadSnapshot) is the
+// stop-the-world one: it blocks submissions across all three phases. The
+// background form defers the exclusive submitMu section to Phase C, so
+// queries keep flowing — served by the old index plus the overlay —
+// during the long Phase B build.
 // consolidateMu serializes concurrent callers (explicit Consolidate vs
 // the background goroutine).
 //

@@ -236,7 +236,7 @@ func (d *delta) ageNs() float64 {
 // overlay keys are in place before the query can complete; match-unique's
 // dedup then collapses any key present in both overlay and main index.
 func (e *Engine) deltaMatch(w *routeState, q *query) {
-	if e.cfg.DisableLiveUpdates || e.delta.addsLive.Load() == 0 {
+	if e.delta.addsLive.Load() == 0 {
 		return
 	}
 	w.dkeys = e.delta.match(q.sig, q.tags, w.dkeys[:0])
@@ -260,7 +260,7 @@ func (e *Engine) deltaMatch(w *routeState, q *query) {
 // query completes, so a completion callback staging new ops cannot
 // self-deadlock against the overlay's write lock.
 func (e *Engine) tombsForReduce() map[tombKey]int {
-	if e.cfg.DisableLiveUpdates || e.delta.tombsLive.Load() == 0 {
+	if e.delta.tombsLive.Load() == 0 {
 		return nil
 	}
 	e.delta.mu.RLock()

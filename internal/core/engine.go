@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"tagmatch/internal/bitvec"
@@ -33,8 +32,8 @@ import (
 // partitioned main index (Algorithm 1) once it outgrows
 // Config.DeltaMaxSets / Config.DeltaMaxRatio, pausing traffic only for
 // the drain + device-upload swap. Consolidate remains as the explicit
-// synchronous (stop-the-world) form; Config.DisableLiveUpdates
-// restores the legacy staged-until-Consolidate semantics.
+// synchronous (stop-the-world) form; with Config.DisableLiveUpdates,
+// staged operations stay invisible until a Consolidate.
 type Engine struct {
 	cfg Config
 
@@ -74,7 +73,7 @@ type Engine struct {
 	idx atomic.Pointer[index]
 
 	inputCh  chan *query
-	reduceCh chan *batchResult
+	reduceCh chan *openBatch
 	workerWg sync.WaitGroup
 	reduceWg sync.WaitGroup
 
@@ -101,8 +100,8 @@ type Engine struct {
 	dispatchSeq     atomic.Uint64 // stamps each dispatched batch; see dispatch
 	inflightBatches atomic.Int64
 
-	// pools recycles hot-path objects (queries, batches, results,
-	// reduce scratch); see pool.go.
+	// pools recycles hot-path objects (queries, batches, pass scratch);
+	// see pool.go.
 	pools enginePools
 
 	// queryLockAcqs counts reduce-stage acquisitions of query mutexes.
@@ -209,22 +208,6 @@ type groupSlot struct {
 	g    []bitvec.SlicedGroup
 }
 
-// routedEntry is one (partition, query) pair of a query's fan-out.
-type routedEntry struct {
-	pid uint32
-	q   *query
-}
-
-// entryLog is an index generation's routed-entry log: the entries routed
-// and not yet taken by a flush pass, in hand-over order. Workers append
-// whole runs under mu; a pass takes the whole log and leaves the emptied
-// buffer of an earlier pass in its place (see passScratch).
-type entryLog struct {
-	mu      sync.Mutex
-	entries []routedEntry
-	opened  time.Time // when the oldest entry was handed over
-}
-
 // ErrClosed is returned by operations on a closed engine.
 var ErrClosed = errors.New("tagmatch: engine closed")
 
@@ -282,7 +265,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		devices:  devices,
 		inputCh:  make(chan *query, 4*cfg.BatchSize),
-		reduceCh: make(chan *batchResult, 64),
+		reduceCh: make(chan *openBatch, 64),
 
 		flushStop: make(chan struct{}),
 		flushDone: make(chan struct{}),
@@ -698,10 +681,11 @@ func (idx *index) appendKeys(ents entryList, withTags bool) {
 // index holds: the tagset table (24 B/set), the key table and its CSR
 // offsets, the row table (4 B per slot), the run nodes (40 B each), the
 // partition descriptors with their group-cache slots, and the partition
-// table (scalar bins + bit-sliced groups) — the paper's host side. The transposed groups (1592 B per 64-set SlicedGroup ≈ 24.9
-// B/set) count only while the host holds them: all of them on an index
-// without devices, none on a device-backed one until a host-side match
-// builds some (slicedPart adds those).
+// table (scalar bins + bit-sliced groups) — the paper's host side. The
+// transposed groups (1592 B per 64-set SlicedGroup ≈ 24.9 B/set) count
+// only while the host holds them: all of them on an index without
+// devices, none on a device-backed one until a host-side match builds
+// some (slicedPart adds those).
 func hostBytesFor(idx *index) int64 {
 	var held int64
 	for i := range idx.groups {
@@ -873,7 +857,7 @@ func (e *Engine) Close() error {
 	<-e.flushDone
 	// Preprocess workers are gone; flush whatever they logged and wait for
 	// the in-flight batches to land.
-	e.await(context.Background(), true, func() bool { return e.inflightBatches.Load() == 0 })
+	e.await(context.Background(), func() bool { return e.inflightBatches.Load() == 0 })
 	close(e.reduceCh)
 	e.reduceWg.Wait()
 	e.idx.Load().release()
@@ -887,7 +871,7 @@ func (e *Engine) Close() error {
 // callback has returned, flushing the entry log as needed. A done
 // callback must therefore not call Drain itself.
 func (e *Engine) Drain() {
-	e.await(context.Background(), true, func() bool { return e.obs.Flow.Completed.Load() >= e.obs.Flow.Submitted.Load() })
+	e.await(context.Background(), func() bool { return e.obs.Flow.Completed.Load() >= e.obs.Flow.Submitted.Load() })
 }
 
 // await blocks until cond holds or ctx ends, and reports whether cond
@@ -895,17 +879,16 @@ func (e *Engine) Drain() {
 // wait for its result, SubmitWait's for capacity and Close's for the
 // batches in flight. It is event-driven: each progress event (a query
 // routed or completed, a batch leaving reduce, and ctx's end) wakes the
-// waiter, which re-checks cond. With flush set it flushes the entry log
-// before each check, so what it waits for never rests on the flush
-// timeout; one flush would not do, as it can run before the pre-process
-// stage has logged the entries. A test observing the log unflushed
-// clears flush. The epoch check closes the lost-wakeup window where
+// waiter, which re-checks cond. It flushes the entry log before each
+// check, so what it waits for never rests on the flush timeout; one flush
+// would not do, as it can run before the pre-process stage has logged the
+// entries. The epoch check closes the lost-wakeup window where
 // progress happens while the waiter is flushing or inside cond: the
 // waiter only sleeps if nothing has progressed since before its flush,
 // and any later event must broadcast under drainMu. Go's sequentially
 // consistent atomics make the waiter-count/epoch handshake with
 // notifyProgress safe.
-func (e *Engine) await(ctx context.Context, flush bool, cond func() bool) bool {
+func (e *Engine) await(ctx context.Context, cond func() bool) bool {
 	e.drainWaiters.Add(1)
 	defer e.drainWaiters.Add(-1)
 	if ctx.Done() != nil {
@@ -913,9 +896,7 @@ func (e *Engine) await(ctx context.Context, flush bool, cond func() bool) bool {
 	}
 	for {
 		ep := e.progressEpoch.Load()
-		if flush {
-			e.flushPass(e.idx.Load(), dispatchFlush)
-		}
+		e.flushPass(e.idx.Load(), dispatchFlush)
 		// Read before cond: what cond finds by the time the end is seen —
 		// a result that raced a cancellation — still counts.
 		ended := ctx.Err() != nil

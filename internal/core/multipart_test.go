@@ -19,12 +19,19 @@ import (
 
 // waitRouted blocks until n queries have been routed and their entries
 // handed over to the log. Pre-process workers signal progress after
-// every hand-over, so this waits on that event, without flushing.
+// every hand-over, so this waits on that event as await does, but
+// without await's flush, which would take the log it means to observe.
+// The counters are read under drainMu, which a signal takes to wake
+// the waiter, so no hand-over goes unseen.
 func waitRouted(e *Engine, n int64) {
 	r := &e.obs.Routing
-	e.await(context.Background(), false, func() bool {
-		return r.SlicedQueries.Load() == n && r.MergedAppends.Load() == e.obs.Flow.PartitionsSearched.Load()
-	})
+	e.drainWaiters.Add(1)
+	defer e.drainWaiters.Add(-1)
+	e.drainMu.Lock()
+	defer e.drainMu.Unlock()
+	for r.SlicedQueries.Load() != n || r.MergedAppends.Load() != e.obs.Flow.PartitionsSearched.Load() {
+		e.drainCond.Wait()
+	}
 }
 
 // deviceMem returns each device's memory in use; taken right after a
@@ -38,16 +45,15 @@ func deviceMem(e *Engine) []int64 {
 }
 
 // assertDrained checks that a drained engine holds nothing it borrowed:
-// no attempt chain behind the dispatching fence, every pooled query,
-// batch and result carrier recycled, no entry left in the live index's
-// log, every stream back in the pool, every device's memory
-// in use what it was right after the last consolidate (mem, from
-// deviceMem). A query's completion precedes the tail of its last batch's
-// reduce, so the check first waits, as Close does, for the batches in
-// flight to land.
+// no attempt chain behind the dispatching fence, every pooled query and
+// batch recycled, no entry left in the live index's log, every stream
+// back in the pool, every device's memory in use what it was right after
+// the last consolidate (mem, from deviceMem). A query's completion
+// precedes the tail of its last batch's reduce, so the check first
+// waits, as Close does, for the batches in flight to land.
 func assertDrained(t *testing.T, e *Engine, mem []int64) {
 	t.Helper()
-	e.await(context.Background(), true, func() bool { return e.inflightBatches.Load() == 0 })
+	e.await(context.Background(), func() bool { return e.inflightBatches.Load() == 0 })
 	idx := e.idx.Load()
 	fenced := make(chan struct{})
 	go func() { idx.dispatching.Wait(); close(fenced) }()
@@ -62,7 +68,6 @@ func assertDrained(t *testing.T, e *Engine, mem []int64) {
 	}{
 		{"queries", e.pools.liveQueries.Load()},
 		{"batches", e.pools.liveBatches.Load()},
-		{"batch results", e.pools.liveResults.Load()},
 	} {
 		if c.n != 0 {
 			t.Errorf("%d %s never recycled", c.n, c.what)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,24 +10,23 @@ import (
 
 // Hot-path buffer recycling. At steady state the submit→complete path
 // allocates the same handful of objects for every query and batch —
-// query structs, openBatch slice pairs, batchResult carriers, result
-// staging buffers, and the reduce stage's per-batch scratch. All of them
-// have a clear last-touch point (the final finish for queries, the end
-// of reduceOne for batches/results/scratch), so they are recycled
-// through sync.Pools instead of being re-allocated per batch, keeping
-// the steady-state pipeline allocation-flat (TestSteadyStateAllocsPerQuery
-// holds a no-match burst under a quarter of an allocation per query).
+// query structs, openBatch slices with their packed-pair payload, and a
+// flush pass's scratch. Each has a clear last-touch point (the final
+// finish for a query, the end of reduceOne for a batch, the end of its
+// pass for a pass scratch), so they are recycled through sync.Pools
+// instead of being re-allocated, keeping the steady-state pipeline
+// allocation-flat (TestSteadyStateAllocsPerQuery holds a no-match burst
+// under a quarter of an allocation per query). A reduce worker owns its
+// scratch, as a pre-process worker owns its routeState.
 type enginePools struct {
-	query   sync.Pool // *query
-	batch   sync.Pool // *openBatch
-	result  sync.Pool // *batchResult
-	scratch sync.Pool // *reduceScratch
-	pass    sync.Pool // *passScratch
+	query sync.Pool // *query
+	batch sync.Pool // *openBatch
+	pass  sync.Pool // *passScratch
 
-	// liveQueries, liveBatches and liveResults count the queries, batches
-	// and result carriers handed out and not yet returned: each is zero on
-	// a drained engine, or one was leaked.
-	liveQueries, liveBatches, liveResults atomic.Int64
+	// liveQueries and liveBatches count the queries and batches handed out
+	// and not yet returned: each is zero on a drained engine, or one was
+	// leaked.
+	liveQueries, liveBatches atomic.Int64
 }
 
 func (ep *enginePools) getQuery() *query {
@@ -84,59 +82,8 @@ func (ep *enginePools) putBatch(b *openBatch) {
 	b.segs = b.segs[:0]
 	b.dup = b.dup[:0]
 	b.deadlined = false
+	b.idx, b.fault = nil, nil
 	ep.batch.Put(b)
-}
-
-func (ep *enginePools) getResult() *batchResult {
-	ep.liveResults.Add(1)
-	if r, ok := ep.result.Get().(*batchResult); ok {
-		return r
-	}
-	return &batchResult{}
-}
-
-// putResult recycles a result carrier, retaining the capacity of its
-// payload buffer for the next batch.
-func (ep *enginePools) putResult(r *batchResult) {
-	ep.liveResults.Add(-1)
-	r.idx = nil
-	r.batch = nil
-	r.count = 0
-	r.overflow = false
-	r.kind = payloadCPU
-	r.packed = r.packed[:0]
-	ep.result.Put(r)
-}
-
-// reduceScratch is the per-batch accumulation state of the batch-local
-// reduce: keys collected per query slot (slot = the query's dense uint8
-// index within the batch) and the list of touched slots in first-touch
-// order. Key capacities persist across reuse, so a warmed-up scratch
-// absorbs a typical batch without allocating.
-type reduceScratch struct {
-	keys    [][]Key     // per batch slot; appended to under no lock
-	touched []uint8     // slots with at least one key, in first-touch order
-	span    spanScratch // cpuMatchBatchSliced's surviving-entry lists
-	pairs   []int32     // per batch slot: pairs decoded, then entries per distinct query
-}
-
-func (ep *enginePools) getScratch(batchSize int) *reduceScratch {
-	sc, _ := ep.scratch.Get().(*reduceScratch)
-	if sc == nil {
-		sc = &reduceScratch{}
-	}
-	for len(sc.keys) < batchSize {
-		sc.keys = append(sc.keys, nil)
-	}
-	sc.pairs = slices.Grow(sc.pairs[:0], batchSize)[:batchSize]
-	clear(sc.pairs)
-	return sc
-}
-
-// putScratch recycles a reduce scratch. The caller must have drained
-// every touched slot (flushScratch leaves them empty).
-func (ep *enginePools) putScratch(sc *reduceScratch) {
-	ep.scratch.Put(sc)
 }
 
 // passScratch is a flush pass's working memory: the log it took — whose

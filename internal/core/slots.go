@@ -88,7 +88,8 @@ func (p *slotPool) take(pick func(free []*streamSlot) int, giveUp func() bool, b
 // probe, or when waiting has become pointless: the engine is closing, or
 // every member query's context has ended. Unusable slots stay pooled, so
 // quarantining never shrinks the pool itself.
-func (e *Engine) acquireStream(idx *index, b *openBatch) *streamSlot {
+func (e *Engine) acquireStream(b *openBatch) *streamSlot {
+	idx := b.idx
 	t0 := time.Now()
 	defer func() { e.obs.Streams.AcquireWait.ObserveDuration(time.Since(t0)) }()
 

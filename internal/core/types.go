@@ -46,8 +46,10 @@ type Config struct {
 	// per device, i.e. thread blocks executing in parallel. Defaults to 4.
 	GPUWorkers int
 	// GPUMemBytes is the per-device memory budget (default 12 GiB, one
-	// TITAN X as in the paper's testbed). An index that does not fit
-	// leaves the engine CPU-only (ErrDeviceDegraded).
+	// TITAN X as in the paper's testbed), a hardware parameter of the
+	// simulated devices like GPUs. An index that does not fit leaves the
+	// engine CPU-only (ErrDeviceDegraded): this is the one input through
+	// which a caller reaches that degraded path.
 	GPUMemBytes int64
 	// RealisticGPUCosts enables the calibrated kernel-launch and
 	// PCIe-copy cost model. Leave false in unit tests, set true in

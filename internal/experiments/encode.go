@@ -60,9 +60,9 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // per row with a value-unit pair per column, so two runs can be compared
 // with benchstat:
 //
-//	tagmatch-bench -format benchstat preprocess > old.txt
+//	tagmatch-bench -format benchstat fig4 > old.txt
 //	... change ...
-//	tagmatch-bench -format benchstat preprocess > new.txt
+//	tagmatch-bench -format benchstat fig4 > new.txt
 //	benchstat old.txt new.txt
 //
 // Row labels and column names are sanitized into benchmark-name and unit
@@ -107,17 +107,4 @@ func benchToken(s string) string {
 		out = append(out, c)
 	}
 	return string(out)
-}
-
-// DecodeJSONTable parses a table previously written by WriteJSON.
-func DecodeJSONTable(r io.Reader) (*Table, error) {
-	var jt jsonTable
-	if err := json.NewDecoder(r).Decode(&jt); err != nil {
-		return nil, fmt.Errorf("experiments: decoding table: %w", err)
-	}
-	t := &Table{ID: jt.ID, Title: jt.Title, Cols: jt.Cols, Notes: jt.Notes}
-	for _, r := range jt.Rows {
-		t.Add(r.Label, r.Values...)
-	}
-	return t, nil
 }

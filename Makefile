@@ -2,14 +2,16 @@
 
 GO ?= go
 
-.PHONY: check build vet test race chaos bench-canonical-smoke bench-smoke bench-obs obs-smoke loc clean
+.PHONY: check build vet test race chaos bench-canonical-smoke bench-smoke fuzz-smoke bench-obs obs-smoke loc clean
 
 ## check: full CI gate — vet, build, tests, race detector on the
 ## concurrency-heavy packages, the chaos (fault-injection) suite, a
-## short allocation-tracking benchmark pass over the hot path, the
-## observability export smoke test, and the canonical benchmark's
-## harness smoke and one driver-form run of it per trace mode.
-check: vet build test race chaos bench-smoke obs-smoke bench-canonical-smoke
+## short allocation-tracking benchmark pass over the hot path and one
+## snapshot load, ten seconds each of the snapshot-loader and bit-sliced
+## kernel fuzz targets, the observability export smoke test, and the
+## canonical benchmark's harness smoke and one driver-form run of it per
+## trace mode.
+check: vet build test race chaos bench-smoke fuzz-smoke obs-smoke bench-canonical-smoke
 
 build:
 	$(GO) build ./...
@@ -70,11 +72,22 @@ chaos:
 ## bench-smoke: quick -benchmem pass over the hot-path benchmarks so a
 ## regression in allocs/op shows up in the CI gate without a full
 ## benchmark run, and one bulk load of a 50,000-set snapshot
-## (BenchmarkLoadSnapshot: ns, B and allocs per set-up).
+## (BenchmarkLoadSnapshot: ns, B, allocs and GC cycles per set-up, the
+## last as gc/op).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkHotpathSubmit|BenchmarkBlockingMatch|BenchmarkPartitionLookup' \
 		-benchtime=100x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkLoadSnapshot' -benchtime=1x -benchmem ./internal/core/
+
+## fuzz-smoke: ten seconds of each of two fuzz targets — the snapshot
+## loader (FuzzLoadSnapshot: every malformed stream rejected, on a plain
+## and an ExactVerify engine, without allocating for counts the stream
+## does not back) and the bit-sliced kernel against brute force
+## (FuzzSlicedMatch). A failing input is written under
+## internal/core/testdata/fuzz/.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzSlicedMatch$$' -fuzztime 10s ./internal/core/
 
 ## bench-obs: measure the observability layer's throughput overhead and
 ## write BENCH_obs.json (budget <2%; the canonical benchmark does not

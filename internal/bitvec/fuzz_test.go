@@ -80,7 +80,8 @@ func FuzzSubsetAlgebra(f *testing.F) {
 
 // FuzzLaneBlockSubset packs fuzz-derived masks into a LaneBlock and
 // checks the bit-sliced subset test against the scalar SubsetOf for
-// every lane.
+// every lane, and the word-parallel transpose (BuildSlicedGroups) against
+// the block SetLane built.
 func FuzzLaneBlockSubset(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 4}, []byte{5, 6})
 	f.Add([]byte{}, []byte{})
@@ -110,6 +111,9 @@ func FuzzLaneBlockSubset(f *testing.F) {
 		}
 		if got := lb.SubsetLanes(q); got != want {
 			t.Fatalf("SubsetLanes = %#x, scalar = %#x (q=%s)", got, want, q.Hex())
+		}
+		if groups := BuildSlicedGroups(masks); len(masks) > 0 && groups[0].LaneBlock != lb {
+			t.Fatal("BuildSlicedGroups differs from SetLane")
 		}
 	})
 }

@@ -117,6 +117,9 @@ func BuildSlicedGroups(sets []Vector) []SlicedGroup {
 
 // AppendSlicedGroups appends the groups BuildSlicedGroups would return
 // for sets to dst, transposing in place rather than through a temporary.
+// Each block of a group is one 64×64 bit matrix, lane L's word its row
+// 63-L, transposed word-parallel into the group's 64 column words: the
+// same group SetLane would build one bit at a time.
 func AppendSlicedGroups(dst []SlicedGroup, sets []Vector) []SlicedGroup {
 	n := len(dst)
 	dst = slices.Grow(dst, (len(sets)+63)/64)[:n+(len(sets)+63)/64]
@@ -124,11 +127,54 @@ func AppendSlicedGroups(dst []SlicedGroup, sets []Vector) []SlicedGroup {
 	clear(groups)
 	for g := range groups {
 		grp := &groups[g]
+		lanes := sets[g*64 : min(g*64+64, len(sets))]
+		grp.Valid = ^uint64(0) >> (64 - len(lanes))
 		grp.Gate = Vector{^uint64(0), ^uint64(0), ^uint64(0)}
-		for lane, i := 0, g*64; lane < 64 && i < len(sets); lane, i = lane+1, i+1 {
-			grp.SetLane(lane, sets[i])
-			grp.Gate = grp.Gate.And(sets[i])
+		for _, v := range lanes {
+			grp.Gate = grp.Gate.And(v)
+		}
+		for b := 0; b < Blocks; b++ {
+			cols := (*[64]uint64)(grp.Cols[b*64 : b*64+64])
+			var used uint64
+			for lane, v := range lanes {
+				cols[63-lane] = v[b]
+				used |= v[b]
+			}
+			grp.Used[b] = used
+			if used != 0 {
+				transpose64(cols)
+			}
 		}
 	}
 	return dst
+}
+
+// transpose64 transposes a 64×64 bit matrix in place, row i being a[i]
+// and column j its bit 63-j (the MSB is column 0): it swaps the
+// off-diagonal 32×32 blocks, then within each quadrant the 16×16 blocks,
+// down to single bits — six passes of 32 word pairs each (Hacker's
+// Delight, §7-3). The passes are spelled out so each shifts by a
+// constant.
+func transpose64(a *[64]uint64) {
+	swapBlocks(a, 32, 0x00000000ffffffff)
+	swapBlocks(a, 16, 0x0000ffff0000ffff)
+	swapBlocks(a, 8, 0x00ff00ff00ff00ff)
+	swapBlocks(a, 4, 0x0f0f0f0f0f0f0f0f)
+	swapBlocks(a, 2, 0x3333333333333333)
+	swapBlocks(a, 1, 0x5555555555555555)
+}
+
+// swapBlocks is one pass of transpose64: in every pair of rows k and k+j
+// with bit j of k clear, it swaps the bits m selects in row k with those
+// m<<j selects in row k+j.
+func swapBlocks(a *[64]uint64, j int, m uint64) {
+	for base := 0; base < 64; base += 2 * j {
+		lo := a[base : base+j]
+		hi := a[base+j:][:len(lo)]
+		for k := range lo {
+			t := (lo[k] ^ hi[k]>>j) & m
+			lo[k] ^= t
+			hi[k] ^= t << j
+		}
+	}
 }

@@ -150,3 +150,48 @@ func TestAppendSlicedGroupsMatchesBuild(t *testing.T) {
 		lo += n
 	}
 }
+
+// setLaneGroups is the reference transpose: every lane set one bit at a
+// time through SetLane, the gate the intersection of the lanes.
+func setLaneGroups(sets []Vector) []SlicedGroup {
+	out := make([]SlicedGroup, (len(sets)+63)/64)
+	for i, v := range sets {
+		g := &out[i/64]
+		if i%64 == 0 {
+			g.Gate = Vector{^uint64(0), ^uint64(0), ^uint64(0)}
+		}
+		g.SetLane(i%64, v)
+		g.Gate = g.Gate.And(v)
+	}
+	return out
+}
+
+// TestAppendSlicedGroupsMatchesSetLane holds the word-parallel transpose
+// to the per-lane reference over every tail length from 0 to 130 sets (no
+// group, a partial one, full ones and a partial third) and bit densities
+// from empty through sparse to every bit set, appended behind a group
+// whose spare capacity holds stale data.
+func TestAppendSlicedGroupsMatchesSetLane(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	full := Vector{^uint64(0), ^uint64(0), ^uint64(0)}
+	for _, bits := range []int{0, 1, 3, 12, 40, 96, 150, -1} {
+		for n := 0; n <= 130; n++ {
+			sets := make([]Vector, n)
+			for i := range sets {
+				if bits < 0 {
+					sets[i] = full
+				} else {
+					sets[i] = randVec(rng, bits)
+				}
+			}
+			dst := make([]SlicedGroup, 1, 4)
+			for i := range dst[:cap(dst)] {
+				dst[:cap(dst)][i].Cols[i] = ^uint64(0)
+			}
+			got := AppendSlicedGroups(dst, sets)[1:]
+			if want := setLaneGroups(sets); !slices.Equal(got, want) {
+				t.Fatalf("%d sets of %d bits: groups differ from SetLane's", n, bits)
+			}
+		}
+	}
+}

@@ -68,7 +68,8 @@ func oracleSplitRun(sets []bitvec.Vector, maxP int, out []partitionSpec, mask, u
 		pivot = freq.pivot(int32(len(members)), used)
 	}
 	if pivot < 0 {
-		return append(out, partitionSpec{mask: mask, members: members, freq: *freq})
+		f := *freq
+		return append(out, partitionSpec{mask: mask, members: members, freq: &f})
 	}
 	used.Set(pivot)
 	p0, p1 := members[:0], make([]int32, 0, freq[pivot])
@@ -120,7 +121,7 @@ func oracleFirstFitPartition(sets []bitvec.Vector, maxP int) []partitionSpec {
 		for _, m := range members[1:] {
 			mask = mask.And(sets[m])
 		}
-		spec := partitionSpec{mask: mask, members: members}
+		spec := partitionSpec{mask: mask, members: members, freq: new(bitFreq)}
 		spec.freq.countScatter(sets, members)
 		out = append(out, spec)
 	}
@@ -167,7 +168,7 @@ func oracleOrderMembers(sets []bitvec.Vector, specs []partitionSpec) {
 			defer wg.Done()
 			c := oracleClusterer{sets: sets, weight: weight}
 			for i := int(next.Add(1)) - 1; i < len(specs); i = int(next.Add(1)) - 1 {
-				c.order(specs[i].members, &specs[i].freq)
+				c.order(specs[i].members, specs[i].freq)
 			}
 		}()
 	}
@@ -206,6 +207,30 @@ func (idx *layout) oracleAppendPartitions(sigs []bitvec.Vector, specs []partitio
 		p.nRuns = uint32(len(idx.runs)) - p.runOff
 		idx.parts = append(idx.parts, p)
 	}
+	idx.oraclePlaceOnDevices(nDev)
+}
+
+// oraclePlaceOnDevices packs the run nodes device by device, each device's
+// partitions in partition order, and records each partition's place in
+// its device's groups and run nodes, as the upload packed them before the
+// build laid them out that way.
+func (idx *layout) oraclePlaceOnDevices(nDev int) {
+	var runs []runNode
+	for d := range max(nDev, 1) {
+		var nG uint32
+		first := len(runs)
+		for pi := range idx.parts {
+			p := &idx.parts[pi]
+			if p.dev != d {
+				continue
+			}
+			own := idx.runs[p.runOff : p.runOff+p.nRuns]
+			p.devOff, p.devRunOff, p.runOff = nG, uint32(len(runs)-first), uint32(len(runs))
+			runs = append(runs, own...)
+			nG += p.nGroups()
+		}
+	}
+	idx.runs = runs
 }
 
 // oracleBuildHostIndex is buildHostIndex before this file's successor: the
@@ -225,7 +250,7 @@ func oracleBuildHostIndex(cfg Config, nDev int, db setList) *index {
 	l.groups = make([]groupSlot, 0, len(specs))
 	idx := &index{layout: l, keyOff: make([]uint32, 1, len(sigs)+1)}
 	l.oracleAppendPartitions(sigs, specs, nDev, func(m int32, _ uint32) {
-		idx.appendKeys(db.lists[m], cfg.ExactVerify)
+		idx.appendKeys(db.entries(int(m)), cfg.ExactVerify)
 	})
 	l.rows = fillRowTable(l.sets, len(l.sets))
 	l.pt, l.maskless = buildPartitionTable(l.parts)
@@ -294,6 +319,20 @@ func requireSameLayout(t *testing.T, got, want *layout) {
 	if !slices.Equal(got.runs, want.runs) {
 		t.Fatal("run nodes differ")
 	}
+	for d := range len(got.stretchAt) - 1 {
+		var groups []bitvec.SlicedGroup
+		var runs []runNode
+		for i, p := range want.parts {
+			if p.dev == d {
+				groups = append(groups, want.groups[i].g...)
+				runs = append(runs, want.runs[p.runOff:p.runOff+p.nRuns]...)
+			}
+		}
+		gg, gr := got.stretchOf(d)
+		if !slices.Equal(gg, groups) || !slices.Equal(gr, runs) {
+			t.Fatalf("device %d: its stretch is not its partitions' groups and run nodes", d)
+		}
+	}
 }
 
 // requireSameSpecs fails unless the specs hold the same masks, members in
@@ -306,7 +345,7 @@ func requireSameSpecs(t *testing.T, sigs []bitvec.Vector, got, want []partitionS
 	}
 	for i := range got {
 		g, w := &got[i], &want[i]
-		if g.mask != w.mask || !slices.Equal(g.members, w.members) || g.freq != w.freq {
+		if g.mask != w.mask || !slices.Equal(g.members, w.members) || *g.freq != *w.freq {
 			t.Fatalf("partition %d differs", i)
 		}
 		if !slices.Equal(g.sets, gather(sigs, g.members)) {
@@ -380,16 +419,22 @@ func TestBalancedPartitionLayoutMatchesOracle(t *testing.T) {
 func requireSameHostIndex(t *testing.T, sigs []bitvec.Vector, maxP int, firstFit bool, absent []bitvec.Vector) {
 	t.Helper()
 	cfg := Config{MaxPartitionSize: maxP, FirstFitPartitioning: firstFit, ExactVerify: true}
-	bulk := setList{sigs: sigs, lists: make([]entryList, len(sigs))}
-	for i := range sigs {
-		for k := 0; k <= i%3; k++ {
-			bulk.lists[i].keys = append(bulk.lists[i].keys, Key(i*3+k))
-			bulk.lists[i].tags = append(bulk.lists[i].tags, []string{fmt.Sprint(i, k)})
+	// A listing consumes its bulk, so each build lists one of its own.
+	bulk := func() setList {
+		var b setList
+		for i, sig := range sigs {
+			var ents entryList
+			for k := 0; k <= i%3; k++ {
+				ents.keys = append(ents.keys, Key(i*3+k))
+				ents.tags = append(ents.tags, []string{fmt.Sprint(i, k)})
+			}
+			b.add(sig, ents, true)
 		}
+		return b
 	}
 	e := &Engine{cfg: cfg, devices: make([]*gpu.Device, 2)}
-	got := e.buildHostIndex(listDatabase(emptyIndex(), nil, bulk))
-	want := oracleBuildHostIndex(cfg, 2, listDatabase(emptyIndex(), nil, bulk))
+	got := e.buildHostIndex(listDatabase(emptyIndex(), nil, bulk(), true))
+	want := oracleBuildHostIndex(cfg, 2, listDatabase(emptyIndex(), nil, bulk(), true))
 	requireSameLayout(t, got.layout, want.layout)
 	if !slices.Equal(got.keyOff, want.keyOff) || !slices.Equal(got.keys, want.keys) {
 		t.Fatal("key CSR differs")

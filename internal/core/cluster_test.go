@@ -39,7 +39,7 @@ func vocabSets(n, vocab, maxTags int, seed int64) []bitvec.Vector {
 // onePartition wraps all of sets into a single spec, as an oversized or
 // maskless partition would reach the clusterer.
 func onePartition(sets []bitvec.Vector) []partitionSpec {
-	spec := partitionSpec{members: make([]int32, len(sets)), sets: sets}
+	spec := partitionSpec{members: make([]int32, len(sets)), sets: sets, freq: new(bitFreq)}
 	for i := range spec.members {
 		spec.members[i] = int32(i)
 	}

@@ -121,20 +121,40 @@ func touchedBy(idx *index, ops []stagedOp, withTags bool) []touchedSet {
 	return out
 }
 
-// setList is a list of sets in order: set m is sigs[m] with the entries
-// lists[m]. It carries a database a full build lays out or a snapshot
-// writes, and a bulk load a synchronous consolidation adds after the
-// staged log. A listed database also carries rows, the row table of its
-// signatures keyed by list index, which the build rekeys to its rows.
+// setList is a list of sets in order, as a CSR: set m is sigs[m] with the
+// keys keys[off[m]:off[m+1]] and, only in ExactVerify mode, their tags,
+// the same window of tags. That is the shape of the index's key table, so
+// the build copies key ranges. A setList carries a database a full build
+// lays out or a snapshot writes, and a bulk load a synchronous
+// consolidation adds after the staged log. A listed database also carries
+// rows, the row table of its signatures keyed by list index, which the
+// build rekeys to its rows.
 type setList struct {
-	sigs  []bitvec.Vector
-	lists []entryList
-	rows  rowTable
+	sigs []bitvec.Vector
+	off  []uint32 // len(sigs)+1 offsets; nil while the list is empty
+	keys []Key
+	tags [][]string
+	rows rowTable
 }
 
-func (l *setList) add(sig bitvec.Vector, ents entryList) {
+// entries returns set m's entries. They alias the list.
+func (l *setList) entries(m int) entryList {
+	lo, hi := l.off[m], l.off[m+1]
+	ents := entryList{keys: l.keys[lo:hi]}
+	if l.tags != nil {
+		ents.tags = l.tags[lo:hi]
+	}
+	return ents
+}
+
+// add appends a set holding ents.
+func (l *setList) add(sig bitvec.Vector, ents entryList, withTags bool) {
+	if l.off == nil {
+		l.off = []uint32{0}
+	}
 	l.sigs = append(l.sigs, sig)
-	l.lists = append(l.lists, ents)
+	l.appendEntries(ents, withTags)
+	l.off = append(l.off, uint32(len(l.keys)))
 }
 
 // listDatabase lists the database from ⊕ touched ⊕ bulk: the live rows of
@@ -142,11 +162,19 @@ func (l *setList) add(sig bitvec.Vector, ents entryList) {
 // changed it; then the cut's new signatures in first-touched order; then
 // the bulk, where a signature already listed gains the record's entries.
 // No listed set is empty and no signature repeats: the list's row table,
-// sized for every non-empty record, finds the bulk's repeats. The lists
-// alias from's key arrays and the bulk's; a merge copies.
-func listDatabase(from *index, touched []touchedSet, bulk setList) setList {
+// sized for every non-empty record, finds the bulk's repeats as it is
+// filled. The listing is one CSR, sized once, that every part appends its
+// key ranges to; only a bulk that repeats a signature costs a second pass
+// (mergeRepeats). The bulk is consumed: when nothing is listed before it
+// (a load into an empty engine), its own arrays become the listing's and
+// each record moves at most back over the records dropped before it, so
+// a load lists without allocating a second copy of the database.
+// withTags lists the entries' tags too.
+func listDatabase(from *index, touched []touchedSet, bulk setList, withTags bool) setList {
 	var over map[uint32]int
+	nKeys := len(from.keys) + len(bulk.keys)
 	for i, ts := range touched {
+		nKeys += len(ts.ents.keys)
 		if ts.row >= 0 {
 			if over == nil {
 				over = make(map[uint32]int)
@@ -154,8 +182,19 @@ func listDatabase(from *index, touched []touchedSet, bulk setList) setList {
 			over[uint32(ts.row)] = i
 		}
 	}
-	n := len(from.sets) + len(touched) + len(bulk.sigs)
-	l := setList{sigs: make([]bitvec.Vector, 0, n), lists: make([]entryList, 0, n)}
+	var l setList
+	if len(from.sets) == 0 && len(touched) == 0 && len(bulk.sigs) > 0 {
+		l = setList{sigs: bulk.sigs[:0], off: bulk.off[:1], keys: bulk.keys[:0]}
+		if withTags {
+			l.tags = bulk.tags[:0]
+		}
+	} else {
+		n := len(from.sets) + len(touched) + len(bulk.sigs)
+		l = setList{sigs: make([]bitvec.Vector, 0, n), off: make([]uint32, 1, n+1), keys: make([]Key, 0, nKeys)}
+		if withTags {
+			l.tags = make([][]string, 0, nKeys)
+		}
+	}
 	for r := range from.sets {
 		ents := from.row(uint32(r))
 		if over != nil {
@@ -164,36 +203,41 @@ func listDatabase(from *index, touched []touchedSet, bulk setList) setList {
 			}
 		}
 		if len(ents.keys) > 0 {
-			l.add(from.sets[r], ents)
+			l.add(from.sets[r], ents, withTags)
 		}
 	}
 	for _, ts := range touched {
 		if ts.row < 0 && len(ts.ents.keys) > 0 {
-			l.add(ts.sig, ts.ents)
+			l.add(ts.sig, ts.ents, withTags)
 		}
 	}
 	reach := len(l.sigs)
-	for _, ents := range bulk.lists {
-		if len(ents.keys) > 0 {
+	for m := range bulk.sigs {
+		if bulk.off[m+1] > bulk.off[m] {
 			reach++
 		}
 	}
 	l.rows = fillRowTable(l.sigs, reach)
-	for i, sig := range bulk.sigs {
-		ents := bulk.lists[i]
+	// A repeated record's entries are set aside, with the set they join,
+	// before a later record can move over them.
+	var repeats setList
+	var joins []uint32
+	for m, sig := range bulk.sigs {
+		ents := bulk.entries(m)
 		if len(ents.keys) == 0 {
 			continue
 		}
-		if m, ok := l.rows.lookup(l.sigs, sig); ok {
-			cur := l.lists[m]
-			l.lists[m] = entryList{
-				keys: append(slices.Clip(cur.keys), ents.keys...),
-				tags: append(slices.Clip(cur.tags), ents.tags...),
-			}
+		slot := l.rows.find(l.sigs, sig)
+		if at := l.rows[slot]; at != 0 {
+			repeats.add(sig, ents, withTags)
+			joins = append(joins, at-1)
 			continue
 		}
-		l.add(sig, ents)
-		l.rows.insert(l.sigs, uint32(len(l.sigs)-1))
+		l.add(sig, ents, withTags)
+		l.rows[slot] = uint32(len(l.sigs))
+	}
+	if len(joins) > 0 {
+		l.mergeRepeats(repeats, joins, withTags)
 	}
 	if len(l.rows) > rowTableSlots(len(l.sigs)) {
 		// The bulk repeated enough signatures to leave the table twice
@@ -201,6 +245,43 @@ func listDatabase(from *index, touched []touchedSet, bulk setList) setList {
 		l.rows = fillRowTable(l.sigs, len(l.sigs))
 	}
 	return l
+}
+
+// mergeRepeats rewrites l's key CSR with each of the repeated records'
+// entries appended to set joins[i]'s, in record order.
+func (l *setList) mergeRepeats(repeats setList, joins []uint32, withTags bool) {
+	order := make([]int, len(joins))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(joins[a], joins[b]) })
+	nKeys := len(l.keys) + len(repeats.keys)
+	merged := setList{sigs: l.sigs, off: make([]uint32, 1, len(l.off)), keys: make([]Key, 0, nKeys), rows: l.rows}
+	if withTags {
+		merged.tags = make([][]string, 0, nKeys)
+	}
+	for m := range l.sigs {
+		merged.appendEntries(l.entries(m), withTags)
+		for ; len(order) > 0 && joins[order[0]] == uint32(m); order = order[1:] {
+			merged.appendEntries(repeats.entries(order[0]), withTags)
+		}
+		merged.off = append(merged.off, uint32(len(merged.keys)))
+	}
+	*l = merged
+}
+
+// appendEntries appends ents to the last set's key range, which the
+// caller closes with its offset. With tags, entries that came without
+// them get nil tags.
+func (l *setList) appendEntries(ents entryList, withTags bool) {
+	l.keys = append(l.keys, ents.keys...)
+	switch {
+	case !withTags:
+	case ents.tags == nil:
+		l.tags = append(l.tags, make([][]string, len(ents.keys))...)
+	default:
+		l.tags = append(l.tags, ents.tags...)
+	}
 }
 
 // trimStaged drops the first cut staged ops, which the index being
@@ -275,7 +356,7 @@ func (e *Engine) consolidateOnce(background bool, bulk setList) error {
 		// background mode. Device memory is untouched here, so the old
 		// index's buffers are not double-counted against the device
 		// budget.
-		idx = e.buildHostIndex(listDatabase(old, touched, bulk))
+		idx = e.buildHostIndex(listDatabase(old, touched, bulk, e.cfg.ExactVerify))
 	}
 
 	// Phase C: drain, swap, upload.

@@ -168,13 +168,22 @@ type layout struct {
 	// rows (slicedPart). A layout without devices — GPUs: 0, or degraded —
 	// holds every slot: it is the CPU kernel's index.
 	groups []groupSlot
-	// runs holds the run nodes of every partition's groups, partition-major
-	// (partition.runOff/nRuns; kernel_sliced.go: runNode). They stay on the
-	// host beside the rows, for the upload and the host-side match.
-	runs     []runNode
-	parts    []partition
-	pt       *partitionTable
-	maskless []uint32 // partitions with empty mask (degenerate databases)
+	// runs holds the run nodes of every partition's groups
+	// (partition.runOff/nRuns; kernel_sliced.go: runNode), device by
+	// device. They stay on the host beside the rows, for the upload and
+	// the host-side match.
+	runs []runNode
+	// groupBuf is the one array a build transposes every partition's
+	// groups into, the cache's slots windows of it, until attachDevices
+	// drops the cache. Groups and run nodes lie device by device: device
+	// d's partitions, in partition order, from stretchAt[d] to
+	// stretchAt[d+1], so an upload sends its stretch as it lies
+	// (stretchOf). A layout without devices is one stretch.
+	groupBuf  []bitvec.SlicedGroup
+	stretchAt []stretch
+	parts     []partition
+	pt        *partitionTable
+	maskless  []uint32 // partitions with empty mask (degenerate databases)
 
 	// rows maps each signature to its row (rowtable.go), filled by the
 	// full build once the rows are laid out.
@@ -199,6 +208,9 @@ type layout struct {
 	// the cache.
 	hostBytes atomic.Int64
 }
+
+// stretch is where one device's groups and run nodes start in a layout.
+type stretch struct{ groups, runs uint32 }
 
 // groupSlot is one partition's entry in layout.groups: its groups, or nil
 // while the host does not hold them. once guards the one build a host-side
@@ -509,7 +521,8 @@ func emptyIndex() *index {
 // key table, row table, partition table. It touches no device state, so
 // the background consolidator can run it while the previous index still
 // holds every device's memory; attachDevices completes the index inside
-// the swap's critical section.
+// the swap's critical section. It consumes db: Algorithm 1 splits its
+// signatures in place.
 func (e *Engine) buildHostIndex(db setList) *index {
 	specs := e.partition(db.sigs)
 	withTags := e.cfg.ExactVerify
@@ -519,7 +532,7 @@ func (e *Engine) buildHostIndex(db setList) *index {
 	for i := range specs {
 		n := keyAt[i]
 		for _, m := range specs[i].members {
-			n += uint32(len(db.lists[m].keys))
+			n += db.off[m+1] - db.off[m]
 		}
 		keyAt[i+1] = n
 	}
@@ -531,12 +544,12 @@ func (e *Engine) buildHostIndex(db setList) *index {
 	idx.layout = newLayout(specs, len(e.devices), func(p int, members []int32, off uint32) {
 		k := keyAt[p]
 		for j, m := range members {
-			ents := db.lists[m]
-			copy(idx.keys[k:], ents.keys)
+			lo, hi := db.off[m], db.off[m+1]
+			copy(idx.keys[k:], db.keys[lo:hi])
 			if withTags {
-				copy(idx.keyTags[k:], ents.tags)
+				copy(idx.keyTags[k:], db.tags[lo:hi])
 			}
-			k += uint32(len(ents.keys))
+			k += hi - lo
 			idx.keyOff[off+uint32(j)+1] = k
 			rowOf[m] = off + uint32(j)
 		}
@@ -549,12 +562,13 @@ func (e *Engine) buildHostIndex(db setList) *index {
 	return idx
 }
 
-// partition runs the configured partitioner over sigs.
+// partition runs the configured partitioner over sigs, which it may
+// reorder.
 func (e *Engine) partition(sigs []bitvec.Vector) []partitionSpec {
 	if e.cfg.FirstFitPartitioning {
 		return firstFitPartition(sigs, e.cfg.MaxPartitionSize)
 	}
-	return balancedPartition(sigs, e.cfg.MaxPartitionSize)
+	return splitBalanced(sigs, e.cfg.MaxPartitionSize)
 }
 
 // newLayout is the one place partitions become rows. It places every
@@ -567,11 +581,12 @@ func (e *Engine) partition(sigs []bitvec.Vector) []partitionSpec {
 // the caller writes its per-row data in the same pass. Partitions are
 // independent, so the result does not depend on scheduling. The run
 // nodes, whose count is known only once derived, are joined at the end.
-// Full builds and KernelBenchmark both lay out through here, so they
-// cannot disagree on the order or on the run tree.
+// Groups and run nodes lie device by device (layout.stretchAt), so a
+// device's upload sends one stretch of each as it lies. Full builds and
+// KernelBenchmark both lay out through here, so they cannot disagree on
+// the order or on the run tree.
 func newLayout(specs []partitionSpec, nDev int, fill func(p int, members []int32, off uint32)) *layout {
 	l := &layout{parts: make([]partition, len(specs)), groups: make([]groupSlot, len(specs))}
-	groupAt := make([]uint32, len(specs)+1)
 	var nSets uint32
 	for i := range specs {
 		p := &l.parts[i]
@@ -580,10 +595,24 @@ func newLayout(specs []partitionSpec, nDev int, fill func(p int, members []int32
 			p.dev = i % nDev
 		}
 		nSets += p.n
-		groupAt[i+1] = groupAt[i] + p.nGroups()
 	}
+	// Device d's partitions are d, d+nDev, ...; a layout without devices
+	// is one stretch of every partition.
+	nStretch := max(nDev, 1)
+	l.stretchAt = make([]stretch, nStretch+1)
+	groupAt := make([]uint32, len(specs))
+	var nG uint32
+	for d := range nStretch {
+		l.stretchAt[d].groups = nG
+		for i := d; i < len(specs); i += nStretch {
+			p := &l.parts[i]
+			groupAt[i], p.devOff = nG, nG-l.stretchAt[d].groups
+			nG += p.nGroups()
+		}
+	}
+	l.stretchAt[nStretch].groups = nG
 	l.sets = make([]bitvec.Vector, nSets)
-	flat := make([]bitvec.SlicedGroup, groupAt[len(specs)])
+	l.groupBuf = make([]bitvec.SlicedGroup, nG)
 	runs := make([][]runNode, len(specs))
 	weight := clusterWeights(specs)
 	var next atomic.Int64
@@ -597,7 +626,8 @@ func newLayout(specs []partitionSpec, nDev int, fill func(p int, members []int32
 				p := &l.parts[i]
 				rows := l.sets[p.off : p.off+p.n]
 				c.layOut(&specs[i], rows)
-				g := bitvec.AppendSlicedGroups(flat[groupAt[i]:groupAt[i]:groupAt[i+1]], rows)
+				at := groupAt[i]
+				g := bitvec.AppendSlicedGroups(l.groupBuf[at:at:at+p.nGroups()], rows)
 				l.groups[i].g = g
 				runs[i] = deriveRuns(nil, g)
 				if fill != nil {
@@ -612,12 +642,25 @@ func newLayout(specs []partitionSpec, nDev int, fill func(p int, members []int32
 		nR += len(runs[i])
 	}
 	l.runs = make([]runNode, 0, nR)
-	for i := range runs {
-		p := &l.parts[i]
-		p.runOff, p.nRuns = uint32(len(l.runs)), uint32(len(runs[i]))
-		l.runs = append(l.runs, runs[i]...)
+	for d := range nStretch {
+		l.stretchAt[d].runs = uint32(len(l.runs))
+		for i := d; i < len(specs); i += nStretch {
+			p := &l.parts[i]
+			p.runOff, p.nRuns = uint32(len(l.runs)), uint32(len(runs[i]))
+			p.devRunOff = p.runOff - l.stretchAt[d].runs
+			l.runs = append(l.runs, runs[i]...)
+		}
 	}
+	l.stretchAt[nStretch].runs = uint32(len(l.runs))
 	return l
+}
+
+// stretchOf returns device d's groups and run nodes, as newLayout laid
+// them out. Only a freshly built layout, whose cache holds every
+// partition's groups, has them.
+func (idx *layout) stretchOf(d int) ([]bitvec.SlicedGroup, []runNode) {
+	lo, hi := idx.stretchAt[d], idx.stretchAt[d+1]
+	return idx.groupBuf[lo.groups:hi.groups], idx.runs[lo.runs:hi.runs]
 }
 
 // slicedPart returns partition pid's slice of the transposed index — its
@@ -642,30 +685,7 @@ func (idx *layout) dropGroups() {
 	for i := range idx.groups {
 		idx.groups[i].g = nil
 	}
-}
-
-// gatherDevice packs the groups and run nodes of device d's partitions
-// contiguously, for one upload, and records where each partition lands in
-// them (devOff, devRunOff). It runs on a freshly built layout, whose cache
-// holds every partition's groups. The buffers are sized exactly.
-func (idx *layout) gatherDevice(d int) ([]bitvec.SlicedGroup, []runNode) {
-	var nG, nR uint32
-	for _, p := range idx.parts {
-		if p.dev == d {
-			nG, nR = nG+p.nGroups(), nR+p.nRuns
-		}
-	}
-	groups, runs := make([]bitvec.SlicedGroup, 0, nG), make([]runNode, 0, nR)
-	for pi := range idx.parts {
-		p := &idx.parts[pi]
-		if p.dev != d {
-			continue
-		}
-		p.devOff, p.devRunOff = uint32(len(groups)), uint32(len(runs))
-		groups = append(groups, idx.groups[pi].g...)
-		runs = append(runs, idx.runs[p.runOff:p.runOff+p.nRuns]...)
-	}
-	return groups, runs
+	idx.groupBuf = nil
 }
 
 // appendKeys extends the key CSR by one row holding ents.
@@ -734,11 +754,11 @@ const slicedGroupBytes = (bitvec.W + bitvec.Blocks + 1 + bitvec.Blocks) * 8
 // uploadToDevices allocates and fills the device-resident index — the
 // transposed groups and their run nodes — and opens the stream pools with
 // their per-stream batch buffers. Device d holds only the partitions it
-// owns (partition.dev), re-packed contiguously (gatherDevice).
+// owns (partition.dev), its stretch of the layout (stretchOf).
 func (e *Engine) uploadToDevices(idx *layout) error {
 	idx.devShards = make([]shard, len(idx.devices))
 	for d, dev := range idx.devices {
-		groups, runs := idx.gatherDevice(d)
+		groups, runs := idx.stretchOf(d)
 		var err error
 		if idx.devShards[d], err = uploadShard(dev, groups, runs); err != nil {
 			return fmt.Errorf("uploading index to %s: %w", dev.Name(), err)

@@ -48,9 +48,9 @@ func (db *testDB) load(e *Engine) {
 
 // bulk is the database as LoadSnapshot hands it to a consolidation.
 func (db *testDB) bulk() setList {
-	b := setList{sigs: db.sigs, lists: make([]entryList, len(db.sigs))}
+	var b setList
 	for i, keys := range db.keys {
-		b.lists[i].keys = keys
+		b.add(db.sigs[i], entryList{keys: keys}, false)
 	}
 	return b
 }

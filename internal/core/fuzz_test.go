@@ -2,15 +2,20 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"tagmatch/internal/bitvec"
 )
 
-// FuzzLoadSnapshot feeds arbitrary bytes to the snapshot loader: it must
-// either load cleanly or fail with ErrBadSnapshot — never panic, never
-// hang, never corrupt the engine.
+// FuzzLoadSnapshot feeds arbitrary bytes to the snapshot loader, on a
+// plain and on an ExactVerify engine: it must either load cleanly or fail
+// with ErrBadSnapshot — never panic, never hang, never corrupt the engine.
+// The seeds cover what the decoder must get right: a tagged stream, a
+// repeated signature, a record without entries, and a header that
+// declares 2^40 more records than follow and a record that declares 2^32-1
+// more keys, neither of which the decoder may allocate for.
 func FuzzLoadSnapshot(f *testing.F) {
 	// Seed with a valid snapshot and a few mutations.
 	e, err := New(Config{Threads: 1})
@@ -37,14 +42,27 @@ func FuzzLoadSnapshot(f *testing.F) {
 		mutated[15] ^= 0xff
 	}
 	f.Add(mutated)
+	ab, c := bitvec.FromOnes(1, 5, 9), bitvec.FromOnes(2, 70, 150)
+	recs := []snapRecord{
+		{sig: ab, keys: []Key{1, 2}, tags: [][]string{{"a", "b"}, {"b"}}},
+		{sig: c, keys: []Key{3}, tags: [][]string{{"c"}}},
+	}
+	f.Add(encodeSnapshot(true, 2, recs))
+	f.Add(encodeSnapshot(false, 3, append(recs, snapRecord{sig: ab, keys: []Key{4}})))
+	f.Add(encodeSnapshot(false, 3, append(recs, snapRecord{sig: bitvec.FromOnes(40)})))
+	f.Add(encodeSnapshot(false, 2+1<<40, recs))
+	// A record whose entry count claims 2^32-1 keys, one of which follows.
+	huge := encodeSnapshot(false, 1, []snapRecord{{sig: c, keys: []Key{7}}})
+	binary.LittleEndian.PutUint32(huge[len(huge)-8:], ^uint32(0))
+	f.Add(huge)
 
-	// One engine for the whole fuzz process: creating an engine (worker
-	// goroutines, channels) per execution makes the fuzz coordinator
-	// crawl on small hosts. Loaded state accumulates across executions,
-	// which is harmless for a robustness target.
-	var eng *Engine
+	// One engine of each kind for the whole fuzz process: creating an
+	// engine (worker goroutines, channels) per execution makes the fuzz
+	// coordinator crawl on small hosts. Loaded state accumulates across
+	// executions, which is harmless for a robustness target.
+	var engs []*Engine
 	f.Cleanup(func() {
-		if eng != nil {
+		for _, eng := range engs {
 			eng.Close()
 		}
 	})
@@ -55,21 +73,26 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if len(data) > 1<<16 {
 			return
 		}
-		if eng == nil {
-			var err error
-			if eng, err = New(Config{Threads: 1}); err != nil {
-				t.Fatal(err)
+		if engs == nil {
+			for _, cfg := range []Config{{Threads: 1}, {Threads: 1, ExactVerify: true}} {
+				eng, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				engs = append(engs, eng)
 			}
 		}
-		if err := eng.LoadSnapshot(bytes.NewReader(data)); err != nil {
-			if !errors.Is(err, ErrBadSnapshot) {
-				t.Fatalf("unexpected error type: %v", err)
+		for _, eng := range engs {
+			if err := eng.LoadSnapshot(bytes.NewReader(data)); err != nil {
+				if !errors.Is(err, ErrBadSnapshot) {
+					t.Fatalf("unexpected error type: %v", err)
+				}
+				continue
 			}
-			return
-		}
-		// A successful load must leave a usable engine.
-		if _, err := match(eng, tagReq([]string{"x"}, false)); err != nil {
-			t.Fatalf("engine unusable after load: %v", err)
+			// A successful load must leave a usable engine.
+			if _, err := match(eng, tagReq([]string{"x"}, false)); err != nil {
+				t.Fatalf("engine unusable after load: %v", err)
+			}
 		}
 	})
 }

@@ -37,7 +37,7 @@ type KernelBenchResult struct {
 // KernelBenchmark measures the subset-match kernel in isolation: it
 // partitions sigs and lays the rows out exactly as Consolidate does
 // (Algorithm 1, then newLayout: 64-aligned clusters, transposed
-// groups and their run nodes, gathered for the device by gatherDevice),
+// groups and their run nodes, uploaded as the one stretch they lie in),
 // routes every query through the partition table to form per-partition
 // batches of at most batchSize, and times iters passes of the whole batch
 // set — each batch's signatures and segment table staged as the engine
@@ -136,7 +136,7 @@ func KernelBenchmark(sigs []bitvec.Vector, maxP int, queries []bitvec.Vector, ba
 		panic(err)
 	}
 	defer stream.Close()
-	groups, runs := idx.gatherDevice(0)
+	groups, runs := idx.stretchOf(0)
 	sh, err := uploadShard(dev, groups, runs)
 	if err != nil {
 		panic(err)

@@ -12,12 +12,13 @@ import (
 // signatures in the same order, and the members' bit-frequency table,
 // which the in-partition clusterer starts from. sets is a window of the
 // partitioner's working copy, so a partition's signatures sit together
-// whatever order the caller's slice holds them in.
+// whatever order the caller's slice holds them in. The table is held by
+// pointer, so the partitioner's lists of specs stay small to grow.
 type partitionSpec struct {
 	mask    bitvec.Vector
 	members []int32
 	sets    []bitvec.Vector
-	freq    bitFreq
+	freq    *bitFreq
 }
 
 // bitFreq counts, per bit position, how many sets of a run carry the bit.
@@ -141,18 +142,26 @@ func (f *bitFreq) pivot(n int32, used bitvec.Vector) int {
 // is still oversized or mask-less (possible only with near-duplicate
 // signatures), the partition is accepted as is.
 func balancedPartition(sets []bitvec.Vector, maxP int) []partitionSpec {
-	if len(sets) == 0 {
+	return splitBalanced(slices.Clone(sets), maxP)
+}
+
+// splitBalanced is balancedPartition splitting work itself, which it
+// reorders: the specs' windows are windows of work. A full build hands it
+// the listing's signatures, which nothing reads in their listed order
+// afterwards, and so copies no signature to partition.
+func splitBalanced(work []bitvec.Vector, maxP int) []partitionSpec {
+	if len(work) == 0 {
 		return nil
 	}
-	work := slices.Clone(sets)
-	ids := make([]int32, len(sets))
+	ids := make([]int32, len(work))
 	for i := range ids {
 		ids[i] = int32(i)
 	}
 	var freq bitFreq
 	freq.count(work)
 	s := splitter{maxP: max(maxP, 1)}
-	return s.run(nil, bitvec.Vector{}, bitvec.Vector{}, work, ids, &freq)
+	s.grow(scratchFor(len(work)) + forkSlack)
+	return slices.Concat(s.run(nil, bitvec.Vector{}, bitvec.Vector{}, work, ids, &freq)...)
 }
 
 // forkRun is the run size, in multiples of maxP, above which a splitter
@@ -162,13 +171,28 @@ func balancedPartition(sets []bitvec.Vector, maxP int) []partitionSpec {
 // of at most forkRun partitions is split on the caller's goroutine.
 const forkRun = 16
 
+// forkSlack is the room, in elements, the first splitter's scratch has
+// beyond what the whole run needs, which splitter.fork hands down: halved
+// at each fork, it lasts about ten nested forks, and one nested deeper
+// grows scratch of its own.
+const forkSlack = 1024
+
+// scratchFor is the scratch a run of n needs: its smaller side and the
+// spare slot.
+func scratchFor(n int) int { return n/2 + 1 }
+
 // splitter is one goroutine's share of Algorithm 1: the scratch its
-// splits move the smaller side of a run through.
+// splits move the smaller side of a run through, and the slab its
+// partitions' tables are kept in.
 type splitter struct {
-	maxP int
-	sets []bitvec.Vector
-	ids  []int32
+	maxP  int
+	sets  []bitvec.Vector
+	ids   []int32
+	freqs []bitFreq
 }
+
+// freqSlab is how many partitions' tables a splitter allocates at once.
+const freqSlab = 16
 
 // run appends the partitions of one run — its mask, the bits used above
 // it, its members' signatures and indices and their table freq — to out:
@@ -176,15 +200,27 @@ type splitter struct {
 // depth-first walk whatever runs concurrently, so the output does not
 // depend on scheduling. A split moves the one side to the front of the
 // run and the zero side behind it, so the partitions tile the working
-// copy in output order, and concurrent subtrees share no memory.
-func (s *splitter) run(out []partitionSpec, mask, used bitvec.Vector, sets []bitvec.Vector, ids []int32, freq *bitFreq) []partitionSpec {
+// copy in output order, and concurrent subtrees share no memory. out is
+// a list of lists, which balancedPartition joins once: a fork's lists
+// follow the one side's by reference, so a partition is not copied at
+// every fork above it.
+func (s *splitter) run(out [][]partitionSpec, mask, used bitvec.Vector, sets []bitvec.Vector, ids []int32, freq *bitFreq) [][]partitionSpec {
 	pivot := -1
 	if len(sets) > s.maxP || mask.IsZero() {
 		pivot = freq.pivot(int32(len(sets)), used)
 	}
 	if pivot < 0 {
 		// Small enough with a mask, or all 192 bits consumed: accept.
-		return append(out, partitionSpec{mask: mask, members: ids, sets: sets, freq: *freq})
+		if len(s.freqs) == cap(s.freqs) {
+			s.freqs = make([]bitFreq, 0, freqSlab)
+		}
+		s.freqs = append(s.freqs, *freq)
+		spec := partitionSpec{mask: mask, members: ids, sets: sets, freq: &s.freqs[len(s.freqs)-1]}
+		if len(out) == 0 {
+			return append(out, []partitionSpec{spec})
+		}
+		out[len(out)-1] = append(out[len(out)-1], spec)
+		return out
 	}
 	used.Set(pivot)
 	k := int(freq[pivot])
@@ -210,9 +246,9 @@ func (s *splitter) run(out []partitionSpec, mask, used bitvec.Vector, sets []bit
 	}
 	// The zero side splits on a goroutine of its own into a list of its
 	// own, which follows the one side's.
-	var zeros []partitionSpec
+	var zeros [][]partitionSpec
 	done := make(chan struct{})
-	fork, forkFreq := splitter{maxP: s.maxP}, f0
+	fork, forkFreq := s.fork(k, len(sets)-k), f0
 	go func() {
 		defer close(done)
 		zeros = fork.run(nil, mask, used, sets[k:], ids[k:], &forkFreq)
@@ -220,6 +256,22 @@ func (s *splitter) run(out []partitionSpec, mask, used bitvec.Vector, sets []bit
 	out = s.run(out, one, used, sets[:k], ids[:k], &f1)
 	<-done
 	return append(out, zeros...)
+}
+
+// fork splits s's scratch between s, going on with a run of k, and the
+// splitter it returns for a forked run of n: each gets what its run needs
+// and half of what is left over, which pays for the forks below it (each
+// nesting costs one element). A run's scratch is only used inside its
+// split, so the two subtrees share no element of it. When s's scratch
+// cannot cover both runs, the fork grows its own.
+func (s *splitter) fork(k, n int) splitter {
+	f := splitter{maxP: s.maxP}
+	if spare := len(s.sets) - scratchFor(k) - scratchFor(n); spare >= 0 {
+		cut := scratchFor(k) + spare/2
+		f.sets, f.ids = s.sets[cut:], s.ids[cut:]
+		s.sets, s.ids = s.sets[:cut], s.ids[:cut]
+	}
+	return f
 }
 
 // partition moves the k carriers of bit pivot to the front of the run and
@@ -294,7 +346,7 @@ func firstFitPartition(sets []bitvec.Vector, maxP int) []partitionSpec {
 	var out []partitionSpec
 	for off := 0; off < len(order); off += maxP {
 		end := min(off+maxP, len(order))
-		spec := partitionSpec{members: order[off:end], sets: work[off:end]}
+		spec := partitionSpec{members: order[off:end], sets: work[off:end], freq: new(bitFreq)}
 		spec.mask = spec.sets[0]
 		for _, v := range spec.sets[1:] {
 			spec.mask = spec.mask.And(v)
@@ -385,9 +437,9 @@ func (c *clusterer) pick(f *bitFreq, n int) (pivot, k int) {
 // carries the pivot — the ≤ 63 left over spill into the zero-side, the
 // one-side recurses and the loop continues on the zero-side. Leaves of at
 // most 64 members, and runs no bit splits, are sorted lexicographically.
-func (c *clusterer) order(members []int32, f *bitFreq) {
+func (c *clusterer) order(members []int32, f bitFreq) {
 	for len(members) > 64 {
-		pivot, k := c.pick(f, len(members))
+		pivot, k := c.pick(&f, len(members))
 		if pivot < 0 {
 			break
 		}
@@ -403,8 +455,8 @@ func (c *clusterer) order(members []int32, f *bitFreq) {
 			}
 		}
 		f1, f0 := f.split(c.sets, one, zero)
-		c.order(one, &f1)
-		members, f = zero, &f0
+		c.order(one, f1)
+		members, f = zero, f0
 	}
 	sortMembersLexicographically(c.sets, members)
 }
@@ -419,7 +471,7 @@ func (c *clusterer) layOut(spec *partitionSpec, rows []bitvec.Vector) {
 	for i := range spec.members {
 		c.pos = append(c.pos, int32(i))
 	}
-	c.order(c.pos, &spec.freq)
+	c.order(c.pos, *spec.freq)
 	c.scratch = c.scratch[:0]
 	for r, i := range c.pos {
 		rows[r] = spec.sets[i]

@@ -240,7 +240,8 @@ func recountingPartition(sets []bitvec.Vector, maxP int) []partitionSpec {
 			pivot = pickPivot(sets, w.members, w.used)
 		}
 		if pivot < 0 {
-			out = append(out, partitionSpec{mask: w.mask, members: w.members, sets: gather(sets, w.members), freq: recount(sets, w.members)})
+			f := recount(sets, w.members)
+			out = append(out, partitionSpec{mask: w.mask, members: w.members, sets: gather(sets, w.members), freq: &f})
 			continue
 		}
 		w.used.Set(pivot)

@@ -280,8 +280,7 @@ func testRowTableDifferential(t *testing.T, exact bool) {
 			g.live.apply(sig, next, false)
 			next++
 		}
-		bulk.sigs = append(bulk.sigs, sig)
-		bulk.lists = append(bulk.lists, ents)
+		bulk.add(sig, ents, exact)
 	}
 	if err := e.consolidateOnce(false, bulk); err != nil {
 		t.Fatal(err)
@@ -431,8 +430,7 @@ func testRowTableDifferential(t *testing.T, exact bool) {
 		if exact {
 			ents.tags = [][]string{g.live.tags[sig]}
 		}
-		bulk.sigs = append(bulk.sigs, sig)
-		bulk.lists = append(bulk.lists, ents)
+		bulk.add(sig, ents, exact)
 		g.live.apply(sig, next, false)
 		next++
 	}

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 
 	"tagmatch/internal/bitvec"
 )
@@ -15,14 +13,20 @@ import (
 //
 //	magic   [8]byte  "TMSNAP01"
 //	flags   u32      bit 0: entries carry tags (ExactVerify databases)
-//	nSets   u64      number of unique signatures
-//	then per unique signature:
+//	nSets   u64      number of records
+//	then per record:
 //	  sig      [24]byte   big-endian blocks (bitvec encoding)
 //	  nEntries u32
 //	  per entry:
 //	    key   u32
 //	    nTags u16        (only when flags bit 0 is set)
 //	    per tag: u16 length + bytes
+//
+// A record is a signature and entries of its set. A signature may head
+// more than one record: the set holds the entries of all of them, in
+// stream order. A record without entries adds nothing. SaveSnapshot
+// writes one record per set, so nSets counts its unique signatures, and
+// none empty; a loader accepts both.
 //
 // A snapshot captures the logical database — the durable state of the
 // engine — with any staged (unconsolidated) operations applied on the
@@ -51,7 +55,7 @@ func (e *Engine) SaveSnapshot(w io.Writer) error {
 	e.stagedMu.Lock()
 	defer e.stagedMu.Unlock()
 	idx := e.idx.Load()
-	db := listDatabase(idx, touchedBy(idx, e.staged, e.cfg.ExactVerify), setList{})
+	db := listDatabase(idx, touchedBy(idx, e.staged, e.cfg.ExactVerify), setList{}, e.cfg.ExactVerify)
 
 	var flags uint32
 	if e.cfg.ExactVerify {
@@ -62,7 +66,7 @@ func (e *Engine) SaveSnapshot(w io.Writer) error {
 	buf = binary.LittleEndian.AppendUint32(buf, flags)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(db.sigs)))
 	for m, sig := range db.sigs {
-		ents := db.lists[m]
+		ents := db.entries(m)
 		buf = sig.AppendBinary(buf)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ents.keys)))
 		for j, k := range ents.keys {
@@ -104,110 +108,68 @@ const snapshotChunk = 1 << 20
 // any staged operations. A snapshot written with tags loads into any
 // engine, but exact verification only applies if the loading engine has
 // ExactVerify set.
+//
+// The records are decoded where they lie in the decoder's buffer, into
+// one CSR listing (setList). When r reports how many bytes it has left
+// (a Len method, as bytes.Reader and strings.Reader have), the CSR is
+// sized once from the set count, capped by those bytes, so a header that
+// claims more records than the stream holds allocates nothing for them;
+// otherwise the CSR grows as the records arrive.
 func (e *Engine) LoadSnapshot(r io.Reader) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	br := bufio.NewReaderSize(r, 1<<20)
-	// Fixed-width fields are read into one small array and decoded in
-	// place.
-	var fixed [bitvec.Blocks * 8]byte
-	read := func(n int, what string) ([]byte, error) {
-		if _, err := io.ReadFull(br, fixed[:n]); err != nil {
-			return nil, fmt.Errorf("%w: reading %s: %v", ErrBadSnapshot, what, err)
-		}
-		return fixed[:n], nil
+	// The stream's bytes left, when r tells: they bound the presizing.
+	left := -1
+	if lr, ok := r.(interface{ Len() int }); ok {
+		left = lr.Len()
 	}
-
-	b, err := read(len(snapshotMagic), "magic")
-	if err != nil {
+	d := snapDecoder{r: r, buf: make([]byte, decodeBuffer)}
+	if err := d.need(snapshotHead, "header"); err != nil {
 		return err
 	}
-	if [8]byte(b) != snapshotMagic {
-		return fmt.Errorf("%w: bad magic %q", ErrBadSnapshot, b)
+	head := d.take(snapshotHead)
+	if [8]byte(head) != snapshotMagic {
+		return fmt.Errorf("%w: bad magic %q", ErrBadSnapshot, head[:8])
 	}
-	if b, err = read(4, "flags"); err != nil {
-		return err
-	}
-	flags := binary.LittleEndian.Uint32(b)
-	if b, err = read(8, "set count"); err != nil {
-		return err
-	}
-	nSets := binary.LittleEndian.Uint64(b)
+	tagged := binary.LittleEndian.Uint32(head[8:])&snapFlagTags != 0
+	nSets := binary.LittleEndian.Uint64(head[12:])
+	withTags := e.cfg.ExactVerify
 
 	// Accumulate locally and commit only after the whole stream parses: a
-	// malformed snapshot must not leave a partial load behind. The set
-	// count comes from the stream, so it only caps the pre-sizing.
-	presize := min(nSets, 1<<16)
-	bulk := setList{sigs: make([]bitvec.Vector, 0, presize)}
-	ends := make([]int, 0, presize)
-	keys := make([]Key, 0, presize)
-	var tags [][]string // parallel to keys in ExactVerify mode
-	var tagBuf []byte
+	// malformed snapshot must not leave a partial load behind.
+	bulk := setList{off: []uint32{0}}
+	if left >= snapshotHead {
+		rest := uint64(left - snapshotHead)
+		sets := min(nSets, rest/recordHead)
+		bulk.sigs = make([]bitvec.Vector, 0, sets)
+		bulk.off = make([]uint32, 1, sets+1)
+		if !tagged {
+			// Each record is its head and four bytes per key.
+			bulk.keys = make([]Key, 0, (rest-sets*recordHead)/4)
+		}
+	}
 	for s := uint64(0); s < nSets; s++ {
-		if b, err = read(bitvec.Blocks*8, "signature"); err != nil {
+		if err := d.need(recordHead, "signature"); err != nil {
 			return err
 		}
-		sig, err := bitvec.FromBinary(b)
+		rec := d.take(recordHead)
+		sig, _ := bitvec.FromBinary(rec)
+		n := int(binary.LittleEndian.Uint32(rec[bitvec.Blocks*8:]))
+		if n == 0 {
+			continue
+		}
+		var err error
+		if tagged {
+			err = d.taggedEntries(&bulk, n, withTags)
+		} else {
+			err = d.keys(&bulk, n, withTags)
+		}
 		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-		if b, err = read(4, "entry count"); err != nil {
 			return err
-		}
-		nEntries := binary.LittleEndian.Uint32(b)
-		for i := uint32(0); i < nEntries; i++ {
-			if b, err = read(4, "key"); err != nil {
-				return err
-			}
-			keys = append(keys, Key(binary.LittleEndian.Uint32(b)))
-			var enTags []string
-			if flags&snapFlagTags != 0 {
-				if b, err = read(2, "tag count"); err != nil {
-					return err
-				}
-				nTags := int(binary.LittleEndian.Uint16(b))
-				if e.cfg.ExactVerify {
-					enTags = make([]string, nTags)
-				}
-				for j := 0; j < nTags; j++ {
-					if b, err = read(2, "tag length"); err != nil {
-						return err
-					}
-					tl := int(binary.LittleEndian.Uint16(b))
-					if enTags == nil {
-						// Tags are only consulted by ExactVerify: skip the
-						// bytes instead of materializing millions of
-						// short-lived strings on a bulk load.
-						if _, err := br.Discard(tl); err != nil {
-							return fmt.Errorf("%w: reading tag: %v", ErrBadSnapshot, err)
-						}
-						continue
-					}
-					tagBuf = slices.Grow(tagBuf[:0], tl)[:tl]
-					if _, err := io.ReadFull(br, tagBuf); err != nil {
-						return fmt.Errorf("%w: reading tag: %v", ErrBadSnapshot, err)
-					}
-					enTags[j] = string(tagBuf)
-				}
-			}
-			if e.cfg.ExactVerify {
-				tags = append(tags, enTags)
-			}
 		}
 		bulk.sigs = append(bulk.sigs, sig)
-		ends = append(ends, len(keys))
-	}
-	// The entries live only until the build has copied them into the key
-	// table; each set's are a window of the one array.
-	bulk.lists = make([]entryList, len(ends))
-	start := 0
-	for i, end := range ends {
-		bulk.lists[i].keys = keys[start:end]
-		if tags != nil {
-			bulk.lists[i].tags = tags[start:end]
-		}
-		start = end
+		bulk.off = append(bulk.off, uint32(len(bulk.keys)))
 	}
 	// Submissions are blocked for the whole synchronous pass, so the bulk
 	// never needs an overlay generation of its own (a snapshot-sized
@@ -216,4 +178,102 @@ func (e *Engine) LoadSnapshot(r io.Reader) error {
 	// matchable when LoadSnapshot returns; ops staged meanwhile survive as
 	// the suffix and are replayed into the fresh overlay by the swap.
 	return e.consolidateOnce(false, bulk)
+}
+
+// snapshotHead is the size of a stream's header (magic, flags, set
+// count) and recordHead that of a record's (signature, entry count).
+// decodeBuffer is the size of the decoder's buffer: the longest field, a
+// tag of 2^16-1 bytes, fits.
+const (
+	snapshotHead = len(snapshotMagic) + 4 + 8
+	recordHead   = bitvec.Blocks*8 + 4
+	decodeBuffer = 1 << 16
+)
+
+// snapDecoder hands a snapshot stream out of one buffer: a record's
+// fields are decoded where they lie, and a run of keys costs one bounds
+// check for as many of them as the buffer holds.
+type snapDecoder struct {
+	r   io.Reader
+	buf []byte
+	at  int // buf[at:end] is read and not yet decoded
+	end int
+}
+
+// need makes the next k bytes, k at most len(buf), available to take.
+func (d *snapDecoder) need(k int, what string) error {
+	if d.end-d.at >= k {
+		return nil
+	}
+	d.end = copy(d.buf, d.buf[d.at:d.end])
+	d.at = 0
+	n, err := io.ReadAtLeast(d.r, d.buf[d.end:], k-d.end)
+	d.end += n
+	if err != nil {
+		return fmt.Errorf("%w: reading %s: %v", ErrBadSnapshot, what, err)
+	}
+	return nil
+}
+
+// take consumes the next k bytes, which need made available.
+func (d *snapDecoder) take(k int) []byte {
+	b := d.buf[d.at : d.at+k]
+	d.at += k
+	return b
+}
+
+// keys appends a record's n untagged keys to l, and with tags as many nil
+// tag sets. The entry count comes from the stream, so nothing is sized
+// from it: the keys are appended as they are read.
+func (d *snapDecoder) keys(l *setList, n int, withTags bool) error {
+	for n > 0 {
+		if err := d.need(4, "key"); err != nil {
+			return err
+		}
+		k := min(n, (d.end-d.at)/4)
+		b := d.take(4 * k)
+		for i := 0; i < len(b); i += 4 {
+			l.keys = append(l.keys, Key(binary.LittleEndian.Uint32(b[i:])))
+		}
+		if withTags {
+			l.tags = append(l.tags, make([][]string, k)...)
+		}
+		n -= k
+	}
+	return nil
+}
+
+// taggedEntries appends a record's n tagged entries to l: each key, and
+// with tags its tag set. Without, the tags are skipped: only ExactVerify
+// consults them, and a bulk load would otherwise materialize millions of
+// short-lived strings.
+func (d *snapDecoder) taggedEntries(l *setList, n int, withTags bool) error {
+	for range n {
+		if err := d.need(6, "key"); err != nil {
+			return err
+		}
+		b := d.take(6)
+		l.keys = append(l.keys, Key(binary.LittleEndian.Uint32(b)))
+		nTags := int(binary.LittleEndian.Uint16(b[4:]))
+		var tags []string
+		if withTags {
+			tags = make([]string, nTags)
+		}
+		for j := range nTags {
+			if err := d.need(2, "tag length"); err != nil {
+				return err
+			}
+			tl := int(binary.LittleEndian.Uint16(d.take(2)))
+			if err := d.need(tl, "tag"); err != nil {
+				return err
+			}
+			if t := d.take(tl); withTags {
+				tags[j] = string(t)
+			}
+		}
+		if withTags {
+			l.tags = append(l.tags, tags)
+		}
+	}
+	return nil
 }

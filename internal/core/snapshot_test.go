@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"tagmatch/internal/bitvec"
+	"tagmatch/internal/bloom"
 	"tagmatch/internal/gpu"
 )
 
@@ -714,11 +715,14 @@ func TestSnapshotLoadHeapPerSet(t *testing.T) {
 // BenchmarkLoadSnapshot is set-up from a generated 50,000-set snapshot:
 // decoding, Algorithm 1, and the host index and row table build of a
 // fresh CPU-only engine, at the paper's partition ratio
-// (MaxPartitionSize = sets/1000).
+// (MaxPartitionSize = sets/1000). Beside B/op and allocs/op it reports
+// gc/op, the collector cycles that ran during the loads.
 func BenchmarkLoadSnapshot(b *testing.B) {
 	data := snapshotOf(b, 50000)
 	cfg := Config{MaxPartitionSize: 50, Threads: 2}
 
+	var ms runtime.MemStats
+	var cycles uint32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
@@ -727,12 +731,250 @@ func BenchmarkLoadSnapshot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		runtime.ReadMemStats(&ms)
+		gc0 := ms.NumGC
 		b.StartTimer()
 		if err := e.LoadSnapshot(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		cycles += ms.NumGC - gc0
 		e.Close()
 		b.StartTimer()
+	}
+	b.ReportMetric(float64(cycles)/float64(b.N), "gc/op")
+}
+
+// snapRecord is one record of a hand-encoded snapshot stream.
+type snapRecord struct {
+	sig  bitvec.Vector
+	keys []Key
+	tags [][]string // per key; written only to a tagged stream
+}
+
+// encodeSnapshot writes records under a header that declares nSets of
+// them, flagged as carrying tags when tagged.
+func encodeSnapshot(tagged bool, nSets uint64, recs []snapRecord) []byte {
+	var flags uint32
+	if tagged {
+		flags = snapFlagTags
+	}
+	b := append([]byte(nil), snapshotMagic[:]...)
+	b = binary.LittleEndian.AppendUint32(b, flags)
+	b = binary.LittleEndian.AppendUint64(b, nSets)
+	for _, r := range recs {
+		b = r.sig.AppendBinary(b)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(r.keys)))
+		for i, k := range r.keys {
+			b = binary.LittleEndian.AppendUint32(b, uint32(k))
+			if !tagged {
+				continue
+			}
+			var tags []string
+			if r.tags != nil {
+				tags = r.tags[i]
+			}
+			b = binary.LittleEndian.AppendUint16(b, uint16(len(tags)))
+			for _, tag := range tags {
+				b = binary.LittleEndian.AppendUint16(b, uint16(len(tag)))
+				b = append(b, tag...)
+			}
+		}
+	}
+	return b
+}
+
+// TestSnapshotRejectedLoadKeepsEngine loads malformed streams into an
+// engine that serves consolidated sets and holds staged adds and removes,
+// on the host and on two GPUs, with and without ExactVerify: a stream cut
+// inside a key, one whose record count runs past its end and one whose
+// last tag length does. Each is rejected with ErrBadSnapshot and leaves
+// the engine's answers, UniqueSets and PendingOps as they were, with
+// nothing in flight. Then a valid stream that names one new signature
+// twice, and one the engine serves, loads with their entries merged.
+func TestSnapshotRejectedLoadKeepsEngine(t *testing.T) {
+	tagsOf := func(i int) []string { return []string{fmt.Sprint("t", i), fmt.Sprint("u", i%7)} }
+	for _, gpus := range []int{0, 2} {
+		for _, exact := range []bool{false, true} {
+			t.Run(fmt.Sprintf("gpus=%d/exact=%v", gpus, exact), func(t *testing.T) {
+				e, err := New(Config{
+					MaxPartitionSize: 20, BatchSize: 32, Threads: 2, ExactVerify: exact,
+					GPUs: gpus, GPUWorkers: 2, StreamsPerGPU: 2, DeltaMaxSets: 1 << 20,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				model := map[int][]Key{}
+				add := func(i int, k Key) { model[i] = append(model[i], k) }
+				for i := range 200 {
+					e.AddSet(tagsOf(i), Key(i))
+					add(i, Key(i))
+				}
+				if err := e.Consolidate(); err != nil {
+					t.Fatal(err)
+				}
+				e.AddSet(tagsOf(3), 1000)
+				add(3, 1000)
+				e.RemoveSet(tagsOf(4), 4)
+				delete(model, 4)
+				e.AddSet(tagsOf(500), 1001)
+				add(500, 1001)
+
+				queries := [][]string{tagsOf(500), tagsOf(600)}
+				for i := 0; i < 200; i += 3 {
+					queries = append(queries, append(tagsOf(i), tagsOf(i+1)...))
+				}
+				check := func(what string) {
+					t.Helper()
+					for _, q := range queries {
+						got, err := match(e, tagReq(q, false))
+						if err != nil {
+							t.Fatal(err)
+						}
+						qs := bloom.Signature(q)
+						var want []Key
+						for i, keys := range model {
+							tags := tagsOf(i)
+							if bloom.Signature(tags).SubsetOf(qs) && (!exact || containsAll(q, tags)) {
+								want = append(want, keys...)
+							}
+						}
+						sortKeysSlice(got)
+						sortKeysSlice(want)
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s: query %v = %v, want %v", what, q, got, want)
+						}
+					}
+				}
+				check("before the loads")
+				sets, pending, mem := e.Stats().UniqueSets, e.PendingOps(), deviceMem(e)
+
+				recs := []snapRecord{
+					{sig: bloom.Signature(tagsOf(7)), keys: []Key{2000, 2001}, tags: [][]string{tagsOf(7), tagsOf(7)}},
+					{sig: bloom.Signature(tagsOf(600)), keys: []Key{2002}, tags: [][]string{tagsOf(600)}},
+				}
+				plain, tagged := encodeSnapshot(false, 2, recs), encodeSnapshot(true, 2, recs)
+				for name, data := range map[string][]byte{
+					"cut inside a key":          plain[:len(plain)-2],
+					"record count past the end": encodeSnapshot(false, 5, recs),
+					"tag length past the end":   tagged[:len(tagged)-1],
+				} {
+					if err := e.LoadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrBadSnapshot) {
+						t.Fatalf("%s: err = %v, want ErrBadSnapshot", name, err)
+					}
+					check(name)
+					if got := e.Stats().UniqueSets; got != sets {
+						t.Fatalf("%s: UniqueSets %d, was %d", name, got, sets)
+					}
+					if got := e.PendingOps(); got != pending {
+						t.Fatalf("%s: PendingOps %d, was %d", name, got, pending)
+					}
+					assertDrained(t, e, mem)
+				}
+
+				repeats := []snapRecord{
+					{sig: bloom.Signature(tagsOf(600)), keys: []Key{3000}, tags: [][]string{tagsOf(600)}},
+					{sig: bloom.Signature(tagsOf(5)), keys: []Key{3001, 3002}, tags: [][]string{tagsOf(5), tagsOf(5)}},
+					{sig: bloom.Signature(tagsOf(600)), keys: []Key{3003}, tags: [][]string{tagsOf(600)}},
+				}
+				if err := e.LoadSnapshot(bytes.NewReader(encodeSnapshot(exact, 3, repeats))); err != nil {
+					t.Fatal(err)
+				}
+				add(600, 3000)
+				add(5, 3001)
+				add(5, 3002)
+				add(600, 3003)
+				check("after the load of repeated signatures")
+				if got, want := e.Stats().UniqueSets, len(model); got != want {
+					t.Fatalf("UniqueSets %d after the load, want %d", got, want)
+				}
+				if got := e.PendingOps(); got != 0 {
+					t.Fatalf("PendingOps %d after the load, want 0", got)
+				}
+			})
+		}
+	}
+}
+
+// containsAll reports whether every tag of want is in have.
+func containsAll(have, want []string) bool {
+	for _, w := range want {
+		if !slices.Contains(have, w) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSnapshotLoadParity holds a load to the build over the database it
+// came from: LoadSnapshot(SaveSnapshot(e)) into a fresh engine lays out
+// the same rows, partition descriptors, groups, run nodes, key CSR and
+// tags, and answers the same row lookups, as buildHostIndex over e's
+// listing of its index ⊕ staged ops, with and without ExactVerify.
+func TestSnapshotLoadParity(t *testing.T) {
+	db := makeTestDB(3000, 5, 3, 311)
+	for _, exact := range []bool{false, true} {
+		t.Run(fmt.Sprintf("exact=%v", exact), func(t *testing.T) {
+			cfg := Config{MaxPartitionSize: 30, Threads: 2, ExactVerify: exact, DeltaMaxSets: 1 << 20}
+			src, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			add := func(sig bitvec.Vector, k Key, tag string) {
+				op := stagedOp{sig: sig, key: k}
+				if exact {
+					op.tags = []string{tag}
+				}
+				src.stageOp(op)
+			}
+			for i, sig := range db.sigs[:2500] {
+				for _, k := range db.keys[i] {
+					add(sig, k, fmt.Sprint(i))
+				}
+			}
+			if err := src.Consolidate(); err != nil {
+				t.Fatal(err)
+			}
+			for i, sig := range db.sigs[2000:] {
+				add(sig, Key(100000+i), fmt.Sprint("s", i))
+			}
+			src.RemoveSignature(db.sigs[10], db.keys[10][0])
+			var buf bytes.Buffer
+			if err := src.SaveSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+
+			dst, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dst.Close()
+			if err := dst.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			got := dst.idx.Load()
+			from := src.idx.Load()
+			want := dst.buildHostIndex(listDatabase(from, touchedBy(from, src.staged, exact), setList{}, exact))
+			requireSameLayout(t, got.layout, want.layout)
+			if !slices.Equal(got.keyOff, want.keyOff) || !slices.Equal(got.keys, want.keys) {
+				t.Fatal("key CSR differs")
+			}
+			if !slices.EqualFunc(got.keyTags, want.keyTags, slices.Equal[[]string]) {
+				t.Fatal("key tags differ")
+			}
+			if len(got.sets) != 3000 {
+				t.Fatalf("%d rows, want 3000", len(got.sets))
+			}
+			for _, sig := range slices.Concat(got.sets, randomSets(300, 6, 312)) {
+				gr, gok := got.rows.lookup(got.sets, sig)
+				wr, wok := want.rows.lookup(want.sets, sig)
+				if gok != wok || gr != wr {
+					t.Fatalf("row lookup = (%d, %v), the build's (%d, %v)", gr, gok, wr, wok)
+				}
+			}
+		})
 	}
 }

@@ -332,8 +332,7 @@ type partition struct {
 
 	// The partition's place in its device's shard: devOff where its
 	// nGroups groups start, and devRunOff where its nRuns run nodes start
-	// beside them. gatherDevice resolves them when it packs the
-	// shard.
+	// beside them. newLayout places them, device by device.
 	devOff    uint32
 	devRunOff uint32
 }
